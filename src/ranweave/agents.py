@@ -17,8 +17,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
-from itertools import combinations
-from typing import Callable, Mapping
+from typing import AbstractSet, Callable, Mapping, Sequence
 
 from .conflicts import (
     ConflictRecord,
@@ -26,7 +25,6 @@ from .conflicts import (
     build_conflict_graph,
     canonical_sort,
     internal_conflicts,
-    pairwise_conflicts,
 )
 from .memory import MemoryBuffer, OutcomeRecord
 from .model import (
@@ -37,7 +35,14 @@ from .model import (
     pipelines_equal,
     validate_pipeline_structure,
 )
-from .planner import OracleResult, SolutionScore, intent_sort_key, score_solution
+from .planner import (
+    OracleResult,
+    SolutionScore,
+    deployable_clashes,
+    intent_sort_key,
+    score_solution,
+    select_subset,
+)
 from .retrieval import VectorStore
 from .schemas import (
     PerceptionDoc,
@@ -338,77 +343,45 @@ def enforce_monotonicity(previous_best: Solution | None, candidate: Solution) ->
 
 def _select_deployment(
     ctx: RunContext,
-    eligible: dict[int | str, Pipeline],
-    truths: Mapping[int | str, Pipeline],
+    usable: Sequence[int | str],
+    clashes: Mapping[int | str, set[int | str]],
+    correct: AbstractSet[int | str],
 ) -> frozenset[int | str]:
     """Pick the deployed subset for this iteration's candidates.
 
-    Pairwise compatibility is evaluated once; the subset search itself then
-    runs over precomputed clash sets.
+    usable (in intent order) and clashes come from deployable_clashes over
+    the iteration's conflict graph. FCFS deploys greedily in that order;
+    every other mode takes the exact selector's answer.
     """
-    ids = sorted(eligible, key=intent_sort_key)
-    deployable = [
-        intent_id
-        for intent_id in ids
-        if not internal_conflicts(eligible[intent_id], ctx.matrix, ctx.registry)
-        and not any(
-            pairwise_conflicts(eligible[intent_id], p, ctx.intent_catalog, ctx.matrix, ctx.registry)
-            for p in ctx.pre
-        )
-    ]
-    clash: dict[int | str, set[int | str]] = {i: set() for i in deployable}
-    for a, b in combinations(deployable, 2):
-        if pairwise_conflicts(eligible[a], eligible[b], ctx.intent_catalog, ctx.matrix, ctx.registry):
-            clash[a].add(b)
-            clash[b].add(a)
-
     if ctx.mode is Mode.FCFS:
-        deployed: list[int | str] = []
-        for intent_id in deployable:
-            if not clash[intent_id] & set(deployed):
-                deployed.append(intent_id)
+        deployed: set[int | str] = set()
+        for intent_id in usable:
+            if not clashes[intent_id] & deployed:
+                deployed.add(intent_id)
         return frozenset(deployed)
-
-    def correct_count(subset: tuple) -> int:
-        return sum(
-            1
-            for i in subset
-            if i in truths and pipelines_equal(eligible[i], truths[i])
-        )
-
-    best: tuple[int, int, tuple, frozenset] | None = None
-    for size in range(len(deployable), -1, -1):
-        for combo in combinations(deployable, size):
-            chosen = set(combo)
-            if any(clash[i] & chosen for i in combo):
-                continue
-            entry = (correct_count(combo), size, tuple(str(i) for i in combo), frozenset(combo))
-            if (
-                best is None
-                or (entry[0], entry[1]) > (best[0], best[1])
-                or ((entry[0], entry[1]) == (best[0], best[1]) and entry[2] < best[2])
-            ):
-                best = entry
-    return best[3] if best is not None else frozenset()
+    return select_subset(usable, clashes, correct)
 
 
-def _conflict_records_for_iteration(
-    ctx: RunContext, candidates: Mapping[int | str, Pipeline]
-) -> list[ConflictRecord]:
-    structurally_valid = {
-        i: p
-        for i, p in candidates.items()
-        if validate_pipeline_structure(p, ctx.registry).ok
-    }
+def _iteration_conflicts(
+    ctx: RunContext, eligible: Mapping[int | str, Pipeline]
+) -> tuple[list[ConflictRecord], list[int | str], dict[int | str, set[int | str]]]:
+    """One conflict evaluation of the eligible candidates against the active set.
+
+    Returns the iteration's canonically sorted conflict records, then the
+    usable ids and clash sets the deployment selector reads.
+    """
     graph = build_conflict_graph(
-        structurally_valid, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry
+        eligible, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry
     )
-    records = graph.all_records()
-    for intent_id in sorted(structurally_valid, key=intent_sort_key):
-        records += internal_conflicts(
-            structurally_valid[intent_id], ctx.matrix, ctx.registry, ref=str(intent_id)
+    internal = {
+        intent_id: internal_conflicts(
+            eligible[intent_id], ctx.matrix, ctx.registry, ref=str(intent_id)
         )
-    return canonical_sort(records)
+        for intent_id in sorted(eligible, key=intent_sort_key)
+    }
+    records = graph.all_records() + [r for own in internal.values() for r in own]
+    usable, clashes = deployable_clashes(eligible, graph, internal)
+    return canonical_sort(records), usable, clashes
 
 
 def orchestrate_batch(
@@ -474,8 +447,9 @@ def orchestrate_batch(
             for i, p in candidates.items()
             if validate_pipeline_structure(p, ctx.registry).ok
         }
-        deployed = _select_deployment(ctx, eligible, truths)
-        records = _conflict_records_for_iteration(ctx, candidates)
+        records, usable, clashes = _iteration_conflicts(ctx, eligible)
+        correct = {i for i in usable if i in truths and pipelines_equal(eligible[i], truths[i])}
+        deployed = _select_deployment(ctx, usable, clashes, correct)
         score = score_solution(candidates, deployed, truths, len(records))
         current = Solution(candidates=dict(candidates), deployed=deployed, score=score)
         best = enforce_monotonicity(best, current)

@@ -405,20 +405,8 @@ class ConflictGraph:
     vertices: tuple[str, ...]
     edges: tuple[tuple[tuple[str, str], tuple[ConflictRecord, ...]], ...]
 
-    def edge_map(self) -> dict[tuple[str, str], tuple[ConflictRecord, ...]]:
-        return dict(self.edges)
-
     def all_records(self) -> list[ConflictRecord]:
         return canonical_sort(r for _, records in self.edges for r in records)
-
-    def neighbors(self, ref: str) -> set[str]:
-        out = set()
-        for (u, v), _ in self.edges:
-            if u == ref:
-                out.add(v)
-            elif v == ref:
-                out.add(u)
-        return out
 
 
 PRE_DEPLOYED_PREFIX = "pre:"

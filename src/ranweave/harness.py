@@ -14,8 +14,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .agents import (
@@ -76,6 +78,16 @@ class FixtureBundle:
     scenarios: dict[int, ScenarioSpec]
     matrix: VendorCompatibilityMatrix
     knowledge_dir: Path
+
+    @cached_property
+    def truths(self) -> Mapping[int, Pipeline]:
+        """Reference pipeline per intent, synthesized once per bundle (read-only)."""
+        return MappingProxyType(
+            {
+                intent_id: synthesize_ground_truth(intent, self.registry, self.matrix)
+                for intent_id, intent in sorted(self.intents.items())
+            }
+        )
 
 
 @dataclass
@@ -215,15 +227,13 @@ def _load_intent(entry: Mapping[str, object]) -> Intent:
 
 
 def ground_truths(bundle: FixtureBundle) -> dict[int, Pipeline]:
-    return {
-        intent_id: synthesize_ground_truth(intent, bundle.registry, bundle.matrix)
-        for intent_id, intent in sorted(bundle.intents.items())
-    }
+    """A fresh copy of the bundle's reference pipelines."""
+    return dict(bundle.truths)
 
 
 def scenario_oracle(bundle: FixtureBundle, scenario: ScenarioSpec) -> OracleResult:
     """Reference answer for one scenario: truths plus the deployable maximum."""
-    truths = ground_truths(bundle)
+    truths = bundle.truths
     pre = DeploymentState(tuple(truths[i] for i in scenario.pre_deployed_intents))
     candidates = {i: truths[i] for i in scenario.new_intents}
     return max_conflict_free_subset(
@@ -234,7 +244,7 @@ def scenario_oracle(bundle: FixtureBundle, scenario: ScenarioSpec) -> OracleResu
 def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
     """Authoring gate: every scenario must admit a conflict-free reference deployment."""
     problems = []
-    truths = ground_truths(bundle)
+    truths = bundle.truths
     for scenario in bundle.scenarios.values():
         result = scenario_oracle(bundle, scenario)
         expected = set(scenario.new_intents)
@@ -281,7 +291,7 @@ def _mock_bundle(bundle: FixtureBundle) -> MockBundle:
         registry=bundle.registry,
         intents=bundle.intents,
         matrix=bundle.matrix,
-        truths=ground_truths(bundle),
+        truths=bundle.truths,
     )
 
 
@@ -301,7 +311,7 @@ def run_scenario(
     run_mode = Mode(mode) if isinstance(mode, str) else mode
     chat = make_transport(transport, bundle, seed) if isinstance(transport, str) else transport
 
-    truths = ground_truths(bundle)
+    truths = bundle.truths
     pre = DeploymentState(tuple(truths[i] for i in spec.pre_deployed_intents))
     oracle = scenario_oracle(bundle, spec)
     memory = memory if memory is not None else MemoryBuffer()

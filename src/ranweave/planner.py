@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .conflicts import (
+    ConflictGraph,
+    ConflictRecord,
     VendorCompatibilityMatrix,
+    build_conflict_graph,
     internal_conflicts,
-    pairwise_conflicts,
 )
 from .model import (
     DeploymentState,
@@ -141,8 +143,6 @@ def intent_sort_key(intent_id: int | str) -> tuple[int, str]:
     return (0, f"{intent_id:012d}") if isinstance(intent_id, int) else (1, str(intent_id))
 
 
-
-
 def max_conflict_free_subset(
     candidates: Mapping[int | str, Pipeline],
     pre: DeploymentState,
@@ -151,55 +151,28 @@ def max_conflict_free_subset(
     registry: Registry,
     truths: Mapping[int | str, Pipeline] | None = None,
 ) -> OracleResult:
-    """Largest candidate subset deployable together with the active set.
+    """Best candidate subset deployable together with the active set.
 
-    Exhaustive over all 2^n subsets. Ties go first to the subset with more
-    pipelines matching their reference truth, then to the lexicographically
-    smallest sorted intent-id sequence. The empty subset is always feasible.
+    Reads usable ids and clash sets off one conflict graph over the
+    candidates and the active set and hands them to select_subset. A
+    candidate counts as correct when it equals its reference in truths;
+    without truths every candidate does, so the answer is the largest
+    conflict-free subset. In every oracle call the candidates are the
+    truths, so correct and size agree. The empty subset is always feasible.
     """
     ids = sorted(candidates, key=intent_sort_key)
     if len(ids) > MAX_SUBSET_CANDIDATES:
         raise ValueError(f"subset enumeration is bounded at {MAX_SUBSET_CANDIDATES} candidates")
 
-    usable = {
-        intent_id
-        for intent_id in ids
-        if not internal_conflicts(candidates[intent_id], matrix, registry)
-        and not _conflicts_with_pre(candidates[intent_id], pre, intents, matrix, registry)
-    }
-    clash: dict[int | str, set[int | str]] = {intent_id: set() for intent_id in ids}
-    ordered_usable = [i for i in ids if i in usable]
-    for a, b in combinations(ordered_usable, 2):
-        if pairwise_conflicts(candidates[a], candidates[b], intents, matrix, registry):
-            clash[a].add(b)
-            clash[b].add(a)
-
-    def correct_count(subset: tuple[int | str, ...]) -> int:
-        if truths is None:
-            return len(subset)
-        return sum(
-            1
-            for intent_id in subset
-            if intent_id in truths and pipelines_equal(candidates[intent_id], truths[intent_id])
-        )
-
-    best: tuple[int, int, tuple, frozenset] | None = None
-    for size in range(len(ordered_usable), -1, -1):
-        for combo in combinations(ordered_usable, size):
-            chosen = set(combo)
-            if any(clash[i] & chosen for i in combo):
-                continue
-            key_seq = tuple(intent_sort_key(i) for i in combo)
-            entry = (size, correct_count(combo), key_seq, frozenset(combo))
-            if best is None or (entry[0], entry[1]) > (best[0], best[1]) or (
-                (entry[0], entry[1]) == (best[0], best[1]) and entry[2] < best[2]
-            ):
-                best = entry
-        if best is not None and best[0] == size:
-            # No smaller subset can beat a found one on the size field.
-            break
-
-    subset = best[3] if best is not None else frozenset()
+    graph = build_conflict_graph(candidates, pre, intents, matrix, registry)
+    internal = {i: internal_conflicts(candidates[i], matrix, registry) for i in ids}
+    usable, clashes = deployable_clashes(candidates, graph, internal)
+    correct = (
+        set(usable)
+        if truths is None
+        else {i for i in usable if i in truths and pipelines_equal(candidates[i], truths[i])}
+    )
+    subset = select_subset(usable, clashes, correct)
     return OracleResult(
         per_intent_truth=dict(candidates),
         max_subset=subset,
@@ -207,17 +180,61 @@ def max_conflict_free_subset(
     )
 
 
-def _conflicts_with_pre(
-    pipeline: Pipeline,
-    pre: DeploymentState,
-    intents: Mapping[int | str, Intent],
-    matrix: VendorCompatibilityMatrix,
-    registry: Registry,
-) -> bool:
-    for deployed in pre:
-        if pairwise_conflicts(pipeline, deployed, intents, matrix, registry):
-            return True
-    return False
+def deployable_clashes(
+    candidates: Mapping[int | str, Pipeline],
+    graph: ConflictGraph,
+    internal: Mapping[int | str, Sequence[ConflictRecord]],
+) -> tuple[list[int | str], dict[int | str, set[int | str]]]:
+    """Usable candidate ids and their clash sets, read off one conflict graph.
+
+    graph is build_conflict_graph over the candidates and the active set;
+    internal holds each candidate's internal_conflicts. A candidate is
+    blocked by any internal record or by any edge to an active ("pre:")
+    vertex. Usable ids come in intent_sort_key order.
+    """
+    by_ref = {str(intent_id): intent_id for intent_id in candidates}
+    blocked = {intent_id for intent_id in candidates if internal[intent_id]}
+    clashes: dict[int | str, set[int | str]] = {intent_id: set() for intent_id in candidates}
+    for (ref_a, ref_b), _ in graph.edges:
+        a, b = by_ref.get(ref_a), by_ref.get(ref_b)
+        if a is not None and b is not None:
+            clashes[a].add(b)
+            clashes[b].add(a)
+        elif a is not None or b is not None:
+            blocked.add(a if a is not None else b)
+    return [i for i in sorted(candidates, key=intent_sort_key) if i not in blocked], clashes
+
+
+def select_subset(
+    usable: Sequence[int | str],
+    clashes: Mapping[int | str, AbstractSet[int | str]],
+    correct: AbstractSet[int | str],
+) -> frozenset[int | str]:
+    """The exact deployment selector: the best usable subset with no clashing pair.
+
+    Exhaustive over the subsets of usable. One key decides: most correct
+    members first, then most members, then the smallest intent_sort_key
+    sequence of the sorted members. Correct comes first because the
+    deployment-success metric counts correctly deployed pipelines, not
+    deployed ones.
+    """
+    ids = sorted(usable, key=intent_sort_key)
+    correct_total = sum(intent_id in correct for intent_id in ids)
+    best: AbstractSet[int | str] = frozenset()
+    best_key = (0, 0)
+    for size in range(len(ids), 0, -1):
+        if best_key >= (min(size, correct_total), size):
+            break  # no subset of this size or smaller can beat the best
+        # combinations() yields subsets in ascending key-sequence order, so
+        # the first subset to reach a key wins its ties.
+        for combo in combinations(ids, size):
+            chosen = set(combo)
+            if any(clashes[i] & chosen for i in combo):
+                continue
+            key = (len(chosen & correct), size)
+            if key > best_key:
+                best, best_key = chosen, key
+    return frozenset(best)
 
 
 def score_solution(

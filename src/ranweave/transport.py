@@ -9,10 +9,10 @@ call counter, which makes every orchestration run reproducible.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import random
-import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -106,9 +106,15 @@ class HttpChatTransport(ChatTransport):
         try:
             with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
                 parsed = json.loads(response.read().decode("utf-8"))
-            return parsed["choices"][0]["message"]["content"]
-        except (urllib.error.URLError, KeyError, IndexError, ValueError) as exc:
+            content = parsed["choices"][0]["message"]["content"]
+        except (OSError, http.client.HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
+            # OSError covers URLError, timeouts and connection resets.
             raise TransportError(f"chat completion failed: {exc}") from exc
+        if not isinstance(content, str):
+            raise TransportError(
+                f"chat completion failed: message content is {type(content).__name__}, not text"
+            )
+        return content
 
     def describe(self) -> str:
         return f"http(model={self.model})"

@@ -154,3 +154,25 @@ def brute_max_independent_set(vertices: list, edges: set[frozenset]) -> int:
             continue
         best = max(best, len(members))
     return best
+
+
+def brute_best_subset(vertices: list, edges: set[frozenset], correct: set) -> frozenset:
+    """The selector's documented key, by direct enumeration of all vertex subsets.
+
+    Among conflict-free subsets: most correct members, then most members,
+    then the smallest ascending id tuple (ids are ints, compared numerically).
+    """
+    best_key, best = None, frozenset()
+    n = len(vertices)
+    for mask in range(1 << n):
+        members = [vertices[i] for i in range(n) if mask >> i & 1]
+        if any(
+            frozenset((u, v)) in edges
+            for i, u in enumerate(members)
+            for v in members[i + 1 :]
+        ):
+            continue
+        key = (-len(correct & set(members)), -len(members), tuple(sorted(members)))
+        if best_key is None or key < best_key:
+            best_key, best = key, frozenset(members)
+    return best

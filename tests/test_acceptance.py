@@ -188,7 +188,7 @@ def test_fcfs_greedy_is_suboptimal_on_conflicting_candidates(bundle, truths):
     """The greedy-order selector itself is exercised on a genuinely
     conflicting candidate set: an early candidate that blocks two later ones
     halves FCFS's deployment while exhaustive selection stays optimal."""
-    from ranweave.agents import RunContext, _select_deployment
+    from ranweave.agents import RunContext, _iteration_conflicts, _select_deployment
     from ranweave.model import Intent
 
     blocker = Pipeline.build(2, [("ran_slicing_manager_b", {"slice_quota": "auto"})])
@@ -213,8 +213,9 @@ def test_fcfs_greedy_is_suboptimal_on_conflicting_candidates(bundle, truths):
             intent_catalog=catalog,
         )
 
-    greedy = _select_deployment(ctx_for(Mode.FCFS), candidates, {})
-    optimal = _select_deployment(ctx_for(Mode.F5), candidates, {})
+    _, usable, clashes = _iteration_conflicts(ctx_for(Mode.F5), candidates)
+    greedy = _select_deployment(ctx_for(Mode.FCFS), usable, clashes, set())
+    optimal = _select_deployment(ctx_for(Mode.F5), usable, clashes, set())
     assert greedy == frozenset({2})
     assert optimal == frozenset({5, 6})
     assert len(greedy) < len(optimal)

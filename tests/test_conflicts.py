@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ranweave.conflicts import (
     ConflictKind,
     VendorCompatibilityMatrix,
@@ -220,6 +223,33 @@ def test_symmetry_of_pairwise_detectors():
         assert {(r.kind, r.subject, r.participants) for r in forward} == {
             (r.kind, r.subject, r.participants) for r in backward
         }
+
+
+REFS = st.one_of(st.none(), st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    same_intent=st.booleans(),
+    refs=st.tuples(REFS, REFS, REFS, REFS),
+)
+def test_pairwise_conflict_verdict_ignores_order_and_refs(seed, same_intent, refs):
+    """Whether two pipelines conflict depends on neither argument order nor refs."""
+    rng = random.Random(seed)
+    registry = random_registry(rng, rng.randint(2, 8))
+    matrix = random_matrix(rng)
+    intents = {1: random_intent(rng, 1), 2: random_intent(rng, 2)}
+    a = random_pipeline(rng, registry, 1)
+    b = random_pipeline(rng, registry, 1 if same_intent else 2)
+    ref_1, ref_2, ref_3, ref_4 = refs
+    verdict = bool(pairwise_conflicts(a, b, intents, matrix, registry))
+    assert bool(
+        pairwise_conflicts(a, b, intents, matrix, registry, a_ref=ref_1, b_ref=ref_2)
+    ) is verdict
+    assert bool(
+        pairwise_conflicts(b, a, intents, matrix, registry, a_ref=ref_3, b_ref=ref_4)
+    ) is verdict
 
 
 def test_validity_decomposes_into_detectors(bundle, truths):

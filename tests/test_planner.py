@@ -176,29 +176,57 @@ def test_scenario1_oracle_score_dominates_partial_deployments(bundle, truths):
 
 
 def test_subset_matches_brute_force_independent_set():
-    from .helpers import brute_max_independent_set
+    """Both selector entry points against a brute-force reference.
+
+    Ids are drawn on both sides of 10, so numeric and string order differ;
+    about half the candidates match their truth, so correct and size pull
+    apart; an active pipeline may block candidates outright.
+    """
+    from .helpers import brute_best_subset, brute_max_independent_set
+    from ranweave.agents import Mode, RunContext, _iteration_conflicts, _select_deployment
     from ranweave.conflicts import pairwise_conflicts
 
     rng = random.Random(99)
-    for _ in range(30):
-        registry = random_registry(rng, 7)
+    for _ in range(80):
+        registry = random_registry(rng, rng.randint(8, 14))
         matrix = random_matrix(rng)
-        count = rng.randint(2, 7)
-        intents = {i: random_intent(rng, i) for i in range(1, count + 1)}
-        candidates = {
-            i: random_pipeline(rng, registry, i) for i in range(1, count + 1)
-        }
+        ids = rng.sample(range(1, 40), rng.randint(2, 10))
+        pre_ids = rng.sample(range(40, 50), rng.randint(0, 1))
+        intents = {i: random_intent(rng, i) for i in ids + pre_ids}
+        candidates = {i: random_pipeline(rng, registry, i, max_nodes=2) for i in ids}
+        pre = DeploymentState(tuple(random_pipeline(rng, registry, i, max_nodes=2) for i in pre_ids))
+        truths = {i: candidates[i] for i in ids if rng.random() < 0.5}
+
         usable = [
-            i for i in candidates if not internal_conflicts(candidates[i], matrix, registry)
+            i
+            for i in ids
+            if not internal_conflicts(candidates[i], matrix, registry)
+            and not any(pairwise_conflicts(candidates[i], p, intents, matrix, registry) for p in pre)
         ]
         edges = set()
         for index, a in enumerate(usable):
             for b in usable[index + 1 :]:
                 if pairwise_conflicts(candidates[a], candidates[b], intents, matrix, registry):
                     edges.add(frozenset((a, b)))
-        expected = brute_max_independent_set(usable, edges)
-        result = max_conflict_free_subset(candidates, DeploymentState(), intents, matrix, registry)
-        assert result.objective_value == expected
+
+        result = max_conflict_free_subset(candidates, pre, intents, matrix, registry)
+        assert result.objective_value == brute_max_independent_set(usable, edges)
+        assert result.max_subset == brute_best_subset(usable, edges, set(usable))
+
+        expected = brute_best_subset(usable, edges, set(truths))
+        result = max_conflict_free_subset(candidates, pre, intents, matrix, registry, truths=truths)
+        assert result.max_subset == expected
+
+        ctx = RunContext(
+            mode=Mode.F5,
+            intents=tuple(intents[i] for i in ids),
+            pre=pre,
+            registry=registry,
+            matrix=matrix,
+            intent_catalog=intents,
+        )
+        _, selectable, clashes = _iteration_conflicts(ctx, candidates)
+        assert _select_deployment(ctx, selectable, clashes, set(truths)) == expected
 
 
 def test_oracle_solution_score_dominates_every_alternative_subset(bundle, truths):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import socket
+import threading
 from importlib import resources
 
 import numpy as np
@@ -72,6 +75,81 @@ def test_http_transport_wraps_protocol_errors(monkeypatch):
     transport = HttpChatTransport(base_url="http://ric.example/v1")
     with pytest.raises(TransportError, match="chat completion failed"):
         transport.complete(AgentRequest(role="reasoning", messages=(), payload={}))
+
+
+def _read_request(conn: socket.socket) -> None:
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(4096)
+        if not chunk:
+            return
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = next(
+        (int(line.split(b":", 1)[1]) for line in head.split(b"\r\n")
+         if line.lower().startswith(b"content-length:")),
+        0,
+    )
+    while len(body) < length:
+        chunk = conn.recv(4096)
+        if not chunk:
+            return
+        body += chunk
+
+
+@contextlib.contextmanager
+def _loopback_server(behaviour):
+    """A one-thread 127.0.0.1 server: reads one request, then runs behaviour(conn, done).
+
+    done is set when the client side is finished with the server.
+    """
+    server = socket.create_server(("127.0.0.1", 0))
+    server.settimeout(5)
+    done = threading.Event()
+
+    def serve():
+        with contextlib.suppress(OSError):
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(5)
+                _read_request(conn)
+                behaviour(conn, done)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.getsockname()[1]}/v1"
+    finally:
+        done.set()
+        thread.join(timeout=5)
+        server.close()
+    assert not thread.is_alive()
+
+
+def _null_content(conn, done):
+    body = json.dumps({"choices": [{"message": {"content": None}}]}).encode("utf-8")
+    conn.sendall(
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        + f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode("ascii")
+        + body
+    )
+
+
+@pytest.mark.parametrize(
+    "behaviour, match",
+    [
+        (_null_content, "content is NoneType"),
+        (lambda conn, done: done.wait(5), "timed out"),
+        (lambda conn, done: None, "Remote end closed"),
+    ],
+    ids=["null-content", "read-timeout", "dropped-connection"],
+)
+def test_http_transport_turns_backend_failures_into_transport_error(monkeypatch, behaviour, match):
+    monkeypatch.setenv("no_proxy", "*")
+    with _loopback_server(behaviour) as url:
+        transport = HttpChatTransport(base_url=url, timeout=0.5)
+        with pytest.raises(TransportError, match=match):
+            transport.complete(AgentRequest(role="reasoning", messages=(), payload={}))
 
 
 def test_remote_embedder_requires_endpoint(monkeypatch):
