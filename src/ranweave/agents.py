@@ -23,8 +23,7 @@ from .conflicts import (
     ConflictRecord,
     VendorCompatibilityMatrix,
     build_conflict_graph,
-    canonical_sort,
-    internal_conflicts,
+    evaluate_conflicts,
 )
 from .memory import MemoryBuffer, OutcomeRecord
 from .model import (
@@ -38,12 +37,11 @@ from .model import (
 from .planner import (
     OracleResult,
     SolutionScore,
-    deployable_clashes,
     intent_sort_key,
     score_solution,
     select_subset,
 )
-from .retrieval import VectorStore
+from .retrieval import RetrievalUnavailableError, VectorStore
 from .schemas import (
     PerceptionDoc,
     PolicyDoc,
@@ -99,7 +97,6 @@ class RunContext:
     max_iterations: int = MAX_ITERATIONS
     analogue_count: int = DEFAULT_ANALOGUES
     scenario_id: int | str | None = None
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,10 @@ def _active_policies(ctx: RunContext, candidates: Mapping[int | str, Pipeline]) 
 
 
 def assemble_perception_request(
-    ctx: RunContext, candidates: Mapping[int | str, Pipeline], chunks
+    ctx: RunContext,
+    candidates: Mapping[int | str, Pipeline],
+    conflicts: Sequence[ConflictRecord],
+    chunks,
 ) -> AgentRequest:
     intent_texts = "\n".join(f"- intent {i.id}: {i.text}" for i in ctx.intents)
     user = (
@@ -167,7 +167,7 @@ def assemble_perception_request(
             {"role": "system", "content": _template("perception.txt")},
             {"role": "user", "content": user},
         ),
-        payload={"candidates": dict(candidates), "pre": ctx.pre, "intents": ctx.intents},
+        payload={"conflicts": tuple(conflicts)},
     )
 
 
@@ -216,8 +216,6 @@ def assemble_reasoning_request(
             "intent": intent,
             "analogues": tuple(analogues),
             "perception_present": perception is not None,
-            "candidates": dict(candidates),
-            "pre": ctx.pre,
         },
     )
 
@@ -241,7 +239,7 @@ def assemble_refinement_request(
             {"role": "system", "content": _template("refinement.txt")},
             {"role": "user", "content": user},
         ),
-        payload={"intent": intent, "candidate": candidate, "summary": summary},
+        payload={"intent": intent, "candidate": candidate},
     )
 
 
@@ -281,11 +279,13 @@ def run_perception(
     ctx: RunContext,
     transport: ChatTransport,
     candidates: Mapping[int | str, Pipeline],
+    conflicts: Sequence[ConflictRecord],
     chunks=(),
 ) -> PerceptionDoc:
+    """One perception call; conflicts are the engine's records for candidates."""
     if ctx.mode in (Mode.NP, Mode.SA):
         raise ValueError(f"mode {ctx.mode.value} does not run the perception role")
-    request = assemble_perception_request(ctx, candidates, chunks)
+    request = assemble_perception_request(ctx, candidates, conflicts, chunks)
     return _call_with_repair(transport, request, parse_perception_doc)
 
 
@@ -349,9 +349,9 @@ def _select_deployment(
 ) -> frozenset[int | str]:
     """Pick the deployed subset for this iteration's candidates.
 
-    usable (in intent order) and clashes come from deployable_clashes over
-    the iteration's conflict graph. FCFS deploys greedily in that order;
-    every other mode takes the exact selector's answer.
+    usable (in intent order) and clashes come from the iteration's
+    evaluate_conflicts. FCFS deploys greedily in that order; every other
+    mode takes the exact selector's answer.
     """
     if ctx.mode is Mode.FCFS:
         deployed: set[int | str] = set()
@@ -360,28 +360,6 @@ def _select_deployment(
                 deployed.add(intent_id)
         return frozenset(deployed)
     return select_subset(usable, clashes, correct)
-
-
-def _iteration_conflicts(
-    ctx: RunContext, eligible: Mapping[int | str, Pipeline]
-) -> tuple[list[ConflictRecord], list[int | str], dict[int | str, set[int | str]]]:
-    """One conflict evaluation of the eligible candidates against the active set.
-
-    Returns the iteration's canonically sorted conflict records, then the
-    usable ids and clash sets the deployment selector reads.
-    """
-    graph = build_conflict_graph(
-        eligible, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry
-    )
-    internal = {
-        intent_id: internal_conflicts(
-            eligible[intent_id], ctx.matrix, ctx.registry, ref=str(intent_id)
-        )
-        for intent_id in sorted(eligible, key=intent_sort_key)
-    }
-    records = graph.all_records() + [r for own in internal.values() for r in own]
-    usable, clashes = deployable_clashes(eligible, graph, internal)
-    return canonical_sort(records), usable, clashes
 
 
 def orchestrate_batch(
@@ -406,16 +384,23 @@ def orchestrate_batch(
     outcome = BatchOutcome(best=Solution({}, frozenset(), SolutionScore(0, 0, 0, 0)))
 
     query_text = " ".join(i.text for i in ctx.intents) + " " + " ".join(ctx.registry.ids)
+    # Perception reads the conflict graph of the candidates as the previous
+    # iteration left them; before the first iteration, of the active set alone.
+    graph = build_conflict_graph({}, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry)
 
     for iteration in range(1, ctx.max_iterations + 1):
-        ctx.iteration = iteration
-        chunks = store.query(query_text, iteration) if store is not None and len(store) else ()
+        chunks = ()
+        if store is not None and len(store):
+            try:
+                chunks = store.query(query_text, iteration)
+            except RetrievalUnavailableError:
+                pass  # an unreachable embedder leaves the iteration without context
 
         perception_doc: PerceptionDoc | None = None
         iteration_aborted = False
         if ctx.mode.uses_perception:
             try:
-                perception_doc = run_perception(ctx, transport, candidates, chunks)
+                perception_doc = run_perception(ctx, transport, candidates, graph.all_records(), chunks)
             except (AgentCallError, TransportError):
                 iteration_aborted = True
 
@@ -442,15 +427,22 @@ def orchestrate_batch(
                 attempted[intent.id] = candidate
                 candidates[intent.id] = candidate
 
-        eligible = {
-            i: p
+        eligible = [
+            i
+            for i in sorted(candidates, key=intent_sort_key)
+            if validate_pipeline_structure(candidates[i], ctx.registry).ok
+        ]
+        evaluation = evaluate_conflicts(
+            candidates, eligible, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry
+        )
+        graph = evaluation.graph
+        correct = {
+            i
             for i, p in candidates.items()
-            if validate_pipeline_structure(p, ctx.registry).ok
+            if i in truths and is_correct_candidate(p, truths[i], ctx.registry)
         }
-        records, usable, clashes = _iteration_conflicts(ctx, eligible)
-        correct = {i for i in usable if i in truths and pipelines_equal(eligible[i], truths[i])}
-        deployed = _select_deployment(ctx, usable, clashes, correct)
-        score = score_solution(candidates, deployed, truths, len(records))
+        deployed = _select_deployment(ctx, evaluation.usable, evaluation.clashes, correct)
+        score = score_solution(candidates, deployed, truths, len(evaluation.records))
         current = Solution(candidates=dict(candidates), deployed=deployed, score=score)
         best = enforce_monotonicity(best, current)
         outcome.score_history.append(best.score)
@@ -458,25 +450,19 @@ def orchestrate_batch(
         for intent in sorted(ctx.intents, key=lambda i: intent_sort_key(i.id)):
             if intent.id not in attempted:
                 continue
-            pipeline = attempted[intent.id]
-            own = [r for r in records if str(intent.id) in r.refs()]
             memory.add(
                 intent,
-                pipeline,
+                attempted[intent.id],
                 OutcomeRecord(
                     deployed=intent.id in deployed,
-                    correct=intent.id in truths
-                    and is_correct_candidate(pipeline, truths[intent.id], ctx.registry),
-                    conflicts=tuple(own),
+                    correct=intent.id in correct,
+                    conflicts=tuple(r for r in evaluation.records if str(intent.id) in r.refs()),
                     iteration=iteration,
                     score=score,
                 ),
             )
 
-        all_correct = len(candidates) == len(ctx.intents) and all(
-            is_correct_candidate(candidates[i.id], truths[i.id], ctx.registry)
-            for i in ctx.intents
-        )
+        all_correct = all(i.id in correct for i in ctx.intents)
         if all_correct and outcome.iterations_to_synthesis is None:
             outcome.iterations_to_synthesis = iteration
         if score.correct_deployed >= objective and outcome.iterations_to_deployment is None:

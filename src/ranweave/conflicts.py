@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .model import DeploymentState, Intent, Pipeline, Registry, has_directed_path
 
@@ -441,6 +441,64 @@ def build_conflict_graph(
     return ConflictGraph(
         vertices=tuple(ref for ref, _ in labeled),
         edges=tuple(sorted(edges, key=lambda e: e[0])),
+    )
+
+
+@dataclass(frozen=True)
+class ConflictEvaluation:
+    """One candidate set checked against the active set; see evaluate_conflicts."""
+
+    graph: ConflictGraph
+    records: tuple[ConflictRecord, ...]
+    usable: tuple[int | str, ...]
+    clashes: Mapping[int | str, set[int | str]]
+
+
+def evaluate_conflicts(
+    candidates: Mapping[int | str, Pipeline],
+    eligible: Sequence[int | str],
+    pre: DeploymentState,
+    intents: Mapping[int | str, Intent],
+    matrix: VendorCompatibilityMatrix,
+    registry: Registry,
+) -> ConflictEvaluation:
+    """The one conflict evaluation of a candidate set, read by every consumer.
+
+    eligible lists the candidate ids that may deploy, in intent order. The
+    graph covers every candidate and the active set; the rest speaks only of
+    eligible ids. records are the graph's edges whose two ends are eligible
+    or active, plus each eligible candidate's internal conflicts, canonically
+    sorted. usable keeps the eligible ids that no internal conflict and no
+    active pipeline blocks; clashes maps each eligible id to the eligible ids
+    it conflicts with. An edge to an ineligible candidate neither blocks nor
+    counts.
+    """
+    graph = build_conflict_graph(candidates, pre, intents, matrix, registry)
+    by_ref = {str(intent_id): intent_id for intent_id in eligible}
+    active = {f"{PRE_DEPLOYED_PREFIX}{p.intent_id}" for p in pre}
+    records: list[ConflictRecord] = []
+    blocked: set[int | str] = set()
+    clashes: dict[int | str, set[int | str]] = {intent_id: set() for intent_id in eligible}
+    for (ref_a, ref_b), edge_records in graph.edges:
+        a, b = by_ref.get(ref_a), by_ref.get(ref_b)
+        if (a is None and ref_a not in active) or (b is None and ref_b not in active):
+            continue
+        records += edge_records
+        if a is not None and b is not None:
+            clashes[a].add(b)
+            clashes[b].add(a)
+        elif a is not None or b is not None:
+            blocked.add(a if a is not None else b)
+    for intent_id in eligible:
+        own = internal_conflicts(candidates[intent_id], matrix, registry, ref=str(intent_id))
+        if own:
+            blocked.add(intent_id)
+            records += own
+    return ConflictEvaluation(
+        graph=graph,
+        records=tuple(canonical_sort(records)),
+        usable=tuple(i for i in eligible if i not in blocked),
+        clashes=clashes,
     )
 
 

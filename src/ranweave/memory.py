@@ -8,6 +8,7 @@ outputs are pure functions of the buffer contents.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -49,7 +50,8 @@ class MemoryBuffer:
     """Single-run episodic buffer with similarity-ranked recall."""
 
     def __init__(self, embed_fn: Callable[[str], np.ndarray] | None = None):
-        self._embed = embed_fn or retrieval.embed
+        # Each distinct text is embedded once per buffer; clear() empties the cache.
+        self._embed = functools.cache(embed_fn or retrieval.embed)
         self._entries: list[MemoryEntry] = []
 
     def __len__(self) -> int:
@@ -61,6 +63,7 @@ class MemoryBuffer:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._embed.cache_clear()
 
     def record(self, entry: MemoryEntry) -> None:
         if self._entries and entry.sequence_no <= self._entries[-1].sequence_no:

@@ -316,12 +316,6 @@ class Pipeline:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(node.xapp_id for node in self.nodes)
 
-    def directive_of(self, xapp_id: str) -> Directive | None:
-        for node in self.nodes:
-            if node.xapp_id == xapp_id:
-                return node.directive
-        return None
-
     @property
     def ref(self) -> str:
         """Default pipeline reference label: the owning intent id."""
@@ -336,9 +330,6 @@ class DeploymentState:
     """The set of currently active rApp pipelines."""
 
     active: tuple[Pipeline, ...] = ()
-
-    def with_pipeline(self, pipeline: Pipeline) -> "DeploymentState":
-        return DeploymentState(self.active + (pipeline,))
 
     def __len__(self) -> int:
         return len(self.active)

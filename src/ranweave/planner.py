@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .conflicts import (
-    ConflictGraph,
-    ConflictRecord,
-    VendorCompatibilityMatrix,
-    build_conflict_graph,
-    internal_conflicts,
-)
+from .conflicts import VendorCompatibilityMatrix, evaluate_conflicts, internal_conflicts
 from .model import (
     DeploymentState,
     Intent,
@@ -92,10 +86,10 @@ def synthesize_ground_truth(
 ) -> Pipeline:
     """Minimum-size, internally conflict-free pipeline fulfilling an intent.
 
-    Exhaustively enumerates xApp subsets up to max_len, keeps those that
-    contain the intent's mandatory xApps and cover its required
-    capabilities, wires each as a stage-sorted chain, and returns the
-    smallest survivor (ties by ascending node-id sequence).
+    Enumerates xApp subsets up to max_len, smallest first, and returns the
+    first that contains the intent's mandatory xApps, covers its required
+    capabilities and, wired as a stage-sorted chain, has no internal
+    conflict (ties between equal sizes go to the smaller node-id sequence).
     """
     if max_len < 1 or max_len > 5:
         raise ValueError("max_len must be between 1 and 5")
@@ -106,11 +100,11 @@ def synthesize_ground_truth(
             f"intent {intent.id!r} mandates unregistered xApps {sorted(missing)}"
         )
 
+    # registry.ids is sorted, so combinations() yields each size's subsets
+    # in ascending node-id order and the first feasible one is the answer.
     for size in range(max(1, len(intent.required_xapps)), max_len + 1):
-        feasible: list[tuple[tuple[str, ...], Pipeline]] = []
         for combo in combinations(pool, size):
-            chosen = set(combo)
-            if not intent.required_xapps <= chosen:
+            if not intent.required_xapps <= set(combo):
                 continue
             covered = set()
             for xapp_id in combo:
@@ -118,12 +112,8 @@ def synthesize_ground_truth(
             if not intent.required_capabilities <= covered:
                 continue
             pipeline = _chain_pipeline(intent.id, combo, registry)
-            if internal_conflicts(pipeline, matrix, registry):
-                continue
-            feasible.append((tuple(sorted(combo)), pipeline))
-        if feasible:
-            feasible.sort(key=lambda item: item[0])
-            return feasible[0][1]
+            if not internal_conflicts(pipeline, matrix, registry):
+                return pipeline
 
     raise InfeasibleIntentError(
         f"no xApp subset of size <= {max_len} covers capabilities "
@@ -153,56 +143,30 @@ def max_conflict_free_subset(
 ) -> OracleResult:
     """Best candidate subset deployable together with the active set.
 
-    Reads usable ids and clash sets off one conflict graph over the
-    candidates and the active set and hands them to select_subset. A
-    candidate counts as correct when it equals its reference in truths;
-    without truths every candidate does, so the answer is the largest
-    conflict-free subset. In every oracle call the candidates are the
-    truths, so correct and size agree. The empty subset is always feasible.
+    Every candidate is eligible; evaluate_conflicts gives the usable ids and
+    clash sets, and select_subset picks among them. A candidate counts as
+    correct when it equals its reference in truths; without truths every
+    candidate does, so the answer is the largest conflict-free subset. In
+    every oracle call the candidates are the truths, so correct and size
+    agree. The empty subset is always feasible.
     """
     ids = sorted(candidates, key=intent_sort_key)
     if len(ids) > MAX_SUBSET_CANDIDATES:
         raise ValueError(f"subset enumeration is bounded at {MAX_SUBSET_CANDIDATES} candidates")
 
-    graph = build_conflict_graph(candidates, pre, intents, matrix, registry)
-    internal = {i: internal_conflicts(candidates[i], matrix, registry) for i in ids}
-    usable, clashes = deployable_clashes(candidates, graph, internal)
+    evaluation = evaluate_conflicts(candidates, ids, pre, intents, matrix, registry)
+    usable = evaluation.usable
     correct = (
         set(usable)
         if truths is None
         else {i for i in usable if i in truths and pipelines_equal(candidates[i], truths[i])}
     )
-    subset = select_subset(usable, clashes, correct)
+    subset = select_subset(usable, evaluation.clashes, correct)
     return OracleResult(
         per_intent_truth=dict(candidates),
         max_subset=subset,
         objective_value=len(subset),
     )
-
-
-def deployable_clashes(
-    candidates: Mapping[int | str, Pipeline],
-    graph: ConflictGraph,
-    internal: Mapping[int | str, Sequence[ConflictRecord]],
-) -> tuple[list[int | str], dict[int | str, set[int | str]]]:
-    """Usable candidate ids and their clash sets, read off one conflict graph.
-
-    graph is build_conflict_graph over the candidates and the active set;
-    internal holds each candidate's internal_conflicts. A candidate is
-    blocked by any internal record or by any edge to an active ("pre:")
-    vertex. Usable ids come in intent_sort_key order.
-    """
-    by_ref = {str(intent_id): intent_id for intent_id in candidates}
-    blocked = {intent_id for intent_id in candidates if internal[intent_id]}
-    clashes: dict[int | str, set[int | str]] = {intent_id: set() for intent_id in candidates}
-    for (ref_a, ref_b), _ in graph.edges:
-        a, b = by_ref.get(ref_a), by_ref.get(ref_b)
-        if a is not None and b is not None:
-            clashes[a].add(b)
-            clashes[b].add(a)
-        elif a is not None or b is not None:
-            blocked.add(a if a is not None else b)
-    return [i for i in sorted(candidates, key=intent_sort_key) if i not in blocked], clashes
 
 
 def select_subset(

@@ -12,9 +12,9 @@ top-10 on the first attempt, +10 per attempt, capped at 50.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
-import urllib.error
 import urllib.request
 import zlib
 from dataclasses import dataclass
@@ -47,10 +47,6 @@ class DocChunk:
     end: int
     text: str
     vector: np.ndarray
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
 
 
 def chunk_spans(length: int, size: int = CHUNK_SIZE, overlap: int = CHUNK_OVERLAP) -> list[tuple[int, int]]:
@@ -212,9 +208,13 @@ class RemoteEmbedder:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))
-            components = body["data"][0]["embedding"]
-        except (urllib.error.URLError, KeyError, IndexError, ValueError) as exc:
+            vector = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
+        except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError, RecursionError) as exc:
+            # OSError covers URLError, timeouts and connection resets.
             raise RetrievalUnavailableError(f"embedding request failed: {exc}") from exc
-        vector = np.asarray(components, dtype=np.float64)
+        if vector.ndim != 1 or not vector.size or not np.isfinite(vector).all():
+            raise RetrievalUnavailableError(
+                f"embedding request failed: expected a non-empty finite vector, got shape {vector.shape}"
+            )
         norm = float(np.linalg.norm(vector))
         return vector / norm if norm else vector

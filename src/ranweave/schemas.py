@@ -295,9 +295,11 @@ def parse_refinement_doc(text: str, original: Pipeline) -> RefinementDoc:
 
 
 def _load_json(text: str, doc_name: str) -> object:
+    # ValueError covers malformed JSON and integers past the digit limit;
+    # RecursionError, nesting deeper than the decoder can follow.
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaValidationError(doc_name, [f"response is not valid JSON: {exc}"]) from exc
 
 

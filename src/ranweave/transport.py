@@ -17,8 +17,8 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .conflicts import ConflictKind, ConflictRecord, build_conflict_graph, conflict_report
-from .model import DeploymentState, Intent, Pipeline, Registry
+from .conflicts import ConflictKind, ConflictRecord, conflict_report
+from .model import Intent, Pipeline, Registry
 from .planner import default_directive
 from .schemas import EditKind, dump_doc, pipeline_to_policy_doc
 
@@ -107,7 +107,7 @@ class HttpChatTransport(ChatTransport):
             with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
                 parsed = json.loads(response.read().decode("utf-8"))
             content = parsed["choices"][0]["message"]["content"]
-        except (OSError, http.client.HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
+        except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError, RecursionError) as exc:
             # OSError covers URLError, timeouts and connection resets.
             raise TransportError(f"chat completion failed: {exc}") from exc
         if not isinstance(content, str):
@@ -133,7 +133,7 @@ class MockBundle:
 class OracleTransport(ChatTransport):
     """Emits exactly what a flawless agent ensemble would emit.
 
-    Perception serializes the machine-built conflict graph, reasoning
+    Perception serializes the engine's conflict records, reasoning
     returns the reference pipeline for the intent, refinement applies the
     deterministic structural repairs.
     """
@@ -144,7 +144,7 @@ class OracleTransport(ChatTransport):
 
     def _respond(self, request: AgentRequest) -> str:
         if request.role == PERCEPTION:
-            return dump_doc(self._perception_payload(request))
+            return dump_doc(conflict_report(request.payload["conflicts"]))
         if request.role == REASONING:
             intent: Intent = request.payload["intent"]
             return dump_doc(pipeline_to_policy_doc(self.bundle.truths[intent.id]))
@@ -159,14 +159,6 @@ class OracleTransport(ChatTransport):
                 }
             )
         raise TransportError(f"unknown agent role {request.role!r}")
-
-    def _perception_payload(self, request: AgentRequest) -> dict[str, object]:
-        candidates: Mapping[int | str, Pipeline] = request.payload.get("candidates", {})
-        pre: DeploymentState = request.payload.get("pre", DeploymentState())
-        graph = build_conflict_graph(
-            candidates, pre, self.bundle.intents, self.bundle.matrix, self.bundle.registry
-        )
-        return conflict_report(graph.all_records())
 
     def describe(self) -> str:
         return "mock-oracle"
@@ -192,7 +184,7 @@ class NoisyTransport(OracleTransport):
 
     def _respond(self, request: AgentRequest) -> str:
         if request.role == PERCEPTION:
-            payload = self._perception_payload(request)
+            payload = conflict_report(request.payload["conflicts"])
             self._inject_spurious(payload, self._rng())
             return dump_doc(payload)
         if request.role == REASONING:

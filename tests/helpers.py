@@ -7,8 +7,9 @@ and naively; they share no code path with the engine they check.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from ranweave.conflicts import VendorCompatibilityMatrix
+from ranweave.conflicts import VendorCompatibilityMatrix, internal_conflicts
 from ranweave.model import Intent, Pipeline, Registry, Stage, XAppProfile
 
 CAP_POOL = ["steering", "sensing", "slicing", "power", "scheduling", "beam"]
@@ -176,3 +177,34 @@ def brute_best_subset(vertices: list, edges: set[frozenset], correct: set) -> fr
         if best_key is None or key < best_key:
             best_key, best = key, frozenset(members)
     return best
+
+
+def brute_ground_truth(
+    intent: Intent, registry: Registry, matrix: VendorCompatibilityMatrix, max_len: int = 5
+) -> Pipeline | None:
+    """Reference cover search: every feasible subset of each size, then the least.
+
+    A subset is feasible when it holds the mandatory xApps, covers the
+    required capabilities and, wired as a stage-sorted chain with default
+    directives, has no internal conflict. Returns the smallest feasible
+    subset with the smallest sorted id tuple, or None.
+    """
+    if not intent.required_xapps <= set(registry.ids):
+        return None
+    for size in range(max(1, len(intent.required_xapps)), max_len + 1):
+        feasible = []
+        for combo in combinations(list(registry.ids), size):
+            covered = set().union(*(registry[x].capabilities for x in combo))
+            if not intent.required_xapps <= set(combo) or not intent.required_capabilities <= covered:
+                continue
+            ordered = sorted(combo, key=lambda x: (registry[x].stage, x))
+            pipeline = Pipeline.build(
+                intent.id,
+                [(x, {p: "auto" for p in registry[x].controlled_params}) for x in ordered],
+                list(zip(ordered, ordered[1:])),
+            )
+            if not internal_conflicts(pipeline, matrix, registry):
+                feasible.append((tuple(sorted(combo)), pipeline))
+        if feasible:
+            return min(feasible, key=lambda item: item[0])[1]
+    return None

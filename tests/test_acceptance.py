@@ -188,7 +188,8 @@ def test_fcfs_greedy_is_suboptimal_on_conflicting_candidates(bundle, truths):
     """The greedy-order selector itself is exercised on a genuinely
     conflicting candidate set: an early candidate that blocks two later ones
     halves FCFS's deployment while exhaustive selection stays optimal."""
-    from ranweave.agents import RunContext, _iteration_conflicts, _select_deployment
+    from ranweave.agents import RunContext, _select_deployment
+    from ranweave.conflicts import evaluate_conflicts
     from ranweave.model import Intent
 
     blocker = Pipeline.build(2, [("ran_slicing_manager_b", {"slice_quota": "auto"})])
@@ -213,7 +214,10 @@ def test_fcfs_greedy_is_suboptimal_on_conflicting_candidates(bundle, truths):
             intent_catalog=catalog,
         )
 
-    _, usable, clashes = _iteration_conflicts(ctx_for(Mode.F5), candidates)
+    evaluation = evaluate_conflicts(
+        candidates, [2, 5, 6], DeploymentState(), catalog, bundle.matrix, bundle.registry
+    )
+    usable, clashes = evaluation.usable, evaluation.clashes
     greedy = _select_deployment(ctx_for(Mode.FCFS), usable, clashes, set())
     optimal = _select_deployment(ctx_for(Mode.F5), usable, clashes, set())
     assert greedy == frozenset({2})

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -58,9 +59,11 @@ class ScriptedTransport(ChatTransport):
         self.responses = list(responses)
         self.index = 0
         self.seen_messages: list[tuple[dict, ...]] = []
+        self.requests: list = []
 
     def _respond(self, request) -> str:
         self.seen_messages.append(tuple(request.messages))
+        self.requests.append(request)
         response = self.responses[min(self.index, len(self.responses) - 1)]
         self.index += 1
         return response
@@ -82,7 +85,7 @@ class UnregisteredPipelineTransport(ChatTransport):
 def test_oracle_perception_equals_engine_serialization(bundle, truths):
     ctx = _ctx(bundle, 1, Mode.F5, truths)
     transport = OracleTransport(_mock_bundle(bundle, truths))
-    doc = run_perception(ctx, transport, candidates={})
+    doc = run_perception(ctx, transport, candidates={}, conflicts=())
     assert doc.records == ()
 
     from ranweave.conflicts import build_conflict_graph
@@ -93,8 +96,8 @@ def test_oracle_perception_equals_engine_serialization(bundle, truths):
         [("wireless_anomaly_detector", "traffic_steering_a")],
     )
     candidates = {3: truths[3], 4: contending, 1: truths[1]}
-    doc = run_perception(ctx, transport, candidates=candidates)
     graph = build_conflict_graph(candidates, ctx.pre, bundle.intents, bundle.matrix, bundle.registry)
+    doc = run_perception(ctx, transport, candidates=candidates, conflicts=graph.all_records())
     assert graph.all_records(), "fixture pair should conflict"
     assert [r.to_dict() for r in doc.records] == [r.to_dict() for r in graph.all_records()]
 
@@ -111,7 +114,7 @@ def test_perception_refused_in_sa_and_np(bundle, truths):
     for mode in (Mode.SA, Mode.NP):
         ctx = _ctx(bundle, 1, mode, truths)
         with pytest.raises(ValueError, match="perception"):
-            run_perception(ctx, transport, candidates={})
+            run_perception(ctx, transport, candidates={}, conflicts=())
 
 
 def test_refinement_refused_in_nr(bundle, truths):
@@ -289,7 +292,7 @@ def test_noisy_perception_injects_spurious_conflict(bundle, truths):
         AgentRequest(
             role="perception",
             messages=(),
-            payload={"candidates": {}, "pre": DeploymentState(), "intents": ()},
+            payload={"conflicts": ()},
         )
     )
     payload = json.loads(text)
@@ -357,21 +360,70 @@ def test_transport_outage_counts_as_failed_attempt(bundle, truths):
     assert outcome.iterations_run >= 2
 
 
+class PromptCapture(OracleTransport):
+    """The oracle backend, keeping every user message it was sent."""
+
+    def __init__(self, mock):
+        super().__init__(mock)
+        self.seen_user_messages: list[str] = []
+
+    def _respond(self, request):
+        for message in request.messages:
+            if message["role"] == "user":
+                self.seen_user_messages.append(message["content"])
+        return super()._respond(request)
+
+
 def test_retrieval_feeds_prompt_chunks(bundle, truths):
-    class PromptCapture(OracleTransport):
-        def __init__(self, mock):
-            super().__init__(mock)
-            self.seen_user_messages: list[str] = []
-
-        def _respond(self, request):
-            for message in request.messages:
-                if message["role"] == "user":
-                    self.seen_user_messages.append(message["content"])
-            return super()._respond(request)
-
     store = build_knowledge_store(bundle)
     transport = PromptCapture(_mock_bundle(bundle, truths))
     ctx = _ctx(bundle, 1, Mode.F5, truths)
     oracle = scenario_oracle(bundle, bundle.scenarios[1])
     orchestrate_batch(ctx, transport, MemoryBuffer(), store, oracle)
     assert any(".md:" in text for text in transport.seen_user_messages)
+
+
+def test_perception_reads_the_graph_the_previous_iteration_left(bundle, truths):
+    """The second perception call carries the conflict graph of every
+    candidate of iteration 1, the structurally invalid one included."""
+    from ranweave.conflicts import build_conflict_graph, conflict_report
+
+    invalid = Pipeline.build(2, [("traffic_steering_a", {"steering_policy": "latency"})] * 2)
+    report = dump_doc(conflict_report(()))
+    transport = ScriptedTransport(
+        [report] + [dump_doc(pipeline_to_policy_doc(p)) for p in (truths[1], invalid, truths[7])] + [report]
+    )
+    ctx = replace(_ctx(bundle, 2, Mode.NR, truths), max_iterations=2)
+    orchestrate_batch(ctx, transport, MemoryBuffer(), None, scenario_oracle(bundle, bundle.scenarios[2]))
+
+    handed = [r.payload["conflicts"] for r in transport.requests if r.role == "perception"]
+    after_first = {1: truths[1], 2: invalid, 7: truths[7]}
+    expected = build_conflict_graph(after_first, ctx.pre, bundle.intents, bundle.matrix, bundle.registry)
+    assert any("2" in r.refs() for r in expected.all_records()), "the invalid candidate should conflict"
+    assert len(handed) == 2
+    assert list(handed[0]) == build_conflict_graph(
+        {}, ctx.pre, bundle.intents, bundle.matrix, bundle.registry
+    ).all_records()
+    assert list(handed[1]) == expected.all_records()
+
+
+def test_unreachable_embedder_means_no_retrieved_context(bundle, truths):
+    from ranweave.retrieval import RetrievalUnavailableError, VectorStore, embed
+
+    reachable = True
+
+    def embed_fn(text):
+        if not reachable:
+            raise RetrievalUnavailableError("embedding request failed: backend down")
+        return embed(text)
+
+    store = VectorStore(embed_fn)
+    store.add_document("notes.md", "traffic steering and energy saving notes")
+    reachable = False
+    transport = PromptCapture(_mock_bundle(bundle, truths))
+    ctx = _ctx(bundle, 1, Mode.F5, truths)
+    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), store, scenario_oracle(bundle, bundle.scenarios[1]))
+    assert outcome.converged
+    with_context = [t for t in transport.seen_user_messages if "## Retrieved context" in t]
+    assert with_context
+    assert all("## Retrieved context\n(no retrieved context)" in t for t in with_context)

@@ -151,6 +151,31 @@ def test_clear_empties_buffer():
     assert len(buffer) == 0
 
 
+def test_each_distinct_text_is_embedded_once_per_buffer():
+    from collections import Counter
+
+    from ranweave.retrieval import embed
+
+    embedded: Counter[str] = Counter()
+
+    def counting_embed(text):
+        embedded[text] += 1
+        return embed(text)
+
+    buffer = MemoryBuffer(counting_embed)
+    texts = ["steer traffic away from busy cells", "save energy at night", "save energy at night"]
+    for intent_id, text in enumerate(texts, start=1):
+        buffer.add(_intent(intent_id, text), _pipeline(intent_id), _outcome())
+    for text in texts * 3:
+        buffer.retrieve_analogues(_intent(9, text), k=3)
+    assert embedded == Counter(set(texts))
+
+    buffer.clear()
+    buffer.add(_intent(1, texts[0]), _pipeline(1), _outcome())
+    buffer.retrieve_analogues(_intent(9, texts[0]), k=1)
+    assert embedded[texts[0]] == 2, "clear() must empty the embedding cache"
+
+
 def test_buffer_replay_roundtrip(tmp_path):
     buffer = MemoryBuffer()
     intent = _intent(1, "replay me")

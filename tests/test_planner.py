@@ -148,6 +148,40 @@ def test_score_perfect_solution(truths):
     assert score == SolutionScore(2, 2, 0, -(truths[3].size() + truths[4].size()))
 
 
+def test_cover_search_matches_level_scan_reference():
+    """The first feasible cover equals the least of every feasible cover."""
+    from .helpers import CAP_POOL, brute_ground_truth
+
+    rng = random.Random(17)
+    outcomes = {"feasible": 0, "infeasible": 0}
+    for trial in range(150):
+        generated = random_registry(rng, rng.randint(3, 12))
+        profiles = list(generated)
+        rng.shuffle(profiles)
+        registry = Registry(profiles, generated.kpi_catalog)
+        matrix = random_matrix(rng)
+        capabilities = rng.sample(CAP_POOL, rng.randint(1, 4))
+        if trial % 10 == 0:
+            capabilities.append("unoffered")
+        mandatory = rng.sample(registry.ids, rng.randint(0, 2))
+        if trial % 15 == 0:
+            mandatory.append("unregistered")
+        intent = Intent.build(
+            trial, "cover me", target_kpis={"latency": -1},
+            required_capabilities=capabilities, required_xapps=mandatory,
+        )
+        max_len = rng.randint(1, 4)
+        expected = brute_ground_truth(intent, registry, matrix, max_len)
+        if expected is None:
+            outcomes["infeasible"] += 1
+            with pytest.raises(InfeasibleIntentError):
+                synthesize_ground_truth(intent, registry, matrix, max_len)
+        else:
+            outcomes["feasible"] += 1
+            assert synthesize_ground_truth(intent, registry, matrix, max_len) == expected
+    assert min(outcomes.values()) >= 30, outcomes
+
+
 def test_score_nothing_deployed(truths):
     proposed = {3: truths[3]}
     score = score_solution(proposed, set(), truths, conflict_total=2)
@@ -183,8 +217,8 @@ def test_subset_matches_brute_force_independent_set():
     apart; an active pipeline may block candidates outright.
     """
     from .helpers import brute_best_subset, brute_max_independent_set
-    from ranweave.agents import Mode, RunContext, _iteration_conflicts, _select_deployment
-    from ranweave.conflicts import pairwise_conflicts
+    from ranweave.agents import Mode, RunContext, _select_deployment
+    from ranweave.conflicts import evaluate_conflicts, pairwise_conflicts
 
     rng = random.Random(99)
     for _ in range(80):
@@ -225,8 +259,11 @@ def test_subset_matches_brute_force_independent_set():
             matrix=matrix,
             intent_catalog=intents,
         )
-        _, selectable, clashes = _iteration_conflicts(ctx, candidates)
-        assert _select_deployment(ctx, selectable, clashes, set(truths)) == expected
+        evaluation = evaluate_conflicts(
+            candidates, sorted(ids), pre, intents, matrix, registry
+        )
+        assert evaluation.usable == tuple(sorted(usable))
+        assert _select_deployment(ctx, evaluation.usable, evaluation.clashes, set(truths)) == expected
 
 
 def test_oracle_solution_score_dominates_every_alternative_subset(bundle, truths):

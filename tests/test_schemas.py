@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranweave.conflicts import build_conflict_graph, conflict_report
 from ranweave.model import DeploymentState, Pipeline
@@ -190,3 +192,89 @@ def test_refinement_doc_valid_edit_roundtrip():
     }
     doc = parse_refinement_doc(dump_doc(payload), original)
     assert doc.edits == ((EditKind.REMOVE_DUPLICATE, "a appeared twice"),)
+
+
+_WIRE_KEYS = [
+    "intent_id", "selected_xapps", "edges", "deployment_conditions", "conflicts", "notes",
+    "actuator", "parameter", "objective", "vendor", "kind", "participants", "subject",
+    "explanation", "revised_policy", "edits", "load", "windows",
+]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["actuator_contention", "mobility_predictor", "remove_duplicate", "auto"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_WIRE_KEYS) | st.text(max_size=4), children, max_size=5),
+    max_leaves=30,
+)
+
+_POLICY = pipeline_to_policy_doc(
+    Pipeline.build(
+        1,
+        [("mobility_predictor", {}), ("traffic_steering_a", {"steering_policy": "auto"})],
+        [("mobility_predictor", "traffic_steering_a")],
+        conditions={"load": "any", "windows": ["night"]},
+    )
+)
+_TEMPLATES = [
+    _POLICY,
+    {
+        "conflicts": {
+            "actuator": [
+                {
+                    "kind": "actuator_contention",
+                    "participants": [["1", "x"], ["2", "x"]],
+                    "subject": "x",
+                    "explanation": "clash",
+                }
+            ],
+            "parameter": [],
+        },
+        "notes": "",
+    },
+    {"revised_policy": _POLICY, "edits": [["remove_duplicate", "twice"]]},
+]
+
+
+@st.composite
+def _near_valid_documents(draw):
+    """A valid wire document with one value, at a random depth, replaced."""
+    document = json.loads(json.dumps(draw(st.sampled_from(_TEMPLATES))))
+    parent, key, node = None, None, document
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        return draw(_json_values)
+    parent[key] = draw(_json_values)
+    return document
+
+
+def _parsers(bundle):
+    original = Pipeline.build(1, [("mobility_predictor", {})])
+    return (
+        lambda text: parse_policy_doc(text, bundle.registry),
+        parse_perception_doc,
+        lambda text: parse_refinement_doc(text, original),
+    )
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [("[" * 100_000 + "]" * 100_000, "recursion"), ("1" * 4301, "digits")],
+    ids=["deeply-nested", "long-integer"],
+)
+def test_parsers_reject_hostile_json_as_schema_errors(bundle, text, match):
+    for parse in _parsers(bundle):
+        with pytest.raises(SchemaValidationError, match=match):
+            parse(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(document=st.text() | (_json_values | _near_valid_documents()).map(json.dumps))
+def test_parsers_are_total(bundle, document):
+    """On any text, each parser returns or raises SchemaValidationError."""
+    for parse in _parsers(bundle):
+        try:
+            parse(document)
+        except SchemaValidationError:
+            pass

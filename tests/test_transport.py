@@ -126,23 +126,31 @@ def _loopback_server(behaviour):
     assert not thread.is_alive()
 
 
-def _null_content(conn, done):
-    body = json.dumps({"choices": [{"message": {"content": None}}]}).encode("utf-8")
-    conn.sendall(
-        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-        + f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode("ascii")
-        + body
-    )
+def _reply(body: bytes):
+    """Behaviour that answers 200 OK with body."""
+
+    def behaviour(conn, done):
+        conn.sendall(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode("ascii")
+            + body
+        )
+
+    return behaviour
+
+
+_DEEPLY_NESTED = b"[" * 100_000 + b"]" * 100_000
 
 
 @pytest.mark.parametrize(
     "behaviour, match",
     [
-        (_null_content, "content is NoneType"),
+        (_reply(b'{"choices": [{"message": {"content": null}}]}'), "content is NoneType"),
         (lambda conn, done: done.wait(5), "timed out"),
         (lambda conn, done: None, "Remote end closed"),
+        (_reply(_DEEPLY_NESTED), "recursion"),
     ],
-    ids=["null-content", "read-timeout", "dropped-connection"],
+    ids=["null-content", "read-timeout", "dropped-connection", "deeply-nested"],
 )
 def test_http_transport_turns_backend_failures_into_transport_error(monkeypatch, behaviour, match):
     monkeypatch.setenv("no_proxy", "*")
@@ -179,6 +187,37 @@ def test_remote_embedder_surfaces_failures(monkeypatch):
     embedder = RemoteEmbedder(base_url="http://embed.example/v1")
     with pytest.raises(RetrievalUnavailableError, match="embedding request failed"):
         embedder("anything")
+
+
+@pytest.mark.parametrize(
+    "behaviour, match",
+    [
+        (lambda conn, done: None, "Remote end closed"),
+        (lambda conn, done: done.wait(5), "timed out"),
+        (_reply(b"[1, 2]"), "list indices"),
+        (_reply(b'{"data": [{"embedding": "0.5"}]}'), "shape ()"),
+        (_reply(b'{"data": [{"embedding": "abc"}]}'), "could not convert"),
+        (_reply(b'{"data": [{"embedding": [[1.0, 2.0], [3.0]]}]}'), "inhomogeneous"),
+        (_reply(b'{"data": [{"embedding": [[1.0, 2.0]]}]}'), r"shape \(1, 2\)"),
+        (_reply(b'{"data": [{"embedding": []}]}'), r"shape \(0,\)"),
+        (_reply(b'{"data": [{"embedding": null}]}'), "shape ()"),
+        (_reply(b'{"data": [{"embedding": [1.0, null]}]}'), "finite"),
+        (_reply(b'{"data": [{"embedding": [1.0, NaN]}]}'), "finite"),
+        (_reply(_DEEPLY_NESTED), "recursion"),
+    ],
+    ids=[
+        "dropped-connection", "read-timeout", "list-body", "string-number", "string",
+        "ragged", "two-dimensional", "empty", "null", "null-component", "nan-component",
+        "deeply-nested",
+    ],
+)
+def test_remote_embedder_turns_backend_failures_into_retrieval_errors(monkeypatch, behaviour, match):
+    monkeypatch.setenv("no_proxy", "*")
+    with _loopback_server(behaviour) as url:
+        embedder = RemoteEmbedder(base_url=url, timeout=0.5)
+        with pytest.raises(RetrievalUnavailableError, match="embedding request failed") as caught:
+            embedder("anything")
+    assert caught.match(match)
 
 
 def test_prompt_templates_ship_with_versions():
