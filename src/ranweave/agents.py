@@ -20,6 +20,7 @@ from importlib import resources
 from typing import AbstractSet, Callable, Mapping, Sequence
 
 from .conflicts import (
+    PRE_DEPLOYED_PREFIX,
     ConflictRecord,
     VendorCompatibilityMatrix,
     build_conflict_graph,
@@ -101,11 +102,15 @@ class RunContext:
 
 @dataclass(frozen=True)
 class Solution:
-    """One scored batch proposal, the unit the ratchet compares."""
+    """One scored batch proposal, the unit the ratchet compares.
+
+    correct holds the ids of the candidates is_correct_candidate accepts.
+    """
 
     candidates: dict[int | str, Pipeline]
     deployed: frozenset[int | str]
     score: SolutionScore
+    correct: frozenset[int | str] = frozenset()
 
 
 @dataclass
@@ -143,7 +148,7 @@ def _render_chunks(chunks) -> str:
 
 
 def _active_policies(ctx: RunContext, candidates: Mapping[int | str, Pipeline]) -> dict[str, Pipeline]:
-    active = {f"pre:{p.intent_id}": p for p in ctx.pre}
+    active = {f"{PRE_DEPLOYED_PREFIX}{p.intent_id}": p for p in ctx.pre}
     active.update({str(intent_id): p for intent_id, p in candidates.items()})
     return active
 
@@ -436,14 +441,14 @@ def orchestrate_batch(
             candidates, eligible, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry
         )
         graph = evaluation.graph
-        correct = {
-            i
-            for i, p in candidates.items()
-            if i in truths and is_correct_candidate(p, truths[i], ctx.registry)
-        }
+        # Eligible candidates are structurally valid, so this is exactly the
+        # set is_correct_candidate accepts.
+        correct = frozenset(
+            i for i in eligible if i in truths and pipelines_equal(candidates[i], truths[i])
+        )
         deployed = _select_deployment(ctx, evaluation.usable, evaluation.clashes, correct)
-        score = score_solution(candidates, deployed, truths, len(evaluation.records))
-        current = Solution(candidates=dict(candidates), deployed=deployed, score=score)
+        score = score_solution(candidates, deployed, correct, len(evaluation.records))
+        current = Solution(dict(candidates), deployed, score, correct)
         best = enforce_monotonicity(best, current)
         outcome.score_history.append(best.score)
 

@@ -8,6 +8,8 @@ import sys
 
 from .agents import DEFAULT_ANALOGUES, MAX_ITERATIONS, Mode
 from .harness import (
+    FixtureBundle,
+    FixtureError,
     RunReport,
     emit_report,
     load_fixtures,
@@ -25,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one or more orchestration scenarios")
-    run.add_argument("--scenario", default="all", help="scenario id 1..4 or 'all'")
+    run.add_argument("--scenario", default="all", help="scenario id of the catalog or 'all'")
     run.add_argument("--mode", default="f5", help="f5, sa, nr, np, fcfs or 'all'")
     run.add_argument(
         "--transport",
@@ -39,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", default="json", choices=["json", "csv"])
 
     oracle = sub.add_parser("oracle", help="print reference pipelines and the max deployable subset")
-    oracle.add_argument("--scenario", type=int, required=True, choices=[1, 2, 3, 4])
+    oracle.add_argument("--scenario", required=True, help="scenario id of the catalog")
 
     fixtures = sub.add_parser("fixtures", help="fixture tooling")
     fixtures.add_argument("action", choices=["validate"])
@@ -47,13 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_ids(value: str) -> list[int]:
-    if value == "all":
-        return [1, 2, 3, 4]
-    scenario_id = int(value)
-    if scenario_id not in (1, 2, 3, 4):
-        raise SystemExit(f"unknown scenario {value!r}; expected 1..4 or 'all'")
-    return [scenario_id]
+def _scenario_ids(bundle: FixtureBundle, value: str, allow_all: bool = False) -> list[int]:
+    known = sorted(bundle.scenarios)
+    if allow_all and value == "all":
+        return known
+    if value not in {str(i) for i in known}:
+        expected = f"one of {known}" + (" or 'all'" if allow_all else "")
+        raise SystemExit(f"unknown scenario {value!r}; expected {expected}")
+    return [int(value)]
 
 
 def _modes(value: str) -> list[str]:
@@ -67,7 +70,7 @@ def _modes(value: str) -> list[str]:
 def cmd_run(args: argparse.Namespace) -> int:
     bundle = load_fixtures(args.fixtures)
     reports: list[RunReport] = []
-    for scenario_id in _scenario_ids(args.scenario):
+    for scenario_id in _scenario_ids(bundle, args.scenario, allow_all=True):
         for mode in _modes(args.mode):
             report = run_scenario(
                 bundle,
@@ -94,7 +97,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     bundle = load_fixtures(args.fixtures)
-    result = scenario_oracle(bundle, bundle.scenarios[args.scenario])
+    (scenario_id,) = _scenario_ids(bundle, args.scenario)
+    result = scenario_oracle(bundle, bundle.scenarios[scenario_id])
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -115,13 +119,12 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "oracle":
-        return cmd_oracle(args)
-    if args.command == "fixtures":
-        return cmd_fixtures(args)
-    return 2
+    commands = {"run": cmd_run, "oracle": cmd_oracle, "fixtures": cmd_fixtures}
+    try:
+        return commands[args.command](args)
+    except FixtureError as exc:
+        print(f"ranweave: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

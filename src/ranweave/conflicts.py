@@ -378,9 +378,6 @@ def validity(
     intents: Mapping[int | str, Intent],
     matrix: VendorCompatibilityMatrix,
     registry: Registry,
-    *,
-    ref: str | None = None,
-    other_refs: Mapping[int | str, str] | None = None,
 ) -> tuple[bool, list[ConflictRecord]]:
     """Can this pipeline deploy safely alongside the given active set?
 
@@ -388,12 +385,9 @@ def validity(
     record list is exactly the concatenation of the four detectors plus the
     pipeline's own internal checks, canonically ordered.
     """
-    records = internal_conflicts(pipeline, matrix, registry, ref=ref)
+    records = internal_conflicts(pipeline, matrix, registry)
     for other in sorted(others, key=lambda p: str(p.intent_id)):
-        o_ref = (other_refs or {}).get(other.intent_id)
-        records += pairwise_conflicts(
-            pipeline, other, intents, matrix, registry, a_ref=ref, b_ref=o_ref
-        )
+        records += pairwise_conflicts(pipeline, other, intents, matrix, registry)
     records = canonical_sort(records)
     return (not records, records)
 

@@ -1,11 +1,13 @@
 """Scenario fixtures, baseline execution and metric reporting.
 
-The bundled fixture catalog describes 14 registered xApps, 7 service
-intents and 4 orchestration scenarios of increasing complexity. Each run
-seeds the deployment state with the reference pipelines of the scenario's
-pre-deployed intents, clears the memory buffer and drives the iteration
-loop, producing a RunReport whose metrics are normalized against the
-exact planner.
+A fixture catalog is a directory holding registered xApps, service
+intents, orchestration scenarios, a vendor matrix and a knowledge corpus.
+load_fixtures takes a catalog of any size and checks only what every
+catalog must satisfy; the bundled catalog's shape is pinned by its tests,
+not by the loader. Each run seeds the deployment state with the reference
+pipelines of the scenario's pre-deployed intents, clears the memory buffer
+and drives the iteration loop, producing a RunReport whose metrics are
+normalized against the exact planner.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .agents import (
     DEFAULT_ANALOGUES,
@@ -28,30 +30,24 @@ from .agents import (
     RunContext,
     orchestrate_batch,
 )
-from .conflicts import VendorCompatibilityMatrix
+from .conflicts import VendorCompatibilityMatrix, pairwise_conflicts
 from .memory import MemoryBuffer
-from .model import DeploymentState, Intent, Pipeline, Registry
+from .model import DeploymentState, Intent, Pipeline, Registry, XAppProfile
 from .planner import OracleResult, max_conflict_free_subset, synthesize_ground_truth
 from .retrieval import VectorStore
 from .transport import ChatTransport, HttpChatTransport, MockBundle, NoisyTransport, OracleTransport
 
-EXPECTED_XAPPS = 14
-EXPECTED_INTENTS = 7
-EXPECTED_SCENARIOS = 4
-
-# Scenario compositions are part of the fixture contract.
-SCENARIO_LAYOUT = {
-    1: ((3, 4), (2,)),
-    2: ((1, 2, 7), (5,)),
-    3: ((2, 4, 5, 6), (3, 7)),
-    4: ((1, 2, 3, 4, 5, 6, 7), ()),
-}
+T = TypeVar("T")
 
 
 class FixtureError(ValueError):
     def __init__(self, source: str, message: str):
         super().__init__(f"{source}: {message}")
         self.source = source
+
+
+# What building a malformed fixture entry raises; each becomes a FixtureError.
+_ENTRY_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -61,14 +57,13 @@ class ScenarioSpec:
     pre_deployed_intents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        overlap = set(self.new_intents) & set(self.pre_deployed_intents)
-        if overlap:
+        listed = self.new_intents + self.pre_deployed_intents
+        repeated = sorted({i for i in listed if listed.count(i) > 1})
+        if repeated:
             raise FixtureError(
-                "scenarios", f"scenario {self.id}: intents {sorted(overlap)} are both new and pre-deployed"
+                "scenarios.json",
+                f"scenario {self.id}: intents {repeated} listed more than once across new and pre-deployed",
             )
-        bad = [i for i in self.new_intents + self.pre_deployed_intents if not 1 <= i <= 7]
-        if bad:
-            raise FixtureError("scenarios", f"scenario {self.id}: intent ids {bad} out of range 1..7")
 
 
 @dataclass(frozen=True)
@@ -128,59 +123,35 @@ def _fixture_root(path: str | Path | None) -> Path:
 
 
 def load_fixtures(path: str | Path | None = None) -> FixtureBundle:
-    """Load and cross-validate the fixture catalog.
+    """Load and cross-validate a fixture catalog of any size.
 
-    Violations surface as FixtureError naming the offending file and field.
+    Each file holds a JSON array of entries (vendor_matrix.json an object);
+    intent and scenario ids are JSON integers, and ids are unique per file.
+    Every scenario lists known intents, each once across new and
+    pre-deployed; every intent's capabilities are offered and its mandatory
+    xApps registered. Violations surface as FixtureError naming the file.
     """
     root = _fixture_root(path)
 
-    profiles = [_load_profile(entry) for entry in _read_json(root, "xapps.json")]
-    if len(profiles) != EXPECTED_XAPPS:
-        raise FixtureError("xapps.json", f"expected {EXPECTED_XAPPS} profiles, found {len(profiles)}")
-
-    intents_raw = _read_json(root, "intents.json")
-    intents: dict[int, Intent] = {}
-    for entry in intents_raw:
-        intent = _load_intent(entry)
-        if intent.id in intents:
-            raise FixtureError("intents.json", f"duplicate intent id {intent.id}")
-        intents[int(intent.id)] = intent
-    if len(intents) != EXPECTED_INTENTS or set(intents) != set(range(1, 8)):
-        raise FixtureError("intents.json", f"expected intent ids 1..7, found {sorted(intents)}")
-
+    profiles = _load_entries(root, "xapps.json", XAppProfile.from_dict)
+    intents = _load_entries(root, "intents.json", _load_intent)
     kpi_catalog = {kpi for intent in intents.values() for kpi in intent.targets}
-    registry = Registry(profiles, kpi_catalog)
+    registry = Registry(profiles.values(), kpi_catalog)
 
-    matrix_raw = _read_json(root, "vendor_matrix.json")
     try:
-        matrix = VendorCompatibilityMatrix.from_dict(matrix_raw)
-    except (KeyError, TypeError, ValueError) as exc:
+        matrix = VendorCompatibilityMatrix.from_dict(_read_json(root, "vendor_matrix.json"))
+    except _ENTRY_ERRORS as exc:
         raise FixtureError("vendor_matrix.json", str(exc)) from exc
 
-    scenarios: dict[int, ScenarioSpec] = {}
-    for entry in _read_json(root, "scenarios.json"):
-        spec = ScenarioSpec(
-            id=int(entry["id"]),
-            new_intents=tuple(int(i) for i in entry["new_intents"]),
-            pre_deployed_intents=tuple(int(i) for i in entry["pre_deployed_intents"]),
-        )
-        scenarios[spec.id] = spec
-    if len(scenarios) != EXPECTED_SCENARIOS:
-        raise FixtureError("scenarios.json", f"expected {EXPECTED_SCENARIOS} scenarios, found {len(scenarios)}")
-    for scenario_id, (new, pre) in SCENARIO_LAYOUT.items():
-        spec = scenarios.get(scenario_id)
-        if spec is None:
-            raise FixtureError("scenarios.json", f"scenario {scenario_id} missing")
-        if tuple(sorted(spec.new_intents)) != new or tuple(sorted(spec.pre_deployed_intents)) != pre:
-            raise FixtureError(
-                "scenarios.json",
-                f"scenario {scenario_id} must arrive as new={list(new)} pre={list(pre)}",
-            )
+    scenarios = _load_entries(root, "scenarios.json", _load_scenario)
+    for spec in scenarios.values():
+        unknown = [i for i in spec.new_intents + spec.pre_deployed_intents if i not in intents]
+        if unknown:
+            raise FixtureError("scenarios.json", f"scenario {spec.id}: unknown intent ids {unknown}")
 
+    offered = {cap for p in registry for cap in p.capabilities}
     for intent in intents.values():
-        unknown = {c for c in intent.required_capabilities} - {
-            cap for p in registry for cap in p.capabilities
-        }
+        unknown = intent.required_capabilities - offered
         if unknown:
             raise FixtureError(
                 "intents.json", f"intent {intent.id} requires unknown capabilities {sorted(unknown)}"
@@ -205,25 +176,53 @@ def _read_json(root: Path, name: str):
     if not file.exists():
         raise FixtureError(name, "fixture file missing")
     try:
-        return json.loads(file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(file.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    except (RecursionError, ValueError) as exc:
         raise FixtureError(name, f"invalid JSON: {exc}") from exc
 
 
-def _load_profile(entry: Mapping[str, object]):
-    from .model import XAppProfile
-
-    try:
-        return XAppProfile.from_dict(entry)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FixtureError("xapps.json", f"profile {entry.get('id', '?')!r}: {exc}") from exc
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
 
 
-def _load_intent(entry: Mapping[str, object]) -> Intent:
-    try:
-        return Intent.from_dict(entry)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FixtureError("intents.json", f"intent {entry.get('id', '?')!r}: {exc}") from exc
+def _load_entries(root: Path, name: str, build: Callable[[object], T]) -> dict[int | str, T]:
+    """Build every entry of a JSON-array fixture file, keyed by its unique id."""
+    entries = _read_json(root, name)
+    if not isinstance(entries, list):
+        raise FixtureError(name, f"expected a JSON array, found {type(entries).__name__}")
+    items: dict[int | str, T] = {}
+    for index, entry in enumerate(entries):
+        try:
+            item = build(entry)
+        except FixtureError:
+            raise
+        except KeyError as exc:
+            raise FixtureError(name, f"entry {index}: missing field {exc}") from exc
+        except _ENTRY_ERRORS as exc:
+            raise FixtureError(name, f"entry {index}: {exc}") from exc
+        if item.id in items:
+            raise FixtureError(name, f"entry {index}: duplicate id {item.id!r}")
+        items[item.id] = item
+    return items
+
+
+def _json_int(value: object) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer id, found {value!r}")
+    return value
+
+
+def _load_intent(entry) -> Intent:
+    _json_int(entry["id"])
+    return Intent.from_dict(entry)
+
+
+def _load_scenario(entry) -> ScenarioSpec:
+    return ScenarioSpec(
+        id=_json_int(entry["id"]),
+        new_intents=tuple(map(_json_int, entry["new_intents"])),
+        pre_deployed_intents=tuple(map(_json_int, entry["pre_deployed_intents"])),
+    )
 
 
 def ground_truths(bundle: FixtureBundle) -> dict[int, Pipeline]:
@@ -254,8 +253,6 @@ def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
                 f"instead of all of {sorted(expected)}"
             )
         member_ids = list(scenario.new_intents) + list(scenario.pre_deployed_intents)
-        from .conflicts import pairwise_conflicts
-
         for index, a in enumerate(member_ids):
             for b in member_ids[index + 1 :]:
                 records = pairwise_conflicts(
@@ -303,7 +300,6 @@ def run_scenario(
     seed: int = 0,
     max_iterations: int = MAX_ITERATIONS,
     analogue_count: int = DEFAULT_ANALOGUES,
-    store: VectorStore | None = None,
     memory: MemoryBuffer | None = None,
 ) -> RunReport:
     """Execute one (scenario, mode, transport, seed) run and report metrics."""
@@ -311,11 +307,10 @@ def run_scenario(
     run_mode = Mode(mode) if isinstance(mode, str) else mode
     chat = make_transport(transport, bundle, seed) if isinstance(transport, str) else transport
 
-    truths = bundle.truths
-    pre = DeploymentState(tuple(truths[i] for i in spec.pre_deployed_intents))
+    pre = DeploymentState(tuple(bundle.truths[i] for i in spec.pre_deployed_intents))
     oracle = scenario_oracle(bundle, spec)
     memory = memory if memory is not None else MemoryBuffer()
-    store = store if store is not None else build_knowledge_store(bundle)
+    store = build_knowledge_store(bundle)
 
     ctx = RunContext(
         mode=run_mode,
@@ -330,9 +325,7 @@ def run_scenario(
         scenario_id=spec.id,
     )
     outcome = orchestrate_batch(ctx, chat, memory, store, oracle)
-    return _report_from_outcome(
-        spec, run_mode, chat, seed, oracle, outcome, truths, max_iterations, bundle.registry
-    )
+    return _report_from_outcome(spec, run_mode, chat, seed, oracle, outcome, max_iterations)
 
 
 def _report_from_outcome(
@@ -342,25 +335,15 @@ def _report_from_outcome(
     seed: int,
     oracle: OracleResult,
     outcome: BatchOutcome,
-    truths: Mapping[int, Pipeline],
     max_iterations: int,
-    registry: Registry,
 ) -> RunReport:
-    from .agents import is_correct_candidate
-
     best = outcome.best
     total = len(spec.new_intents)
-    correct_final = sum(
-        1
-        for intent_id in spec.new_intents
-        if intent_id in best.candidates
-        and is_correct_candidate(best.candidates[intent_id], truths[intent_id], registry)
-    )
     objective = oracle.objective_value
     return RunReport(
         scenario_id=spec.id,
         mode=mode.value,
-        generation_accuracy=correct_final / total if total else 1.0,
+        generation_accuracy=len(best.correct) / total if total else 1.0,
         deployment_success=(best.score.correct_deployed / objective) if objective else 1.0,
         iterations_to_synthesis=outcome.iterations_to_synthesis or max_iterations,
         iterations_to_deployment=outcome.iterations_to_deployment or max_iterations,

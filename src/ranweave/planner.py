@@ -204,21 +204,20 @@ def select_subset(
 def score_solution(
     proposed: Mapping[int | str, Pipeline],
     deployed: Iterable[int | str],
-    truths: Mapping[int | str, Pipeline],
+    correct: AbstractSet[int | str],
     conflict_total: int,
 ) -> SolutionScore:
-    """Score a batch proposal for the monotonic-improvement ratchet."""
+    """Score a batch proposal for the monotonic-improvement ratchet.
+
+    correct is the iteration's set of correct candidate ids (see
+    agents.is_correct_candidate); the score counts the deployed ones.
+    """
     deployed_set = set(deployed)
     unknown = deployed_set - set(proposed)
     if unknown:
         raise ValueError(f"deployed intents {sorted(unknown, key=intent_sort_key)} are not in the proposal")
-    correct_deployed = sum(
-        1
-        for intent_id in deployed_set
-        if intent_id in truths and pipelines_equal(proposed[intent_id], truths[intent_id])
-    )
     return SolutionScore(
-        correct_deployed=correct_deployed,
+        correct_deployed=len(deployed_set & correct),
         deployed=len(deployed_set),
         neg_conflicts=-conflict_total,
         neg_total_nodes=-sum(p.size() for p in proposed.values()),

@@ -17,7 +17,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .conflicts import ConflictKind, ConflictRecord, conflict_report
+from .conflicts import PRE_DEPLOYED_PREFIX, ConflictKind, ConflictRecord, conflict_report
 from .model import Intent, Pipeline, Registry
 from .planner import default_directive
 from .schemas import EditKind, dump_doc, pipeline_to_policy_doc
@@ -217,7 +217,7 @@ class NoisyTransport(OracleTransport):
         xapp_id = rng.choice(self.bundle.registry.ids)
         refs = sorted(str(i) for i in self.bundle.intents)
         ref_a = rng.choice(refs)
-        ref_b = rng.choice([r for r in refs if r != ref_a] or ["pre:0"])
+        ref_b = rng.choice([r for r in refs if r != ref_a] or [f"{PRE_DEPLOYED_PREFIX}0"])
         spurious = ConflictRecord(
             kind=ConflictKind.ACTUATOR_CONTENTION,
             participants=frozenset({(ref_a, xapp_id), (ref_b, xapp_id)}),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -11,14 +12,16 @@ from ranweave.agents import (
     RunContext,
     Solution,
     enforce_monotonicity,
+    is_correct_candidate,
     orchestrate_batch,
     run_perception,
     run_reasoning,
     run_refinement,
 )
+from ranweave import harness
 from ranweave.harness import build_knowledge_store, run_scenario, scenario_oracle
 from ranweave.memory import MemoryBuffer
-from ranweave.model import DeploymentState, Pipeline
+from ranweave.model import DeploymentState, Pipeline, pipelines_equal
 from ranweave.planner import SolutionScore
 from ranweave.schemas import dump_doc, pipeline_to_policy_doc
 from ranweave.transport import (
@@ -336,6 +339,32 @@ def test_paired_seed_single_agent_never_beats_full_loop(bundle):
             f5 = run_scenario(bundle, scenario_id, Mode.F5, "mock-noisy", seed=seed)
             sa = run_scenario(bundle, scenario_id, Mode.SA, "mock-noisy", seed=seed)
             assert sa.iterations_to_deployment >= f5.iterations_to_deployment
+
+
+def test_reports_read_the_iteration_correct_set(bundle, truths, monkeypatch):
+    """Accuracy and the score against the per-pipeline recount they replaced."""
+    outcomes = []
+
+    def recording(*args):
+        outcomes.append(orchestrate_batch(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(harness, "orchestrate_batch", recording)
+    for scenario_id, mode, seed in product(sorted(bundle.scenarios), Mode, (1, 2, 3)):
+        report = run_scenario(bundle, scenario_id, mode, "mock-noisy", seed=seed)
+        best = outcomes.pop().best
+        new = bundle.scenarios[scenario_id].new_intents
+        recount = {
+            i
+            for i in new
+            if i in best.candidates and is_correct_candidate(best.candidates[i], truths[i], bundle.registry)
+        }
+        assert best.correct == recount
+        assert report.generation_accuracy == len(recount) / len(new)
+        assert best.score.correct_deployed == len(best.deployed & best.correct)
+        assert best.score.correct_deployed == sum(
+            pipelines_equal(best.candidates[i], truths[i]) for i in best.deployed
+        )
 
 
 def test_transport_outage_counts_as_failed_attempt(bundle, truths):

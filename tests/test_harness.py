@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranweave.cli import main as cli_main
 from ranweave.harness import (
@@ -42,25 +47,156 @@ def test_scenario_4_starts_empty(bundle):
     assert bundle.scenarios[4].pre_deployed_intents == ()
 
 
-def test_load_rejects_wrong_profile_count(tmp_path, bundle):
-    source = bundle.knowledge_dir.parent
+def _copy_catalog(bundle, tmp_path, **edits):
+    """A copy of the bundled catalog; each edit maps a file stem to a function of its JSON."""
     target = tmp_path / "fixtures"
-    shutil.copytree(source, target)
-    profiles = json.loads((target / "xapps.json").read_text())
-    (target / "xapps.json").write_text(json.dumps(profiles[:13]))
-    with pytest.raises(FixtureError, match="xapps.json"):
-        load_fixtures(target)
+    shutil.copytree(bundle.knowledge_dir.parent, target)
+    for stem, edit in edits.items():
+        file = target / f"{stem}.json"
+        file.write_text(json.dumps(edit(json.loads(file.read_text()))))
+    return target
 
 
-def test_load_rejects_bad_scenario_layout(tmp_path, bundle):
-    source = bundle.knowledge_dir.parent
-    target = tmp_path / "fixtures"
-    shutil.copytree(source, target)
-    scenarios = json.loads((target / "scenarios.json").read_text())
-    scenarios[0]["new_intents"] = [3]
-    (target / "scenarios.json").write_text(json.dumps(scenarios))
-    with pytest.raises(FixtureError, match="scenario 1"):
-        load_fixtures(target)
+def _grow_catalog(bundle, tmp_path):
+    """The bundled catalog plus intent 8 (intent 4's needs) and scenario 5 (new 3 and 8, pre 2)."""
+
+    def add_intent(intents):
+        return intents + [dict(intents[3], id=8, text="Detect signalling storms and steer around them.")]
+
+    def add_scenario(scenarios):
+        return scenarios + [{"id": 5, "new_intents": [3, 8], "pre_deployed_intents": [2]}]
+
+    return _copy_catalog(bundle, tmp_path, intents=add_intent, scenarios=add_scenario)
+
+
+def test_load_accepts_catalog_of_another_size(tmp_path, bundle):
+    grown = load_fixtures(_grow_catalog(bundle, tmp_path))
+    assert len(grown.intents) == 8
+    assert sorted(grown.scenarios) == [1, 2, 3, 4, 5]
+    assert grown.scenarios[5].new_intents == (3, 8)
+    assert validate_fixture_soundness(grown) == []
+
+
+def test_load_rejects_scenario_with_unknown_intent(tmp_path, bundle):
+    def edit(scenarios):
+        scenarios[0]["new_intents"] = [3, 99]
+        return scenarios
+
+    with pytest.raises(FixtureError, match=r"scenarios.json: scenario 1: unknown intent ids \[99\]"):
+        load_fixtures(_copy_catalog(bundle, tmp_path, scenarios=edit))
+
+
+@pytest.mark.parametrize("stem", ["xapps", "intents", "scenarios"])
+def test_load_rejects_duplicate_ids(tmp_path, bundle, stem):
+    with pytest.raises(FixtureError, match=rf"{stem}.json: entry \d+: duplicate id"):
+        load_fixtures(_copy_catalog(bundle, tmp_path, **{stem: lambda doc: doc + doc[:1]}))
+
+
+def _set(index, key, value):
+    def edit(doc):
+        doc[index][key] = value
+        return doc
+
+    return edit
+
+
+def _drop(index, key):
+    def edit(doc):
+        del doc[index][key]
+        return doc
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "stem, edit, match",
+    [
+        ("scenarios", _drop(0, "id"), "entry 0: missing field 'id'"),
+        ("scenarios", _set(1, "id", "one"), "entry 1: expected an integer id"),
+        ("scenarios", _set(0, "new_intents", [3, "4"]), "entry 0: expected an integer id"),
+        ("scenarios", _set(0, "new_intents", [3, 4, 3]), "scenario 1: intents [3] listed more than once"),
+        ("scenarios", _set(0, "new_intents", [3, 4, 2]), "scenario 1: intents [2] listed more than once"),
+        ("intents", _set(2, "id", "one"), "entry 2: expected an integer id"),
+        ("intents", _set(0, "id", True), "entry 0: expected an integer id"),
+        ("xapps", lambda doc: {"profiles": doc}, "expected a JSON array, found dict"),
+        ("xapps", lambda doc: doc + ["oops"], "entry 14:"),
+        ("xapps", _set(0, "kpi_effects", float("inf")), "not a JSON value"),
+        ("scenarios", lambda doc: {str(s["id"]): s for s in doc}, "expected a JSON array"),
+        ("intents", lambda doc: [list(doc[0].items())] + doc[1:], "entry 0:"),
+        ("vendor_matrix", lambda doc: [doc], "list indices must be integers"),
+    ],
+    ids=[
+        "scenario-without-id",
+        "scenario-id-string",
+        "scenario-intent-string",
+        "scenario-intent-repeated",
+        "scenario-intent-new-and-pre",
+        "intent-id-string",
+        "intent-id-bool",
+        "xapps-object",
+        "xapp-entry-string",
+        "xapp-infinity",
+        "scenarios-object",
+        "intent-entry-list",
+        "matrix-list",
+    ],
+)
+def test_malformed_fixture_files_raise_fixture_error(tmp_path, bundle, stem, edit, match):
+    with pytest.raises(FixtureError, match=rf"^{stem}.json: .*{re.escape(match)}"):
+        load_fixtures(_copy_catalog(bundle, tmp_path, **{stem: edit}))
+
+
+_FIXTURE_STEMS = ("xapps", "intents", "scenarios", "vendor_matrix")
+_FIELDS = [
+    "id", "name", "vendor", "dialect", "capabilities", "controlled_params", "kpi_effects",
+    "stage", "interfaces", "text", "target_kpis", "required_capabilities", "required_xapps",
+    "new_intents", "pre_deployed_intents", "incompatible",
+]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["act", "sense", "latency", "traffic_steering", "mobility_predictor"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=4), children, max_size=5),
+    max_leaves=30,
+)
+
+
+@st.composite
+def _fixture_documents(draw, bundled):
+    """A file and its new JSON: any value, or the bundled document with one value replaced."""
+    stem = draw(st.sampled_from(_FIXTURE_STEMS))
+    if draw(st.booleans()):
+        return stem, draw(_json_values)
+    document = json.loads(json.dumps(bundled[stem]))
+    parent, key, node = None, None, document
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        return stem, draw(_json_values)
+    parent[key] = draw(_json_values)
+    return stem, document
+
+
+_BUNDLED = {
+    stem: json.loads((load_fixtures().knowledge_dir.parent / f"{stem}.json").read_text())
+    for stem in _FIXTURE_STEMS
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(change=_fixture_documents(_BUNDLED))
+def test_load_fixtures_is_total(change):
+    """Whatever JSON one fixture file holds, the loader returns a bundle or raises FixtureError."""
+    stem, document = change
+    with tempfile.TemporaryDirectory() as root:
+        for name, original in _BUNDLED.items():
+            content = document if name == stem else original
+            (Path(root) / f"{name}.json").write_text(json.dumps(content))
+        try:
+            load_fixtures(root)
+        except FixtureError:
+            pass
 
 
 def test_load_error_names_file_and_field(tmp_path, bundle):
@@ -188,6 +324,33 @@ def test_cli_oracle_prints_reference(capsys):
 def test_cli_fixture_validation(capsys):
     assert cli_main(["fixtures", "validate"]) == 0
     assert "sound" in capsys.readouterr().out
+
+
+def test_cli_runs_a_catalog_of_another_size(tmp_path, bundle, capsys):
+    root = str(_grow_catalog(bundle, tmp_path))
+    out = tmp_path / "report.json"
+    args = ["--fixtures", root, "run", "--scenario", "5", "--mode", "all", "--transport", "mock-oracle"]
+    assert cli_main(args + ["--report", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    assert [r["mode"] for r in reports] == ["f5", "sa", "nr", "np", "fcfs"]
+    assert all(r["scenario_id"] == 5 and r["converged"] for r in reports)
+    capsys.readouterr()
+
+    assert cli_main(["--fixtures", root, "oracle", "--scenario", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_subset"] == [3, 8]
+    assert cli_main(["--fixtures", root, "fixtures", "validate"]) == 0
+    assert "8 intents, 5 scenarios" in capsys.readouterr().out
+
+    for command in (["run", "--scenario", "6"], ["oracle", "--scenario", "6"], ["run", "--scenario", "x"]):
+        with pytest.raises(SystemExit, match=r"unknown scenario .*\[1, 2, 3, 4, 5\]"):
+            cli_main(["--fixtures", root] + command)
+
+
+def test_cli_reports_fixture_error_in_one_line(tmp_path, bundle, capsys):
+    root = _copy_catalog(bundle, tmp_path, scenarios=lambda doc: {"scenarios": doc})
+    assert cli_main(["--fixtures", str(root), "fixtures", "validate"]) == 2
+    err = capsys.readouterr().err
+    assert err == "ranweave: scenarios.json: expected a JSON array, found dict\n"
 
 
 def test_run_report_csv_fields_are_stable():

@@ -144,7 +144,7 @@ def test_max_subset_candidate_cap():
 
 def test_score_perfect_solution(truths):
     proposed = {i: truths[i] for i in (3, 4)}
-    score = score_solution(proposed, {3, 4}, truths, conflict_total=0)
+    score = score_solution(proposed, {3, 4}, {3, 4}, conflict_total=0)
     assert score == SolutionScore(2, 2, 0, -(truths[3].size() + truths[4].size()))
 
 
@@ -184,13 +184,13 @@ def test_cover_search_matches_level_scan_reference():
 
 def test_score_nothing_deployed(truths):
     proposed = {3: truths[3]}
-    score = score_solution(proposed, set(), truths, conflict_total=2)
+    score = score_solution(proposed, set(), {3}, conflict_total=2)
     assert score.as_tuple() == (0, 0, -2, -truths[3].size())
 
 
 def test_score_rejects_deploying_unproposed(truths):
     with pytest.raises(ValueError):
-        score_solution({3: truths[3]}, {4}, truths, conflict_total=0)
+        score_solution({3: truths[3]}, {4}, {3}, conflict_total=0)
 
 
 def test_score_is_totally_ordered():
@@ -203,9 +203,9 @@ def test_score_is_totally_ordered():
 
 def test_scenario1_oracle_score_dominates_partial_deployments(bundle, truths):
     proposed = {i: truths[i] for i in (3, 4)}
-    full = score_solution(proposed, {3, 4}, truths, conflict_total=0)
+    full = score_solution(proposed, {3, 4}, {3, 4}, conflict_total=0)
     for withheld in (3, 4):
-        partial = score_solution(proposed, {withheld}, truths, conflict_total=0)
+        partial = score_solution(proposed, {withheld}, {3, 4}, conflict_total=0)
         assert full > partial
 
 
@@ -274,10 +274,10 @@ def test_oracle_solution_score_dominates_every_alternative_subset(bundle, truths
     for spec in bundle.scenarios.values():
         proposed = {i: truths[i] for i in spec.new_intents}
         oracle = scenario_oracle(bundle, spec)
-        best = score_solution(proposed, oracle.max_subset, proposed, conflict_total=0)
+        best = score_solution(proposed, oracle.max_subset, set(proposed), conflict_total=0)
         for size in range(len(spec.new_intents) + 1):
             for subset in combinations(spec.new_intents, size):
-                alternative = score_solution(proposed, set(subset), proposed, conflict_total=0)
+                alternative = score_solution(proposed, set(subset), set(proposed), conflict_total=0)
                 assert best >= alternative
 
 
