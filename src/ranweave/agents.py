@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
-from typing import AbstractSet, Callable, Mapping, Sequence
+from typing import AbstractSet, Callable, Mapping, Sequence, TypeVar
 
 from .conflicts import (
     PRE_DEPLOYED_PREFIX,
@@ -64,6 +64,8 @@ from .transport import (
 
 MAX_ITERATIONS = 50
 DEFAULT_ANALOGUES = 3
+
+T = TypeVar("T")
 
 
 class Mode(str, Enum):
@@ -123,22 +125,28 @@ class BatchOutcome:
     converged: bool = False
 
 
-def _template(name: str) -> str:
+def _read_template(name: str) -> str:
     return resources.files("ranweave").joinpath("prompts", name).read_text(encoding="utf-8")
 
 
+PERCEPTION_TEMPLATE = _read_template("perception.txt")
+REASONING_TEMPLATE = _read_template("reasoning.txt")
+REFINEMENT_TEMPLATE = _read_template("refinement.txt")
+SINGLE_AGENT_TEMPLATE = _read_template("single_agent.txt")
+
+
+def _json(doc: object) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
 def _render_profiles(registry: Registry) -> str:
-    return json.dumps([p.to_dict() for p in registry], indent=2, sort_keys=True)
+    return _json([p.to_dict() for p in registry])
 
 
 def _render_policies(pipelines: Mapping[str, Pipeline]) -> str:
     if not pipelines:
         return "(none)"
-    return json.dumps(
-        {ref: pipeline_to_policy_doc(p) for ref, p in sorted(pipelines.items())},
-        indent=2,
-        sort_keys=True,
-    )
+    return _json({ref: pipeline_to_policy_doc(p) for ref, p in sorted(pipelines.items())})
 
 
 def _render_chunks(chunks) -> str:
@@ -153,27 +161,35 @@ def _active_policies(ctx: RunContext, candidates: Mapping[int | str, Pipeline]) 
     return active
 
 
+def _request(
+    role: str, template: str, sections: Sequence[tuple[str, str]], payload: Mapping[str, object]
+) -> AgentRequest:
+    """The one builder of an agent request.
+
+    The system message is the role's template; the user message is the
+    ordered (heading, body) sections, each under a "## heading" line.
+    """
+    user = "\n\n".join(f"## {heading}\n{body}" for heading, body in sections) + "\n"
+    return AgentRequest(
+        role=role,
+        messages=({"role": "system", "content": template}, {"role": "user", "content": user}),
+        payload=payload,
+    )
+
+
 def assemble_perception_request(
     ctx: RunContext,
     candidates: Mapping[int | str, Pipeline],
     conflicts: Sequence[ConflictRecord],
     chunks,
 ) -> AgentRequest:
-    intent_texts = "\n".join(f"- intent {i.id}: {i.text}" for i in ctx.intents)
-    user = (
-        f"## Service intents\n{intent_texts}\n\n"
-        f"## Registered xApps\n{_render_profiles(ctx.registry)}\n\n"
-        f"## Active policies\n{_render_policies(_active_policies(ctx, candidates))}\n\n"
-        f"## Retrieved context\n{_render_chunks(chunks)}\n"
-    )
-    return AgentRequest(
-        role=PERCEPTION,
-        messages=(
-            {"role": "system", "content": _template("perception.txt")},
-            {"role": "user", "content": user},
-        ),
-        payload={"conflicts": tuple(conflicts)},
-    )
+    sections = [
+        ("Service intents", "\n".join(f"- intent {i.id}: {i.text}" for i in ctx.intents)),
+        ("Registered xApps", _render_profiles(ctx.registry)),
+        ("Active policies", _render_policies(_active_policies(ctx, candidates))),
+        ("Retrieved context", _render_chunks(chunks)),
+    ]
+    return _request(PERCEPTION, PERCEPTION_TEMPLATE, sections, {"conflicts": tuple(conflicts)})
 
 
 def assemble_reasoning_request(
@@ -184,45 +200,29 @@ def assemble_reasoning_request(
     candidates: Mapping[int | str, Pipeline],
     chunks,
 ) -> AgentRequest:
-    single_agent = ctx.mode is Mode.SA
-    template = _template("single_agent.txt" if single_agent else "reasoning.txt")
-    conflict_section = (
-        json.dumps(perception.to_dict(), indent=2, sort_keys=True)
-        if perception is not None
-        else "(no conflict report available)"
-    )
-    analogue_section = (
-        "\n".join(
-            f"- intent {past.id} ({past.text}) -> "
-            f"{json.dumps(pipeline_to_policy_doc(pipe), sort_keys=True)}"
-            for past, pipe in analogues
-        )
-        or "(no prior successes)"
-    )
-    others = {ref: p for ref, p in _active_policies(ctx, candidates).items() if ref != str(intent.id)}
-    user = (
-        f"## Current intent\nintent {intent.id}: {intent.text}\n"
+    current = (
+        f"intent {intent.id}: {intent.text}\n"
         f"Target KPIs: {json.dumps(intent.targets, sort_keys=True)}\n"
         f"Required capabilities: {sorted(intent.required_capabilities)}\n"
-        f"Mandatory xApps: {sorted(intent.required_xapps) or '(none)'}\n\n"
-        f"## Registered xApps\n{_render_profiles(ctx.registry)}\n\n"
-        f"## Active policies\n{_render_policies(others)}\n\n"
-        f"## Conflict report\n{conflict_section}\n\n"
-        f"## Past successes for similar intents\n{analogue_section}\n\n"
-        f"## Retrieved context\n{_render_chunks(chunks)}\n"
+        f"Mandatory xApps: {sorted(intent.required_xapps) or '(none)'}"
     )
-    return AgentRequest(
-        role=REASONING,
-        messages=(
-            {"role": "system", "content": template},
-            {"role": "user", "content": user},
-        ),
-        payload={
-            "intent": intent,
-            "analogues": tuple(analogues),
-            "perception_present": perception is not None,
-        },
+    others = {ref: p for ref, p in _active_policies(ctx, candidates).items() if ref != str(intent.id)}
+    report = _json(perception.to_dict()) if perception is not None else "(no conflict report available)"
+    past = "\n".join(
+        f"- intent {i.id} ({i.text}) -> {json.dumps(pipeline_to_policy_doc(pipe), sort_keys=True)}"
+        for i, pipe in analogues
     )
+    sections = [
+        ("Current intent", current),
+        ("Registered xApps", _render_profiles(ctx.registry)),
+        ("Active policies", _render_policies(others)),
+        ("Conflict report", report),
+        ("Past successes for similar intents", past or "(no prior successes)"),
+        ("Retrieved context", _render_chunks(chunks)),
+    ]
+    template = SINGLE_AGENT_TEMPLATE if ctx.mode is Mode.SA else REASONING_TEMPLATE
+    payload = {"intent": intent, "analogues": tuple(analogues), "perception_present": perception is not None}
+    return _request(REASONING, template, sections, payload)
 
 
 def assemble_refinement_request(
@@ -230,22 +230,13 @@ def assemble_refinement_request(
     candidates: Mapping[int | str, Pipeline],
 ) -> AgentRequest:
     violations = validate_pipeline_structure(candidate, ctx.registry).violations
-    violation_text = "\n".join(f"- {v}" for v in violations) or "(none found)"
-    user = (
-        f"## Candidate pipeline for intent {intent.id}\n"
-        f"{json.dumps(pipeline_to_policy_doc(candidate), indent=2, sort_keys=True)}\n\n"
-        f"## Structural violations detected\n{violation_text}\n\n"
-        f"## Recurrent failure patterns\n{summary}\n\n"
-        f"## Deployment context\n{_render_policies(_active_policies(ctx, candidates))}\n"
-    )
-    return AgentRequest(
-        role=REFINEMENT,
-        messages=(
-            {"role": "system", "content": _template("refinement.txt")},
-            {"role": "user", "content": user},
-        ),
-        payload={"intent": intent, "candidate": candidate},
-    )
+    sections = [
+        (f"Candidate pipeline for intent {intent.id}", _json(pipeline_to_policy_doc(candidate))),
+        ("Structural violations detected", "\n".join(f"- {v}" for v in violations) or "(none found)"),
+        ("Recurrent failure patterns", summary),
+        ("Deployment context", _render_policies(_active_policies(ctx, candidates))),
+    ]
+    return _request(REFINEMENT, REFINEMENT_TEMPLATE, sections, {"intent": intent, "candidate": candidate})
 
 
 def _call_with_repair(
@@ -256,22 +247,13 @@ def _call_with_repair(
     try:
         return parser(text)
     except SchemaValidationError as first:
-        repair = replace(
-            request,
-            messages=request.messages
-            + (
-                {"role": "assistant", "content": text},
-                {
-                    "role": "user",
-                    "content": (
-                        "The previous response failed schema validation:\n"
-                        + "\n".join(f"- {e}" for e in first.errors)
-                        + "\nRespond again with only the corrected JSON document."
-                    ),
-                },
-            ),
+        errors = "\n".join(f"- {e}" for e in first.errors)
+        feedback = (
+            f"The previous response failed schema validation:\n{errors}\n"
+            "Respond again with only the corrected JSON document."
         )
-        text = transport.complete(repair)
+        messages = ({"role": "assistant", "content": text}, {"role": "user", "content": feedback})
+        text = transport.complete(replace(request, messages=request.messages + messages))
         try:
             return parser(text)
         except SchemaValidationError as second:
@@ -288,7 +270,7 @@ def run_perception(
     chunks=(),
 ) -> PerceptionDoc:
     """One perception call; conflicts are the engine's records for candidates."""
-    if ctx.mode in (Mode.NP, Mode.SA):
+    if not ctx.mode.uses_perception:
         raise ValueError(f"mode {ctx.mode.value} does not run the perception role")
     request = assemble_perception_request(ctx, candidates, conflicts, chunks)
     return _call_with_repair(transport, request, parse_perception_doc)
@@ -304,9 +286,7 @@ def run_reasoning(
     chunks=(),
 ) -> PolicyDoc:
     request = assemble_reasoning_request(ctx, intent, perception, analogues, candidates, chunks)
-    return _call_with_repair(
-        transport, request, lambda text: parse_policy_doc(text, ctx.registry)
-    )
+    return _call_with_repair(transport, request, lambda text: parse_policy_doc(text, ctx.registry))
 
 
 def run_refinement(
@@ -320,9 +300,16 @@ def run_refinement(
     if not ctx.mode.uses_refinement:
         raise ValueError(f"mode {ctx.mode.value} does not run the refinement role")
     request = assemble_refinement_request(ctx, intent, candidate, summary, candidates)
-    return _call_with_repair(
-        transport, request, lambda text: parse_refinement_doc(text, candidate)
-    )
+    return _call_with_repair(transport, request, lambda text: parse_refinement_doc(text, candidate))
+
+
+def _attempt(call: Callable[..., T], *args) -> T | None:
+    """One agent call; None when it fails (a transport error, or a response
+    that failed validation even after its repair re-prompt)."""
+    try:
+        return call(*args)
+    except (AgentCallError, TransportError):
+        return None
 
 
 def is_correct_candidate(pipeline: Pipeline, truth: Pipeline, registry: Registry) -> bool:
@@ -377,13 +364,12 @@ def orchestrate_batch(
     """Run the bounded iteration loop for one intent batch.
 
     Per-intent agent calls are issued sequentially in ascending intent-id
-    order (the merge order required for determinism); callers may override
-    the transport with a thread-safe one and parallelize externally if
-    desired, the merge point stays sequential.
+    order, the merge order required for determinism.
     """
     memory.clear()
     truths = oracle.per_intent_truth
     objective = oracle.objective_value
+    ordered = sorted(ctx.intents, key=lambda i: intent_sort_key(i.id))
     candidates: dict[int | str, Pipeline] = {}
     best: Solution | None = None
     outcome = BatchOutcome(best=Solution({}, frozenset(), SolutionScore(0, 0, 0, 0)))
@@ -402,35 +388,27 @@ def orchestrate_batch(
                 pass  # an unreachable embedder leaves the iteration without context
 
         perception_doc: PerceptionDoc | None = None
-        iteration_aborted = False
         if ctx.mode.uses_perception:
-            try:
-                perception_doc = run_perception(ctx, transport, candidates, graph.all_records(), chunks)
-            except (AgentCallError, TransportError):
-                iteration_aborted = True
+            perception_doc = _attempt(run_perception, ctx, transport, candidates, graph.all_records(), chunks)
+        # A failed perception call leaves the iteration without reasoning.
+        iteration_aborted = ctx.mode.uses_perception and perception_doc is None
 
         attempted: dict[int | str, Pipeline] = {}
-        if not iteration_aborted:
-            for intent in sorted(ctx.intents, key=lambda i: intent_sort_key(i.id)):
-                analogues = memory.retrieve_analogues(intent, ctx.analogue_count)
-                try:
-                    policy = run_reasoning(
-                        ctx, intent, transport, perception_doc, analogues, candidates, chunks
-                    )
-                except (AgentCallError, TransportError):
-                    continue
-                candidate = policy.pipeline
-                if ctx.mode.uses_refinement:
-                    summary = memory.failure_summary(intent)
-                    try:
-                        refined = run_refinement(
-                            ctx, intent, candidate, summary, transport, candidates
-                        )
-                        candidate = refined.revised
-                    except (AgentCallError, TransportError):
-                        pass
-                attempted[intent.id] = candidate
-                candidates[intent.id] = candidate
+        for intent in () if iteration_aborted else ordered:
+            analogues = memory.retrieve_analogues(intent, ctx.analogue_count)
+            policy = _attempt(
+                run_reasoning, ctx, intent, transport, perception_doc, analogues, candidates, chunks
+            )
+            if policy is None:
+                continue
+            candidate = policy.pipeline
+            if ctx.mode.uses_refinement:
+                summary = memory.failure_summary(intent)
+                refined = _attempt(run_refinement, ctx, intent, candidate, summary, transport, candidates)
+                if refined is not None:
+                    candidate = refined.revised
+            attempted[intent.id] = candidate
+            candidates[intent.id] = candidate
 
         eligible = [
             i
@@ -452,7 +430,7 @@ def orchestrate_batch(
         best = enforce_monotonicity(best, current)
         outcome.score_history.append(best.score)
 
-        for intent in sorted(ctx.intents, key=lambda i: intent_sort_key(i.id)):
+        for intent in ordered:
             if intent.id not in attempted:
                 continue
             memory.add(

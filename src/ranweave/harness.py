@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .agents import (
     DEFAULT_ANALOGUES,
@@ -30,10 +29,10 @@ from .agents import (
     RunContext,
     orchestrate_batch,
 )
-from .conflicts import VendorCompatibilityMatrix, pairwise_conflicts
+from .conflicts import VendorCompatibilityMatrix, build_conflict_graph
 from .memory import MemoryBuffer
 from .model import DeploymentState, Intent, Pipeline, Registry, XAppProfile
-from .planner import OracleResult, max_conflict_free_subset, synthesize_ground_truth
+from .planner import InfeasibleIntentError, OracleResult, max_conflict_free_subset, synthesize_ground_truth
 from .retrieval import VectorStore
 from .transport import ChatTransport, HttpChatTransport, MockBundle, NoisyTransport, OracleTransport
 
@@ -76,13 +75,29 @@ class FixtureBundle:
 
     @cached_property
     def truths(self) -> Mapping[int, Pipeline]:
-        """Reference pipeline per intent, synthesized once per bundle (read-only)."""
-        return MappingProxyType(
-            {
-                intent_id: synthesize_ground_truth(intent, self.registry, self.matrix)
-                for intent_id, intent in sorted(self.intents.items())
-            }
-        )
+        """Reference pipeline per intent, synthesized once, on first lookup (read-only).
+        An infeasible intent raises InfeasibleIntentError; the others stay usable."""
+        return ReferencePipelines(self)
+
+
+class ReferencePipelines(Mapping):
+    """A bundle's reference pipelines by intent id, each synthesized when first looked up."""
+
+    def __init__(self, bundle: FixtureBundle):
+        self._bundle = bundle
+        self._cache: dict[int, Pipeline] = {}
+
+    def __getitem__(self, intent_id: int) -> Pipeline:
+        if intent_id not in self._cache:
+            b = self._bundle
+            self._cache[intent_id] = synthesize_ground_truth(b.intents[intent_id], b.registry, b.matrix)
+        return self._cache[intent_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(sorted(self._bundle.intents))
+
+    def __len__(self) -> int:
+        return len(self._bundle.intents)
 
 
 @dataclass
@@ -241,10 +256,19 @@ def scenario_oracle(bundle: FixtureBundle, scenario: ScenarioSpec) -> OracleResu
 
 
 def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
-    """Authoring gate: every scenario must admit a conflict-free reference deployment."""
+    """Authoring gate: every intent must have a reference pipeline, and every
+    scenario not using an infeasible intent a conflict-free reference deployment."""
     problems = []
-    truths = bundle.truths
+    infeasible = set()
+    for intent_id in bundle.truths:
+        try:
+            bundle.truths[intent_id]
+        except InfeasibleIntentError as exc:
+            problems.append(f"intent {intent_id}: {exc}")
+            infeasible.add(intent_id)
     for scenario in bundle.scenarios.values():
+        if infeasible & set(scenario.new_intents + scenario.pre_deployed_intents):
+            continue
         result = scenario_oracle(bundle, scenario)
         expected = set(scenario.new_intents)
         if set(result.max_subset) != expected:
@@ -252,17 +276,15 @@ def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
                 f"scenario {scenario.id}: reference objective covers {sorted(result.max_subset)} "
                 f"instead of all of {sorted(expected)}"
             )
-        member_ids = list(scenario.new_intents) + list(scenario.pre_deployed_intents)
-        for index, a in enumerate(member_ids):
-            for b in member_ids[index + 1 :]:
-                records = pairwise_conflicts(
-                    truths[a], truths[b], bundle.intents, bundle.matrix, bundle.registry
-                )
-                if records:
-                    problems.append(
-                        f"scenario {scenario.id}: reference pipelines {a} and {b} conflict: "
-                        + "; ".join(r.subject for r in records)
-                    )
+        pre = DeploymentState(tuple(bundle.truths[i] for i in scenario.pre_deployed_intents))
+        graph = build_conflict_graph(
+            result.per_intent_truth, pre, bundle.intents, bundle.matrix, bundle.registry
+        )
+        for (ref_a, ref_b), records in graph.edges:
+            problems.append(
+                f"scenario {scenario.id}: reference pipelines {ref_a} and {ref_b} conflict: "
+                + "; ".join(r.subject for r in records)
+            )
     return problems
 
 

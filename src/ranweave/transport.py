@@ -20,7 +20,7 @@ from typing import Mapping
 from .conflicts import PRE_DEPLOYED_PREFIX, ConflictKind, ConflictRecord, conflict_report
 from .model import Intent, Pipeline, Registry
 from .planner import default_directive
-from .schemas import EditKind, dump_doc, pipeline_to_policy_doc
+from .schemas import EditKind, RefinementDoc, dump_doc, pipeline_to_policy_doc
 
 CHAT_BASE_URL_ENV = "RANWEAVE_CHAT_BASE_URL"
 CHAT_MODEL_ENV = "RANWEAVE_CHAT_MODEL"
@@ -152,12 +152,7 @@ class OracleTransport(ChatTransport):
             candidate: Pipeline = request.payload["candidate"]
             intent = request.payload["intent"]
             revised, edits = refine_pipeline(candidate, intent, self.bundle.registry)
-            return dump_doc(
-                {
-                    "revised_policy": pipeline_to_policy_doc(revised),
-                    "edits": [[kind.value, rationale] for kind, rationale in edits],
-                }
-            )
+            return dump_doc(RefinementDoc(revised, tuple(edits)).to_dict())
         raise TransportError(f"unknown agent role {request.role!r}")
 
     def describe(self) -> str:

@@ -389,6 +389,45 @@ def test_transport_outage_counts_as_failed_attempt(bundle, truths):
     assert outcome.iterations_run >= 2
 
 
+@pytest.mark.parametrize("failing_role", ["perception", "reasoning", "refinement"])
+def test_failed_call_fallbacks(bundle, truths, failing_role):
+    """A failed attempt falls back by role: a failed perception call means no
+    reasoning call in that iteration; a failed reasoning call skips only that
+    intent; a refinement answer that fails validation twice keeps the
+    unrefined candidate."""
+    from ranweave.conflicts import conflict_report
+    from ranweave.schemas import RefinementDoc
+
+    bad = "not json"
+    report = dump_doc(conflict_report([]))
+    t3, t4 = truths[3], truths[4]
+    duplicated = Pipeline.build(3, [(n.xapp_id, n.directive_map) for n in t3.nodes + t3.nodes[:1]])
+    intent_4 = [dump_doc(pipeline_to_policy_doc(t4)), dump_doc(RefinementDoc(t4, ()).to_dict())]
+    responses, calls, candidates = {
+        "perception": ([bad, bad], [("perception", None)] * 2, {}),
+        "reasoning": (
+            [report, bad, bad] + intent_4,
+            [("perception", None), ("reasoning", 3), ("reasoning", 3),
+             ("reasoning", 4), ("refinement", 4)],
+            {4: t4},
+        ),
+        "refinement": (
+            [report, dump_doc(pipeline_to_policy_doc(duplicated)), bad, bad] + intent_4,
+            [("perception", None), ("reasoning", 3), ("refinement", 3), ("refinement", 3),
+             ("reasoning", 4), ("refinement", 4)],
+            {3: duplicated, 4: t4},
+        ),
+    }[failing_role]
+
+    transport = ScriptedTransport(responses)
+    ctx = replace(_ctx(bundle, 1, Mode.F5, truths), max_iterations=1)
+    oracle = scenario_oracle(bundle, bundle.scenarios[1])
+    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), None, oracle)
+    assert transport.calls == calls
+    assert transport.index == len(responses)
+    assert outcome.best.candidates == candidates
+
+
 class PromptCapture(OracleTransport):
     """The oracle backend, keeping every user message it was sent."""
 

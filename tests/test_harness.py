@@ -214,6 +214,21 @@ def test_fixture_soundness_gate(bundle):
     assert validate_fixture_soundness(bundle) == []
 
 
+def test_fixture_soundness_gate_names_conflicting_references(tmp_path, bundle):
+    # Intent 8 is intent 2 with a latency target opposite to intent 3's, so
+    # their references interfere; scenario 5 has both pre-deployed.
+    def add_intent(intents):
+        return intents + [dict(intents[1], id=8, target_kpis={"latency": 1})]
+
+    def add_scenario(scenarios):
+        return scenarios + [{"id": 5, "new_intents": [1], "pre_deployed_intents": [3, 8]}]
+
+    root = _copy_catalog(bundle, tmp_path, intents=add_intent, scenarios=add_scenario)
+    assert validate_fixture_soundness(load_fixtures(root)) == [
+        "scenario 5: reference pipelines pre:3 and pre:8 conflict: latency"
+    ]
+
+
 def test_every_scenario_oracle_covers_all_new_intents(bundle):
     for spec in bundle.scenarios.values():
         result = scenario_oracle(bundle, spec)
@@ -344,6 +359,37 @@ def test_cli_runs_a_catalog_of_another_size(tmp_path, bundle, capsys):
     for command in (["run", "--scenario", "6"], ["oracle", "--scenario", "6"], ["run", "--scenario", "x"]):
         with pytest.raises(SystemExit, match=r"unknown scenario .*\[1, 2, 3, 4, 5\]"):
             cli_main(["--fixtures", root] + command)
+
+
+def test_cli_isolates_an_infeasible_intent(tmp_path, bundle, capsys):
+    # Intent 8 needs all 12 capabilities: no cover of at most 5 xApps exists.
+    capabilities = sorted({c for p in bundle.registry for c in p.capabilities})
+    assert len(capabilities) == 12
+
+    def add_intent(intents):
+        return intents + [dict(intents[0], id=8, required_capabilities=capabilities)]
+
+    def add_scenario(scenarios):
+        return scenarios + [{"id": 5, "new_intents": [3, 8], "pre_deployed_intents": []}]
+
+    root = str(_copy_catalog(bundle, tmp_path, intents=add_intent, scenarios=add_scenario))
+    assert cli_main(["--fixtures", root, "fixtures", "validate"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL intent 8: no xApp subset of size <= 5 covers capabilities "
+        f"{capabilities} for intent 8"
+    ]
+
+    assert cli_main(["--fixtures", root, "run", "--scenario", "1", "--mode", "all"]) == 0
+    assert capsys.readouterr().out.count("converged") == 5
+    assert cli_main(["--fixtures", root, "oracle", "--scenario", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_subset"] == [3, 4]
+
+    for command in (["run", "--scenario", "5"], ["oracle", "--scenario", "5"]):
+        assert cli_main(["--fixtures", root] + command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("ranweave: no xApp subset of size <= 5 covers capabilities")
 
 
 def test_cli_reports_fixture_error_in_one_line(tmp_path, bundle, capsys):
