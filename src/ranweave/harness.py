@@ -29,7 +29,7 @@ from .agents import (
     RunContext,
     orchestrate_batch,
 )
-from .conflicts import VendorCompatibilityMatrix, build_conflict_graph
+from .conflicts import VendorCompatibilityMatrix
 from .memory import MemoryBuffer
 from .model import DeploymentState, Intent, Pipeline, Registry, XAppProfile
 from .planner import InfeasibleIntentError, OracleResult, max_conflict_free_subset, synthesize_ground_truth
@@ -240,11 +240,6 @@ def _load_scenario(entry) -> ScenarioSpec:
     )
 
 
-def ground_truths(bundle: FixtureBundle) -> dict[int, Pipeline]:
-    """A fresh copy of the bundle's reference pipelines."""
-    return dict(bundle.truths)
-
-
 def scenario_oracle(bundle: FixtureBundle, scenario: ScenarioSpec) -> OracleResult:
     """Reference answer for one scenario: truths plus the deployable maximum."""
     truths = bundle.truths
@@ -276,11 +271,7 @@ def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
                 f"scenario {scenario.id}: reference objective covers {sorted(result.max_subset)} "
                 f"instead of all of {sorted(expected)}"
             )
-        pre = DeploymentState(tuple(bundle.truths[i] for i in scenario.pre_deployed_intents))
-        graph = build_conflict_graph(
-            result.per_intent_truth, pre, bundle.intents, bundle.matrix, bundle.registry
-        )
-        for (ref_a, ref_b), records in graph.edges:
+        for (ref_a, ref_b), records in result.graph.edges:
             problems.append(
                 f"scenario {scenario.id}: reference pipelines {ref_a} and {ref_b} conflict: "
                 + "; ".join(r.subject for r in records)
@@ -296,9 +287,9 @@ def build_knowledge_store(bundle: FixtureBundle) -> VectorStore:
 
 
 def make_transport(kind: str, bundle: FixtureBundle, seed: int = 0) -> ChatTransport:
-    if kind in ("mock-oracle", "mock_oracle"):
+    if kind == "mock-oracle":
         return OracleTransport(_mock_bundle(bundle))
-    if kind in ("mock-noisy", "mock_noisy"):
+    if kind == "mock-noisy":
         return NoisyTransport(_mock_bundle(bundle), seed)
     if kind == "http":
         return HttpChatTransport()

@@ -20,6 +20,7 @@ import numpy as np
 from .conflicts import ConflictRecord, PIPELINE_LEVEL
 from .model import Intent, Pipeline
 from .planner import SolutionScore
+from .schemas import pipeline_to_policy_doc, policy_doc_to_pipeline
 from . import retrieval
 
 
@@ -147,8 +148,6 @@ class MemoryBuffer:
 
 
 def _entry_to_dict(entry: MemoryEntry) -> dict[str, object]:
-    from .schemas import pipeline_to_policy_doc
-
     return {
         "intent": entry.intent.to_dict(),
         "pipeline": pipeline_to_policy_doc(entry.pipeline),
@@ -164,8 +163,6 @@ def _entry_to_dict(entry: MemoryEntry) -> dict[str, object]:
 
 
 def _entry_from_dict(data: dict) -> MemoryEntry:
-    from .schemas import policy_doc_to_pipeline
-
     outcome = data["outcome"]
     return MemoryEntry(
         intent=Intent.from_dict(data["intent"]),

@@ -37,12 +37,9 @@ Directive = tuple[tuple[str, str], ...]
 Conditions = tuple[tuple[str, object], ...]
 
 
-def normalize_directive(directive: Mapping[str, str] | Directive) -> Directive:
+def normalize_directive(directive: Mapping[str, str]) -> Directive:
     """Canonical form of a directive: sorted (param, setting) pairs."""
-    if isinstance(directive, tuple):
-        items = list(directive)
-    else:
-        items = list(directive.items())
+    items = list(directive.items())
     for param, setting in items:
         if not isinstance(param, str) or not isinstance(setting, str):
             raise ValueError(f"directive entries must be string pairs, got ({param!r}, {setting!r})")
@@ -77,10 +74,9 @@ def validate_deployment_conditions(conditions: object) -> list[str]:
     return problems
 
 
-def normalize_conditions(conditions: Mapping[str, object] | Conditions) -> Conditions:
-    items = conditions if isinstance(conditions, tuple) else tuple(conditions.items())
+def normalize_conditions(conditions: Mapping[str, object]) -> Conditions:
     out = []
-    for key, value in sorted(items):
+    for key, value in sorted(conditions.items()):
         if isinstance(value, list):
             value = tuple(value)
         out.append((key, value))
@@ -305,6 +301,7 @@ class Pipeline:
         edges: Iterable[tuple[str, str]] = (),
         conditions: Mapping[str, object] | None = None,
     ) -> "Pipeline":
+        """The normalizing constructor: sorted directives and conditions, an edge set."""
         return cls(
             intent_id=intent_id,
             nodes=tuple(PipelineNode(x, normalize_directive(d)) for x, d in nodes),
@@ -323,6 +320,30 @@ class Pipeline:
 
     def size(self) -> int:
         return len(self.nodes)
+
+
+DEFAULT_DIRECTIVE_SETTING = "auto"
+
+
+def default_directive(profile: XAppProfile) -> dict[str, str]:
+    """Reference setting for every parameter an xApp controls.
+
+    Settings are symbolic; the reference policy always requests the managed
+    default, so two intents reusing one xApp agree byte-for-byte.
+    """
+    return {param: DEFAULT_DIRECTIVE_SETTING for param in sorted(profile.controlled_params)}
+
+
+def stage_chain(
+    xapp_ids: Iterable[str], registry: Registry
+) -> tuple[tuple[str, ...], frozenset[tuple[str, str]]]:
+    """The canonical pipeline shape over distinct registered xApps.
+
+    Nodes sorted by (stage, id), each linked to the next: the chain every
+    reference pipeline has and every refined candidate is rebuilt to.
+    """
+    ordered = tuple(sorted(xapp_ids, key=lambda x: (registry[x].stage, x)))
+    return ordered, frozenset(zip(ordered, ordered[1:]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -400,7 +421,7 @@ def validate_pipeline_structure(pipeline: Pipeline, registry: Registry) -> Valid
                 )
             )
 
-    cycle_nodes = _nodes_on_cycles(node_ids, usable_edges)
+    _, cycle_nodes = _peel(node_ids, usable_edges)
     if cycle_nodes:
         violations.append(Violation("cycle", f"cycle through {sorted(cycle_nodes)}"))
 
@@ -410,23 +431,27 @@ def validate_pipeline_structure(pipeline: Pipeline, registry: Registry) -> Valid
     return ValidationResult(tuple(violations))
 
 
-def _nodes_on_cycles(node_ids: set[str], edges: list[tuple[str, str]]) -> set[str]:
-    """Kahn-style peel; whatever cannot be peeled sits on a cycle."""
+def _peel(node_ids: Iterable[str], edges: Iterable[tuple[str, str]]) -> tuple[list[str], set[str]]:
+    """Kahn's peel, smallest ready id first: (peeled order, leftover nodes).
+
+    The leftover nodes are those on a cycle or reachable from one.
+    """
     indegree = {n: 0 for n in node_ids}
-    successors: dict[str, list[str]] = {n: [] for n in node_ids}
+    successors: dict[str, list[str]] = {n: [] for n in indegree}
     for a, b in edges:
         indegree[b] += 1
         successors[a].append(b)
-    queue = [n for n, d in indegree.items() if d == 0]
-    remaining = set(node_ids)
-    while queue:
-        node = queue.pop()
-        remaining.discard(node)
+    ready = [n for n, d in indegree.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
         for nxt in successors[node]:
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
-                queue.append(nxt)
-    return remaining
+                heapq.heappush(ready, nxt)
+    return order, set(indegree) - set(order)
 
 
 def topological_order(pipeline: Pipeline, registry: Registry) -> list[str]:
@@ -434,24 +459,7 @@ def topological_order(pipeline: Pipeline, registry: Registry) -> list[str]:
     result = validate_pipeline_structure(pipeline, registry)
     if not result.ok:
         raise PipelineStructureError(result.violations)
-
-    indegree = {n: 0 for n in pipeline.node_ids}
-    successors: dict[str, list[str]] = {n: [] for n in pipeline.node_ids}
-    for a, b in pipeline.edges:
-        indegree[b] += 1
-        successors[a].append(b)
-
-    ready = [n for n, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        node = heapq.heappop(ready)
-        order.append(node)
-        for nxt in sorted(successors[node]):
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    return order
+    return _peel(pipeline.node_ids, pipeline.edges)[0]
 
 
 def pipelines_equal(p: Pipeline, q: Pipeline) -> bool:

@@ -11,22 +11,23 @@ measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .conflicts import VendorCompatibilityMatrix, evaluate_conflicts, internal_conflicts
+from .conflicts import ConflictGraph, VendorCompatibilityMatrix, evaluate_conflicts, internal_conflicts
 from .model import (
     DeploymentState,
     Intent,
     Pipeline,
     Registry,
+    default_directive,
     pipelines_equal,
+    stage_chain,
 )
+from .schemas import pipeline_to_policy_doc
 
 MAX_SUBSET_CANDIDATES = 12
-
-DEFAULT_DIRECTIVE_SETTING = "auto"
 
 
 class InfeasibleIntentError(ValueError):
@@ -52,15 +53,18 @@ class SolutionScore:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Reference answer for one intent batch."""
+    """Reference answer for one intent batch.
+
+    graph is the conflict graph the answer was computed from; it is not
+    serialized.
+    """
 
     per_intent_truth: dict[int | str, Pipeline]
     max_subset: frozenset[int | str]
     objective_value: int
+    graph: ConflictGraph = field(repr=False, compare=False)
 
     def to_dict(self) -> dict[str, object]:
-        from .schemas import pipeline_to_policy_doc
-
         return {
             "per_intent_truth": {
                 str(intent_id): pipeline_to_policy_doc(p)
@@ -69,15 +73,6 @@ class OracleResult:
             "max_subset": sorted(self.max_subset, key=intent_sort_key),
             "objective_value": self.objective_value,
         }
-
-
-def default_directive(profile) -> dict[str, str]:
-    """Reference setting for every parameter an xApp controls.
-
-    Settings are symbolic; the reference policy always requests the managed
-    default, so two intents reusing one xApp agree byte-for-byte.
-    """
-    return {param: DEFAULT_DIRECTIVE_SETTING for param in sorted(profile.controlled_params)}
 
 
 def synthesize_ground_truth(
@@ -90,7 +85,7 @@ def synthesize_ground_truth(
 
     Enumerates xApp subsets up to max_len, smallest first, and returns the
     first that contains the intent's mandatory xApps, covers its required
-    capabilities and, wired as a stage-sorted chain, has no internal
+    capabilities and, wired as model.stage_chain, has no internal
     conflict (ties between equal sizes go to the smaller node-id sequence).
     """
     if max_len < 1 or max_len > 5:
@@ -113,7 +108,9 @@ def synthesize_ground_truth(
                 covered |= registry[xapp_id].capabilities
             if not intent.required_capabilities <= covered:
                 continue
-            pipeline = _chain_pipeline(intent.id, combo, registry)
+            ordered, edges = stage_chain(combo, registry)
+            nodes = [(x, default_directive(registry[x])) for x in ordered]
+            pipeline = Pipeline.build(intent.id, nodes, edges)
             if not internal_conflicts(pipeline, matrix, registry):
                 return pipeline
 
@@ -121,13 +118,6 @@ def synthesize_ground_truth(
         f"no xApp subset of size <= {max_len} covers capabilities "
         f"{sorted(intent.required_capabilities)} for intent {intent.id!r}"
     )
-
-
-def _chain_pipeline(intent_id: int | str, xapp_ids: Iterable[str], registry: Registry) -> Pipeline:
-    ordered = sorted(xapp_ids, key=lambda x: (registry[x].stage, x))
-    nodes = [(x, default_directive(registry[x])) for x in ordered]
-    edges = [(ordered[i], ordered[i + 1]) for i in range(len(ordered) - 1)]
-    return Pipeline.build(intent_id, nodes, edges)
 
 
 def intent_sort_key(intent_id: int | str) -> tuple[int, str]:
@@ -168,6 +158,7 @@ def max_conflict_free_subset(
         per_intent_truth=dict(candidates),
         max_subset=subset,
         objective_value=len(subset),
+        graph=evaluation.graph,
     )
 
 

@@ -13,16 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .conflicts import REPORT_GROUPS, ConflictKind, ConflictRecord, canonical_sort
-from .model import (
-    Pipeline,
-    PipelineNode,
-    Registry,
-    conditions_to_dict,
-    normalize_conditions,
-    normalize_directive,
-    validate_deployment_conditions,
-)
+from .conflicts import REPORT_GROUPS, ConflictKind, ConflictRecord, canonical_sort, conflict_report
+from .model import Pipeline, Registry, conditions_to_dict, validate_deployment_conditions
 
 
 class SchemaValidationError(ValueError):
@@ -46,8 +38,6 @@ class PerceptionDoc:
     notes: str = ""
 
     def to_dict(self) -> dict[str, object]:
-        from .conflicts import conflict_report
-
         return conflict_report(self.records, self.notes)
 
 
@@ -85,14 +75,8 @@ def policy_doc_to_pipeline(data: Mapping[str, object]) -> Pipeline:
     errors = _policy_doc_errors(data)
     if errors:
         raise SchemaValidationError("policy document", errors)
-    return Pipeline(
-        intent_id=data["intent_id"],
-        nodes=tuple(
-            PipelineNode(str(x), normalize_directive(dict(d)))
-            for x, d in data["selected_xapps"]
-        ),
-        edges=frozenset((str(a), str(b)) for a, b in data["edges"]),
-        deployment_conditions=normalize_conditions(data["deployment_conditions"]),
+    return Pipeline.build(
+        data["intent_id"], data["selected_xapps"], data["edges"], data["deployment_conditions"]
     )
 
 

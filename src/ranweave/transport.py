@@ -14,12 +14,11 @@ import json
 import os
 import random
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .conflicts import PRE_DEPLOYED_PREFIX, ConflictKind, ConflictRecord, conflict_report
-from .model import Intent, Pipeline, Registry
-from .planner import default_directive
+from .model import Intent, Pipeline, PipelineNode, Registry, default_directive, stage_chain
 from .schemas import EditKind, RefinementDoc, dump_doc, pipeline_to_policy_doc
 
 CHAT_BASE_URL_ENV = "RANWEAVE_CHAT_BASE_URL"
@@ -250,8 +249,7 @@ def corrupt_pipeline(
         if outside:
             replacement = rng.choice(outside)
             nodes[index] = (replacement, default_directive(registry[replacement]))
-            ordered = sorted((x for x, _ in nodes), key=lambda x: (registry[x].stage, x))
-            edges = {(ordered[i], ordered[i + 1]) for i in range(len(ordered) - 1)}
+            _, edges = stage_chain((x for x, _ in nodes), registry)
     elif corruption == "mutate_directive":
         index = rng.randrange(len(nodes))
         xapp_id, directive = nodes[index]
@@ -274,56 +272,39 @@ def refine_pipeline(
 ) -> tuple[Pipeline, list[tuple[EditKind, str]]]:
     """Deterministic structural review of a candidate pipeline.
 
-    Removes duplicate nodes, drops registered xApps that contribute none of
-    the intent's required capabilities (mandatory xApps stay), and rebuilds
-    the edge set as the canonical stage-sorted chain when it deviates.
+    Removes duplicate nodes, drops xApps that contribute none of the
+    intent's required capabilities (mandatory xApps stay), and orders and
+    links the rest as model.stage_chain. Precondition: every xApp id of the
+    candidate is registered; parse_policy_doc(text, registry) rejects any
+    other before refinement.
     """
     edits: list[tuple[EditKind, str]] = []
 
-    deduped: list = []
-    seen: set[str] = set()
+    deduped: dict[str, PipelineNode] = {}
     for node in candidate.nodes:
-        if node.xapp_id in seen:
+        if node.xapp_id in deduped:
             edits.append((EditKind.REMOVE_DUPLICATE, f"{node.xapp_id} was selected twice"))
             continue
-        seen.add(node.xapp_id)
-        deduped.append(node)
+        deduped[node.xapp_id] = node
 
-    kept = []
+    kept: dict[str, PipelineNode] = {}
     drop_edits: list[tuple[EditKind, str]] = []
-    for node in deduped:
-        profile = registry.get(node.xapp_id)
-        if (
-            profile is not None
-            and node.xapp_id not in intent.required_xapps
-            and not (profile.capabilities & intent.required_capabilities)
+    for xapp_id, node in deduped.items():
+        if xapp_id not in intent.required_xapps and not (
+            registry[xapp_id].capabilities & intent.required_capabilities
         ):
-            drop_edits.append(
-                (EditKind.DROP_SUPERFLUOUS, f"{node.xapp_id} covers no required capability")
-            )
+            drop_edits.append((EditKind.DROP_SUPERFLUOUS, f"{xapp_id} covers no required capability"))
             continue
-        kept.append(node)
+        kept[xapp_id] = node
     if kept:
         edits.extend(drop_edits)
     else:
         # Refusing to empty the pipeline; keep the deduplicated nodes.
         kept = deduped
 
-    def stage_key(node) -> tuple[int, str]:
-        profile = registry.get(node.xapp_id)
-        return (int(profile.stage) if profile else 99, node.xapp_id)
-
-    ordered = sorted(kept, key=stage_key)
-    chain = frozenset(
-        (ordered[i].xapp_id, ordered[i + 1].xapp_id) for i in range(len(ordered) - 1)
-    )
+    ordered, chain = stage_chain(kept, registry)
     if chain != candidate.edges:
         edits.append((EditKind.REORDER_STAGE, "edges rebuilt as a stage-consistent chain"))
 
-    revised = Pipeline(
-        intent_id=candidate.intent_id,
-        nodes=tuple(ordered),
-        edges=chain,
-        deployment_conditions=candidate.deployment_conditions,
-    )
+    revised = replace(candidate, nodes=tuple(kept[x] for x in ordered), edges=chain)
     return revised, edits

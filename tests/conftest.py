@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from ranweave.harness import FixtureBundle, ground_truths, load_fixtures
+from ranweave.harness import FixtureBundle, load_fixtures
 
 
 @pytest.fixture(scope="session")
@@ -12,7 +12,7 @@ def bundle() -> FixtureBundle:
 
 @pytest.fixture(scope="session")
 def truths(bundle):
-    return ground_truths(bundle)
+    return dict(bundle.truths)
 
 
 @pytest.fixture(scope="session")

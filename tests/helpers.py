@@ -7,7 +7,7 @@ and naively; they share no code path with the engine they check.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 from ranweave.conflicts import VendorCompatibilityMatrix, internal_conflicts
 from ranweave.model import Intent, Pipeline, Registry, Stage, XAppProfile
@@ -207,4 +207,34 @@ def brute_ground_truth(
                 feasible.append((tuple(sorted(combo)), pipeline))
         if feasible:
             return min(feasible, key=lambda item: item[0])[1]
+    return None
+
+
+def brute_after_cycles(nodes: list[str], edges: set[tuple[str, str]]) -> set[str]:
+    """Nodes on a directed cycle or reachable from one, by transitive closure.
+
+    A node lies on a cycle when it reaches itself in one or more steps.
+    """
+    reach = {n: {b for a, b in edges if a == n} for n in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for n in nodes:
+            wider = reach[n].union(*(reach[m] for m in reach[n]))
+            if wider != reach[n]:
+                reach[n], changed = wider, True
+    on_cycle = {n for n in nodes if n in reach[n]}
+    return on_cycle.union(*(reach[n] for n in on_cycle))
+
+
+def brute_least_topological_order(nodes: list[str], edges: set[tuple[str, str]]) -> list[str] | None:
+    """The lexicographically least order that puts every edge forward, or None.
+
+    permutations() of a sorted list comes in lexicographic order, so the
+    first order that respects every edge is the least.
+    """
+    for order in permutations(sorted(nodes)):
+        position = {x: i for i, x in enumerate(order)}
+        if all(position[a] < position[b] for a, b in edges):
+            return list(order)
     return None

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranweave.model import (
     Pipeline,
@@ -11,11 +13,17 @@ from ranweave.model import (
     Stage,
     XAppProfile,
     pipelines_equal,
+    stage_chain,
     topological_order,
     validate_pipeline_structure,
 )
 
-from .helpers import random_pipeline, random_registry
+from .helpers import (
+    brute_after_cycles,
+    brute_least_topological_order,
+    random_pipeline,
+    random_registry,
+)
 
 
 def _mini_registry() -> Registry:
@@ -130,6 +138,50 @@ def test_topological_order_respects_edges_randomized():
         position = {x: i for i, x in enumerate(order)}
         for a, b in pipeline.edges:
             assert position[a] < position[b]
+
+
+_DIGRAPHS = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just([f"x{i}" for i in range(n)]),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(digraph=_DIGRAPHS)
+def test_peel_finds_cycles_and_the_least_order(digraph):
+    nodes, index_edges = digraph
+    edges = {(nodes[a], nodes[b]) for a, b in index_edges}
+    # One stage for all, so no edge breaks the stage order.
+    registry = Registry([XAppProfile.build(x, capabilities=["c"], stage="decide") for x in nodes])
+    pipeline = Pipeline.build(1, [(x, {}) for x in nodes], edges)
+
+    cycles = [v for v in validate_pipeline_structure(pipeline, registry).violations if v.code == "cycle"]
+    after_cycles = brute_after_cycles(nodes, edges)
+    if after_cycles:
+        assert [v.detail for v in cycles] == [f"cycle through {sorted(after_cycles)}"]
+        with pytest.raises(PipelineStructureError):
+            topological_order(pipeline, registry)
+    else:
+        assert cycles == []
+        assert topological_order(pipeline, registry) == brute_least_topological_order(nodes, edges)
+
+
+def test_stage_chain_sorts_by_stage_then_id_and_links_neighbours():
+    registry = Registry(
+        [
+            XAppProfile.build("z", capabilities=["c"], stage="sense"),
+            XAppProfile.build("b", capabilities=["c"], stage="act"),
+            XAppProfile.build("a", capabilities=["c"], stage="act"),
+            XAppProfile.build("m", capabilities=["c"], stage="decide"),
+        ]
+    )
+    assert stage_chain(["a", "b", "m", "z"], registry) == (
+        ("z", "m", "a", "b"),
+        frozenset({("z", "m"), ("m", "a"), ("a", "b")}),
+    )
+    assert stage_chain(["a"], registry) == (("a",), frozenset())
 
 
 def test_pipelines_equal_reflexive():
