@@ -45,7 +45,6 @@ from .planner import (
 from .retrieval import RetrievalUnavailableError, VectorStore
 from .schemas import (
     PerceptionDoc,
-    PolicyDoc,
     RefinementDoc,
     SchemaValidationError,
     parse_perception_doc,
@@ -284,9 +283,9 @@ def run_reasoning(
     analogues,
     candidates: Mapping[int | str, Pipeline],
     chunks=(),
-) -> PolicyDoc:
+) -> Pipeline:
     request = assemble_reasoning_request(ctx, intent, perception, analogues, candidates, chunks)
-    return _call_with_repair(transport, request, lambda text: parse_policy_doc(text, ctx.registry))
+    return _call_with_repair(transport, request, lambda text: parse_policy_doc(text, ctx.registry, intent.id))
 
 
 def run_refinement(
@@ -300,7 +299,9 @@ def run_refinement(
     if not ctx.mode.uses_refinement:
         raise ValueError(f"mode {ctx.mode.value} does not run the refinement role")
     request = assemble_refinement_request(ctx, intent, candidate, summary, candidates)
-    return _call_with_repair(transport, request, lambda text: parse_refinement_doc(text, candidate))
+    return _call_with_repair(
+        transport, request, lambda text: parse_refinement_doc(text, candidate, ctx.registry)
+    )
 
 
 def _attempt(call: Callable[..., T], *args) -> T | None:
@@ -396,12 +397,11 @@ def orchestrate_batch(
         attempted: dict[int | str, Pipeline] = {}
         for intent in () if iteration_aborted else ordered:
             analogues = memory.retrieve_analogues(intent, ctx.analogue_count)
-            policy = _attempt(
+            candidate = _attempt(
                 run_reasoning, ctx, intent, transport, perception_doc, analogues, candidates, chunks
             )
-            if policy is None:
+            if candidate is None:
                 continue
-            candidate = policy.pipeline
             if ctx.mode.uses_refinement:
                 summary = memory.failure_summary(intent)
                 refined = _attempt(run_refinement, ctx, intent, candidate, summary, transport, candidates)

@@ -1,9 +1,11 @@
 """JSON document schemas shared by the agents and the conflict engine.
 
-Three wire documents exist: the perception conflict report, the reasoning
-policy document, and the refinement document. Parsing is strict - unknown
-keys are rejected and every violation is reported with its path so a
-malformed response can be re-prompted with concrete errors.
+This module is the wire spec. Three documents exist: the perception
+conflict report, the reasoning policy document, and the refinement
+document. Parsing is strict - unknown keys are rejected and every violation
+is reported with its path so a malformed response can be re-prompted with
+concrete errors. A reasoning answer and a refinement revision pass one
+policy check: registered xApps only, and the intent that was asked for.
 """
 
 from __future__ import annotations
@@ -42,14 +44,6 @@ class PerceptionDoc:
 
 
 @dataclass(frozen=True)
-class PolicyDoc:
-    pipeline: Pipeline
-
-    def to_dict(self) -> dict[str, object]:
-        return pipeline_to_policy_doc(self.pipeline)
-
-
-@dataclass(frozen=True)
 class RefinementDoc:
     revised: Pipeline
     edits: tuple[tuple[EditKind, str], ...]
@@ -72,7 +66,11 @@ def pipeline_to_policy_doc(pipeline: Pipeline) -> dict[str, object]:
 
 
 def policy_doc_to_pipeline(data: Mapping[str, object]) -> Pipeline:
-    errors = _policy_doc_errors(data)
+    """Shape-checked pipeline from trusted input (memory files, round trips)."""
+    return _pipeline(data, _policy_shape_errors(data))
+
+
+def _pipeline(data: Mapping[str, object], errors: list[str]) -> Pipeline:
     if errors:
         raise SchemaValidationError("policy document", errors)
     return Pipeline.build(
@@ -83,19 +81,28 @@ def policy_doc_to_pipeline(data: Mapping[str, object]) -> Pipeline:
 _POLICY_KEYS = {"intent_id", "selected_xapps", "edges", "deployment_conditions"}
 
 
-def _policy_doc_errors(data: object) -> list[str]:
+def _policy_doc_errors(data: object, registry: Registry, intent_id: int | str) -> list[str]:
+    """The one check of an agent's pipeline: shape, registry, requested intent."""
+    errors = _policy_shape_errors(data)
+    if errors:
+        return errors
+    unknown = sorted({xapp_id for xapp_id, _ in data["selected_xapps"]} - set(registry.ids))
+    if unknown:
+        errors.append(f"unregistered xApp ids {unknown}")
+    if data["intent_id"] != intent_id:
+        errors.append(f"intent_id {data['intent_id']!r} is not the requested intent {intent_id!r}")
+    return errors
+
+
+def _policy_shape_errors(data: object) -> list[str]:
     if not isinstance(data, Mapping):
         return [f"expected a JSON object, got {type(data).__name__}"]
-    errors = []
-    unknown = sorted(set(data) - _POLICY_KEYS)
-    if unknown:
-        errors.append(f"unknown keys {unknown}")
-    missing = sorted(_POLICY_KEYS - set(data))
-    if missing:
-        errors.append(f"missing keys {missing}")
+    errors = _key_errors(data, _POLICY_KEYS, _POLICY_KEYS, "")
+    if not data.keys() >= _POLICY_KEYS:
         return errors
 
-    if not isinstance(data["intent_id"], (int, str)):
+    # bool is an int subclass; true is not an intent id.
+    if isinstance(data["intent_id"], bool) or not isinstance(data["intent_id"], (int, str)):
         errors.append("intent_id must be an integer or string")
 
     xapps = data["selected_xapps"]
@@ -129,31 +136,22 @@ def _policy_doc_errors(data: object) -> list[str]:
     return errors
 
 
-def parse_policy_doc(text: str, registry: Registry | None = None) -> PolicyDoc:
-    """Parse and validate a reasoning response.
+def parse_policy_doc(text: str, registry: Registry, intent_id: int | str) -> Pipeline:
+    """Parse and validate a reasoning response for the intent intent_id.
 
     Registry membership of the selected xApps is part of the schema check;
     structural validity of the pipeline itself is deliberately not, those
     violations are surfaced to refinement instead of being rejected here.
     """
     data = _load_json(text, "policy document")
-    pipeline = policy_doc_to_pipeline(data)
-    if registry is not None:
-        unknown = sorted({n.xapp_id for n in pipeline.nodes} - set(registry.ids))
-        if unknown:
-            raise SchemaValidationError("policy document", [f"unregistered xApp ids {unknown}"])
-    return PolicyDoc(pipeline)
+    return _pipeline(data, _policy_doc_errors(data, registry, intent_id))
 
 
 def parse_perception_doc(text: str) -> PerceptionDoc:
     data = _load_json(text, "conflict report")
-    errors: list[str] = []
     if not isinstance(data, Mapping):
         raise SchemaValidationError("conflict report", ["expected a JSON object"])
-    allowed = {"conflicts", "notes"}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        errors.append(f"unknown keys {unknown}")
+    errors = _key_errors(data, {"conflicts", "notes"}, set(), "")
     conflicts = data.get("conflicts")
     if not isinstance(conflicts, Mapping):
         errors.append("conflicts must be an object grouping records by class")
@@ -198,16 +196,11 @@ _RECORD_KEYS = {"kind", "participants", "subject", "explanation"}
 def _parse_record(item: object, path: str) -> tuple[ConflictRecord | None, list[str]]:
     if not isinstance(item, Mapping):
         return None, [f"{path} must be an object"]
-    errors = []
-    unknown = sorted(set(item) - _RECORD_KEYS)
-    if unknown:
-        errors.append(f"{path} has unknown keys {unknown}")
-    missing = sorted(_RECORD_KEYS - set(item))
-    if missing:
-        errors.append(f"{path} is missing keys {missing}")
+    errors = _key_errors(item, _RECORD_KEYS, _RECORD_KEYS, path)
+    if not item.keys() >= _RECORD_KEYS:
         return None, errors
     try:
-        kind = ConflictKind(str(item["kind"]))
+        ConflictKind(str(item["kind"]))
     except ValueError:
         return None, errors + [f"{path} has unknown kind {item['kind']!r}"]
     participants = item["participants"]
@@ -222,31 +215,23 @@ def _parse_record(item: object, path: str) -> tuple[ConflictRecord | None, list[
         errors.append(f"{path} subject and explanation must be strings")
     if errors:
         return None, errors
-    return (
-        ConflictRecord(
-            kind=kind,
-            participants=frozenset((str(r), str(x)) for r, x in participants),
-            subject=str(item["subject"]),
-            explanation=str(item["explanation"]),
-        ),
-        [],
-    )
+    return ConflictRecord.from_dict(item), []
 
 
-def parse_refinement_doc(text: str, original: Pipeline) -> RefinementDoc:
+_REFINEMENT_KEYS = {"revised_policy", "edits"}
+
+
+def parse_refinement_doc(text: str, original: Pipeline, registry: Registry) -> RefinementDoc:
+    """The revision passes the same policy check as a reasoning answer."""
     data = _load_json(text, "refinement document")
     if not isinstance(data, Mapping):
         raise SchemaValidationError("refinement document", ["expected a JSON object"])
-    errors = []
-    allowed = {"revised_policy", "edits"}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        errors.append(f"unknown keys {unknown}")
-    missing = sorted(allowed - set(data))
-    if missing:
-        raise SchemaValidationError("refinement document", errors + [f"missing keys {missing}"])
+    errors = _key_errors(data, _REFINEMENT_KEYS, _REFINEMENT_KEYS, "")
+    if not data.keys() >= _REFINEMENT_KEYS:
+        raise SchemaValidationError("refinement document", errors)
 
-    revised = policy_doc_to_pipeline(data["revised_policy"])
+    policy = data["revised_policy"]
+    revised = _pipeline(policy, _policy_doc_errors(policy, registry, original.intent_id))
 
     edits_raw = data["edits"]
     edits: list[tuple[EditKind, str]] = []
@@ -276,6 +261,20 @@ def parse_refinement_doc(text: str, original: Pipeline) -> RefinementDoc:
     if errors:
         raise SchemaValidationError("refinement document", errors)
     return RefinementDoc(revised=revised, edits=tuple(edits))
+
+
+def _key_errors(
+    data: Mapping[str, object], allowed: set[str], required: set[str], path: str
+) -> list[str]:
+    """Unknown and missing keys of one JSON object; path prefixes the errors."""
+    errors = []
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        errors.append(f"{path} has unknown keys {unknown}" if path else f"unknown keys {unknown}")
+    missing = sorted(required - set(data))
+    if missing:
+        errors.append(f"{path} is missing keys {missing}" if path else f"missing keys {missing}")
+    return errors
 
 
 def _load_json(text: str, doc_name: str) -> object:

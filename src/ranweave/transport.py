@@ -275,8 +275,8 @@ def refine_pipeline(
     Removes duplicate nodes, drops xApps that contribute none of the
     intent's required capabilities (mandatory xApps stay), and orders and
     links the rest as model.stage_chain. Precondition: every xApp id of the
-    candidate is registered; parse_policy_doc(text, registry) rejects any
-    other before refinement.
+    candidate is registered; parse_policy_doc and parse_refinement_doc both
+    reject any other, so every pipeline an agent returns meets it.
     """
     edits: list[tuple[EditKind, str]] = []
 

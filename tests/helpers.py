@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
+from hypothesis import strategies as st
+
 from ranweave.conflicts import VendorCompatibilityMatrix, internal_conflicts
 from ranweave.model import Intent, Pipeline, Registry, Stage, XAppProfile
 
@@ -17,6 +19,36 @@ PARAM_POOL = ["tx_power", "prb_quota", "weights", "beam_set", "steer_mode"]
 KPI_POOL = ["latency", "throughput", "energy", "reliability"]
 DIALECT_POOL = ["d-north", "d-south", "d-east", "d-west"]
 SETTING_POOL = ["auto", "eco", "turbo"]
+
+WIRE_KEYS = [
+    "intent_id", "selected_xapps", "edges", "deployment_conditions", "conflicts", "notes",
+    "actuator", "parameter", "objective", "vendor", "kind", "participants", "subject",
+    "explanation", "revised_policy", "edits", "load", "windows",
+]
+# Any JSON value, biased towards the keys and strings of the wire documents.
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["actuator_contention", "mobility_predictor", "remove_duplicate", "auto"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(WIRE_KEYS) | st.text(max_size=4), children, max_size=5),
+    max_leaves=30,
+)
+
+
+def replace_one_value(draw, document: object, values: st.SearchStrategy) -> object:
+    """document (modified in place) with one value, at a random depth, drawn
+    from values; the whole document when the walk stops at the root."""
+    parent, key, node = None, None, document
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        return draw(values)
+    parent[key] = draw(values)
+    return document
 
 
 def random_registry(rng: random.Random, size: int) -> Registry:

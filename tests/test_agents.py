@@ -5,6 +5,8 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranweave.agents import (
     AgentCallError,
@@ -25,6 +27,8 @@ from ranweave.model import DeploymentState, Pipeline, pipelines_equal
 from ranweave.planner import SolutionScore
 from ranweave.schemas import dump_doc, pipeline_to_policy_doc
 from ranweave.transport import (
+    REASONING,
+    REFINEMENT,
     ChatTransport,
     MockBundle,
     NoisyTransport,
@@ -32,6 +36,8 @@ from ranweave.transport import (
     corrupt_pipeline,
     refine_pipeline,
 )
+
+from .helpers import json_scalars, json_values, replace_one_value
 
 
 def _ctx(bundle, scenario_id: int, mode: Mode, truths, seed: int = 0) -> RunContext:
@@ -109,7 +115,7 @@ def test_oracle_reasoning_emits_ground_truth(bundle, truths):
     ctx = _ctx(bundle, 1, Mode.F5, truths)
     transport = OracleTransport(_mock_bundle(bundle, truths))
     policy = run_reasoning(ctx, bundle.intents[3], transport, None, [], {})
-    assert policy.pipeline == truths[3]
+    assert policy == truths[3]
 
 
 def test_perception_refused_in_sa_and_np(bundle, truths):
@@ -171,7 +177,7 @@ def test_repair_reprompt_recovers_from_malformed_json(bundle, truths):
     transport = ScriptedTransport(["this is not json", good])
     ctx = _ctx(bundle, 1, Mode.NR, truths)
     policy = run_reasoning(ctx, bundle.intents[3], transport, None, [], {})
-    assert policy.pipeline == truths[3]
+    assert policy == truths[3]
     assert len(transport.calls) == 2
 
 
@@ -189,7 +195,7 @@ def test_repair_reprompt_on_unknown_xapp_id(bundle, truths):
     transport = ScriptedTransport([bad, good])
     ctx = _ctx(bundle, 1, Mode.NR, truths)
     policy = run_reasoning(ctx, bundle.intents[3], transport, None, [], {})
-    assert policy.pipeline == truths[3]
+    assert policy == truths[3]
     assert len(transport.calls) == 2
     # The repair prompt must carry the validation errors back to the model.
     repair_user_message = transport.seen_messages[1][-1]
@@ -495,3 +501,88 @@ def test_unreachable_embedder_means_no_retrieved_context(bundle, truths):
     with_context = [t for t in transport.seen_user_messages if "## Retrieved context" in t]
     assert with_context
     assert all("## Retrieved context\n(no retrieved context)" in t for t in with_context)
+
+
+class IntentSwapTransport(OracleTransport):
+    """The oracle backend, except that its answers in one role for intent 3
+    name intent_id instead. A swapped revision also lists an edit, so that
+    it reads as a real revision."""
+
+    def __init__(self, mock, role: str, intent_id):
+        super().__init__(mock)
+        self.role = role
+        self.intent_id = intent_id
+
+    def _respond(self, request):
+        text = super()._respond(request)
+        if request.role != self.role or request.payload["intent"].id != 3:
+            return text
+        doc = json.loads(text)
+        if self.role == REASONING:
+            doc["intent_id"] = self.intent_id
+        else:
+            doc["revised_policy"]["intent_id"] = self.intent_id
+            doc["edits"] = [["reorder_stage", "renamed"]]
+        return dump_doc(doc)
+
+
+# 5 is an intent of the catalog outside scenario 1; true equals 1 in Python.
+_FOREIGN_INTENT_IDS = [999, "x", True, 5]
+
+
+@pytest.mark.parametrize("intent_id", _FOREIGN_INTENT_IDS, ids=repr)
+def test_reasoning_answer_for_another_intent_fails_the_call(bundle, truths, intent_id):
+    """Scenario 1 asks for intents 3 and 4. An answer for 3 that names any
+    other intent fails validation twice, so intent 3 is never correct."""
+    transport = IntentSwapTransport(_mock_bundle(bundle, truths), REASONING, intent_id)
+    report = run_scenario(bundle, 1, Mode.F5, transport, max_iterations=2)
+    assert report.generation_accuracy == 0.5
+    assert not report.converged
+    assert transport.calls.count((REASONING, 3)) == 4  # two iterations, one repair each
+
+
+@pytest.mark.parametrize("intent_id", _FOREIGN_INTENT_IDS, ids=repr)
+def test_refinement_revision_for_another_intent_keeps_the_candidate(bundle, truths, intent_id):
+    """A revision that names another intent fails validation twice; the
+    unrefined reference pipeline stays the candidate, so the run converges."""
+    transport = IntentSwapTransport(_mock_bundle(bundle, truths), REFINEMENT, intent_id)
+    memory = MemoryBuffer()
+    report = run_scenario(bundle, 1, Mode.F5, transport, max_iterations=2, memory=memory)
+    assert report.generation_accuracy == 1.0
+    assert report.converged
+    assert [e.pipeline for e in memory.entries if e.intent.id == 3] == [truths[3]]
+    assert transport.calls.count((REFINEMENT, 3)) == 2
+
+
+# json_values alone draws mostly lists and objects; an id replaced by a
+# scalar is the likelier crash, so scalars get half the draws.
+_ANY_JSON = json_scalars | json_values
+
+
+class OneValueTransport(OracleTransport):
+    """The oracle backend; half of its answers get one value, anywhere in
+    the document, replaced with arbitrary JSON."""
+
+    def __init__(self, mock, draw):
+        super().__init__(mock)
+        self.draw = draw
+
+    def _respond(self, request):
+        text = super()._respond(request)
+        if not self.draw(st.booleans()):
+            return text
+        return json.dumps(replace_one_value(self.draw, json.loads(text), _ANY_JSON))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    scenario=st.sampled_from([1, 2, 3]),
+    mode=st.sampled_from([Mode.F5, Mode.SA, Mode.NP, Mode.FCFS]),
+    data=st.data(),
+)
+def test_any_backend_answer_is_a_counted_failure(bundle, truths, scenario, mode, data):
+    """Whatever the backend answers, the run ends with a report."""
+    transport = OneValueTransport(_mock_bundle(bundle, truths), data.draw)
+    report = run_scenario(bundle, scenario, mode, transport, max_iterations=2)
+    assert 0.0 <= report.generation_accuracy <= 1.0
+    assert 0.0 <= report.deployment_success <= 1.0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranweave.conflicts import build_conflict_graph, conflict_report
-from ranweave.model import DeploymentState, Pipeline
+from ranweave.model import DeploymentState, Pipeline, Registry, XAppProfile
 from ranweave.schemas import (
     EditKind,
     SchemaValidationError,
@@ -20,7 +20,10 @@ from ranweave.schemas import (
     policy_doc_to_pipeline,
 )
 
-from .helpers import random_pipeline, random_registry
+from .helpers import json_values, random_pipeline, random_registry, replace_one_value
+
+# The xApps "a" and "b" of the hand-written refinement documents below.
+_AB = Registry(XAppProfile.build(x, capabilities=["c"]) for x in ("a", "b"))
 
 
 def test_policy_doc_roundtrip_simple():
@@ -79,7 +82,7 @@ def test_policy_doc_rejects_nested_conditions():
 def test_parse_policy_checks_registry_membership(bundle):
     doc = pipeline_to_policy_doc(Pipeline.build(1, [("not_registered", {})]))
     with pytest.raises(SchemaValidationError, match="unregistered"):
-        parse_policy_doc(dump_doc(doc), bundle.registry)
+        parse_policy_doc(dump_doc(doc), bundle.registry, 1)
 
 
 def test_parse_policy_tolerates_structural_defects(bundle):
@@ -88,13 +91,13 @@ def test_parse_policy_tolerates_structural_defects(bundle):
     pipeline = Pipeline.build(
         1, [("mobility_predictor", {}), ("mobility_predictor", {})], []
     )
-    parsed = parse_policy_doc(dump_doc(pipeline_to_policy_doc(pipeline)), bundle.registry)
-    assert parsed.pipeline.node_ids == ("mobility_predictor", "mobility_predictor")
+    parsed = parse_policy_doc(dump_doc(pipeline_to_policy_doc(pipeline)), bundle.registry, 1)
+    assert parsed.node_ids == ("mobility_predictor", "mobility_predictor")
 
 
 def test_parse_policy_rejects_invalid_json(bundle):
     with pytest.raises(SchemaValidationError, match="not valid JSON"):
-        parse_policy_doc("pipelines { when ready }", bundle.registry)
+        parse_policy_doc("pipelines { when ready }", bundle.registry, 1)
 
 
 def test_perception_doc_roundtrip_from_engine(bundle, truths):
@@ -149,7 +152,7 @@ def test_perception_doc_empty_groups_parse():
 def test_refinement_doc_unchanged_with_empty_edits():
     pipeline = Pipeline.build(1, [("a", {"p": "auto"})])
     payload = {"revised_policy": pipeline_to_policy_doc(pipeline), "edits": []}
-    doc = parse_refinement_doc(dump_doc(payload), pipeline)
+    doc = parse_refinement_doc(dump_doc(payload), pipeline, _AB)
     assert doc.revised == pipeline
     assert doc.edits == ()
 
@@ -159,7 +162,7 @@ def test_refinement_doc_requires_edits_when_changed():
     revised = Pipeline.build(1, [("a", {"p": "auto"})])
     payload = {"revised_policy": pipeline_to_policy_doc(revised), "edits": []}
     with pytest.raises(SchemaValidationError, match="edits is empty"):
-        parse_refinement_doc(dump_doc(payload), original)
+        parse_refinement_doc(dump_doc(payload), original, _AB)
 
 
 def test_refinement_doc_rejects_phantom_edits():
@@ -169,7 +172,7 @@ def test_refinement_doc_rejects_phantom_edits():
         "edits": [["remove_duplicate", "nothing was actually removed"]],
     }
     with pytest.raises(SchemaValidationError, match="unchanged"):
-        parse_refinement_doc(dump_doc(payload), pipeline)
+        parse_refinement_doc(dump_doc(payload), pipeline, _AB)
 
 
 def test_refinement_doc_rejects_unknown_edit_kind():
@@ -180,7 +183,7 @@ def test_refinement_doc_rejects_unknown_edit_kind():
         "edits": [["transmogrify", "not a thing"]],
     }
     with pytest.raises(SchemaValidationError, match="unknown edit kind"):
-        parse_refinement_doc(dump_doc(payload), original)
+        parse_refinement_doc(dump_doc(payload), original, _AB)
 
 
 def test_refinement_doc_valid_edit_roundtrip():
@@ -190,22 +193,9 @@ def test_refinement_doc_valid_edit_roundtrip():
         "revised_policy": pipeline_to_policy_doc(revised),
         "edits": [["remove_duplicate", "a appeared twice"]],
     }
-    doc = parse_refinement_doc(dump_doc(payload), original)
+    doc = parse_refinement_doc(dump_doc(payload), original, _AB)
     assert doc.edits == ((EditKind.REMOVE_DUPLICATE, "a appeared twice"),)
 
-
-_WIRE_KEYS = [
-    "intent_id", "selected_xapps", "edges", "deployment_conditions", "conflicts", "notes",
-    "actuator", "parameter", "objective", "vendor", "kind", "participants", "subject",
-    "explanation", "revised_policy", "edits", "load", "windows",
-]
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-    | st.sampled_from(["actuator_contention", "mobility_predictor", "remove_duplicate", "auto"]),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.sampled_from(_WIRE_KEYS) | st.text(max_size=4), children, max_size=5),
-    max_leaves=30,
-)
 
 _POLICY = pipeline_to_policy_doc(
     Pipeline.build(
@@ -239,22 +229,15 @@ _TEMPLATES = [
 def _near_valid_documents(draw):
     """A valid wire document with one value, at a random depth, replaced."""
     document = json.loads(json.dumps(draw(st.sampled_from(_TEMPLATES))))
-    parent, key, node = None, None, document
-    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
-        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
-        parent, node = node, node[key]
-    if parent is None:
-        return draw(_json_values)
-    parent[key] = draw(_json_values)
-    return document
+    return replace_one_value(draw, document, json_values)
 
 
 def _parsers(bundle):
     original = Pipeline.build(1, [("mobility_predictor", {})])
     return (
-        lambda text: parse_policy_doc(text, bundle.registry),
+        lambda text: parse_policy_doc(text, bundle.registry, 1),
         parse_perception_doc,
-        lambda text: parse_refinement_doc(text, original),
+        lambda text: parse_refinement_doc(text, original, bundle.registry),
     )
 
 
@@ -270,7 +253,7 @@ def test_parsers_reject_hostile_json_as_schema_errors(bundle, text, match):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(document=st.text() | (_json_values | _near_valid_documents()).map(json.dumps))
+@given(document=st.text() | (json_values | _near_valid_documents()).map(json.dumps))
 def test_parsers_are_total(bundle, document):
     """On any text, each parser returns or raises SchemaValidationError."""
     for parse in _parsers(bundle):

@@ -227,9 +227,3 @@ def test_prompt_templates_ship_with_versions():
         assert text.splitlines()[0].startswith("# template:")
         assert "version" in text.splitlines()[0]
 
-
-def test_wire_schemas_are_valid_json():
-    schema_dir = resources.files("ranweave").joinpath("prompts", "schemas")
-    for name in ("conflict_report.schema.json", "policy.schema.json", "refinement.schema.json"):
-        payload = json.loads(schema_dir.joinpath(name).read_text(encoding="utf-8"))
-        assert payload["$id"].startswith("ranweave/")
