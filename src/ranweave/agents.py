@@ -87,6 +87,25 @@ class AgentCallError(RuntimeError):
     """An agent call failed even after its single repair re-prompt."""
 
 
+class RenderMemo:
+    """The prompt text of each object one run shows, rendered once.
+
+    Keyed by identity, not value: pipelines that compare equal can still
+    render differently (a condition of 1, 1.0 or true). Each entry keeps its
+    object, so the id cannot be reused while the memo lives. An object is
+    shown one way: the first render function given for it decides its text.
+    """
+
+    def __init__(self) -> None:
+        self._texts: dict[int, tuple[object, str]] = {}
+
+    def text(self, obj: T, render: Callable[[T], str]) -> str:
+        entry = self._texts.get(id(obj))
+        if entry is None:
+            entry = self._texts[id(obj)] = (obj, render(obj))
+        return entry[1]
+
+
 @dataclass
 class RunContext:
     mode: Mode
@@ -99,6 +118,7 @@ class RunContext:
     max_iterations: int = MAX_ITERATIONS
     analogue_count: int = DEFAULT_ANALOGUES
     scenario_id: int | str | None = None
+    renders: RenderMemo = field(default_factory=RenderMemo, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -142,10 +162,27 @@ def _render_profiles(registry: Registry) -> str:
     return _json([p.to_dict() for p in registry])
 
 
-def _render_policies(pipelines: Mapping[str, Pipeline]) -> str:
+def _render_policy(pipeline: Pipeline) -> str:
+    return _json(pipeline_to_policy_doc(pipeline))
+
+
+def _render_report(perception: PerceptionDoc) -> str:
+    return _json(perception.to_dict())
+
+
+def _render_policies(memo: RenderMemo, pipelines: Mapping[str, Pipeline]) -> str:
+    """The bytes of _json({ref: policy doc}), from each pipeline's memoized text.
+
+    Nested one level, every line of a pipeline's text gains the two-space
+    indent; a JSON string never holds a raw newline, so only layout changes.
+    """
     if not pipelines:
         return "(none)"
-    return _json({ref: pipeline_to_policy_doc(p) for ref, p in sorted(pipelines.items())})
+    entries = [
+        f"  {json.dumps(ref)}: " + memo.text(p, _render_policy).replace("\n", "\n  ")
+        for ref, p in sorted(pipelines.items())
+    ]
+    return "{\n" + ",\n".join(entries) + "\n}"
 
 
 def _render_chunks(chunks) -> str:
@@ -184,8 +221,8 @@ def assemble_perception_request(
 ) -> AgentRequest:
     sections = [
         ("Service intents", "\n".join(f"- intent {i.id}: {i.text}" for i in ctx.intents)),
-        ("Registered xApps", _render_profiles(ctx.registry)),
-        ("Active policies", _render_policies(_active_policies(ctx, candidates))),
+        ("Registered xApps", ctx.renders.text(ctx.registry, _render_profiles)),
+        ("Active policies", _render_policies(ctx.renders, _active_policies(ctx, candidates))),
         ("Retrieved context", _render_chunks(chunks)),
     ]
     return _request(PERCEPTION, PERCEPTION_TEMPLATE, sections, {"conflicts": tuple(conflicts)})
@@ -206,15 +243,19 @@ def assemble_reasoning_request(
         f"Mandatory xApps: {sorted(intent.required_xapps) or '(none)'}"
     )
     others = {ref: p for ref, p in _active_policies(ctx, candidates).items() if ref != str(intent.id)}
-    report = _json(perception.to_dict()) if perception is not None else "(no conflict report available)"
+    report = (
+        ctx.renders.text(perception, _render_report)
+        if perception is not None
+        else "(no conflict report available)"
+    )
     past = "\n".join(
         f"- intent {i.id} ({i.text}) -> {json.dumps(pipeline_to_policy_doc(pipe), sort_keys=True)}"
         for i, pipe in analogues
     )
     sections = [
         ("Current intent", current),
-        ("Registered xApps", _render_profiles(ctx.registry)),
-        ("Active policies", _render_policies(others)),
+        ("Registered xApps", ctx.renders.text(ctx.registry, _render_profiles)),
+        ("Active policies", _render_policies(ctx.renders, others)),
         ("Conflict report", report),
         ("Past successes for similar intents", past or "(no prior successes)"),
         ("Retrieved context", _render_chunks(chunks)),
@@ -230,10 +271,10 @@ def assemble_refinement_request(
 ) -> AgentRequest:
     violations = validate_pipeline_structure(candidate, ctx.registry).violations
     sections = [
-        (f"Candidate pipeline for intent {intent.id}", _json(pipeline_to_policy_doc(candidate))),
+        (f"Candidate pipeline for intent {intent.id}", ctx.renders.text(candidate, _render_policy)),
         ("Structural violations detected", "\n".join(f"- {v}" for v in violations) or "(none found)"),
         ("Recurrent failure patterns", summary),
-        ("Deployment context", _render_policies(_active_policies(ctx, candidates))),
+        ("Deployment context", _render_policies(ctx.renders, _active_policies(ctx, candidates))),
     ]
     return _request(REFINEMENT, REFINEMENT_TEMPLATE, sections, {"intent": intent, "candidate": candidate})
 

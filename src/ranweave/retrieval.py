@@ -133,11 +133,16 @@ def k_schedule(iteration: int) -> int:
 
 
 class VectorStore:
-    """In-memory chunk index queried by cosine similarity."""
+    """In-memory chunk index queried by cosine similarity.
+
+    The last query's (text, vector) pair is kept, so a run that asks the
+    same question every iteration embeds it once.
+    """
 
     def __init__(self, embed_fn: Callable[[str], np.ndarray] | None = None):
         self._embed = embed_fn or embed
         self._chunks: list[DocChunk] = []
+        self._last_query: tuple[str, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -163,7 +168,10 @@ class VectorStore:
     def query(self, query_text: str, iteration: int = 1) -> list[DocChunk]:
         """Top chunks for this attempt, ties broken by (doc_id, start)."""
         k = k_schedule(iteration)
-        query_vector = self._embed(query_text)
+        if self._last_query is None or self._last_query[0] != query_text:
+            # A failed embedding raises before anything is kept.
+            self._last_query = (query_text, self._embed(query_text))
+        query_vector = self._last_query[1]
         scored = [
             (-cosine(query_vector, chunk.vector), chunk.doc_id, chunk.start, chunk)
             for chunk in self._chunks

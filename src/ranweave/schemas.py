@@ -222,18 +222,23 @@ _REFINEMENT_KEYS = {"revised_policy", "edits"}
 
 
 def parse_refinement_doc(text: str, original: Pipeline, registry: Registry) -> RefinementDoc:
-    """The revision passes the same policy check as a reasoning answer."""
+    """The revision passes the same policy check as a reasoning answer.
+
+    One SchemaValidationError carries every error found: the document's
+    keys, the revised policy's and the edits'.
+    """
     data = _load_json(text, "refinement document")
     if not isinstance(data, Mapping):
         raise SchemaValidationError("refinement document", ["expected a JSON object"])
     errors = _key_errors(data, _REFINEMENT_KEYS, _REFINEMENT_KEYS, "")
-    if not data.keys() >= _REFINEMENT_KEYS:
-        raise SchemaValidationError("refinement document", errors)
+    revised: Pipeline | None = None
+    if "revised_policy" in data:
+        policy_errors = _policy_doc_errors(data["revised_policy"], registry, original.intent_id)
+        errors.extend(policy_errors)
+        if not policy_errors:
+            revised = _pipeline(data["revised_policy"], [])
 
-    policy = data["revised_policy"]
-    revised = _pipeline(policy, _policy_doc_errors(policy, registry, original.intent_id))
-
-    edits_raw = data["edits"]
+    edits_raw = data.get("edits", [])
     edits: list[tuple[EditKind, str]] = []
     if not isinstance(edits_raw, list):
         errors.append("edits must be a list")
@@ -253,11 +258,12 @@ def parse_refinement_doc(text: str, original: Pipeline, registry: Registry) -> R
                 continue
             edits.append((kind, rationale))
 
-    changed = pipeline_to_policy_doc(revised) != pipeline_to_policy_doc(original)
-    if changed and not edits:
-        errors.append("revised policy differs from the input but edits is empty")
-    if not changed and edits:
-        errors.append("edits listed but the revised policy is unchanged")
+    if revised is not None and "edits" in data:
+        changed = pipeline_to_policy_doc(revised) != pipeline_to_policy_doc(original)
+        if changed and not edits:
+            errors.append("revised policy differs from the input but edits is empty")
+        if not changed and edits:
+            errors.append("edits listed but the revised policy is unchanged")
     if errors:
         raise SchemaValidationError("refinement document", errors)
     return RefinementDoc(revised=revised, edits=tuple(edits))

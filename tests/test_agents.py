@@ -503,6 +503,53 @@ def test_unreachable_embedder_means_no_retrieved_context(bundle, truths):
     assert all("## Retrieved context\n(no retrieved context)" in t for t in with_context)
 
 
+class RecordingNoisyTransport(NoisyTransport):
+    """The noisy backend, keeping every request it answers."""
+
+    def __init__(self, mock, seed):
+        super().__init__(mock, seed)
+        self.requests: list = []
+
+    def _respond(self, request):
+        self.requests.append(request)
+        return super()._respond(request)
+
+
+@pytest.mark.parametrize("failures", [0, 1])
+def test_a_run_embeds_its_retrieval_query_once(bundle, truths, failures):
+    """The query text is the same every iteration, so one embedding serves
+    the run; a failed embedding is not kept, and the next iteration asks again."""
+    from ranweave.retrieval import RetrievalUnavailableError, VectorStore, embed
+
+    embedded: list[str] = []
+    failing = 0
+
+    def embed_fn(text):
+        nonlocal failing
+        embedded.append(text)
+        if failing:
+            failing -= 1
+            raise RetrievalUnavailableError("embedding request failed: backend down")
+        return embed(text)
+
+    store = VectorStore(embed_fn)
+    store.add_directory(bundle.knowledge_dir)
+    embedded.clear()
+    failing = failures
+    transport = RecordingNoisyTransport(_mock_bundle(bundle, truths), 0)
+    ctx = _ctx(bundle, 1, Mode.SA, truths)
+    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), store, scenario_oracle(bundle, bundle.scenarios[1]))
+
+    assert outcome.iterations_run > 2
+    assert len(embedded) == 1 + failures
+    assert len(set(embedded)) == 1
+    no_context = [
+        "## Retrieved context\n(no retrieved context)" in r.messages[1]["content"] for r in transport.requests
+    ]
+    # Scenario 1 has two new intents: one SA call each per iteration.
+    assert no_context == [True] * 2 * failures + [False] * (len(no_context) - 2 * failures)
+
+
 class IntentSwapTransport(OracleTransport):
     """The oracle backend, except that its answers in one role for intent 3
     name intent_id instead. A swapped revision also lists an edit, so that

@@ -9,6 +9,7 @@ import pytest
 from ranweave.retrieval import (
     CHUNK_OVERLAP,
     CHUNK_SIZE,
+    RetrievalUnavailableError,
     VectorStore,
     chunk_document,
     chunk_spans,
@@ -148,6 +149,32 @@ def test_query_respects_k_schedule():
     assert len(store.query("networks", iteration=1)) == 10
     assert len(store.query("networks", iteration=2)) == 20
     assert len(store.query("networks", iteration=5)) == 30
+
+
+def test_query_keeps_the_last_embedding_but_never_a_failure():
+    calls: list[str] = []
+    failing = False
+
+    def embed_fn(text):
+        calls.append(text)
+        if failing:
+            raise RetrievalUnavailableError("embedding request failed: backend down")
+        return embed(text)
+
+    cached, reference = VectorStore(embed_fn), VectorStore()
+    for store in (cached, reference):
+        for index in range(4):
+            store.add_document(f"doc{index}.md", f"notes {index} on traffic steering and slicing " * (index + 1))
+    calls.clear()
+
+    failing = True
+    with pytest.raises(RetrievalUnavailableError):
+        cached.query("traffic steering", iteration=1)
+    failing = False
+    for iteration, text in [(1, "traffic steering"), (2, "traffic steering"), (3, "slicing"), (4, "traffic steering")]:
+        got, expected = cached.query(text, iteration), reference.query(text, iteration)
+        assert [(c.doc_id, c.start) for c in got] == [(c.doc_id, c.start) for c in expected]
+    assert calls == ["traffic steering", "traffic steering", "slicing", "traffic steering"]
 
 
 def test_store_loads_bundled_knowledge(bundle):

@@ -197,6 +197,33 @@ def test_refinement_doc_valid_edit_roundtrip():
     assert doc.edits == ((EditKind.REMOVE_DUPLICATE, "a appeared twice"),)
 
 
+def test_refinement_doc_reports_every_error_at_once(truths, registry):
+    """Document-level errors are reported beside the revised policy's, and
+    the edits are still checked."""
+    with pytest.raises(SchemaValidationError) as caught:
+        parse_refinement_doc('{"revised_policy": {}, "edits": [], "extra": 1}', truths[3], registry)
+    assert caught.value.doc_name == "refinement document"
+    assert caught.value.errors == [
+        "unknown keys ['extra']",
+        "missing keys ['deployment_conditions', 'edges', 'intent_id', 'selected_xapps']",
+    ]
+
+    bad_policy = dict(pipeline_to_policy_doc(truths[3]), selected_xapps=[["phantom", {}]])
+    payload = {"revised_policy": bad_policy, "edits": [["transmogrify", "x"], "y"], "extra": 1}
+    with pytest.raises(SchemaValidationError) as caught:
+        parse_refinement_doc(dump_doc(payload), truths[3], registry)
+    assert caught.value.errors == [
+        "unknown keys ['extra']",
+        "unregistered xApp ids ['phantom']",
+        "edits[0] has unknown edit kind 'transmogrify'",
+        "edits[1] must be an [edit_kind, rationale] pair",
+    ]
+
+    with pytest.raises(SchemaValidationError) as caught:
+        parse_refinement_doc('{"edits": 3}', truths[3], registry)
+    assert caught.value.errors == ["missing keys ['revised_policy']", "edits must be a list"]
+
+
 _POLICY = pipeline_to_policy_doc(
     Pipeline.build(
         1,
