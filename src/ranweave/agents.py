@@ -87,25 +87,6 @@ class AgentCallError(RuntimeError):
     """An agent call failed even after its single repair re-prompt."""
 
 
-class RenderMemo:
-    """The prompt text of each object one run shows, rendered once.
-
-    Keyed by identity, not value: pipelines that compare equal can still
-    render differently (a condition of 1, 1.0 or true). Each entry keeps its
-    object, so the id cannot be reused while the memo lives. An object is
-    shown one way: the first render function given for it decides its text.
-    """
-
-    def __init__(self) -> None:
-        self._texts: dict[int, tuple[object, str]] = {}
-
-    def text(self, obj: T, render: Callable[[T], str]) -> str:
-        entry = self._texts.get(id(obj))
-        if entry is None:
-            entry = self._texts[id(obj)] = (obj, render(obj))
-        return entry[1]
-
-
 @dataclass
 class RunContext:
     mode: Mode
@@ -118,7 +99,6 @@ class RunContext:
     max_iterations: int = MAX_ITERATIONS
     analogue_count: int = DEFAULT_ANALOGUES
     scenario_id: int | str | None = None
-    renders: RenderMemo = field(default_factory=RenderMemo, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -170,19 +150,10 @@ def _render_report(perception: PerceptionDoc) -> str:
     return _json(perception.to_dict())
 
 
-def _render_policies(memo: RenderMemo, pipelines: Mapping[str, Pipeline]) -> str:
-    """The bytes of _json({ref: policy doc}), from each pipeline's memoized text.
-
-    Nested one level, every line of a pipeline's text gains the two-space
-    indent; a JSON string never holds a raw newline, so only layout changes.
-    """
+def _render_policies(pipelines: Mapping[str, Pipeline]) -> str:
     if not pipelines:
         return "(none)"
-    entries = [
-        f"  {json.dumps(ref)}: " + memo.text(p, _render_policy).replace("\n", "\n  ")
-        for ref, p in sorted(pipelines.items())
-    ]
-    return "{\n" + ",\n".join(entries) + "\n}"
+    return _json({ref: pipeline_to_policy_doc(p) for ref, p in sorted(pipelines.items())})
 
 
 def _render_chunks(chunks) -> str:
@@ -198,19 +169,21 @@ def _active_policies(ctx: RunContext, candidates: Mapping[int | str, Pipeline]) 
 
 
 def _request(
-    role: str, template: str, sections: Sequence[tuple[str, str]], payload: Mapping[str, object]
+    role: str, template: str, sections: Callable[[], list[tuple[str, str]]], payload: Mapping[str, object]
 ) -> AgentRequest:
     """The one builder of an agent request.
 
     The system message is the role's template; the user message is the
-    ordered (heading, body) sections, each under a "## heading" line.
+    ordered (heading, body) sections, each under a "## heading" line. Both
+    render on the first read of messages; an assembler snapshots eagerly
+    every input that could change before then (candidates, analogues).
     """
-    user = "\n\n".join(f"## {heading}\n{body}" for heading, body in sections) + "\n"
-    return AgentRequest(
-        role=role,
-        messages=({"role": "system", "content": template}, {"role": "user", "content": user}),
-        payload=payload,
-    )
+
+    def render() -> tuple[dict[str, str], ...]:
+        user = "\n\n".join(f"## {heading}\n{body}" for heading, body in sections()) + "\n"
+        return ({"role": "system", "content": template}, {"role": "user", "content": user})
+
+    return AgentRequest(role=role, render=render, payload=payload)
 
 
 def assemble_perception_request(
@@ -219,12 +192,16 @@ def assemble_perception_request(
     conflicts: Sequence[ConflictRecord],
     chunks,
 ) -> AgentRequest:
-    sections = [
-        ("Service intents", "\n".join(f"- intent {i.id}: {i.text}" for i in ctx.intents)),
-        ("Registered xApps", ctx.renders.text(ctx.registry, _render_profiles)),
-        ("Active policies", _render_policies(ctx.renders, _active_policies(ctx, candidates))),
-        ("Retrieved context", _render_chunks(chunks)),
-    ]
+    active, chunks = _active_policies(ctx, candidates), tuple(chunks)
+
+    def sections():
+        return [
+            ("Service intents", "\n".join(f"- intent {i.id}: {i.text}" for i in ctx.intents)),
+            ("Registered xApps", _render_profiles(ctx.registry)),
+            ("Active policies", _render_policies(active)),
+            ("Retrieved context", _render_chunks(chunks)),
+        ]
+
     return _request(PERCEPTION, PERCEPTION_TEMPLATE, sections, {"conflicts": tuple(conflicts)})
 
 
@@ -236,32 +213,32 @@ def assemble_reasoning_request(
     candidates: Mapping[int | str, Pipeline],
     chunks,
 ) -> AgentRequest:
-    current = (
-        f"intent {intent.id}: {intent.text}\n"
-        f"Target KPIs: {json.dumps(intent.targets, sort_keys=True)}\n"
-        f"Required capabilities: {sorted(intent.required_capabilities)}\n"
-        f"Mandatory xApps: {sorted(intent.required_xapps) or '(none)'}"
-    )
     others = {ref: p for ref, p in _active_policies(ctx, candidates).items() if ref != str(intent.id)}
-    report = (
-        ctx.renders.text(perception, _render_report)
-        if perception is not None
-        else "(no conflict report available)"
-    )
-    past = "\n".join(
-        f"- intent {i.id} ({i.text}) -> {json.dumps(pipeline_to_policy_doc(pipe), sort_keys=True)}"
-        for i, pipe in analogues
-    )
-    sections = [
-        ("Current intent", current),
-        ("Registered xApps", ctx.renders.text(ctx.registry, _render_profiles)),
-        ("Active policies", _render_policies(ctx.renders, others)),
-        ("Conflict report", report),
-        ("Past successes for similar intents", past or "(no prior successes)"),
-        ("Retrieved context", _render_chunks(chunks)),
-    ]
+    analogues, chunks = tuple(analogues), tuple(chunks)
+
+    def sections():
+        current = (
+            f"intent {intent.id}: {intent.text}\n"
+            f"Target KPIs: {json.dumps(intent.targets, sort_keys=True)}\n"
+            f"Required capabilities: {sorted(intent.required_capabilities)}\n"
+            f"Mandatory xApps: {sorted(intent.required_xapps) or '(none)'}"
+        )
+        report = _render_report(perception) if perception is not None else "(no conflict report available)"
+        past = "\n".join(
+            f"- intent {i.id} ({i.text}) -> {json.dumps(pipeline_to_policy_doc(pipe), sort_keys=True)}"
+            for i, pipe in analogues
+        )
+        return [
+            ("Current intent", current),
+            ("Registered xApps", _render_profiles(ctx.registry)),
+            ("Active policies", _render_policies(others)),
+            ("Conflict report", report),
+            ("Past successes for similar intents", past or "(no prior successes)"),
+            ("Retrieved context", _render_chunks(chunks)),
+        ]
+
     template = SINGLE_AGENT_TEMPLATE if ctx.mode is Mode.SA else REASONING_TEMPLATE
-    payload = {"intent": intent, "analogues": tuple(analogues), "perception_present": perception is not None}
+    payload = {"intent": intent, "analogues": analogues, "perception_present": perception is not None}
     return _request(REASONING, template, sections, payload)
 
 
@@ -269,13 +246,18 @@ def assemble_refinement_request(
     ctx: RunContext, intent: Intent, candidate: Pipeline, summary: str,
     candidates: Mapping[int | str, Pipeline],
 ) -> AgentRequest:
+    # Eager: a render runs inside the transport's call, where no traced function may run.
     violations = validate_pipeline_structure(candidate, ctx.registry).violations
-    sections = [
-        (f"Candidate pipeline for intent {intent.id}", ctx.renders.text(candidate, _render_policy)),
-        ("Structural violations detected", "\n".join(f"- {v}" for v in violations) or "(none found)"),
-        ("Recurrent failure patterns", summary),
-        ("Deployment context", _render_policies(ctx.renders, _active_policies(ctx, candidates))),
-    ]
+    active = _active_policies(ctx, candidates)
+
+    def sections():
+        return [
+            (f"Candidate pipeline for intent {intent.id}", _render_policy(candidate)),
+            ("Structural violations detected", "\n".join(f"- {v}" for v in violations) or "(none found)"),
+            ("Recurrent failure patterns", summary),
+            ("Deployment context", _render_policies(active)),
+        ]
+
     return _request(REFINEMENT, REFINEMENT_TEMPLATE, sections, {"intent": intent, "candidate": candidate})
 
 
@@ -292,8 +274,8 @@ def _call_with_repair(
             f"The previous response failed schema validation:\n{errors}\n"
             "Respond again with only the corrected JSON document."
         )
-        messages = ({"role": "assistant", "content": text}, {"role": "user", "content": feedback})
-        text = transport.complete(replace(request, messages=request.messages + messages))
+        turn = ({"role": "assistant", "content": text}, {"role": "user", "content": feedback})
+        text = transport.complete(replace(request, render=lambda: request.messages + turn))
         try:
             return parser(text)
         except SchemaValidationError as second:

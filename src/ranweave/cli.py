@@ -22,6 +22,12 @@ from .planner import InfeasibleIntentError
 ALL_MODES = [m.value for m in Mode]
 
 
+def positive_int(value: str) -> int:
+    if int(value) < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ranweave", description=__doc__)
     parser.add_argument("--fixtures", default=None, help="fixture directory (default: bundled catalog)")
@@ -36,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["http", "mock-oracle", "mock-noisy"],
     )
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--max-iters", type=int, default=MAX_ITERATIONS)
+    run.add_argument("--max-iters", type=positive_int, default=MAX_ITERATIONS)
     run.add_argument("--analogues", type=int, default=DEFAULT_ANALOGUES)
     run.add_argument("--report", default=None, help="write reports to this path")
     run.add_argument("--format", default="json", choices=["json", "csv"])

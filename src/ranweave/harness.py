@@ -245,9 +245,7 @@ def scenario_oracle(bundle: FixtureBundle, scenario: ScenarioSpec) -> OracleResu
     truths = bundle.truths
     pre = DeploymentState(tuple(truths[i] for i in scenario.pre_deployed_intents))
     candidates = {i: truths[i] for i in scenario.new_intents}
-    return max_conflict_free_subset(
-        candidates, pre, bundle.intents, bundle.matrix, bundle.registry, truths=candidates
-    )
+    return max_conflict_free_subset(candidates, pre, bundle.intents, bundle.matrix, bundle.registry)
 
 
 def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:

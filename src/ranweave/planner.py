@@ -138,9 +138,9 @@ def max_conflict_free_subset(
     Every candidate is eligible; evaluate_conflicts gives the usable ids and
     clash sets, and select_subset picks among them. A candidate counts as
     correct when it equals its reference in truths; without truths every
-    candidate does, so the answer is the largest conflict-free subset. In
-    every oracle call the candidates are the truths, so correct and size
-    agree. The empty subset is always feasible.
+    candidate does, so the answer is the largest conflict-free subset: the
+    scenario oracle's candidates are the truths, so it passes none. The empty
+    subset is always feasible.
     """
     ids = sorted(candidates, key=intent_sort_key)
     if len(ids) > MAX_SUBSET_CANDIDATES:

@@ -15,7 +15,8 @@ import os
 import random
 import urllib.request
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from functools import cached_property
+from typing import Callable, Mapping
 
 from .conflicts import PRE_DEPLOYED_PREFIX, ConflictKind, ConflictRecord, conflict_report
 from .model import Intent, Pipeline, PipelineNode, Registry, default_directive, stage_chain
@@ -43,9 +44,16 @@ class TransportError(RuntimeError):
 
 @dataclass
 class AgentRequest:
+    """One agent call. render builds the messages on their first read, so a
+    mock, which reads only the payload, never renders them."""
+
     role: str
-    messages: tuple[dict[str, str], ...]
+    render: Callable[[], tuple[dict[str, str], ...]]
     payload: Mapping[str, object] = field(default_factory=dict)
+
+    @cached_property
+    def messages(self) -> tuple[dict[str, str], ...]:
+        return self.render()
 
 
 class ChatTransport:

@@ -285,11 +285,11 @@ def test_noisy_transport_is_reproducible(bundle, truths):
     request_payload = {"intent": bundle.intents[1], "analogues": (), "perception_present": False}
     from ranweave.transport import AgentRequest
 
-    r1 = first.complete(AgentRequest(role="reasoning", messages=(), payload=request_payload))
-    r2 = second.complete(AgentRequest(role="reasoning", messages=(), payload=request_payload))
+    r1 = first.complete(AgentRequest(role="reasoning", render=tuple, payload=request_payload))
+    r2 = second.complete(AgentRequest(role="reasoning", render=tuple, payload=request_payload))
     assert r1 == r2
     different_seed = NoisyTransport(mock, seed=8)
-    r3 = different_seed.complete(AgentRequest(role="reasoning", messages=(), payload=request_payload))
+    r3 = different_seed.complete(AgentRequest(role="reasoning", render=tuple, payload=request_payload))
     assert isinstance(r3, str)
 
 
@@ -300,7 +300,7 @@ def test_noisy_perception_injects_spurious_conflict(bundle, truths):
     text = transport.complete(
         AgentRequest(
             role="perception",
-            messages=(),
+            render=tuple,
             payload={"conflicts": ()},
         )
     )
@@ -317,7 +317,7 @@ def test_noisy_reasoning_reuses_remembered_success(bundle, truths):
     text = transport.complete(
         AgentRequest(
             role="reasoning",
-            messages=(),
+            render=tuple,
             payload={"intent": bundle.intents[1], "analogues": (analogue,), "perception_present": False},
         )
     )

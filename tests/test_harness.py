@@ -330,6 +330,16 @@ def test_cli_run_writes_report(tmp_path, capsys):
     assert "scenario 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_run_refuses_a_cap_below_one_iteration(value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", "--scenario", "1", "--max-iters", value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --max-iters: {value} is not a positive integer" in captured.err
+    assert "scenario 1" not in captured.out
+
+
 def test_cli_oracle_prints_reference(capsys):
     assert cli_main(["oracle", "--scenario", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

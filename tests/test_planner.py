@@ -4,14 +4,19 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ranweave.conflicts import VendorCompatibilityMatrix, internal_conflicts
+from ranweave.agents import Mode, RunContext, _select_deployment
+from ranweave.conflicts import VendorCompatibilityMatrix, evaluate_conflicts, internal_conflicts, validity
 from ranweave.model import DeploymentState, Intent, Pipeline, Registry, XAppProfile
 from ranweave.planner import (
     InfeasibleIntentError,
     SolutionScore,
+    intent_sort_key,
     max_conflict_free_subset,
     score_solution,
+    select_subset,
     synthesize_ground_truth,
 )
 
@@ -217,8 +222,7 @@ def test_subset_matches_brute_force_independent_set():
     apart; an active pipeline may block candidates outright.
     """
     from .helpers import brute_best_subset, brute_max_independent_set
-    from ranweave.agents import Mode, RunContext, _select_deployment
-    from ranweave.conflicts import evaluate_conflicts, pairwise_conflicts
+    from ranweave.conflicts import pairwise_conflicts
 
     rng = random.Random(99)
     for _ in range(80):
@@ -264,6 +268,53 @@ def test_subset_matches_brute_force_independent_set():
         )
         assert evaluation.usable == tuple(sorted(usable))
         assert _select_deployment(ctx, evaluation.usable, evaluation.clashes, set(truths)) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_evaluation_ignores_order_and_every_selection_is_valid(seed, data):
+    """evaluate_conflicts does not depend on the order of candidates or of
+    eligible, and every subset a selector deploys passes conflicts.validity,
+    the readable specification, against the active set and its co-members."""
+    rng = random.Random(seed)
+    registry = random_registry(rng, rng.randint(4, 12))
+    matrix = random_matrix(rng)
+    ids = rng.sample(range(1, 40), rng.randint(1, 8))
+    pre_ids = rng.sample(range(40, 50), rng.randint(0, 2))
+    intents = {i: random_intent(rng, i) for i in ids + pre_ids}
+    candidates = {i: random_pipeline(rng, registry, i) for i in ids}
+    pre = DeploymentState(tuple(random_pipeline(rng, registry, i, max_nodes=2) for i in pre_ids))
+    eligible = [i for i in sorted(ids, key=intent_sort_key) if rng.random() < 0.8]
+    correct = {i for i in eligible if rng.random() < 0.5}
+
+    reference = evaluate_conflicts(candidates, eligible, pre, intents, matrix, registry)
+    inserted = {i: candidates[i] for i in data.draw(st.permutations(ids))}
+    order = data.draw(st.permutations(eligible))
+    shuffled = evaluate_conflicts(inserted, order, pre, intents, matrix, registry)
+    assert shuffled.records == reference.records
+    assert shuffled.clashes == reference.clashes
+    assert set(shuffled.usable) == set(reference.usable)
+    for evaluation, given_order in ((reference, eligible), (shuffled, order)):
+        assert list(evaluation.usable) == [i for i in given_order if i in evaluation.usable]
+
+    def valid_together(subset):
+        return all(
+            validity(
+                candidates[i], [*pre, *(candidates[j] for j in subset if j != i)], intents, matrix, registry
+            )[0]
+            for i in subset
+        )
+
+    ctx = RunContext(
+        mode=Mode.FCFS,
+        intents=tuple(intents[i] for i in ids),
+        pre=pre,
+        registry=registry,
+        matrix=matrix,
+        intent_catalog=intents,
+    )
+    assert valid_together(select_subset(reference.usable, reference.clashes, correct))
+    assert valid_together(_select_deployment(ctx, reference.usable, reference.clashes, correct))
 
 
 def test_oracle_solution_score_dominates_every_alternative_subset(bundle, truths):

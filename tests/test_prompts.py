@@ -5,6 +5,10 @@ The digest covers every message of every request over bundled scenarios
 Any change to a template, a section heading, the section order or a body's
 rendering changes it. Such a change must be made on purpose: bump the
 template's version line and record the new digest here.
+
+Messages render on their first read. _digest reads every request only after
+its run has ended, so the digest also guards that rendering late gives the
+bytes rendering at assembly would have given.
 """
 
 from __future__ import annotations
@@ -13,15 +17,12 @@ import hashlib
 import json
 from collections import Counter
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from ranweave import agents
 from ranweave.agents import (
     Mode,
-    RenderMemo,
     RunContext,
     assemble_perception_request,
+    assemble_reasoning_request,
     assemble_refinement_request,
     run_reasoning,
 )
@@ -129,42 +130,14 @@ def test_equal_pipelines_keep_their_own_bytes(bundle):
     assert f"## Candidate pipeline for intent 3\n{candidate}\n\n" in refinement.messages[1]["content"]
 
 
-# Characters the encoder escapes (non-ASCII too, under ensure_ascii), and any text.
-_ESCAPED = ['"', "\\", "\n", "\t", "é", "→", "\U0001d11e", "a", " "]
-_texts = st.text(st.sampled_from(_ESCAPED), max_size=6) | st.text(max_size=6)
-_scalars = st.booleans() | st.integers() | st.floats(allow_nan=False) | _texts
-_pipelines = st.builds(
-    Pipeline.build,
-    st.integers(-3, 40) | _texts,
-    st.lists(st.tuples(_texts, st.dictionaries(_texts, _texts, max_size=2)), max_size=3),
-    st.lists(st.tuples(_texts, _texts), max_size=3),
-    st.dictionaries(_texts, _scalars | st.lists(_scalars, max_size=3), max_size=3),
-)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(policies=st.dictionaries(_texts, _pipelines, max_size=5), extra=st.lists(_pipelines, max_size=2))
-def test_memoized_rendering_equals_one_shot_json(policies, extra):
-    memo = RenderMemo()
-    # Render a sub-map first, so the full map reuses memoized entries.
-    partial = dict(list(policies.items())[::2])
-    assert agents._render_policies(memo, partial) == _one_shot_policies(partial)
-    assert agents._render_policies(memo, policies) == _one_shot_policies(policies)
-    for pipeline in [*policies.values(), *extra]:
-        assert memo.text(pipeline, agents._render_policy) == _json(pipeline_to_policy_doc(pipeline))
-    # A pipeline shown under two refs renders the same text under each.
-    if extra:
-        shared = {"a": extra[0], "b": extra[0]}
-        assert agents._render_policies(memo, shared) == _one_shot_policies(shared)
-
-
-def test_a_run_serializes_the_registry_once(bundle, monkeypatch):
-    """Every prompt of an f5 run shows the registry; it is rendered once."""
+def test_a_mock_run_renders_no_prompt(bundle, monkeypatch):
+    """The mocks read only the payload, so a run whose messages nobody reads
+    renders no prompt; reading them afterwards renders every one."""
     rendered = Counter()
 
     def counting(render):
         def wrapper(obj):
-            rendered[render.__name__, id(obj)] += 1
+            rendered[render.__name__] += 1
             return render(obj)
 
         return wrapper
@@ -173,9 +146,36 @@ def test_a_run_serializes_the_registry_once(bundle, monkeypatch):
         monkeypatch.setattr(agents, name, counting(getattr(agents, name)))
     recorder = RecordingTransport(make_transport("mock-noisy", bundle, seed=0).complete)
     run_scenario(bundle, 1, Mode.F5, recorder, seed=0)
+    assert len(recorder.requests) >= 6
+    assert sum(rendered.values()) == 0
 
-    shown = sum("## Registered xApps" in r.messages[1]["content"] for r in recorder.requests)
-    assert shown >= 6
-    profiles = {key: n for key, n in rendered.items() if key[0] == "_render_profiles"}
-    assert profiles == {("_render_profiles", id(bundle.registry)): 1}
-    assert set(rendered.values()) == {1}, "a pipeline or report was rendered twice"
+    for request in recorder.requests:
+        assert "## " in request.messages[1]["content"]
+    assert rendered["_render_profiles"] == sum(r.role != "refinement" for r in recorder.requests)
+    assert rendered["_render_policy"] == sum(r.role == "refinement" for r in recorder.requests)
+
+
+def test_a_request_renders_its_inputs_as_they_were_at_assembly(bundle, truths):
+    """The loop changes candidates in place after assembling a request; the
+    request still shows the candidates it was assembled with."""
+    ctx = RunContext(
+        mode=Mode.F5,
+        intents=tuple(bundle.intents[i] for i in (1, 2, 3)),
+        pre=DeploymentState((truths[4],)),
+        registry=bundle.registry,
+        matrix=bundle.matrix,
+        intent_catalog=bundle.intents,
+    )
+    candidates = {1: truths[1], 2: truths[2]}
+    analogues = [(bundle.intents[5], truths[5])]
+    expected = assemble_reasoning_request(
+        ctx, bundle.intents[3], None, list(analogues), dict(candidates), ()
+    ).messages
+
+    request = assemble_reasoning_request(ctx, bundle.intents[3], None, analogues, candidates, ())
+    candidates[1] = truths[6]
+    candidates[7] = truths[7]
+    del candidates[2]
+    analogues.append((bundle.intents[6], truths[6]))
+    assert request.messages == expected
+    assert '"1": {' in expected[1]["content"] and '"7": {' not in expected[1]["content"]

@@ -53,7 +53,7 @@ def test_http_transport_sends_messages_and_parses_content(monkeypatch):
     text = transport.complete(
         AgentRequest(
             role="reasoning",
-            messages=(
+            render=lambda: (
                 {"role": "system", "content": "be useful"},
                 {"role": "user", "content": "compose"},
             ),
@@ -74,7 +74,7 @@ def test_http_transport_wraps_protocol_errors(monkeypatch):
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     transport = HttpChatTransport(base_url="http://ric.example/v1")
     with pytest.raises(TransportError, match="chat completion failed"):
-        transport.complete(AgentRequest(role="reasoning", messages=(), payload={}))
+        transport.complete(AgentRequest(role="reasoning", render=tuple, payload={}))
 
 
 def _read_request(conn: socket.socket) -> None:
@@ -157,7 +157,7 @@ def test_http_transport_turns_backend_failures_into_transport_error(monkeypatch,
     with _loopback_server(behaviour) as url:
         transport = HttpChatTransport(base_url=url, timeout=0.5)
         with pytest.raises(TransportError, match=match):
-            transport.complete(AgentRequest(role="reasoning", messages=(), payload={}))
+            transport.complete(AgentRequest(role="reasoning", render=tuple, payload={}))
 
 
 def test_remote_embedder_requires_endpoint(monkeypatch):
