@@ -22,6 +22,7 @@ from typing import AbstractSet, Callable, Mapping, Sequence, TypeVar
 from .conflicts import (
     PRE_DEPLOYED_PREFIX,
     ConflictRecord,
+    PairMemo,
     VendorCompatibilityMatrix,
     build_conflict_graph,
     evaluate_conflicts,
@@ -99,6 +100,12 @@ class RunContext:
     max_iterations: int = MAX_ITERATIONS
     analogue_count: int = DEFAULT_ANALOGUES
     scenario_id: int | str | None = None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # Checked here, not in __post_init__, so a later assignment is refused too.
+        if name == "max_iterations" and value < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {value}")
+        super().__setattr__(name, value)
 
 
 @dataclass(frozen=True)
@@ -238,7 +245,7 @@ def assemble_reasoning_request(
         ]
 
     template = SINGLE_AGENT_TEMPLATE if ctx.mode is Mode.SA else REASONING_TEMPLATE
-    payload = {"intent": intent, "analogues": analogues, "perception_present": perception is not None}
+    payload = {"intent": intent, "perception_present": perception is not None}
     return _request(REASONING, template, sections, payload)
 
 
@@ -389,19 +396,33 @@ def orchestrate_batch(
 
     Per-intent agent calls are issued sequentially in ascending intent-id
     order, the merge order required for determinism.
+
+    The loop asks reasoning and refinement only about unsolved intents: an
+    intent in the previous iteration's correct set keeps its candidate, the
+    same object, and gets no call and no new memory entry. A candidate
+    changes only when its intent is asked about, so a solved intent stays
+    solved. correct is worked out from the reference, as the ratchet, the
+    memory labels and the stop rule read it; a skip keyed on what a backend
+    sees alone (deployed and named by no conflict) would freeze candidates
+    that are wrong but clean.
+
+    One pair memo serves every conflict graph of the run, so a pair of
+    pipelines that both kept their identity is not checked again.
     """
     memory.clear()
     truths = oracle.per_intent_truth
     objective = oracle.objective_value
     ordered = sorted(ctx.intents, key=lambda i: intent_sort_key(i.id))
     candidates: dict[int | str, Pipeline] = {}
+    solved: frozenset[int | str] = frozenset()
+    pairs: PairMemo = {}
     best: Solution | None = None
     outcome = BatchOutcome(best=Solution({}, frozenset(), SolutionScore(0, 0, 0, 0)))
 
     query_text = " ".join(i.text for i in ctx.intents) + " " + " ".join(ctx.registry.ids)
     # Perception reads the conflict graph of the candidates as the previous
     # iteration left them; before the first iteration, of the active set alone.
-    graph = build_conflict_graph({}, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry)
+    graph = build_conflict_graph({}, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry, pairs)
 
     for iteration in range(1, ctx.max_iterations + 1):
         chunks = ()
@@ -419,6 +440,8 @@ def orchestrate_batch(
 
         attempted: dict[int | str, Pipeline] = {}
         for intent in () if iteration_aborted else ordered:
+            if intent.id in solved:
+                continue
             analogues = memory.retrieve_analogues(intent, ctx.analogue_count)
             candidate = _attempt(
                 run_reasoning, ctx, intent, transport, perception_doc, analogues, candidates, chunks
@@ -439,7 +462,7 @@ def orchestrate_batch(
             if validate_pipeline_structure(candidates[i], ctx.registry).ok
         ]
         evaluation = evaluate_conflicts(
-            candidates, eligible, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry
+            candidates, eligible, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry, pairs
         )
         graph = evaluation.graph
         # Eligible candidates are structurally valid, so this is exactly the
@@ -467,6 +490,8 @@ def orchestrate_batch(
                     score=score,
                 ),
             )
+
+        solved = correct
 
         all_correct = all(i.id in correct for i in ctx.intents)
         if all_correct and outcome.iterations_to_synthesis is None:

@@ -405,6 +405,9 @@ class ConflictGraph:
 
 PRE_DEPLOYED_PREFIX = "pre:"
 
+# Per-run memo of pairwise records: (ref_a, ref_b) -> (pipe_a, pipe_b, records).
+PairMemo = dict[tuple[str, str], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]]
+
 
 def build_conflict_graph(
     candidates: Mapping[int | str, Pipeline],
@@ -412,12 +415,21 @@ def build_conflict_graph(
     intents: Mapping[int | str, Intent],
     matrix: VendorCompatibilityMatrix,
     registry: Registry,
+    pairs: PairMemo | None = None,
 ) -> ConflictGraph:
     """Run all four detectors over every unordered pipeline pair.
 
     Pre-deployed pipelines take a "pre:" tag so candidate and active
     occurrences of the same intent never collide.
+
+    pairs, when given, memoizes the records of each (ref_a, ref_b) pair
+    across calls. An entry is reused only while both of its pipelines are
+    the very objects it was worked out for, a test that costs nothing; a
+    new object under an old ref replaces the entry. Records depend on
+    intents, matrix and registry too, so one memo serves only calls with
+    the same three, as in one run.
     """
+    pairs = {} if pairs is None else pairs
     labeled: list[tuple[str, Pipeline]] = [
         (str(intent_id), candidates[intent_id]) for intent_id in sorted(candidates, key=str)
     ]
@@ -427,11 +439,16 @@ def build_conflict_graph(
     edges = []
     for i, (ref_a, pipe_a) in enumerate(labeled):
         for ref_b, pipe_b in labeled[i + 1 :]:
-            records = pairwise_conflicts(
-                pipe_a, pipe_b, intents, matrix, registry, a_ref=ref_a, b_ref=ref_b
-            )
+            seen = pairs.get((ref_a, ref_b))
+            if seen is not None and seen[0] is pipe_a and seen[1] is pipe_b:
+                records = seen[2]
+            else:
+                records = tuple(
+                    pairwise_conflicts(pipe_a, pipe_b, intents, matrix, registry, a_ref=ref_a, b_ref=ref_b)
+                )
+                pairs[(ref_a, ref_b)] = (pipe_a, pipe_b, records)
             if records:
-                edges.append(((ref_a, ref_b), tuple(records)))
+                edges.append(((ref_a, ref_b), records))
     return ConflictGraph(
         vertices=tuple(ref for ref, _ in labeled),
         edges=tuple(sorted(edges, key=lambda e: e[0])),
@@ -455,6 +472,7 @@ def evaluate_conflicts(
     intents: Mapping[int | str, Intent],
     matrix: VendorCompatibilityMatrix,
     registry: Registry,
+    pairs: PairMemo | None = None,
 ) -> ConflictEvaluation:
     """The one conflict evaluation of a candidate set, read by every consumer.
 
@@ -465,9 +483,9 @@ def evaluate_conflicts(
     sorted. usable keeps the eligible ids that no internal conflict and no
     active pipeline blocks; clashes maps each eligible id to the eligible ids
     it conflicts with. An edge to an ineligible candidate neither blocks nor
-    counts.
+    counts. pairs is build_conflict_graph's per-run pair memo.
     """
-    graph = build_conflict_graph(candidates, pre, intents, matrix, registry)
+    graph = build_conflict_graph(candidates, pre, intents, matrix, registry, pairs)
     by_ref = {str(intent_id): intent_id for intent_id in eligible}
     active = {f"{PRE_DEPLOYED_PREFIX}{p.intent_id}" for p in pre}
     records: list[ConflictRecord] = []

@@ -170,9 +170,10 @@ class NoisyTransport(OracleTransport):
     """Oracle behavior degraded by seeded, reproducible mistakes.
 
     Reasoning sometimes corrupts the reference pipeline (more often without
-    a conflict report in context); perception injects one spurious record;
-    refinement stays rule-based. Remembered successes for the same intent
-    are reused verbatim, which is what makes runs converge.
+    a conflict report in context), with a fresh seeded draw on every call;
+    perception injects one spurious record; refinement stays rule-based.
+    Runs converge because the loop stops asking about an intent once its
+    candidate is correct, so each success is kept.
     """
 
     def __init__(self, bundle: MockBundle, seed: int):
@@ -195,11 +196,6 @@ class NoisyTransport(OracleTransport):
 
     def _noisy_pipeline(self, request: AgentRequest) -> Pipeline:
         intent: Intent = request.payload["intent"]
-        analogues = request.payload.get("analogues", ())
-        for past_intent, past_pipeline in analogues:
-            if past_intent.id == intent.id:
-                return past_pipeline
-
         rng = self._rng()
         truth = self.bundle.truths[intent.id]
         success_odds = (

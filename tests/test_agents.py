@@ -282,7 +282,7 @@ def test_noisy_transport_is_reproducible(bundle, truths):
     mock = _mock_bundle(bundle, truths)
     first = NoisyTransport(mock, seed=7)
     second = NoisyTransport(mock, seed=7)
-    request_payload = {"intent": bundle.intents[1], "analogues": (), "perception_present": False}
+    request_payload = {"intent": bundle.intents[1], "perception_present": False}
     from ranweave.transport import AgentRequest
 
     r1 = first.complete(AgentRequest(role="reasoning", render=tuple, payload=request_payload))
@@ -309,19 +309,38 @@ def test_noisy_perception_injects_spurious_conflict(bundle, truths):
     assert total >= 1
 
 
-def test_noisy_reasoning_reuses_remembered_success(bundle, truths):
-    from ranweave.transport import AgentRequest
+@pytest.mark.parametrize("mode", list(Mode))
+def test_solved_intents_are_not_asked_again(bundle, truths, mode, monkeypatch):
+    """Once an intent is in an iteration's correct set, no later agent call
+    names it, memory gets no later entry for it, and its candidate is the
+    same object in every later iteration."""
+    from ranweave import agents
 
-    transport = NoisyTransport(_mock_bundle(bundle, truths), seed=3)
-    analogue = (bundle.intents[1], truths[1])
-    text = transport.complete(
-        AgentRequest(
-            role="reasoning",
-            render=tuple,
-            payload={"intent": bundle.intents[1], "analogues": (analogue,), "perception_present": False},
-        )
-    )
-    assert json.loads(text) == pipeline_to_policy_doc(truths[1])
+    iterations = []  # (transport calls made by the iteration's end, its Solution)
+    original = agents.enforce_monotonicity
+
+    def recording(previous_best, current):
+        iterations.append((len(transport.calls), current))
+        return original(previous_best, current)
+
+    monkeypatch.setattr(agents, "enforce_monotonicity", recording)
+    kept = 0
+    for scenario_id, seed in product((2, 4), (1, 2, 3)):
+        iterations.clear()
+        transport = NoisyTransport(_mock_bundle(bundle, truths), seed)
+        memory = MemoryBuffer()
+        ctx = _ctx(bundle, scenario_id, mode, truths, seed)
+        orchestrate_batch(ctx, transport, memory, None, scenario_oracle(bundle, bundle.scenarios[scenario_id]))
+        for number, (end, solution) in enumerate(iterations, start=1):
+            assert not {intent_id for _, intent_id in transport.calls[end:]} & solution.correct
+            assert not any(
+                e.intent.id in solution.correct and e.outcome.iteration > number for e in memory.entries
+            )
+            for _, later in iterations[number:]:
+                for intent_id in solution.correct:
+                    assert later.candidates[intent_id] is solution.candidates[intent_id]
+                    kept += 1
+    assert kept  # some intent was solved before the last iteration of some run
 
 
 def test_corrupt_pipeline_variants_differ_from_truth(bundle, truths):

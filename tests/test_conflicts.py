@@ -307,6 +307,29 @@ def test_conflict_graph_matches_pairwise_union(bundle, truths):
     assert all("pre:" in ref_a or "pre:" in ref_b for (ref_a, ref_b), _ in graph.edges)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pair_memo_gives_the_fresh_graph(seed):
+    """Over rounds that replace a random subset of the candidates, a graph
+    built through one shared pair memo equals a fresh build_conflict_graph,
+    edge for edge and record for record."""
+    rng = random.Random(seed)
+    registry = random_registry(rng, rng.randint(3, 8))
+    matrix = random_matrix(rng)
+    ids = list(range(1, rng.randint(2, 6) + 1))
+    intents = {i: random_intent(rng, i) for i in ids}
+    active = rng.sample(ids, rng.randint(0, len(ids)))
+    pre = DeploymentState(tuple(random_pipeline(rng, registry, i) for i in active))
+    candidates: dict[int, Pipeline] = {}
+    pairs: dict = {}
+    for _ in range(rng.randint(2, 5)):
+        for i in ids:
+            if rng.random() < (0.4 if i in candidates else 0.7):
+                candidates[i] = random_pipeline(rng, registry, i)
+        memoized = build_conflict_graph(candidates, pre, intents, matrix, registry, pairs)
+        assert memoized == build_conflict_graph(candidates, pre, intents, matrix, registry)
+
+
 def test_brute_force_oracle_equivalence_small():
     rng = random.Random(41)
     for _ in range(60):

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shutil
 import tempfile
+from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranweave.agents import Mode, RunContext
 from ranweave.cli import main as cli_main
 from ranweave.harness import (
     FixtureError,
@@ -17,11 +21,19 @@ from ranweave.harness import (
     compare_modes,
     emit_report,
     load_fixtures,
+    make_transport,
     run_scenario,
     scenario_oracle,
     validate_fixture_soundness,
 )
 from ranweave.memory import MemoryBuffer
+from ranweave.model import DeploymentState
+
+# One sha256 over RunReport.to_dict() for bundled scenarios 1-4 x every mode x
+# seeds 0-2 under mock-noisy, and each mode's agent calls over the same grid.
+# A change that moves a run's outcome, or spends more calls, must say so here.
+REPORT_DIGEST = "ea31d8c35c870fe423a7a2666c547c2e8c3f1f9fb9e0604bfbf57e238053cb66"
+GRID_CALLS = {"f5": 141, "sa": 338, "nr": 163, "np": 133, "fcfs": 141}
 
 
 def test_load_fixtures_counts(bundle):
@@ -308,6 +320,27 @@ def test_unconverged_runs_report_cap(bundle):
     report = run_scenario(bundle, 4, "sa", "mock-noisy", seed=2, max_iterations=3)
     assert not report.converged
     assert report.iterations_to_deployment == 3
+
+
+def test_run_outcomes_and_call_budget_are_pinned(bundle):
+    hasher = hashlib.sha256()
+    calls: Counter[str] = Counter()
+    for scenario_id, mode, seed in product((1, 2, 3, 4), Mode, (0, 1, 2)):
+        chat = make_transport("mock-noisy", bundle, seed)
+        report = run_scenario(bundle, scenario_id, mode, chat, seed=seed)
+        hasher.update(json.dumps(report.to_dict(), sort_keys=True).encode("utf-8") + b"\n")
+        calls[mode.value] += len(chat.calls)
+    assert hasher.hexdigest() == REPORT_DIGEST
+    assert dict(calls) == GRID_CALLS
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_run_scenario_refuses_a_cap_below_one_iteration(bundle, cap):
+    with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+        run_scenario(bundle, 1, "f5", "mock-oracle", seed=0, max_iterations=cap)
+    ctx = RunContext(Mode.F5, (), DeploymentState(), bundle.registry, bundle.matrix, bundle.intents)
+    with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+        ctx.max_iterations = cap
 
 
 def test_converged_runs_stay_within_cap(bundle):

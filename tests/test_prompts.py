@@ -31,7 +31,7 @@ from ranweave.model import DeploymentState, Pipeline
 from ranweave.schemas import dump_doc, pipeline_to_policy_doc
 from ranweave.transport import ChatTransport
 
-PROMPT_DIGEST = "5ed9efdde2ec71ef5e71f7c1213c3e20c16d4acb6bc40f8db5f756037b506173"
+PROMPT_DIGEST = "4e45148e9dd11f2a2d3ee0a16f3dcf1eec08d755249934b2925ec41a23cf33e4"
 
 
 class RecordingTransport(ChatTransport):
