@@ -127,8 +127,11 @@ class BatchOutcome:
     score_history: list[SolutionScore] = field(default_factory=list)
     iterations_to_synthesis: int | None = None
     iterations_to_deployment: int | None = None
-    iterations_run: int = 0
     converged: bool = False
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.score_history)
 
 
 def _read_template(name: str) -> str:
@@ -414,10 +417,12 @@ def orchestrate_batch(
     objective = oracle.objective_value
     ordered = sorted(ctx.intents, key=lambda i: intent_sort_key(i.id))
     candidates: dict[int | str, Pipeline] = {}
-    solved: frozenset[int | str] = frozenset()
+    correct: frozenset[int | str] = frozenset()
     pairs: PairMemo = {}
     best: Solution | None = None
-    outcome = BatchOutcome(best=Solution({}, frozenset(), SolutionScore(0, 0, 0, 0)))
+    score_history: list[SolutionScore] = []
+    synthesis: int | None = None
+    deployment: int | None = None
 
     query_text = " ".join(i.text for i in ctx.intents) + " " + " ".join(ctx.registry.ids)
     # Perception reads the conflict graph of the candidates as the previous
@@ -440,7 +445,7 @@ def orchestrate_batch(
 
         attempted: dict[int | str, Pipeline] = {}
         for intent in () if iteration_aborted else ordered:
-            if intent.id in solved:
+            if intent.id in correct:  # correct is still the previous iteration's here
                 continue
             analogues = memory.retrieve_analogues(intent, ctx.analogue_count)
             candidate = _attempt(
@@ -474,7 +479,7 @@ def orchestrate_batch(
         score = score_solution(candidates, deployed, correct, len(evaluation.records))
         current = Solution(dict(candidates), deployed, score, correct)
         best = enforce_monotonicity(best, current)
-        outcome.score_history.append(best.score)
+        score_history.append(best.score)
 
         for intent in ordered:
             if intent.id not in attempted:
@@ -491,18 +496,14 @@ def orchestrate_batch(
                 ),
             )
 
-        solved = correct
-
         all_correct = all(i.id in correct for i in ctx.intents)
-        if all_correct and outcome.iterations_to_synthesis is None:
-            outcome.iterations_to_synthesis = iteration
-        if score.correct_deployed >= objective and outcome.iterations_to_deployment is None:
-            outcome.iterations_to_deployment = iteration
-
-        outcome.iterations_run = iteration
-        if all_correct and score.correct_deployed >= objective:
-            outcome.converged = True
+        if all_correct and synthesis is None:
+            synthesis = iteration
+        if score.correct_deployed >= objective and deployment is None:
+            deployment = iteration
+        converged = all_correct and score.correct_deployed >= objective
+        if converged:
             break
 
-    outcome.best = best if best is not None else outcome.best
-    return outcome
+    # RunContext refuses a cap below 1, so the loop ran: best and converged are set.
+    return BatchOutcome(best, score_history, synthesis, deployment, converged)

@@ -12,16 +12,15 @@ top-10 on the first attempt, +10 per attempt, capped at 50.
 
 from __future__ import annotations
 
-import http.client
-import json
 import os
-import urllib.request
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
+
+from .transport import post_json
 
 EMBEDDING_DIM = 256
 CHUNK_SIZE = 500
@@ -184,7 +183,9 @@ class RemoteEmbedder:
     """HTTP embedding backend, interface-compatible with the reference one.
 
     Configuration comes from the environment unless passed explicitly; any
-    transport or protocol failure surfaces as RetrievalUnavailableError.
+    transport or protocol failure surfaces as RetrievalUnavailableError. So
+    does a vector whose length differs from the first answer's, since the
+    store could not compare it with the chunks it holds.
     """
 
     def __init__(
@@ -198,31 +199,26 @@ class RemoteEmbedder:
         self.model = model or os.environ.get(EMBED_MODEL_ENV, DEFAULT_REMOTE_EMBED_MODEL)
         self.api_key = api_key or os.environ.get(EMBED_API_KEY_ENV, "")
         self.timeout = timeout
+        self._length: int | None = None
         if not self.base_url:
             raise RetrievalUnavailableError(
                 f"no embedding endpoint configured; set {EMBED_BASE_URL_ENV}"
             )
 
     def __call__(self, text: str) -> np.ndarray:
-        payload = json.dumps({"model": self.model, "input": [text]}).encode("utf-8")
-        request = urllib.request.Request(
-            f"{self.base_url}/embeddings",
-            data=payload,
-            headers={
-                "Content-Type": "application/json",
-                "Authorization": f"Bearer {self.api_key}",
-            },
+        payload = {"model": self.model, "input": [text]}
+        vector = post_json(
+            f"{self.base_url}/embeddings", self.api_key, payload, self.timeout,
+            self._vector, RetrievalUnavailableError, "embedding request",
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
-            vector = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
-        except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError, RecursionError) as exc:
-            # OSError covers URLError, timeouts and connection resets.
-            raise RetrievalUnavailableError(f"embedding request failed: {exc}") from exc
-        if vector.ndim != 1 or not vector.size or not np.isfinite(vector).all():
-            raise RetrievalUnavailableError(
-                f"embedding request failed: expected a non-empty finite vector, got shape {vector.shape}"
-            )
         norm = float(np.linalg.norm(vector))
         return vector / norm if norm else vector
+
+    def _vector(self, body: Any) -> np.ndarray:
+        vector = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
+        if vector.ndim != 1 or not vector.size or not np.isfinite(vector).all():
+            raise ValueError(f"expected a non-empty finite vector, got shape {vector.shape}")
+        self._length = self._length or vector.size
+        if vector.size != self._length:
+            raise ValueError(f"expected {self._length} components, as in the first answer, got {vector.size}")
+        return vector

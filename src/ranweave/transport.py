@@ -16,7 +16,7 @@ import random
 import urllib.request
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 from .conflicts import PRE_DEPLOYED_PREFIX, ConflictKind, ConflictRecord, conflict_report
 from .model import Intent, Pipeline, PipelineNode, Registry, default_directive, stage_chain
@@ -38,8 +38,35 @@ NOISY_SUCCESS_WITHOUT_PERCEPTION = 0.2
 NOISY_STRUCTURAL_SHARE = 0.7
 
 
+T = TypeVar("T")
+
+
 class TransportError(RuntimeError):
     """The backend could not produce a usable response."""
+
+
+def post_json(
+    url: str, api_key: str, payload: object, timeout: float,
+    read: Callable[[Any], T], error: type[Exception], what: str,
+) -> T:
+    """POST payload as JSON with a bearer token and return read(decoded body).
+
+    The one HTTP exchange of both backends. Every failure of the exchange,
+    read's own checks included, raises error(f"{what} failed: {exc}").
+    """
+    headers = {"Content-Type": "application/json", "Authorization": f"Bearer {api_key}"}
+    try:
+        # Built inside the try: a base URL without a scheme raises ValueError here.
+        request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers)
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            body = json.loads(response.read().decode("utf-8"))
+        return read(body)
+    except (
+        OSError, http.client.HTTPException, LookupError, TypeError, ValueError, OverflowError, RecursionError
+    ) as exc:
+        # OSError covers URLError, HTTPError, timeouts and connection resets;
+        # OverflowError an integer too large for a float.
+        raise error(f"{what} failed: {exc}") from exc
 
 
 @dataclass
@@ -82,49 +109,32 @@ class HttpChatTransport(ChatTransport):
         base_url: str | None = None,
         model: str | None = None,
         api_key: str | None = None,
-        temperature: float = 0.0,
         timeout: float = 60.0,
     ):
         super().__init__()
         self.base_url = (base_url or os.environ.get(CHAT_BASE_URL_ENV, "")).rstrip("/")
         self.model = model or os.environ.get(CHAT_MODEL_ENV, "gpt-5")
         self.api_key = api_key or os.environ.get(CHAT_API_KEY_ENV, "")
-        self.temperature = temperature
         self.timeout = timeout
         if not self.base_url:
             raise TransportError(f"no chat endpoint configured; set {CHAT_BASE_URL_ENV}")
 
     def _respond(self, request: AgentRequest) -> str:
-        body = json.dumps(
-            {
-                "model": self.model,
-                "messages": list(request.messages),
-                "temperature": self.temperature,
-            }
-        ).encode("utf-8")
-        http_request = urllib.request.Request(
-            f"{self.base_url}/chat/completions",
-            data=body,
-            headers={
-                "Content-Type": "application/json",
-                "Authorization": f"Bearer {self.api_key}",
-            },
+        payload = {"model": self.model, "messages": list(request.messages), "temperature": 0.0}
+        return post_json(
+            f"{self.base_url}/chat/completions", self.api_key, payload, self.timeout,
+            _message_content, TransportError, "chat completion",
         )
-        try:
-            with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
-                parsed = json.loads(response.read().decode("utf-8"))
-            content = parsed["choices"][0]["message"]["content"]
-        except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError, RecursionError) as exc:
-            # OSError covers URLError, timeouts and connection resets.
-            raise TransportError(f"chat completion failed: {exc}") from exc
-        if not isinstance(content, str):
-            raise TransportError(
-                f"chat completion failed: message content is {type(content).__name__}, not text"
-            )
-        return content
 
     def describe(self) -> str:
         return f"http(model={self.model})"
+
+
+def _message_content(body: Any) -> str:
+    content = body["choices"][0]["message"]["content"]
+    if not isinstance(content, str):
+        raise TypeError(f"message content is {type(content).__name__}, not text")
+    return content
 
 
 @dataclass(frozen=True)

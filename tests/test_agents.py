@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import replace
 from itertools import product
@@ -513,6 +514,10 @@ def test_unreachable_embedder_means_no_retrieved_context(bundle, truths):
     store = VectorStore(embed_fn)
     store.add_document("notes.md", "traffic steering and energy saving notes")
     reachable = False
+    _assert_runs_without_retrieved_context(bundle, truths, store)
+
+
+def _assert_runs_without_retrieved_context(bundle, truths, store):
     transport = PromptCapture(_mock_bundle(bundle, truths))
     ctx = _ctx(bundle, 1, Mode.F5, truths)
     outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), store, scenario_oracle(bundle, bundle.scenarios[1]))
@@ -520,6 +525,21 @@ def test_unreachable_embedder_means_no_retrieved_context(bundle, truths):
     with_context = [t for t in transport.seen_user_messages if "## Retrieved context" in t]
     assert with_context
     assert all("## Retrieved context\n(no retrieved context)" in t for t in with_context)
+
+
+def test_embedder_answering_another_length_means_no_retrieved_context(bundle, truths, monkeypatch):
+    from ranweave.retrieval import RemoteEmbedder, VectorStore
+
+    length = 4
+
+    def fake_urlopen(request, timeout):
+        return io.BytesIO(json.dumps({"data": [{"embedding": [1.0] * length}]}).encode("utf-8"))
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    store = VectorStore(RemoteEmbedder(base_url="http://embed.example/v1"))
+    store.add_document("notes.md", "traffic steering and energy saving notes")
+    length = 3
+    _assert_runs_without_retrieved_context(bundle, truths, store)
 
 
 class RecordingNoisyTransport(NoisyTransport):

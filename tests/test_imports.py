@@ -1,4 +1,5 @@
-"""Each module imports cleanly when it is the first one loaded.
+"""Each module imports cleanly when it is the first one loaded, and only
+transport.py speaks HTTP.
 
 The package's __init__ imports the modules in one fixed order, which can
 hide an import cycle that another order would hit. Each case therefore
@@ -8,10 +9,12 @@ its __init__ and then imports a single module.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +43,25 @@ def test_module_imports_first(module):
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _absolute_imports(tree: ast.AST):
+    """Every dotted name an import statement of tree names, relative ones excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_only_transport_speaks_http():
+    """Both backends share transport.post_json, so no other module needs urllib or http.client."""
+    offenders = sorted(
+        (str(path.relative_to(PACKAGE_DIR)), name)
+        for path in Path(PACKAGE_DIR).rglob("*.py")
+        if path.relative_to(PACKAGE_DIR) != Path("transport.py")
+        for name in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if name.split(".")[0] == "urllib" or name == "http.client" or name.startswith("http.client.")
+    )
+    assert not offenders

@@ -77,6 +77,15 @@ def test_http_transport_wraps_protocol_errors(monkeypatch):
         transport.complete(AgentRequest(role="reasoning", render=tuple, payload={}))
 
 
+def test_an_endpoint_without_a_scheme_fails_the_call():
+    transport = HttpChatTransport(base_url="ric.example/v1")
+    with pytest.raises(TransportError, match="chat completion failed: unknown url type"):
+        transport.complete(AgentRequest(role="reasoning", render=tuple, payload={}))
+    embedder = RemoteEmbedder(base_url="embed.example/v1")
+    with pytest.raises(RetrievalUnavailableError, match="embedding request failed: unknown url type"):
+        embedder("anything")
+
+
 def _read_request(conn: socket.socket) -> None:
     data = b""
     while b"\r\n\r\n" not in data:
@@ -126,12 +135,12 @@ def _loopback_server(behaviour):
     assert not thread.is_alive()
 
 
-def _reply(body: bytes):
-    """Behaviour that answers 200 OK with body."""
+def _reply(body: bytes, status: str = "200 OK"):
+    """Behaviour that answers with status and body."""
 
     def behaviour(conn, done):
         conn.sendall(
-            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            f"HTTP/1.1 {status}\r\nContent-Type: application/json\r\n".encode("ascii")
             + f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode("ascii")
             + body
         )
@@ -149,8 +158,9 @@ _DEEPLY_NESTED = b"[" * 100_000 + b"]" * 100_000
         (lambda conn, done: done.wait(5), "timed out"),
         (lambda conn, done: None, "Remote end closed"),
         (_reply(_DEEPLY_NESTED), "recursion"),
+        (_reply(b'{"error": "overloaded"}', "500 Internal Server Error"), "HTTP Error 500"),
     ],
-    ids=["null-content", "read-timeout", "dropped-connection", "deeply-nested"],
+    ids=["null-content", "read-timeout", "dropped-connection", "deeply-nested", "http-500"],
 )
 def test_http_transport_turns_backend_failures_into_transport_error(monkeypatch, behaviour, match):
     monkeypatch.setenv("no_proxy", "*")
@@ -179,6 +189,21 @@ def test_remote_embedder_normalizes_response(monkeypatch):
     assert np.allclose(vector, [0.6, 0.8])
 
 
+def test_remote_embedder_refuses_a_vector_of_another_length(monkeypatch):
+    answers = iter([[3.0, 4.0], [1.0, 2.0, 2.0], [0.0, 5.0]])
+
+    def fake_urlopen(request, timeout):
+        payload = {"data": [{"embedding": next(answers)}]}
+        return _FakeResponse(json.dumps(payload).encode("utf-8"))
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    embedder = RemoteEmbedder(base_url="http://embed.example/v1")
+    assert np.allclose(embedder("a chunk"), [0.6, 0.8])
+    with pytest.raises(RetrievalUnavailableError, match="failed: expected 2 components, .* got 3"):
+        embedder("the query")
+    assert np.allclose(embedder("the query"), [0.0, 1.0])
+
+
 def test_remote_embedder_surfaces_failures(monkeypatch):
     def fake_urlopen(request, timeout):
         return _FakeResponse(b"not json at all")
@@ -204,11 +229,13 @@ def test_remote_embedder_surfaces_failures(monkeypatch):
         (_reply(b'{"data": [{"embedding": [1.0, null]}]}'), "finite"),
         (_reply(b'{"data": [{"embedding": [1.0, NaN]}]}'), "finite"),
         (_reply(_DEEPLY_NESTED), "recursion"),
+        (_reply(b'{"data": [{"embedding": [' + b"9" * 400 + b"]}]}"), "too large to convert to float"),
+        (_reply(b'{"error": "overloaded"}', "500 Internal Server Error"), "HTTP Error 500"),
     ],
     ids=[
         "dropped-connection", "read-timeout", "list-body", "string-number", "string",
         "ragged", "two-dimensional", "empty", "null", "null-component", "nan-component",
-        "deeply-nested",
+        "deeply-nested", "oversized-number", "http-500",
     ],
 )
 def test_remote_embedder_turns_backend_failures_into_retrieval_errors(monkeypatch, behaviour, match):
