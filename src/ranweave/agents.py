@@ -20,12 +20,12 @@ from importlib import resources
 from typing import AbstractSet, Callable, Mapping, Sequence, TypeVar
 
 from .conflicts import (
-    PRE_DEPLOYED_PREFIX,
     ConflictRecord,
     PairMemo,
     VendorCompatibilityMatrix,
     build_conflict_graph,
     evaluate_conflicts,
+    labelled,
 )
 from .memory import MemoryBuffer, OutcomeRecord
 from .model import (
@@ -36,13 +36,7 @@ from .model import (
     pipelines_equal,
     validate_pipeline_structure,
 )
-from .planner import (
-    OracleResult,
-    SolutionScore,
-    intent_sort_key,
-    score_solution,
-    select_subset,
-)
+from .planner import OracleResult, SolutionScore, score_solution, select_subset
 from .retrieval import RetrievalUnavailableError, VectorStore
 from .schemas import (
     PerceptionDoc,
@@ -95,11 +89,11 @@ class RunContext:
     pre: DeploymentState
     registry: Registry
     matrix: VendorCompatibilityMatrix
-    intent_catalog: Mapping[int | str, Intent]
+    intent_catalog: Mapping[int, Intent]
     seed: int = 0
     max_iterations: int = MAX_ITERATIONS
     analogue_count: int = DEFAULT_ANALOGUES
-    scenario_id: int | str | None = None
+    scenario_id: int | None = None
 
     def __setattr__(self, name: str, value: object) -> None:
         # Checked here, not in __post_init__, so a later assignment is refused too.
@@ -115,10 +109,10 @@ class Solution:
     correct holds the ids of the candidates is_correct_candidate accepts.
     """
 
-    candidates: dict[int | str, Pipeline]
-    deployed: frozenset[int | str]
+    candidates: dict[int, Pipeline]
+    deployed: frozenset[int]
     score: SolutionScore
-    correct: frozenset[int | str] = frozenset()
+    correct: frozenset[int] = frozenset()
 
 
 @dataclass
@@ -160,22 +154,16 @@ def _render_report(perception: PerceptionDoc) -> str:
     return _json(perception.to_dict())
 
 
-def _render_policies(pipelines: Mapping[str, Pipeline]) -> str:
+def _render_policies(pipelines: Sequence[tuple[str, Pipeline]]) -> str:
     if not pipelines:
         return "(none)"
-    return _json({ref: pipeline_to_policy_doc(p) for ref, p in sorted(pipelines.items())})
+    return _json({ref: pipeline_to_policy_doc(p) for ref, p in pipelines})
 
 
 def _render_chunks(chunks) -> str:
     if not chunks:
         return "(no retrieved context)"
     return "\n".join(f"[{c.doc_id}:{c.start}-{c.end}] {c.text}" for c in chunks)
-
-
-def _active_policies(ctx: RunContext, candidates: Mapping[int | str, Pipeline]) -> dict[str, Pipeline]:
-    active = {f"{PRE_DEPLOYED_PREFIX}{p.intent_id}": p for p in ctx.pre}
-    active.update({str(intent_id): p for intent_id, p in candidates.items()})
-    return active
 
 
 def _request(
@@ -198,11 +186,11 @@ def _request(
 
 def assemble_perception_request(
     ctx: RunContext,
-    candidates: Mapping[int | str, Pipeline],
+    candidates: Mapping[int, Pipeline],
     conflicts: Sequence[ConflictRecord],
     chunks,
 ) -> AgentRequest:
-    active, chunks = _active_policies(ctx, candidates), tuple(chunks)
+    active, chunks = labelled(candidates, ctx.pre), tuple(chunks)
 
     def sections():
         return [
@@ -220,10 +208,10 @@ def assemble_reasoning_request(
     intent: Intent,
     perception: PerceptionDoc | None,
     analogues,
-    candidates: Mapping[int | str, Pipeline],
+    candidates: Mapping[int, Pipeline],
     chunks,
 ) -> AgentRequest:
-    others = {ref: p for ref, p in _active_policies(ctx, candidates).items() if ref != str(intent.id)}
+    others = [(ref, p) for ref, p in labelled(candidates, ctx.pre) if ref != str(intent.id)]
     analogues, chunks = tuple(analogues), tuple(chunks)
 
     def sections():
@@ -254,11 +242,11 @@ def assemble_reasoning_request(
 
 def assemble_refinement_request(
     ctx: RunContext, intent: Intent, candidate: Pipeline, summary: str,
-    candidates: Mapping[int | str, Pipeline],
+    candidates: Mapping[int, Pipeline],
 ) -> AgentRequest:
     # Eager: a render runs inside the transport's call, where no traced function may run.
     violations = validate_pipeline_structure(candidate, ctx.registry).violations
-    active = _active_policies(ctx, candidates)
+    active = labelled(candidates, ctx.pre)
 
     def sections():
         return [
@@ -297,7 +285,7 @@ def _call_with_repair(
 def run_perception(
     ctx: RunContext,
     transport: ChatTransport,
-    candidates: Mapping[int | str, Pipeline],
+    candidates: Mapping[int, Pipeline],
     conflicts: Sequence[ConflictRecord],
     chunks=(),
 ) -> PerceptionDoc:
@@ -314,7 +302,7 @@ def run_reasoning(
     transport: ChatTransport,
     perception: PerceptionDoc | None,
     analogues,
-    candidates: Mapping[int | str, Pipeline],
+    candidates: Mapping[int, Pipeline],
     chunks=(),
 ) -> Pipeline:
     request = assemble_reasoning_request(ctx, intent, perception, analogues, candidates, chunks)
@@ -327,7 +315,7 @@ def run_refinement(
     candidate: Pipeline,
     summary: str,
     transport: ChatTransport,
-    candidates: Mapping[int | str, Pipeline],
+    candidates: Mapping[int, Pipeline],
 ) -> RefinementDoc:
     if not ctx.mode.uses_refinement:
         raise ValueError(f"mode {ctx.mode.value} does not run the refinement role")
@@ -369,10 +357,10 @@ def enforce_monotonicity(previous_best: Solution | None, candidate: Solution) ->
 
 def _select_deployment(
     ctx: RunContext,
-    usable: Sequence[int | str],
-    clashes: Mapping[int | str, set[int | str]],
-    correct: AbstractSet[int | str],
-) -> frozenset[int | str]:
+    usable: Sequence[int],
+    clashes: Mapping[int, set[int]],
+    correct: AbstractSet[int],
+) -> frozenset[int]:
     """Pick the deployed subset for this iteration's candidates.
 
     usable (in intent order) and clashes come from the iteration's
@@ -380,7 +368,7 @@ def _select_deployment(
     mode takes the exact selector's answer.
     """
     if ctx.mode is Mode.FCFS:
-        deployed: set[int | str] = set()
+        deployed: set[int] = set()
         for intent_id in usable:
             if not clashes[intent_id] & deployed:
                 deployed.add(intent_id)
@@ -415,9 +403,9 @@ def orchestrate_batch(
     memory.clear()
     truths = oracle.per_intent_truth
     objective = oracle.objective_value
-    ordered = sorted(ctx.intents, key=lambda i: intent_sort_key(i.id))
-    candidates: dict[int | str, Pipeline] = {}
-    correct: frozenset[int | str] = frozenset()
+    ordered = sorted(ctx.intents, key=lambda i: i.id)
+    candidates: dict[int, Pipeline] = {}
+    correct: frozenset[int] = frozenset()
     pairs: PairMemo = {}
     best: Solution | None = None
     score_history: list[SolutionScore] = []
@@ -443,7 +431,7 @@ def orchestrate_batch(
         # A failed perception call leaves the iteration without reasoning.
         iteration_aborted = ctx.mode.uses_perception and perception_doc is None
 
-        attempted: dict[int | str, Pipeline] = {}
+        attempted: dict[int, Pipeline] = {}
         for intent in () if iteration_aborted else ordered:
             if intent.id in correct:  # correct is still the previous iteration's here
                 continue
@@ -463,7 +451,7 @@ def orchestrate_batch(
 
         eligible = [
             i
-            for i in sorted(candidates, key=intent_sort_key)
+            for i in sorted(candidates)
             if validate_pipeline_structure(candidates[i], ctx.registry).ok
         ]
         evaluation = evaluate_conflicts(

@@ -17,7 +17,7 @@ from .harness import (
     scenario_oracle,
     validate_fixture_soundness,
 )
-from .planner import InfeasibleIntentError
+from .planner import InfeasibleIntentError, TooManyCandidatesError
 
 ALL_MODES = [m.value for m in Mode]
 
@@ -129,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"run": cmd_run, "oracle": cmd_oracle, "fixtures": cmd_fixtures}
     try:
         return commands[args.command](args)
-    except (FixtureError, InfeasibleIntentError) as exc:
+    except (FixtureError, InfeasibleIntentError, TooManyCandidatesError) as exc:
         print(f"ranweave: {exc}", file=sys.stderr)
         return 2
 

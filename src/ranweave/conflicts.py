@@ -343,21 +343,22 @@ def _dialect_pair(d1: str, d2: str) -> str:
 def pairwise_conflicts(
     a: Pipeline,
     b: Pipeline,
-    intents: Mapping[int | str, Intent],
+    intents: Mapping[int, Intent],
     matrix: VendorCompatibilityMatrix,
     registry: Registry,
     *,
     a_ref: str | None = None,
     b_ref: str | None = None,
 ) -> list[ConflictRecord]:
-    """All four detectors over one unordered pipeline pair."""
+    """All four detectors over one unordered pipeline pair, canonically
+    ordered: each detector's list is, and they run in ConflictKind order."""
     records = detect_actuator_contention(a, b, a_ref=a_ref, b_ref=b_ref)
     records += detect_parameter_coupling(a, b, registry, a_ref=a_ref, b_ref=b_ref)
     records += detect_objective_interference(
         a, intents[a.intent_id], b, intents[b.intent_id], registry, a_ref=a_ref, b_ref=b_ref
     )
     records += detect_vendor_conflicts(a, b, matrix, registry, a_ref=a_ref, b_ref=b_ref)
-    return canonical_sort(records)
+    return records
 
 
 def internal_conflicts(
@@ -367,15 +368,16 @@ def internal_conflicts(
     *,
     ref: str | None = None,
 ) -> list[ConflictRecord]:
+    """Both internal detectors, canonically ordered as in pairwise_conflicts."""
     records = detect_internal_coupling(pipeline, registry, ref=ref)
     records += detect_internal_vendor(pipeline, matrix, registry, ref=ref)
-    return canonical_sort(records)
+    return records
 
 
 def validity(
     pipeline: Pipeline,
     others: Iterable[Pipeline],
-    intents: Mapping[int | str, Intent],
+    intents: Mapping[int, Intent],
     matrix: VendorCompatibilityMatrix,
     registry: Registry,
 ) -> tuple[bool, list[ConflictRecord]]:
@@ -409,18 +411,30 @@ PRE_DEPLOYED_PREFIX = "pre:"
 PairMemo = dict[tuple[str, str], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]]
 
 
+def labelled(candidates: Mapping[int, Pipeline], pre: DeploymentState) -> list[tuple[str, Pipeline]]:
+    """The batch's (ref, pipeline) pairs, in ref order: the one place refs are decided.
+
+    A candidate's ref is its intent id; an active pipeline's is "pre:" and
+    its intent id, so the two never collide. Refs sort as strings, so "10"
+    comes before "9" and every candidate before every active pipeline.
+    """
+    pairs = [(str(intent_id), p) for intent_id, p in candidates.items()]
+    pairs += [(f"{PRE_DEPLOYED_PREFIX}{p.intent_id}", p) for p in pre]
+    return sorted(pairs, key=lambda pair: pair[0])
+
+
 def build_conflict_graph(
-    candidates: Mapping[int | str, Pipeline],
+    candidates: Mapping[int, Pipeline],
     pre: DeploymentState,
-    intents: Mapping[int | str, Intent],
+    intents: Mapping[int, Intent],
     matrix: VendorCompatibilityMatrix,
     registry: Registry,
     pairs: PairMemo | None = None,
 ) -> ConflictGraph:
     """Run all four detectors over every unordered pipeline pair.
 
-    Pre-deployed pipelines take a "pre:" tag so candidate and active
-    occurrences of the same intent never collide.
+    The vertices are labelled's refs; walking its ref-ordered pairs i < j
+    yields the edges in ref order.
 
     pairs, when given, memoizes the records of each (ref_a, ref_b) pair
     across calls. An entry is reused only while both of its pipelines are
@@ -430,15 +444,10 @@ def build_conflict_graph(
     the same three, as in one run.
     """
     pairs = {} if pairs is None else pairs
-    labeled: list[tuple[str, Pipeline]] = [
-        (str(intent_id), candidates[intent_id]) for intent_id in sorted(candidates, key=str)
-    ]
-    labeled += [(f"{PRE_DEPLOYED_PREFIX}{p.intent_id}", p) for p in pre]
-    labeled.sort(key=lambda item: item[0])
-
+    batch = labelled(candidates, pre)
     edges = []
-    for i, (ref_a, pipe_a) in enumerate(labeled):
-        for ref_b, pipe_b in labeled[i + 1 :]:
+    for i, (ref_a, pipe_a) in enumerate(batch):
+        for ref_b, pipe_b in batch[i + 1 :]:
             seen = pairs.get((ref_a, ref_b))
             if seen is not None and seen[0] is pipe_a and seen[1] is pipe_b:
                 records = seen[2]
@@ -449,10 +458,7 @@ def build_conflict_graph(
                 pairs[(ref_a, ref_b)] = (pipe_a, pipe_b, records)
             if records:
                 edges.append(((ref_a, ref_b), records))
-    return ConflictGraph(
-        vertices=tuple(ref for ref, _ in labeled),
-        edges=tuple(sorted(edges, key=lambda e: e[0])),
-    )
+    return ConflictGraph(vertices=tuple(ref for ref, _ in batch), edges=tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -461,15 +467,15 @@ class ConflictEvaluation:
 
     graph: ConflictGraph
     records: tuple[ConflictRecord, ...]
-    usable: tuple[int | str, ...]
-    clashes: Mapping[int | str, set[int | str]]
+    usable: tuple[int, ...]
+    clashes: Mapping[int, set[int]]
 
 
 def evaluate_conflicts(
-    candidates: Mapping[int | str, Pipeline],
-    eligible: Sequence[int | str],
+    candidates: Mapping[int, Pipeline],
+    eligible: Sequence[int],
     pre: DeploymentState,
-    intents: Mapping[int | str, Intent],
+    intents: Mapping[int, Intent],
     matrix: VendorCompatibilityMatrix,
     registry: Registry,
     pairs: PairMemo | None = None,
@@ -487,10 +493,10 @@ def evaluate_conflicts(
     """
     graph = build_conflict_graph(candidates, pre, intents, matrix, registry, pairs)
     by_ref = {str(intent_id): intent_id for intent_id in eligible}
-    active = {f"{PRE_DEPLOYED_PREFIX}{p.intent_id}" for p in pre}
+    active = {ref for ref, _ in labelled({}, pre)}
     records: list[ConflictRecord] = []
-    blocked: set[int | str] = set()
-    clashes: dict[int | str, set[int | str]] = {intent_id: set() for intent_id in eligible}
+    blocked: set[int] = set()
+    clashes: dict[int, set[int]] = {intent_id: set() for intent_id in eligible}
     for (ref_a, ref_b), edge_records in graph.edges:
         a, b = by_ref.get(ref_a), by_ref.get(ref_b)
         if (a is None and ref_a not in active) or (b is None and ref_b not in active):

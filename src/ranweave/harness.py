@@ -32,7 +32,13 @@ from .agents import (
 from .conflicts import VendorCompatibilityMatrix
 from .memory import MemoryBuffer
 from .model import DeploymentState, Intent, Pipeline, Registry, XAppProfile
-from .planner import InfeasibleIntentError, OracleResult, max_conflict_free_subset, synthesize_ground_truth
+from .planner import (
+    InfeasibleIntentError,
+    OracleResult,
+    TooManyCandidatesError,
+    max_conflict_free_subset,
+    synthesize_ground_truth,
+)
 from .retrieval import VectorStore
 from .transport import ChatTransport, HttpChatTransport, MockBundle, NoisyTransport, OracleTransport
 
@@ -250,7 +256,8 @@ def scenario_oracle(bundle: FixtureBundle, scenario: ScenarioSpec) -> OracleResu
 
 def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
     """Authoring gate: every intent must have a reference pipeline, and every
-    scenario not using an infeasible intent a conflict-free reference deployment."""
+    scenario not using an infeasible intent a conflict-free reference deployment.
+    A scenario with more new intents than the subset search takes fails alone."""
     problems = []
     infeasible = set()
     for intent_id in bundle.truths:
@@ -262,7 +269,11 @@ def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
     for scenario in bundle.scenarios.values():
         if infeasible & set(scenario.new_intents + scenario.pre_deployed_intents):
             continue
-        result = scenario_oracle(bundle, scenario)
+        try:
+            result = scenario_oracle(bundle, scenario)
+        except TooManyCandidatesError as exc:
+            problems.append(f"scenario {scenario.id}: {exc}")
+            continue
         expected = set(scenario.new_intents)
         if set(result.max_subset) != expected:
             problems.append(

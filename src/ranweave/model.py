@@ -107,8 +107,10 @@ class XAppProfile:
         if not self.capabilities:
             raise ValueError(f"xApp {self.id!r} declares no capabilities")
         for kpi, direction in self.kpi_effects:
-            if direction not in (-1, 0, 1):
-                raise ValueError(f"xApp {self.id!r}: effect on {kpi!r} must be -1, 0 or +1")
+            if type(direction) is not int or direction not in (-1, 0, 1):  # type(): a bool is refused too
+                raise ValueError(
+                    f"xApp {self.id!r}: effect on {kpi!r} must be -1, 0 or +1, found {direction!r}"
+                )
 
     @classmethod
     def build(
@@ -165,7 +167,7 @@ class XAppProfile:
             dialect=str(data["dialect"]),
             capabilities=[str(c) for c in data["capabilities"]],
             controlled_params=[str(p) for p in data["controlled_params"]],
-            kpi_effects={str(k): int(v) for k, v in data["kpi_effects"].items()},
+            kpi_effects={str(k): v for k, v in data["kpi_effects"].items()},
             stage=str(data["stage"]),
             interfaces=[str(i) for i in data["interfaces"]],
         )
@@ -216,7 +218,7 @@ class Registry:
 class Intent:
     """A high-level service objective submitted for orchestration."""
 
-    id: int | str
+    id: int
     text: str
     target_kpis: tuple[tuple[str, int], ...]
     required_capabilities: frozenset[str]
@@ -228,13 +230,15 @@ class Intent:
         if not self.required_capabilities:
             raise ValueError(f"intent {self.id!r} requires no capabilities")
         for kpi, direction in self.target_kpis:
-            if direction not in (-1, 1):
-                raise ValueError(f"intent {self.id!r}: target direction on {kpi!r} must be -1 or +1")
+            if type(direction) is not int or direction not in (-1, 1):
+                raise ValueError(
+                    f"intent {self.id!r}: target direction on {kpi!r} must be -1 or +1, found {direction!r}"
+                )
 
     @classmethod
     def build(
         cls,
-        id: int | str,
+        id: int,
         text: str,
         *,
         target_kpis: Mapping[str, int],
@@ -264,11 +268,10 @@ class Intent:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Intent":
-        raw_id = data["id"]
         return cls.build(
-            raw_id if isinstance(raw_id, int) else str(raw_id),
+            data["id"],
             str(data["text"]),
-            target_kpis={str(k): int(v) for k, v in data["target_kpis"].items()},
+            target_kpis={str(k): v for k, v in data["target_kpis"].items()},
             required_capabilities=[str(c) for c in data["required_capabilities"]],
             required_xapps=[str(x) for x in data.get("required_xapps", [])],
         )
@@ -288,7 +291,7 @@ class PipelineNode:
 class Pipeline:
     """An rApp policy: a DAG of configured xApps plus deployment conditions."""
 
-    intent_id: int | str
+    intent_id: int
     nodes: tuple[PipelineNode, ...]
     edges: frozenset[tuple[str, str]]
     deployment_conditions: Conditions = ()
@@ -296,7 +299,7 @@ class Pipeline:
     @classmethod
     def build(
         cls,
-        intent_id: int | str,
+        intent_id: int,
         nodes: Iterable[tuple[str, Mapping[str, str]]],
         edges: Iterable[tuple[str, str]] = (),
         conditions: Mapping[str, object] | None = None,

@@ -3,10 +3,12 @@
 Everything here is exhaustive and deterministic: ground-truth pipelines are
 minimum-size capability covers over the registry, and the deployable set is
 found by full subset enumeration, which max_conflict_free_subset refuses
-past MAX_SUBSET_CANDIDATES (12) candidates. The generated catalogs of the
-benchmark's wide-catalog workload, with 12 new intents each, sit exactly at
-that bound. These outputs are the yardstick the iterative agents are
-measured against.
+with TooManyCandidatesError past MAX_SUBSET_CANDIDATES (12) candidates.
+The generated catalogs of the benchmark's wide-catalog workload, with 12
+new intents each, sit exactly at that bound. Intent ids are integers and
+order as such: of equally good subsets, the one whose ascending id
+sequence is smallest wins. These outputs are the yardstick the iterative
+agents are measured against.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ class InfeasibleIntentError(ValueError):
     """No xApp subset in the registry can cover the intent."""
 
 
+class TooManyCandidatesError(ValueError):
+    """A batch has more candidates than max_conflict_free_subset enumerates."""
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class SolutionScore:
     """Lexicographic quality of a proposed batch solution.
@@ -59,8 +65,8 @@ class OracleResult:
     serialized.
     """
 
-    per_intent_truth: dict[int | str, Pipeline]
-    max_subset: frozenset[int | str]
+    per_intent_truth: dict[int, Pipeline]
+    max_subset: frozenset[int]
     objective_value: int
     graph: ConflictGraph = field(repr=False, compare=False)
 
@@ -70,7 +76,7 @@ class OracleResult:
                 str(intent_id): pipeline_to_policy_doc(p)
                 for intent_id, p in sorted(self.per_intent_truth.items(), key=lambda kv: str(kv[0]))
             },
-            "max_subset": sorted(self.max_subset, key=intent_sort_key),
+            "max_subset": sorted(self.max_subset),
             "objective_value": self.objective_value,
         }
 
@@ -120,18 +126,13 @@ def synthesize_ground_truth(
     )
 
 
-def intent_sort_key(intent_id: int | str) -> tuple[int, str]:
-    """Stable ordering for mixed int/str intent ids (ints first, numerically)."""
-    return (0, f"{intent_id:012d}") if isinstance(intent_id, int) else (1, str(intent_id))
-
-
 def max_conflict_free_subset(
-    candidates: Mapping[int | str, Pipeline],
+    candidates: Mapping[int, Pipeline],
     pre: DeploymentState,
-    intents: Mapping[int | str, Intent],
+    intents: Mapping[int, Intent],
     matrix: VendorCompatibilityMatrix,
     registry: Registry,
-    truths: Mapping[int | str, Pipeline] | None = None,
+    truths: Mapping[int, Pipeline] | None = None,
 ) -> OracleResult:
     """Best candidate subset deployable together with the active set.
 
@@ -142,9 +143,11 @@ def max_conflict_free_subset(
     scenario oracle's candidates are the truths, so it passes none. The empty
     subset is always feasible.
     """
-    ids = sorted(candidates, key=intent_sort_key)
+    ids = sorted(candidates)
     if len(ids) > MAX_SUBSET_CANDIDATES:
-        raise ValueError(f"subset enumeration is bounded at {MAX_SUBSET_CANDIDATES} candidates")
+        raise TooManyCandidatesError(
+            f"subset enumeration is bounded at {MAX_SUBSET_CANDIDATES} candidates, got {len(ids)}"
+        )
 
     evaluation = evaluate_conflicts(candidates, ids, pre, intents, matrix, registry)
     usable = evaluation.usable
@@ -163,21 +166,21 @@ def max_conflict_free_subset(
 
 
 def select_subset(
-    usable: Sequence[int | str],
-    clashes: Mapping[int | str, AbstractSet[int | str]],
-    correct: AbstractSet[int | str],
-) -> frozenset[int | str]:
+    usable: Sequence[int],
+    clashes: Mapping[int, AbstractSet[int]],
+    correct: AbstractSet[int],
+) -> frozenset[int]:
     """The exact deployment selector: the best usable subset with no clashing pair.
 
     Exhaustive over the subsets of usable. One key decides: most correct
-    members first, then most members, then the smallest intent_sort_key
-    sequence of the sorted members. Correct comes first because the
+    members first, then most members, then the smallest ascending sequence
+    of intent ids. Correct comes first because the
     deployment-success metric counts correctly deployed pipelines, not
     deployed ones.
     """
-    ids = sorted(usable, key=intent_sort_key)
+    ids = sorted(usable)
     correct_total = sum(intent_id in correct for intent_id in ids)
-    best: AbstractSet[int | str] = frozenset()
+    best: AbstractSet[int] = frozenset()
     best_key = (0, 0)
     for size in range(len(ids), 0, -1):
         if best_key >= (min(size, correct_total), size):
@@ -195,9 +198,9 @@ def select_subset(
 
 
 def score_solution(
-    proposed: Mapping[int | str, Pipeline],
-    deployed: Iterable[int | str],
-    correct: AbstractSet[int | str],
+    proposed: Mapping[int, Pipeline],
+    deployed: Iterable[int],
+    correct: AbstractSet[int],
     conflict_total: int,
 ) -> SolutionScore:
     """Score a batch proposal for the monotonic-improvement ratchet.
@@ -208,7 +211,7 @@ def score_solution(
     deployed_set = set(deployed)
     unknown = deployed_set - set(proposed)
     if unknown:
-        raise ValueError(f"deployed intents {sorted(unknown, key=intent_sort_key)} are not in the proposal")
+        raise ValueError(f"deployed intents {sorted(unknown)} are not in the proposal")
     return SolutionScore(
         correct_deployed=len(deployed_set & correct),
         deployed=len(deployed_set),

@@ -25,6 +25,7 @@ from .transport import post_json
 EMBEDDING_DIM = 256
 CHUNK_SIZE = 500
 CHUNK_OVERLAP = 50
+CORPUS_SUFFIXES = (".md", ".txt")
 K_START = 10
 K_STEP = 10
 K_CAP = 50
@@ -155,12 +156,12 @@ class VectorStore:
         self._chunks.extend(added)
         return len(added)
 
-    def add_directory(self, path: str | Path, suffixes: tuple[str, ...] = (".md", ".txt")) -> int:
-        """Load every plain-text knowledge file under a directory."""
+    def add_directory(self, path: str | Path) -> int:
+        """Load every knowledge file (one with a CORPUS_SUFFIXES suffix) under a directory."""
         root = Path(path)
         count = 0
         for file in sorted(root.rglob("*")):
-            if file.suffix in suffixes and file.is_file():
+            if file.suffix in CORPUS_SUFFIXES and file.is_file():
                 count += self.add_document(str(file.relative_to(root)), file.read_text(encoding="utf-8"))
         return count
 

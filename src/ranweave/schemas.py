@@ -81,7 +81,7 @@ def _pipeline(data: Mapping[str, object], errors: list[str]) -> Pipeline:
 _POLICY_KEYS = {"intent_id", "selected_xapps", "edges", "deployment_conditions"}
 
 
-def _policy_doc_errors(data: object, registry: Registry, intent_id: int | str) -> list[str]:
+def _policy_doc_errors(data: object, registry: Registry, intent_id: int) -> list[str]:
     """The one check of an agent's pipeline: shape, registry, requested intent."""
     errors = _policy_shape_errors(data)
     if errors:
@@ -136,7 +136,7 @@ def _policy_shape_errors(data: object) -> list[str]:
     return errors
 
 
-def parse_policy_doc(text: str, registry: Registry, intent_id: int | str) -> Pipeline:
+def parse_policy_doc(text: str, registry: Registry, intent_id: int) -> Pipeline:
     """Parse and validate a reasoning response for the intent intent_id.
 
     Registry membership of the selected xApps is part of the schema check;

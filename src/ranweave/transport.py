@@ -142,9 +142,9 @@ class MockBundle:
     """Everything the mock backends need to act like a perfect operator."""
 
     registry: Registry
-    intents: Mapping[int | str, Intent]
+    intents: Mapping[int, Intent]
     matrix: object
-    truths: Mapping[int | str, Pipeline]
+    truths: Mapping[int, Pipeline]
 
 
 class OracleTransport(ChatTransport):

@@ -80,7 +80,7 @@ def random_matrix(rng: random.Random) -> VendorCompatibilityMatrix:
     return VendorCompatibilityMatrix.of(*pairs)
 
 
-def random_intent(rng: random.Random, intent_id: int | str) -> Intent:
+def random_intent(rng: random.Random, intent_id: int) -> Intent:
     return Intent.build(
         intent_id,
         f"objective {intent_id}",
@@ -92,7 +92,7 @@ def random_intent(rng: random.Random, intent_id: int | str) -> Intent:
 
 
 def random_pipeline(
-    rng: random.Random, registry: Registry, intent_id: int | str, max_nodes: int = 3
+    rng: random.Random, registry: Registry, intent_id: int, max_nodes: int = 3
 ) -> Pipeline:
     """Structurally valid pipeline: unique nodes, stage-consistent forward edges."""
     count = rng.randint(1, min(max_nodes, len(registry)))

@@ -9,12 +9,15 @@ from ranweave.conflicts import (
     ConflictKind,
     VendorCompatibilityMatrix,
     build_conflict_graph,
+    canonical_sort,
     detect_actuator_contention,
     detect_internal_coupling,
     detect_internal_vendor,
     detect_objective_interference,
     detect_parameter_coupling,
     detect_vendor_conflicts,
+    internal_conflicts,
+    labelled,
     pairwise_conflicts,
     validity,
 )
@@ -328,6 +331,42 @@ def test_pair_memo_gives_the_fresh_graph(seed):
                 candidates[i] = random_pipeline(rng, registry, i)
         memoized = build_conflict_graph(candidates, pre, intents, matrix, registry, pairs)
         assert memoized == build_conflict_graph(candidates, pre, intents, matrix, registry)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_conflict_lists_and_graph_come_in_canonical_order(seed):
+    """The order contract no caller re-sorts: pairwise_conflicts and
+    internal_conflicts return canonical lists, labelled gives the batch in
+    ref order, and build_conflict_graph's vertices are labelled's refs and
+    its edges come in ref order. Ids reach past 9, so string and integer
+    order differ, and active pipelines may share a candidate's intent."""
+    rng = random.Random(seed)
+    registry = random_registry(rng, rng.randint(3, 10))
+    matrix = random_matrix(rng)
+    ids = rng.sample(range(1, 25), rng.randint(1, 7))
+    pre_ids = rng.sample(range(1, 25), rng.randint(0, 3))
+    intents = {i: random_intent(rng, i) for i in set(ids) | set(pre_ids)}
+    candidates = {i: random_pipeline(rng, registry, i) for i in ids}
+    pre = DeploymentState(tuple(random_pipeline(rng, registry, i, max_nodes=2) for i in pre_ids))
+
+    pipelines = list(candidates.values()) + list(pre)
+    for a in pipelines:
+        own = internal_conflicts(a, matrix, registry)
+        assert own == canonical_sort(own)
+        for b in pipelines:
+            records = pairwise_conflicts(a, b, intents, matrix, registry)
+            assert records == canonical_sort(records)
+
+    batch = labelled(candidates, pre)
+    refs = [ref for ref, _ in batch]
+    assert refs == sorted(refs)
+    assert dict(batch) == {str(i): p for i, p in candidates.items()} | {f"pre:{p.intent_id}": p for p in pre}
+    graph = build_conflict_graph(candidates, pre, intents, matrix, registry)
+    assert graph.vertices == tuple(refs)
+    edge_refs = [pair for pair, _ in graph.edges]
+    assert edge_refs == sorted(edge_refs)
+    assert all(ref_a < ref_b for ref_a, ref_b in edge_refs)
 
 
 def test_brute_force_oracle_equivalence_small():

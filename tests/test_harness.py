@@ -130,6 +130,28 @@ def _drop(index, key):
         ("scenarios", _set(0, "new_intents", [3, 4, 2]), "scenario 1: intents [2] listed more than once"),
         ("intents", _set(2, "id", "one"), "entry 2: expected an integer id"),
         ("intents", _set(0, "id", True), "entry 0: expected an integer id"),
+        (
+            "intents",
+            _set(0, "target_kpis", {"mobility_robustness": "-1"}),
+            "entry 0: intent 1: target direction on 'mobility_robustness' must be -1 or +1, found '-1'",
+        ),
+        (
+            "intents",
+            _set(0, "target_kpis", {"mobility_robustness": True}),
+            "entry 0: intent 1: target direction on 'mobility_robustness' must be -1 or +1, found True",
+        ),
+        (
+            "xapps",
+            _set(0, "kpi_effects", {"mobility_robustness": 0.9}),
+            "entry 0: xApp 'mobility_predictor': effect on 'mobility_robustness' must be -1, 0 or +1, "
+            "found 0.9",
+        ),
+        (
+            "xapps",
+            _set(0, "kpi_effects", {"mobility_robustness": False}),
+            "entry 0: xApp 'mobility_predictor': effect on 'mobility_robustness' must be -1, 0 or +1, "
+            "found False",
+        ),
         ("xapps", lambda doc: {"profiles": doc}, "expected a JSON array, found dict"),
         ("xapps", lambda doc: doc + ["oops"], "entry 14:"),
         ("xapps", _set(0, "kpi_effects", float("inf")), "not a JSON value"),
@@ -145,6 +167,10 @@ def _drop(index, key):
         "scenario-intent-new-and-pre",
         "intent-id-string",
         "intent-id-bool",
+        "intent-target-string",
+        "intent-target-bool",
+        "xapp-effect-float",
+        "xapp-effect-bool",
         "xapps-object",
         "xapp-entry-string",
         "xapp-infinity",
@@ -433,6 +459,38 @@ def test_cli_isolates_an_infeasible_intent(tmp_path, bundle, capsys):
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("ranweave: no xApp subset of size <= 5 covers capabilities")
+
+
+def test_cli_isolates_a_scenario_past_the_subset_bound(tmp_path, bundle, capsys):
+    # Intents 8-13 copy intents 1-6, so scenario 9 has 13 feasible new intents,
+    # one more than the exact subset search takes. Scenario 10 has two
+    # conflicting references (test_fixture_soundness_gate_names_conflicting_references)
+    # and is listed after it, so validation must go on past scenario 9.
+    def add_intents(intents):
+        copies = [dict(intents[i], id=i + 8) for i in range(6)]
+        return intents + copies + [dict(intents[1], id=14, target_kpis={"latency": 1})]
+
+    def add_scenarios(scenarios):
+        return scenarios + [
+            {"id": 9, "new_intents": list(range(1, 14)), "pre_deployed_intents": []},
+            {"id": 10, "new_intents": [1], "pre_deployed_intents": [3, 14]},
+        ]
+
+    root = str(_copy_catalog(bundle, tmp_path, intents=add_intents, scenarios=add_scenarios))
+    assert cli_main(["--fixtures", root, "fixtures", "validate"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL scenario 9: subset enumeration is bounded at 12 candidates, got 13",
+        "FAIL scenario 10: reference pipelines pre:14 and pre:3 conflict: latency",
+    ]
+
+    assert cli_main(["--fixtures", root, "run", "--scenario", "1", "--mode", "all"]) == 0
+    assert capsys.readouterr().out.count("converged") == 5
+
+    for command in (["run", "--scenario", "9"], ["oracle", "--scenario", "9"]):
+        assert cli_main(["--fixtures", root] + command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ranweave: subset enumeration is bounded at 12 candidates, got 13\n"
 
 
 def test_cli_reports_fixture_error_in_one_line(tmp_path, bundle, capsys):

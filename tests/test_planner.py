@@ -13,7 +13,6 @@ from ranweave.model import DeploymentState, Intent, Pipeline, Registry, XAppProf
 from ranweave.planner import (
     InfeasibleIntentError,
     SolutionScore,
-    intent_sort_key,
     max_conflict_free_subset,
     score_solution,
     select_subset,
@@ -284,7 +283,7 @@ def test_evaluation_ignores_order_and_every_selection_is_valid(seed, data):
     intents = {i: random_intent(rng, i) for i in ids + pre_ids}
     candidates = {i: random_pipeline(rng, registry, i) for i in ids}
     pre = DeploymentState(tuple(random_pipeline(rng, registry, i, max_nodes=2) for i in pre_ids))
-    eligible = [i for i in sorted(ids, key=intent_sort_key) if rng.random() < 0.8]
+    eligible = [i for i in sorted(ids) if rng.random() < 0.8]
     correct = {i for i in eligible if rng.random() < 0.5}
 
     reference = evaluate_conflicts(candidates, eligible, pre, intents, matrix, registry)
