@@ -24,6 +24,7 @@ from .conflicts import (
     PairMemo,
     VendorCompatibilityMatrix,
     build_conflict_graph,
+    candidate_ref,
     evaluate_conflicts,
     labelled,
 )
@@ -211,7 +212,7 @@ def assemble_reasoning_request(
     candidates: Mapping[int, Pipeline],
     chunks,
 ) -> AgentRequest:
-    others = [(ref, p) for ref, p in labelled(candidates, ctx.pre) if ref != str(intent.id)]
+    others = labelled({i: p for i, p in candidates.items() if i != intent.id}, ctx.pre)
     analogues, chunks = tuple(analogues), tuple(chunks)
 
     def sections():
@@ -478,7 +479,7 @@ def orchestrate_batch(
                 OutcomeRecord(
                     deployed=intent.id in deployed,
                     correct=intent.id in correct,
-                    conflicts=tuple(r for r in evaluation.records if str(intent.id) in r.refs()),
+                    conflicts=tuple(r for r in evaluation.records if candidate_ref(intent.id) in r.refs()),
                     iteration=iteration,
                     score=score,
                 ),

@@ -28,6 +28,12 @@ def positive_int(value: str) -> int:
     return int(value)
 
 
+def non_negative_int(value: str) -> int:
+    if int(value) < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not a non-negative integer")
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ranweave", description=__doc__)
     parser.add_argument("--fixtures", default=None, help="fixture directory (default: bundled catalog)")
@@ -43,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--max-iters", type=positive_int, default=MAX_ITERATIONS)
-    run.add_argument("--analogues", type=int, default=DEFAULT_ANALOGUES)
+    run.add_argument("--analogues", type=non_negative_int, default=DEFAULT_ANALOGUES)
     run.add_argument("--report", default=None, help="write reports to this path")
     run.add_argument("--format", default="json", choices=["json", "csv"])
 
@@ -97,6 +103,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"{'converged' if report.converged else 'NOT CONVERGED'}"
             )
     if args.report:
+        if not reports:
+            raise FixtureError("scenarios.json", "no scenarios, so no report to write")
         path = emit_report(reports, args.format, args.report)
         print(f"wrote {len(reports)} report(s) to {path}")
     return 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .model import DeploymentState, Intent, Pipeline, Registry, has_directed_path
+from .model import DeploymentState, Intent, Pipeline, Registry, has_directed_path, string_array
 
 PIPELINE_LEVEL = "*"
 
@@ -104,22 +104,19 @@ class VendorCompatibilityMatrix:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "VendorCompatibilityMatrix":
-        return cls.of(*[(str(a), str(b)) for a, b in data["incompatible"]])
+        pairs = [string_array(pair, "an incompatible pair") for pair in data["incompatible"]]
+        for pair in pairs:
+            if len(pair) != 2:
+                raise ValueError(f"an incompatible pair must hold two dialects, found {pair!r}")
+        return cls.of(*pairs)
 
 
-def detect_actuator_contention(
-    a: Pipeline,
-    b: Pipeline,
-    *,
-    a_ref: str | None = None,
-    b_ref: str | None = None,
-) -> list[ConflictRecord]:
+def detect_actuator_contention(a: Pipeline, b: Pipeline, *, a_ref: str, b_ref: str) -> list[ConflictRecord]:
     """Same xApp in both pipelines with differing directives.
 
     Reusing one xApp with an identical directive is allowed: identical
     instructions cannot contend at the actuator.
     """
-    ra, rb = a_ref or a.ref, b_ref or b.ref
     records = []
     directives_b = {node.xapp_id: node.directive for node in b.nodes}
     for node in a.nodes:
@@ -128,10 +125,10 @@ def detect_actuator_contention(
             records.append(
                 ConflictRecord(
                     kind=ConflictKind.ACTUATOR_CONTENTION,
-                    participants=frozenset({(ra, node.xapp_id), (rb, node.xapp_id)}),
+                    participants=frozenset({(a_ref, node.xapp_id), (b_ref, node.xapp_id)}),
                     subject=node.xapp_id,
                     explanation=(
-                        f"pipelines {ra} and {rb} push different directives to xApp {node.xapp_id}"
+                        f"pipelines {a_ref} and {b_ref} push different directives to xApp {node.xapp_id}"
                     ),
                 )
             )
@@ -139,19 +136,13 @@ def detect_actuator_contention(
 
 
 def detect_parameter_coupling(
-    a: Pipeline,
-    b: Pipeline,
-    registry: Registry,
-    *,
-    a_ref: str | None = None,
-    b_ref: str | None = None,
+    a: Pipeline, b: Pipeline, registry: Registry, *, a_ref: str, b_ref: str
 ) -> list[ConflictRecord]:
     """Distinct xApps across pipelines writing the same network parameter.
 
     Overlap through the very same xApp is actuator contention's business
     and is not reported here.
     """
-    ra, rb = a_ref or a.ref, b_ref or b.ref
     writers_a = _param_writers(a, registry)
     writers_b = _param_writers(b, registry)
     records = []
@@ -159,26 +150,25 @@ def detect_parameter_coupling(
         xa, xb = writers_a[param], writers_b[param]
         if not any(w1 != w2 for w1 in xa for w2 in xb):
             continue
-        participants = {(ra, x) for x in xa} | {(rb, x) for x in xb}
+        participants = {(a_ref, x) for x in xa} | {(b_ref, x) for x in xb}
         records.append(
             ConflictRecord(
                 kind=ConflictKind.PARAMETER_COUPLING,
                 participants=frozenset(participants),
                 subject=param,
-                explanation=f"parameter {param} is written from both pipeline {ra} and pipeline {rb}",
+                explanation=f"parameter {param} is written from both pipeline {a_ref} and pipeline {b_ref}",
             )
         )
     return canonical_sort(records)
 
 
-def detect_internal_coupling(pipeline: Pipeline, registry: Registry, *, ref: str | None = None) -> list[ConflictRecord]:
+def detect_internal_coupling(pipeline: Pipeline, registry: Registry, *, ref: str) -> list[ConflictRecord]:
     """Two xApps of one pipeline writing the same parameter without ordering.
 
     A directed path between the writers means the DAG sequences their
     actuation, which is exactly what edges are for; only unordered pairs
     are conflicts.
     """
-    r = ref or pipeline.ref
     writers = _param_writers(pipeline, registry)
     records = []
     for param, xapps in sorted(writers.items()):
@@ -190,10 +180,10 @@ def detect_internal_coupling(pipeline: Pipeline, registry: Registry, *, ref: str
                 records.append(
                     ConflictRecord(
                         kind=ConflictKind.PARAMETER_COUPLING,
-                        participants=frozenset({(r, x1), (r, x2)}),
+                        participants=frozenset({(ref, x1), (ref, x2)}),
                         subject=param,
                         explanation=(
-                            f"xApps {x1} and {x2} both write {param} inside pipeline {r} "
+                            f"xApps {x1} and {x2} both write {param} inside pipeline {ref} "
                             "with no ordering between them"
                         ),
                     )
@@ -219,8 +209,8 @@ def detect_objective_interference(
     intent_b: Intent,
     registry: Registry,
     *,
-    a_ref: str | None = None,
-    b_ref: str | None = None,
+    a_ref: str,
+    b_ref: str,
 ) -> list[ConflictRecord]:
     """Opposing pressure on a shared KPI.
 
@@ -228,7 +218,6 @@ def detect_objective_interference(
     an xApp on one side strictly pushes a KPI against the other intent's
     target. Neutral (zero) effects never interfere.
     """
-    ra, rb = a_ref or a.ref, b_ref or b.ref
     targets_a, targets_b = intent_a.targets, intent_b.targets
     records = []
     for kpi in sorted(set(targets_a) | set(targets_b)):
@@ -238,17 +227,17 @@ def detect_objective_interference(
         against_b = _opposing_nodes(a, registry, kpi, dir_b)
         if not (opposed_intents or against_a or against_b):
             continue
-        participants = {(rb, x) for x in against_a} | {(ra, x) for x in against_b}
-        if opposed_intents or not any(r == ra for r, _ in participants):
-            participants.add((ra, PIPELINE_LEVEL))
-        if opposed_intents or not any(r == rb for r, _ in participants):
-            participants.add((rb, PIPELINE_LEVEL))
+        participants = {(b_ref, x) for x in against_a} | {(a_ref, x) for x in against_b}
+        if opposed_intents or not any(r == a_ref for r, _ in participants):
+            participants.add((a_ref, PIPELINE_LEVEL))
+        if opposed_intents or not any(r == b_ref for r, _ in participants):
+            participants.add((b_ref, PIPELINE_LEVEL))
         records.append(
             ConflictRecord(
                 kind=ConflictKind.OBJECTIVE_INTERFERENCE,
                 participants=frozenset(participants),
                 subject=kpi,
-                explanation=f"pipelines {ra} and {rb} exert opposing pressure on KPI {kpi}",
+                explanation=f"pipelines {a_ref} and {b_ref} exert opposing pressure on KPI {kpi}",
             )
         )
     return canonical_sort(records)
@@ -271,15 +260,14 @@ def detect_vendor_conflicts(
     matrix: VendorCompatibilityMatrix,
     registry: Registry,
     *,
-    a_ref: str | None = None,
-    b_ref: str | None = None,
+    a_ref: str,
+    b_ref: str,
 ) -> list[ConflictRecord]:
     """Incompatible dialects that actually touch.
 
     Cross-pipeline, incompatibility only matters on contact: the two xApps
     must share a controlled parameter or a (nonzero) KPI effect.
     """
-    ra, rb = a_ref or a.ref, b_ref or b.ref
     records = []
     for node_a in a.nodes:
         pa = registry.get(node_a.xapp_id)
@@ -296,7 +284,7 @@ def detect_vendor_conflicts(
             records.append(
                 ConflictRecord(
                     kind=ConflictKind.VENDOR_INTEROP,
-                    participants=frozenset({(ra, node_a.xapp_id), (rb, node_b.xapp_id)}),
+                    participants=frozenset({(a_ref, node_a.xapp_id), (b_ref, node_b.xapp_id)}),
                     subject=_dialect_pair(pa.dialect, pb.dialect),
                     explanation=(
                         f"xApps {node_a.xapp_id} and {node_b.xapp_id} use incompatible "
@@ -308,14 +296,9 @@ def detect_vendor_conflicts(
 
 
 def detect_internal_vendor(
-    pipeline: Pipeline,
-    matrix: VendorCompatibilityMatrix,
-    registry: Registry,
-    *,
-    ref: str | None = None,
+    pipeline: Pipeline, matrix: VendorCompatibilityMatrix, registry: Registry, *, ref: str
 ) -> list[ConflictRecord]:
     """Adjacent pipeline nodes whose dialects cannot interoperate."""
-    r = ref or pipeline.ref
     records = []
     for a, b in sorted(pipeline.edges):
         pa, pb = registry.get(a), registry.get(b)
@@ -324,9 +307,9 @@ def detect_internal_vendor(
         records.append(
             ConflictRecord(
                 kind=ConflictKind.VENDOR_INTEROP,
-                participants=frozenset({(r, a), (r, b)}),
+                participants=frozenset({(ref, a), (ref, b)}),
                 subject=_dialect_pair(pa.dialect, pb.dialect),
-                explanation=f"edge ({a}, {b}) inside pipeline {r} crosses incompatible dialects",
+                explanation=f"edge ({a}, {b}) inside pipeline {ref} crosses incompatible dialects",
             )
         )
     return canonical_sort(records)
@@ -347,8 +330,8 @@ def pairwise_conflicts(
     matrix: VendorCompatibilityMatrix,
     registry: Registry,
     *,
-    a_ref: str | None = None,
-    b_ref: str | None = None,
+    a_ref: str,
+    b_ref: str,
 ) -> list[ConflictRecord]:
     """All four detectors over one unordered pipeline pair, canonically
     ordered: each detector's list is, and they run in ConflictKind order."""
@@ -362,11 +345,7 @@ def pairwise_conflicts(
 
 
 def internal_conflicts(
-    pipeline: Pipeline,
-    matrix: VendorCompatibilityMatrix,
-    registry: Registry,
-    *,
-    ref: str | None = None,
+    pipeline: Pipeline, matrix: VendorCompatibilityMatrix, registry: Registry, *, ref: str
 ) -> list[ConflictRecord]:
     """Both internal detectors, canonically ordered as in pairwise_conflicts."""
     records = detect_internal_coupling(pipeline, registry, ref=ref)
@@ -385,11 +364,13 @@ def validity(
 
     Returns the verdict together with every conflict record found; the
     record list is exactly the concatenation of the four detectors plus the
-    pipeline's own internal checks, canonically ordered.
+    pipeline's own internal checks, canonically ordered. labelled names the
+    pipeline as a candidate and others as the active set.
     """
-    records = internal_conflicts(pipeline, matrix, registry)
-    for other in sorted(others, key=lambda p: str(p.intent_id)):
-        records += pairwise_conflicts(pipeline, other, intents, matrix, registry)
+    ref = candidate_ref(pipeline.intent_id)
+    records = internal_conflicts(pipeline, matrix, registry, ref=ref)
+    for other_ref, other in labelled({}, DeploymentState(tuple(others))):
+        records += pairwise_conflicts(pipeline, other, intents, matrix, registry, a_ref=ref, b_ref=other_ref)
     records = canonical_sort(records)
     return (not records, records)
 
@@ -405,21 +386,28 @@ class ConflictGraph:
         return canonical_sort(r for _, records in self.edges for r in records)
 
 
-PRE_DEPLOYED_PREFIX = "pre:"
-
 # Per-run memo of pairwise records: (ref_a, ref_b) -> (pipe_a, pipe_b, records).
 PairMemo = dict[tuple[str, str], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]]
+
+
+def candidate_ref(intent_id: int) -> str:
+    """A candidate pipeline's ref: its intent id."""
+    return str(intent_id)
+
+
+def active_ref(intent_id: int) -> str:
+    """An active pipeline's ref: "pre:" and its intent id, never a candidate's ref."""
+    return f"pre:{intent_id}"
 
 
 def labelled(candidates: Mapping[int, Pipeline], pre: DeploymentState) -> list[tuple[str, Pipeline]]:
     """The batch's (ref, pipeline) pairs, in ref order: the one place refs are decided.
 
-    A candidate's ref is its intent id; an active pipeline's is "pre:" and
-    its intent id, so the two never collide. Refs sort as strings, so "10"
-    comes before "9" and every candidate before every active pipeline.
+    Refs sort as strings, so "10" comes before "9" and every candidate
+    before every active pipeline.
     """
-    pairs = [(str(intent_id), p) for intent_id, p in candidates.items()]
-    pairs += [(f"{PRE_DEPLOYED_PREFIX}{p.intent_id}", p) for p in pre]
+    pairs = [(candidate_ref(intent_id), p) for intent_id, p in candidates.items()]
+    pairs += [(active_ref(p.intent_id), p) for p in pre]
     return sorted(pairs, key=lambda pair: pair[0])
 
 
@@ -492,7 +480,7 @@ def evaluate_conflicts(
     counts. pairs is build_conflict_graph's per-run pair memo.
     """
     graph = build_conflict_graph(candidates, pre, intents, matrix, registry, pairs)
-    by_ref = {str(intent_id): intent_id for intent_id in eligible}
+    by_ref = {candidate_ref(intent_id): intent_id for intent_id in eligible}
     active = {ref for ref, _ in labelled({}, pre)}
     records: list[ConflictRecord] = []
     blocked: set[int] = set()
@@ -508,7 +496,7 @@ def evaluate_conflicts(
         elif a is not None or b is not None:
             blocked.add(a if a is not None else b)
     for intent_id in eligible:
-        own = internal_conflicts(candidates[intent_id], matrix, registry, ref=str(intent_id))
+        own = internal_conflicts(candidates[intent_id], matrix, registry, ref=candidate_ref(intent_id))
         if own:
             blocked.add(intent_id)
             records += own

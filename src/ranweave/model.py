@@ -46,6 +46,13 @@ def normalize_directive(directive: Mapping[str, str]) -> Directive:
     return tuple(sorted(items))
 
 
+def string_array(value: object, name: str) -> list[str]:
+    """A loaded JSON array of strings; a string or any other value is refused."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise TypeError(f"{name} must be an array of strings, found {value!r}")
+    return value
+
+
 _SCALAR_TYPES = (str, int, float, bool)
 
 
@@ -165,11 +172,11 @@ class XAppProfile:
             name=str(data.get("name", data["id"])),
             vendor=str(data["vendor"]),
             dialect=str(data["dialect"]),
-            capabilities=[str(c) for c in data["capabilities"]],
-            controlled_params=[str(p) for p in data["controlled_params"]],
+            capabilities=string_array(data["capabilities"], "capabilities"),
+            controlled_params=string_array(data["controlled_params"], "controlled_params"),
             kpi_effects={str(k): v for k, v in data["kpi_effects"].items()},
             stage=str(data["stage"]),
-            interfaces=[str(i) for i in data["interfaces"]],
+            interfaces=string_array(data["interfaces"], "interfaces"),
         )
 
 
@@ -272,8 +279,8 @@ class Intent:
             data["id"],
             str(data["text"]),
             target_kpis={str(k): v for k, v in data["target_kpis"].items()},
-            required_capabilities=[str(c) for c in data["required_capabilities"]],
-            required_xapps=[str(x) for x in data.get("required_xapps", [])],
+            required_capabilities=string_array(data["required_capabilities"], "required_capabilities"),
+            required_xapps=string_array(data.get("required_xapps", []), "required_xapps"),
         )
 
 
@@ -315,11 +322,6 @@ class Pipeline:
     @property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(node.xapp_id for node in self.nodes)
-
-    @property
-    def ref(self) -> str:
-        """Default pipeline reference label: the owning intent id."""
-        return str(self.intent_id)
 
     def size(self) -> int:
         return len(self.nodes)

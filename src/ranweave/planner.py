@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .conflicts import ConflictGraph, VendorCompatibilityMatrix, evaluate_conflicts, internal_conflicts
+from .conflicts import (
+    ConflictGraph,
+    VendorCompatibilityMatrix,
+    candidate_ref,
+    evaluate_conflicts,
+    internal_conflicts,
+)
 from .model import (
     DeploymentState,
     Intent,
@@ -117,7 +123,7 @@ def synthesize_ground_truth(
             ordered, edges = stage_chain(combo, registry)
             nodes = [(x, default_directive(registry[x])) for x in ordered]
             pipeline = Pipeline.build(intent.id, nodes, edges)
-            if not internal_conflicts(pipeline, matrix, registry):
+            if not internal_conflicts(pipeline, matrix, registry, ref=candidate_ref(intent.id)):
                 return pipeline
 
     raise InfeasibleIntentError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable, Mapping, TypeVar
 
-from .conflicts import PRE_DEPLOYED_PREFIX, ConflictKind, ConflictRecord, conflict_report
+from .conflicts import ConflictKind, ConflictRecord, active_ref, candidate_ref, conflict_report
 from .model import Intent, Pipeline, PipelineNode, Registry, default_directive, stage_chain
 from .schemas import EditKind, RefinementDoc, dump_doc, pipeline_to_policy_doc
 
@@ -223,9 +223,9 @@ class NoisyTransport(OracleTransport):
 
     def _inject_spurious(self, payload: dict, rng: random.Random) -> None:
         xapp_id = rng.choice(self.bundle.registry.ids)
-        refs = sorted(str(i) for i in self.bundle.intents)
+        refs = sorted(candidate_ref(i) for i in self.bundle.intents)
         ref_a = rng.choice(refs)
-        ref_b = rng.choice([r for r in refs if r != ref_a] or [f"{PRE_DEPLOYED_PREFIX}0"])
+        ref_b = rng.choice([r for r in refs if r != ref_a] or [active_ref(0)])
         spurious = ConflictRecord(
             kind=ConflictKind.ACTUATOR_CONTENTION,
             participants=frozenset({(ref_a, xapp_id), (ref_b, xapp_id)}),

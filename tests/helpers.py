@@ -235,7 +235,7 @@ def brute_ground_truth(
                 [(x, {p: "auto" for p in registry[x].controlled_params}) for x in ordered],
                 list(zip(ordered, ordered[1:])),
             )
-            if not internal_conflicts(pipeline, matrix, registry):
+            if not internal_conflicts(pipeline, matrix, registry, ref=str(intent.id)):
                 feasible.append((tuple(sorted(combo)), pipeline))
         if feasible:
             return min(feasible, key=lambda item: item[0])[1]

@@ -50,6 +50,7 @@ def test_criterion_01_detector_oracle_equivalence():
     started = time.monotonic()
     rng = random.Random(10_001)
     mismatches = 0
+    refs = {"a_ref": "1", "b_ref": "2"}
     for _ in range(200):
         registry = random_registry(rng, rng.randint(2, 6))
         matrix = random_matrix(rng)
@@ -57,14 +58,14 @@ def test_criterion_01_detector_oracle_equivalence():
         a = random_pipeline(rng, registry, 1, max_nodes=3)
         b = random_pipeline(rng, registry, 2, max_nodes=3)
 
-        if {r.subject for r in detect_actuator_contention(a, b)} != brute_actuator_subjects(a, b):
+        if {r.subject for r in detect_actuator_contention(a, b, **refs)} != brute_actuator_subjects(a, b):
             mismatches += 1
         if {
-            r.subject for r in detect_parameter_coupling(a, b, registry)
+            r.subject for r in detect_parameter_coupling(a, b, registry, **refs)
         } != brute_coupling_subjects(a, b, registry):
             mismatches += 1
         if {
-            r.subject for r in detect_objective_interference(a, intent_a, b, intent_b, registry)
+            r.subject for r in detect_objective_interference(a, intent_a, b, intent_b, registry, **refs)
         } != brute_interference_subjects(a, intent_a, b, intent_b, registry):
             mismatches += 1
         engine_pairs = {
@@ -72,7 +73,7 @@ def test_criterion_01_detector_oracle_equivalence():
                 next(x for ref, x in record.participants if ref == "1"),
                 next(x for ref, x in record.participants if ref == "2"),
             )
-            for record in detect_vendor_conflicts(a, b, matrix, registry)
+            for record in detect_vendor_conflicts(a, b, matrix, registry, **refs)
         }
         if engine_pairs != brute_vendor_pairs(a, b, matrix, registry):
             mismatches += 1
@@ -97,11 +98,15 @@ def test_criterion_02_max_subset_exactness():
         intents = {i: random_intent(rng, i) for i in range(1, count + 1)}
         candidates = {i: random_pipeline(rng, registry, i, max_nodes=3) for i in range(1, count + 1)}
 
-        usable = [i for i in candidates if not internal_conflicts(candidates[i], matrix, registry)]
+        usable = [
+            i for i in candidates if not internal_conflicts(candidates[i], matrix, registry, ref=str(i))
+        ]
         edges = set()
         for index, a in enumerate(usable):
             for b in usable[index + 1 :]:
-                if pairwise_conflicts(candidates[a], candidates[b], intents, matrix, registry):
+                if pairwise_conflicts(
+                    candidates[a], candidates[b], intents, matrix, registry, a_ref=str(a), b_ref=str(b)
+                ):
                     edges.add(frozenset((a, b)))
         expected = brute_max_independent_set(usable, edges)
         result = max_conflict_free_subset(candidates, DeploymentState(), intents, matrix, registry)

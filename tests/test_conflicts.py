@@ -10,18 +10,21 @@ from ranweave.conflicts import (
     VendorCompatibilityMatrix,
     build_conflict_graph,
     canonical_sort,
+    conflict_report,
     detect_actuator_contention,
     detect_internal_coupling,
     detect_internal_vendor,
     detect_objective_interference,
     detect_parameter_coupling,
     detect_vendor_conflicts,
+    evaluate_conflicts,
     internal_conflicts,
     labelled,
     pairwise_conflicts,
     validity,
 )
 from ranweave.model import DeploymentState, Intent, Pipeline, Registry, XAppProfile
+from ranweave.schemas import dump_doc, parse_perception_doc
 
 from .helpers import (
     brute_actuator_subjects,
@@ -46,7 +49,7 @@ def _intent(intent_id, **targets) -> Intent:
 def test_actuator_contention_on_differing_directives(truths):
     a = Pipeline.build(10, [("traffic_steering_a", {"steering_policy": "load"})])
     b = Pipeline.build(11, [("traffic_steering_a", {"steering_policy": "latency"})])
-    records = detect_actuator_contention(a, b)
+    records = detect_actuator_contention(a, b, a_ref="10", b_ref="11")
     assert len(records) == 1
     assert records[0].kind is ConflictKind.ACTUATOR_CONTENTION
     assert records[0].subject == "traffic_steering_a"
@@ -55,26 +58,26 @@ def test_actuator_contention_on_differing_directives(truths):
 def test_actuator_sharing_with_identical_directive_is_clean():
     a = Pipeline.build(10, [("wireless_anomaly_detector", {})])
     b = Pipeline.build(11, [("wireless_anomaly_detector", {})])
-    assert detect_actuator_contention(a, b) == []
+    assert detect_actuator_contention(a, b, a_ref="10", b_ref="11") == []
 
 
 def test_actuator_disjoint_nodes_clean():
     a = Pipeline.build(10, [("x", {"p": "1"})])
     b = Pipeline.build(11, [("y", {"p": "2"})])
-    assert detect_actuator_contention(a, b) == []
+    assert detect_actuator_contention(a, b, a_ref="10", b_ref="11") == []
 
 
 def test_parameter_coupling_on_tx_power(bundle):
     a = Pipeline.build(10, [("power_saving_controller", {"tx_power": "auto"})])
     b = Pipeline.build(11, [("uplink_power_control_agent", {"tx_power": "auto"})])
-    records = detect_parameter_coupling(a, b, bundle.registry)
+    records = detect_parameter_coupling(a, b, bundle.registry, a_ref="10", b_ref="11")
     assert [r.subject for r in records] == ["tx_power"]
 
 
 def test_parameter_coupling_disjoint_params_clean(bundle):
     a = Pipeline.build(10, [("massive_mimo_beamformer", {})])
     b = Pipeline.build(11, [("admission_control_manager", {})])
-    assert detect_parameter_coupling(a, b, bundle.registry) == []
+    assert detect_parameter_coupling(a, b, bundle.registry, a_ref="10", b_ref="11") == []
 
 
 def test_internal_coupling_exempted_by_edge(bundle):
@@ -83,14 +86,14 @@ def test_internal_coupling_exempted_by_edge(bundle):
         [("power_saving_controller", {}), ("uplink_power_control_agent", {})],
         [("power_saving_controller", "uplink_power_control_agent")],
     )
-    assert detect_internal_coupling(pipeline, bundle.registry) == []
+    assert detect_internal_coupling(pipeline, bundle.registry, ref="10") == []
 
 
 def test_internal_coupling_without_path(bundle):
     pipeline = Pipeline.build(
         10, [("power_saving_controller", {}), ("uplink_power_control_agent", {})], []
     )
-    records = detect_internal_coupling(pipeline, bundle.registry)
+    records = detect_internal_coupling(pipeline, bundle.registry, ref="10")
     assert [r.subject for r in records] == ["tx_power"]
 
 
@@ -101,7 +104,8 @@ def test_objective_interference_scheduler_vs_throughput_intent(bundle, truths):
     throughput_intent = bundle.intents[5]
     other_intent = _intent(30, latency=-1)
     records = detect_objective_interference(
-        truths[5], throughput_intent, latency_pipeline, other_intent, bundle.registry
+        truths[5], throughput_intent, latency_pipeline, other_intent, bundle.registry,
+        a_ref="5", b_ref="30",
     )
     assert any(
         r.subject == "throughput" and ("30", "latency_aware_mac_scheduler") in r.participants
@@ -111,7 +115,8 @@ def test_objective_interference_scheduler_vs_throughput_intent(bundle, truths):
 
 def test_objective_interference_aligned_intents_clean(bundle, truths):
     records = detect_objective_interference(
-        truths[3], bundle.intents[3], truths[6], bundle.intents[6], bundle.registry
+        truths[3], bundle.intents[3], truths[6], bundle.intents[6], bundle.registry,
+        a_ref="3", b_ref="6",
     )
     assert records == []
 
@@ -124,7 +129,7 @@ def test_objective_interference_opposed_intent_directions():
     a = Pipeline.build(1, [("n", {})])
     b = Pipeline.build(2, [("n", {})])
     records = detect_objective_interference(
-        a, _intent(1, kpi=1), b, _intent(2, kpi=-1), registry
+        a, _intent(1, kpi=1), b, _intent(2, kpi=-1), registry, a_ref="1", b_ref="2"
     )
     assert [r.subject for r in records] == ["kpi"]
     assert {ref for ref, _ in records[0].participants} == {"1", "2"}
@@ -133,7 +138,7 @@ def test_objective_interference_opposed_intent_directions():
 def test_vendor_conflict_between_slicing_variants(bundle):
     a = Pipeline.build(10, [("ran_slicing_manager_a", {"slice_quota": "auto"})])
     b = Pipeline.build(11, [("ran_slicing_manager_b", {"slice_quota": "auto"})])
-    records = detect_vendor_conflicts(a, b, bundle.matrix, bundle.registry)
+    records = detect_vendor_conflicts(a, b, bundle.matrix, bundle.registry, a_ref="10", b_ref="11")
     assert len(records) == 1
     assert records[0].subject == "slicing-a|slicing-b"
 
@@ -148,11 +153,14 @@ def test_vendor_conflict_requires_contact():
     matrix = VendorCompatibilityMatrix.of(("d1", "d2"))
     a = Pipeline.build(1, [("p", {"x": "1"})])
     b = Pipeline.build(2, [("q", {"y": "1"})])
-    assert detect_vendor_conflicts(a, b, matrix, registry) == []
+    assert detect_vendor_conflicts(a, b, matrix, registry, a_ref="1", b_ref="2") == []
 
 
 def test_vendor_conflict_compatible_dialects_clean(bundle, truths):
-    assert detect_vendor_conflicts(truths[1], truths[4], bundle.matrix, bundle.registry) == []
+    records = detect_vendor_conflicts(
+        truths[1], truths[4], bundle.matrix, bundle.registry, a_ref="1", b_ref="4"
+    )
+    assert records == []
 
 
 def test_internal_vendor_on_adjacent_edge():
@@ -164,7 +172,7 @@ def test_internal_vendor_on_adjacent_edge():
     )
     matrix = VendorCompatibilityMatrix.of(("d1", "d2"))
     pipeline = Pipeline.build(1, [("p", {}), ("q", {})], [("p", "q")])
-    records = detect_internal_vendor(pipeline, matrix, registry)
+    records = detect_internal_vendor(pipeline, matrix, registry, ref="1")
     assert len(records) == 1
 
 
@@ -221,14 +229,14 @@ def test_symmetry_of_pairwise_detectors():
         intents = {1: random_intent(rng, 1), 2: random_intent(rng, 2)}
         a = random_pipeline(rng, registry, 1)
         b = random_pipeline(rng, registry, 2)
-        forward = pairwise_conflicts(a, b, intents, matrix, registry)
-        backward = pairwise_conflicts(b, a, intents, matrix, registry)
+        forward = pairwise_conflicts(a, b, intents, matrix, registry, a_ref="1", b_ref="2")
+        backward = pairwise_conflicts(b, a, intents, matrix, registry, a_ref="2", b_ref="1")
         assert {(r.kind, r.subject, r.participants) for r in forward} == {
             (r.kind, r.subject, r.participants) for r in backward
         }
 
 
-REFS = st.one_of(st.none(), st.text(max_size=6))
+REFS = st.text(max_size=6)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -246,7 +254,7 @@ def test_pairwise_conflict_verdict_ignores_order_and_refs(seed, same_intent, ref
     a = random_pipeline(rng, registry, 1)
     b = random_pipeline(rng, registry, 1 if same_intent else 2)
     ref_1, ref_2, ref_3, ref_4 = refs
-    verdict = bool(pairwise_conflicts(a, b, intents, matrix, registry))
+    verdict = bool(pairwise_conflicts(a, b, intents, matrix, registry, a_ref="1", b_ref="2"))
     assert bool(
         pairwise_conflicts(a, b, intents, matrix, registry, a_ref=ref_1, b_ref=ref_2)
     ) is verdict
@@ -264,9 +272,11 @@ def test_validity_decomposes_into_detectors(bundle, truths):
     intents[20] = _intent(20, energy_efficiency=1)
     others = [truths[5]]
     ok, records = validity(target, others, intents, bundle.matrix, bundle.registry)
-    rebuilt = detect_internal_coupling(target, bundle.registry)
-    rebuilt += detect_internal_vendor(target, bundle.matrix, bundle.registry)
-    rebuilt += pairwise_conflicts(target, truths[5], intents, bundle.matrix, bundle.registry)
+    rebuilt = detect_internal_coupling(target, bundle.registry, ref="20")
+    rebuilt += detect_internal_vendor(target, bundle.matrix, bundle.registry, ref="20")
+    rebuilt += pairwise_conflicts(
+        target, truths[5], intents, bundle.matrix, bundle.registry, a_ref="20", b_ref="pre:5"
+    )
     assert not ok
     assert sorted(r.sort_key() for r in records) == sorted(r.sort_key() for r in rebuilt)
 
@@ -278,8 +288,8 @@ def test_detector_output_is_deterministic():
     intents = {1: random_intent(rng, 1), 2: random_intent(rng, 2)}
     a = random_pipeline(rng, registry, 1)
     b = random_pipeline(rng, registry, 2)
-    first = pairwise_conflicts(a, b, intents, matrix, registry)
-    second = pairwise_conflicts(a, b, intents, matrix, registry)
+    first = pairwise_conflicts(a, b, intents, matrix, registry, a_ref="1", b_ref="2")
+    second = pairwise_conflicts(a, b, intents, matrix, registry, a_ref="1", b_ref="2")
     assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
 
@@ -350,15 +360,14 @@ def test_conflict_lists_and_graph_come_in_canonical_order(seed):
     candidates = {i: random_pipeline(rng, registry, i) for i in ids}
     pre = DeploymentState(tuple(random_pipeline(rng, registry, i, max_nodes=2) for i in pre_ids))
 
-    pipelines = list(candidates.values()) + list(pre)
-    for a in pipelines:
-        own = internal_conflicts(a, matrix, registry)
+    batch = labelled(candidates, pre)
+    for ref_a, a in batch:
+        own = internal_conflicts(a, matrix, registry, ref=ref_a)
         assert own == canonical_sort(own)
-        for b in pipelines:
-            records = pairwise_conflicts(a, b, intents, matrix, registry)
+        for ref_b, b in batch:
+            records = pairwise_conflicts(a, b, intents, matrix, registry, a_ref=ref_a, b_ref=ref_b)
             assert records == canonical_sort(records)
 
-    batch = labelled(candidates, pre)
     refs = [ref for ref, _ in batch]
     assert refs == sorted(refs)
     assert dict(batch) == {str(i): p for i, p in candidates.items()} | {f"pre:{p.intent_id}": p for p in pre}
@@ -367,6 +376,37 @@ def test_conflict_lists_and_graph_come_in_canonical_order(seed):
     edge_refs = [pair for pair, _ in graph.edges]
     assert edge_refs == sorted(edge_refs)
     assert all(ref_a < ref_b for ref_a, ref_b in edge_refs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_record_parses_back_and_validity_matches_the_evaluation(seed):
+    """Each record of validity, build_conflict_graph and evaluate_conflicts
+    survives a round trip through the perception report, so no record names
+    fewer than two participants; and validity(p, others) finds a conflict
+    exactly when evaluate_conflicts, with others as the active set, leaves p
+    unusable. Ids come from a small pool, so an active pipeline often shares
+    a candidate's intent."""
+    rng = random.Random(seed)
+    registry = random_registry(rng, rng.randint(2, 8))
+    matrix = random_matrix(rng)
+    ids = rng.sample(range(1, 7), rng.randint(1, 4))
+    pre_ids = rng.sample(range(1, 7), rng.randint(0, 3))
+    intents = {i: random_intent(rng, i) for i in set(ids) | set(pre_ids)}
+    candidates = {i: random_pipeline(rng, registry, i) for i in ids}
+    pre = DeploymentState(tuple(random_pipeline(rng, registry, i) for i in pre_ids))
+
+    def survives(records):
+        records = canonical_sort(records)
+        assert list(parse_perception_doc(dump_doc(conflict_report(records))).records) == records
+
+    survives(build_conflict_graph(candidates, pre, intents, matrix, registry).all_records())
+    survives(evaluate_conflicts(candidates, sorted(ids), pre, intents, matrix, registry).records)
+    for intent_id, pipeline in candidates.items():
+        ok, records = validity(pipeline, pre, intents, matrix, registry)
+        survives(records)
+        alone = evaluate_conflicts({intent_id: pipeline}, [intent_id], pre, intents, matrix, registry)
+        assert ok is (intent_id in alone.usable)
 
 
 def test_brute_force_oracle_equivalence_small():
@@ -379,18 +419,20 @@ def test_brute_force_oracle_equivalence_small():
         b = random_pipeline(rng, registry, 2)
 
         assert {
-            r.subject for r in detect_actuator_contention(a, b)
+            r.subject for r in detect_actuator_contention(a, b, a_ref="1", b_ref="2")
         } == brute_actuator_subjects(a, b)
         assert {
-            r.subject for r in detect_parameter_coupling(a, b, registry)
+            r.subject for r in detect_parameter_coupling(a, b, registry, a_ref="1", b_ref="2")
         } == brute_coupling_subjects(a, b, registry)
         assert {
             r.subject
-            for r in detect_objective_interference(a, intent_a, b, intent_b, registry)
+            for r in detect_objective_interference(
+                a, intent_a, b, intent_b, registry, a_ref="1", b_ref="2"
+            )
         } == brute_interference_subjects(a, intent_a, b, intent_b, registry)
         engine_pairs = {
             (next(x for ref, x in r.participants if ref == "1"),
              next(x for ref, x in r.participants if ref == "2"))
-            for r in detect_vendor_conflicts(a, b, matrix, registry)
+            for r in detect_vendor_conflicts(a, b, matrix, registry, a_ref="1", b_ref="2")
         }
         assert engine_pairs == brute_vendor_pairs(a, b, matrix, registry)

@@ -158,6 +158,34 @@ def _drop(index, key):
         ("scenarios", lambda doc: {str(s["id"]): s for s in doc}, "expected a JSON array"),
         ("intents", lambda doc: [list(doc[0].items())] + doc[1:], "entry 0:"),
         ("vendor_matrix", lambda doc: [doc], "list indices must be integers"),
+        (
+            "xapps",
+            _set(1, "controlled_params", "tx_power"),
+            "entry 1: controlled_params must be an array of strings, found 'tx_power'",
+        ),
+        ("xapps", _set(0, "capabilities", "mobility_prediction"), "entry 0: capabilities must be an array"),
+        ("xapps", _set(0, "interfaces", ["e2-report", 2]), "entry 0: interfaces must be an array of strings"),
+        (
+            "intents",
+            _set(0, "required_capabilities", "traffic_steering"),
+            "entry 0: required_capabilities must be an array of strings",
+        ),
+        ("intents", _set(2, "required_xapps", "mobility_predictor"), "entry 2: required_xapps must be an array"),
+        (
+            "vendor_matrix",
+            lambda doc: {"incompatible": doc["incompatible"] + ["xy"]},
+            "an incompatible pair must be an array of strings, found 'xy'",
+        ),
+        (
+            "vendor_matrix",
+            lambda doc: {"incompatible": [["slicing-a", 7]]},
+            "an incompatible pair must be an array of strings",
+        ),
+        (
+            "vendor_matrix",
+            lambda doc: {"incompatible": [["slicing-a", "slicing-b", "ts-alpha"]]},
+            "an incompatible pair must hold two dialects",
+        ),
     ],
     ids=[
         "scenario-without-id",
@@ -177,6 +205,14 @@ def _drop(index, key):
         "scenarios-object",
         "intent-entry-list",
         "matrix-list",
+        "xapp-params-string",
+        "xapp-capabilities-string",
+        "xapp-interface-int",
+        "intent-capabilities-string",
+        "intent-xapps-string",
+        "matrix-pair-string",
+        "matrix-dialect-int",
+        "matrix-pair-of-three",
     ],
 )
 def test_malformed_fixture_files_raise_fixture_error(tmp_path, bundle, stem, edit, match):
@@ -397,6 +433,30 @@ def test_cli_run_refuses_a_cap_below_one_iteration(value, capsys):
     captured = capsys.readouterr()
     assert f"argument --max-iters: {value} is not a positive integer" in captured.err
     assert "scenario 1" not in captured.out
+
+
+@pytest.mark.parametrize("value", ["-1", "-2"])
+def test_cli_run_refuses_a_negative_analogue_count(value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", "--scenario", "1", "--analogues", value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --analogues: {value} is not a non-negative integer" in captured.err
+    assert "scenario 1" not in captured.out
+
+
+def test_cli_run_takes_zero_analogues(capsys):
+    assert cli_main(["run", "--scenario", "1", "--analogues", "0"]) == 0
+    assert "scenario 1 mode f5" in capsys.readouterr().out
+
+
+def test_cli_report_on_a_catalog_without_scenarios_is_a_catalog_error(tmp_path, bundle, capsys):
+    root = str(_copy_catalog(bundle, tmp_path, scenarios=lambda doc: []))
+    out = tmp_path / "report.json"
+    assert cli_main(["--fixtures", root, "run", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ranweave: scenarios.json: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_oracle_prints_reference(capsys):

@@ -60,7 +60,7 @@ def test_ground_truth_is_idempotent(bundle):
 
 def test_ground_truths_are_internally_clean(bundle, truths):
     for pipeline in truths.values():
-        assert internal_conflicts(pipeline, bundle.matrix, bundle.registry) == []
+        assert internal_conflicts(pipeline, bundle.matrix, bundle.registry, ref=str(pipeline.intent_id)) == []
 
 
 def _abc_candidates():
@@ -237,13 +237,20 @@ def test_subset_matches_brute_force_independent_set():
         usable = [
             i
             for i in ids
-            if not internal_conflicts(candidates[i], matrix, registry)
-            and not any(pairwise_conflicts(candidates[i], p, intents, matrix, registry) for p in pre)
+            if not internal_conflicts(candidates[i], matrix, registry, ref=str(i))
+            and not any(
+                pairwise_conflicts(
+                    candidates[i], p, intents, matrix, registry, a_ref=str(i), b_ref=f"pre:{p.intent_id}"
+                )
+                for p in pre
+            )
         ]
         edges = set()
         for index, a in enumerate(usable):
             for b in usable[index + 1 :]:
-                if pairwise_conflicts(candidates[a], candidates[b], intents, matrix, registry):
+                if pairwise_conflicts(
+                    candidates[a], candidates[b], intents, matrix, registry, a_ref=str(a), b_ref=str(b)
+                ):
                     edges.add(frozenset((a, b)))
 
         result = max_conflict_free_subset(candidates, pre, intents, matrix, registry)
