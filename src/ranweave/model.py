@@ -46,6 +46,13 @@ def normalize_directive(directive: Mapping[str, str]) -> Directive:
     return tuple(sorted(items))
 
 
+def string_field(value: object, name: str) -> str:
+    """A loaded JSON string; a number, array or any other value is refused."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, found {value!r}")
+    return value
+
+
 def string_array(value: object, name: str) -> list[str]:
     """A loaded JSON array of strings; a string or any other value is refused."""
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
@@ -168,14 +175,14 @@ class XAppProfile:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "XAppProfile":
         return cls.build(
-            str(data["id"]),
-            name=str(data.get("name", data["id"])),
-            vendor=str(data["vendor"]),
-            dialect=str(data["dialect"]),
+            string_field(data["id"], "id"),
+            name=string_field(data.get("name", data["id"]), "name"),
+            vendor=string_field(data["vendor"], "vendor"),
+            dialect=string_field(data["dialect"], "dialect"),
             capabilities=string_array(data["capabilities"], "capabilities"),
             controlled_params=string_array(data["controlled_params"], "controlled_params"),
             kpi_effects={str(k): v for k, v in data["kpi_effects"].items()},
-            stage=str(data["stage"]),
+            stage=string_field(data["stage"], "stage"),
             interfaces=string_array(data["interfaces"], "interfaces"),
         )
 
@@ -277,7 +284,7 @@ class Intent:
     def from_dict(cls, data: Mapping[str, object]) -> "Intent":
         return cls.build(
             data["id"],
-            str(data["text"]),
+            string_field(data["text"], "text"),
             target_kpis={str(k): v for k, v in data["target_kpis"].items()},
             required_capabilities=string_array(data["required_capabilities"], "required_capabilities"),
             required_xapps=string_array(data.get("required_xapps", []), "required_xapps"),

@@ -1,8 +1,9 @@
 """Exact reference algorithms for pipeline synthesis and deployment.
 
-Everything here is exhaustive and deterministic: ground-truth pipelines are
-minimum-size capability covers over the registry, and the deployable set is
-found by full subset enumeration, which max_conflict_free_subset refuses
+Everything here is exact and deterministic. Ground-truth pipelines are
+minimum-size capability covers over the registry, found by a depth-first
+cover search that skips only subsets that cannot cover. The deployable set
+is found by full subset enumeration, which max_conflict_free_subset refuses
 with TooManyCandidatesError past MAX_SUBSET_CANDIDATES (12) candidates.
 The generated catalogs of the benchmark's wide-catalog workload, with 12
 new intents each, sit exactly at that bound. Intent ids are integers and
@@ -13,9 +14,10 @@ agents are measured against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .conflicts import (
     ConflictGraph,
@@ -95,10 +97,13 @@ def synthesize_ground_truth(
 ) -> Pipeline:
     """Minimum-size, internally conflict-free pipeline fulfilling an intent.
 
-    Enumerates xApp subsets up to max_len, smallest first, and returns the
-    first that contains the intent's mandatory xApps, covers its required
-    capabilities and, wired as model.stage_chain, has no internal
-    conflict (ties between equal sizes go to the smaller node-id sequence).
+    The answer is the first xApp subset of at most max_len members, smallest
+    size first and, within a size, in ascending node-id sequence, that
+    contains the intent's mandatory xApps, covers its required capabilities
+    and, wired as model.stage_chain, has no internal conflict. _covers
+    yields the subsets that contain and cover in exactly that order, so
+    only those are wired and checked; an xApp that covers nothing is still
+    tried in a free slot, as the spacer a clashing pair may need.
     """
     if max_len < 1 or max_len > 5:
         raise ValueError("max_len must be between 1 and 5")
@@ -109,27 +114,74 @@ def synthesize_ground_truth(
             f"intent {intent.id!r} mandates unregistered xApps {sorted(missing)}"
         )
 
-    # registry.ids is sorted, so combinations() yields each size's subsets
-    # in ascending node-id order and the first feasible one is the answer.
-    for size in range(max(1, len(intent.required_xapps)), max_len + 1):
-        for combo in combinations(pool, size):
-            if not intent.required_xapps <= set(combo):
-                continue
-            covered = set()
-            for xapp_id in combo:
-                covered |= registry[xapp_id].capabilities
-            if not intent.required_capabilities <= covered:
-                continue
-            ordered, edges = stage_chain(combo, registry)
-            nodes = [(x, default_directive(registry[x])) for x in ordered]
-            pipeline = Pipeline.build(intent.id, nodes, edges)
-            if not internal_conflicts(pipeline, matrix, registry, ref=candidate_ref(intent.id)):
-                return pipeline
+    bit = {cap: 1 << k for k, cap in enumerate(sorted(intent.required_capabilities))}
+    masks = [sum(bit.get(cap, 0) for cap in registry[x].capabilities) for x in pool]
+    mandatory = {p for p, x in enumerate(pool) if x in intent.required_xapps}
+    sizes = range(max(1, len(mandatory)), max_len + 1)
+    for positions in _covers(masks, (1 << len(bit)) - 1, mandatory, sizes):
+        ordered, edges = stage_chain([pool[p] for p in positions], registry)
+        nodes = [(x, default_directive(registry[x])) for x in ordered]
+        pipeline = Pipeline.build(intent.id, nodes, edges)
+        if not internal_conflicts(pipeline, matrix, registry, ref=candidate_ref(intent.id)):
+            return pipeline
 
     raise InfeasibleIntentError(
         f"no xApp subset of size <= {max_len} covers capabilities "
         f"{sorted(intent.required_capabilities)} for intent {intent.id!r}"
     )
+
+
+def _covers(
+    masks: Sequence[int], full: int, mandatory: AbstractSet[int], sizes: Iterable[int]
+) -> Iterator[tuple[int, ...]]:
+    """Every position tuple whose masks together hold full and that holds the
+    mandatory positions, in the order combinations(range(len(masks)), size)
+    yields them, for each size in turn.
+
+    A depth-first walk fills the slots with ascending positions. It cuts a
+    branch only when the branch holds no such tuple: the positions left
+    cannot hold the bits still missing (reach), the free slots cannot either
+    even if each took as many bits as the widest mask left (widest), or a
+    mandatory position was passed over (stop, owed). Since reach and widest
+    only shrink as the position grows, a cut also ends the loop it is in.
+    The last slot takes only positions whose mask holds every missing bit,
+    from a per-need index. When the whole registry cannot cover, each size
+    ends at its first position, so such an intent costs no search.
+    """
+    n = len(masks)
+    reach = [0] * (n + 1)  # reach[p]: the union of masks[p:]
+    widest = [0] * (n + 1)  # widest[p]: the most bits one of masks[p:] holds
+    owed = [0] * (n + 1)  # owed[p]: mandatory positions at p or after
+    stop = [n] * (n + 1)  # stop[p]: the first mandatory position at p or after
+    for p in range(n - 1, -1, -1):
+        reach[p] = reach[p + 1] | masks[p]
+        widest[p] = max(widest[p + 1], masks[p].bit_count())
+        owed[p] = owed[p + 1] + (p in mandatory)
+        stop[p] = p if p in mandatory else stop[p + 1]
+    holders: dict[int, list[int]] = {}  # need -> positions whose mask holds it
+
+    def walk(start: int, covered: int, free: int, chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if owed[start] > free:
+            return
+        need = full & ~covered
+        if free == 1:
+            if owed[start]:
+                if masks[stop[start]] & need == need:
+                    yield chosen + (stop[start],)
+                return
+            if need not in holders:
+                holders[need] = [p for p, mask in enumerate(masks) if mask & need == need]
+            row = holders[need]
+            for p in row[bisect_left(row, start):]:
+                yield chosen + (p,)
+            return
+        for p in range(start, min(n - free, stop[start]) + 1):
+            if reach[p] & need != need or need.bit_count() > free * widest[p]:
+                break
+            yield from walk(p + 1, covered | masks[p], free - 1, chosen + (p,))
+
+    for size in sizes:
+        yield from walk(0, 0, size, ())
 
 
 def max_conflict_free_subset(

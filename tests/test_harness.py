@@ -220,6 +220,25 @@ def test_malformed_fixture_files_raise_fixture_error(tmp_path, bundle, stem, edi
         load_fixtures(_copy_catalog(bundle, tmp_path, **{stem: edit}))
 
 
+@pytest.mark.parametrize(
+    "stem, index, key, value",
+    [
+        ("xapps", 11, "dialect", ["slicing-a"]),
+        ("xapps", 11, "vendor", 7),
+        ("xapps", 11, "id", 11),
+        ("xapps", 11, "name", None),
+        ("xapps", 11, "stage", ["act"]),
+        ("intents", 0, "text", ["steer around congestion"]),
+    ],
+    ids=["dialect-list", "vendor-int", "id-int", "name-null", "stage-list", "text-list"],
+)
+def test_loader_refuses_a_non_string_where_a_string_belongs(tmp_path, bundle, stem, index, key, value):
+    """A list or number is refused, not loaded as its repr: a dialect of
+    "['slicing-a']" would match no vendor-matrix pair and drop a clash."""
+    with pytest.raises(FixtureError, match=rf"^{stem}.json: entry {index}: {key} must be a string, found "):
+        load_fixtures(_copy_catalog(bundle, tmp_path, **{stem: _set(index, key, value)}))
+
+
 _FIXTURE_STEMS = ("xapps", "intents", "scenarios", "vendor_matrix")
 _FIELDS = [
     "id", "name", "vendor", "dialect", "capabilities", "controlled_params", "kpi_effects",

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranweave import planner
 from ranweave.agents import Mode, RunContext, _select_deployment
 from ranweave.conflicts import VendorCompatibilityMatrix, evaluate_conflicts, internal_conflicts, validity
-from ranweave.model import DeploymentState, Intent, Pipeline, Registry, XAppProfile
+from ranweave.model import DeploymentState, Intent, Pipeline, Registry, Stage, XAppProfile
 from ranweave.planner import (
     InfeasibleIntentError,
     SolutionScore,
@@ -19,7 +22,16 @@ from ranweave.planner import (
     synthesize_ground_truth,
 )
 
-from .helpers import random_intent, random_matrix, random_pipeline, random_registry
+from .helpers import (
+    CAP_POOL,
+    DIALECT_POOL,
+    KPI_POOL,
+    brute_ground_truth,
+    random_intent,
+    random_matrix,
+    random_pipeline,
+    random_registry,
+)
 
 NO_CLASH = VendorCompatibilityMatrix.of()
 
@@ -152,38 +164,101 @@ def test_score_perfect_solution(truths):
     assert score == SolutionScore(2, 2, 0, -(truths[3].size() + truths[4].size()))
 
 
-def test_cover_search_matches_level_scan_reference():
-    """The first feasible cover equals the least of every feasible cover."""
-    from .helpers import CAP_POOL, brute_ground_truth
+_DIALECT_PAIRS = [(a, b) for i, a in enumerate(DIALECT_POOL) for b in DIALECT_POOL[i + 1 :]]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-    rng = random.Random(17)
-    outcomes = {"feasible": 0, "infeasible": 0}
-    for trial in range(150):
-        generated = random_registry(rng, rng.randint(3, 12))
-        profiles = list(generated)
-        rng.shuffle(profiles)
-        registry = Registry(profiles, generated.kpi_catalog)
-        matrix = random_matrix(rng)
-        capabilities = rng.sample(CAP_POOL, rng.randint(1, 4))
-        if trial % 10 == 0:
-            capabilities.append("unoffered")
-        mandatory = rng.sample(registry.ids, rng.randint(0, 2))
-        if trial % 15 == 0:
-            mandatory.append("unregistered")
-        intent = Intent.build(
-            trial, "cover me", target_kpis={"latency": -1},
-            required_capabilities=capabilities, required_xapps=mandatory,
+
+@st.composite
+def _cover_problems(draw):
+    """(intent, registry, matrix, max_len) for the cover search.
+
+    Up to 12 random xApps in shuffled insertion order, mandatory xApps, and
+    now and then an unregistered mandatory xApp or an unoffered capability.
+    A forced-spacer problem turns two xApps into the only holders of the
+    intent's two capabilities, a sense-stage and an act-stage one whose
+    dialects clash, so every feasible cover needs a third xApp between them
+    that covers nothing.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    profiles = draw(st.permutations(list(random_registry(rng, rng.randint(2, 12)))))
+    pairs = rng.sample(_DIALECT_PAIRS, rng.randint(0, 2))
+    capabilities = rng.sample(CAP_POOL, rng.randint(1, 4))
+    spacer = rng.random() < 0.3
+    if spacer:
+        ends = rng.sample(range(len(profiles)), 2)
+        dialects = rng.choice(_DIALECT_PAIRS)
+        pairs.append(dialects)
+        capabilities = ["bridge-a", "bridge-b"]
+        for index, stage, dialect, capability in zip(ends, (Stage.SENSE, Stage.ACT), dialects, capabilities):
+            profiles[index] = replace(
+                profiles[index], stage=stage, dialect=dialect,
+                capabilities=profiles[index].capabilities | {capability},
+            )
+    if rng.random() < 0.1:
+        capabilities.append("unoffered")
+    mandatory = rng.sample([p.id for p in profiles], rng.randint(0, 1 if spacer else 2))
+    if rng.random() < 0.1:
+        mandatory.append("unregistered")
+    intent = Intent.build(
+        1, "cover me", target_kpis={"latency": -1},
+        required_capabilities=capabilities, required_xapps=mandatory,
+    )
+    registry = Registry(profiles, KPI_POOL)
+    return intent, registry, VendorCompatibilityMatrix.of(*pairs), rng.randint(2 if spacer else 1, 5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(problem=_cover_problems())
+def test_cover_search_matches_level_scan_reference(problem):
+    """The pruned walk returns the level scan's pipeline, or fails as it does."""
+    intent, registry, matrix, max_len = problem
+    expected = brute_ground_truth(intent, registry, matrix, max_len)
+    if expected is None:
+        with pytest.raises(InfeasibleIntentError):
+            synthesize_ground_truth(intent, registry, matrix, max_len)
+    else:
+        assert synthesize_ground_truth(intent, registry, matrix, max_len) == expected
+
+
+@pytest.mark.parametrize("bridged", [False, True], ids=["plain", "bridged"])
+def test_cover_search_matches_the_reference_on_wide_catalogs(monkeypatch, bridged):
+    """Every intent of a generated 50-xApp catalog; a bridged one needs a spacer."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from wide_catalog import generate_catalog
+
+    catalog = generate_catalog(7, bridged=bridged)
+    spacers = 0
+    for intent in catalog.intents.values():
+        truth = synthesize_ground_truth(intent, catalog.registry, catalog.matrix)
+        assert truth == brute_ground_truth(intent, catalog.registry, catalog.matrix)
+        spacers += any(
+            not catalog.registry[x].capabilities & intent.required_capabilities for x in truth.node_ids
         )
-        max_len = rng.randint(1, 4)
-        expected = brute_ground_truth(intent, registry, matrix, max_len)
-        if expected is None:
-            outcomes["infeasible"] += 1
-            with pytest.raises(InfeasibleIntentError):
-                synthesize_ground_truth(intent, registry, matrix, max_len)
-        else:
-            outcomes["feasible"] += 1
-            assert synthesize_ground_truth(intent, registry, matrix, max_len) == expected
-    assert min(outcomes.values()) >= 30, outcomes
+    if bridged:
+        assert spacers, "the bridged intent's reference holds no spacer"
+
+
+def test_an_intent_no_five_xapps_cover_builds_no_candidate(monkeypatch):
+    """Seven capabilities, no two held by one xApp: the registry offers them
+    all, but a cover needs seven xApps, so none is wired or checked."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from wide_catalog import generate_catalog
+
+    catalog = generate_catalog(1)
+    registry = catalog.registry
+    chosen: list[str] = []
+    for capability in sorted({c for p in registry for c in p.capabilities}):
+        if not any(capability in p.capabilities and p.capabilities & set(chosen) for p in registry):
+            chosen.append(capability)
+    chosen = chosen[:7]
+    assert len(chosen) == 7
+    intent = Intent.build(99, "seven needs", target_kpis={"kpi00": 1}, required_capabilities=chosen)
+    checked = []
+    monkeypatch.setattr(planner, "internal_conflicts", lambda *args, **kwargs: checked.append(args) or [])
+    with pytest.raises(InfeasibleIntentError) as excinfo:
+        synthesize_ground_truth(intent, registry, catalog.matrix)
+    assert str(excinfo.value) == f"no xApp subset of size <= 5 covers capabilities {chosen} for intent 99"
+    assert checked == []
 
 
 def test_score_nothing_deployed(truths):
