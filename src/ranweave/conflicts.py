@@ -344,6 +344,29 @@ def pairwise_conflicts(
     return records
 
 
+def reach(pipeline: Pipeline, intent: Intent, registry: Registry) -> set[str]:
+    """Every resource through which the pipeline can conflict with another.
+
+    Its node xApp ids, its registered xApps' written parameters and the KPIs
+    they move (nonzero effects), and its intent's target KPIs; an
+    unregistered node adds its id alone. Each conflict class needs a shared
+    resource, so two pipelines whose reaches are disjoint have no conflict:
+    actuator contention a shared xApp, parameter coupling a shared
+    parameter, objective interference a KPI one side targets and the other
+    targets or moves, and vendor contact a shared parameter or a KPI both
+    move. The three kinds of name share one set; a name that is an xApp on
+    one side and a KPI on the other only lets an extra pair through.
+    """
+    keys = {kpi for kpi, _ in intent.target_kpis}
+    for node in pipeline.nodes:
+        keys.add(node.xapp_id)
+        profile = registry.get(node.xapp_id)
+        if profile is not None:
+            keys |= profile.controlled_params
+            keys.update(kpi for kpi, direction in profile.kpi_effects if direction)
+    return keys
+
+
 def internal_conflicts(
     pipeline: Pipeline, matrix: VendorCompatibilityMatrix, registry: Registry, *, ref: str
 ) -> list[ConflictRecord]:
@@ -365,12 +388,16 @@ def validity(
     Returns the verdict together with every conflict record found; the
     record list is exactly the concatenation of the four detectors plus the
     pipeline's own internal checks, canonically ordered. labelled names the
-    pipeline as a candidate and others as the active set.
+    pipeline as a candidate and others as the active set. An active
+    pipeline whose reach misses the pipeline's is skipped, as in
+    build_conflict_graph: the detectors could find nothing there.
     """
     ref = candidate_ref(pipeline.intent_id)
     records = internal_conflicts(pipeline, matrix, registry, ref=ref)
+    own = reach(pipeline, intents[pipeline.intent_id], registry)
     for other_ref, other in labelled({}, DeploymentState(tuple(others))):
-        records += pairwise_conflicts(pipeline, other, intents, matrix, registry, a_ref=ref, b_ref=other_ref)
+        if not own.isdisjoint(reach(other, intents[other.intent_id], registry)):
+            records += pairwise_conflicts(pipeline, other, intents, matrix, registry, a_ref=ref, b_ref=other_ref)
     records = canonical_sort(records)
     return (not records, records)
 
@@ -419,23 +446,31 @@ def build_conflict_graph(
     registry: Registry,
     pairs: PairMemo | None = None,
 ) -> ConflictGraph:
-    """Run all four detectors over every unordered pipeline pair.
+    """Run all four detectors over every unordered pipeline pair that can conflict.
 
     The vertices are labelled's refs; walking its ref-ordered pairs i < j
-    yields the edges in ref order.
+    yields the edges in ref order. Each pipeline's reach is built once per
+    call, and a pair whose reaches are disjoint is skipped without calling
+    pairwise_conflicts or reading the memo: reach holds one necessary
+    resource per conflict class, so every skipped pair has no records, and
+    the graph is the all-pairs graph.
 
     pairs, when given, memoizes the records of each (ref_a, ref_b) pair
-    across calls. An entry is reused only while both of its pipelines are
-    the very objects it was worked out for, a test that costs nothing; a
-    new object under an old ref replaces the entry. Records depend on
-    intents, matrix and registry too, so one memo serves only calls with
-    the same three, as in one run.
+    the gate lets through, across calls. An entry is reused only while both
+    of its pipelines are the very objects it was worked out for, a test
+    that costs nothing; a new object under an old ref replaces the entry.
+    Records depend on intents, matrix and registry too, so one memo serves
+    only calls with the same three, as in one run.
     """
     pairs = {} if pairs is None else pairs
     batch = labelled(candidates, pre)
+    reaches = [reach(p, intents[p.intent_id], registry) for _, p in batch]
     edges = []
     for i, (ref_a, pipe_a) in enumerate(batch):
-        for ref_b, pipe_b in batch[i + 1 :]:
+        reach_a = reaches[i]
+        for (ref_b, pipe_b), reach_b in zip(batch[i + 1 :], reaches[i + 1 :]):
+            if reach_a.isdisjoint(reach_b):
+                continue
             seen = pairs.get((ref_a, ref_b))
             if seen is not None and seen[0] is pipe_a and seen[1] is pipe_b:
                 records = seen[2]

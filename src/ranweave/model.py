@@ -152,12 +152,11 @@ class XAppProfile:
             interfaces=frozenset(interfaces),
         )
 
-    @property
-    def effects(self) -> dict[str, int]:
-        return dict(self.kpi_effects)
-
     def effect_on(self, kpi: str) -> int:
-        return self.effects.get(kpi, 0)
+        for name, direction in self.kpi_effects:
+            if name == kpi:
+                return direction
+        return 0
 
     def to_dict(self) -> dict[str, object]:
         return {

@@ -7,18 +7,29 @@ and naively; they share no code path with the engine they check.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations, permutations
+from pathlib import Path
 
 from hypothesis import strategies as st
 
-from ranweave.conflicts import VendorCompatibilityMatrix, internal_conflicts
-from ranweave.model import Intent, Pipeline, Registry, Stage, XAppProfile
+from ranweave.conflicts import (
+    ConflictGraph,
+    VendorCompatibilityMatrix,
+    internal_conflicts,
+    labelled,
+    pairwise_conflicts,
+)
+from ranweave.model import DeploymentState, Intent, Pipeline, Registry, Stage, XAppProfile
 
 CAP_POOL = ["steering", "sensing", "slicing", "power", "scheduling", "beam"]
 PARAM_POOL = ["tx_power", "prb_quota", "weights", "beam_set", "steer_mode"]
 KPI_POOL = ["latency", "throughput", "energy", "reliability"]
 DIALECT_POOL = ["d-north", "d-south", "d-east", "d-west"]
 SETTING_POOL = ["auto", "eco", "turbo"]
+
+# The benchmark's directory: tests import its catalog generator, read-only.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 WIRE_KEYS = [
     "intent_id", "selected_xapps", "edges", "deployment_conditions", "conflicts", "notes",
@@ -111,6 +122,94 @@ def random_pipeline(
             if rng.random() < 0.5:
                 edges.append((chosen[a_index], chosen[b_index]))
     return Pipeline.build(intent_id, nodes, edges)
+
+
+@dataclass
+class SparseBatch:
+    """A batch over wide resource pools, so that many pipeline pairs share nothing.
+
+    The registry holds 2-20 xApps; the parameter and KPI pools grow with it,
+    so most xApps write and move their own few. Pipelines may name an
+    unregistered xApp, repeat a node, and carry an edge to a node they do
+    not hold, and one active pipeline often shares a candidate's intent.
+    """
+
+    rng: random.Random
+    registry: Registry
+    matrix: VendorCompatibilityMatrix
+    intents: dict[int, Intent]
+    candidates: dict[int, Pipeline]
+    pre: DeploymentState
+
+    @classmethod
+    def draw(cls, rng: random.Random) -> "SparseBatch":
+        size = rng.randint(2, 20)
+        params = [f"param{i:02d}" for i in range(2 * size)]
+        kpis = [f"kpi{i:02d}" for i in range(2 * size)]
+        profiles = [
+            XAppProfile.build(
+                f"x{index:02d}",
+                dialect=rng.choice(DIALECT_POOL),
+                capabilities=["any"],
+                controlled_params=rng.sample(params, rng.randint(0, 2)),
+                kpi_effects={kpi: rng.choice([-1, 0, 1]) for kpi in rng.sample(kpis, rng.randint(0, 2))},
+            )
+            for index in range(size)
+        ]
+        matrix = VendorCompatibilityMatrix.of(
+            *((a, b) for i, a in enumerate(DIALECT_POOL) for b in DIALECT_POOL[i + 1 :] if rng.random() < 0.5)
+        )
+        ids = rng.sample(range(1, 13), rng.randint(1, 6))
+        pre_ids = rng.sample(range(1, 13), rng.randint(0, 4))
+        shared = rng.choice(ids)
+        if shared not in pre_ids and rng.random() < 0.5:
+            pre_ids.append(shared)
+        intents = {
+            i: Intent.build(
+                i,
+                f"objective {i}",
+                target_kpis={kpi: rng.choice([-1, 1]) for kpi in rng.sample(kpis, rng.randint(1, 2))},
+                required_capabilities=["any"],
+            )
+            for i in set(ids) | set(pre_ids)
+        }
+        batch = cls(rng, Registry(profiles, kpis), matrix, intents, {}, DeploymentState())
+        batch.candidates = {i: batch.pipeline(i) for i in ids}
+        batch.pre = DeploymentState(tuple(batch.pipeline(i) for i in pre_ids))
+        return batch
+
+    def pipeline(self, intent_id: int) -> Pipeline:
+        """A fresh random pipeline for intent_id."""
+        rng, registry = self.rng, self.registry
+        chosen = rng.choices(list(registry.ids) + ["unregistered"], k=rng.randint(1, 3))
+        nodes = []
+        for xapp_id in chosen:
+            # A node that writes nothing still gets a directive, so that any
+            # shared node, the unregistered one included, can contend.
+            written = registry[xapp_id].controlled_params if xapp_id in registry else ()
+            directive = {p: rng.choice(SETTING_POOL) for p in sorted(written)}
+            nodes.append((xapp_id, directive or {"mode": rng.choice(SETTING_POOL)}))
+        edges = [tuple(rng.sample(chosen + ["dangling"], 2)) for _ in range(rng.randint(0, 2))]
+        return Pipeline.build(intent_id, nodes, edges)
+
+
+def all_pairs_conflict_graph(
+    candidates: dict[int, Pipeline],
+    pre: DeploymentState,
+    intents: dict[int, Intent],
+    matrix: VendorCompatibilityMatrix,
+    registry: Registry,
+) -> ConflictGraph:
+    """The conflict graph by pairwise_conflicts over every unordered pair of
+    labelled's batch, with no gate and no memo."""
+    batch = labelled(candidates, pre)
+    edges = []
+    for i, (ref_a, pipe_a) in enumerate(batch):
+        for ref_b, pipe_b in batch[i + 1 :]:
+            records = pairwise_conflicts(pipe_a, pipe_b, intents, matrix, registry, a_ref=ref_a, b_ref=ref_b)
+            if records:
+                edges.append(((ref_a, ref_b), tuple(records)))
+    return ConflictGraph(vertices=tuple(ref for ref, _ in batch), edges=tuple(edges))
 
 
 def brute_actuator_subjects(a: Pipeline, b: Pipeline) -> set[str]:

@@ -38,7 +38,7 @@ from ranweave.transport import (
     refine_pipeline,
 )
 
-from .helpers import json_scalars, json_values, replace_one_value
+from .helpers import PERFBENCH, json_scalars, json_values, replace_one_value
 
 
 def _ctx(bundle, scenario_id: int, mode: Mode, truths, seed: int = 0) -> RunContext:
@@ -587,6 +587,51 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, failures):
     ]
     # Scenario 1 has two new intents: one SA call each per iteration.
     assert no_context == [True] * 2 * failures + [False] * (len(no_context) - 2 * failures)
+
+
+def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch):
+    """Pins pairwise_conflicts' calls in one orchestrate_batch run over a
+    generated 50-xApp catalog with 12 new and 12 active intents. The reach
+    gate brings them to 222; every pair, through the same pair memo, would
+    take 430. 23 of the calls find a conflict either way."""
+    from ranweave import conflicts, planner
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from wide_catalog import generate_catalog
+
+    catalog = generate_catalog(7)
+    truths = {
+        i: planner.synthesize_ground_truth(intent, catalog.registry, catalog.matrix)
+        for i, intent in sorted(catalog.intents.items())
+    }
+    pre = DeploymentState(tuple(truths[i] for i in catalog.pre_intents))
+    candidates = {i: truths[i] for i in catalog.new_intents}
+    oracle = planner.max_conflict_free_subset(
+        candidates, pre, catalog.intents, catalog.matrix, catalog.registry, truths=candidates
+    )
+    ctx = RunContext(
+        mode=Mode.F5,
+        intents=tuple(catalog.intents[i] for i in catalog.new_intents),
+        pre=pre,
+        registry=catalog.registry,
+        matrix=catalog.matrix,
+        intent_catalog=catalog.intents,
+        max_iterations=10,
+    )
+    chat = NoisyTransport(MockBundle(catalog.registry, catalog.intents, catalog.matrix, truths), 7)
+    found: list[bool] = []
+    pairwise_conflicts = conflicts.pairwise_conflicts
+
+    def counted(*args, **kwargs):
+        records = pairwise_conflicts(*args, **kwargs)
+        found.append(bool(records))
+        return records
+
+    monkeypatch.setattr(conflicts, "pairwise_conflicts", counted)
+    outcome = orchestrate_batch(ctx, chat, MemoryBuffer(), build_knowledge_store(bundle), oracle)
+
+    assert outcome.converged
+    assert (len(found), sum(found)) == (222, 23)
 
 
 class IntentSwapTransport(OracleTransport):

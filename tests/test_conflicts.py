@@ -21,12 +21,15 @@ from ranweave.conflicts import (
     internal_conflicts,
     labelled,
     pairwise_conflicts,
+    reach,
     validity,
 )
 from ranweave.model import DeploymentState, Intent, Pipeline, Registry, XAppProfile
 from ranweave.schemas import dump_doc, parse_perception_doc
 
 from .helpers import (
+    SparseBatch,
+    all_pairs_conflict_graph,
     brute_actuator_subjects,
     brute_coupling_subjects,
     brute_interference_subjects,
@@ -320,27 +323,76 @@ def test_conflict_graph_matches_pairwise_union(bundle, truths):
     assert all("pre:" in ref_a or "pre:" in ref_b for (ref_a, ref_b), _ in graph.edges)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_pair_memo_gives_the_fresh_graph(seed):
-    """Over rounds that replace a random subset of the candidates, a graph
-    built through one shared pair memo equals a fresh build_conflict_graph,
-    edge for edge and record for record."""
-    rng = random.Random(seed)
-    registry = random_registry(rng, rng.randint(3, 8))
-    matrix = random_matrix(rng)
-    ids = list(range(1, rng.randint(2, 6) + 1))
-    intents = {i: random_intent(rng, i) for i in ids}
-    active = rng.sample(ids, rng.randint(0, len(ids)))
-    pre = DeploymentState(tuple(random_pipeline(rng, registry, i) for i in active))
-    candidates: dict[int, Pipeline] = {}
+def test_gated_graph_equals_the_all_pairs_loop(seed):
+    """Over rounds that replace a random subset of the candidates, the
+    reach-gated graph, built fresh or through one shared pair memo, equals
+    the all-pairs loop edge for edge and record for record; and validity
+    equals its ungated sum of detectors."""
+    batch = SparseBatch.draw(random.Random(seed))
+    rng, intents, matrix, registry = batch.rng, batch.intents, batch.matrix, batch.registry
     pairs: dict = {}
-    for _ in range(rng.randint(2, 5)):
-        for i in ids:
-            if rng.random() < (0.4 if i in candidates else 0.7):
-                candidates[i] = random_pipeline(rng, registry, i)
-        memoized = build_conflict_graph(candidates, pre, intents, matrix, registry, pairs)
-        assert memoized == build_conflict_graph(candidates, pre, intents, matrix, registry)
+    for _ in range(rng.randint(1, 4)):
+        expected = all_pairs_conflict_graph(batch.candidates, batch.pre, intents, matrix, registry)
+        assert build_conflict_graph(batch.candidates, batch.pre, intents, matrix, registry) == expected
+        assert build_conflict_graph(batch.candidates, batch.pre, intents, matrix, registry, pairs) == expected
+        for intent_id in batch.candidates:
+            if rng.random() < 0.5:
+                batch.candidates[intent_id] = batch.pipeline(intent_id)
+    for intent_id, pipeline in batch.candidates.items():
+        ref = str(intent_id)
+        ungated = internal_conflicts(pipeline, matrix, registry, ref=ref)
+        for other_ref, other in labelled({}, batch.pre):
+            ungated += pairwise_conflicts(pipeline, other, intents, matrix, registry, a_ref=ref, b_ref=other_ref)
+        assert validity(pipeline, batch.pre, intents, matrix, registry) == (not ungated, canonical_sort(ungated))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_conflicting_pipelines_share_reach(seed):
+    """The gate's premise: whenever pairwise_conflicts returns a record, in
+    either argument order, the two pipelines' reaches intersect."""
+    batch = SparseBatch.draw(random.Random(seed))
+    intents, matrix, registry = batch.intents, batch.matrix, batch.registry
+    labelled_batch = labelled(batch.candidates, batch.pre)
+    for i, (ref_a, a) in enumerate(labelled_batch):
+        for ref_b, b in labelled_batch[i + 1 :]:
+            forward = pairwise_conflicts(a, b, intents, matrix, registry, a_ref=ref_a, b_ref=ref_b)
+            backward = pairwise_conflicts(b, a, intents, matrix, registry, a_ref=ref_b, b_ref=ref_a)
+            if forward or backward:
+                assert reach(a, intents[a.intent_id], registry) & reach(b, intents[b.intent_id], registry)
+
+
+def test_sparse_batches_hold_every_case_the_gate_meets():
+    """The draws of the two properties above: disjoint and conflicting pairs
+    are both common, and unregistered xApps, repeated nodes, dangling edges
+    and an active pipeline sharing a candidate's intent all occur."""
+    pairs = disjoint = conflicting = 0
+    seen = set()
+    for seed in range(100):
+        batch = SparseBatch.draw(random.Random(seed))
+        intents, registry = batch.intents, batch.registry
+        labelled_batch = labelled(batch.candidates, batch.pre)
+        for i, (ref_a, a) in enumerate(labelled_batch):
+            reach_a = reach(a, intents[a.intent_id], registry)
+            for ref_b, b in labelled_batch[i + 1 :]:
+                pairs += 1
+                disjoint += reach_a.isdisjoint(reach(b, intents[b.intent_id], registry))
+                conflicting += bool(
+                    pairwise_conflicts(a, b, intents, batch.matrix, registry, a_ref=ref_a, b_ref=ref_b)
+                )
+        for _, p in labelled_batch:
+            if any(x not in registry for x in p.node_ids):
+                seen.add("unregistered")
+            if len(set(p.node_ids)) < len(p.node_ids):
+                seen.add("repeated")
+            if any(not {a, b} <= set(p.node_ids) for a, b in p.edges):
+                seen.add("dangling")
+        if any(p.intent_id in batch.candidates for p in batch.pre):
+            seen.add("shared intent")
+    assert seen == {"unregistered", "repeated", "dangling", "shared intent"}
+    assert disjoint > pairs / 4 and conflicting > pairs / 4, (pairs, disjoint, conflicting)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +25,7 @@ from .helpers import (
     CAP_POOL,
     DIALECT_POOL,
     KPI_POOL,
+    PERFBENCH,
     brute_ground_truth,
     random_intent,
     random_matrix,
@@ -165,7 +165,6 @@ def test_score_perfect_solution(truths):
 
 
 _DIALECT_PAIRS = [(a, b) for i, a in enumerate(DIALECT_POOL) for b in DIALECT_POOL[i + 1 :]]
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @st.composite
