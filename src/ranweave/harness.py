@@ -39,7 +39,7 @@ from .planner import (
     max_conflict_free_subset,
     synthesize_ground_truth,
 )
-from .retrieval import VectorStore
+from .retrieval import DocChunk, VectorStore
 from .transport import ChatTransport, HttpChatTransport, MockBundle, NoisyTransport, OracleTransport
 
 T = TypeVar("T")
@@ -73,6 +73,13 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class FixtureBundle:
+    """A loaded catalog. What every run of it shares, the reference pipelines
+    and the embedded knowledge corpus, is computed once per bundle, on first
+    use, and lives as long as the bundle: loading the catalog again computes
+    it again. The corpus cache holds chunks embedded by the trigram embedder
+    only; a store built over another embedder, such as RemoteEmbedder, needs
+    its own cache."""
+
     registry: Registry
     intents: dict[int, Intent]
     scenarios: dict[int, ScenarioSpec]
@@ -84,6 +91,17 @@ class FixtureBundle:
         """Reference pipeline per intent, synthesized once, on first lookup (read-only).
         An infeasible intent raises InfeasibleIntentError; the others stay usable."""
         return ReferencePipelines(self)
+
+    @cached_property
+    def knowledge(self) -> tuple[DocChunk, ...]:
+        """The chunks of knowledge_dir, embedded on first use; their vectors are read-only."""
+        store = VectorStore()
+        if self.knowledge_dir.is_dir():
+            store.add_directory(self.knowledge_dir)
+        chunks = store.chunks
+        for chunk in chunks:
+            chunk.vector.flags.writeable = False
+        return chunks
 
 
 class ReferencePipelines(Mapping):
@@ -289,10 +307,12 @@ def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
 
 
 def build_knowledge_store(bundle: FixtureBundle) -> VectorStore:
-    store = VectorStore()
-    if bundle.knowledge_dir.is_dir():
-        store.add_directory(bundle.knowledge_dir)
-    return store
+    """A fresh store over the bundle's corpus, embedded once per bundle.
+
+    Each call gets its own chunk list and query memo, so documents added to
+    one run's store never reach another run.
+    """
+    return VectorStore(chunks=bundle.knowledge)
 
 
 def make_transport(kind: str, bundle: FixtureBundle, seed: int = 0) -> ChatTransport:

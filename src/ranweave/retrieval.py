@@ -96,20 +96,19 @@ def embed(text: str) -> np.ndarray:
 
     Empty text embeds to the zero vector.
     """
-    vector = np.zeros(EMBEDDING_DIM, dtype=np.float64)
     normalized = text.casefold()
     if not normalized:
-        return vector
+        return np.zeros(EMBEDDING_DIM, dtype=np.float64)
     grams = (
         [normalized[i : i + 3] for i in range(len(normalized) - 2)]
         if len(normalized) >= 3
         else [normalized]
     )
-    for gram in grams:
-        digest = zlib.crc32(gram.encode("utf-8"))
-        bucket = digest % EMBEDDING_DIM
-        sign = 1.0 if (digest >> 8) & 1 else -1.0
-        vector[bucket] += sign
+    # Each gram's crc32 of its UTF-8 bytes picks a bucket and, by bit 8, a
+    # sign. The bucket sums are small integers, so float64 holds them exactly.
+    digests = np.fromiter(map(zlib.crc32, map(str.encode, grams)), dtype=np.uint32, count=len(grams))
+    signs = ((digests >> 8) & 1) * 2.0 - 1.0
+    vector = np.bincount(digests % EMBEDDING_DIM, weights=signs, minlength=EMBEDDING_DIM)
     norm = float(np.linalg.norm(vector))
     if norm == 0.0:
         return vector
@@ -135,13 +134,16 @@ def k_schedule(iteration: int) -> int:
 class VectorStore:
     """In-memory chunk index queried by cosine similarity.
 
-    The last query's (text, vector) pair is kept, so a run that asks the
-    same question every iteration embeds it once.
+    The store starts from chunks, which must be embedded by embed_fn. The
+    last query's (text, vector) pair is kept, so a run that asks the same
+    question every iteration embeds it once.
     """
 
-    def __init__(self, embed_fn: Callable[[str], np.ndarray] | None = None):
+    def __init__(
+        self, embed_fn: Callable[[str], np.ndarray] | None = None, chunks: Iterable[DocChunk] = ()
+    ):
         self._embed = embed_fn or embed
-        self._chunks: list[DocChunk] = []
+        self._chunks: list[DocChunk] = list(chunks)
         self._last_query: tuple[str, np.ndarray] | None = None
 
     def __len__(self) -> int:

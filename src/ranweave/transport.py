@@ -9,11 +9,9 @@ call counter, which makes every orchestration run reproducible.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import random
-import urllib.request
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable, Mapping, TypeVar
@@ -54,6 +52,11 @@ def post_json(
     The one HTTP exchange of both backends. Every failure of the exchange,
     read's own checks included, raises error(f"{what} failed: {exc}").
     """
+    # Imported here, not at module level: they pull in ssl and email, which
+    # mock runs never need.
+    import http.client
+    import urllib.request
+
     headers = {"Content-Type": "application/json", "Authorization": f"Bearer {api_key}"}
     try:
         # Built inside the try: a base URL without a scheme raises ValueError here.

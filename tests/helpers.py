@@ -7,10 +7,12 @@ and naively; they share no code path with the engine they check.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from pathlib import Path
 
+import numpy as np
 from hypothesis import strategies as st
 
 from ranweave.conflicts import (
@@ -21,6 +23,7 @@ from ranweave.conflicts import (
     pairwise_conflicts,
 )
 from ranweave.model import DeploymentState, Intent, Pipeline, Registry, Stage, XAppProfile
+from ranweave.retrieval import EMBEDDING_DIM
 
 CAP_POOL = ["steering", "sensing", "slicing", "power", "scheduling", "beam"]
 PARAM_POOL = ["tx_power", "prb_quota", "weights", "beam_set", "steer_mode"]
@@ -369,3 +372,23 @@ def brute_least_topological_order(nodes: list[str], edges: set[tuple[str, str]])
         if all(position[a] < position[b] for a, b in edges):
             return list(order)
     return None
+
+
+def reference_embed(text: str) -> np.ndarray:
+    """The trigram embedder as a plain loop: one signed increment per gram."""
+    vector = np.zeros(EMBEDDING_DIM, dtype=np.float64)
+    normalized = text.casefold()
+    if not normalized:
+        return vector
+    grams = (
+        [normalized[i : i + 3] for i in range(len(normalized) - 2)]
+        if len(normalized) >= 3
+        else [normalized]
+    )
+    for gram in grams:
+        digest = zlib.crc32(gram.encode("utf-8"))
+        vector[digest % EMBEDDING_DIM] += 1.0 if (digest >> 8) & 1 else -1.0
+    norm = float(np.linalg.norm(vector))
+    if norm == 0.0:
+        return vector
+    return vector / norm

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranweave import retrieval
 from ranweave.agents import Mode, RunContext
 from ranweave.cli import main as cli_main
 from ranweave.harness import (
     FixtureError,
     RunReport,
+    build_knowledge_store,
     compare_modes,
     emit_report,
     load_fixtures,
@@ -28,6 +30,7 @@ from ranweave.harness import (
 )
 from ranweave.memory import MemoryBuffer
 from ranweave.model import DeploymentState
+from ranweave.retrieval import embed
 
 # One sha256 over RunReport.to_dict() for bundled scenarios 1-4 x every mode x
 # seeds 0-2 under mock-noisy, and each mode's agent calls over the same grid.
@@ -341,6 +344,38 @@ def test_run_scenario_reports_are_deterministic(bundle):
     first = run_scenario(bundle, 2, "f5", "mock-noisy", seed=5)
     second = run_scenario(bundle, 2, "f5", "mock-noisy", seed=5)
     assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(second.to_dict(), sort_keys=True)
+
+
+def test_each_bundle_embeds_its_corpus_once(monkeypatch):
+    """Runs of one bundle share its embedded corpus, a bundle loaded again
+    embeds it again, and each run's store is its own."""
+    embedded: list[str] = []
+
+    def counting_embed(text):
+        embedded.append(text)
+        return embed(text)
+
+    monkeypatch.setattr(retrieval, "embed", counting_embed)
+    fresh = load_fixtures()
+    run_scenario(fresh, 1, "f5", "mock-oracle", seed=0)
+    first_run = len(embedded)
+    run_scenario(fresh, 2, "f5", "mock-noisy", seed=3)
+    # The runs also embed their query and memory texts; count the chunks only.
+    chunk_texts = {chunk.text for chunk in fresh.knowledge}
+    assert len(fresh.knowledge) == 17
+    assert sum(text in chunk_texts for text in embedded[:first_run]) == 17
+    assert sum(text in chunk_texts for text in embedded[first_run:]) == 0
+
+    embedded.clear()
+    assert len(load_fixtures().knowledge) == 17
+    assert len(embedded) == 17
+
+    store = build_knowledge_store(fresh)
+    store.add_document("extra.md", "notes that one run adds to its own store")
+    assert len(store) == 18
+    assert len(build_knowledge_store(fresh)) == 17
+    with pytest.raises(ValueError):
+        fresh.knowledge[0].vector[0] = 1.0
 
 
 def test_run_scenario_memory_files_are_deterministic(bundle, tmp_path):

@@ -1,5 +1,5 @@
-"""Each module imports cleanly when it is the first one loaded, and only
-transport.py speaks HTTP.
+"""Each module imports cleanly when it is the first one loaded, only
+transport.py speaks HTTP, and a mock run never loads the HTTP stack.
 
 The package's __init__ imports the modules in one fixed order, which can
 hide an import cycle that another order would hit. Each case therefore
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import os
 import pkgutil
 import subprocess
 import sys
@@ -65,3 +66,25 @@ def test_only_transport_speaks_http():
         if name.split(".")[0] == "urllib" or name == "http.client" or name.startswith("http.client.")
     )
     assert not offenders
+
+
+_MOCK_RUN = """
+import sys
+import ranweave
+from ranweave.harness import load_fixtures, run_scenario
+run_scenario(load_fixtures(), 1, "f5", "mock-oracle", seed=0)
+print(sorted({"ssl", "http.client", "urllib.request", "email.message"} & set(sys.modules)))
+"""
+
+
+def test_a_mock_run_loads_no_http_stack():
+    """post_json imports the HTTP modules on its first call: they pull in ssl
+    and email, which cost every process start that never sends a request."""
+    source_root = os.path.dirname(PACKAGE_DIR)
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _MOCK_RUN],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -5,6 +5,8 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ranweave.retrieval import (
     CHUNK_OVERLAP,
@@ -18,6 +20,8 @@ from ranweave.retrieval import (
     k_schedule,
     reconstruct,
 )
+
+from .helpers import reference_embed
 
 
 def test_chunk_spans_for_1000_chars():
@@ -66,6 +70,31 @@ def test_embed_is_deterministic():
 def test_embed_empty_is_zero_vector():
     vector = embed("")
     assert not np.any(vector)
+
+
+# Short texts, and long ones made by repeating a drawn piece.
+_texts = st.text(max_size=12) | st.builds(
+    lambda piece, times: piece * times, st.text(min_size=1, max_size=40), st.integers(10, 60)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts)
+@example("")
+@example("a")
+@example("ab")
+@example("ß")  # case-folds to "ss": one character, one two-letter gram
+@example("İ")  # case-folds to two code points
+@example("ßİ")
+@example("x" * 5000)
+def test_embed_matches_the_reference_loop_bit_for_bit(text):
+    assert embed(text).tobytes() == reference_embed(text).tobytes()
+
+
+def test_bundled_corpus_embeds_as_the_reference_loop_does(bundle):
+    assert bundle.knowledge
+    for chunk in bundle.knowledge:
+        assert chunk.vector.tobytes() == reference_embed(chunk.text).tobytes()
 
 
 def test_embed_is_normalized():
