@@ -7,7 +7,9 @@ deterministic and needs no network; a remote HTTP embedder with the same
 interface can be plugged in instead.
 
 The number of chunks injected per query grows with the iteration count:
-top-10 on the first attempt, +10 per attempt, capped at 50.
+top-10 on the first attempt, +10 per attempt, capped at 50. A run asks the
+same question every iteration, so the store ranks the whole corpus once per
+query text and each later attempt takes a longer prefix of that ranking.
 """
 
 from __future__ import annotations
@@ -82,12 +84,24 @@ def chunk_document(
 
 
 def reconstruct(chunks: Iterable[DocChunk]) -> str:
-    """Rebuild the original document from its overlapping chunks."""
+    """Rebuild the original document from its overlapping chunks.
+
+    The chunks must be of one document and cover it from offset 0 without a
+    gap; anything else raises ValueError rather than returning part of it.
+    """
+    ordered = sorted(chunks, key=lambda c: c.start)
+    doc_ids = sorted({chunk.doc_id for chunk in ordered})
+    if len(doc_ids) > 1:
+        raise ValueError(f"chunks of more than one document: {doc_ids}")
+    if ordered and ordered[0].start != 0:
+        raise ValueError(f"first chunk starts at {ordered[0].start}, not 0")
     pieces = []
     cursor = 0
-    for chunk in sorted(chunks, key=lambda c: c.start):
+    for chunk in ordered:
+        if chunk.start > cursor:
+            raise ValueError(f"gap between offsets {cursor} and {chunk.start}")
         pieces.append(chunk.text[cursor - chunk.start :])
-        cursor = chunk.end
+        cursor = max(cursor, chunk.end)
     return "".join(pieces)
 
 
@@ -116,11 +130,14 @@ def embed(text: str) -> np.ndarray:
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product of normalized vectors; zero vectors score 0 by convention."""
+    """Inner product of normalized vectors; zero vectors score 0 by convention.
+
+    Both embedders return finite vectors, and a zero vector's inner product
+    with a finite one is +0.0 or -0.0, both equal to 0.0; so the convention
+    needs no test of its own.
+    """
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if not np.any(a) or not np.any(b):
-        return 0.0
     return float(np.dot(a, b))
 
 
@@ -135,8 +152,9 @@ class VectorStore:
     """In-memory chunk index queried by cosine similarity.
 
     The store starts from chunks, which must be embedded by embed_fn. The
-    last query's (text, vector) pair is kept, so a run that asks the same
-    question every iteration embeds it once.
+    last query's text and its full ranking are kept, so a run that asks the
+    same question every iteration embeds it and scores each chunk once;
+    later attempts slice the kept ranking. Adding a document drops it.
     """
 
     def __init__(
@@ -144,7 +162,7 @@ class VectorStore:
     ):
         self._embed = embed_fn or embed
         self._chunks: list[DocChunk] = list(chunks)
-        self._last_query: tuple[str, np.ndarray] | None = None
+        self._last_query: tuple[str, list[DocChunk]] | None = None
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -156,6 +174,7 @@ class VectorStore:
     def add_document(self, doc_id: str, text: str) -> int:
         added = chunk_document(doc_id, text, embed_fn=self._embed)
         self._chunks.extend(added)
+        self._last_query = None
         return len(added)
 
     def add_directory(self, path: str | Path) -> int:
@@ -171,15 +190,15 @@ class VectorStore:
         """Top chunks for this attempt, ties broken by (doc_id, start)."""
         k = k_schedule(iteration)
         if self._last_query is None or self._last_query[0] != query_text:
-            # A failed embedding raises before anything is kept.
-            self._last_query = (query_text, self._embed(query_text))
-        query_vector = self._last_query[1]
-        scored = [
-            (-cosine(query_vector, chunk.vector), chunk.doc_id, chunk.start, chunk)
-            for chunk in self._chunks
-        ]
-        scored.sort(key=lambda item: item[:3])
-        return [chunk for _, _, _, chunk in scored[:k]]
+            # A failed embedding or a dimension mismatch raises before
+            # anything is kept. Per-chunk np.dot, not one matrix product:
+            # BLAS rounds differently and would reorder near-ties.
+            query_vector = self._embed(query_text)
+            ranked = sorted(
+                self._chunks, key=lambda c: (-cosine(query_vector, c.vector), c.doc_id, c.start)
+            )
+            self._last_query = (query_text, ranked)
+        return self._last_query[1][:k]
 
 
 class RemoteEmbedder:

@@ -392,3 +392,23 @@ def reference_embed(text: str) -> np.ndarray:
     if norm == 0.0:
         return vector
     return vector / norm
+
+
+def reference_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine as first written: a zero vector on either side scores exactly 0.0."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    if not np.any(a) or not np.any(b):
+        return 0.0
+    return float(np.dot(a, b))
+
+
+def reference_rank(chunks, query_vector: np.ndarray, k: int) -> list:
+    """The store's ranking as first written: every chunk scored on every
+    query, then a full sort by (-score, doc_id, start)."""
+    scored = [
+        (-reference_cosine(query_vector, chunk.vector), chunk.doc_id, chunk.start, chunk)
+        for chunk in chunks
+    ]
+    scored.sort(key=lambda item: item[:3])
+    return [chunk for _, _, _, chunk in scored[:k]]

@@ -555,10 +555,23 @@ class RecordingNoisyTransport(NoisyTransport):
 
 
 @pytest.mark.parametrize("failures", [0, 1])
-def test_a_run_embeds_its_retrieval_query_once(bundle, truths, failures):
-    """The query text is the same every iteration, so one embedding serves
-    the run; a failed embedding is not kept, and the next iteration asks again."""
+def test_a_run_embeds_its_retrieval_query_once(bundle, truths, failures, monkeypatch):
+    """The query text is the same every iteration, so one embedding and one
+    ranking serve the run: each chunk is scored once. A failed embedding is
+    not kept, and the next iteration asks again."""
+    from collections import Counter
+
+    from ranweave import retrieval
     from ranweave.retrieval import RetrievalUnavailableError, VectorStore, embed
+
+    scored: Counter[int] = Counter()
+    cosine = retrieval.cosine
+
+    def counting_cosine(a, b):
+        scored[id(b)] += 1
+        return cosine(a, b)
+
+    monkeypatch.setattr(retrieval, "cosine", counting_cosine)
 
     embedded: list[str] = []
     failing = 0
@@ -582,6 +595,9 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, failures):
     assert outcome.iterations_run > 2
     assert len(embedded) == 1 + failures
     assert len(set(embedded)) == 1
+    chunk_vectors = {id(chunk.vector) for chunk in store.chunks}
+    assert len(chunk_vectors) == len(store)
+    assert [scored[key] for key in chunk_vectors] == [1] * len(store)
     no_context = [
         "## Retrieved context\n(no retrieved context)" in r.messages[1]["content"] for r in transport.requests
     ]

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ranweave.conflicts import ConflictKind, ConflictRecord
 from ranweave.memory import MemoryBuffer, MemoryEntry, OutcomeRecord
 from ranweave.model import Intent, Pipeline
 from ranweave.planner import SolutionScore
+from ranweave.retrieval import embed
+
+from .helpers import reference_cosine
 
 
 def _intent(intent_id: int, text: str) -> Intent:
@@ -174,6 +179,37 @@ def test_each_distinct_text_is_embedded_once_per_buffer():
     buffer.add(_intent(1, texts[0]), _pipeline(1), _outcome())
     buffer.retrieve_analogues(_intent(9, texts[0]), k=1)
     assert embedded[texts[0]] == 2, "clear() must empty the embedding cache"
+
+
+# "aafq" embeds to the zero vector.
+_texts = st.sampled_from(["", "a", "aafq", "ß", "save energy at night", "steer traffic at night"]) | st.text(max_size=20)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), _texts, st.booleans()), max_size=10),
+    st.integers(1, 5),
+    _texts,
+    st.integers(0, 6),
+)
+@example([(2, "aafq", True), (3, "", True), (4, "save energy at night", True)], 1, "aafq", 3)
+@example([(2, "steer traffic at night", True), (3, "", True), (4, "a", True)], 1, "", 3)
+def test_analogues_rank_as_the_reference_sort(attempts, intent_id, text, k):
+    """Same order as a sort keyed on the cosine that tests for zero vectors."""
+    buffer = MemoryBuffer()
+    for attempt_id, attempt_text, correct in attempts:
+        buffer.add(_intent(attempt_id, attempt_text), _pipeline(attempt_id), _outcome(correct=correct))
+    query = _intent(intent_id, text)
+    ranked = sorted(
+        (e for e in buffer.entries if e.outcome.correct),
+        key=lambda e: (
+            e.intent.id != intent_id,
+            -reference_cosine(embed(text), embed(e.intent.text)),
+            -e.sequence_no,
+        ),
+    )
+    expected = [(e.intent, e.pipeline) for e in ranked[:k]] if k > 0 else []
+    assert buffer.retrieve_analogues(query, k) == expected
 
 
 def test_buffer_replay_roundtrip(tmp_path):

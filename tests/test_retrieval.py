@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from ranweave.retrieval import (
     CHUNK_OVERLAP,
     CHUNK_SIZE,
+    EMBEDDING_DIM,
+    DocChunk,
     RetrievalUnavailableError,
     VectorStore,
     chunk_document,
@@ -21,7 +23,7 @@ from ranweave.retrieval import (
     reconstruct,
 )
 
-from .helpers import reference_embed
+from .helpers import reference_embed, reference_rank
 
 
 def test_chunk_spans_for_1000_chars():
@@ -59,6 +61,37 @@ def test_reconstruction_roundtrip_random_documents():
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3000)))
         chunks = chunk_document("doc", text)
         assert reconstruct(chunks) == text
+
+
+_TEXT_2000 = "".join(random.Random(11).choice(string.ascii_letters) for _ in range(2000))
+
+
+@pytest.mark.parametrize(
+    "chunks, message",
+    [
+        # (0,500) and (900,1400): the text in between is missing.
+        (
+            [
+                DocChunk("doc", start, end, _TEXT_2000[start:end], embed(_TEXT_2000[start:end]))
+                for start, end in [(0, 500), (900, 1400)]
+            ],
+            "gap between offsets 500 and 900",
+        ),
+        # Every chunk from 450 on: neither the document nor a suffix.
+        ([c for c in chunk_document("doc", _TEXT_2000) if c.start >= 450], "first chunk starts at 450, not 0"),
+        (chunk_document("a", "alpha " * 100) + chunk_document("b", "bravo " * 100), "more than one document"),
+    ],
+    ids=["gap", "no-start", "two-docs"],
+)
+def test_reconstruct_refuses_what_is_not_one_whole_document(chunks, message):
+    with pytest.raises(ValueError, match=message):
+        reconstruct(chunks)
+
+
+def test_reconstruct_accepts_any_order_and_repeated_chunks():
+    chunks = chunk_document("doc", _TEXT_2000)
+    assert reconstruct(reversed(chunks + chunks[:2])) == _TEXT_2000
+    assert reconstruct([]) == ""
 
 
 def test_embed_is_deterministic():
@@ -109,6 +142,10 @@ def test_cosine_self_similarity_is_one():
 
 def test_cosine_zero_vector_convention():
     assert cosine(embed(""), embed("anything")) == 0.0
+    zero, negative = np.zeros(EMBEDDING_DIM), -np.abs(embed("anything"))
+    assert cosine(zero, negative) == 0.0
+    assert cosine(negative, zero) == 0.0
+    assert cosine(zero, zero) == 0.0
 
 
 def test_cosine_dimension_mismatch():
@@ -204,6 +241,59 @@ def test_query_keeps_the_last_embedding_but_never_a_failure():
         got, expected = cached.query(text, iteration), reference.query(text, iteration)
         assert [(c.doc_id, c.start) for c in got] == [(c.doc_id, c.start) for c in expected]
     assert calls == ["traffic steering", "traffic steering", "slicing", "traffic steering"]
+
+    # A query vector the chunks cannot be compared with is never kept either.
+    calls.clear()
+    short = VectorStore(lambda text: embed_fn(text)[:-1], chunks=reference.chunks)
+    for iteration in (1, 2, 2):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            short.query("traffic steering", iteration)
+        assert short._last_query is None
+    assert calls == ["traffic steering"] * 3
+
+
+# "aafq" embeds to the zero vector: its two trigrams cancel in one bucket.
+_ZERO_TEXT = "aafq"
+_DOC_IDS = st.sampled_from(["a.md", "b.md", "c.md"])
+_doc_texts = (
+    st.sampled_from(["", "a", "ab", _ZERO_TEXT, "ß", "İ", "traffic steering", "énergie économisée"])
+    | st.text(max_size=30)
+    | st.builds(lambda piece, times: piece * times, st.text(min_size=1, max_size=20), st.integers(20, 80))
+)
+_query_texts = st.sampled_from(["", "a", _ZERO_TEXT, "traffic steering", "steering ß"]) | st.text(max_size=12)
+_steps = st.lists(
+    st.tuples(st.just("query"), _query_texts, st.integers(1, 6))
+    | st.tuples(st.just("add"), _DOC_IDS, _doc_texts),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_DOC_IDS, _doc_texts), max_size=6), _steps)
+@example(
+    [("b.md", "identical words"), ("a.md", "identical words"), ("a.md", "identical words"), ("c.md", _ZERO_TEXT)],
+    [("query", "identical words", 1), ("query", "identical words", 2), ("query", _ZERO_TEXT, 3), ("query", "", 6)],
+)
+@example(
+    [("a.md", "traffic steering " * 40)],
+    [("query", "steering", 1), ("add", "b.md", "steering"), ("query", "steering", 2), ("query", "steering", 3)],
+)
+def test_query_ranks_as_the_reference_loop(corpus, steps):
+    """The kept ranking, sliced per iteration, equals a fresh per-chunk sort
+    on every query, chunk for chunk; adding a document in between is seen."""
+    store = VectorStore()
+    for doc_id, text in corpus:
+        store.add_document(doc_id, text)
+    for step in steps:
+        if step[0] == "add":
+            store.add_document(*step[1:])
+            continue
+        _, text, iteration = step
+        got = store.query(text, iteration)
+        expected = reference_rank(store.chunks, embed(text), k_schedule(iteration))
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
 
 
 def test_store_loads_bundled_knowledge(bundle):
