@@ -33,7 +33,6 @@ from .model import (
     Stage,
     XAppProfile,
     pipelines_equal,
-    topological_order,
     validate_pipeline_structure,
 )
 from .planner import (
@@ -84,7 +83,6 @@ __all__ = [
     "run_scenario",
     "score_solution",
     "synthesize_ground_truth",
-    "topological_order",
     "validate_pipeline_structure",
     "validity",
 ]

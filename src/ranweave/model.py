@@ -7,7 +7,6 @@ pure function. Structural problems in a pipeline are reported as data
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping
@@ -393,14 +392,6 @@ class ValidationResult:
         return {v.code for v in self.violations}
 
 
-class PipelineStructureError(ValueError):
-    """Raised when an operation requires a structurally valid pipeline."""
-
-    def __init__(self, violations: Iterable[Violation]):
-        self.violations = tuple(violations)
-        super().__init__("; ".join(str(v) for v in self.violations) or "invalid pipeline")
-
-
 def validate_pipeline_structure(pipeline: Pipeline, registry: Registry) -> ValidationResult:
     """Full structural check. Returns every violation found, crash-free."""
     violations: list[Violation] = []
@@ -432,7 +423,7 @@ def validate_pipeline_structure(pipeline: Pipeline, registry: Registry) -> Valid
                 )
             )
 
-    _, cycle_nodes = _peel(node_ids, usable_edges)
+    cycle_nodes = _peel(node_ids, usable_edges)
     if cycle_nodes:
         violations.append(Violation("cycle", f"cycle through {sorted(cycle_nodes)}"))
 
@@ -442,10 +433,10 @@ def validate_pipeline_structure(pipeline: Pipeline, registry: Registry) -> Valid
     return ValidationResult(tuple(violations))
 
 
-def _peel(node_ids: Iterable[str], edges: Iterable[tuple[str, str]]) -> tuple[list[str], set[str]]:
-    """Kahn's peel, smallest ready id first: (peeled order, leftover nodes).
+def _peel(node_ids: Iterable[str], edges: Iterable[tuple[str, str]]) -> set[str]:
+    """Kahn's peel: the nodes it leaves, those on a cycle or reachable from one.
 
-    The leftover nodes are those on a cycle or reachable from one.
+    Which nodes are left does not depend on the order the ready ones are peeled.
     """
     indegree = {n: 0 for n in node_ids}
     successors: dict[str, list[str]] = {n: [] for n in indegree}
@@ -453,24 +444,15 @@ def _peel(node_ids: Iterable[str], edges: Iterable[tuple[str, str]]) -> tuple[li
         indegree[b] += 1
         successors[a].append(b)
     ready = [n for n, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
+    left = set(indegree)
     while ready:
-        node = heapq.heappop(ready)
-        order.append(node)
+        node = ready.pop()
+        left.remove(node)
         for nxt in successors[node]:
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    return order, set(indegree) - set(order)
-
-
-def topological_order(pipeline: Pipeline, registry: Registry) -> list[str]:
-    """Deterministic topological order; ties broken by ascending xApp id."""
-    result = validate_pipeline_structure(pipeline, registry)
-    if not result.ok:
-        raise PipelineStructureError(result.violations)
-    return _peel(pipeline.node_ids, pipeline.edges)[0]
+                ready.append(nxt)
+    return left
 
 
 def pipelines_equal(p: Pipeline, q: Pipeline) -> bool:

@@ -3,12 +3,16 @@
 Everything here is exact and deterministic. Ground-truth pipelines are
 minimum-size capability covers over the registry, found by a depth-first
 cover search that skips only subsets that cannot cover. The deployable set
-is found by full subset enumeration, which max_conflict_free_subset refuses
-with TooManyCandidatesError past MAX_SUBSET_CANDIDATES (12) candidates.
-The generated catalogs of the benchmark's wide-catalog workload, with 12
-new intents each, sit exactly at that bound. Intent ids are integers and
-order as such: of equally good subsets, the one whose ascending id
-sequence is smallest wins. These outputs are the yardstick the iterative
+is found by select_subset, a depth-first branch and bound with no cap on
+the number of candidates. It walks the ascending ids on an explicit stack,
+taking each id before leaving it out; taking one drops the ids it clashes
+with. Equally good subsets are thus met in ascending id-sequence order, so
+keeping only a strictly better one is the tie-break. The bound is a greedy
+clique cover of the ids left, in the style of the colouring bounds of
+Tomita and Seki's MCQ and Ostergard's cliquer: no conflict-free set takes
+two members of one clique. A cover of singletons means the ids left clash
+with none of each other, and the branch takes them all. Intent ids are
+integers and order as such. These outputs are the yardstick the iterative
 agents are measured against.
 """
 
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .conflicts import (
@@ -37,15 +40,9 @@ from .model import (
 )
 from .schemas import pipeline_to_policy_doc
 
-MAX_SUBSET_CANDIDATES = 12
-
 
 class InfeasibleIntentError(ValueError):
     """No xApp subset in the registry can cover the intent."""
-
-
-class TooManyCandidatesError(ValueError):
-    """A batch has more candidates than max_conflict_free_subset enumerates."""
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -202,11 +199,6 @@ def max_conflict_free_subset(
     subset is always feasible.
     """
     ids = sorted(candidates)
-    if len(ids) > MAX_SUBSET_CANDIDATES:
-        raise TooManyCandidatesError(
-            f"subset enumeration is bounded at {MAX_SUBSET_CANDIDATES} candidates, got {len(ids)}"
-        )
-
     evaluation = evaluate_conflicts(candidates, ids, pre, intents, matrix, registry)
     usable = evaluation.usable
     correct = (
@@ -230,29 +222,56 @@ def select_subset(
 ) -> frozenset[int]:
     """The exact deployment selector: the best usable subset with no clashing pair.
 
-    Exhaustive over the subsets of usable. One key decides: most correct
-    members first, then most members, then the smallest ascending sequence
-    of intent ids. Correct comes first because the
-    deployment-success metric counts correctly deployed pipelines, not
-    deployed ones.
+    One key decides: most correct members first, then most members, then
+    the smallest ascending sequence of intent ids. Correct comes first
+    because the deployment-success metric counts correctly deployed
+    pipelines, not deployed ones. clashes holds each clashing pair both ways
+    round, as evaluate_conflicts builds it. The module docstring gives the
+    search.
     """
     ids = sorted(usable)
-    correct_total = sum(intent_id in correct for intent_id in ids)
-    best: AbstractSet[int] = frozenset()
-    best_key = (0, 0)
-    for size in range(len(ids), 0, -1):
-        if best_key >= (min(size, correct_total), size):
-            break  # no subset of this size or smaller can beat the best
-        # combinations() yields subsets in ascending key-sequence order, so
-        # the first subset to reach a key wins its ties.
-        for combo in combinations(ids, size):
-            chosen = set(combo)
-            if any(clashes[i] & chosen for i in combo):
-                continue
-            key = (len(chosen & correct), size)
-            if key > best_key:
-                best, best_key = chosen, key
-    return frozenset(best)
+    bit = {intent_id: 1 << p for p, intent_id in enumerate(ids)}
+    # adjacent[p]: the mask of the usable ids that ids[p] clashes with
+    adjacent = [sum(bit[j] for j in clashes[i] if j in bit) for i in ids]
+    correct_mask = sum(bit[i] for i in ids if i in correct)
+
+    best, best_key = 0, (0, 0)
+    stack = [(0, 0, 0, (1 << len(ids)) - 1)]  # (chosen, its size, its correct count, ids left)
+    while stack:
+        chosen, size, good, rest = stack.pop()
+        cliques = _clique_cover(rest, adjacent)
+        rest_correct = rest & correct_mask
+        good_cliques = cliques if rest_correct == rest else _clique_cover(rest_correct, adjacent)
+        bound = (good + good_cliques, size + cliques)
+        if bound <= best_key:
+            continue
+        if cliques == rest.bit_count():  # rest is clash-free: bound is the key of chosen | rest
+            best, best_key = chosen | rest, bound
+            continue
+        head = rest & -rest
+        rest ^= head
+        stack.append((chosen, size, good, rest))
+        clear = rest & ~adjacent[head.bit_length() - 1]
+        stack.append((chosen | head, size + 1, good + bool(head & correct_mask), clear))
+    return frozenset(i for i in ids if bit[i] & best)
+
+
+def _clique_cover(members: int, adjacent: Sequence[int]) -> int:
+    """The number of cliques of a greedy clique cover of the members mask.
+
+    Each member, lowest first, joins the first clique whose members it all
+    clashes with. Building the cliques one at a time, each from the lowest
+    member not yet covered, gives the same cover.
+    """
+    cliques = 0
+    while members:
+        cliques += 1
+        joinable = members
+        while joinable:
+            member = joinable & -joinable
+            members ^= member
+            joinable = (joinable ^ member) & adjacent[member.bit_length() - 1]
+    return cliques
 
 
 def score_solution(

@@ -87,7 +87,8 @@ def reconstruct(chunks: Iterable[DocChunk]) -> str:
     """Rebuild the original document from its overlapping chunks.
 
     The chunks must be of one document and cover it from offset 0 without a
-    gap; anything else raises ValueError rather than returning part of it.
+    gap, and each must agree with the text before it where they overlap;
+    anything else raises ValueError rather than returning part of it.
     """
     ordered = sorted(chunks, key=lambda c: c.start)
     doc_ids = sorted({chunk.doc_id for chunk in ordered})
@@ -95,14 +96,15 @@ def reconstruct(chunks: Iterable[DocChunk]) -> str:
         raise ValueError(f"chunks of more than one document: {doc_ids}")
     if ordered and ordered[0].start != 0:
         raise ValueError(f"first chunk starts at {ordered[0].start}, not 0")
-    pieces = []
-    cursor = 0
+    text = ""
     for chunk in ordered:
-        if chunk.start > cursor:
-            raise ValueError(f"gap between offsets {cursor} and {chunk.start}")
-        pieces.append(chunk.text[cursor - chunk.start :])
-        cursor = max(cursor, chunk.end)
-    return "".join(pieces)
+        if chunk.start > len(text):
+            raise ValueError(f"gap between offsets {len(text)} and {chunk.start}")
+        overlap = chunk.text[: len(text) - chunk.start]
+        if overlap != text[chunk.start : chunk.start + len(overlap)]:
+            raise ValueError(f"chunk at offset {chunk.start} disagrees with the text before it")
+        text += chunk.text[len(overlap) :]
+    return text
 
 
 def embed(text: str) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -359,19 +359,6 @@ def brute_after_cycles(nodes: list[str], edges: set[tuple[str, str]]) -> set[str
                 reach[n], changed = wider, True
     on_cycle = {n for n in nodes if n in reach[n]}
     return on_cycle.union(*(reach[n] for n in on_cycle))
-
-
-def brute_least_topological_order(nodes: list[str], edges: set[tuple[str, str]]) -> list[str] | None:
-    """The lexicographically least order that puts every edge forward, or None.
-
-    permutations() of a sorted list comes in lexicographic order, so the
-    first order that respects every edge is the least.
-    """
-    for order in permutations(sorted(nodes)):
-        position = {x: i for i, x in enumerate(order)}
-        if all(position[a] < position[b] for a, b in edges):
-            return list(order)
-    return None
 
 
 def reference_embed(text: str) -> np.ndarray:

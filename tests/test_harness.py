@@ -576,10 +576,10 @@ def test_cli_isolates_an_infeasible_intent(tmp_path, bundle, capsys):
 
 
 def test_cli_isolates_a_scenario_past_the_subset_bound(tmp_path, bundle, capsys):
-    # Intents 8-13 copy intents 1-6, so scenario 9 has 13 feasible new intents,
-    # one more than the exact subset search takes. Scenario 10 has two
-    # conflicting references (test_fixture_soundness_gate_names_conflicting_references)
-    # and is listed after it, so validation must go on past scenario 9.
+    # Intents 8-13 copy intents 1-6, so scenario 9 has 13 feasible new
+    # intents, and all 13 deploy. Scenario 10 has two conflicting references
+    # (test_fixture_soundness_gate_names_conflicting_references) and is
+    # listed after it, so it must fail alone.
     def add_intents(intents):
         copies = [dict(intents[i], id=i + 8) for i in range(6)]
         return intents + copies + [dict(intents[1], id=14, target_kpis={"latency": 1})]
@@ -593,18 +593,13 @@ def test_cli_isolates_a_scenario_past_the_subset_bound(tmp_path, bundle, capsys)
     root = str(_copy_catalog(bundle, tmp_path, intents=add_intents, scenarios=add_scenarios))
     assert cli_main(["--fixtures", root, "fixtures", "validate"]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "FAIL scenario 9: subset enumeration is bounded at 12 candidates, got 13",
         "FAIL scenario 10: reference pipelines pre:14 and pre:3 conflict: latency",
     ]
 
-    assert cli_main(["--fixtures", root, "run", "--scenario", "1", "--mode", "all"]) == 0
+    assert cli_main(["--fixtures", root, "run", "--scenario", "9", "--mode", "all"]) == 0
     assert capsys.readouterr().out.count("converged") == 5
-
-    for command in (["run", "--scenario", "9"], ["oracle", "--scenario", "9"]):
-        assert cli_main(["--fixtures", root] + command) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "ranweave: subset enumeration is bounded at 12 candidates, got 13\n"
+    assert cli_main(["--fixtures", root, "oracle", "--scenario", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_subset"] == list(range(1, 14))
 
 
 def test_cli_reports_fixture_error_in_one_line(tmp_path, bundle, capsys):

@@ -26,6 +26,7 @@ from .helpers import (
     DIALECT_POOL,
     KPI_POOL,
     PERFBENCH,
+    brute_best_subset,
     brute_ground_truth,
     random_intent,
     random_matrix,
@@ -152,10 +153,17 @@ def test_max_subset_respects_pre_deployed(bundle, truths):
 
 
 def test_max_subset_candidate_cap():
-    registry, intents, candidates = _abc_candidates()
-    too_many = {i: candidates[1] for i in range(13)}
-    with pytest.raises(ValueError, match="bounded"):
-        max_conflict_free_subset(too_many, DeploymentState(), intents, NO_CLASH, registry)
+    # There is none. 20 candidates set one parameter to one of three values,
+    # by id mod 3; those that differ clash. Ids 1, 4, .., 19 and 2, 5, .., 20
+    # tie at seven members, and the smaller id sequence wins.
+    registry = Registry([XAppProfile.build("shared", capabilities=["c"], controlled_params=["p"])])
+    intents = {
+        i: Intent.build(i, f"intent {i}", target_kpis={"latency": -1}, required_capabilities=["c"])
+        for i in range(1, 21)
+    }
+    candidates = {i: Pipeline.build(i, [("shared", {"p": f"mode{i % 3}"})]) for i in intents}
+    result = max_conflict_free_subset(candidates, DeploymentState(), intents, NO_CLASH, registry)
+    assert result.max_subset == frozenset(range(1, 21, 3))
 
 
 def test_score_perfect_solution(truths):
@@ -348,6 +356,65 @@ def test_subset_matches_brute_force_independent_set():
         )
         assert evaluation.usable == tuple(sorted(usable))
         assert _select_deployment(ctx, evaluation.usable, evaluation.clashes, set(truths)) == expected
+
+
+def _clashes(ids, edges):
+    return {i: {j for edge in edges if i in edge for j in edge if j != i} for i in ids}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_select_subset_matches_brute_force_in_any_order(data):
+    """The branch and bound keeps the documented key on random clash graphs,
+    whatever the order of usable. Ids lie on both sides of 10, so numeric
+    and string order differ; correct is any subset, so correct and size
+    pull apart."""
+    ids = data.draw(st.lists(st.integers(1, 30), unique=True, max_size=12))
+    pairs = [frozenset((a, b)) for k, a in enumerate(ids) for b in ids[k + 1 :]]
+    edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    correct = data.draw(st.sets(st.sampled_from(ids))) if ids else set()
+    clashes = _clashes(ids, edges)
+    expected = brute_best_subset(ids, edges, correct)
+    assert select_subset(ids, clashes, correct) == expected
+    assert select_subset(data.draw(st.permutations(ids)), clashes, correct) == expected
+
+
+def test_select_subset_is_exact_at_48_candidates():
+    """48 ids in disjoint components of at most 8, interleaved in id order.
+
+    The key adds up over components, and the smallest id sequence of a
+    union is the union of the smallest ones, so the answer is the union of
+    each component's brute-force best.
+    """
+    rng = random.Random(48)
+    for _ in range(10):
+        ids = rng.sample(range(1, 200), 48)
+        components = []
+        while ids:
+            size = min(rng.randint(1, 8), len(ids))
+            components.append(ids[:size])
+            ids = ids[size:]
+        expected, edges, correct = set(), set(), set()
+        for members in components:
+            density = rng.random()
+            own = {
+                frozenset((a, b))
+                for k, a in enumerate(members)
+                for b in members[k + 1 :]
+                if rng.random() < density
+            }
+            own_correct = {i for i in members if rng.random() < 0.5}
+            expected |= brute_best_subset(members, own, own_correct)
+            edges |= own
+            correct |= own_correct
+        usable = [i for members in components for i in members]
+        assert select_subset(usable, _clashes(usable, edges), correct) == expected
+
+
+def test_select_subset_takes_a_clash_free_batch_whole():
+    usable = random.Random(7).sample(range(1000), 1000)
+    clashes = {i: set() for i in usable}
+    assert select_subset(usable, clashes, set(range(0, 1000, 3))) == frozenset(usable)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

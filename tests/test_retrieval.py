@@ -80,8 +80,16 @@ _TEXT_2000 = "".join(random.Random(11).choice(string.ascii_letters) for _ in ran
         # Every chunk from 450 on: neither the document nor a suffix.
         ([c for c in chunk_document("doc", _TEXT_2000) if c.start >= 450], "first chunk starts at 450, not 0"),
         (chunk_document("a", "alpha " * 100) + chunk_document("b", "bravo " * 100), "more than one document"),
+        # Chunks 0 and 2 of one text around chunk 1 of another, all under one id.
+        (
+            [
+                chunk_document("d", letter * 1000)[k]
+                for letter, k in [("a", 0), ("b", 1), ("a", 2)]
+            ],
+            "chunk at offset 450 disagrees with the text before it",
+        ),
     ],
-    ids=["gap", "no-start", "two-docs"],
+    ids=["gap", "no-start", "two-docs", "other-overlap"],
 )
 def test_reconstruct_refuses_what_is_not_one_whole_document(chunks, message):
     with pytest.raises(ValueError, match=message):
