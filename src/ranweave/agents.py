@@ -140,7 +140,7 @@ SINGLE_AGENT_TEMPLATE = _read_template("single_agent.txt")
 
 
 def _json(doc: object) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
 def _render_profiles(registry: Registry) -> str:
@@ -176,6 +176,13 @@ def _request(
     ordered (heading, body) sections, each under a "## heading" line. Both
     render on the first read of messages; an assembler snapshots eagerly
     every input that could change before then (candidates, analogues).
+
+    Sections run from the most stable to the least: those that stay the
+    same for the whole run (registry, intents, deployed policies) come
+    first, then those that change per iteration, and the per-call ones
+    (candidates, the current intent) last. A backend with a prefix cache
+    then bills in full only the bytes after the prefix that consecutive
+    requests of one role share.
     """
 
     def render() -> tuple[dict[str, str], ...]:
@@ -191,14 +198,16 @@ def assemble_perception_request(
     conflicts: Sequence[ConflictRecord],
     chunks,
 ) -> AgentRequest:
-    active, chunks = labelled(candidates, ctx.pre), tuple(chunks)
+    deployed, proposed = labelled({}, ctx.pre), labelled(candidates, DeploymentState())
+    chunks = tuple(chunks)
 
     def sections():
         return [
-            ("Service intents", "\n".join(f"- intent {i.id}: {i.text}" for i in ctx.intents)),
             ("Registered xApps", _render_profiles(ctx.registry)),
-            ("Active policies", _render_policies(active)),
+            ("Service intents", "\n".join(f"- intent {i.id}: {i.text}" for i in ctx.intents)),
+            ("Deployed policies", _render_policies(deployed)),
             ("Retrieved context", _render_chunks(chunks)),
+            ("Candidate policies", _render_policies(proposed)),
         ]
 
     return _request(PERCEPTION, PERCEPTION_TEMPLATE, sections, {"conflicts": tuple(conflicts)})
@@ -212,28 +221,30 @@ def assemble_reasoning_request(
     candidates: Mapping[int, Pipeline],
     chunks,
 ) -> AgentRequest:
-    others = labelled({i: p for i, p in candidates.items() if i != intent.id}, ctx.pre)
+    deployed = labelled({}, ctx.pre)
+    others = labelled({i: p for i, p in candidates.items() if i != intent.id}, DeploymentState())
     analogues, chunks = tuple(analogues), tuple(chunks)
 
     def sections():
+        mandatory = sorted(intent.required_xapps)
         current = (
             f"intent {intent.id}: {intent.text}\n"
-            f"Target KPIs: {json.dumps(intent.targets, sort_keys=True)}\n"
-            f"Required capabilities: {sorted(intent.required_capabilities)}\n"
-            f"Mandatory xApps: {sorted(intent.required_xapps) or '(none)'}"
+            f"Target KPIs: {_json(intent.targets)}\n"
+            f"Required capabilities: {_json(sorted(intent.required_capabilities))}\n"
+            f"Mandatory xApps: {_json(mandatory) if mandatory else '(none)'}"
         )
         report = _render_report(perception) if perception is not None else "(no conflict report available)"
         past = "\n".join(
-            f"- intent {i.id} ({i.text}) -> {json.dumps(pipeline_to_policy_doc(pipe), sort_keys=True)}"
-            for i, pipe in analogues
+            f"- intent {i.id} ({i.text}) -> {_json(pipeline_to_policy_doc(pipe))}" for i, pipe in analogues
         )
         return [
-            ("Current intent", current),
             ("Registered xApps", _render_profiles(ctx.registry)),
-            ("Active policies", _render_policies(others)),
-            ("Conflict report", report),
-            ("Past successes for similar intents", past or "(no prior successes)"),
+            ("Deployed policies", _render_policies(deployed)),
             ("Retrieved context", _render_chunks(chunks)),
+            ("Conflict report", report),
+            ("Candidate policies", _render_policies(others)),
+            ("Past successes for similar intents", past or "(no prior successes)"),
+            ("Current intent", current),
         ]
 
     template = SINGLE_AGENT_TEMPLATE if ctx.mode is Mode.SA else REASONING_TEMPLATE
@@ -247,14 +258,15 @@ def assemble_refinement_request(
 ) -> AgentRequest:
     # Eager: a render runs inside the transport's call, where no traced function may run.
     violations = validate_pipeline_structure(candidate, ctx.registry).violations
-    active = labelled(candidates, ctx.pre)
+    deployed, proposed = labelled({}, ctx.pre), labelled(candidates, DeploymentState())
 
     def sections():
         return [
-            (f"Candidate pipeline for intent {intent.id}", _render_policy(candidate)),
-            ("Structural violations detected", "\n".join(f"- {v}" for v in violations) or "(none found)"),
+            ("Deployed policies", _render_policies(deployed)),
+            ("Candidate policies", _render_policies(proposed)),
             ("Recurrent failure patterns", summary),
-            ("Deployment context", _render_policies(active)),
+            ("Structural violations detected", "\n".join(f"- {v}" for v in violations) or "(none found)"),
+            (f"Candidate pipeline for intent {intent.id}", _render_policy(candidate)),
         ]
 
     return _request(REFINEMENT, REFINEMENT_TEMPLATE, sections, {"intent": intent, "candidate": candidate})

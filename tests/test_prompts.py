@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import Counter
 
 from ranweave import agents
@@ -29,9 +30,9 @@ from ranweave.agents import (
 from ranweave.harness import make_transport, run_scenario
 from ranweave.model import DeploymentState, Pipeline
 from ranweave.schemas import dump_doc, pipeline_to_policy_doc
-from ranweave.transport import ChatTransport
+from ranweave.transport import PERCEPTION, REASONING, ChatTransport
 
-PROMPT_DIGEST = "4e45148e9dd11f2a2d3ee0a16f3dcf1eec08d755249934b2925ec41a23cf33e4"
+PROMPT_DIGEST = "e5b206101744c4ea319c91893f0239a724e10f86d7d19caa0217187f0097858f"
 
 
 class RecordingTransport(ChatTransport):
@@ -93,7 +94,7 @@ def test_prompt_bytes_are_pinned(bundle):
 
 
 def _json(doc: object) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
 def _one_shot_policies(pipelines) -> str:
@@ -117,17 +118,18 @@ def test_equal_pipelines_keep_their_own_bytes(bundle):
         matrix=bundle.matrix,
         intent_catalog=bundle.intents,
     )
-    active = {"pre:3": as_int, "3": as_bool}
     perception = assemble_perception_request(ctx, {3: as_bool}, (), ())
     refinement = assemble_refinement_request(ctx, bundle.intents[3], as_float, "(none)", {3: as_bool})
 
-    expected = _one_shot_policies(active)
-    assert '"max_load": 1\n' in expected and '"max_load": true\n' in expected
-    assert f"## Active policies\n{expected}\n\n" in perception.messages[1]["content"]
-    assert f"## Deployment context\n{expected}\n" in refinement.messages[1]["content"]
+    deployed = _one_shot_policies({"pre:3": as_int})
+    proposed = _one_shot_policies({"3": as_bool})
+    assert '"max_load":1}' in deployed and '"max_load":true}' in proposed
+    for request in (perception, refinement):
+        assert f"## Deployed policies\n{deployed}\n\n" in request.messages[1]["content"]
+        assert f"## Candidate policies\n{proposed}\n" in request.messages[1]["content"]
     candidate = _json(pipeline_to_policy_doc(as_float))
-    assert '"max_load": 1.0\n' in candidate
-    assert f"## Candidate pipeline for intent 3\n{candidate}\n\n" in refinement.messages[1]["content"]
+    assert '"max_load":1.0}' in candidate
+    assert refinement.messages[1]["content"].endswith(f"## Candidate pipeline for intent 3\n{candidate}\n")
 
 
 def test_a_mock_run_renders_no_prompt(bundle, monkeypatch):
@@ -178,4 +180,66 @@ def test_a_request_renders_its_inputs_as_they_were_at_assembly(bundle, truths):
     del candidates[2]
     analogues.append((bundle.intents[6], truths[6]))
     assert request.messages == expected
-    assert '"1": {' in expected[1]["content"] and '"7": {' not in expected[1]["content"]
+    assert '"1":{' in expected[1]["content"] and '"7":{' not in expected[1]["content"]
+
+
+def _text(request) -> str:
+    """A request as a prefix cache sees it: every message's content, in order."""
+    return "".join(message["content"] for message in request.messages)
+
+
+def _end_of(text: str, heading: str) -> int:
+    """The offset just past the body of text's "## heading" section."""
+    return text.index("\n\n## ", text.index(f"## {heading}\n"))
+
+
+def test_consecutive_prompts_of_a_role_share_the_run_stable_sections(bundle):
+    """Each role's prompt opens with what stays the same for the run, so the
+    prefix two consecutive requests of one role share, the part a provider's
+    prefix cache does not bill in full, reaches past those sections. Within
+    one iteration the reasoning requests also share the conflict report."""
+    recorder = RecordingTransport(make_transport("mock-noisy", bundle, seed=0).complete)
+    run_scenario(bundle, 3, Mode.F5, recorder, seed=0)  # two intents pre-deployed
+    checked: Counter = Counter()
+    iteration, previous = 0, {}
+    for request in recorder.requests:
+        text = _text(request)
+        assert '"pre:3":' in text
+        if request.role == PERCEPTION and len(request.messages) == 2:
+            iteration += 1
+        if request.role in previous:
+            last_iteration, last = previous[request.role]
+            within = request.role == REASONING and last_iteration == iteration
+            heading = "Conflict report" if within else "Deployed policies"
+            shared = len(os.path.commonprefix([last, text]))
+            assert shared >= _end_of(text, heading), (request.role, iteration, heading)
+            checked[request.role, within] += 1
+        previous[request.role] = (iteration, text)
+    assert set(checked) == {("perception", False), ("refinement", False), ("reasoning", False), ("reasoning", True)}
+
+
+def test_compact_rendering_is_lossless(bundle, monkeypatch):
+    """Every registry and policies body loads back to exactly what it renders."""
+    snapshots: dict[str, list] = {}
+    render_policies = agents._render_policies
+
+    def recording(pipelines):
+        body = render_policies(pipelines)
+        snapshots.setdefault(body, []).append(pipelines)
+        return body
+
+    monkeypatch.setattr(agents, "_render_policies", recording)
+    profiles = [p.to_dict() for p in bundle.registry]
+    bodies = 0
+    for request in _all_requests(bundle):
+        lines = request.messages[1]["content"].split("\n")
+        if request.role != "refinement":
+            assert lines[0] == "## Registered xApps"
+            assert json.loads(lines[1]) == profiles
+        for heading in ("## Deployed policies", "## Candidate policies"):
+            body = lines[lines.index(heading) + 1]
+            for pipelines in snapshots[body]:
+                docs = {ref: pipeline_to_policy_doc(p) for ref, p in pipelines}
+                assert (json.loads(body) if body != "(none)" else {}) == docs
+            bodies += 1
+    assert bodies > 200 and any(body != "(none)" for body in snapshots)
