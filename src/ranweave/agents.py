@@ -38,7 +38,7 @@ from .model import (
     validate_pipeline_structure,
 )
 from .planner import OracleResult, SolutionScore, score_solution, select_subset
-from .retrieval import RetrievalUnavailableError, VectorStore
+from .retrieval import VectorStore
 from .schemas import (
     PerceptionDoc,
     RefinementDoc,
@@ -431,12 +431,7 @@ def orchestrate_batch(
     graph = build_conflict_graph({}, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry, pairs)
 
     for iteration in range(1, ctx.max_iterations + 1):
-        chunks = ()
-        if store is not None and len(store):
-            try:
-                chunks = store.query(query_text, iteration)
-            except RetrievalUnavailableError:
-                pass  # an unreachable embedder leaves the iteration without context
+        chunks = store.query(query_text, iteration) if store is not None and len(store) else ()
 
         perception_doc: PerceptionDoc | None = None
         if ctx.mode.uses_perception:

@@ -75,9 +75,7 @@ class FixtureBundle:
     """A loaded catalog. What every run of it shares, the reference pipelines
     and the embedded knowledge corpus, is computed once per bundle, on first
     use, and lives as long as the bundle: loading the catalog again computes
-    it again. The corpus cache holds chunks embedded by the trigram embedder
-    only; a store built over another embedder, such as RemoteEmbedder, needs
-    its own cache."""
+    it again."""
 
     registry: Registry
     intents: dict[int, Intent]
@@ -194,7 +192,7 @@ def load_fixtures(path: str | Path | None = None) -> FixtureBundle:
             raise FixtureError(
                 "intents.json", f"intent {intent.id} requires unknown capabilities {sorted(unknown)}"
             )
-        missing = intent.required_xapps - set(registry.ids)
+        missing = {x for x in intent.required_xapps if x not in registry}
         if missing:
             raise FixtureError(
                 "intents.json", f"intent {intent.id} mandates unregistered xApps {sorted(missing)}"

@@ -13,9 +13,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
-
-import numpy as np
 
 from .conflicts import ConflictRecord, PIPELINE_LEVEL
 from .model import Intent, Pipeline
@@ -50,9 +47,9 @@ class MemoryEntry:
 class MemoryBuffer:
     """Single-run episodic buffer with similarity-ranked recall."""
 
-    def __init__(self, embed_fn: Callable[[str], np.ndarray] | None = None):
+    def __init__(self) -> None:
         # Each distinct text is embedded once per buffer; clear() empties the cache.
-        self._embed = functools.cache(embed_fn or retrieval.embed)
+        self._embed = functools.cache(retrieval.embed)
         self._entries: list[MemoryEntry] = []
 
     def __len__(self) -> int:
@@ -139,8 +136,8 @@ class MemoryBuffer:
                 handle.write("\n")
 
     @classmethod
-    def load(cls, path: str | Path, embed_fn: Callable[[str], np.ndarray] | None = None) -> "MemoryBuffer":
-        buffer = cls(embed_fn)
+    def load(cls, path: str | Path) -> "MemoryBuffer":
+        buffer = cls()
         for line in Path(path).read_text(encoding="utf-8").splitlines():
             if line.strip():
                 buffer.record(_entry_from_dict(json.loads(line)))

@@ -199,6 +199,7 @@ class Registry:
                 raise ValueError(f"duplicate xApp id {profile.id!r} in registry")
             by_id[profile.id] = profile
         self._by_id = dict(sorted(by_id.items()))
+        self.ids: tuple[str, ...] = tuple(self._by_id)
         declared = {kpi for p in self._by_id.values() for kpi, _ in p.kpi_effects}
         self.kpi_catalog = frozenset(kpi_catalog) | declared
         for profile in self._by_id.values():
@@ -220,10 +221,6 @@ class Registry:
 
     def get(self, xapp_id: str) -> XAppProfile | None:
         return self._by_id.get(xapp_id)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self._by_id)
 
 
 @dataclass(frozen=True, slots=True)

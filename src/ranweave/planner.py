@@ -105,7 +105,7 @@ def synthesize_ground_truth(
     if max_len < 1 or max_len > 5:
         raise ValueError("max_len must be between 1 and 5")
     pool = registry.ids
-    missing = intent.required_xapps - set(pool)
+    missing = {x for x in intent.required_xapps if x not in registry}
     if missing:
         raise InfeasibleIntentError(
             f"intent {intent.id!r} mandates unregistered xApps {sorted(missing)}"

@@ -3,8 +3,7 @@
 Documents are split into 500-character segments with 50-character overlaps
 and ranked by cosine similarity. The reference embedder hashes character
 trigrams into a fixed 256-dimensional unit vector, so retrieval is fully
-deterministic and needs no network; a remote HTTP embedder with the same
-interface can be plugged in instead.
+deterministic and needs no network.
 
 The number of chunks injected per query grows with the iteration count:
 top-10 on the first attempt, +10 per attempt, capped at 50. A run asks the
@@ -14,15 +13,12 @@ query text and each later attempt takes a longer prefix of that ranking.
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
 import numpy as np
-
-from .transport import post_json
 
 EMBEDDING_DIM = 256
 CHUNK_SIZE = 500
@@ -31,15 +27,6 @@ CORPUS_SUFFIXES = (".md", ".txt")
 K_START = 10
 K_STEP = 10
 K_CAP = 50
-
-EMBED_BASE_URL_ENV = "RANWEAVE_EMBED_BASE_URL"
-EMBED_MODEL_ENV = "RANWEAVE_EMBED_MODEL"
-EMBED_API_KEY_ENV = "RANWEAVE_EMBED_API_KEY"
-DEFAULT_REMOTE_EMBED_MODEL = "text-embedding-3-small"
-
-
-class RetrievalUnavailableError(RuntimeError):
-    """The remote embedding backend could not be reached or answered badly."""
 
 
 @dataclass(frozen=True)
@@ -69,17 +56,12 @@ def chunk_spans(length: int, size: int = CHUNK_SIZE, overlap: int = CHUNK_OVERLA
 
 
 def chunk_document(
-    doc_id: str,
-    text: str,
-    size: int = CHUNK_SIZE,
-    overlap: int = CHUNK_OVERLAP,
-    embed_fn: Callable[[str], np.ndarray] | None = None,
+    doc_id: str, text: str, size: int = CHUNK_SIZE, overlap: int = CHUNK_OVERLAP
 ) -> list[DocChunk]:
-    embedder = embed_fn or embed
     chunks = []
     for start, end in chunk_spans(len(text), size, overlap):
         piece = text[start:end]
-        chunks.append(DocChunk(doc_id=doc_id, start=start, end=end, text=piece, vector=embedder(piece)))
+        chunks.append(DocChunk(doc_id=doc_id, start=start, end=end, text=piece, vector=embed(piece)))
     return chunks
 
 
@@ -134,7 +116,7 @@ def embed(text: str) -> np.ndarray:
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product of normalized vectors; zero vectors score 0 by convention.
 
-    Both embedders return finite vectors, and a zero vector's inner product
+    embed returns finite vectors, and a zero vector's inner product
     with a finite one is +0.0 or -0.0, both equal to 0.0; so the convention
     needs no test of its own.
     """
@@ -153,16 +135,13 @@ def k_schedule(iteration: int) -> int:
 class VectorStore:
     """In-memory chunk index queried by cosine similarity.
 
-    The store starts from chunks, which must be embedded by embed_fn. The
+    The store starts from chunks, which must be embedded by embed. The
     last query's text and its full ranking are kept, so a run that asks the
     same question every iteration embeds it and scores each chunk once;
     later attempts slice the kept ranking. Adding a document drops it.
     """
 
-    def __init__(
-        self, embed_fn: Callable[[str], np.ndarray] | None = None, chunks: Iterable[DocChunk] = ()
-    ):
-        self._embed = embed_fn or embed
+    def __init__(self, chunks: Iterable[DocChunk] = ()):
         self._chunks: list[DocChunk] = list(chunks)
         self._last_query: tuple[str, list[DocChunk]] | None = None
 
@@ -174,7 +153,7 @@ class VectorStore:
         return tuple(self._chunks)
 
     def add_document(self, doc_id: str, text: str) -> int:
-        added = chunk_document(doc_id, text, embed_fn=self._embed)
+        added = chunk_document(doc_id, text)
         self._chunks.extend(added)
         self._last_query = None
         return len(added)
@@ -192,57 +171,12 @@ class VectorStore:
         """Top chunks for this attempt, ties broken by (doc_id, start)."""
         k = k_schedule(iteration)
         if self._last_query is None or self._last_query[0] != query_text:
-            # A failed embedding or a dimension mismatch raises before
-            # anything is kept. Per-chunk np.dot, not one matrix product:
-            # BLAS rounds differently and would reorder near-ties.
-            query_vector = self._embed(query_text)
+            # Per-chunk np.dot, not one matrix product: BLAS rounds
+            # differently and would reorder near-ties.
+            query_vector = embed(query_text)
             ranked = sorted(
                 self._chunks, key=lambda c: (-cosine(query_vector, c.vector), c.doc_id, c.start)
             )
             self._last_query = (query_text, ranked)
         return self._last_query[1][:k]
 
-
-class RemoteEmbedder:
-    """HTTP embedding backend, interface-compatible with the reference one.
-
-    Configuration comes from the environment unless passed explicitly; any
-    transport or protocol failure surfaces as RetrievalUnavailableError. So
-    does a vector whose length differs from the first answer's, since the
-    store could not compare it with the chunks it holds.
-    """
-
-    def __init__(
-        self,
-        base_url: str | None = None,
-        model: str | None = None,
-        api_key: str | None = None,
-        timeout: float = 30.0,
-    ):
-        self.base_url = (base_url or os.environ.get(EMBED_BASE_URL_ENV, "")).rstrip("/")
-        self.model = model or os.environ.get(EMBED_MODEL_ENV, DEFAULT_REMOTE_EMBED_MODEL)
-        self.api_key = api_key or os.environ.get(EMBED_API_KEY_ENV, "")
-        self.timeout = timeout
-        self._length: int | None = None
-        if not self.base_url:
-            raise RetrievalUnavailableError(
-                f"no embedding endpoint configured; set {EMBED_BASE_URL_ENV}"
-            )
-
-    def __call__(self, text: str) -> np.ndarray:
-        payload = {"model": self.model, "input": [text]}
-        vector = post_json(
-            f"{self.base_url}/embeddings", self.api_key, payload, self.timeout,
-            self._vector, RetrievalUnavailableError, "embedding request",
-        )
-        norm = float(np.linalg.norm(vector))
-        return vector / norm if norm else vector
-
-    def _vector(self, body: Any) -> np.ndarray:
-        vector = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
-        if vector.ndim != 1 or not vector.size or not np.isfinite(vector).all():
-            raise ValueError(f"expected a non-empty finite vector, got shape {vector.shape}")
-        self._length = self._length or vector.size
-        if vector.size != self._length:
-            raise ValueError(f"expected {self._length} components, as in the first answer, got {vector.size}")
-        return vector

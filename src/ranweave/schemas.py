@@ -86,7 +86,7 @@ def _policy_doc_errors(data: object, registry: Registry, intent_id: int) -> list
     errors = _policy_shape_errors(data)
     if errors:
         return errors
-    unknown = sorted({xapp_id for xapp_id, _ in data["selected_xapps"]} - set(registry.ids))
+    unknown = sorted({xapp_id for xapp_id, _ in data["selected_xapps"] if xapp_id not in registry})
     if unknown:
         errors.append(f"unregistered xApp ids {unknown}")
     if data["intent_id"] != intent_id:

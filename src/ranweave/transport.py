@@ -14,7 +14,7 @@ import os
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Callable, Mapping
 
 from .conflicts import ConflictKind, ConflictRecord, active_ref, candidate_ref, conflict_report
 from .model import Intent, Pipeline, PipelineNode, Registry, default_directive, stage_chain
@@ -36,40 +36,8 @@ NOISY_SUCCESS_WITHOUT_PERCEPTION = 0.2
 NOISY_STRUCTURAL_SHARE = 0.7
 
 
-T = TypeVar("T")
-
-
 class TransportError(RuntimeError):
     """The backend could not produce a usable response."""
-
-
-def post_json(
-    url: str, api_key: str, payload: object, timeout: float,
-    read: Callable[[Any], T], error: type[Exception], what: str,
-) -> T:
-    """POST payload as JSON with a bearer token and return read(decoded body).
-
-    The one HTTP exchange of both backends. Every failure of the exchange,
-    read's own checks included, raises error(f"{what} failed: {exc}").
-    """
-    # Imported here, not at module level: they pull in ssl and email, which
-    # mock runs never need.
-    import http.client
-    import urllib.request
-
-    headers = {"Content-Type": "application/json", "Authorization": f"Bearer {api_key}"}
-    try:
-        # Built inside the try: a base URL without a scheme raises ValueError here.
-        request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers)
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            body = json.loads(response.read().decode("utf-8"))
-        return read(body)
-    except (
-        OSError, http.client.HTTPException, LookupError, TypeError, ValueError, OverflowError, RecursionError
-    ) as exc:
-        # OSError covers URLError, HTTPError, timeouts and connection resets;
-        # OverflowError an integer too large for a float.
-        raise error(f"{what} failed: {exc}") from exc
 
 
 @dataclass
@@ -123,21 +91,35 @@ class HttpChatTransport(ChatTransport):
             raise TransportError(f"no chat endpoint configured; set {CHAT_BASE_URL_ENV}")
 
     def _respond(self, request: AgentRequest) -> str:
+        """POST the messages and return the first choice's text.
+
+        Every failure of the exchange, the content check included, raises
+        TransportError("chat completion failed: ...").
+        """
+        # Imported here, not at module level: they pull in ssl and email, which
+        # mock runs never need.
+        import http.client
+        import urllib.request
+
         payload = {"model": self.model, "messages": list(request.messages), "temperature": 0.0}
-        return post_json(
-            f"{self.base_url}/chat/completions", self.api_key, payload, self.timeout,
-            _message_content, TransportError, "chat completion",
-        )
+        headers = {"Content-Type": "application/json", "Authorization": f"Bearer {self.api_key}"}
+        try:
+            # Built inside the try: a base URL without a scheme raises ValueError here.
+            http_request = urllib.request.Request(
+                f"{self.base_url}/chat/completions", json.dumps(payload).encode("utf-8"), headers
+            )
+            with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
+                body = json.loads(response.read().decode("utf-8"))
+            content = body["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"message content is {type(content).__name__}, not text")
+            return content
+        except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError, RecursionError) as exc:
+            # OSError covers URLError, HTTPError, timeouts and connection resets.
+            raise TransportError(f"chat completion failed: {exc}") from exc
 
     def describe(self) -> str:
         return f"http(model={self.model})"
-
-
-def _message_content(body: Any) -> str:
-    content = body["choices"][0]["message"]["content"]
-    if not isinstance(content, str):
-        raise TypeError(f"message content is {type(content).__name__}, not text")
-    return content
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import replace
 from itertools import product
@@ -501,47 +500,6 @@ def test_perception_reads_the_graph_the_previous_iteration_left(bundle, truths):
     assert list(handed[1]) == expected.all_records()
 
 
-def test_unreachable_embedder_means_no_retrieved_context(bundle, truths):
-    from ranweave.retrieval import RetrievalUnavailableError, VectorStore, embed
-
-    reachable = True
-
-    def embed_fn(text):
-        if not reachable:
-            raise RetrievalUnavailableError("embedding request failed: backend down")
-        return embed(text)
-
-    store = VectorStore(embed_fn)
-    store.add_document("notes.md", "traffic steering and energy saving notes")
-    reachable = False
-    _assert_runs_without_retrieved_context(bundle, truths, store)
-
-
-def _assert_runs_without_retrieved_context(bundle, truths, store):
-    transport = PromptCapture(_mock_bundle(bundle, truths))
-    ctx = _ctx(bundle, 1, Mode.F5, truths)
-    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), store, scenario_oracle(bundle, bundle.scenarios[1]))
-    assert outcome.converged
-    with_context = [t for t in transport.seen_user_messages if "## Retrieved context" in t]
-    assert with_context
-    assert all("## Retrieved context\n(no retrieved context)" in t for t in with_context)
-
-
-def test_embedder_answering_another_length_means_no_retrieved_context(bundle, truths, monkeypatch):
-    from ranweave.retrieval import RemoteEmbedder, VectorStore
-
-    length = 4
-
-    def fake_urlopen(request, timeout):
-        return io.BytesIO(json.dumps({"data": [{"embedding": [1.0] * length}]}).encode("utf-8"))
-
-    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    store = VectorStore(RemoteEmbedder(base_url="http://embed.example/v1"))
-    store.add_document("notes.md", "traffic steering and energy saving notes")
-    length = 3
-    _assert_runs_without_retrieved_context(bundle, truths, store)
-
-
 class RecordingNoisyTransport(NoisyTransport):
     """The noisy backend, keeping every request it answers."""
 
@@ -554,15 +512,13 @@ class RecordingNoisyTransport(NoisyTransport):
         return super()._respond(request)
 
 
-@pytest.mark.parametrize("failures", [0, 1])
-def test_a_run_embeds_its_retrieval_query_once(bundle, truths, failures, monkeypatch):
+def test_a_run_embeds_its_retrieval_query_once(bundle, truths, monkeypatch):
     """The query text is the same every iteration, so one embedding and one
-    ranking serve the run: each chunk is scored once. A failed embedding is
-    not kept, and the next iteration asks again."""
+    ranking serve the run: each chunk is scored once."""
     from collections import Counter
 
     from ranweave import retrieval
-    from ranweave.retrieval import RetrievalUnavailableError, VectorStore, embed
+    from ranweave.retrieval import VectorStore
 
     scored: Counter[int] = Counter()
     cosine = retrieval.cosine
@@ -573,36 +529,31 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, failures, monkeyp
 
     monkeypatch.setattr(retrieval, "cosine", counting_cosine)
 
+    store = VectorStore()
+    store.add_directory(bundle.knowledge_dir)
+    # Built before the patch, so the buffer's own embeddings are not counted.
+    memory = MemoryBuffer()
     embedded: list[str] = []
-    failing = 0
+    embed = retrieval.embed
 
-    def embed_fn(text):
-        nonlocal failing
+    def counting_embed(text):
         embedded.append(text)
-        if failing:
-            failing -= 1
-            raise RetrievalUnavailableError("embedding request failed: backend down")
         return embed(text)
 
-    store = VectorStore(embed_fn)
-    store.add_directory(bundle.knowledge_dir)
-    embedded.clear()
-    failing = failures
+    monkeypatch.setattr(retrieval, "embed", counting_embed)
     transport = RecordingNoisyTransport(_mock_bundle(bundle, truths), 0)
     ctx = _ctx(bundle, 1, Mode.SA, truths)
-    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), store, scenario_oracle(bundle, bundle.scenarios[1]))
+    outcome = orchestrate_batch(ctx, transport, memory, store, scenario_oracle(bundle, bundle.scenarios[1]))
 
     assert outcome.iterations_run > 2
-    assert len(embedded) == 1 + failures
-    assert len(set(embedded)) == 1
+    assert len(embedded) == 1
     chunk_vectors = {id(chunk.vector) for chunk in store.chunks}
     assert len(chunk_vectors) == len(store)
     assert [scored[key] for key in chunk_vectors] == [1] * len(store)
-    no_context = [
+    assert transport.requests
+    assert not any(
         "## Retrieved context\n(no retrieved context)" in r.messages[1]["content"] for r in transport.requests
-    ]
-    # Scenario 1 has two new intents: one SA call each per iteration.
-    assert no_context == [True] * 2 * failures + [False] * (len(no_context) - 2 * failures)
+    )
 
 
 def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch):

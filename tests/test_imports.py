@@ -1,5 +1,6 @@
 """Each module imports cleanly when it is the first one loaded, only
-transport.py speaks HTTP, and a mock run never loads the HTTP stack.
+transport.py speaks HTTP or reads the environment, and a mock run never
+loads the HTTP stack.
 
 The package's __init__ imports the modules in one fixed order, which can
 hide an import cycle that another order would hit. Each case therefore
@@ -57,7 +58,7 @@ def _absolute_imports(tree: ast.AST):
 
 
 def test_only_transport_speaks_http():
-    """Both backends share transport.post_json, so no other module needs urllib or http.client."""
+    """HttpChatTransport is the one HTTP backend, so no other module needs urllib or http.client."""
     offenders = sorted(
         (str(path.relative_to(PACKAGE_DIR)), name)
         for path in Path(PACKAGE_DIR).rglob("*.py")
@@ -66,6 +67,41 @@ def test_only_transport_speaks_http():
         if name.split(".")[0] == "urllib" or name == "http.client" or name.startswith("http.client.")
     )
     assert not offenders
+
+
+def _reads_environ(tree: ast.AST) -> bool:
+    """Whether tree names os.environ or os.getenv, as an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os" and node.attr in ("environ", "getenv"):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ("environ", "getenv") for alias in node.names):
+                return True
+    return False
+
+
+def _imported_names(tree: ast.AST):
+    """Every name an import statement of tree names, relative ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (alias.name for alias in node.names)
+
+
+def test_only_transport_reads_the_environment():
+    """The RANWEAVE_CHAT_* variables HttpChatTransport reads are the package's
+    only environment settings, and retrieval needs nothing of a backend."""
+    readers = sorted(
+        str(path.relative_to(PACKAGE_DIR))
+        for path in Path(PACKAGE_DIR).rglob("*.py")
+        if _reads_environ(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert readers == ["transport.py"]
+    retrieval = ast.parse(Path(PACKAGE_DIR, "retrieval.py").read_text(encoding="utf-8"))
+    assert "transport" not in {name.split(".")[-1] for name in _imported_names(retrieval)}
 
 
 _MOCK_RUN = """
@@ -78,7 +114,7 @@ print(sorted({"ssl", "http.client", "urllib.request", "email.message"} & set(sys
 
 
 def test_a_mock_run_loads_no_http_stack():
-    """post_json imports the HTTP modules on its first call: they pull in ssl
+    """HttpChatTransport imports the HTTP modules on its first call: they pull in ssl
     and email, which cost every process start that never sends a request."""
     source_root = os.path.dirname(PACKAGE_DIR)
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))

@@ -156,10 +156,10 @@ def test_clear_empties_buffer():
     assert len(buffer) == 0
 
 
-def test_each_distinct_text_is_embedded_once_per_buffer():
+def test_each_distinct_text_is_embedded_once_per_buffer(monkeypatch):
     from collections import Counter
 
-    from ranweave.retrieval import embed
+    from ranweave import retrieval
 
     embedded: Counter[str] = Counter()
 
@@ -167,7 +167,8 @@ def test_each_distinct_text_is_embedded_once_per_buffer():
         embedded[text] += 1
         return embed(text)
 
-    buffer = MemoryBuffer(counting_embed)
+    monkeypatch.setattr(retrieval, "embed", counting_embed)
+    buffer = MemoryBuffer()
     texts = ["steer traffic away from busy cells", "save energy at night", "save energy at night"]
     for intent_id, text in enumerate(texts, start=1):
         buffer.add(_intent(intent_id, text), _pipeline(intent_id), _outcome())

