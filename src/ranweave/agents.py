@@ -20,8 +20,8 @@ from importlib import resources
 from typing import AbstractSet, Callable, Mapping, Sequence, TypeVar
 
 from .conflicts import (
+    ConflictMemo,
     ConflictRecord,
-    PairMemo,
     VendorCompatibilityMatrix,
     build_conflict_graph,
     candidate_ref,
@@ -410,16 +410,27 @@ def orchestrate_batch(
     sees alone (deployed and named by no conflict) would freeze candidates
     that are wrong but clean.
 
-    One pair memo serves every conflict graph of the run, so a pair of
-    pipelines that both kept their identity is not checked again.
+    One ConflictMemo serves every conflict evaluation of the run, so a
+    pipeline, or a pair of them, that kept its identity is not checked
+    again. It starts as a copy of the oracle's memo, so the truths and the
+    active set, already checked by the oracle, are not checked at all; the
+    oracle must come from the run's own batch, as its truths and objective
+    are read too. Each stored candidate is interned: an answer whose value
+    an earlier one or a truth already has is replaced by that object, so
+    the memo's identity test catches it. The intern key is byte-exact, the
+    pipeline with the repr of its deployment conditions: == alone takes 1,
+    1.0 and true (and 0.0 and -0.0) for one value, but each renders its own
+    bytes. A candidate's structure is checked once, when it is stored.
     """
     memory.clear()
     truths = oracle.per_intent_truth
     objective = oracle.objective_value
     ordered = sorted(ctx.intents, key=lambda i: i.id)
     candidates: dict[int, Pipeline] = {}
+    valid: dict[int, bool] = {}  # intent id -> its candidate is structurally valid
     correct: frozenset[int] = frozenset()
-    pairs: PairMemo = {}
+    memo = oracle.memo.copy()
+    interned = {(p, repr(p.deployment_conditions)): p for p in truths.values()}
     best: Solution | None = None
     score_history: list[SolutionScore] = []
     synthesis: int | None = None
@@ -428,7 +439,7 @@ def orchestrate_batch(
     query_text = " ".join(i.text for i in ctx.intents) + " " + " ".join(ctx.registry.ids)
     # Perception reads the conflict graph of the candidates as the previous
     # iteration left them; before the first iteration, of the active set alone.
-    graph = build_conflict_graph({}, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry, pairs)
+    graph = build_conflict_graph({}, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry, memo)
 
     for iteration in range(1, ctx.max_iterations + 1):
         chunks = store.query(query_text, iteration) if store is not None and len(store) else ()
@@ -454,16 +465,15 @@ def orchestrate_batch(
                 refined = _attempt(run_refinement, ctx, intent, candidate, summary, transport, candidates)
                 if refined is not None:
                     candidate = refined.revised
+            # Every candidate passed the schema's condition check, so its key hashes.
+            candidate = interned.setdefault((candidate, repr(candidate.deployment_conditions)), candidate)
             attempted[intent.id] = candidate
             candidates[intent.id] = candidate
+            valid[intent.id] = validate_pipeline_structure(candidate, ctx.registry).ok
 
-        eligible = [
-            i
-            for i in sorted(candidates)
-            if validate_pipeline_structure(candidates[i], ctx.registry).ok
-        ]
+        eligible = [i for i in sorted(candidates) if valid[i]]
         evaluation = evaluate_conflicts(
-            candidates, eligible, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry, pairs
+            candidates, eligible, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry, memo
         )
         graph = evaluation.graph
         # Eligible candidates are structurally valid, so this is exactly the

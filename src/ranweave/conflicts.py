@@ -14,7 +14,7 @@ resulting records makes every derived artifact byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -413,8 +413,50 @@ class ConflictGraph:
         return canonical_sort(r for _, records in self.edges for r in records)
 
 
-# Per-run memo of pairwise records: (ref_a, ref_b) -> (pipe_a, pipe_b, records).
-PairMemo = dict[tuple[str, str], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]]
+@dataclass
+class ConflictMemo:
+    """What one run has worked out about its pipelines, reused across calls.
+
+    pairs maps (ref_a, ref_b) to (pipe_a, pipe_b, the pair's records);
+    reaches maps a ref to (pipeline, its reach); internals maps a ref to
+    (pipeline, its internal_conflicts records). An entry is reused only
+    while its pipelines are the very objects it was worked out for, a test
+    that costs nothing; a new object under an old ref replaces the entry.
+    Every fact depends on intents, matrix and registry too, so one memo
+    serves only calls with the same three, as in one run.
+    """
+
+    pairs: dict[tuple[str, str], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]] = field(
+        default_factory=dict
+    )
+    reaches: dict[str, tuple[Pipeline, set[str]]] = field(default_factory=dict)
+    internals: dict[str, tuple[Pipeline, tuple[ConflictRecord, ...]]] = field(default_factory=dict)
+
+    def copy(self) -> "ConflictMemo":
+        """A memo with the same entries whose later entries stay its own."""
+        return ConflictMemo(dict(self.pairs), dict(self.reaches), dict(self.internals))
+
+    def reach(
+        self, ref: str, pipeline: Pipeline, intents: Mapping[int, Intent], registry: Registry
+    ) -> set[str]:
+        """reach() of pipeline, worked out once per object under ref."""
+        seen = self.reaches.get(ref)
+        if seen is not None and seen[0] is pipeline:
+            return seen[1]
+        keys = reach(pipeline, intents[pipeline.intent_id], registry)
+        self.reaches[ref] = (pipeline, keys)
+        return keys
+
+    def internal(
+        self, ref: str, pipeline: Pipeline, matrix: VendorCompatibilityMatrix, registry: Registry
+    ) -> tuple[ConflictRecord, ...]:
+        """internal_conflicts of pipeline under ref, worked out once per object."""
+        seen = self.internals.get(ref)
+        if seen is not None and seen[0] is pipeline:
+            return seen[1]
+        records = tuple(internal_conflicts(pipeline, matrix, registry, ref=ref))
+        self.internals[ref] = (pipeline, records)
+        return records
 
 
 def candidate_ref(intent_id: int) -> str:
@@ -444,27 +486,24 @@ def build_conflict_graph(
     intents: Mapping[int, Intent],
     matrix: VendorCompatibilityMatrix,
     registry: Registry,
-    pairs: PairMemo | None = None,
+    memo: ConflictMemo | None = None,
 ) -> ConflictGraph:
     """Run all four detectors over every unordered pipeline pair that can conflict.
 
     The vertices are labelled's refs; walking its ref-ordered pairs i < j
-    yields the edges in ref order. Each pipeline's reach is built once per
-    call, and a pair whose reaches are disjoint is skipped without calling
-    pairwise_conflicts or reading the memo: reach holds one necessary
-    resource per conflict class, so every skipped pair has no records, and
-    the graph is the all-pairs graph.
+    yields the edges in ref order. A pair whose reaches are disjoint is
+    skipped without calling pairwise_conflicts or reading the pair entries:
+    reach holds one necessary resource per conflict class, so every skipped
+    pair has no records, and the graph is the all-pairs graph.
 
-    pairs, when given, memoizes the records of each (ref_a, ref_b) pair
-    the gate lets through, across calls. An entry is reused only while both
-    of its pipelines are the very objects it was worked out for, a test
-    that costs nothing; a new object under an old ref replaces the entry.
-    Records depend on intents, matrix and registry too, so one memo serves
-    only calls with the same three, as in one run.
+    memo, when given, holds the run's facts across calls (see ConflictMemo):
+    each pipeline's reach, and the records of each pair the gate lets
+    through, are worked out only for pipelines not yet met under their ref.
     """
-    pairs = {} if pairs is None else pairs
+    memo = ConflictMemo() if memo is None else memo
+    pairs = memo.pairs
     batch = labelled(candidates, pre)
-    reaches = [reach(p, intents[p.intent_id], registry) for _, p in batch]
+    reaches = [memo.reach(ref, p, intents, registry) for ref, p in batch]
     edges = []
     for i, (ref_a, pipe_a) in enumerate(batch):
         reach_a = reaches[i]
@@ -501,7 +540,7 @@ def evaluate_conflicts(
     intents: Mapping[int, Intent],
     matrix: VendorCompatibilityMatrix,
     registry: Registry,
-    pairs: PairMemo | None = None,
+    memo: ConflictMemo | None = None,
 ) -> ConflictEvaluation:
     """The one conflict evaluation of a candidate set, read by every consumer.
 
@@ -512,9 +551,12 @@ def evaluate_conflicts(
     sorted. usable keeps the eligible ids that no internal conflict and no
     active pipeline blocks; clashes maps each eligible id to the eligible ids
     it conflicts with. An edge to an ineligible candidate neither blocks nor
-    counts. pairs is build_conflict_graph's per-run pair memo.
+    counts. memo is the run's ConflictMemo: the graph reads its reach and
+    pair entries, and each eligible candidate's internal records come from
+    its internal entries.
     """
-    graph = build_conflict_graph(candidates, pre, intents, matrix, registry, pairs)
+    memo = ConflictMemo() if memo is None else memo
+    graph = build_conflict_graph(candidates, pre, intents, matrix, registry, memo)
     by_ref = {candidate_ref(intent_id): intent_id for intent_id in eligible}
     active = {ref for ref, _ in labelled({}, pre)}
     records: list[ConflictRecord] = []
@@ -531,7 +573,7 @@ def evaluate_conflicts(
         elif a is not None or b is not None:
             blocked.add(a if a is not None else b)
     for intent_id in eligible:
-        own = internal_conflicts(candidates[intent_id], matrix, registry, ref=candidate_ref(intent_id))
+        own = memo.internal(candidate_ref(intent_id), candidates[intent_id], matrix, registry)
         if own:
             blocked.add(intent_id)
             records += own

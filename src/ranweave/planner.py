@@ -24,6 +24,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .conflicts import (
     ConflictGraph,
+    ConflictMemo,
     VendorCompatibilityMatrix,
     candidate_ref,
     evaluate_conflicts,
@@ -66,7 +67,10 @@ class SolutionScore:
 class OracleResult:
     """Reference answer for one intent batch.
 
-    graph is the conflict graph the answer was computed from; it is not
+    graph is the conflict graph the answer was computed from, and memo the
+    ConflictMemo that graph was built through: the reach, pair and internal
+    entries of the truths and the active set. A run over the same batch
+    seeds its own memo from a copy (agents.orchestrate_batch). Neither is
     serialized.
     """
 
@@ -74,6 +78,7 @@ class OracleResult:
     max_subset: frozenset[int]
     objective_value: int
     graph: ConflictGraph = field(repr=False, compare=False)
+    memo: ConflictMemo = field(repr=False, compare=False)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -196,10 +201,12 @@ def max_conflict_free_subset(
     correct when it equals its reference in truths; without truths every
     candidate does, so the answer is the largest conflict-free subset: the
     scenario oracle's candidates are the truths, so it passes none. The empty
-    subset is always feasible.
+    subset is always feasible. The evaluation runs through a fresh
+    ConflictMemo, returned on the result.
     """
     ids = sorted(candidates)
-    evaluation = evaluate_conflicts(candidates, ids, pre, intents, matrix, registry)
+    memo = ConflictMemo()
+    evaluation = evaluate_conflicts(candidates, ids, pre, intents, matrix, registry, memo)
     usable = evaluation.usable
     correct = (
         set(usable)
@@ -212,6 +219,7 @@ def max_conflict_free_subset(
         max_subset=subset,
         objective_value=len(subset),
         graph=evaluation.graph,
+        memo=memo,
     )
 
 

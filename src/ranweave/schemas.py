@@ -102,8 +102,8 @@ def _policy_shape_errors(data: object) -> list[str]:
         return errors
 
     # bool is an int subclass; true is not an intent id.
-    if isinstance(data["intent_id"], bool) or not isinstance(data["intent_id"], (int, str)):
-        errors.append("intent_id must be an integer or string")
+    if isinstance(data["intent_id"], bool) or not isinstance(data["intent_id"], int):
+        errors.append("intent_id must be an integer")
 
     xapps = data["selected_xapps"]
     if not isinstance(xapps, list):

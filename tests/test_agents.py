@@ -557,11 +557,14 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, monkeypatch):
 
 
 def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch):
-    """Pins pairwise_conflicts' calls in one orchestrate_batch run over a
-    generated 50-xApp catalog with 12 new and 12 active intents. The reach
-    gate brings them to 222; every pair, through the same pair memo, would
-    take 430. 23 of the calls find a conflict either way."""
-    from ranweave import conflicts, planner
+    """Pins the conflict checks of one orchestrate_batch run over a generated
+    50-xApp catalog with 12 new and 12 active intents. The run's memo starts
+    from the oracle's, and equal answers share one object, so
+    pairwise_conflicts runs 111 times (10 find a conflict), internal_conflicts
+    10 times and validate_pipeline_structure 38 times. With a pair memo of
+    the run's own and no interning, the counts were 222 (23), 48 and 67;
+    every pair, through that memo, would take 430 pairwise calls."""
+    from ranweave import agents, conflicts, planner
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from wide_catalog import generate_catalog
@@ -587,18 +590,98 @@ def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch)
     )
     chat = NoisyTransport(MockBundle(catalog.registry, catalog.intents, catalog.matrix, truths), 7)
     found: list[bool] = []
+    calls = {"internal": 0, "structure": 0}
     pairwise_conflicts = conflicts.pairwise_conflicts
+    internal_conflicts = conflicts.internal_conflicts
+    validate_pipeline_structure = agents.validate_pipeline_structure
 
-    def counted(*args, **kwargs):
+    def counted_pairwise(*args, **kwargs):
         records = pairwise_conflicts(*args, **kwargs)
         found.append(bool(records))
         return records
 
-    monkeypatch.setattr(conflicts, "pairwise_conflicts", counted)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(conflicts, "pairwise_conflicts", counted_pairwise)
+    monkeypatch.setattr(conflicts, "internal_conflicts", counted("internal", internal_conflicts))
+    monkeypatch.setattr(
+        agents, "validate_pipeline_structure", counted("structure", validate_pipeline_structure)
+    )
     outcome = orchestrate_batch(ctx, chat, MemoryBuffer(), build_knowledge_store(bundle), oracle)
 
     assert outcome.converged
-    assert (len(found), sum(found)) == (222, 23)
+    assert (len(found), sum(found)) == (111, 10)
+    assert calls == {"internal": 10, "structure": 38}
+
+
+@pytest.mark.parametrize("scenario_id", [1, 2, 3, 4])
+def test_oracle_answers_are_stored_as_the_oracles_truth_objects(bundle, truths, scenario_id):
+    """Each parsed answer equal to its truth, conditions included, is
+    replaced by the truth object the oracle's memo already knows."""
+    oracle = scenario_oracle(bundle, bundle.scenarios[scenario_id])
+    memory = MemoryBuffer()
+    ctx = _ctx(bundle, scenario_id, Mode.F5, truths)
+    outcome = orchestrate_batch(ctx, OracleTransport(_mock_bundle(bundle, truths)), memory, None, oracle)
+    assert outcome.converged
+    assert outcome.best.candidates
+    for intent_id, candidate in outcome.best.candidates.items():
+        assert candidate is oracle.per_intent_truth[intent_id]
+    assert all(entry.pipeline is oracle.per_intent_truth[entry.intent.id] for entry in memory.entries)
+
+
+def test_an_equal_answer_with_other_condition_bytes_keeps_its_own_object(bundle, truths):
+    """1 and true compare (and hash) equal, so the two answers for intent 3
+    are equal pipelines; interning must not give the second the first's
+    object, or the next prompt would show "max_load":1 where the backend
+    sent true."""
+    from ranweave.conflicts import conflict_report
+
+    first_node = truths[3].nodes[0]
+    wrong = [(first_node.xapp_id, first_node.directive_map)]
+    as_int, as_bool = (Pipeline.build(3, wrong, (), {"max_load": v}) for v in (1, True))
+    assert as_int == as_bool and not pipelines_equal(as_int, truths[3])
+    report = dump_doc(conflict_report(()))
+    policy = {name: dump_doc(pipeline_to_policy_doc(p)) for name, p in (("int", as_int), ("bool", as_bool))}
+    # NR: perception, then reasoning for each unsolved intent; 4 is solved at once.
+    transport = ScriptedTransport(
+        [report, policy["int"], dump_doc(pipeline_to_policy_doc(truths[4])), report, policy["bool"], report]
+    )
+    memory = MemoryBuffer()
+    ctx = replace(_ctx(bundle, 1, Mode.NR, truths), max_iterations=3)
+    orchestrate_batch(ctx, transport, memory, None, scenario_oracle(bundle, bundle.scenarios[1]))
+
+    first, second = [e.pipeline for e in memory.entries if e.intent.id == 3][:2]
+    assert first == second and first is not second
+    assert first.deployment_conditions == (("max_load", 1),)
+    assert second.deployment_conditions[0][1] is True
+    third_perception = [r for r in transport.requests if r.role == "perception"][2]
+    candidates = third_perception.messages[1]["content"].split("## Candidate policies\n")[1]
+    assert '"max_load":true' in candidates and '"max_load":1' not in candidates
+
+
+def test_one_oracle_serves_two_runs_alike(bundle, truths):
+    """Two runs from one OracleResult, on fresh transports with one seed,
+    give byte-identical reports, and neither adds to the oracle's memo."""
+    spec = bundle.scenarios[3]
+    oracle = scenario_oracle(bundle, spec)
+    sizes = (len(oracle.memo.pairs), len(oracle.memo.reaches), len(oracle.memo.internals))
+    reports = []
+    for _ in range(2):
+        ctx = replace(_ctx(bundle, 3, Mode.F5, truths), max_iterations=10)
+        transport = NoisyTransport(_mock_bundle(bundle, truths), 5)
+        outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), build_knowledge_store(bundle), oracle)
+        report = harness._report_from_outcome(
+            spec, ctx.mode, transport, 5, oracle, outcome, ctx.max_iterations
+        )
+        reports.append(json.dumps(report.to_dict(), sort_keys=True))
+        assert outcome.iterations_run > 1
+    assert reports[0] == reports[1]
+    assert (len(oracle.memo.pairs), len(oracle.memo.reaches), len(oracle.memo.internals)) == sizes
 
 
 class IntentSwapTransport(OracleTransport):

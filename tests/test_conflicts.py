@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranweave.conflicts import (
     ConflictKind,
+    ConflictMemo,
     VendorCompatibilityMatrix,
     build_conflict_graph,
     canonical_sort,
@@ -25,6 +27,7 @@ from ranweave.conflicts import (
     validity,
 )
 from ranweave.model import DeploymentState, Intent, Pipeline, Registry, XAppProfile
+from ranweave.planner import max_conflict_free_subset
 from ranweave.schemas import dump_doc, parse_perception_doc
 
 from .helpers import (
@@ -327,16 +330,16 @@ def test_conflict_graph_matches_pairwise_union(bundle, truths):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_gated_graph_equals_the_all_pairs_loop(seed):
     """Over rounds that replace a random subset of the candidates, the
-    reach-gated graph, built fresh or through one shared pair memo, equals
+    reach-gated graph, built fresh or through one shared ConflictMemo, equals
     the all-pairs loop edge for edge and record for record; and validity
     equals its ungated sum of detectors."""
     batch = SparseBatch.draw(random.Random(seed))
     rng, intents, matrix, registry = batch.rng, batch.intents, batch.matrix, batch.registry
-    pairs: dict = {}
+    memo = ConflictMemo()
     for _ in range(rng.randint(1, 4)):
         expected = all_pairs_conflict_graph(batch.candidates, batch.pre, intents, matrix, registry)
         assert build_conflict_graph(batch.candidates, batch.pre, intents, matrix, registry) == expected
-        assert build_conflict_graph(batch.candidates, batch.pre, intents, matrix, registry, pairs) == expected
+        assert build_conflict_graph(batch.candidates, batch.pre, intents, matrix, registry, memo) == expected
         for intent_id in batch.candidates:
             if rng.random() < 0.5:
                 batch.candidates[intent_id] = batch.pipeline(intent_id)
@@ -346,6 +349,38 @@ def test_gated_graph_equals_the_all_pairs_loop(seed):
         for other_ref, other in labelled({}, batch.pre):
             ungated += pairwise_conflicts(pipeline, other, intents, matrix, registry, a_ref=ref, b_ref=other_ref)
         assert validity(pipeline, batch.pre, intents, matrix, registry) == (not ungated, canonical_sort(ungated))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
+    """Rounds start from a copy of the memo max_conflict_free_subset returns.
+    Between rounds some candidates get a new object of a new value, others
+    a new object equal to the old one. Through the shared memo,
+    evaluate_conflicts equals a fresh call field for field, its records
+    hold each eligible candidate's internal conflicts, and the oracle's
+    memo keeps exactly the entries it had."""
+    batch = SparseBatch.draw(random.Random(seed))
+    rng, intents, matrix, registry = batch.rng, batch.intents, batch.matrix, batch.registry
+    oracle = max_conflict_free_subset(batch.candidates, batch.pre, intents, matrix, registry)
+    seeded = (dict(oracle.memo.pairs), dict(oracle.memo.reaches), dict(oracle.memo.internals))
+    memo = oracle.memo.copy()
+    for _ in range(rng.randint(1, 4)):
+        eligible = [i for i in sorted(batch.candidates) if rng.random() < 0.8]
+        args = (batch.candidates, eligible, batch.pre, intents, matrix, registry)
+        fresh = evaluate_conflicts(*args)
+        assert evaluate_conflicts(*args, memo) == fresh
+        for intent_id in eligible:
+            own = internal_conflicts(batch.candidates[intent_id], matrix, registry, ref=str(intent_id))
+            assert set(own) <= set(fresh.records)
+            assert (intent_id in fresh.usable) <= (not own)
+        for intent_id, pipeline in batch.candidates.items():
+            roll = rng.random()
+            if roll < 0.4:
+                batch.candidates[intent_id] = batch.pipeline(intent_id)
+            elif roll < 0.7:
+                batch.candidates[intent_id] = replace(pipeline)
+    assert (oracle.memo.pairs, oracle.memo.reaches, oracle.memo.internals) == seeded
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

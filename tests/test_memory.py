@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from ranweave.memory import MemoryBuffer, MemoryEntry, OutcomeRecord
 from ranweave.model import Intent, Pipeline
 from ranweave.planner import SolutionScore
 from ranweave.retrieval import embed
+from ranweave.schemas import SchemaValidationError
 
 from .helpers import reference_cosine
 
@@ -233,3 +236,17 @@ def test_buffer_replay_roundtrip(tmp_path):
     second = tmp_path / "memory2.jsonl"
     reloaded.save(second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_load_refuses_a_string_intent_id_in_a_pipeline(tmp_path):
+    """A memory line whose pipeline names intent "3" is refused, not loaded
+    as Pipeline(intent_id='3'), which no integer id would ever match."""
+    buffer = MemoryBuffer()
+    buffer.add(_intent(3, "replay me"), _pipeline(3), _outcome())
+    path = tmp_path / "memory.jsonl"
+    buffer.save(path)
+    line = json.loads(path.read_text(encoding="utf-8"))
+    line["pipeline"]["intent_id"] = "3"
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaValidationError, match="intent_id must be an integer"):
+        MemoryBuffer.load(path)

@@ -72,6 +72,16 @@ def test_policy_doc_rejects_bad_directive():
         policy_doc_to_pipeline(doc)
 
 
+@pytest.mark.parametrize("intent_id", ["3", True, 3.0, None], ids=repr)
+def test_policy_doc_refuses_an_intent_id_that_is_not_an_integer(intent_id):
+    """Intent ids are JSON integers end to end; a string one would load as
+    an id that no integer id matches, and true is not 1."""
+    doc = pipeline_to_policy_doc(Pipeline.build(3, [("a", {})]))
+    doc["intent_id"] = intent_id
+    with pytest.raises(SchemaValidationError, match="intent_id must be an integer"):
+        policy_doc_to_pipeline(doc)
+
+
 def test_policy_doc_rejects_nested_conditions():
     doc = pipeline_to_policy_doc(Pipeline.build(1, [("a", {})]))
     doc["deployment_conditions"] = {"nested": {"too": "deep"}}
