@@ -13,7 +13,6 @@ but deploys greedily in intent order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
@@ -43,6 +42,7 @@ from .schemas import (
     PerceptionDoc,
     RefinementDoc,
     SchemaValidationError,
+    dump_doc,
     parse_perception_doc,
     parse_policy_doc,
     parse_refinement_doc,
@@ -139,26 +139,22 @@ REFINEMENT_TEMPLATE = _read_template("refinement.txt")
 SINGLE_AGENT_TEMPLATE = _read_template("single_agent.txt")
 
 
-def _json(doc: object) -> str:
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
-
-
 def _render_profiles(registry: Registry) -> str:
-    return _json([p.to_dict() for p in registry])
+    return dump_doc([p.to_dict() for p in registry])
 
 
 def _render_policy(pipeline: Pipeline) -> str:
-    return _json(pipeline_to_policy_doc(pipeline))
+    return dump_doc(pipeline_to_policy_doc(pipeline))
 
 
 def _render_report(perception: PerceptionDoc) -> str:
-    return _json(perception.to_dict())
+    return dump_doc(perception.to_dict())
 
 
 def _render_policies(pipelines: Sequence[tuple[str, Pipeline]]) -> str:
     if not pipelines:
         return "(none)"
-    return _json({ref: pipeline_to_policy_doc(p) for ref, p in pipelines})
+    return dump_doc({ref: pipeline_to_policy_doc(p) for ref, p in pipelines})
 
 
 def _render_chunks(chunks) -> str:
@@ -229,13 +225,13 @@ def assemble_reasoning_request(
         mandatory = sorted(intent.required_xapps)
         current = (
             f"intent {intent.id}: {intent.text}\n"
-            f"Target KPIs: {_json(intent.targets)}\n"
-            f"Required capabilities: {_json(sorted(intent.required_capabilities))}\n"
-            f"Mandatory xApps: {_json(mandatory) if mandatory else '(none)'}"
+            f"Target KPIs: {dump_doc(intent.targets)}\n"
+            f"Required capabilities: {dump_doc(sorted(intent.required_capabilities))}\n"
+            f"Mandatory xApps: {dump_doc(mandatory) if mandatory else '(none)'}"
         )
         report = _render_report(perception) if perception is not None else "(no conflict report available)"
         past = "\n".join(
-            f"- intent {i.id} ({i.text}) -> {_json(pipeline_to_policy_doc(pipe))}" for i, pipe in analogues
+            f"- intent {i.id} ({i.text}) -> {dump_doc(pipeline_to_policy_doc(pipe))}" for i, pipe in analogues
         )
         return [
             ("Registered xApps", _render_profiles(ctx.registry)),
@@ -415,12 +411,10 @@ def orchestrate_batch(
     again. It starts as a copy of the oracle's memo, so the truths and the
     active set, already checked by the oracle, are not checked at all; the
     oracle must come from the run's own batch, as its truths and objective
-    are read too. Each stored candidate is interned: an answer whose value
-    an earlier one or a truth already has is replaced by that object, so
-    the memo's identity test catches it. The intern key is byte-exact, the
-    pipeline with the repr of its deployment conditions: == alone takes 1,
-    1.0 and true (and 0.0 and -0.0) for one value, but each renders its own
-    bytes. A candidate's structure is checked once, when it is stored.
+    are read too. The truths, then each stored answer, are interned in the
+    memo (ConflictMemo.intern), so an answer equal to an earlier one or to
+    a truth is that object, and the memo's identity test catches it. A
+    candidate's structure is checked once, when it is stored.
     """
     memory.clear()
     truths = oracle.per_intent_truth
@@ -430,7 +424,8 @@ def orchestrate_batch(
     valid: dict[int, bool] = {}  # intent id -> its candidate is structurally valid
     correct: frozenset[int] = frozenset()
     memo = oracle.memo.copy()
-    interned = {(p, repr(p.deployment_conditions)): p for p in truths.values()}
+    for truth in truths.values():
+        memo.intern(truth)
     best: Solution | None = None
     score_history: list[SolutionScore] = []
     synthesis: int | None = None
@@ -465,8 +460,7 @@ def orchestrate_batch(
                 refined = _attempt(run_refinement, ctx, intent, candidate, summary, transport, candidates)
                 if refined is not None:
                     candidate = refined.revised
-            # Every candidate passed the schema's condition check, so its key hashes.
-            candidate = interned.setdefault((candidate, repr(candidate.deployment_conditions)), candidate)
+            candidate = memo.intern(candidate)
             attempted[intent.id] = candidate
             candidates[intent.id] = candidate
             valid[intent.id] = validate_pipeline_structure(candidate, ctx.registry).ok

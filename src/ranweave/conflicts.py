@@ -32,14 +32,6 @@ class ConflictKind(str, Enum):
 
 _KIND_ORDER = {kind: index for index, kind in enumerate(ConflictKind)}
 
-# Grouping keys used by the shared JSON conflict-report schema.
-REPORT_GROUPS = {
-    ConflictKind.ACTUATOR_CONTENTION: "actuator",
-    ConflictKind.PARAMETER_COUPLING: "parameter",
-    ConflictKind.OBJECTIVE_INTERFERENCE: "objective",
-    ConflictKind.VENDOR_INTEROP: "vendor",
-}
-
 
 @dataclass(frozen=True, slots=True)
 class ConflictRecord:
@@ -422,6 +414,7 @@ class ConflictMemo:
     (pipeline, its internal_conflicts records). An entry is reused only
     while its pipelines are the very objects it was worked out for, a test
     that costs nothing; a new object under an old ref replaces the entry.
+    interned maps each pipeline value to its first object (see intern).
     Every fact depends on intents, matrix and registry too, so one memo
     serves only calls with the same three, as in one run.
     """
@@ -431,10 +424,21 @@ class ConflictMemo:
     )
     reaches: dict[str, tuple[Pipeline, set[str]]] = field(default_factory=dict)
     internals: dict[str, tuple[Pipeline, tuple[ConflictRecord, ...]]] = field(default_factory=dict)
+    interned: dict[tuple[Pipeline, str], Pipeline] = field(default_factory=dict)
 
     def copy(self) -> "ConflictMemo":
         """A memo with the same entries whose later entries stay its own."""
-        return ConflictMemo(dict(self.pairs), dict(self.reaches), dict(self.internals))
+        return ConflictMemo(dict(self.pairs), dict(self.reaches), dict(self.internals), dict(self.interned))
+
+    def intern(self, pipeline: Pipeline) -> Pipeline:
+        """The first object interned with pipeline's value, pipeline itself if none was.
+
+        The key is byte-exact, the pipeline with the repr of its deployment
+        conditions: == alone takes 1, 1.0 and true (and 0.0 and -0.0) for
+        one value, but each renders its own bytes. The conditions must hash,
+        as every pipeline that passed the schema's condition check does.
+        """
+        return self.interned.setdefault((pipeline, repr(pipeline.deployment_conditions)), pipeline)
 
     def reach(
         self, ref: str, pipeline: Pipeline, intents: Mapping[int, Intent], registry: Registry
@@ -583,11 +587,3 @@ def evaluate_conflicts(
         usable=tuple(i for i in eligible if i not in blocked),
         clashes=clashes,
     )
-
-
-def conflict_report(records: Iterable[ConflictRecord], notes: str = "") -> dict[str, object]:
-    """Serialize records into the shared JSON conflict-report shape."""
-    groups: dict[str, list[dict[str, object]]] = {name: [] for name in REPORT_GROUPS.values()}
-    for record in canonical_sort(records):
-        groups[REPORT_GROUPS[record.kind]].append(record.to_dict())
-    return {"conflicts": groups, "notes": notes}

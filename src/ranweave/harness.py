@@ -31,7 +31,7 @@ from .agents import (
 )
 from .conflicts import VendorCompatibilityMatrix
 from .memory import MemoryBuffer
-from .model import DeploymentState, Intent, Pipeline, Registry, XAppProfile
+from .model import DeploymentState, Intent, Pipeline, Registry, XAppProfile, check_integer_id
 from .planner import (
     InfeasibleIntentError,
     OracleResult,
@@ -62,12 +62,18 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         listed = self.new_intents + self.pre_deployed_intents
+        for value in (self.id, *listed):
+            check_integer_id(value)
         repeated = sorted({i for i in listed if listed.count(i) > 1})
         if repeated:
             raise FixtureError(
                 "scenarios.json",
                 f"scenario {self.id}: intents {repeated} listed more than once across new and pre-deployed",
             )
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]) -> "ScenarioSpec":
+        return cls(data["id"], tuple(data["new_intents"]), tuple(data["pre_deployed_intents"]))
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,7 @@ def load_fixtures(path: str | Path | None = None) -> FixtureBundle:
     root = _fixture_root(path)
 
     profiles = _load_entries(root, "xapps.json", XAppProfile.from_dict)
-    intents = _load_entries(root, "intents.json", _load_intent)
+    intents = _load_entries(root, "intents.json", Intent.from_dict)
     kpi_catalog = {kpi for intent in intents.values() for kpi in intent.targets}
     registry = Registry(profiles.values(), kpi_catalog)
 
@@ -179,7 +185,7 @@ def load_fixtures(path: str | Path | None = None) -> FixtureBundle:
     except _ENTRY_ERRORS as exc:
         raise FixtureError("vendor_matrix.json", str(exc)) from exc
 
-    scenarios = _load_entries(root, "scenarios.json", _load_scenario)
+    scenarios = _load_entries(root, "scenarios.json", ScenarioSpec.from_dict)
     for spec in scenarios.values():
         unknown = [i for i in spec.new_intents + spec.pre_deployed_intents if i not in intents]
         if unknown:
@@ -240,25 +246,6 @@ def _load_entries(root: Path, name: str, build: Callable[[object], T]) -> dict[i
             raise FixtureError(name, f"entry {index}: duplicate id {item.id!r}")
         items[item.id] = item
     return items
-
-
-def _json_int(value: object) -> int:
-    if type(value) is not int:
-        raise TypeError(f"expected an integer id, found {value!r}")
-    return value
-
-
-def _load_intent(entry) -> Intent:
-    _json_int(entry["id"])
-    return Intent.from_dict(entry)
-
-
-def _load_scenario(entry) -> ScenarioSpec:
-    return ScenarioSpec(
-        id=_json_int(entry["id"]),
-        new_intents=tuple(map(_json_int, entry["new_intents"])),
-        pre_deployed_intents=tuple(map(_json_int, entry["pre_deployed_intents"])),
-    )
 
 
 def scenario_oracle(bundle: FixtureBundle, scenario: ScenarioSpec) -> OracleResult:

@@ -13,6 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .conflicts import ConflictRecord, PIPELINE_LEVEL
 from .model import Intent, Pipeline
@@ -165,11 +166,31 @@ def _entry_from_dict(data: dict) -> MemoryEntry:
         intent=Intent.from_dict(data["intent"]),
         pipeline=policy_doc_to_pipeline(data["pipeline"]),
         outcome=OutcomeRecord(
-            deployed=bool(outcome["deployed"]),
-            correct=bool(outcome["correct"]),
+            deployed=_field(outcome, "deployed", "a boolean", _is_bool),
+            correct=_field(outcome, "correct", "a boolean", _is_bool),
             conflicts=tuple(ConflictRecord.from_dict(r) for r in outcome["conflicts"]),
-            iteration=int(outcome["iteration"]),
-            score=SolutionScore(*outcome["score"]),
+            iteration=_field(outcome, "iteration", "an integer", _is_int),
+            score=SolutionScore(*_field(outcome, "score", "four integers", _is_score)),
         ),
-        sequence_no=int(data["sequence_no"]),
+        sequence_no=_field(data, "sequence_no", "an integer", _is_int),
     )
+
+
+def _field(data: dict, name: str, expected: str, ok: Callable[[object], bool]):
+    """data[name], refused with a TypeError that names the field unless ok(value)."""
+    value = data[name]
+    if not ok(value):
+        raise TypeError(f"{name} must be {expected}, found {value!r}")
+    return value
+
+
+def _is_bool(value: object) -> bool:
+    return type(value) is bool
+
+
+def _is_int(value: object) -> bool:
+    return type(value) is int  # type(): a bool is not a counter
+
+
+def _is_score(value: object) -> bool:
+    return isinstance(value, list) and len(value) == 4 and all(map(_is_int, value))

@@ -52,6 +52,12 @@ def string_field(value: object, name: str) -> str:
     return value
 
 
+def check_integer_id(value: object) -> None:
+    """Refuse an intent or scenario id that is not an int; type(), so a bool is refused too."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer id, found {value!r}")
+
+
 def string_array(value: object, name: str) -> list[str]:
     """A loaded JSON array of strings; a string or any other value is refused."""
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
@@ -234,6 +240,7 @@ class Intent:
     required_xapps: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        check_integer_id(self.id)
         if not self.target_kpis:
             raise ValueError(f"intent {self.id!r} targets no KPIs")
         if not self.required_capabilities:

@@ -13,10 +13,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .conflicts import REPORT_GROUPS, ConflictKind, ConflictRecord, canonical_sort, conflict_report
+from .conflicts import ConflictKind, ConflictRecord, canonical_sort
 from .model import Pipeline, Registry, conditions_to_dict, validate_deployment_conditions
+
+# The conflict report groups its records by class under these keys.
+REPORT_GROUPS = {
+    ConflictKind.ACTUATOR_CONTENTION: "actuator",
+    ConflictKind.PARAMETER_COUPLING: "parameter",
+    ConflictKind.OBJECTIVE_INTERFERENCE: "objective",
+    ConflictKind.VENDOR_INTEROP: "vendor",
+}
 
 
 class SchemaValidationError(ValueError):
@@ -32,6 +40,14 @@ class EditKind(str, Enum):
     REORDER_STAGE = "reorder_stage"
     REPLACE_XAPP = "replace_xapp"
     ADJUST_CONDITIONS = "adjust_conditions"
+
+
+def conflict_report(records: Iterable[ConflictRecord], notes: str = "") -> dict[str, object]:
+    """Serialize records into the conflict-report shape, canonically sorted."""
+    groups: dict[str, list[dict[str, object]]] = {name: [] for name in REPORT_GROUPS.values()}
+    for record in canonical_sort(records):
+        groups[REPORT_GROUPS[record.kind]].append(record.to_dict())
+    return {"conflicts": groups, "notes": notes}
 
 
 @dataclass(frozen=True)
@@ -292,6 +308,6 @@ def _load_json(text: str, doc_name: str) -> object:
         raise SchemaValidationError(doc_name, [f"response is not valid JSON: {exc}"]) from exc
 
 
-def dump_doc(data: Mapping[str, object]) -> str:
-    """Canonical serialization used by every mock backend."""
+def dump_doc(data: object) -> str:
+    """The one JSON encoder, of every prompt section and every mock response."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))

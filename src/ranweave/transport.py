@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping
 
-from .conflicts import ConflictKind, ConflictRecord, active_ref, candidate_ref, conflict_report
+from .conflicts import ConflictKind, ConflictRecord, active_ref, candidate_ref
 from .model import Intent, Pipeline, PipelineNode, Registry, default_directive, stage_chain
-from .schemas import EditKind, RefinementDoc, dump_doc, pipeline_to_policy_doc
+from .schemas import EditKind, RefinementDoc, conflict_report, dump_doc, pipeline_to_policy_doc
 
 CHAT_BASE_URL_ENV = "RANWEAVE_CHAT_BASE_URL"
 CHAT_MODEL_ENV = "RANWEAVE_CHAT_MODEL"
@@ -182,9 +182,8 @@ class NoisyTransport(OracleTransport):
 
     def _respond(self, request: AgentRequest) -> str:
         if request.role == PERCEPTION:
-            payload = conflict_report(request.payload["conflicts"])
-            self._inject_spurious(payload, self._rng())
-            return dump_doc(payload)
+            records = (*request.payload["conflicts"], self._spurious(self._rng()))
+            return dump_doc(conflict_report(records))
         if request.role == REASONING:
             return dump_doc(pipeline_to_policy_doc(self._noisy_pipeline(request)))
         return super()._respond(request)
@@ -206,18 +205,17 @@ class NoisyTransport(OracleTransport):
             corruption = rng.choice(("replace_xapp", "mutate_directive"))
         return corrupt_pipeline(truth, corruption, self.bundle.registry, rng)
 
-    def _inject_spurious(self, payload: dict, rng: random.Random) -> None:
+    def _spurious(self, rng: random.Random) -> ConflictRecord:
         xapp_id = rng.choice(self.bundle.registry.ids)
         refs = sorted(candidate_ref(i) for i in self.bundle.intents)
         ref_a = rng.choice(refs)
         ref_b = rng.choice([r for r in refs if r != ref_a] or [active_ref(0)])
-        spurious = ConflictRecord(
+        return ConflictRecord(
             kind=ConflictKind.ACTUATOR_CONTENTION,
             participants=frozenset({(ref_a, xapp_id), (ref_b, xapp_id)}),
             subject=xapp_id,
             explanation=f"speculative contention on {xapp_id} (low confidence)",
         )
-        payload["conflicts"]["actuator"].append(spurious.to_dict())
 
     def describe(self) -> str:
         return f"mock-noisy(seed={self.seed})"

@@ -21,11 +21,12 @@ from ranweave.agents import (
     run_refinement,
 )
 from ranweave import harness
+from ranweave.conflicts import ConflictKind, ConflictRecord
 from ranweave.harness import build_knowledge_store, run_scenario, scenario_oracle
 from ranweave.memory import MemoryBuffer
 from ranweave.model import DeploymentState, Pipeline, pipelines_equal
 from ranweave.planner import SolutionScore
-from ranweave.schemas import dump_doc, pipeline_to_policy_doc
+from ranweave.schemas import conflict_report, dump_doc, parse_perception_doc, pipeline_to_policy_doc
 from ranweave.transport import (
     REASONING,
     REFINEMENT,
@@ -294,19 +295,24 @@ def test_noisy_transport_is_reproducible(bundle, truths):
 
 
 def test_noisy_perception_injects_spurious_conflict(bundle, truths):
+    """The noisy report holds the engine's records and one more: an
+    actuator contention between two distinct refs that says it is speculative."""
     from ranweave.transport import AgentRequest
 
-    transport = NoisyTransport(_mock_bundle(bundle, truths), seed=7)
-    text = transport.complete(
-        AgentRequest(
-            role="perception",
-            render=tuple,
-            payload={"conflicts": ()},
-        )
+    x, y = bundle.registry.ids[:2]
+    engine = (
+        ConflictRecord(ConflictKind.ACTUATOR_CONTENTION, frozenset({("3", x), ("pre:1", x)}), x, "engine"),
+        ConflictRecord(ConflictKind.PARAMETER_COUPLING, frozenset({("3", x), ("4", y)}), "tx_power", "engine"),
     )
-    payload = json.loads(text)
-    total = sum(len(v) for v in payload["conflicts"].values())
-    assert total >= 1
+    transport = NoisyTransport(_mock_bundle(bundle, truths), seed=7)
+    text = transport.complete(AgentRequest(role="perception", render=tuple, payload={"conflicts": engine}))
+    records = list(parse_perception_doc(text).records)
+    for record in engine:
+        records.remove(record)
+    [spurious] = records
+    assert spurious.kind is ConflictKind.ACTUATOR_CONTENTION
+    assert len(spurious.refs()) == 2
+    assert spurious.explanation.startswith("speculative contention")
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -420,7 +426,6 @@ def test_failed_call_fallbacks(bundle, truths, failing_role):
     reasoning call in that iteration; a failed reasoning call skips only that
     intent; a refinement answer that fails validation twice keeps the
     unrefined candidate."""
-    from ranweave.conflicts import conflict_report
     from ranweave.schemas import RefinementDoc
 
     bad = "not json"
@@ -479,7 +484,7 @@ def test_retrieval_feeds_prompt_chunks(bundle, truths):
 def test_perception_reads_the_graph_the_previous_iteration_left(bundle, truths):
     """The second perception call carries the conflict graph of every
     candidate of iteration 1, the structurally invalid one included."""
-    from ranweave.conflicts import build_conflict_graph, conflict_report
+    from ranweave.conflicts import build_conflict_graph
 
     invalid = Pipeline.build(2, [("traffic_steering_a", {"steering_policy": "latency"})] * 2)
     report = dump_doc(conflict_report(()))
@@ -639,7 +644,6 @@ def test_an_equal_answer_with_other_condition_bytes_keeps_its_own_object(bundle,
     are equal pipelines; interning must not give the second the first's
     object, or the next prompt would show "max_load":1 where the backend
     sent true."""
-    from ranweave.conflicts import conflict_report
 
     first_node = truths[3].nodes[0]
     wrong = [(first_node.xapp_id, first_node.directive_map)]
@@ -669,7 +673,8 @@ def test_one_oracle_serves_two_runs_alike(bundle, truths):
     give byte-identical reports, and neither adds to the oracle's memo."""
     spec = bundle.scenarios[3]
     oracle = scenario_oracle(bundle, spec)
-    sizes = (len(oracle.memo.pairs), len(oracle.memo.reaches), len(oracle.memo.internals))
+    memo = oracle.memo
+    sizes = (len(memo.pairs), len(memo.reaches), len(memo.internals), len(memo.interned))
     reports = []
     for _ in range(2):
         ctx = replace(_ctx(bundle, 3, Mode.F5, truths), max_iterations=10)
@@ -681,7 +686,7 @@ def test_one_oracle_serves_two_runs_alike(bundle, truths):
         reports.append(json.dumps(report.to_dict(), sort_keys=True))
         assert outcome.iterations_run > 1
     assert reports[0] == reports[1]
-    assert (len(oracle.memo.pairs), len(oracle.memo.reaches), len(oracle.memo.internals)) == sizes
+    assert (len(memo.pairs), len(memo.reaches), len(memo.internals), len(memo.interned)) == sizes
 
 
 class IntentSwapTransport(OracleTransport):

@@ -12,7 +12,6 @@ from ranweave.conflicts import (
     VendorCompatibilityMatrix,
     build_conflict_graph,
     canonical_sort,
-    conflict_report,
     detect_actuator_contention,
     detect_internal_coupling,
     detect_internal_vendor,
@@ -28,7 +27,7 @@ from ranweave.conflicts import (
 )
 from ranweave.model import DeploymentState, Intent, Pipeline, Registry, XAppProfile
 from ranweave.planner import max_conflict_free_subset
-from ranweave.schemas import dump_doc, parse_perception_doc
+from ranweave.schemas import conflict_report, dump_doc, parse_perception_doc
 
 from .helpers import (
     SparseBatch,
@@ -351,6 +350,10 @@ def test_gated_graph_equals_the_all_pairs_loop(seed):
         assert validity(pipeline, batch.pre, intents, matrix, registry) == (not ungated, canonical_sort(ungated))
 
 
+def _tables(memo: ConflictMemo) -> tuple:
+    return (memo.pairs, memo.reaches, memo.internals, memo.interned)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
@@ -359,13 +362,16 @@ def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
     a new object equal to the old one. Through the shared memo,
     evaluate_conflicts equals a fresh call field for field, its records
     hold each eligible candidate's internal conflicts, and the oracle's
-    memo keeps exactly the entries it had."""
+    memo keeps exactly the entries it had, its intern table included,
+    though every round interns its candidates into the copy."""
     batch = SparseBatch.draw(random.Random(seed))
     rng, intents, matrix, registry = batch.rng, batch.intents, batch.matrix, batch.registry
     oracle = max_conflict_free_subset(batch.candidates, batch.pre, intents, matrix, registry)
-    seeded = (dict(oracle.memo.pairs), dict(oracle.memo.reaches), dict(oracle.memo.internals))
+    seeded = tuple(map(dict, _tables(oracle.memo)))
     memo = oracle.memo.copy()
     for _ in range(rng.randint(1, 4)):
+        for pipeline in batch.candidates.values():
+            memo.intern(pipeline)
         eligible = [i for i in sorted(batch.candidates) if rng.random() < 0.8]
         args = (batch.candidates, eligible, batch.pre, intents, matrix, registry)
         fresh = evaluate_conflicts(*args)
@@ -380,7 +386,23 @@ def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
                 batch.candidates[intent_id] = batch.pipeline(intent_id)
             elif roll < 0.7:
                 batch.candidates[intent_id] = replace(pipeline)
-    assert (oracle.memo.pairs, oracle.memo.reaches, oracle.memo.internals) == seeded
+    assert _tables(oracle.memo) == seeded
+    assert len(memo.interned) > len(oracle.memo.interned)
+
+
+def test_intern_returns_the_first_object_of_a_value_and_keeps_condition_bytes_apart():
+    """1, 1.0 and true compare equal but render as three different bytes,
+    so each keeps its own object; a copy starts from the same table."""
+    memo = ConflictMemo()
+    as_int, as_float, as_bool = (Pipeline.build(1, [("x", {})], (), {"max_load": v}) for v in (1, 1.0, True))
+    assert as_int == as_float == as_bool
+    assert memo.intern(as_int) is as_int
+    assert memo.intern(replace(as_int)) is as_int
+    assert memo.intern(as_float) is as_float and memo.intern(as_bool) is as_bool
+    copy = memo.copy()
+    assert copy.intern(replace(as_bool)) is as_bool
+    other = Pipeline.build(2, [("x", {})])
+    assert copy.intern(other) is other and len(memo.interned) == 3
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

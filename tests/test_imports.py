@@ -69,6 +69,20 @@ def test_only_transport_speaks_http():
     assert not offenders
 
 
+def test_the_conflict_engine_imports_only_the_model():
+    """conflicts.py is the exact engine: the wire format (schemas.py) and the
+    backends build on it, so it depends on no package module but model."""
+    tree = ast.parse(Path(PACKAGE_DIR, "conflicts.py").read_text(encoding="utf-8"))
+    relative = {
+        name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for name in ([node.module] if node.module else [alias.name for alias in node.names])
+    }
+    absolute = {name.split(".")[1] for name in _absolute_imports(tree) if name.startswith("ranweave.")}
+    assert relative | absolute == {"model"}
+
+
 def _reads_environ(tree: ast.AST) -> bool:
     """Whether tree names os.environ or os.getenv, as an attribute or an import."""
     for node in ast.walk(tree):

@@ -238,15 +238,39 @@ def test_buffer_replay_roundtrip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
-def test_load_refuses_a_string_intent_id_in_a_pipeline(tmp_path):
-    """A memory line whose pipeline names intent "3" is refused, not loaded
-    as Pipeline(intent_id='3'), which no integer id would ever match."""
+# (field, a value of the wrong type, the error loading it raises, its message)
+_WRONG_TYPES = [
+    ("pipeline.intent_id", "3", SchemaValidationError, "intent_id must be an integer"),
+    ("pipeline.intent_id", True, SchemaValidationError, "intent_id must be an integer"),
+    ("intent.id", "3", TypeError, "expected an integer id, found '3'"),
+    ("intent.id", True, TypeError, "expected an integer id, found True"),
+    ("outcome.deployed", "false", TypeError, "deployed must be a boolean"),
+    ("outcome.correct", 1, TypeError, "correct must be a boolean"),
+    ("outcome.iteration", 2.9, TypeError, "iteration must be an integer"),
+    ("outcome.iteration", True, TypeError, "iteration must be an integer"),
+    ("outcome.score", [0, 0, 0], TypeError, "score must be four integers"),
+    ("outcome.score", [0, 0, 0, "0"], TypeError, "score must be four integers"),
+    ("sequence_no", "1", TypeError, "sequence_no must be an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, error, match", _WRONG_TYPES, ids=[f"{f}={v!r}" for f, v, *_ in _WRONG_TYPES]
+)
+def test_load_refuses_a_value_of_the_wrong_type(tmp_path, field, value, error, match):
+    """A memory line holding a value of the wrong type is refused, with an
+    error that names the field, not coerced: "3" would load as an intent or
+    pipeline id that no integer id matches, "false" as True, 2.9 as 2."""
     buffer = MemoryBuffer()
     buffer.add(_intent(3, "replay me"), _pipeline(3), _outcome())
     path = tmp_path / "memory.jsonl"
     buffer.save(path)
     line = json.loads(path.read_text(encoding="utf-8"))
-    line["pipeline"]["intent_id"] = "3"
+    *parents, key = field.split(".")
+    target = line
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
     path.write_text(json.dumps(line) + "\n", encoding="utf-8")
-    with pytest.raises(SchemaValidationError, match="intent_id must be an integer"):
+    with pytest.raises(error, match=match):
         MemoryBuffer.load(path)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranweave.conflicts import build_conflict_graph, conflict_report
+from ranweave.conflicts import build_conflict_graph
 from ranweave.model import DeploymentState, Pipeline, Registry, XAppProfile
 from ranweave.schemas import (
     EditKind,
     SchemaValidationError,
+    conflict_report,
     dump_doc,
     parse_perception_doc,
     parse_policy_doc,
