@@ -61,15 +61,6 @@ class ConflictRecord:
             "explanation": self.explanation,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ConflictRecord":
-        return cls(
-            kind=ConflictKind(str(data["kind"])),
-            participants=frozenset((str(r), str(x)) for r, x in data["participants"]),
-            subject=str(data["subject"]),
-            explanation=str(data["explanation"]),
-        )
-
 
 def canonical_sort(records: Iterable[ConflictRecord]) -> list[ConflictRecord]:
     return sorted(records, key=ConflictRecord.sort_key)

@@ -31,7 +31,7 @@ from .agents import (
 )
 from .conflicts import VendorCompatibilityMatrix
 from .memory import MemoryBuffer
-from .model import DeploymentState, Intent, Pipeline, Registry, XAppProfile, check_integer_id
+from .model import ENTRY_ERRORS, DeploymentState, Intent, Pipeline, Registry, XAppProfile, check_integer_id
 from .planner import (
     InfeasibleIntentError,
     OracleResult,
@@ -48,10 +48,6 @@ class FixtureError(ValueError):
     def __init__(self, source: str, message: str):
         super().__init__(f"{source}: {message}")
         self.source = source
-
-
-# What building a malformed fixture entry raises; each becomes a FixtureError.
-_ENTRY_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,7 @@ def load_fixtures(path: str | Path | None = None) -> FixtureBundle:
 
     try:
         matrix = VendorCompatibilityMatrix.from_dict(_read_json(root, "vendor_matrix.json"))
-    except _ENTRY_ERRORS as exc:
+    except ENTRY_ERRORS as exc:
         raise FixtureError("vendor_matrix.json", str(exc)) from exc
 
     scenarios = _load_entries(root, "scenarios.json", ScenarioSpec.from_dict)
@@ -240,7 +236,7 @@ def _load_entries(root: Path, name: str, build: Callable[[object], T]) -> dict[i
             raise
         except KeyError as exc:
             raise FixtureError(name, f"entry {index}: missing field {exc}") from exc
-        except _ENTRY_ERRORS as exc:
+        except ENTRY_ERRORS as exc:
             raise FixtureError(name, f"entry {index}: {exc}") from exc
         if item.id in items:
             raise FixtureError(name, f"entry {index}: duplicate id {item.id!r}")

@@ -9,16 +9,14 @@ outputs are pure functions of the buffer contents.
 from __future__ import annotations
 
 import functools
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .conflicts import ConflictRecord, PIPELINE_LEVEL
 from .model import Intent, Pipeline
 from .planner import SolutionScore
-from .schemas import pipeline_to_policy_doc, policy_doc_to_pipeline
+from .schemas import SchemaValidationError, dump_doc, parse_memory_line, pipeline_to_policy_doc
 from . import retrieval
 
 
@@ -133,15 +131,27 @@ class MemoryBuffer:
         """Persist one JSON object per entry for post-hoc inspection."""
         with Path(path).open("w", encoding="utf-8") as handle:
             for entry in self._entries:
-                handle.write(json.dumps(_entry_to_dict(entry), sort_keys=True))
+                handle.write(dump_doc(_entry_to_dict(entry)))
                 handle.write("\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "MemoryBuffer":
+        """A saved file's entries; a bad line raises one SchemaValidationError naming it."""
         buffer = cls()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                buffer.record(_entry_from_dict(json.loads(line)))
+        # "\n" alone ends a line: splitlines() also splits at U+2028, which a JSON string may hold.
+        for number, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+            if not line.strip():
+                continue
+            doc_name = f"{path} line {number}"
+            data, intent, pipeline, conflicts = parse_memory_line(line, doc_name)
+            outcome = data["outcome"]
+            score = SolutionScore(*outcome["score"])
+            kept = OutcomeRecord(outcome["deployed"], outcome["correct"], conflicts, outcome["iteration"], score)
+            entry = MemoryEntry(intent, pipeline, kept, data["sequence_no"])
+            try:
+                buffer.record(entry)
+            except ValueError as exc:
+                raise SchemaValidationError(doc_name, [str(exc)]) from exc
         return buffer
 
 
@@ -159,38 +169,3 @@ def _entry_to_dict(entry: MemoryEntry) -> dict[str, object]:
         "sequence_no": entry.sequence_no,
     }
 
-
-def _entry_from_dict(data: dict) -> MemoryEntry:
-    outcome = data["outcome"]
-    return MemoryEntry(
-        intent=Intent.from_dict(data["intent"]),
-        pipeline=policy_doc_to_pipeline(data["pipeline"]),
-        outcome=OutcomeRecord(
-            deployed=_field(outcome, "deployed", "a boolean", _is_bool),
-            correct=_field(outcome, "correct", "a boolean", _is_bool),
-            conflicts=tuple(ConflictRecord.from_dict(r) for r in outcome["conflicts"]),
-            iteration=_field(outcome, "iteration", "an integer", _is_int),
-            score=SolutionScore(*_field(outcome, "score", "four integers", _is_score)),
-        ),
-        sequence_no=_field(data, "sequence_no", "an integer", _is_int),
-    )
-
-
-def _field(data: dict, name: str, expected: str, ok: Callable[[object], bool]):
-    """data[name], refused with a TypeError that names the field unless ok(value)."""
-    value = data[name]
-    if not ok(value):
-        raise TypeError(f"{name} must be {expected}, found {value!r}")
-    return value
-
-
-def _is_bool(value: object) -> bool:
-    return type(value) is bool
-
-
-def _is_int(value: object) -> bool:
-    return type(value) is int  # type(): a bool is not a counter
-
-
-def _is_score(value: object) -> bool:
-    return isinstance(value, list) and len(value) == 4 and all(map(_is_int, value))

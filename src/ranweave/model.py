@@ -65,6 +65,17 @@ def string_array(value: object, name: str) -> list[str]:
     return value
 
 
+def json_object(value: object, name: str) -> dict:
+    """A loaded JSON object; an array or any other value is refused."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be an object, found {value!r}")
+    return value
+
+
+# What a from_dict constructor raises on a malformed entry, a missing field included.
+ENTRY_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
 _SCALAR_TYPES = (str, int, float, bool)
 
 
@@ -185,7 +196,7 @@ class XAppProfile:
             dialect=string_field(data["dialect"], "dialect"),
             capabilities=string_array(data["capabilities"], "capabilities"),
             controlled_params=string_array(data["controlled_params"], "controlled_params"),
-            kpi_effects={str(k): v for k, v in data["kpi_effects"].items()},
+            kpi_effects=json_object(data["kpi_effects"], "kpi_effects"),
             stage=string_field(data["stage"], "stage"),
             interfaces=string_array(data["interfaces"], "interfaces"),
         )
@@ -287,7 +298,7 @@ class Intent:
         return cls.build(
             data["id"],
             string_field(data["text"], "text"),
-            target_kpis={str(k): v for k, v in data["target_kpis"].items()},
+            target_kpis=json_object(data["target_kpis"], "target_kpis"),
             required_capabilities=string_array(data["required_capabilities"], "required_capabilities"),
             required_xapps=string_array(data.get("required_xapps", []), "required_xapps"),
         )

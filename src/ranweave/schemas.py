@@ -1,11 +1,12 @@
 """JSON document schemas shared by the agents and the conflict engine.
 
-This module is the wire spec. Three documents exist: the perception
-conflict report, the reasoning policy document, and the refinement
-document. Parsing is strict - unknown keys are rejected and every violation
-is reported with its path so a malformed response can be re-prompted with
-concrete errors. A reasoning answer and a refinement revision pass one
-policy check: registered xApps only, and the intent that was asked for.
+This module is the wire spec. Four documents exist: the perception
+conflict report, the reasoning policy document, the refinement document
+and the saved memory line. Parsing is strict - unknown keys are rejected
+and every violation is reported with its path so a malformed response can
+be re-prompted with concrete errors. A reasoning answer and a refinement
+revision pass one policy check: registered xApps only, and the intent that
+was asked for; a memory line's pipeline must be of the line's intent.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .conflicts import ConflictKind, ConflictRecord, canonical_sort
-from .model import Pipeline, Registry, conditions_to_dict, validate_deployment_conditions
+from .model import ENTRY_ERRORS, Intent, Pipeline, Registry, conditions_to_dict, validate_deployment_conditions
 
 # The conflict report groups its records by class under these keys.
 REPORT_GROUPS = {
@@ -81,12 +82,12 @@ def pipeline_to_policy_doc(pipeline: Pipeline) -> dict[str, object]:
     }
 
 
-def policy_doc_to_pipeline(data: Mapping[str, object]) -> Pipeline:
-    """Shape-checked pipeline from trusted input (memory files, round trips)."""
+def policy_doc_to_pipeline(data: dict[str, object]) -> Pipeline:
+    """Shape-checked pipeline of a decoded policy document, for round trips."""
     return _pipeline(data, _policy_shape_errors(data))
 
 
-def _pipeline(data: Mapping[str, object], errors: list[str]) -> Pipeline:
+def _pipeline(data: dict[str, object], errors: list[str]) -> Pipeline:
     if errors:
         raise SchemaValidationError("policy document", errors)
     return Pipeline.build(
@@ -105,13 +106,18 @@ def _policy_doc_errors(data: object, registry: Registry, intent_id: int) -> list
     unknown = sorted({xapp_id for xapp_id, _ in data["selected_xapps"] if xapp_id not in registry})
     if unknown:
         errors.append(f"unregistered xApp ids {unknown}")
+    return errors + _requested_intent_errors(data, intent_id)
+
+
+def _requested_intent_errors(data: dict[str, object], intent_id: int) -> list[str]:
+    """A shape-checked policy document must be of the intent intent_id."""
     if data["intent_id"] != intent_id:
-        errors.append(f"intent_id {data['intent_id']!r} is not the requested intent {intent_id!r}")
-    return errors
+        return [f"intent_id {data['intent_id']!r} is not the requested intent {intent_id!r}"]
+    return []
 
 
 def _policy_shape_errors(data: object) -> list[str]:
-    if not isinstance(data, Mapping):
+    if not isinstance(data, dict):
         return [f"expected a JSON object, got {type(data).__name__}"]
     errors = _key_errors(data, _POLICY_KEYS, _POLICY_KEYS, "")
     if not data.keys() >= _POLICY_KEYS:
@@ -132,7 +138,7 @@ def _policy_shape_errors(data: object) -> list[str]:
             xapp_id, directive = item
             if not isinstance(xapp_id, str):
                 errors.append(f"selected_xapps[{index}] xapp id must be a string")
-            if not isinstance(directive, Mapping) or not all(
+            if not isinstance(directive, dict) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in directive.items()
             ):
                 errors.append(f"selected_xapps[{index}] directive must map strings to strings")
@@ -145,10 +151,10 @@ def _policy_shape_errors(data: object) -> list[str]:
         errors.append("edges must be a list of [from, to] id pairs")
 
     conditions = data["deployment_conditions"]
-    if not isinstance(conditions, Mapping):
+    if not isinstance(conditions, dict):
         errors.append("deployment_conditions must be an object")
     else:
-        errors.extend(validate_deployment_conditions(dict(conditions)))
+        errors.extend(validate_deployment_conditions(conditions))
     return errors
 
 
@@ -165,11 +171,11 @@ def parse_policy_doc(text: str, registry: Registry, intent_id: int) -> Pipeline:
 
 def parse_perception_doc(text: str) -> PerceptionDoc:
     data = _load_json(text, "conflict report")
-    if not isinstance(data, Mapping):
+    if not isinstance(data, dict):
         raise SchemaValidationError("conflict report", ["expected a JSON object"])
     errors = _key_errors(data, {"conflicts", "notes"}, set(), "")
     conflicts = data.get("conflicts")
-    if not isinstance(conflicts, Mapping):
+    if not isinstance(conflicts, dict):
         errors.append("conflicts must be an object grouping records by class")
         raise SchemaValidationError("conflict report", errors)
 
@@ -210,13 +216,13 @@ _RECORD_KEYS = {"kind", "participants", "subject", "explanation"}
 
 
 def _parse_record(item: object, path: str) -> tuple[ConflictRecord | None, list[str]]:
-    if not isinstance(item, Mapping):
+    if not isinstance(item, dict):
         return None, [f"{path} must be an object"]
     errors = _key_errors(item, _RECORD_KEYS, _RECORD_KEYS, path)
     if not item.keys() >= _RECORD_KEYS:
         return None, errors
     try:
-        ConflictKind(str(item["kind"]))
+        kind = ConflictKind(str(item["kind"]))
     except ValueError:
         return None, errors + [f"{path} has unknown kind {item['kind']!r}"]
     participants = item["participants"]
@@ -225,13 +231,15 @@ def _parse_record(item: object, path: str) -> tuple[ConflictRecord | None, list[
         for p in participants
     ):
         return None, errors + [f"{path} participants must be [pipeline_ref, xapp_id] pairs"]
+    # Distinct pairs: a record holds a set, so a repeated pair counts once.
+    participants = frozenset(map(tuple, participants))
     if len(participants) < 2:
         errors.append(f"{path} needs at least 2 participants")
     if not isinstance(item["subject"], str) or not isinstance(item["explanation"], str):
         errors.append(f"{path} subject and explanation must be strings")
     if errors:
         return None, errors
-    return ConflictRecord.from_dict(item), []
+    return ConflictRecord(kind, participants, item["subject"], item["explanation"]), []
 
 
 _REFINEMENT_KEYS = {"revised_policy", "edits"}
@@ -244,7 +252,7 @@ def parse_refinement_doc(text: str, original: Pipeline, registry: Registry) -> R
     keys, the revised policy's and the edits'.
     """
     data = _load_json(text, "refinement document")
-    if not isinstance(data, Mapping):
+    if not isinstance(data, dict):
         raise SchemaValidationError("refinement document", ["expected a JSON object"])
     errors = _key_errors(data, _REFINEMENT_KEYS, _REFINEMENT_KEYS, "")
     revised: Pipeline | None = None
@@ -285,8 +293,67 @@ def parse_refinement_doc(text: str, original: Pipeline, registry: Registry) -> R
     return RefinementDoc(revised=revised, edits=tuple(edits))
 
 
+_LINE_KEYS = {"intent", "pipeline", "outcome", "sequence_no"}
+_OUTCOME_KEYS = {"deployed", "correct", "conflicts", "iteration", "score"}
+
+
+def parse_memory_line(text: str, doc_name: str) -> tuple[dict, Intent, Pipeline, tuple[ConflictRecord, ...]]:
+    """A saved memory line: its object, intent, pipeline and outcome records, each built once.
+
+    One SchemaValidationError carries every error found: keys, the intent, the pipeline
+    (which must be of that intent), the records, and the outcome's flags and counters,
+    which the caller reads from the returned object.
+    """
+    data = _load_json(text, doc_name)
+    if not isinstance(data, dict):
+        raise SchemaValidationError(doc_name, ["expected a JSON object"])
+    errors = _key_errors(data, _LINE_KEYS, _LINE_KEYS, "")
+    outcome = data.get("outcome")
+    if isinstance(outcome, dict):
+        errors += _key_errors(outcome, _OUTCOME_KEYS, _OUTCOME_KEYS, "outcome")
+    elif "outcome" in data:
+        errors.append("outcome must be an object")
+    if not (data.keys() >= _LINE_KEYS and isinstance(outcome, dict) and outcome.keys() >= _OUTCOME_KEYS):
+        raise SchemaValidationError(doc_name, errors)
+
+    intent = None
+    try:
+        intent = Intent.from_dict(data["intent"])
+    except KeyError as exc:
+        errors.append(f"intent is missing field {exc}")
+    except ENTRY_ERRORS as exc:
+        errors.append(f"intent: {exc}")
+    pipeline_errors = _policy_shape_errors(data["pipeline"])
+    if not pipeline_errors and intent is not None:
+        pipeline_errors = _requested_intent_errors(data["pipeline"], intent.id)
+    errors += [f"pipeline: {error}" for error in pipeline_errors]
+
+    records = []
+    if not isinstance(outcome["conflicts"], list):
+        errors.append("outcome.conflicts must be a list")
+    else:
+        for index, item in enumerate(outcome["conflicts"]):
+            record, item_errors = _parse_record(item, f"outcome.conflicts[{index}]")
+            errors += item_errors
+            records.append(record)
+    for path, value, kind in (
+        ("outcome.deployed", outcome["deployed"], bool),
+        ("outcome.correct", outcome["correct"], bool),
+        ("outcome.iteration", outcome["iteration"], int),
+        ("sequence_no", data["sequence_no"], int),
+    ):
+        if type(value) is not kind:  # type(): a bool is not a counter
+            errors.append(f"{path} must be {'a boolean' if kind is bool else 'an integer'}, found {value!r}")
+    score = outcome["score"]
+    if not (isinstance(score, list) and len(score) == 4 and all(type(n) is int for n in score)):
+        errors.append(f"outcome.score must be four integers, found {score!r}")
+    if errors:
+        raise SchemaValidationError(doc_name, errors)
+    return data, intent, _pipeline(data["pipeline"], []), tuple(records)
+
+
 def _key_errors(
-    data: Mapping[str, object], allowed: set[str], required: set[str], path: str
+    data: dict[str, object], allowed: set[str], required: set[str], path: str
 ) -> list[str]:
     """Unknown and missing keys of one JSON object; path prefixes the errors."""
     errors = []

@@ -37,7 +37,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WIRE_KEYS = [
     "intent_id", "selected_xapps", "edges", "deployment_conditions", "conflicts", "notes",
     "actuator", "parameter", "objective", "vendor", "kind", "participants", "subject",
-    "explanation", "revised_policy", "edits", "load", "windows",
+    "explanation", "revised_policy", "edits", "load", "windows", "intent", "pipeline", "outcome",
+    "sequence_no", "deployed", "correct", "iteration", "score", "id", "text", "target_kpis",
+    "required_capabilities", "required_xapps",
 ]
 # Any JSON value, biased towards the keys and strings of the wire documents.
 json_scalars = (

@@ -189,6 +189,12 @@ def _drop(index, key):
             lambda doc: {"incompatible": [["slicing-a", "slicing-b", "ts-alpha"]]},
             "an incompatible pair must hold two dialects",
         ),
+        (
+            "intents",
+            _set(0, "target_kpis", [["mobility_robustness", 1]]),
+            "entry 0: target_kpis must be an object, found [['mobility_robustness', 1]]",
+        ),
+        ("xapps", _set(0, "kpi_effects", ["mobility_robustness"]), "entry 0: kpi_effects must be an object, found"),
     ],
     ids=[
         "scenario-without-id",
@@ -216,6 +222,8 @@ def _drop(index, key):
         "matrix-pair-string",
         "matrix-dialect-int",
         "matrix-pair-of-three",
+        "intent-targets-list",
+        "xapp-effects-list",
     ],
 )
 def test_malformed_fixture_files_raise_fixture_error(tmp_path, bundle, stem, edit, match):

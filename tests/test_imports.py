@@ -118,6 +118,36 @@ def test_only_transport_reads_the_environment():
     assert "transport" not in {name.split(".")[-1] for name in _imported_names(retrieval)}
 
 
+def _calls(tree: ast.AST, module: str, function: str) -> bool:
+    """Whether tree calls module.function as an attribute of the module's name."""
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and (node.func.value.id, node.func.attr) == (module, function)
+        for node in ast.walk(tree)
+    )
+
+
+def test_documents_are_decoded_by_their_own_modules():
+    """schemas.py decodes every document the package reads back, the saved
+    memory line among them; harness.py reads the fixture files and
+    transport.py the HTTP response envelope. memory.py only builds entries,
+    and a conflict record is built by the one record parser."""
+    trees = {
+        str(path.relative_to(PACKAGE_DIR)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(PACKAGE_DIR).rglob("*.py")
+    }
+    decoders = sorted(name for name, tree in trees.items() if _calls(tree, "json", "loads"))
+    assert decoders == ["harness.py", "schemas.py", "transport.py"]
+    assert "json" not in {name.split(".")[0] for name in _imported_names(trees["memory.py"])}
+    [record] = [
+        node for node in ast.walk(trees["conflicts.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "ConflictRecord"
+    ]
+    assert "from_dict" not in {node.name for node in record.body if isinstance(node, ast.FunctionDef)}
+
+
 _MOCK_RUN = """
 import sys
 import ranweave

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +12,9 @@ from ranweave.memory import MemoryBuffer, MemoryEntry, OutcomeRecord
 from ranweave.model import Intent, Pipeline
 from ranweave.planner import SolutionScore
 from ranweave.retrieval import embed
-from ranweave.schemas import SchemaValidationError
+from ranweave.schemas import SchemaValidationError, dump_doc
 
-from .helpers import reference_cosine
+from .helpers import json_values, reference_cosine
 
 
 def _intent(intent_id: int, text: str) -> Intent:
@@ -238,39 +239,170 @@ def test_buffer_replay_roundtrip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
-# (field, a value of the wrong type, the error loading it raises, its message)
+def _saved_line(tmp_path) -> dict:
+    """The one line a buffer of one failed attempt, with two conflict records, saves."""
+    intent = Intent.build(
+        3, "replay me", target_kpis={"latency": -1, "energy": 1}, required_capabilities=["cap"], required_xapps=["x"]
+    )
+    pipeline = Pipeline.build(
+        3, [("x", {"p": "auto"}), ("y", {})], [("x", "y")], conditions={"load": "any", "windows": ["night", "day"]}
+    )
+    outcome = OutcomeRecord(False, True, (_contention("x"), _contention("y")), 2, SolutionScore(1, 0, -2, -2))
+    buffer = MemoryBuffer()
+    buffer.add(intent, pipeline, outcome)
+    path = tmp_path / "saved.jsonl"
+    buffer.save(path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_save_writes_one_compact_line_per_entry(tmp_path):
+    line = _saved_line(tmp_path)
+    assert (tmp_path / "saved.jsonl").read_text(encoding="utf-8") == dump_doc(line) + "\n"
+
+
+@pytest.mark.parametrize("ensure_ascii", [True, False], ids=["escaped", "raw"])
+def test_load_reads_spaced_lines_and_a_raw_line_separator(tmp_path, ensure_ascii):
+    """Spaced lines, as saved before lines were compact, still load, and so
+    does a U+2028 written raw inside a JSON string: only "\\n" ends a line."""
+    line = _saved_line(tmp_path)
+    line["intent"]["text"] = "replay\u2028me"
+    path = tmp_path / "spaced.jsonl"
+    path.write_text(json.dumps(line, ensure_ascii=ensure_ascii) + "\n", encoding="utf-8")
+    [entry] = MemoryBuffer.load(path).entries
+    assert entry.intent.text == "replay\u2028me"
+    assert entry.outcome.conflicts == (_contention("x"), _contention("y"))
+
+
+# (field, a value it is set to, a message the error carries). A dotted
+# field names nested keys; a digit, a list index.
 _WRONG_TYPES = [
-    ("pipeline.intent_id", "3", SchemaValidationError, "intent_id must be an integer"),
-    ("pipeline.intent_id", True, SchemaValidationError, "intent_id must be an integer"),
-    ("intent.id", "3", TypeError, "expected an integer id, found '3'"),
-    ("intent.id", True, TypeError, "expected an integer id, found True"),
-    ("outcome.deployed", "false", TypeError, "deployed must be a boolean"),
-    ("outcome.correct", 1, TypeError, "correct must be a boolean"),
-    ("outcome.iteration", 2.9, TypeError, "iteration must be an integer"),
-    ("outcome.iteration", True, TypeError, "iteration must be an integer"),
-    ("outcome.score", [0, 0, 0], TypeError, "score must be four integers"),
-    ("outcome.score", [0, 0, 0, "0"], TypeError, "score must be four integers"),
-    ("sequence_no", "1", TypeError, "sequence_no must be an integer"),
+    ("pipeline.intent_id", "3", "intent_id must be an integer"),
+    ("pipeline.intent_id", True, "intent_id must be an integer"),
+    ("intent.id", "3", "expected an integer id, found '3'"),
+    ("intent.id", True, "expected an integer id, found True"),
+    ("outcome.deployed", "false", "deployed must be a boolean"),
+    ("outcome.correct", 1, "correct must be a boolean"),
+    ("outcome.iteration", 2.9, "iteration must be an integer"),
+    ("outcome.iteration", True, "iteration must be an integer"),
+    ("outcome.score", [0, 0, 0], "score must be four integers"),
+    ("outcome.score", [0, 0, 0, "0"], "score must be four integers"),
+    ("sequence_no", "1", "sequence_no must be an integer"),
+    ("pipeline.intent_id", 2, "intent_id 2 is not the requested intent 3"),
+    ("outcome.conflicts.0.participants", [[3, "x"], [4, "y"]], "participants must be [pipeline_ref, xapp_id] pairs"),
+    ("outcome.conflicts.0.participants", [["1", "x"]], "needs at least 2 participants"),
+    ("outcome.conflicts.0.participants", [["1", "x"], ["1", "x"]], "needs at least 2 participants"),
+    ("outcome.conflicts.0.subject", 5, "subject and explanation must be strings"),
+    ("outcome.conflicts.0.explanation", None, "subject and explanation must be strings"),
+    ("outcome.conflicts", {}, "outcome.conflicts must be a list"),
+    ("intent.target_kpis", ["latency"], "target_kpis must be an object, found ['latency']"),
+    ("extra", 1, "unknown keys ['extra']"),
+    ("outcome.extra", 1, "outcome has unknown keys ['extra']"),
+    ("outcome", [], "outcome must be an object"),
 ]
 
 
 @pytest.mark.parametrize(
-    "field, value, error, match", _WRONG_TYPES, ids=[f"{f}={v!r}" for f, v, *_ in _WRONG_TYPES]
+    "field, value, match", _WRONG_TYPES, ids=[f"{f}={v!r}" for f, v, _ in _WRONG_TYPES]
 )
-def test_load_refuses_a_value_of_the_wrong_type(tmp_path, field, value, error, match):
+def test_load_refuses_a_value_of_the_wrong_type(tmp_path, field, value, match):
     """A memory line holding a value of the wrong type is refused, with an
-    error that names the field, not coerced: "3" would load as an intent or
-    pipeline id that no integer id matches, "false" as True, 2.9 as 2."""
-    buffer = MemoryBuffer()
-    buffer.add(_intent(3, "replay me"), _pipeline(3), _outcome())
-    path = tmp_path / "memory.jsonl"
-    buffer.save(path)
-    line = json.loads(path.read_text(encoding="utf-8"))
+    error that names the file, the line and the field, not coerced: "3" would
+    load as an intent or pipeline id that no integer id matches, "false" as
+    True, 2.9 as 2, a participant 3 as "3"."""
+    line = _saved_line(tmp_path)
     *parents, key = field.split(".")
     target = line
     for parent in parents:
-        target = target[parent]
-    target[key] = value
+        target = target[int(parent) if parent.isdigit() else parent]
+    target[int(key) if key.isdigit() else key] = value
+    path = tmp_path / "memory.jsonl"
     path.write_text(json.dumps(line) + "\n", encoding="utf-8")
-    with pytest.raises(error, match=match):
+    with pytest.raises(SchemaValidationError, match=rf"^{re.escape(str(path))} line 1: .*{re.escape(match)}"):
         MemoryBuffer.load(path)
+
+
+def test_load_names_a_missing_intent_field(tmp_path):
+    line = _saved_line(tmp_path)
+    del line["intent"]["text"]
+    path = tmp_path / "memory.jsonl"
+    path.write_text(dump_doc(line) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaValidationError, match="line 1: intent is missing field 'text'$"):
+        MemoryBuffer.load(path)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("[]", "expected a JSON object"),
+        ("{}", "missing keys ['intent', 'outcome', 'pipeline', 'sequence_no']"),
+        ("{nope", "response is not valid JSON"),
+    ],
+    ids=["array", "empty-object", "not-json"],
+)
+def test_load_refuses_a_line_that_is_no_entry(tmp_path, text, match):
+    """The error names the line by its number in the file, blank lines counted."""
+    line = _saved_line(tmp_path)
+    path = tmp_path / "memory.jsonl"
+    path.write_text(f"{dump_doc(line)}\n\n{text}\n", encoding="utf-8")
+    with pytest.raises(SchemaValidationError, match=rf"^{re.escape(str(path))} line 3: {re.escape(match)}"):
+        MemoryBuffer.load(path)
+
+
+def test_load_refuses_a_sequence_number_that_does_not_grow(tmp_path):
+    line = _saved_line(tmp_path)
+    path = tmp_path / "memory.jsonl"
+    path.write_text(f"{dump_doc(line)}\n{dump_doc(line)}\n", encoding="utf-8")
+    with pytest.raises(SchemaValidationError) as caught:
+        MemoryBuffer.load(path)
+    assert caught.value.doc_name == f"{path} line 2"
+    assert caught.value.errors == ["sequence_no 1 is not after 1"]
+
+
+def _below(node: object, prefix: tuple = ()):
+    """(key path, value) of every value below node."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,), child
+        yield from _below(child, prefix + (key,))
+
+
+@st.composite
+def _edited_lines(draw, line):
+    """Any JSON value, or line with one value below the top deleted or
+    replaced: by any JSON value, or by one of the line's own scalars, so
+    that many edited lines are still entries."""
+    edit = draw(st.sampled_from(["whole", "delete", "any value", "own scalar"]))
+    if edit == "whole":
+        return draw(json_values)
+    below = list(_below(line))
+    document = json.loads(json.dumps(line))
+    *parents, key = draw(st.sampled_from([path for path, _ in below]))
+    target = document
+    for parent in parents:
+        target = target[parent]
+    if edit == "delete":
+        del target[key]
+    elif edit == "any value":
+        target[key] = draw(json_values)
+    else:
+        target[key] = draw(st.sampled_from([v for _, v in below if not isinstance(v, (dict, list))]))
+    return document
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_load_refuses_or_round_trips_an_edited_line(tmp_path_factory, data):
+    """On an edited saved line, load raises SchemaValidationError or returns a
+    buffer whose saved bytes a second load and save reproduce. Bytes, not
+    entries, are compared: a NaN in the deployment conditions equals nothing."""
+    directory = tmp_path_factory.getbasetemp()
+    path = directory / "edited.jsonl"
+    path.write_text(dump_doc(data.draw(_edited_lines(_saved_line(directory)))) + "\n", encoding="utf-8")
+    try:
+        loaded = MemoryBuffer.load(path)
+    except SchemaValidationError:
+        return
+    first, second = directory / "first.jsonl", directory / "second.jsonl"
+    loaded.save(first)
+    MemoryBuffer.load(first).save(second)
+    assert first.read_bytes() == second.read_bytes()

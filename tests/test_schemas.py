@@ -14,6 +14,7 @@ from ranweave.schemas import (
     SchemaValidationError,
     conflict_report,
     dump_doc,
+    parse_memory_line,
     parse_perception_doc,
     parse_policy_doc,
     parse_refinement_doc,
@@ -243,23 +244,28 @@ _POLICY = pipeline_to_policy_doc(
         conditions={"load": "any", "windows": ["night"]},
     )
 )
+_RECORD = {
+    "kind": "actuator_contention",
+    "participants": [["1", "x"], ["2", "x"]],
+    "subject": "x",
+    "explanation": "clash",
+}
 _TEMPLATES = [
     _POLICY,
-    {
-        "conflicts": {
-            "actuator": [
-                {
-                    "kind": "actuator_contention",
-                    "participants": [["1", "x"], ["2", "x"]],
-                    "subject": "x",
-                    "explanation": "clash",
-                }
-            ],
-            "parameter": [],
-        },
-        "notes": "",
-    },
+    {"conflicts": {"actuator": [_RECORD], "parameter": []}, "notes": ""},
     {"revised_policy": _POLICY, "edits": [["remove_duplicate", "twice"]]},
+    {
+        "intent": {
+            "id": 1,
+            "text": "steer",
+            "target_kpis": {"latency": -1},
+            "required_capabilities": ["traffic_steering"],
+            "required_xapps": [],
+        },
+        "pipeline": _POLICY,
+        "outcome": {"deployed": False, "correct": True, "conflicts": [_RECORD], "iteration": 2, "score": [1, 0, -1, -2]},
+        "sequence_no": 1,
+    },
 ]
 
 
@@ -276,6 +282,7 @@ def _parsers(bundle):
         lambda text: parse_policy_doc(text, bundle.registry, 1),
         parse_perception_doc,
         lambda text: parse_refinement_doc(text, original, bundle.registry),
+        lambda text: parse_memory_line(text, "memory line"),
     )
 
 
