@@ -6,6 +6,9 @@ deployable subset mechanically and scores the whole proposal. A harness-
 enforced ratchet keeps the best solution seen so far, so the reported
 score never regresses regardless of what the agents emit.
 
+The loop assembles each request and asks every role through _ask, so it alone
+decides which roles a mode runs and what a failed call (None) falls back to.
+
 Baseline modes drop individual roles: SA is a single combined prompt, NR
 skips refinement, NP skips perception, and FCFS keeps the full synthesis
 but deploys greedily in intent order.
@@ -40,7 +43,6 @@ from .planner import OracleResult, SolutionScore, score_solution, select_subset
 from .retrieval import VectorStore
 from .schemas import (
     PerceptionDoc,
-    RefinementDoc,
     SchemaValidationError,
     dump_doc,
     parse_perception_doc,
@@ -85,6 +87,9 @@ class AgentCallError(RuntimeError):
 
 @dataclass
 class RunContext:
+    """One run's inputs. No package code reads seed or scenario_id; they stay
+    only because the benchmark driver, perfbench/run.py, passes them."""
+
     mode: Mode
     intents: tuple[Intent, ...]
     pre: DeploymentState
@@ -268,9 +273,7 @@ def assemble_refinement_request(
     return _request(REFINEMENT, REFINEMENT_TEMPLATE, sections, {"intent": intent, "candidate": candidate})
 
 
-def _call_with_repair(
-    transport: ChatTransport, request: AgentRequest, parser: Callable[[str], object]
-) -> object:
+def _call_with_repair(transport: ChatTransport, request: AgentRequest, parser: Callable[[str], T]) -> T:
     """One agent call with at most one schema-repair re-prompt."""
     text = transport.complete(request)
     try:
@@ -291,54 +294,11 @@ def _call_with_repair(
             ) from second
 
 
-def run_perception(
-    ctx: RunContext,
-    transport: ChatTransport,
-    candidates: Mapping[int, Pipeline],
-    conflicts: Sequence[ConflictRecord],
-    chunks=(),
-) -> PerceptionDoc:
-    """One perception call; conflicts are the engine's records for candidates."""
-    if not ctx.mode.uses_perception:
-        raise ValueError(f"mode {ctx.mode.value} does not run the perception role")
-    request = assemble_perception_request(ctx, candidates, conflicts, chunks)
-    return _call_with_repair(transport, request, parse_perception_doc)
-
-
-def run_reasoning(
-    ctx: RunContext,
-    intent: Intent,
-    transport: ChatTransport,
-    perception: PerceptionDoc | None,
-    analogues,
-    candidates: Mapping[int, Pipeline],
-    chunks=(),
-) -> Pipeline:
-    request = assemble_reasoning_request(ctx, intent, perception, analogues, candidates, chunks)
-    return _call_with_repair(transport, request, lambda text: parse_policy_doc(text, ctx.registry, intent.id))
-
-
-def run_refinement(
-    ctx: RunContext,
-    intent: Intent,
-    candidate: Pipeline,
-    summary: str,
-    transport: ChatTransport,
-    candidates: Mapping[int, Pipeline],
-) -> RefinementDoc:
-    if not ctx.mode.uses_refinement:
-        raise ValueError(f"mode {ctx.mode.value} does not run the refinement role")
-    request = assemble_refinement_request(ctx, intent, candidate, summary, candidates)
-    return _call_with_repair(
-        transport, request, lambda text: parse_refinement_doc(text, candidate, ctx.registry)
-    )
-
-
-def _attempt(call: Callable[..., T], *args) -> T | None:
+def _ask(transport: ChatTransport, request: AgentRequest, parser: Callable[[str], T]) -> T | None:
     """One agent call; None when it fails (a transport error, or a response
     that failed validation even after its repair re-prompt)."""
     try:
-        return call(*args)
+        return _call_with_repair(transport, request, parser)
     except (AgentCallError, TransportError):
         return None
 
@@ -441,7 +401,8 @@ def orchestrate_batch(
 
         perception_doc: PerceptionDoc | None = None
         if ctx.mode.uses_perception:
-            perception_doc = _attempt(run_perception, ctx, transport, candidates, graph.all_records(), chunks)
+            request = assemble_perception_request(ctx, candidates, graph.all_records(), chunks)
+            perception_doc = _ask(transport, request, parse_perception_doc)
         # A failed perception call leaves the iteration without reasoning.
         iteration_aborted = ctx.mode.uses_perception and perception_doc is None
 
@@ -450,14 +411,16 @@ def orchestrate_batch(
             if intent.id in correct:  # correct is still the previous iteration's here
                 continue
             analogues = memory.retrieve_analogues(intent, ctx.analogue_count)
-            candidate = _attempt(
-                run_reasoning, ctx, intent, transport, perception_doc, analogues, candidates, chunks
-            )
+            request = assemble_reasoning_request(ctx, intent, perception_doc, analogues, candidates, chunks)
+            candidate = _ask(transport, request, lambda text: parse_policy_doc(text, ctx.registry, intent.id))
             if candidate is None:
                 continue
             if ctx.mode.uses_refinement:
                 summary = memory.failure_summary(intent)
-                refined = _attempt(run_refinement, ctx, intent, candidate, summary, transport, candidates)
+                request = assemble_refinement_request(ctx, intent, candidate, summary, candidates)
+                refined = _ask(
+                    transport, request, lambda text: parse_refinement_doc(text, candidate, ctx.registry)
+                )
                 if refined is not None:
                     candidate = refined.revised
             candidate = memo.intern(candidate)

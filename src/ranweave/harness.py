@@ -39,6 +39,7 @@ from .planner import (
     synthesize_ground_truth,
 )
 from .retrieval import DocChunk, VectorStore
+from .schemas import reject_constant
 from .transport import ChatTransport, HttpChatTransport, MockBundle, NoisyTransport, OracleTransport
 
 T = TypeVar("T")
@@ -214,13 +215,9 @@ def _read_json(root: Path, name: str):
     if not file.exists():
         raise FixtureError(name, "fixture file missing")
     try:
-        return json.loads(file.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        return json.loads(file.read_text(encoding="utf-8"), parse_constant=reject_constant)
     except (RecursionError, ValueError) as exc:
         raise FixtureError(name, f"invalid JSON: {exc}") from exc
-
-
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a JSON value")
 
 
 def _load_entries(root: Path, name: str, build: Callable[[object], T]) -> dict[int | str, T]:
@@ -321,7 +318,7 @@ def run_scenario(
 ) -> RunReport:
     """Execute one (scenario, mode, transport, seed) run and report metrics."""
     spec = bundle.scenarios[scenario] if isinstance(scenario, int) else scenario
-    run_mode = Mode(mode) if isinstance(mode, str) else mode
+    run_mode = Mode(mode)
     chat = make_transport(transport, bundle, seed) if isinstance(transport, str) else transport
 
     pre = DeploymentState(tuple(bundle.truths[i] for i in spec.pre_deployed_intents))
@@ -388,7 +385,7 @@ def compare_modes(
         ]
         row: dict[str, object] = {
             "scenario_id": reports[0].scenario_id,
-            "mode": Mode(mode).value if isinstance(mode, str) else mode.value,
+            "mode": Mode(mode).value,
             "runs": len(reports),
             "converged_runs": sum(1 for r in reports if r.converged),
         }

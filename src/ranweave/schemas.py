@@ -366,11 +366,16 @@ def _key_errors(
     return errors
 
 
+def reject_constant(name: str):
+    """NaN, Infinity and -Infinity are no JSON values (RFC 8259, section 6)."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def _load_json(text: str, doc_name: str) -> object:
-    # ValueError covers malformed JSON and integers past the digit limit;
-    # RecursionError, nesting deeper than the decoder can follow.
+    # ValueError covers malformed JSON, NaN or Infinity and integers past the
+    # digit limit; RecursionError, nesting deeper than the decoder can follow.
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject_constant)
     except (ValueError, RecursionError) as exc:
         raise SchemaValidationError(doc_name, [f"response is not valid JSON: {exc}"]) from exc
 

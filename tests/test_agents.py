@@ -13,12 +13,12 @@ from ranweave.agents import (
     Mode,
     RunContext,
     Solution,
+    _call_with_repair,
+    assemble_perception_request,
+    assemble_reasoning_request,
     enforce_monotonicity,
     is_correct_candidate,
     orchestrate_batch,
-    run_perception,
-    run_reasoning,
-    run_refinement,
 )
 from ranweave import harness
 from ranweave.conflicts import ConflictKind, ConflictRecord
@@ -26,7 +26,13 @@ from ranweave.harness import build_knowledge_store, run_scenario, scenario_oracl
 from ranweave.memory import MemoryBuffer
 from ranweave.model import DeploymentState, Pipeline, pipelines_equal
 from ranweave.planner import SolutionScore
-from ranweave.schemas import conflict_report, dump_doc, parse_perception_doc, pipeline_to_policy_doc
+from ranweave.schemas import (
+    conflict_report,
+    dump_doc,
+    parse_perception_doc,
+    parse_policy_doc,
+    pipeline_to_policy_doc,
+)
 from ranweave.transport import (
     REASONING,
     REFINEMENT,
@@ -59,6 +65,19 @@ def _mock_bundle(bundle, truths) -> MockBundle:
     return MockBundle(
         registry=bundle.registry, intents=bundle.intents, matrix=bundle.matrix, truths=truths
     )
+
+
+def _perceive(ctx, transport, candidates, conflicts):
+    """One perception call as the loop asks it, with no retrieved context."""
+    request = assemble_perception_request(ctx, candidates, conflicts, ())
+    return _call_with_repair(transport, request, parse_perception_doc)
+
+
+def _reason(ctx, intent, transport):
+    """One reasoning call as the loop asks it, with no report, analogue,
+    other candidate or retrieved context."""
+    request = assemble_reasoning_request(ctx, intent, None, [], {}, ())
+    return _call_with_repair(transport, request, lambda text: parse_policy_doc(text, ctx.registry, intent.id))
 
 
 class ScriptedTransport(ChatTransport):
@@ -95,7 +114,7 @@ class UnregisteredPipelineTransport(ChatTransport):
 def test_oracle_perception_equals_engine_serialization(bundle, truths):
     ctx = _ctx(bundle, 1, Mode.F5, truths)
     transport = OracleTransport(_mock_bundle(bundle, truths))
-    doc = run_perception(ctx, transport, candidates={}, conflicts=())
+    doc = _perceive(ctx, transport, {}, ())
     assert doc.records == ()
 
     from ranweave.conflicts import build_conflict_graph
@@ -107,7 +126,7 @@ def test_oracle_perception_equals_engine_serialization(bundle, truths):
     )
     candidates = {3: truths[3], 4: contending, 1: truths[1]}
     graph = build_conflict_graph(candidates, ctx.pre, bundle.intents, bundle.matrix, bundle.registry)
-    doc = run_perception(ctx, transport, candidates=candidates, conflicts=graph.all_records())
+    doc = _perceive(ctx, transport, candidates, graph.all_records())
     assert graph.all_records(), "fixture pair should conflict"
     assert [r.to_dict() for r in doc.records] == [r.to_dict() for r in graph.all_records()]
 
@@ -115,23 +134,8 @@ def test_oracle_perception_equals_engine_serialization(bundle, truths):
 def test_oracle_reasoning_emits_ground_truth(bundle, truths):
     ctx = _ctx(bundle, 1, Mode.F5, truths)
     transport = OracleTransport(_mock_bundle(bundle, truths))
-    policy = run_reasoning(ctx, bundle.intents[3], transport, None, [], {})
+    policy = _reason(ctx, bundle.intents[3], transport)
     assert policy == truths[3]
-
-
-def test_perception_refused_in_sa_and_np(bundle, truths):
-    transport = OracleTransport(_mock_bundle(bundle, truths))
-    for mode in (Mode.SA, Mode.NP):
-        ctx = _ctx(bundle, 1, mode, truths)
-        with pytest.raises(ValueError, match="perception"):
-            run_perception(ctx, transport, candidates={}, conflicts=())
-
-
-def test_refinement_refused_in_nr(bundle, truths):
-    ctx = _ctx(bundle, 1, Mode.NR, truths)
-    transport = OracleTransport(_mock_bundle(bundle, truths))
-    with pytest.raises(ValueError, match="refinement"):
-        run_refinement(ctx, bundle.intents[3], truths[3], "none", transport, {})
 
 
 def test_refinement_removes_duplicate(bundle, truths):
@@ -177,7 +181,7 @@ def test_repair_reprompt_recovers_from_malformed_json(bundle, truths):
     good = dump_doc(pipeline_to_policy_doc(truths[3]))
     transport = ScriptedTransport(["this is not json", good])
     ctx = _ctx(bundle, 1, Mode.NR, truths)
-    policy = run_reasoning(ctx, bundle.intents[3], transport, None, [], {})
+    policy = _reason(ctx, bundle.intents[3], transport)
     assert policy == truths[3]
     assert len(transport.calls) == 2
 
@@ -186,7 +190,7 @@ def test_repair_reprompt_happens_at_most_once(bundle, truths):
     transport = ScriptedTransport(["nope", "still nope"])
     ctx = _ctx(bundle, 1, Mode.NR, truths)
     with pytest.raises(AgentCallError):
-        run_reasoning(ctx, bundle.intents[3], transport, None, [], {})
+        _reason(ctx, bundle.intents[3], transport)
     assert len(transport.calls) == 2
 
 
@@ -195,13 +199,26 @@ def test_repair_reprompt_on_unknown_xapp_id(bundle, truths):
     good = dump_doc(pipeline_to_policy_doc(truths[3]))
     transport = ScriptedTransport([bad, good])
     ctx = _ctx(bundle, 1, Mode.NR, truths)
-    policy = run_reasoning(ctx, bundle.intents[3], transport, None, [], {})
+    policy = _reason(ctx, bundle.intents[3], transport)
     assert policy == truths[3]
     assert len(transport.calls) == 2
     # The repair prompt must carry the validation errors back to the model.
     repair_user_message = transport.seen_messages[1][-1]
     assert repair_user_message["role"] == "user"
     assert "unregistered" in repair_user_message["content"]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_repair_reprompt_on_a_constant_that_is_no_json_value(bundle, truths, constant):
+    """dump_doc writes a float NaN or infinity as the bare constant, which RFC
+    8259 does not allow; the answer holding one gets the repair re-prompt."""
+    conditions = {"max_load": float(constant)}
+    bad = dump_doc({**pipeline_to_policy_doc(truths[3]), "deployment_conditions": conditions})
+    transport = ScriptedTransport([bad, dump_doc(pipeline_to_policy_doc(truths[3]))])
+    policy = _reason(_ctx(bundle, 1, Mode.NR, truths), bundle.intents[3], transport)
+    assert policy == truths[3]
+    assert len(transport.calls) == 2
+    assert f"{constant} is not a JSON value" in transport.seen_messages[1][-1]["content"]
 
 
 def test_enforce_monotonicity_rules():

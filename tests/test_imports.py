@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from .helpers import PERFBENCH
+
 PACKAGE_DIR = importlib.util.find_spec("ranweave").submodule_search_locations[0]
 MODULES = sorted(info.name for info in pkgutil.iter_modules([PACKAGE_DIR]))
 
@@ -168,3 +170,44 @@ def test_a_mock_run_loads_no_http_stack():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_every_agent_call_goes_through_ask():
+    """The loop assembles each request and asks it through agents._ask, the
+    one place a failed call becomes None: no run_* role wrapper stands
+    between them, and nothing else calls _call_with_repair."""
+    tree = ast.parse(Path(PACKAGE_DIR, "agents.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert not [f.name for f in functions if f.name.startswith("run_")]
+    callers = sorted(
+        f.name
+        for f in functions
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_call_with_repair"
+    )
+    assert callers == ["_ask"]
+
+
+# Bindings of perfbench/span_trace.py whose functions the package no longer
+# defines where the tracer looks; their metrics read 0 until the tracer drops them.
+_STALE_BINDINGS = {
+    "ranweave.agents._conflict_records_for_iteration",
+    "ranweave.agents.pairwise_conflicts",
+    "ranweave.agents.internal_conflicts",
+    "ranweave.planner.pairwise_conflicts",
+    "ranweave.transport.build_conflict_graph",
+    "ranweave.harness.ground_truths",
+}
+
+
+def test_tracer_bindings_resolve(monkeypatch):
+    """Every function the benchmark's tracer wraps is defined where it looks,
+    as Tracer.installed finds it, so a rename cannot zero a traced metric
+    with only a stderr line to show for it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from span_trace import BINDINGS
+
+    missing = {
+        f"{owner.__name__}.{attribute}" for owner, attribute, _, _ in BINDINGS if owner.__dict__.get(attribute) is None
+    }
+    assert missing <= _STALE_BINDINGS

@@ -25,11 +25,10 @@ from ranweave.agents import (
     assemble_perception_request,
     assemble_reasoning_request,
     assemble_refinement_request,
-    run_reasoning,
 )
 from ranweave.harness import make_transport, run_scenario
 from ranweave.model import DeploymentState, Pipeline
-from ranweave.schemas import dump_doc, pipeline_to_policy_doc
+from ranweave.schemas import dump_doc, parse_policy_doc, pipeline_to_policy_doc
 from ranweave.transport import PERCEPTION, REASONING, ChatTransport
 
 PROMPT_DIGEST = "e5b206101744c4ea319c91893f0239a724e10f86d7d19caa0217187f0097858f"
@@ -81,7 +80,8 @@ def _all_requests(bundle) -> list:
         intent_catalog=bundle.intents,
         scenario_id=spec.id,
     )
-    run_reasoning(ctx, bundle.intents[3], recorder, None, [], {})
+    request = assemble_reasoning_request(ctx, bundle.intents[3], None, [], {}, ())
+    agents._call_with_repair(recorder, request, lambda text: parse_policy_doc(text, bundle.registry, 3))
     assert [len(r.messages) for r in recorder.requests] == [2, 4]
     requests.extend(recorder.requests)
     return requests

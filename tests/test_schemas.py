@@ -286,10 +286,18 @@ def _parsers(bundle):
     )
 
 
+# A policy document whose condition holds one of the constants json.loads
+# accepts by default, though RFC 8259 has no NaN or Infinity; dump_doc
+# writes float(c) as c.
+_CONSTANTS = ["NaN", "Infinity", "-Infinity"]
+_POLICY_WITH = {c: dump_doc({**_POLICY, "deployment_conditions": {"max_load": float(c)}}) for c in _CONSTANTS}
+
+
 @pytest.mark.parametrize(
     "text, match",
-    [("[" * 100_000 + "]" * 100_000, "recursion"), ("1" * 4301, "digits")],
-    ids=["deeply-nested", "long-integer"],
+    [("[" * 100_000 + "]" * 100_000, "recursion"), ("1" * 4301, "digits")]
+    + [(_POLICY_WITH[c], f"{c} is not a JSON value") for c in _CONSTANTS],
+    ids=["deeply-nested", "long-integer"] + [f"policy-{c}" for c in _CONSTANTS],
 )
 def test_parsers_reject_hostile_json_as_schema_errors(bundle, text, match):
     for parse in _parsers(bundle):
