@@ -82,9 +82,6 @@ class VendorCompatibilityMatrix:
     def clashes(self, dialect_a: str, dialect_b: str) -> bool:
         return frozenset((dialect_a, dialect_b)) in self.incompatible
 
-    def to_dict(self) -> dict[str, object]:
-        return {"incompatible": sorted(sorted(pair) for pair in self.incompatible)}
-
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "VendorCompatibilityMatrix":
         pairs = [string_array(pair, "an incompatible pair") for pair in data["incompatible"]]
@@ -415,21 +412,15 @@ class ConflictMemo:
     )
     reaches: dict[str, tuple[Pipeline, set[str]]] = field(default_factory=dict)
     internals: dict[str, tuple[Pipeline, tuple[ConflictRecord, ...]]] = field(default_factory=dict)
-    interned: dict[tuple[Pipeline, str], Pipeline] = field(default_factory=dict)
+    interned: dict[Pipeline, Pipeline] = field(default_factory=dict)
 
     def copy(self) -> "ConflictMemo":
         """A memo with the same entries whose later entries stay its own."""
         return ConflictMemo(dict(self.pairs), dict(self.reaches), dict(self.internals), dict(self.interned))
 
     def intern(self, pipeline: Pipeline) -> Pipeline:
-        """The first object interned with pipeline's value, pipeline itself if none was.
-
-        The key is byte-exact, the pipeline with the repr of its deployment
-        conditions: == alone takes 1, 1.0 and true (and 0.0 and -0.0) for
-        one value, but each renders its own bytes. The conditions must hash,
-        as every pipeline that passed the schema's condition check does.
-        """
-        return self.interned.setdefault((pipeline, repr(pipeline.deployment_conditions)), pipeline)
+        """The first object interned with pipeline's value, pipeline itself if none was."""
+        return self.interned.setdefault(pipeline, pipeline)
 
     def reach(
         self, ref: str, pipeline: Pipeline, intents: Mapping[int, Intent], registry: Registry

@@ -33,8 +33,6 @@ class Stage(IntEnum):
 
 Directive = tuple[tuple[str, str], ...]
 
-Conditions = tuple[tuple[str, object], ...]
-
 
 def normalize_directive(directive: Mapping[str, str]) -> Directive:
     """Canonical form of a directive: sorted (param, setting) pairs."""
@@ -74,47 +72,6 @@ def json_object(value: object, name: str) -> dict:
 
 # What a from_dict constructor raises on a malformed entry, a missing field included.
 ENTRY_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
-
-
-_SCALAR_TYPES = (str, int, float, bool)
-
-
-def validate_deployment_conditions(conditions: object) -> list[str]:
-    """Schema check for a deployment-conditions record.
-
-    The record is a flat mapping from condition name to a scalar or a list
-    of scalars. Its meaning is never interpreted, only its shape.
-    """
-    problems: list[str] = []
-    if not isinstance(conditions, (dict, tuple)):
-        return [f"deployment_conditions must be an object, got {type(conditions).__name__}"]
-    items = conditions if isinstance(conditions, tuple) else tuple(conditions.items())
-    for entry in items:
-        if not isinstance(entry, tuple) or len(entry) != 2:
-            problems.append(f"malformed condition entry {entry!r}")
-            continue
-        key, value = entry
-        if not isinstance(key, str) or not key:
-            problems.append(f"condition keys must be nonempty strings, got {key!r}")
-        if isinstance(value, _SCALAR_TYPES):
-            continue
-        if isinstance(value, (list, tuple)) and all(isinstance(v, _SCALAR_TYPES) for v in value):
-            continue
-        problems.append(f"condition {key!r} must map to a scalar or list of scalars")
-    return problems
-
-
-def normalize_conditions(conditions: Mapping[str, object]) -> Conditions:
-    out = []
-    for key, value in sorted(conditions.items()):
-        if isinstance(value, list):
-            value = tuple(value)
-        out.append((key, value))
-    return tuple(out)
-
-
-def conditions_to_dict(conditions: Conditions) -> dict[str, object]:
-    return {key: list(value) if isinstance(value, tuple) else value for key, value in conditions}
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,12 +273,17 @@ class PipelineNode:
 
 @dataclass(frozen=True, slots=True)
 class Pipeline:
-    """An rApp policy: a DAG of configured xApps plus deployment conditions."""
+    """An rApp policy: a DAG of configured xApps plus deployment conditions.
+
+    The conditions are opaque here: the object as canonical JSON text, in
+    the form schemas.dump_doc gives it. schemas.py checks, encodes and
+    decodes them, so two pipelines are == only when those bytes are equal.
+    """
 
     intent_id: int
     nodes: tuple[PipelineNode, ...]
     edges: frozenset[tuple[str, str]]
-    deployment_conditions: Conditions = ()
+    deployment_conditions: str = "{}"
 
     @classmethod
     def build(
@@ -329,14 +291,14 @@ class Pipeline:
         intent_id: int,
         nodes: Iterable[tuple[str, Mapping[str, str]]],
         edges: Iterable[tuple[str, str]] = (),
-        conditions: Mapping[str, object] | None = None,
+        conditions: str = "{}",
     ) -> "Pipeline":
-        """The normalizing constructor: sorted directives and conditions, an edge set."""
+        """The normalizing constructor: sorted directives, an edge set, the conditions as given."""
         return cls(
             intent_id=intent_id,
             nodes=tuple(PipelineNode(x, normalize_directive(d)) for x, d in nodes),
             edges=frozenset((str(a), str(b)) for a, b in edges),
-            deployment_conditions=normalize_conditions(conditions or {}),
+            deployment_conditions=conditions,
         )
 
     @property
@@ -441,9 +403,6 @@ def validate_pipeline_structure(pipeline: Pipeline, registry: Registry) -> Valid
     cycle_nodes = _peel(node_ids, usable_edges)
     if cycle_nodes:
         violations.append(Violation("cycle", f"cycle through {sorted(cycle_nodes)}"))
-
-    for problem in validate_deployment_conditions(pipeline.deployment_conditions):
-        violations.append(Violation("bad_conditions", problem))
 
     return ValidationResult(tuple(violations))
 

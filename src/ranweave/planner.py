@@ -91,15 +91,16 @@ class OracleResult:
         }
 
 
-def synthesize_ground_truth(
-    intent: Intent,
-    registry: Registry,
-    matrix: VendorCompatibilityMatrix,
-    max_len: int = 5,
-) -> Pipeline:
+# The largest cover synthesize_ground_truth tries. An intent whose every clean
+# cover is larger is infeasible: the cap bounds the search for such an intent,
+# whose subsets of size k number C(n, k) in an n-xApp catalog.
+MAX_COVER = 5
+
+
+def synthesize_ground_truth(intent: Intent, registry: Registry, matrix: VendorCompatibilityMatrix) -> Pipeline:
     """Minimum-size, internally conflict-free pipeline fulfilling an intent.
 
-    The answer is the first xApp subset of at most max_len members, smallest
+    The answer is the first xApp subset of at most MAX_COVER members, smallest
     size first and, within a size, in ascending node-id sequence, that
     contains the intent's mandatory xApps, covers its required capabilities
     and, wired as model.stage_chain, has no internal conflict. _covers
@@ -107,8 +108,6 @@ def synthesize_ground_truth(
     only those are wired and checked; an xApp that covers nothing is still
     tried in a free slot, as the spacer a clashing pair may need.
     """
-    if max_len < 1 or max_len > 5:
-        raise ValueError("max_len must be between 1 and 5")
     pool = registry.ids
     missing = {x for x in intent.required_xapps if x not in registry}
     if missing:
@@ -119,7 +118,7 @@ def synthesize_ground_truth(
     bit = {cap: 1 << k for k, cap in enumerate(sorted(intent.required_capabilities))}
     masks = [sum(bit.get(cap, 0) for cap in registry[x].capabilities) for x in pool]
     mandatory = {p for p, x in enumerate(pool) if x in intent.required_xapps}
-    sizes = range(max(1, len(mandatory)), max_len + 1)
+    sizes = range(max(1, len(mandatory)), MAX_COVER + 1)
     for positions in _covers(masks, (1 << len(bit)) - 1, mandatory, sizes):
         ordered, edges = stage_chain([pool[p] for p in positions], registry)
         nodes = [(x, default_directive(registry[x])) for x in ordered]
@@ -128,7 +127,7 @@ def synthesize_ground_truth(
             return pipeline
 
     raise InfeasibleIntentError(
-        f"no xApp subset of size <= {max_len} covers capabilities "
+        f"no xApp subset of size <= {MAX_COVER} covers capabilities "
         f"{sorted(intent.required_capabilities)} for intent {intent.id!r}"
     )
 

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable
 
 from .conflicts import ConflictKind, ConflictRecord, canonical_sort
-from .model import ENTRY_ERRORS, Intent, Pipeline, Registry, conditions_to_dict, validate_deployment_conditions
+from .model import ENTRY_ERRORS, Intent, Pipeline, Registry
 
 # The conflict report groups its records by class under these keys.
 REPORT_GROUPS = {
@@ -78,7 +78,7 @@ def pipeline_to_policy_doc(pipeline: Pipeline) -> dict[str, object]:
         "intent_id": pipeline.intent_id,
         "selected_xapps": [[node.xapp_id, node.directive_map] for node in pipeline.nodes],
         "edges": sorted([a, b] for a, b in pipeline.edges),
-        "deployment_conditions": conditions_to_dict(pipeline.deployment_conditions),
+        "deployment_conditions": json.loads(pipeline.deployment_conditions),
     }
 
 
@@ -91,11 +91,12 @@ def _pipeline(data: dict[str, object], errors: list[str]) -> Pipeline:
     if errors:
         raise SchemaValidationError("policy document", errors)
     return Pipeline.build(
-        data["intent_id"], data["selected_xapps"], data["edges"], data["deployment_conditions"]
+        data["intent_id"], data["selected_xapps"], data["edges"], dump_doc(data["deployment_conditions"])
     )
 
 
 _POLICY_KEYS = {"intent_id", "selected_xapps", "edges", "deployment_conditions"}
+_SCALAR_TYPES = (str, int, float, bool)
 
 
 def _policy_doc_errors(data: object, registry: Registry, intent_id: int) -> list[str]:
@@ -150,11 +151,19 @@ def _policy_shape_errors(data: object) -> list[str]:
     ):
         errors.append("edges must be a list of [from, to] id pairs")
 
+    # Deployment conditions are a flat object of scalars and lists of scalars;
+    # their meaning is never interpreted, only their shape.
     conditions = data["deployment_conditions"]
     if not isinstance(conditions, dict):
         errors.append("deployment_conditions must be an object")
-    else:
-        errors.extend(validate_deployment_conditions(conditions))
+        return errors
+    for key, value in conditions.items():
+        if not isinstance(key, str) or not key:
+            errors.append(f"condition keys must be nonempty strings, got {key!r}")
+        if not isinstance(value, _SCALAR_TYPES) and not (
+            isinstance(value, list) and all(isinstance(v, _SCALAR_TYPES) for v in value)
+        ):
+            errors.append(f"condition {key!r} must map to a scalar or list of scalars")
     return errors
 
 
@@ -165,12 +174,12 @@ def parse_policy_doc(text: str, registry: Registry, intent_id: int) -> Pipeline:
     structural validity of the pipeline itself is deliberately not, those
     violations are surfaced to refinement instead of being rejected here.
     """
-    data = _load_json(text, "policy document")
+    data = _load_json(text, "policy document", "response")
     return _pipeline(data, _policy_doc_errors(data, registry, intent_id))
 
 
 def parse_perception_doc(text: str) -> PerceptionDoc:
-    data = _load_json(text, "conflict report")
+    data = _load_json(text, "conflict report", "response")
     if not isinstance(data, dict):
         raise SchemaValidationError("conflict report", ["expected a JSON object"])
     errors = _key_errors(data, {"conflicts", "notes"}, set(), "")
@@ -251,7 +260,7 @@ def parse_refinement_doc(text: str, original: Pipeline, registry: Registry) -> R
     One SchemaValidationError carries every error found: the document's
     keys, the revised policy's and the edits'.
     """
-    data = _load_json(text, "refinement document")
+    data = _load_json(text, "refinement document", "response")
     if not isinstance(data, dict):
         raise SchemaValidationError("refinement document", ["expected a JSON object"])
     errors = _key_errors(data, _REFINEMENT_KEYS, _REFINEMENT_KEYS, "")
@@ -304,7 +313,7 @@ def parse_memory_line(text: str, doc_name: str) -> tuple[dict, Intent, Pipeline,
     (which must be of that intent), the records, and the outcome's flags and counters,
     which the caller reads from the returned object.
     """
-    data = _load_json(text, doc_name)
+    data = _load_json(text, doc_name, "line")
     if not isinstance(data, dict):
         raise SchemaValidationError(doc_name, ["expected a JSON object"])
     errors = _key_errors(data, _LINE_KEYS, _LINE_KEYS, "")
@@ -371,15 +380,17 @@ def reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
-def _load_json(text: str, doc_name: str) -> object:
+def _load_json(text: str, doc_name: str, subject: str) -> object:
+    """The decoded text of doc_name; subject names the text in the error: response or line."""
     # ValueError covers malformed JSON, NaN or Infinity and integers past the
     # digit limit; RecursionError, nesting deeper than the decoder can follow.
     try:
         return json.loads(text, parse_constant=reject_constant)
     except (ValueError, RecursionError) as exc:
-        raise SchemaValidationError(doc_name, [f"response is not valid JSON: {exc}"]) from exc
+        raise SchemaValidationError(doc_name, [f"{subject} is not valid JSON: {exc}"]) from exc
 
 
 def dump_doc(data: object) -> str:
-    """The one JSON encoder, of every prompt section and every mock response."""
+    """The one JSON encoder, of every prompt section, every mock response and
+    every pipeline's deployment conditions."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -259,9 +259,7 @@ def corrupt_pipeline(
     else:
         raise ValueError(f"unknown corruption {corruption!r}")
 
-    return Pipeline.build(
-        truth.intent_id, nodes, edges, dict(truth.deployment_conditions)
-    )
+    return Pipeline.build(truth.intent_id, nodes, edges, truth.deployment_conditions)
 
 
 def refine_pipeline(

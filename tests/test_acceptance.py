@@ -25,7 +25,7 @@ from ranweave.memory import MemoryBuffer
 from ranweave.model import DeploymentState, Pipeline
 from ranweave.planner import max_conflict_free_subset
 from ranweave.retrieval import chunk_document, chunk_spans, k_schedule, reconstruct
-from ranweave.schemas import pipeline_to_policy_doc, policy_doc_to_pipeline
+from ranweave.schemas import dump_doc, pipeline_to_policy_doc, policy_doc_to_pipeline
 
 from .helpers import (
     brute_actuator_subjects,
@@ -335,7 +335,7 @@ def test_criterion_10_schema_roundtrip():
                 pipeline.intent_id,
                 [(n.xapp_id, n.directive_map) for n in pipeline.nodes],
                 pipeline.edges,
-                conditions={"max_load": rng.randint(1, 99), "windows": ["night"]},
+                conditions=dump_doc({"max_load": rng.randint(1, 99), "windows": ["night"]}),
             )
         doc = json.loads(json.dumps(pipeline_to_policy_doc(pipeline)))
         if policy_doc_to_pipeline(doc) != pipeline:

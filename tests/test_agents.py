@@ -657,15 +657,15 @@ def test_oracle_answers_are_stored_as_the_oracles_truth_objects(bundle, truths, 
 
 
 def test_an_equal_answer_with_other_condition_bytes_keeps_its_own_object(bundle, truths):
-    """1 and true compare (and hash) equal, so the two answers for intent 3
-    are equal pipelines; interning must not give the second the first's
-    object, or the next prompt would show "max_load":1 where the backend
-    sent true."""
+    """1 and true compare (and hash) equal as Python values, but the two
+    answers for intent 3 carry different condition bytes and are distinct
+    pipelines; interning must not give the second the first's object, or
+    the next prompt would show "max_load":1 where the backend sent true."""
 
     first_node = truths[3].nodes[0]
     wrong = [(first_node.xapp_id, first_node.directive_map)]
-    as_int, as_bool = (Pipeline.build(3, wrong, (), {"max_load": v}) for v in (1, True))
-    assert as_int == as_bool and not pipelines_equal(as_int, truths[3])
+    as_int, as_bool = (Pipeline.build(3, wrong, (), dump_doc({"max_load": v})) for v in (1, True))
+    assert as_int != as_bool and not pipelines_equal(as_int, truths[3])
     report = dump_doc(conflict_report(()))
     policy = {name: dump_doc(pipeline_to_policy_doc(p)) for name, p in (("int", as_int), ("bool", as_bool))}
     # NR: perception, then reasoning for each unsolved intent; 4 is solved at once.
@@ -677,9 +677,9 @@ def test_an_equal_answer_with_other_condition_bytes_keeps_its_own_object(bundle,
     orchestrate_batch(ctx, transport, memory, None, scenario_oracle(bundle, bundle.scenarios[1]))
 
     first, second = [e.pipeline for e in memory.entries if e.intent.id == 3][:2]
-    assert first == second and first is not second
-    assert first.deployment_conditions == (("max_load", 1),)
-    assert second.deployment_conditions[0][1] is True
+    assert first != second
+    assert first.deployment_conditions == '{"max_load":1}'
+    assert second.deployment_conditions == '{"max_load":true}'
     third_perception = [r for r in transport.requests if r.role == "perception"][2]
     candidates = third_perception.messages[1]["content"].split("## Candidate policies\n")[1]
     assert '"max_load":true' in candidates and '"max_load":1' not in candidates

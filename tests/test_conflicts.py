@@ -391,11 +391,14 @@ def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
 
 
 def test_intern_returns_the_first_object_of_a_value_and_keeps_condition_bytes_apart():
-    """1, 1.0 and true compare equal but render as three different bytes,
-    so each keeps its own object; a copy starts from the same table."""
+    """1, 1.0 and true render as three different condition bytes, so the
+    pipelines are three values and each keeps its own object; a copy starts
+    from the same table."""
     memo = ConflictMemo()
-    as_int, as_float, as_bool = (Pipeline.build(1, [("x", {})], (), {"max_load": v}) for v in (1, 1.0, True))
-    assert as_int == as_float == as_bool
+    as_int, as_float, as_bool = (
+        Pipeline.build(1, [("x", {})], (), dump_doc({"max_load": v})) for v in (1, 1.0, True)
+    )
+    assert len({as_int, as_float, as_bool}) == 3
     assert memo.intern(as_int) is as_int
     assert memo.intern(replace(as_int)) is as_int
     assert memo.intern(as_float) is as_float and memo.intern(as_bool) is as_bool

@@ -31,6 +31,7 @@ from ranweave.harness import (
 from ranweave.memory import MemoryBuffer
 from ranweave.model import DeploymentState
 from ranweave.retrieval import embed
+from ranweave.transport import CHAT_BASE_URL_ENV, CHAT_MODEL_ENV, HttpChatTransport
 
 # One sha256 over RunReport.to_dict() for bundled scenarios 1-4 x every mode x
 # seeds 0-2 under mock-noisy, and each mode's agent calls over the same grid.
@@ -505,6 +506,28 @@ def test_cli_run_refuses_a_negative_analogue_count(value, capsys):
     captured = capsys.readouterr()
     assert f"argument --analogues: {value} is not a non-negative integer" in captured.err
     assert "scenario 1" not in captured.out
+
+
+def test_cli_run_refuses_an_unknown_mode(capsys):
+    with pytest.raises(SystemExit, match=r"^unknown mode 'xx'"):
+        cli_main(["run", "--mode", "xx"])
+    assert "scenario" not in capsys.readouterr().out
+
+
+def test_make_transport_refuses_an_unknown_kind(bundle):
+    with pytest.raises(ValueError, match="unknown transport 'carrier-pigeon'"):
+        make_transport("carrier-pigeon", bundle)
+
+
+def test_make_transport_configures_the_http_backend_from_the_environment(bundle, monkeypatch):
+    """Building the backend reads its settings and sends no request."""
+    monkeypatch.setenv(CHAT_BASE_URL_ENV, "http://localhost:9/v1/")
+    monkeypatch.setenv(CHAT_MODEL_ENV, "test-model")
+    transport = make_transport("http", bundle)
+    assert isinstance(transport, HttpChatTransport)
+    assert transport.describe() == "http(model=test-model)"
+    assert transport.base_url == "http://localhost:9/v1"
+    assert transport.calls == []
 
 
 def test_cli_run_takes_zero_analogues(capsys):

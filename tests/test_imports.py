@@ -131,15 +131,19 @@ def _calls(tree: ast.AST, module: str, function: str) -> bool:
     )
 
 
+def _package_trees() -> dict[str, ast.AST]:
+    return {
+        str(path.relative_to(PACKAGE_DIR)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(PACKAGE_DIR).rglob("*.py")
+    }
+
+
 def test_documents_are_decoded_by_their_own_modules():
     """schemas.py decodes every document the package reads back, the saved
     memory line among them; harness.py reads the fixture files and
     transport.py the HTTP response envelope. memory.py only builds entries,
     and a conflict record is built by the one record parser."""
-    trees = {
-        str(path.relative_to(PACKAGE_DIR)): ast.parse(path.read_text(encoding="utf-8"))
-        for path in Path(PACKAGE_DIR).rglob("*.py")
-    }
+    trees = _package_trees()
     decoders = sorted(name for name, tree in trees.items() if _calls(tree, "json", "loads"))
     assert decoders == ["harness.py", "schemas.py", "transport.py"]
     assert "json" not in {name.split(".")[0] for name in _imported_names(trees["memory.py"])}
@@ -148,6 +152,24 @@ def test_documents_are_decoded_by_their_own_modules():
         if isinstance(node, ast.ClassDef) and node.name == "ConflictRecord"
     ]
     assert "from_dict" not in {node.name for node in record.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_deployment_conditions_are_coded_only_by_the_schemas():
+    """model.py keeps a pipeline's deployment conditions as opaque canonical
+    text and defines no conditions function; only schemas.py encodes them
+    with dump_doc or decodes them with json.loads."""
+    trees = _package_trees()
+    model_functions = {node.name for node in ast.walk(trees["model.py"]) if isinstance(node, ast.FunctionDef)}
+    assert not {name for name in model_functions if "conditions" in name}
+    coders = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("dump_doc", "json.loads")
+        and any("conditions" in ast.unparse(arg) for arg in node.args)
+    }
+    assert coders == {"schemas.py"}
 
 
 _MOCK_RUN = """

@@ -244,9 +244,8 @@ def _saved_line(tmp_path) -> dict:
     intent = Intent.build(
         3, "replay me", target_kpis={"latency": -1, "energy": 1}, required_capabilities=["cap"], required_xapps=["x"]
     )
-    pipeline = Pipeline.build(
-        3, [("x", {"p": "auto"}), ("y", {})], [("x", "y")], conditions={"load": "any", "windows": ["night", "day"]}
-    )
+    conditions = dump_doc({"load": "any", "windows": ["night", "day"]})
+    pipeline = Pipeline.build(3, [("x", {"p": "auto"}), ("y", {})], [("x", "y")], conditions=conditions)
     outcome = OutcomeRecord(False, True, (_contention("x"), _contention("y")), 2, SolutionScore(1, 0, -2, -2))
     buffer = MemoryBuffer()
     buffer.add(intent, pipeline, outcome)
@@ -336,17 +335,20 @@ def test_load_names_a_missing_intent_field(tmp_path):
     [
         ("[]", "expected a JSON object"),
         ("{}", "missing keys ['intent', 'outcome', 'pipeline', 'sequence_no']"),
-        ("{nope", "response is not valid JSON"),
+        ("{nope", "line is not valid JSON"),
     ],
     ids=["array", "empty-object", "not-json"],
 )
 def test_load_refuses_a_line_that_is_no_entry(tmp_path, text, match):
-    """The error names the line by its number in the file, blank lines counted."""
+    """The error names the line by its number in the file, blank lines counted,
+    and calls it a line: no chat response is involved."""
     line = _saved_line(tmp_path)
     path = tmp_path / "memory.jsonl"
     path.write_text(f"{dump_doc(line)}\n\n{text}\n", encoding="utf-8")
-    with pytest.raises(SchemaValidationError, match=rf"^{re.escape(str(path))} line 3: {re.escape(match)}"):
+    pattern = rf"^{re.escape(str(path))} line 3: {re.escape(match)}"
+    with pytest.raises(SchemaValidationError, match=pattern) as caught:
         MemoryBuffer.load(path)
+    assert "response" not in str(caught.value)
 
 
 def test_load_refuses_a_sequence_number_that_does_not_grow(tmp_path):

@@ -92,7 +92,7 @@ def test_validation_is_total_on_garbage():
         1,
         [("a", {}), ("a", {}), ("ghost", {})],
         [("a", "ghost"), ("ghost", "a"), ("x", "y")],
-        conditions={"window": "off-peak"},
+        conditions='{"window":"off-peak"}',
     )
     result = validate_pipeline_structure(pipeline, registry)
     assert not result.ok
@@ -145,8 +145,8 @@ def test_pipelines_equal_reflexive():
 
 def test_pipelines_equal_ignores_conditions():
     base = [("a", {"p": "v"}), ("b", {})]
-    p = Pipeline.build(1, base, [("a", "b")], conditions={"load": "low"})
-    q = Pipeline.build(1, base, [("a", "b")], conditions={"time": "night", "load": "high"})
+    p = Pipeline.build(1, base, [("a", "b")], conditions='{"load":"low"}')
+    q = Pipeline.build(1, base, [("a", "b")], conditions='{"load":"high","time":"night"}')
     assert pipelines_equal(p, q)
 
 

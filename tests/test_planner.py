@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -177,7 +178,7 @@ _DIALECT_PAIRS = [(a, b) for i, a in enumerate(DIALECT_POOL) for b in DIALECT_PO
 
 @st.composite
 def _cover_problems(draw):
-    """(intent, registry, matrix, max_len) for the cover search.
+    """(intent, registry, matrix, cap) for the cover search, cap a MAX_COVER of 1 to 5.
 
     Up to 12 random xApps in shuffled insertion order, mandatory xApps, and
     now and then an unregistered mandatory xApp or an unoffered capability.
@@ -217,14 +218,16 @@ def _cover_problems(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(problem=_cover_problems())
 def test_cover_search_matches_level_scan_reference(problem):
-    """The pruned walk returns the level scan's pipeline, or fails as it does."""
-    intent, registry, matrix, max_len = problem
-    expected = brute_ground_truth(intent, registry, matrix, max_len)
-    if expected is None:
-        with pytest.raises(InfeasibleIntentError):
-            synthesize_ground_truth(intent, registry, matrix, max_len)
-    else:
-        assert synthesize_ground_truth(intent, registry, matrix, max_len) == expected
+    """The pruned walk returns the level scan's pipeline, or fails as it does,
+    under each cap: a smaller MAX_COVER makes more intents infeasible."""
+    intent, registry, matrix, cap = problem
+    expected = brute_ground_truth(intent, registry, matrix, cap)
+    with mock.patch.object(planner, "MAX_COVER", cap):
+        if expected is None:
+            with pytest.raises(InfeasibleIntentError):
+                synthesize_ground_truth(intent, registry, matrix)
+        else:
+            assert synthesize_ground_truth(intent, registry, matrix) == expected
 
 
 @pytest.mark.parametrize("bridged", [False, True], ids=["plain", "bridged"])

@@ -105,11 +105,12 @@ def _one_shot_policies(pipelines) -> str:
 
 
 def test_equal_pipelines_keep_their_own_bytes(bundle):
-    """1, True and 1.0 compare (and hash) equal, so pipelines differing only
-    there are equal; a value-keyed memo would show one rendering for all."""
+    """1, True and 1.0 compare (and hash) equal as Python values, but the
+    pipelines holding them hold three condition texts and are distinct; each
+    prompt shows the bytes of the pipeline it names."""
     nodes = [("traffic_steering_a", {"steering_policy": "auto"})]
-    as_int, as_bool, as_float = (Pipeline.build(3, nodes, (), {"max_load": v}) for v in (1, True, 1.0))
-    assert as_int == as_bool == as_float
+    as_int, as_bool, as_float = (Pipeline.build(3, nodes, (), dump_doc({"max_load": v})) for v in (1, True, 1.0))
+    assert len({as_int, as_bool, as_float}) == 3
     ctx = RunContext(
         mode=Mode.F5,
         intents=(bundle.intents[3],),

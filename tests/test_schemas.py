@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ranweave.conflicts import build_conflict_graph
@@ -33,7 +33,7 @@ def test_policy_doc_roundtrip_simple():
         3,
         [("baseband_placement_scheduler", {"placement_map": "auto"}), ("urllc_guard", {"preemption_policy": "auto"})],
         [("baseband_placement_scheduler", "urllc_guard")],
-        conditions={"load": "any", "windows": ["night", "weekend"]},
+        conditions=dump_doc({"load": "any", "windows": ["night", "weekend"]}),
     )
     doc = pipeline_to_policy_doc(pipeline)
     assert policy_doc_to_pipeline(json.loads(json.dumps(doc))) == pipeline
@@ -49,7 +49,7 @@ def test_policy_doc_roundtrip_500_random_pipelines():
                 pipeline.intent_id,
                 [(n.xapp_id, n.directive_map) for n in pipeline.nodes],
                 pipeline.edges,
-                conditions={"max_load": rng.randint(1, 99), "slices": ["embb", "urllc"]},
+                conditions=dump_doc({"max_load": rng.randint(1, 99), "slices": ["embb", "urllc"]}),
             )
         doc = json.loads(json.dumps(pipeline_to_policy_doc(pipeline)))
         assert policy_doc_to_pipeline(doc) == pipeline
@@ -89,6 +89,44 @@ def test_policy_doc_rejects_nested_conditions():
     doc["deployment_conditions"] = {"nested": {"too": "deep"}}
     with pytest.raises(SchemaValidationError):
         policy_doc_to_pipeline(doc)
+
+
+# Flat condition objects: scalars, among them the values that compare equal
+# but encode apart (1, 1.0 and true; 0, 0.0, -0.0 and false), and lists of them.
+_SCALARS = st.one_of(
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False]),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+)
+_CONDITIONS = st.dictionaries(
+    st.sampled_from(["load", "window"]) | st.text(min_size=1, max_size=4),
+    _SCALARS | st.lists(_SCALARS, max_size=3),
+    max_size=3,
+)
+
+
+def _policy_with(conditions: dict) -> dict:
+    return {"intent_id": 1, "selected_xapps": [["a", {}]], "edges": [], "deployment_conditions": conditions}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(conditions=_CONDITIONS)
+def test_a_parsed_policy_gives_back_its_bytes(conditions):
+    text = dump_doc(_policy_with(conditions))
+    assert dump_doc(pipeline_to_policy_doc(parse_policy_doc(text, _AB, 1))) == text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=_CONDITIONS, b=_CONDITIONS)
+@example(a={"load": 1}, b={"load": 1.0})
+@example(a={"load": 0.0}, b={"load": -0.0})
+@example(a={"window": [1, 0]}, b={"window": [True, False]})
+def test_parsed_pipelines_are_equal_exactly_when_their_condition_bytes_are(a, b):
+    """A pipeline's identity is its bytes: == and hashing tell 1 from 1.0 and true."""
+    p, q = (parse_policy_doc(dump_doc(_policy_with(c)), _AB, 1) for c in (a, b))
+    assert (p == q) == (dump_doc(a) == dump_doc(b))
+    assert p == parse_policy_doc(dump_doc(_policy_with(a)), _AB, 1)
 
 
 def test_parse_policy_checks_registry_membership(bundle):
@@ -241,7 +279,7 @@ _POLICY = pipeline_to_policy_doc(
         1,
         [("mobility_predictor", {}), ("traffic_steering_a", {"steering_policy": "auto"})],
         [("mobility_predictor", "traffic_steering_a")],
-        conditions={"load": "any", "windows": ["night"]},
+        conditions=dump_doc({"load": "any", "windows": ["night"]}),
     )
 )
 _RECORD = {
