@@ -324,6 +324,11 @@ def enforce_monotonicity(previous_best: Solution | None, candidate: Solution) ->
     return previous_best
 
 
+def query_text(intents: Sequence[Intent], registry: Registry) -> str:
+    """The one retrieval query of a batch: its intents' texts, then every registered xApp id."""
+    return " ".join(i.text for i in intents) + " " + " ".join(registry.ids)
+
+
 def _select_deployment(
     ctx: RunContext,
     usable: Sequence[int],
@@ -375,6 +380,9 @@ def orchestrate_batch(
     memo (ConflictMemo.intern), so an answer equal to an earlier one or to
     a truth is that object, and the memo's identity test catches it. A
     candidate's structure is checked once, when it is stored.
+
+    Every iteration retrieves for one question, query_text of the batch; a
+    store that starts from its ranking, as run_scenario's does, ranks nothing.
     """
     memory.clear()
     truths = oracle.per_intent_truth
@@ -391,13 +399,13 @@ def orchestrate_batch(
     synthesis: int | None = None
     deployment: int | None = None
 
-    query_text = " ".join(i.text for i in ctx.intents) + " " + " ".join(ctx.registry.ids)
+    query = query_text(ctx.intents, ctx.registry)
     # Perception reads the conflict graph of the candidates as the previous
     # iteration left them; before the first iteration, of the active set alone.
     graph = build_conflict_graph({}, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry, memo)
 
     for iteration in range(1, ctx.max_iterations + 1):
-        chunks = store.query(query_text, iteration) if store is not None and len(store) else ()
+        chunks = store.query(query, iteration) if store is not None and len(store) else ()
 
         perception_doc: PerceptionDoc | None = None
         if ctx.mode.uses_perception:

@@ -4,10 +4,15 @@ A fixture catalog is a directory holding registered xApps, service
 intents, orchestration scenarios, a vendor matrix and a knowledge corpus.
 load_fixtures takes a catalog of any size and checks only what every
 catalog must satisfy; the bundled catalog's shape is pinned by its tests,
-not by the loader. Each run seeds the deployment state with the reference
-pipelines of the scenario's pre-deployed intents, clears the memory buffer
-and drives the iteration loop, producing a RunReport whose metrics are
-normalized against the exact planner.
+not by the loader.
+
+What a scenario's runs share is computed once per bundle and scenario, on
+first use (ScenarioSetup): the deployment state of its pre-deployed
+reference pipelines, its oracle, and the knowledge corpus ranked for its
+retrieval query. Each run gets its own transport, memory buffer, knowledge
+store (seeded with that ranking), conflict memo and agent calls, drives the
+iteration loop, and produces a RunReport whose metrics are normalized
+against the exact planner.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .agents import (
     Mode,
     RunContext,
     orchestrate_batch,
+    query_text,
 )
 from .conflicts import VendorCompatibilityMatrix
 from .memory import MemoryBuffer
@@ -38,8 +44,8 @@ from .planner import (
     max_conflict_free_subset,
     synthesize_ground_truth,
 )
-from .retrieval import DocChunk, VectorStore
-from .schemas import reject_constant
+from .retrieval import DocChunk, VectorStore, rank
+from .schemas import finite_float, reject_constant
 from .transport import ChatTransport, HttpChatTransport, MockBundle, NoisyTransport, OracleTransport
 
 T = TypeVar("T")
@@ -76,9 +82,12 @@ class ScenarioSpec:
 @dataclass(frozen=True)
 class FixtureBundle:
     """A loaded catalog. What every run of it shares, the reference pipelines
-    and the embedded knowledge corpus, is computed once per bundle, on first
-    use, and lives as long as the bundle: loading the catalog again computes
-    it again."""
+    and the embedded knowledge corpus, and what every run of one of its
+    scenarios shares (setup: active set, oracle, corpus ranking), is computed
+    once per bundle, on first use, and lives as long as the bundle: loading
+    the catalog again computes it again. Nothing is computed at load time.
+    Each run's transport, memory buffer, store, conflict memo and agent calls
+    stay its own."""
 
     registry: Registry
     intents: dict[int, Intent]
@@ -103,6 +112,18 @@ class FixtureBundle:
             chunk.vector.flags.writeable = False
         return chunks
 
+    @cached_property
+    def _setups(self) -> dict[ScenarioSpec, "ScenarioSetup"]:
+        return {spec: ScenarioSetup(self, spec) for spec in self.scenarios.values()}
+
+    def setup(self, spec: ScenarioSpec) -> "ScenarioSetup":
+        """The shared set-up of spec's runs, kept for each of the bundle's own
+        scenarios (a spec equal to one of them is served its setup). Any other
+        spec gets a new setup on every call, so the kept ones are bounded by
+        the catalog."""
+        setup = self._setups.get(spec)
+        return setup if setup is not None else ScenarioSetup(self, spec)
+
 
 class ReferencePipelines(Mapping):
     """A bundle's reference pipelines by intent id, each synthesized when first looked up."""
@@ -122,6 +143,44 @@ class ReferencePipelines(Mapping):
 
     def __len__(self) -> int:
         return len(self._bundle.intents)
+
+
+class ScenarioSetup:
+    """What every run of one scenario shares, each part computed on first use.
+
+    A part that raises (InfeasibleIntentError for an intent without a
+    reference pipeline) is not kept and raises again on the next lookup.
+    All of it is read-only: a run copies the oracle's memo before it adds
+    to it, and a run's store drops the ranking when a document is added.
+    """
+
+    def __init__(self, bundle: FixtureBundle, spec: ScenarioSpec):
+        self._bundle = bundle
+        self.spec = spec
+
+    @cached_property
+    def intents(self) -> tuple[Intent, ...]:
+        """The scenario's new intents, in the scenario's order."""
+        return tuple(self._bundle.intents[i] for i in self.spec.new_intents)
+
+    @cached_property
+    def pre(self) -> DeploymentState:
+        """The active set a run starts from: the pre-deployed intents' reference pipelines."""
+        truths = self._bundle.truths
+        return DeploymentState(tuple(truths[i] for i in self.spec.pre_deployed_intents))
+
+    @cached_property
+    def oracle(self) -> OracleResult:
+        """Truths of the new intents plus the deployable maximum beside pre."""
+        b = self._bundle
+        candidates = {i: b.truths[i] for i in self.spec.new_intents}
+        return max_conflict_free_subset(candidates, self.pre, b.intents, b.matrix, b.registry)
+
+    @cached_property
+    def ranking(self) -> tuple[str, tuple[DocChunk, ...]]:
+        """The retrieval query a run of the scenario asks, and the bundle's corpus ranked for it."""
+        text = query_text(self.intents, self._bundle.registry)
+        return text, rank(self._bundle.knowledge, text)
 
 
 @dataclass
@@ -215,7 +274,8 @@ def _read_json(root: Path, name: str):
     if not file.exists():
         raise FixtureError(name, "fixture file missing")
     try:
-        return json.loads(file.read_text(encoding="utf-8"), parse_constant=reject_constant)
+        text = file.read_text(encoding="utf-8")
+        return json.loads(text, parse_constant=reject_constant, parse_float=finite_float)
     except (RecursionError, ValueError) as exc:
         raise FixtureError(name, f"invalid JSON: {exc}") from exc
 
@@ -242,11 +302,13 @@ def _load_entries(root: Path, name: str, build: Callable[[object], T]) -> dict[i
 
 
 def scenario_oracle(bundle: FixtureBundle, scenario: ScenarioSpec) -> OracleResult:
-    """Reference answer for one scenario: truths plus the deployable maximum."""
-    truths = bundle.truths
-    pre = DeploymentState(tuple(truths[i] for i in scenario.pre_deployed_intents))
-    candidates = {i: truths[i] for i in scenario.new_intents}
-    return max_conflict_free_subset(candidates, pre, bundle.intents, bundle.matrix, bundle.registry)
+    """Reference answer for one scenario: truths plus the deployable maximum.
+
+    Computed once per bundle and scenario (FixtureBundle.setup), so the CLI,
+    the soundness gate and every run of the scenario read one result; a run
+    copies its memo before adding to it.
+    """
+    return bundle.setup(scenario).oracle
 
 
 def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
@@ -282,7 +344,9 @@ def build_knowledge_store(bundle: FixtureBundle) -> VectorStore:
     """A fresh store over the bundle's corpus, embedded once per bundle.
 
     Each call gets its own chunk list and query memo, so documents added to
-    one run's store never reach another run.
+    one store never reach another. The store keeps no ranking: its first
+    query ranks the corpus. run_scenario instead seeds its run's store with
+    the scenario's ranking (ScenarioSetup.ranking), made once per bundle.
     """
     return VectorStore(chunks=bundle.knowledge)
 
@@ -316,20 +380,25 @@ def run_scenario(
     analogue_count: int = DEFAULT_ANALOGUES,
     memory: MemoryBuffer | None = None,
 ) -> RunReport:
-    """Execute one (scenario, mode, transport, seed) run and report metrics."""
+    """Execute one (scenario, mode, transport, seed) run and report metrics.
+
+    The scenario's set-up is shared with its other runs (FixtureBundle.setup);
+    the transport, memory buffer, knowledge store and the loop are the run's own.
+    """
     spec = bundle.scenarios[scenario] if isinstance(scenario, int) else scenario
     run_mode = Mode(mode)
     chat = make_transport(transport, bundle, seed) if isinstance(transport, str) else transport
 
-    pre = DeploymentState(tuple(bundle.truths[i] for i in spec.pre_deployed_intents))
-    oracle = scenario_oracle(bundle, spec)
+    setup = bundle.setup(spec)
+    oracle = setup.oracle
     memory = memory if memory is not None else MemoryBuffer()
-    store = build_knowledge_store(bundle)
+    # The run's own store, starting from the ranking for the query its loop asks.
+    store = VectorStore(bundle.knowledge, setup.ranking)
 
     ctx = RunContext(
         mode=run_mode,
-        intents=tuple(bundle.intents[i] for i in spec.new_intents),
-        pre=pre,
+        intents=setup.intents,
+        pre=setup.pre,
         registry=bundle.registry,
         matrix=bundle.matrix,
         intent_catalog=bundle.intents,

@@ -8,7 +8,9 @@ deterministic and needs no network.
 The number of chunks injected per query grows with the iteration count:
 top-10 on the first attempt, +10 per attempt, capped at 50. A run asks the
 same question every iteration, so the store ranks the whole corpus once per
-query text and each later attempt takes a longer prefix of that ranking.
+query text and each later attempt takes a longer prefix of that ranking. A
+store can also start from a ranking made elsewhere (rank) over the same chunks,
+so runs that ask one question share its ranking.
 """
 
 from __future__ import annotations
@@ -125,6 +127,14 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b))
 
 
+def rank(chunks: Iterable[DocChunk], query_text: str) -> tuple[DocChunk, ...]:
+    """Every chunk by descending cosine with the embedded query, ties broken by (doc_id, start)."""
+    # Per-chunk np.dot, not one matrix product: BLAS rounds differently and
+    # would reorder near-ties.
+    query_vector = embed(query_text)
+    return tuple(sorted(chunks, key=lambda c: (-cosine(query_vector, c.vector), c.doc_id, c.start)))
+
+
 def k_schedule(iteration: int) -> int:
     """Retrieval width for a given attempt: 10, 20, ..., capped at 50."""
     if iteration < 1:
@@ -138,12 +148,16 @@ class VectorStore:
     The store starts from chunks, which must be embedded by embed. The
     last query's text and its full ranking are kept, so a run that asks the
     same question every iteration embeds it and scores each chunk once;
-    later attempts slice the kept ranking. Adding a document drops it.
+    later attempts slice the kept ranking. A store may start with a kept
+    ranking, a (text, rank(chunks, text)) pair over the chunks it is given;
+    a query of another text ranks afresh. Adding a document drops it.
     """
 
-    def __init__(self, chunks: Iterable[DocChunk] = ()):
+    def __init__(
+        self, chunks: Iterable[DocChunk] = (), ranking: tuple[str, tuple[DocChunk, ...]] | None = None
+    ):
         self._chunks: list[DocChunk] = list(chunks)
-        self._last_query: tuple[str, list[DocChunk]] | None = None
+        self._last_query = ranking
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -167,16 +181,9 @@ class VectorStore:
                 count += self.add_document(str(file.relative_to(root)), file.read_text(encoding="utf-8"))
         return count
 
-    def query(self, query_text: str, iteration: int = 1) -> list[DocChunk]:
+    def query(self, query_text: str, iteration: int = 1) -> tuple[DocChunk, ...]:
         """Top chunks for this attempt, ties broken by (doc_id, start)."""
         k = k_schedule(iteration)
         if self._last_query is None or self._last_query[0] != query_text:
-            # Per-chunk np.dot, not one matrix product: BLAS rounds
-            # differently and would reorder near-ties.
-            query_vector = embed(query_text)
-            ranked = sorted(
-                self._chunks, key=lambda c: (-cosine(query_vector, c.vector), c.doc_id, c.start)
-            )
-            self._last_query = (query_text, ranked)
+            self._last_query = (query_text, rank(self._chunks, query_text))
         return self._last_query[1][:k]
-

@@ -12,6 +12,7 @@ was asked for; a memory line's pipeline must be of the line's intent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -380,17 +381,30 @@ def reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
+def finite_float(literal: str) -> float:
+    """A JSON number with a fraction or exponent as a float. One past the float
+    range (1e400) would decode to an infinity, which no JSON text can carry on,
+    so it is refused as reject_constant refuses the literal Infinity."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} is past the float range")
+    return value
+
+
 def _load_json(text: str, doc_name: str, subject: str) -> object:
     """The decoded text of doc_name; subject names the text in the error: response or line."""
-    # ValueError covers malformed JSON, NaN or Infinity and integers past the
-    # digit limit; RecursionError, nesting deeper than the decoder can follow.
+    # ValueError covers malformed JSON, NaN or Infinity, numbers past the float
+    # range and integers past the digit limit; RecursionError, nesting deeper
+    # than the decoder can follow.
     try:
-        return json.loads(text, parse_constant=reject_constant)
+        return json.loads(text, parse_constant=reject_constant, parse_float=finite_float)
     except (ValueError, RecursionError) as exc:
         raise SchemaValidationError(doc_name, [f"{subject} is not valid JSON: {exc}"]) from exc
 
 
 def dump_doc(data: object) -> str:
     """The one JSON encoder, of every prompt section, every mock response and
-    every pipeline's deployment conditions."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    every pipeline's deployment conditions. A NaN or infinite float raises
+    ValueError: its bare constant is no JSON value, so no decoder here would
+    read the text back."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)

@@ -210,15 +210,37 @@ def test_repair_reprompt_on_unknown_xapp_id(bundle, truths):
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_repair_reprompt_on_a_constant_that_is_no_json_value(bundle, truths, constant):
-    """dump_doc writes a float NaN or infinity as the bare constant, which RFC
+    """json.dumps writes a float NaN or infinity as the bare constant, which RFC
     8259 does not allow; the answer holding one gets the repair re-prompt."""
     conditions = {"max_load": float(constant)}
-    bad = dump_doc({**pipeline_to_policy_doc(truths[3]), "deployment_conditions": conditions})
+    bad = json.dumps({**pipeline_to_policy_doc(truths[3]), "deployment_conditions": conditions})
     transport = ScriptedTransport([bad, dump_doc(pipeline_to_policy_doc(truths[3]))])
     policy = _reason(_ctx(bundle, 1, Mode.NR, truths), bundle.intents[3], transport)
     assert policy == truths[3]
     assert len(transport.calls) == 2
     assert f"{constant} is not a JSON value" in transport.seen_messages[1][-1]["content"]
+
+
+def test_an_answer_past_the_float_range_is_a_failed_call(bundle, truths):
+    """1e400 decodes to an infinity that no later prompt or memory line could
+    carry as JSON. The answer gets the repair re-prompt naming it and, sent
+    again, fails the call (AgentCallError, what the benchmark counts); a loop
+    fed only such answers keeps no candidate and ends without a crash."""
+    doc = {**pipeline_to_policy_doc(truths[3]), "deployment_conditions": {"max_load": "?"}}
+    bad = dump_doc(doc).replace('"?"', "1e400")
+    transport = ScriptedTransport([bad])
+    with pytest.raises(AgentCallError, match="1e400 is past the float range"):
+        _reason(_ctx(bundle, 1, Mode.SA, truths), bundle.intents[3], transport)
+    assert len(transport.calls) == 2
+    assert "1e400 is past the float range" in transport.seen_messages[1][-1]["content"]
+
+    transport = ScriptedTransport([bad])
+    ctx = replace(_ctx(bundle, 1, Mode.SA, truths), max_iterations=1)
+    memory = MemoryBuffer()
+    outcome = orchestrate_batch(ctx, transport, memory, None, scenario_oracle(bundle, bundle.scenarios[1]))
+    assert len(transport.calls) == 2 * len(ctx.intents)
+    assert outcome.best.candidates == {} and not outcome.converged
+    assert not memory.entries
 
 
 def test_enforce_monotonicity_rules():
@@ -687,7 +709,9 @@ def test_an_equal_answer_with_other_condition_bytes_keeps_its_own_object(bundle,
 
 def test_one_oracle_serves_two_runs_alike(bundle, truths):
     """Two runs from one OracleResult, on fresh transports with one seed,
-    give byte-identical reports, and neither adds to the oracle's memo."""
+    give byte-identical reports, and neither adds to the oracle's memo. Two
+    run_scenario runs read that same oracle, the scenario's kept one, and
+    report the same bytes, leaving its memo as it was too."""
     spec = bundle.scenarios[3]
     oracle = scenario_oracle(bundle, spec)
     memo = oracle.memo
@@ -702,7 +726,12 @@ def test_one_oracle_serves_two_runs_alike(bundle, truths):
         )
         reports.append(json.dumps(report.to_dict(), sort_keys=True))
         assert outcome.iterations_run > 1
-    assert reports[0] == reports[1]
+    for _ in range(2):
+        transport = NoisyTransport(_mock_bundle(bundle, truths), 5)
+        report = run_scenario(bundle, spec, Mode.F5, transport, seed=5, max_iterations=10)
+        reports.append(json.dumps(report.to_dict(), sort_keys=True))
+    assert scenario_oracle(bundle, spec) is oracle
+    assert len(set(reports)) == 1
     assert (len(memo.pairs), len(memo.reaches), len(memo.internals), len(memo.interned)) == sizes
 
 

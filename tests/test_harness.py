@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranweave import retrieval
-from ranweave.agents import Mode, RunContext
+from ranweave import harness, retrieval
+from ranweave.agents import Mode, RunContext, orchestrate_batch, query_text
 from ranweave.cli import main as cli_main
 from ranweave.harness import (
     FixtureError,
     RunReport,
+    ScenarioSpec,
     build_knowledge_store,
     compare_modes,
     emit_report,
@@ -30,6 +31,7 @@ from ranweave.harness import (
 )
 from ranweave.memory import MemoryBuffer
 from ranweave.model import DeploymentState
+from ranweave.planner import InfeasibleIntentError, max_conflict_free_subset, synthesize_ground_truth
 from ranweave.retrieval import embed
 from ranweave.transport import CHAT_BASE_URL_ENV, CHAT_MODEL_ENV, HttpChatTransport
 
@@ -232,6 +234,16 @@ def test_malformed_fixture_files_raise_fixture_error(tmp_path, bundle, stem, edi
         load_fixtures(_copy_catalog(bundle, tmp_path, **{stem: edit}))
 
 
+def test_a_number_past_the_float_range_is_refused_as_no_json(tmp_path, bundle):
+    """1e400 decodes to an infinity; the loader refuses the file as it does
+    the literal Infinity, before any entry check sees the value."""
+    root = _copy_catalog(bundle, tmp_path, xapps=_set(0, "kpi_effects", {"mobility_robustness": "?"}))
+    file = root / "xapps.json"
+    file.write_text(file.read_text().replace('"?"', "1e400"))
+    with pytest.raises(FixtureError, match=r"^xapps.json: invalid JSON: 1e400 is past the float range$"):
+        load_fixtures(root)
+
+
 @pytest.mark.parametrize(
     "stem, index, key, value",
     [
@@ -385,6 +397,106 @@ def test_each_bundle_embeds_its_corpus_once(monkeypatch):
     assert len(build_knowledge_store(fresh)) == 17
     with pytest.raises(ValueError):
         fresh.knowledge[0].vector[0] = 1.0
+
+
+def _count_setup_work(monkeypatch):
+    """The oracle searches run_scenario starts, and each text embedded, from here on."""
+    oracles: list[tuple] = []
+    embedded: Counter[str] = Counter()
+
+    def counting_subset(*args, **kwargs):
+        oracles.append(args)
+        return max_conflict_free_subset(*args, **kwargs)
+
+    def counting_embed(text):
+        embedded[text] += 1
+        return embed(text)
+
+    monkeypatch.setattr(harness, "max_conflict_free_subset", counting_subset)
+    monkeypatch.setattr(retrieval, "embed", counting_embed)
+    return oracles, embedded
+
+
+def _query(bundle, spec):
+    return query_text(tuple(bundle.intents[i] for i in spec.new_intents), bundle.registry)
+
+
+def test_runs_of_one_scenario_search_its_oracle_and_rank_its_query_once(monkeypatch):
+    """The oracle and the corpus ranking for the scenario's query are made on
+    the scenario's first run and read by the others; a catalog loaded again
+    makes them again."""
+    oracles, embedded = _count_setup_work(monkeypatch)
+    fresh = load_fixtures()
+    query = _query(fresh, fresh.scenarios[2])
+    reports = [
+        run_scenario(fresh, 2, mode, "mock-noisy", seed=seed) for mode, seed in product(["f5", "sa", "nr"], [0, 3])
+    ]
+    assert any(report.iterations_to_deployment > 1 for report in reports)
+    assert len(oracles) == 1
+    assert embedded[query] == 1
+
+    again = load_fixtures()
+    run_scenario(again, 2, "f5", "mock-noisy", seed=0)
+    assert len(oracles) == 2
+    assert embedded[query] == 2
+
+
+def test_compare_modes_and_the_gate_share_each_scenario_oracle(monkeypatch):
+    oracles, _ = _count_setup_work(monkeypatch)
+    fresh = load_fixtures()
+    for scenario in (1, 3):
+        rows = compare_modes(fresh, scenario, ["f5", "fcfs"], "mock-oracle", seeds=[0, 1, 2])
+        assert [row["runs"] for row in rows] == [3, 3]
+    assert len(oracles) == 2
+    assert validate_fixture_soundness(fresh) == []
+    assert len(oracles) == 4
+    assert scenario_oracle(fresh, fresh.scenarios[1]) is scenario_oracle(fresh, fresh.scenarios[1])
+    assert len(oracles) == 4
+
+
+def test_a_document_added_to_one_runs_store_stays_in_that_run(monkeypatch):
+    """Each run gets a store of its own, seeded with the scenario's ranking:
+    a document the first run adds can head that run's ranking, and the next
+    run neither holds it nor ranks afresh."""
+    fresh = load_fixtures()
+    query = _query(fresh, fresh.scenarios[1])
+    stores = []
+
+    def recording(ctx, transport, memory, store, oracle):
+        if not stores:
+            store.add_document("extra.md", query)
+        stores.append(store)
+        return orchestrate_batch(ctx, transport, memory, store, oracle)
+
+    monkeypatch.setattr(harness, "orchestrate_batch", recording)
+    for _ in range(2):
+        run_scenario(fresh, 1, "f5", "mock-noisy", seed=3)
+    first, second = stores
+    assert len(first) == 18 and first.query(query)[0].doc_id == "extra.md"
+    assert len(second) == 17
+    assert second.query(query, 5) == fresh.setup(fresh.scenarios[1]).ranking[1]
+    assert "extra.md" not in {chunk.doc_id for chunk in second.query(query, 5)}
+
+
+def test_a_spec_outside_the_bundle_runs_afresh_with_the_same_report(monkeypatch):
+    """A spec equal to a bundle scenario is served that scenario's set-up; any
+    other spec (another id, or the id of a scenario with other intents) is set
+    up on every run and never kept, and reports what the bundle's spec does."""
+    oracles, _ = _count_setup_work(monkeypatch)
+    fresh = load_fixtures()
+    spec = fresh.scenarios[2]
+    expected = run_scenario(fresh, 2, "f5", "mock-noisy", seed=4).to_dict()
+    equal = ScenarioSpec(spec.id, spec.new_intents, spec.pre_deployed_intents)
+    assert run_scenario(fresh, equal, "f5", "mock-noisy", seed=4).to_dict() == expected
+    assert len(oracles) == 1
+    for outside in (ScenarioSpec(99, spec.new_intents, spec.pre_deployed_intents),
+                    ScenarioSpec(1, spec.new_intents, spec.pre_deployed_intents)):
+        for _ in range(2):
+            report = run_scenario(fresh, outside, "f5", "mock-noisy", seed=4)
+            assert report.to_dict() == {**expected, "scenario_id": outside.id}
+    assert len(oracles) == 5
+    assert fresh.setup(spec) is fresh.setup(equal)
+    assert fresh.setup(outside) is not fresh.setup(outside)
 
 
 def test_run_scenario_memory_files_are_deterministic(bundle, tmp_path):
@@ -575,8 +687,9 @@ def test_cli_runs_a_catalog_of_another_size(tmp_path, bundle, capsys):
             cli_main(["--fixtures", root] + command)
 
 
-def test_cli_isolates_an_infeasible_intent(tmp_path, bundle, capsys):
-    # Intent 8 needs all 12 capabilities: no cover of at most 5 xApps exists.
+def _catalog_with_an_infeasible_intent(bundle, tmp_path):
+    """The bundled catalog plus intent 8, which needs all 12 capabilities, so
+    no cover of at most 5 xApps exists, and scenario 5 (new 3 and 8)."""
     capabilities = sorted({c for p in bundle.registry for c in p.capabilities})
     assert len(capabilities) == 12
 
@@ -586,7 +699,29 @@ def test_cli_isolates_an_infeasible_intent(tmp_path, bundle, capsys):
     def add_scenario(scenarios):
         return scenarios + [{"id": 5, "new_intents": [3, 8], "pre_deployed_intents": []}]
 
-    root = str(_copy_catalog(bundle, tmp_path, intents=add_intent, scenarios=add_scenario))
+    return _copy_catalog(bundle, tmp_path, intents=add_intent, scenarios=add_scenario), capabilities
+
+
+def test_an_infeasible_scenario_is_searched_again_on_every_lookup(tmp_path, bundle, monkeypatch):
+    """A set-up that raises is not kept: each lookup tries the intent again."""
+    searched: list[int] = []
+
+    def counting_synthesis(intent, *args):
+        searched.append(intent.id)
+        return synthesize_ground_truth(intent, *args)
+
+    monkeypatch.setattr(harness, "synthesize_ground_truth", counting_synthesis)
+    grown = load_fixtures(_catalog_with_an_infeasible_intent(bundle, tmp_path)[0])
+    for _ in range(2):
+        with pytest.raises(InfeasibleIntentError, match="intent 8"):
+            scenario_oracle(grown, grown.scenarios[5])
+    assert searched.count(8) == 2
+    assert scenario_oracle(grown, grown.scenarios[1]).max_subset == frozenset({3, 4})
+
+
+def test_cli_isolates_an_infeasible_intent(tmp_path, bundle, capsys):
+    root, capabilities = _catalog_with_an_infeasible_intent(bundle, tmp_path)
+    root = str(root)
     assert cli_main(["--fixtures", root, "fixtures", "validate"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "FAIL intent 8: no xApp subset of size <= 5 covers capabilities "

@@ -172,6 +172,54 @@ def test_deployment_conditions_are_coded_only_by_the_schemas():
     assert coders == {"schemas.py"}
 
 
+_CONTAINER_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def _is_container(node: ast.AST | None) -> bool:
+    if isinstance(node, ast.Call):
+        return ast.unparse(node.func).split(".")[-1] in _CONTAINER_CALLS
+    return isinstance(node, _CONTAINER_DISPLAYS)
+
+
+def _process_lifetime_state(tree: ast.Module) -> list[str]:
+    """What outlives every run: a mutable container bound in the module or a
+    class body, or as a parameter default, and any use of functools' caches."""
+    found = []
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for node in (statement for body in bodies for statement in body):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_container(node.value):
+            found.append(ast.unparse(node))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found += [ast.unparse(d) for d in node.args.defaults + node.args.kw_defaults if _is_container(d)]
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"functools.{a.name}" for a in node.names if a.name in ("cache", "lru_cache")]
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) in ("functools.cache", "functools.lru_cache"):
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("module", ["agents.py", "harness.py", "retrieval.py"])
+def test_run_modules_keep_no_process_lifetime_state(module):
+    """State that spans runs lives on an object with a lifetime, such as the
+    FixtureBundle whose scenarios it serves, never in a module, where it would
+    outlive every bundle and carry one test's results into the next."""
+    tree = ast.parse(Path(PACKAGE_DIR, module).read_text(encoding="utf-8"))
+    assert _process_lifetime_state(tree) == []
+
+
+def test_the_state_check_sees_each_kind_of_binding():
+    source = (
+        "import functools\nfrom functools import lru_cache\nA = {}\nB: list = list()\n"
+        "class C:\n    D = set()\ndef f(x, seen=[]):\n    return x\n"
+        "g = functools.cache(f)\nE = (1, 2)\nF = frozenset()\n"
+    )
+    assert sorted(_process_lifetime_state(ast.parse(source))) == [
+        "A = {}", "B: list = list()", "D = set()", "[]", "functools.cache", "functools.lru_cache"
+    ]
+
+
 _MOCK_RUN = """
 import sys
 import ranweave

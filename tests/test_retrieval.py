@@ -20,6 +20,7 @@ from ranweave.retrieval import (
     cosine,
     embed,
     k_schedule,
+    rank,
     reconstruct,
 )
 
@@ -241,6 +242,29 @@ def test_query_keeps_the_last_embedding(monkeypatch):
         got, expected = store.query(text, iteration), reference_rank(store.chunks, embed(text), k_schedule(iteration))
         assert [(c.doc_id, c.start) for c in got] == [(c.doc_id, c.start) for c in expected]
     assert calls == ["traffic steering", "slicing", "traffic steering"]
+
+
+def test_a_store_starts_from_a_kept_ranking(monkeypatch):
+    """A store given (text, rank(chunks, text)) answers that text without
+    embedding it; another text, or a document added, ranks afresh."""
+    chunks = [c for i in range(3) for c in chunk_document(f"doc{i}.md", f"notes {i} on traffic steering " * (i + 2))]
+    kept = rank(chunks, "traffic steering")
+    assert list(kept) == reference_rank(chunks, embed("traffic steering"), len(chunks))
+    calls: list[str] = []
+
+    def counting_embed(text):
+        calls.append(text)
+        return embed(text)
+
+    monkeypatch.setattr(retrieval, "embed", counting_embed)
+    store = VectorStore(chunks, ("traffic steering", kept))
+    assert store.query("traffic steering", 2) == kept[:20]
+    assert calls == []
+    assert list(store.query("slicing")) == reference_rank(chunks, embed("slicing"), 10)
+    assert calls == ["slicing"]
+    store.add_document("extra.md", "traffic steering")
+    assert store.query("traffic steering")[0].doc_id == "extra.md"
+    assert calls == ["slicing", "traffic steering", "traffic steering"]
 
 
 # "aafq" embeds to the zero vector: its two trigrams cancel in one bucket.

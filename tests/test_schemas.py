@@ -324,23 +324,36 @@ def _parsers(bundle):
     )
 
 
-# A policy document whose condition holds one of the constants json.loads
-# accepts by default, though RFC 8259 has no NaN or Infinity; dump_doc
-# writes float(c) as c.
+# A policy document whose condition holds a number no float carries on: one
+# of the constants json.loads accepts by default, though RFC 8259 has no NaN
+# or Infinity, or a literal past the float range, which decodes to an infinity.
 _CONSTANTS = ["NaN", "Infinity", "-Infinity"]
-_POLICY_WITH = {c: dump_doc({**_POLICY, "deployment_conditions": {"max_load": float(c)}}) for c in _CONSTANTS}
+_PAST_RANGE = ["1e400", "-1e400", "0.2e309"]
+
+
+def _policy_holding(literal: str) -> str:
+    return dump_doc({**_POLICY, "deployment_conditions": {"max_load": "?"}}).replace('"?"', literal)
 
 
 @pytest.mark.parametrize(
     "text, match",
     [("[" * 100_000 + "]" * 100_000, "recursion"), ("1" * 4301, "digits")]
-    + [(_POLICY_WITH[c], f"{c} is not a JSON value") for c in _CONSTANTS],
-    ids=["deeply-nested", "long-integer"] + [f"policy-{c}" for c in _CONSTANTS],
+    + [(_policy_holding(c), f"{c} is not a JSON value") for c in _CONSTANTS]
+    + [(_policy_holding(n), f"{n} is past the float range") for n in _PAST_RANGE],
+    ids=["deeply-nested", "long-integer"] + [f"policy-{c}" for c in _CONSTANTS + _PAST_RANGE],
 )
 def test_parsers_reject_hostile_json_as_schema_errors(bundle, text, match):
     for parse in _parsers(bundle):
         with pytest.raises(SchemaValidationError, match=match):
             parse(text)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+def test_dump_doc_refuses_a_float_no_json_text_holds(value):
+    """json.dumps would write the bare constant NaN or Infinity, text that no
+    decoder of the package reads back; dump_doc raises instead."""
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_doc({"deployment_conditions": {"max_load": value}})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
