@@ -85,10 +85,11 @@ class AgentCallError(RuntimeError):
     """An agent call failed even after its single repair re-prompt."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunContext:
-    """One run's inputs. No package code reads seed or scenario_id; they stay
-    only because the benchmark driver, perfbench/run.py, passes them."""
+    """One run's inputs, fixed for the run. A cap below one iteration is
+    refused. No package code reads seed or scenario_id; they stay only
+    because the benchmark driver, perfbench/run.py, passes them."""
 
     mode: Mode
     intents: tuple[Intent, ...]
@@ -101,11 +102,9 @@ class RunContext:
     analogue_count: int = DEFAULT_ANALOGUES
     scenario_id: int | None = None
 
-    def __setattr__(self, name: str, value: object) -> None:
-        # Checked here, not in __post_init__, so a later assignment is refused too.
-        if name == "max_iterations" and value < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {value}")
-        super().__setattr__(name, value)
+    def __post_init__(self) -> None:
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -354,7 +353,7 @@ def orchestrate_batch(
     ctx: RunContext,
     transport: ChatTransport,
     memory: MemoryBuffer,
-    store: VectorStore | None,
+    store: VectorStore,
     oracle: OracleResult,
 ) -> BatchOutcome:
     """Run the bounded iteration loop for one intent batch.
@@ -382,7 +381,8 @@ def orchestrate_batch(
     candidate's structure is checked once, when it is stored.
 
     Every iteration retrieves for one question, query_text of the batch; a
-    store that starts from its ranking, as run_scenario's does, ranks nothing.
+    store that starts from its ranking, as run_scenario's does, ranks nothing,
+    and an empty store gives no chunks.
     """
     memory.clear()
     truths = oracle.per_intent_truth
@@ -405,7 +405,7 @@ def orchestrate_batch(
     graph = build_conflict_graph({}, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry, memo)
 
     for iteration in range(1, ctx.max_iterations + 1):
-        chunks = store.query(query, iteration) if store is not None and len(store) else ()
+        chunks = store.query(query, iteration)
 
         perception_doc: PerceptionDoc | None = None
         if ctx.mode.uses_perception:

@@ -14,7 +14,6 @@ from .harness import (
     emit_report,
     load_fixtures,
     run_scenario,
-    scenario_oracle,
     validate_fixture_soundness,
 )
 from .planner import InfeasibleIntentError
@@ -113,7 +112,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     bundle = load_fixtures(args.fixtures)
     (scenario_id,) = _scenario_ids(bundle, args.scenario)
-    result = scenario_oracle(bundle, bundle.scenarios[scenario_id])
+    result = bundle.setup(scenario_id).oracle
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 0
 

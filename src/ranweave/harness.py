@@ -6,13 +6,13 @@ load_fixtures takes a catalog of any size and checks only what every
 catalog must satisfy; the bundled catalog's shape is pinned by its tests,
 not by the loader.
 
-What a scenario's runs share is computed once per bundle and scenario, on
-first use (ScenarioSetup): the deployment state of its pre-deployed
-reference pipelines, its oracle, and the knowledge corpus ranked for its
-retrieval query. Each run gets its own transport, memory buffer, knowledge
-store (seeded with that ranking), conflict memo and agent calls, drives the
-iteration loop, and produces a RunReport whose metrics are normalized
-against the exact planner.
+A scenario is named by its id in the bundle. What its runs share is
+computed once per bundle and scenario, on first use (ScenarioSetup): the
+deployment state of its pre-deployed reference pipelines, its oracle, and
+the knowledge corpus ranked for its retrieval query. Each run gets its own
+transport, memory buffer, knowledge store (seeded with that ranking),
+conflict memo and agent calls, drives the iteration loop, and produces a
+RunReport whose metrics are normalized against the exact planner.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .planner import (
     synthesize_ground_truth,
 )
 from .retrieval import DocChunk, VectorStore, rank
-from .schemas import finite_float, reject_constant
+from .schemas import load_doc
 from .transport import ChatTransport, HttpChatTransport, MockBundle, NoisyTransport, OracleTransport
 
 T = TypeVar("T")
@@ -83,11 +83,11 @@ class ScenarioSpec:
 class FixtureBundle:
     """A loaded catalog. What every run of it shares, the reference pipelines
     and the embedded knowledge corpus, and what every run of one of its
-    scenarios shares (setup: active set, oracle, corpus ranking), is computed
-    once per bundle, on first use, and lives as long as the bundle: loading
-    the catalog again computes it again. Nothing is computed at load time.
-    Each run's transport, memory buffer, store, conflict memo and agent calls
-    stay its own."""
+    scenarios shares (setup(scenario_id): active set, oracle, corpus
+    ranking), is computed once per bundle, on first use, and lives as long
+    as the bundle: loading the catalog again computes it again. Nothing is
+    computed at load time. Each run's transport, memory buffer, store,
+    conflict memo and agent calls stay its own."""
 
     registry: Registry
     intents: dict[int, Intent]
@@ -113,16 +113,13 @@ class FixtureBundle:
         return chunks
 
     @cached_property
-    def _setups(self) -> dict[ScenarioSpec, "ScenarioSetup"]:
-        return {spec: ScenarioSetup(self, spec) for spec in self.scenarios.values()}
+    def _setups(self) -> dict[int, "ScenarioSetup"]:
+        return {i: ScenarioSetup(self, spec) for i, spec in self.scenarios.items()}
 
-    def setup(self, spec: ScenarioSpec) -> "ScenarioSetup":
-        """The shared set-up of spec's runs, kept for each of the bundle's own
-        scenarios (a spec equal to one of them is served its setup). Any other
-        spec gets a new setup on every call, so the kept ones are bounded by
-        the catalog."""
-        setup = self._setups.get(spec)
-        return setup if setup is not None else ScenarioSetup(self, spec)
+    def setup(self, scenario_id: int) -> "ScenarioSetup":
+        """The kept set-up of the runs of scenario scenario_id; an id that is
+        not one of the bundle's scenarios raises KeyError."""
+        return self._setups[scenario_id]
 
 
 class ReferencePipelines(Mapping):
@@ -274,8 +271,7 @@ def _read_json(root: Path, name: str):
     if not file.exists():
         raise FixtureError(name, "fixture file missing")
     try:
-        text = file.read_text(encoding="utf-8")
-        return json.loads(text, parse_constant=reject_constant, parse_float=finite_float)
+        return load_doc(file.read_text(encoding="utf-8"))
     except (RecursionError, ValueError) as exc:
         raise FixtureError(name, f"invalid JSON: {exc}") from exc
 
@@ -301,16 +297,6 @@ def _load_entries(root: Path, name: str, build: Callable[[object], T]) -> dict[i
     return items
 
 
-def scenario_oracle(bundle: FixtureBundle, scenario: ScenarioSpec) -> OracleResult:
-    """Reference answer for one scenario: truths plus the deployable maximum.
-
-    Computed once per bundle and scenario (FixtureBundle.setup), so the CLI,
-    the soundness gate and every run of the scenario read one result; a run
-    copies its memo before adding to it.
-    """
-    return bundle.setup(scenario).oracle
-
-
 def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
     """Authoring gate: every intent must have a reference pipeline, and every
     scenario not using an infeasible intent a conflict-free reference deployment."""
@@ -325,7 +311,7 @@ def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
     for scenario in bundle.scenarios.values():
         if infeasible & set(scenario.new_intents + scenario.pre_deployed_intents):
             continue
-        result = scenario_oracle(bundle, scenario)
+        result = bundle.setup(scenario.id).oracle
         expected = set(scenario.new_intents)
         if set(result.max_subset) != expected:
             problems.append(
@@ -372,7 +358,7 @@ def _mock_bundle(bundle: FixtureBundle) -> MockBundle:
 
 def run_scenario(
     bundle: FixtureBundle,
-    scenario: ScenarioSpec | int,
+    scenario_id: int,
     mode: Mode | str,
     transport: ChatTransport | str,
     seed: int = 0,
@@ -382,14 +368,14 @@ def run_scenario(
 ) -> RunReport:
     """Execute one (scenario, mode, transport, seed) run and report metrics.
 
-    The scenario's set-up is shared with its other runs (FixtureBundle.setup);
-    the transport, memory buffer, knowledge store and the loop are the run's own.
+    scenario_id names one of the bundle's scenarios; any other id raises
+    KeyError. The scenario's set-up is shared with its other runs
+    (FixtureBundle.setup); the transport, memory buffer, knowledge store and
+    the loop are the run's own.
     """
-    spec = bundle.scenarios[scenario] if isinstance(scenario, int) else scenario
+    setup = bundle.setup(scenario_id)
     run_mode = Mode(mode)
     chat = make_transport(transport, bundle, seed) if isinstance(transport, str) else transport
-
-    setup = bundle.setup(spec)
     oracle = setup.oracle
     memory = memory if memory is not None else MemoryBuffer()
     # The run's own store, starting from the ranking for the query its loop asks.
@@ -405,10 +391,10 @@ def run_scenario(
         seed=seed,
         max_iterations=max_iterations,
         analogue_count=analogue_count,
-        scenario_id=spec.id,
+        scenario_id=scenario_id,
     )
     outcome = orchestrate_batch(ctx, chat, memory, store, oracle)
-    return _report_from_outcome(spec, run_mode, chat, seed, oracle, outcome, max_iterations)
+    return _report_from_outcome(setup.spec, run_mode, chat, seed, oracle, outcome, max_iterations)
 
 
 def _report_from_outcome(
@@ -439,7 +425,7 @@ def _report_from_outcome(
 
 def compare_modes(
     bundle: FixtureBundle,
-    scenario: ScenarioSpec | int,
+    scenario_id: int,
     modes: Sequence[Mode | str],
     transport_kind: str,
     seeds: Sequence[int],
@@ -450,7 +436,7 @@ def compare_modes(
     rows = []
     for mode in modes:
         reports = [
-            run_scenario(bundle, scenario, mode, transport_kind, seed=seed) for seed in seeds
+            run_scenario(bundle, scenario_id, mode, transport_kind, seed=seed) for seed in seeds
         ]
         row: dict[str, object] = {
             "scenario_id": reports[0].scenario_id,

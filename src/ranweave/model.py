@@ -176,10 +176,6 @@ class Registry:
         self.ids: tuple[str, ...] = tuple(self._by_id)
         declared = {kpi for p in self._by_id.values() for kpi, _ in p.kpi_effects}
         self.kpi_catalog = frozenset(kpi_catalog) | declared
-        for profile in self._by_id.values():
-            unknown = {kpi for kpi, _ in profile.kpi_effects} - self.kpi_catalog
-            if unknown:
-                raise ValueError(f"xApp {profile.id!r} affects unknown KPIs {sorted(unknown)}")
 
     def __contains__(self, xapp_id: str) -> bool:
         return xapp_id in self._by_id

@@ -40,28 +40,24 @@ class DocChunk:
     vector: np.ndarray
 
 
-def chunk_spans(length: int, size: int = CHUNK_SIZE, overlap: int = CHUNK_OVERLAP) -> list[tuple[int, int]]:
-    """Character spans covering [0, length) with a fixed overlap stride."""
-    if overlap < 0 or overlap >= size:
-        raise ValueError(f"overlap must satisfy 0 <= overlap < size, got {overlap} and {size}")
+def chunk_spans(length: int) -> list[tuple[int, int]]:
+    """CHUNK_SIZE character spans covering [0, length), each CHUNK_OVERLAP into the one before."""
     if length <= 0:
         return []
-    stride = size - overlap
+    stride = CHUNK_SIZE - CHUNK_OVERLAP
     spans = []
     start = 0
     while True:
-        end = min(start + size, length)
+        end = min(start + CHUNK_SIZE, length)
         spans.append((start, end))
         if end == length:
             return spans
         start += stride
 
 
-def chunk_document(
-    doc_id: str, text: str, size: int = CHUNK_SIZE, overlap: int = CHUNK_OVERLAP
-) -> list[DocChunk]:
+def chunk_document(doc_id: str, text: str) -> list[DocChunk]:
     chunks = []
-    for start, end in chunk_spans(len(text), size, overlap):
+    for start, end in chunk_spans(len(text)):
         piece = text[start:end]
         chunks.append(DocChunk(doc_id=doc_id, start=start, end=end, text=piece, vector=embed(piece)))
     return chunks

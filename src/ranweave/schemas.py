@@ -376,28 +376,40 @@ def _key_errors(
     return errors
 
 
-def reject_constant(name: str):
+def _reject_constant(name: str):
     """NaN, Infinity and -Infinity are no JSON values (RFC 8259, section 6)."""
     raise ValueError(f"{name} is not a JSON value")
 
 
-def finite_float(literal: str) -> float:
+def _finite_float(literal: str) -> float:
     """A JSON number with a fraction or exponent as a float. One past the float
     range (1e400) would decode to an infinity, which no JSON text can carry on,
-    so it is refused as reject_constant refuses the literal Infinity."""
+    so it is refused as _reject_constant refuses the literal Infinity."""
     value = float(literal)
     if not math.isfinite(value):
         raise ValueError(f"{literal} is past the float range")
     return value
 
 
+# Built once: json.loads and json.dumps build a new decoder or encoder on
+# every call that passes a hook or an option. Neither keeps state between calls.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def load_doc(text: str) -> object:
+    """The one strict JSON decoder, of every backend response, saved memory
+    line and fixture file. Malformed JSON (a leading byte order mark
+    included), NaN or Infinity, a number past the float range and an integer
+    past the digit limit raise ValueError; nesting deeper than the decoder
+    can follow raises RecursionError."""
+    return _DECODER.decode(text)
+
+
 def _load_json(text: str, doc_name: str, subject: str) -> object:
     """The decoded text of doc_name; subject names the text in the error: response or line."""
-    # ValueError covers malformed JSON, NaN or Infinity, numbers past the float
-    # range and integers past the digit limit; RecursionError, nesting deeper
-    # than the decoder can follow.
     try:
-        return json.loads(text, parse_constant=reject_constant, parse_float=finite_float)
+        return load_doc(text)
     except (ValueError, RecursionError) as exc:
         raise SchemaValidationError(doc_name, [f"{subject} is not valid JSON: {exc}"]) from exc
 
@@ -407,4 +419,4 @@ def dump_doc(data: object) -> str:
     every pipeline's deployment conditions. A NaN or infinite float raises
     ValueError: its bare constant is no JSON value, so no decoder here would
     read the text back."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(data)

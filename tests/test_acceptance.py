@@ -20,7 +20,7 @@ from ranweave.conflicts import (
     internal_conflicts,
     pairwise_conflicts,
 )
-from ranweave.harness import run_scenario, scenario_oracle, validate_fixture_soundness
+from ranweave.harness import run_scenario, validate_fixture_soundness
 from ranweave.memory import MemoryBuffer
 from ranweave.model import DeploymentState, Pipeline
 from ranweave.planner import max_conflict_free_subset
@@ -125,7 +125,7 @@ def test_criterion_02_max_subset_exactness():
 def test_criterion_03_fixture_soundness_gate(bundle):
     problems = validate_fixture_soundness(bundle)
     objectives = {
-        spec.id: scenario_oracle(bundle, spec).objective_value == len(spec.new_intents)
+        spec.id: bundle.setup(spec.id).oracle.objective_value == len(spec.new_intents)
         for spec in bundle.scenarios.values()
     }
     passed = not problems and all(objectives.values())

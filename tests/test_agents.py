@@ -22,10 +22,11 @@ from ranweave.agents import (
 )
 from ranweave import harness
 from ranweave.conflicts import ConflictKind, ConflictRecord
-from ranweave.harness import build_knowledge_store, run_scenario, scenario_oracle
+from ranweave.harness import build_knowledge_store, run_scenario
 from ranweave.memory import MemoryBuffer
 from ranweave.model import DeploymentState, Pipeline, pipelines_equal
 from ranweave.planner import SolutionScore
+from ranweave.retrieval import VectorStore
 from ranweave.schemas import (
     conflict_report,
     dump_doc,
@@ -237,7 +238,7 @@ def test_an_answer_past_the_float_range_is_a_failed_call(bundle, truths):
     transport = ScriptedTransport([bad])
     ctx = replace(_ctx(bundle, 1, Mode.SA, truths), max_iterations=1)
     memory = MemoryBuffer()
-    outcome = orchestrate_batch(ctx, transport, memory, None, scenario_oracle(bundle, bundle.scenarios[1]))
+    outcome = orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.setup(1).oracle)
     assert len(transport.calls) == 2 * len(ctx.intents)
     assert outcome.best.candidates == {} and not outcome.converged
     assert not memory.entries
@@ -257,8 +258,8 @@ def _call_roles(bundle, truths, mode: Mode) -> list[str]:
     transport = OracleTransport(_mock_bundle(bundle, truths))
     ctx = _ctx(bundle, 1, mode, truths)
     memory = MemoryBuffer()
-    oracle = scenario_oracle(bundle, bundle.scenarios[1])
-    orchestrate_batch(ctx, transport, memory, None, oracle)
+    oracle = bundle.setup(1).oracle
+    orchestrate_batch(ctx, transport, memory, VectorStore(), oracle)
     return [role for role, _ in transport.calls]
 
 
@@ -277,11 +278,11 @@ def test_mode_algebra_call_traces(bundle, truths):
 
 
 def test_oracle_transport_converges_in_one_iteration_every_mode(bundle, truths):
-    oracle = scenario_oracle(bundle, bundle.scenarios[2])
+    oracle = bundle.setup(2).oracle
     for mode in Mode:
         ctx = _ctx(bundle, 2, mode, truths)
         transport = OracleTransport(_mock_bundle(bundle, truths))
-        outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), None, oracle)
+        outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), oracle)
         assert outcome.converged
         assert outcome.iterations_to_synthesis == 1
         assert outcome.iterations_to_deployment == 1
@@ -299,18 +300,17 @@ def test_orchestrate_clears_memory_at_start(bundle, truths):
         ),
     )
     ctx = _ctx(bundle, 1, Mode.F5, truths)
-    oracle = scenario_oracle(bundle, bundle.scenarios[1])
-    orchestrate_batch(ctx, OracleTransport(_mock_bundle(bundle, truths)), memory, None, oracle)
+    oracle = bundle.setup(1).oracle
+    orchestrate_batch(ctx, OracleTransport(_mock_bundle(bundle, truths)), memory, VectorStore(), oracle)
     assert all(entry.outcome.iteration >= 1 for entry in memory.entries)
     assert all(entry.intent.id in (3, 4) for entry in memory.entries)
 
 
 def test_iteration_cap_with_always_invalid_pipelines(bundle, truths):
-    ctx = _ctx(bundle, 1, Mode.NP, truths)
-    ctx.max_iterations = 50
-    oracle = scenario_oracle(bundle, bundle.scenarios[1])
+    ctx = replace(_ctx(bundle, 1, Mode.NP, truths), max_iterations=50)
+    oracle = bundle.setup(1).oracle
     outcome = orchestrate_batch(
-        ctx, UnregisteredPipelineTransport(), MemoryBuffer(), None, oracle
+        ctx, UnregisteredPipelineTransport(), MemoryBuffer(), VectorStore(), oracle
     )
     assert not outcome.converged
     assert outcome.iterations_run == 50
@@ -375,7 +375,7 @@ def test_solved_intents_are_not_asked_again(bundle, truths, mode, monkeypatch):
         transport = NoisyTransport(_mock_bundle(bundle, truths), seed)
         memory = MemoryBuffer()
         ctx = _ctx(bundle, scenario_id, mode, truths, seed)
-        orchestrate_batch(ctx, transport, memory, None, scenario_oracle(bundle, bundle.scenarios[scenario_id]))
+        orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.setup(scenario_id).oracle)
         for number, (end, solution) in enumerate(iterations, start=1):
             assert not {intent_id for _, intent_id in transport.calls[end:]} & solution.correct
             assert not any(
@@ -453,8 +453,8 @@ def test_transport_outage_counts_as_failed_attempt(bundle, truths):
 
     transport = FlakyTransport(_mock_bundle(bundle, truths), fail_first=3)
     ctx = _ctx(bundle, 1, Mode.F5, truths)
-    oracle = scenario_oracle(bundle, bundle.scenarios[1])
-    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), None, oracle)
+    oracle = bundle.setup(1).oracle
+    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), oracle)
     assert outcome.converged
     assert outcome.iterations_run >= 2
 
@@ -490,8 +490,8 @@ def test_failed_call_fallbacks(bundle, truths, failing_role):
 
     transport = ScriptedTransport(responses)
     ctx = replace(_ctx(bundle, 1, Mode.F5, truths), max_iterations=1)
-    oracle = scenario_oracle(bundle, bundle.scenarios[1])
-    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), None, oracle)
+    oracle = bundle.setup(1).oracle
+    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), oracle)
     assert transport.calls == calls
     assert transport.index == len(responses)
     assert outcome.best.candidates == candidates
@@ -515,7 +515,7 @@ def test_retrieval_feeds_prompt_chunks(bundle, truths):
     store = build_knowledge_store(bundle)
     transport = PromptCapture(_mock_bundle(bundle, truths))
     ctx = _ctx(bundle, 1, Mode.F5, truths)
-    oracle = scenario_oracle(bundle, bundle.scenarios[1])
+    oracle = bundle.setup(1).oracle
     orchestrate_batch(ctx, transport, MemoryBuffer(), store, oracle)
     assert any(".md:" in text for text in transport.seen_user_messages)
 
@@ -531,7 +531,7 @@ def test_perception_reads_the_graph_the_previous_iteration_left(bundle, truths):
         [report] + [dump_doc(pipeline_to_policy_doc(p)) for p in (truths[1], invalid, truths[7])] + [report]
     )
     ctx = replace(_ctx(bundle, 2, Mode.NR, truths), max_iterations=2)
-    orchestrate_batch(ctx, transport, MemoryBuffer(), None, scenario_oracle(bundle, bundle.scenarios[2]))
+    orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), bundle.setup(2).oracle)
 
     handed = [r.payload["conflicts"] for r in transport.requests if r.role == "perception"]
     after_first = {1: truths[1], 2: invalid, 7: truths[7]}
@@ -562,7 +562,6 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, monkeypatch):
     from collections import Counter
 
     from ranweave import retrieval
-    from ranweave.retrieval import VectorStore
 
     scored: Counter[int] = Counter()
     cosine = retrieval.cosine
@@ -587,7 +586,7 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, monkeypatch):
     monkeypatch.setattr(retrieval, "embed", counting_embed)
     transport = RecordingNoisyTransport(_mock_bundle(bundle, truths), 0)
     ctx = _ctx(bundle, 1, Mode.SA, truths)
-    outcome = orchestrate_batch(ctx, transport, memory, store, scenario_oracle(bundle, bundle.scenarios[1]))
+    outcome = orchestrate_batch(ctx, transport, memory, store, bundle.setup(1).oracle)
 
     assert outcome.iterations_run > 2
     assert len(embedded) == 1
@@ -667,10 +666,10 @@ def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch)
 def test_oracle_answers_are_stored_as_the_oracles_truth_objects(bundle, truths, scenario_id):
     """Each parsed answer equal to its truth, conditions included, is
     replaced by the truth object the oracle's memo already knows."""
-    oracle = scenario_oracle(bundle, bundle.scenarios[scenario_id])
+    oracle = bundle.setup(scenario_id).oracle
     memory = MemoryBuffer()
     ctx = _ctx(bundle, scenario_id, Mode.F5, truths)
-    outcome = orchestrate_batch(ctx, OracleTransport(_mock_bundle(bundle, truths)), memory, None, oracle)
+    outcome = orchestrate_batch(ctx, OracleTransport(_mock_bundle(bundle, truths)), memory, VectorStore(), oracle)
     assert outcome.converged
     assert outcome.best.candidates
     for intent_id, candidate in outcome.best.candidates.items():
@@ -696,7 +695,7 @@ def test_an_equal_answer_with_other_condition_bytes_keeps_its_own_object(bundle,
     )
     memory = MemoryBuffer()
     ctx = replace(_ctx(bundle, 1, Mode.NR, truths), max_iterations=3)
-    orchestrate_batch(ctx, transport, memory, None, scenario_oracle(bundle, bundle.scenarios[1]))
+    orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.setup(1).oracle)
 
     first, second = [e.pipeline for e in memory.entries if e.intent.id == 3][:2]
     assert first != second
@@ -713,7 +712,7 @@ def test_one_oracle_serves_two_runs_alike(bundle, truths):
     run_scenario runs read that same oracle, the scenario's kept one, and
     report the same bytes, leaving its memo as it was too."""
     spec = bundle.scenarios[3]
-    oracle = scenario_oracle(bundle, spec)
+    oracle = bundle.setup(3).oracle
     memo = oracle.memo
     sizes = (len(memo.pairs), len(memo.reaches), len(memo.internals), len(memo.interned))
     reports = []
@@ -728,9 +727,9 @@ def test_one_oracle_serves_two_runs_alike(bundle, truths):
         assert outcome.iterations_run > 1
     for _ in range(2):
         transport = NoisyTransport(_mock_bundle(bundle, truths), 5)
-        report = run_scenario(bundle, spec, Mode.F5, transport, seed=5, max_iterations=10)
+        report = run_scenario(bundle, 3, Mode.F5, transport, seed=5, max_iterations=10)
         reports.append(json.dumps(report.to_dict(), sort_keys=True))
-    assert scenario_oracle(bundle, spec) is oracle
+    assert bundle.setup(3).oracle is oracle
     assert len(set(reports)) == 1
     assert (len(memo.pairs), len(memo.reaches), len(memo.internals), len(memo.interned)) == sizes
 

@@ -6,6 +6,7 @@ import re
 import shutil
 import tempfile
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from itertools import product
 from pathlib import Path
 
@@ -19,14 +20,12 @@ from ranweave.cli import main as cli_main
 from ranweave.harness import (
     FixtureError,
     RunReport,
-    ScenarioSpec,
     build_knowledge_store,
     compare_modes,
     emit_report,
     load_fixtures,
     make_transport,
     run_scenario,
-    scenario_oracle,
     validate_fixture_soundness,
 )
 from ranweave.memory import MemoryBuffer
@@ -348,7 +347,7 @@ def test_fixture_soundness_gate_names_conflicting_references(tmp_path, bundle):
 
 def test_every_scenario_oracle_covers_all_new_intents(bundle):
     for spec in bundle.scenarios.values():
-        result = scenario_oracle(bundle, spec)
+        result = bundle.setup(spec.id).oracle
         assert result.max_subset == frozenset(spec.new_intents)
 
 
@@ -450,7 +449,7 @@ def test_compare_modes_and_the_gate_share_each_scenario_oracle(monkeypatch):
     assert len(oracles) == 2
     assert validate_fixture_soundness(fresh) == []
     assert len(oracles) == 4
-    assert scenario_oracle(fresh, fresh.scenarios[1]) is scenario_oracle(fresh, fresh.scenarios[1])
+    assert fresh.setup(1).oracle is fresh.setup(1).oracle
     assert len(oracles) == 4
 
 
@@ -474,29 +473,18 @@ def test_a_document_added_to_one_runs_store_stays_in_that_run(monkeypatch):
     first, second = stores
     assert len(first) == 18 and first.query(query)[0].doc_id == "extra.md"
     assert len(second) == 17
-    assert second.query(query, 5) == fresh.setup(fresh.scenarios[1]).ranking[1]
+    assert second.query(query, 5) == fresh.setup(1).ranking[1]
     assert "extra.md" not in {chunk.doc_id for chunk in second.query(query, 5)}
 
 
-def test_a_spec_outside_the_bundle_runs_afresh_with_the_same_report(monkeypatch):
-    """A spec equal to a bundle scenario is served that scenario's set-up; any
-    other spec (another id, or the id of a scenario with other intents) is set
-    up on every run and never kept, and reports what the bundle's spec does."""
-    oracles, _ = _count_setup_work(monkeypatch)
-    fresh = load_fixtures()
-    spec = fresh.scenarios[2]
-    expected = run_scenario(fresh, 2, "f5", "mock-noisy", seed=4).to_dict()
-    equal = ScenarioSpec(spec.id, spec.new_intents, spec.pre_deployed_intents)
-    assert run_scenario(fresh, equal, "f5", "mock-noisy", seed=4).to_dict() == expected
-    assert len(oracles) == 1
-    for outside in (ScenarioSpec(99, spec.new_intents, spec.pre_deployed_intents),
-                    ScenarioSpec(1, spec.new_intents, spec.pre_deployed_intents)):
-        for _ in range(2):
-            report = run_scenario(fresh, outside, "f5", "mock-noisy", seed=4)
-            assert report.to_dict() == {**expected, "scenario_id": outside.id}
-    assert len(oracles) == 5
-    assert fresh.setup(spec) is fresh.setup(equal)
-    assert fresh.setup(outside) is not fresh.setup(outside)
+def test_an_id_outside_the_bundle_is_refused(bundle):
+    """A scenario is one of the bundle's, named by its id: any other id raises
+    KeyError, as bundle.scenarios does, before a run or a set-up starts."""
+    assert 99 not in bundle.scenarios
+    with pytest.raises(KeyError):
+        bundle.setup(99)
+    with pytest.raises(KeyError):
+        run_scenario(bundle, 99, "f5", "mock-oracle", seed=0)
 
 
 def test_run_scenario_memory_files_are_deterministic(bundle, tmp_path):
@@ -575,8 +563,11 @@ def test_run_outcomes_and_call_budget_are_pinned(bundle):
 def test_run_scenario_refuses_a_cap_below_one_iteration(bundle, cap):
     with pytest.raises(ValueError, match="max_iterations must be at least 1"):
         run_scenario(bundle, 1, "f5", "mock-oracle", seed=0, max_iterations=cap)
-    ctx = RunContext(Mode.F5, (), DeploymentState(), bundle.registry, bundle.matrix, bundle.intents)
+    args = (Mode.F5, (), DeploymentState(), bundle.registry, bundle.matrix, bundle.intents)
     with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+        RunContext(*args, max_iterations=cap)
+    ctx = RunContext(*args)
+    with pytest.raises(FrozenInstanceError):
         ctx.max_iterations = cap
 
 
@@ -714,9 +705,9 @@ def test_an_infeasible_scenario_is_searched_again_on_every_lookup(tmp_path, bund
     grown = load_fixtures(_catalog_with_an_infeasible_intent(bundle, tmp_path)[0])
     for _ in range(2):
         with pytest.raises(InfeasibleIntentError, match="intent 8"):
-            scenario_oracle(grown, grown.scenarios[5])
+            grown.setup(5).oracle
     assert searched.count(8) == 2
-    assert scenario_oracle(grown, grown.scenarios[1]).max_subset == frozenset({3, 4})
+    assert grown.setup(1).oracle.max_subset == frozenset({3, 4})
 
 
 def test_cli_isolates_an_infeasible_intent(tmp_path, bundle, capsys):

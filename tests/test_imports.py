@@ -140,18 +140,43 @@ def _package_trees() -> dict[str, ast.AST]:
 
 def test_documents_are_decoded_by_their_own_modules():
     """schemas.py decodes every document the package reads back, the saved
-    memory line among them; harness.py reads the fixture files and
-    transport.py the HTTP response envelope. memory.py only builds entries,
-    and a conflict record is built by the one record parser."""
+    memory line and the fixture files among them (harness.py reads those
+    through schemas.load_doc); transport.py decodes the HTTP response
+    envelope. memory.py only builds entries, and a conflict record is built
+    by the one record parser."""
     trees = _package_trees()
     decoders = sorted(name for name, tree in trees.items() if _calls(tree, "json", "loads"))
-    assert decoders == ["harness.py", "schemas.py", "transport.py"]
+    assert decoders == ["schemas.py", "transport.py"]
     assert "json" not in {name.split(".")[0] for name in _imported_names(trees["memory.py"])}
     [record] = [
         node for node in ast.walk(trees["conflicts.py"])
         if isinstance(node, ast.ClassDef) and node.name == "ConflictRecord"
     ]
     assert "from_dict" not in {node.name for node in record.body if isinstance(node, ast.FunctionDef)}
+
+
+def _builds_strict_codec(tree: ast.AST) -> bool:
+    """Whether tree passes a parse_constant or parse_float hook, or builds a JSONDecoder or JSONEncoder."""
+    return any(
+        isinstance(node, ast.Call)
+        and (
+            bool({kw.arg for kw in node.keywords} & {"parse_constant", "parse_float"})
+            or ast.unparse(node.func).split(".")[-1] in ("JSONDecoder", "JSONEncoder")
+        )
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_the_schemas_build_a_strict_codec():
+    """What JSON text the package accepts and writes (no NaN or Infinity, no
+    number past the float range) has one owner: schemas.py builds the one
+    decoder and encoder, and every other module goes through them."""
+    trees = _package_trees()
+    assert sorted(name for name, tree in trees.items() if _builds_strict_codec(tree)) == ["schemas.py"]
+    for source in ("json.loads(t, parse_float=f)", "json.load(f, parse_constant=c)",
+                   "json.JSONDecoder()", "JSONEncoder(sort_keys=True)"):
+        assert _builds_strict_codec(ast.parse(source))
+    assert not _builds_strict_codec(ast.parse("json.loads(t)"))
 
 
 def test_deployment_conditions_are_coded_only_by_the_schemas():

@@ -470,11 +470,9 @@ def test_evaluation_ignores_order_and_every_selection_is_valid(seed, data):
 def test_oracle_solution_score_dominates_every_alternative_subset(bundle, truths):
     from itertools import combinations
 
-    from ranweave.harness import scenario_oracle
-
     for spec in bundle.scenarios.values():
         proposed = {i: truths[i] for i in spec.new_intents}
-        oracle = scenario_oracle(bundle, spec)
+        oracle = bundle.setup(spec.id).oracle
         best = score_solution(proposed, oracle.max_subset, set(proposed), conflict_total=0)
         for size in range(len(spec.new_intents) + 1):
             for subset in combinations(spec.new_intents, size):

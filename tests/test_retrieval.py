@@ -40,13 +40,6 @@ def test_chunk_empty_document():
     assert chunk_document("doc", "") == []
 
 
-def test_chunk_rejects_bad_overlap():
-    with pytest.raises(ValueError):
-        chunk_spans(100, size=50, overlap=50)
-    with pytest.raises(ValueError):
-        chunk_spans(100, size=50, overlap=60)
-
-
 def test_consecutive_chunks_overlap_exactly():
     for length in (500, 501, 949, 950, 951, 1360, 4321):
         spans = chunk_spans(length)

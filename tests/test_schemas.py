@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from ranweave.schemas import (
     SchemaValidationError,
     conflict_report,
     dump_doc,
+    load_doc,
     parse_memory_line,
     parse_perception_doc,
     parse_policy_doc,
@@ -354,6 +356,40 @@ def test_dump_doc_refuses_a_float_no_json_text_holds(value):
     decoder of the package reads back; dump_doc raises instead."""
     with pytest.raises(ValueError, match="not JSON compliant"):
         dump_doc({"deployment_conditions": {"max_load": value}})
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def _refuse_past_range(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} is past the float range")
+    return value
+
+
+def _outcome(call, *args) -> str:
+    """repr of what call returns, so 1, 1.0 and True differ, or the kind of error it raises."""
+    try:
+        return repr(call(*args))
+    except (ValueError, RecursionError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(value=json_values, text=st.text() | json_values.map(json.dumps))
+@example(value=float("nan"), text="\ufeff{}")
+def test_the_kept_codec_is_json_with_the_strict_options(value, text):
+    """dump_doc is json.dumps and load_doc json.loads with the options each
+    is built with, or both raise. A leading byte order mark is refused by
+    both, as "Unexpected UTF-8 BOM" by json.loads and "Expecting value" by load_doc."""
+    assert _outcome(dump_doc, value) == _outcome(
+        lambda v: json.dumps(v, sort_keys=True, separators=(",", ":"), allow_nan=False), value
+    )
+    assert _outcome(load_doc, text) == _outcome(
+        lambda t: json.loads(t, parse_constant=_refuse_constant, parse_float=_refuse_past_range), text
+    )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
