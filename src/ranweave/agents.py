@@ -1,8 +1,9 @@
 """The three-role agent loop that turns an intent batch into deployments.
 
 Each iteration runs perception (conflict analysis), reasoning (pipeline
-synthesis per intent) and refinement (structural review), then picks the
-deployable subset mechanically and scores the whole proposal. A harness-
+synthesis, one request for every unsolved intent) and refinement (structural
+review, one request per candidate), then picks the deployable subset
+mechanically and scores the whole proposal. A harness-
 enforced ratchet keeps the best solution seen so far, so the reported
 score never regresses regardless of what the agents emit.
 
@@ -43,6 +44,7 @@ from .planner import OracleResult, SolutionScore, score_solution, select_subset
 from .retrieval import VectorStore
 from .schemas import (
     PerceptionDoc,
+    ReasoningDoc,
     SchemaValidationError,
     dump_doc,
     parse_perception_doc,
@@ -215,40 +217,46 @@ def assemble_perception_request(
 
 def assemble_reasoning_request(
     ctx: RunContext,
-    intent: Intent,
+    asked: Sequence[tuple[Intent, Sequence[tuple[Intent, Pipeline]]]],
     perception: PerceptionDoc | None,
-    analogues,
     candidates: Mapping[int, Pipeline],
     chunks,
 ) -> AgentRequest:
-    deployed = labelled({}, ctx.pre)
-    others = labelled({i: p for i, p in candidates.items() if i != intent.id}, DeploymentState())
-    analogues, chunks = tuple(analogues), tuple(chunks)
+    """One request for every asked intent: asked pairs each intent with its
+    analogues, in the order of the answer's entries. The shared sections come
+    once, the candidates among them as the previous iteration left them; one
+    block per intent follows."""
+    deployed, proposed = labelled({}, ctx.pre), labelled(candidates, DeploymentState())
+    asked = tuple((intent, tuple(analogues)) for intent, analogues in asked)
+    chunks = tuple(chunks)
 
-    def sections():
+    def block(intent: Intent, analogues) -> tuple[str, str]:
         mandatory = sorted(intent.required_xapps)
-        current = (
-            f"intent {intent.id}: {intent.text}\n"
-            f"Target KPIs: {dump_doc(intent.targets)}\n"
-            f"Required capabilities: {dump_doc(sorted(intent.required_capabilities))}\n"
-            f"Mandatory xApps: {dump_doc(mandatory) if mandatory else '(none)'}"
-        )
-        report = _render_report(perception) if perception is not None else "(no conflict report available)"
         past = "\n".join(
             f"- intent {i.id} ({i.text}) -> {dump_doc(pipeline_to_policy_doc(pipe))}" for i, pipe in analogues
         )
+        return (
+            f"Intent {intent.id}",
+            f"{intent.text}\n"
+            f"Target KPIs: {dump_doc(intent.targets)}\n"
+            f"Required capabilities: {dump_doc(sorted(intent.required_capabilities))}\n"
+            f"Mandatory xApps: {dump_doc(mandatory) if mandatory else '(none)'}\n"
+            f"Past successes for similar intents:\n{past or '(no prior successes)'}",
+        )
+
+    def sections():
+        report = _render_report(perception) if perception is not None else "(no conflict report available)"
         return [
             ("Registered xApps", _render_profiles(ctx.registry)),
             ("Deployed policies", _render_policies(deployed)),
             ("Retrieved context", _render_chunks(chunks)),
             ("Conflict report", report),
-            ("Candidate policies", _render_policies(others)),
-            ("Past successes for similar intents", past or "(no prior successes)"),
-            ("Current intent", current),
+            ("Candidate policies", _render_policies(proposed)),
+            *(block(intent, analogues) for intent, analogues in asked),
         ]
 
     template = SINGLE_AGENT_TEMPLATE if ctx.mode is Mode.SA else REASONING_TEMPLATE
-    payload = {"intent": intent, "perception_present": perception is not None}
+    payload = {"intents": tuple(intent for intent, _ in asked), "perception_present": perception is not None}
     return _request(REASONING, template, sections, payload)
 
 
@@ -273,24 +281,48 @@ def assemble_refinement_request(
 
 
 def _call_with_repair(transport: ChatTransport, request: AgentRequest, parser: Callable[[str], T]) -> T:
-    """One agent call with at most one schema-repair re-prompt."""
+    """One agent call with at most one schema-repair re-prompt.
+
+    The parser raises SchemaValidationError for an answer that fails as a
+    whole; the repair re-prompt then asks the request again. A reasoning
+    answer is checked per intent instead (a ReasoningDoc): when some of its
+    entries fail, the repair asks again about those intents alone, and the
+    entries that passed are kept. An entry that fails twice stays in the
+    answer's errors, so its intent gets no pipeline.
+    """
     text = transport.complete(request)
     try:
-        return parser(text)
+        answer = parser(text)
     except SchemaValidationError as first:
-        errors = "\n".join(f"- {e}" for e in first.errors)
-        feedback = (
-            f"The previous response failed schema validation:\n{errors}\n"
-            "Respond again with only the corrected JSON document."
-        )
-        turn = ({"role": "assistant", "content": text}, {"role": "user", "content": feedback})
-        text = transport.complete(replace(request, render=lambda: request.messages + turn))
-        try:
-            return parser(text)
-        except SchemaValidationError as second:
-            raise AgentCallError(
-                f"{request.role} response failed validation twice: {'; '.join(second.errors)}"
-            ) from second
+        kept, retry = None, request
+        errors, wanted = first.errors, "only the corrected JSON document"
+    else:
+        if not (isinstance(answer, ReasoningDoc) and answer.errors):
+            return answer
+        kept = answer
+        errors = [f"intent {i}: {e}" for i, found in kept.errors.items() for e in found]
+        wanted = "only the corrected entries, as a JSON object keyed by intent id: " + ", ".join(map(str, kept.errors))
+        failed = tuple(intent for intent in request.payload["intents"] if intent.id in kept.errors)
+        retry = replace(request, payload={**request.payload, "intents": failed})
+    listed = "\n".join(f"- {e}" for e in errors)
+    feedback = f"The previous response failed schema validation:\n{listed}\nRespond again with {wanted}."
+    turn = ({"role": "assistant", "content": text}, {"role": "user", "content": feedback})
+    text = transport.complete(replace(retry, render=lambda: request.messages + turn))
+    try:
+        answer = parser(text)
+    except SchemaValidationError as second:
+        if kept is not None:
+            return kept
+        raise AgentCallError(
+            f"{request.role} response failed validation twice: {'; '.join(second.errors)}"
+        ) from second
+    if kept is None:
+        return answer
+    # The repair was asked only about kept's failed intents; its other entries are not read.
+    return ReasoningDoc(
+        {**kept.pipelines, **{i: p for i, p in answer.pipelines.items() if i in kept.errors}},
+        {i: found for i, found in answer.errors.items() if i in kept.errors},
+    )
 
 
 def _ask(transport: ChatTransport, request: AgentRequest, parser: Callable[[str], T]) -> T | None:
@@ -358,8 +390,13 @@ def orchestrate_batch(
 ) -> BatchOutcome:
     """Run the bounded iteration loop for one intent batch.
 
-    Per-intent agent calls are issued sequentially in ascending intent-id
-    order, the merge order required for determinism.
+    Each iteration sends one reasoning request, which asks about every
+    unsolved intent in ascending id order; the answer holds one entry per
+    intent. The request shows the candidates as the previous iteration left
+    them, so an intent no longer sees a candidate produced earlier in the
+    same iteration. Under the mocks, which read no prompt, that changes
+    prompt bytes only. Refinement then reviews each new candidate with its
+    own call, in the same order, the merge order required for determinism.
 
     The loop asks reasoning and refinement only about unsolved intents: an
     intent in the previous iteration's correct set keeps its candidate, the
@@ -414,13 +451,22 @@ def orchestrate_batch(
         # A failed perception call leaves the iteration without reasoning.
         iteration_aborted = ctx.mode.uses_perception and perception_doc is None
 
+        # correct is still the previous iteration's here.
+        asked = [] if iteration_aborted else [i for i in ordered if i.id not in correct]
+        answer: ReasoningDoc | None = None
+        if asked:
+            request = assemble_reasoning_request(
+                ctx,
+                [(intent, memory.retrieve_analogues(intent, ctx.analogue_count)) for intent in asked],
+                perception_doc,
+                candidates,
+                chunks,
+            )
+            ids = [intent.id for intent in asked]
+            answer = _ask(transport, request, lambda text: parse_policy_doc(text, ctx.registry, ids))
         attempted: dict[int, Pipeline] = {}
-        for intent in () if iteration_aborted else ordered:
-            if intent.id in correct:  # correct is still the previous iteration's here
-                continue
-            analogues = memory.retrieve_analogues(intent, ctx.analogue_count)
-            request = assemble_reasoning_request(ctx, intent, perception_doc, analogues, candidates, chunks)
-            candidate = _ask(transport, request, lambda text: parse_policy_doc(text, ctx.registry, intent.id))
+        for intent in asked:
+            candidate = answer.pipelines.get(intent.id) if answer is not None else None
             if candidate is None:
                 continue
             if ctx.mode.uses_refinement:

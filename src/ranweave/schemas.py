@@ -1,12 +1,13 @@
 """JSON document schemas shared by the agents and the conflict engine.
 
 This module is the wire spec. Four documents exist: the perception
-conflict report, the reasoning policy document, the refinement document
-and the saved memory line. Parsing is strict - unknown keys are rejected
-and every violation is reported with its path so a malformed response can
-be re-prompted with concrete errors. A reasoning answer and a refinement
-revision pass one policy check: registered xApps only, and the intent that
-was asked for; a memory line's pipeline must be of the line's intent.
+conflict report, the reasoning answer (one policy document per asked
+intent, keyed by its id), the refinement document and the saved memory
+line. Parsing is strict - unknown keys are rejected and every violation is
+reported with its path so a malformed response can be re-prompted with
+concrete errors. Each entry of a reasoning answer and a refinement revision
+pass one policy check: registered xApps only, and the intent that was asked
+for; a memory line's pipeline must be of the line's intent.
 """
 
 from __future__ import annotations
@@ -168,15 +169,47 @@ def _policy_shape_errors(data: object) -> list[str]:
     return errors
 
 
-def parse_policy_doc(text: str, registry: Registry, intent_id: int) -> Pipeline:
-    """Parse and validate a reasoning response for the intent intent_id.
+@dataclass(frozen=True)
+class ReasoningDoc:
+    """A reasoning answer, checked entry by entry: each asked intent is in
+    pipelines, when its entry passed the policy check, or in errors."""
+
+    pipelines: dict[int, Pipeline]
+    errors: dict[int, list[str]]
+
+
+def parse_policy_doc(text: str, registry: Registry, intent_ids: Iterable[int]) -> ReasoningDoc:
+    """Parse and validate a reasoning response for the intents intent_ids.
+
+    The response is one JSON object keyed by the decimal id of each asked
+    intent, each value that intent's policy document. It is decoded once, and
+    each entry is checked and built on its own, so a missing or invalid entry
+    fails only its intent. A text that is no such object, or that holds a key
+    of no asked intent, raises SchemaValidationError.
 
     Registry membership of the selected xApps is part of the schema check;
     structural validity of the pipeline itself is deliberately not, those
     violations are surfaced to refinement instead of being rejected here.
     """
-    data = _load_json(text, "policy document", "response")
-    return _pipeline(data, _policy_doc_errors(data, registry, intent_id))
+    data = _load_json(text, "reasoning answer", "response")
+    if not isinstance(data, dict):
+        raise SchemaValidationError("reasoning answer", [f"expected a JSON object, got {type(data).__name__}"])
+    keys = {str(intent_id): intent_id for intent_id in intent_ids}
+    unknown = sorted(set(data) - keys.keys())
+    if unknown:
+        raise SchemaValidationError("reasoning answer", [f"keys {unknown} name no asked intent"])
+    pipelines: dict[int, Pipeline] = {}
+    errors: dict[int, list[str]] = {}
+    for key, intent_id in keys.items():
+        if key not in data:
+            errors[intent_id] = [f"no entry for intent {intent_id}"]
+            continue
+        entry_errors = _policy_doc_errors(data[key], registry, intent_id)
+        if entry_errors:
+            errors[intent_id] = entry_errors
+        else:
+            pipelines[intent_id] = _pipeline(data[key], [])
+    return ReasoningDoc(pipelines, errors)
 
 
 def parse_perception_doc(text: str) -> PerceptionDoc:

@@ -55,14 +55,23 @@ class AgentRequest:
 
 
 class ChatTransport:
-    """Base transport; subclasses implement _respond."""
+    """Base transport; subclasses implement _respond.
+
+    calls holds one (role, subject) entry per complete() call: the asked
+    intent ids, a tuple, of a reasoning request, the intent id of a
+    refinement request, and None of a perception request.
+    """
 
     def __init__(self) -> None:
         self.calls: list[tuple[str, object]] = []
 
     def complete(self, request: AgentRequest) -> str:
-        intent = request.payload.get("intent")
-        self.calls.append((request.role, getattr(intent, "id", None)))
+        payload = request.payload
+        if "intents" in payload:
+            subject = tuple(intent.id for intent in payload["intents"])
+        else:
+            subject = getattr(payload.get("intent"), "id", None)
+        self.calls.append((request.role, subject))
         return self._respond(request)
 
     def _respond(self, request: AgentRequest) -> str:
@@ -136,8 +145,8 @@ class OracleTransport(ChatTransport):
     """Emits exactly what a flawless agent ensemble would emit.
 
     Perception serializes the engine's conflict records, reasoning
-    returns the reference pipeline for the intent, refinement applies the
-    deterministic structural repairs.
+    returns the reference pipeline of each asked intent, refinement applies
+    the deterministic structural repairs.
     """
 
     def __init__(self, bundle: MockBundle):
@@ -148,8 +157,7 @@ class OracleTransport(ChatTransport):
         if request.role == PERCEPTION:
             return dump_doc(conflict_report(request.payload["conflicts"]))
         if request.role == REASONING:
-            intent: Intent = request.payload["intent"]
-            return dump_doc(pipeline_to_policy_doc(self.bundle.truths[intent.id]))
+            return _reasoning_answer(request, lambda intent: self.bundle.truths[intent.id])
         if request.role == REFINEMENT:
             candidate: Pipeline = request.payload["candidate"]
             intent = request.payload["intent"]
@@ -165,8 +173,9 @@ class NoisyTransport(OracleTransport):
     """Oracle behavior degraded by seeded, reproducible mistakes.
 
     Reasoning sometimes corrupts the reference pipeline (more often without
-    a conflict report in context), with a fresh seeded draw on every call;
-    perception injects one spurious record; refinement stays rule-based.
+    a conflict report in context), with a fresh seeded draw per asked intent,
+    in ascending id order; perception injects one spurious record, from one
+    draw per call; refinement stays rule-based.
     Runs converge because the loop stops asking about an intent once its
     candidate is correct, so each success is kept.
     """
@@ -185,18 +194,17 @@ class NoisyTransport(OracleTransport):
             records = (*request.payload["conflicts"], self._spurious(self._rng()))
             return dump_doc(conflict_report(records))
         if request.role == REASONING:
-            return dump_doc(pipeline_to_policy_doc(self._noisy_pipeline(request)))
+            success_odds = (
+                NOISY_SUCCESS_WITH_PERCEPTION
+                if request.payload.get("perception_present")
+                else NOISY_SUCCESS_WITHOUT_PERCEPTION
+            )
+            return _reasoning_answer(request, lambda intent: self._noisy_pipeline(intent, success_odds))
         return super()._respond(request)
 
-    def _noisy_pipeline(self, request: AgentRequest) -> Pipeline:
-        intent: Intent = request.payload["intent"]
+    def _noisy_pipeline(self, intent: Intent, success_odds: float) -> Pipeline:
         rng = self._rng()
         truth = self.bundle.truths[intent.id]
-        success_odds = (
-            NOISY_SUCCESS_WITH_PERCEPTION
-            if request.payload.get("perception_present")
-            else NOISY_SUCCESS_WITHOUT_PERCEPTION
-        )
         if rng.random() < success_odds:
             return truth
         if rng.random() < NOISY_STRUCTURAL_SHARE:
@@ -219,6 +227,13 @@ class NoisyTransport(OracleTransport):
 
     def describe(self) -> str:
         return f"mock-noisy(seed={self.seed})"
+
+
+def _reasoning_answer(request: AgentRequest, answer: Callable[[Intent], Pipeline]) -> str:
+    """A reasoning response: answer's pipeline for each asked intent, keyed
+    by its id, worked out in ascending id order."""
+    intents = sorted(request.payload["intents"], key=lambda intent: intent.id)
+    return dump_doc({str(intent.id): pipeline_to_policy_doc(answer(intent)) for intent in intents})
 
 
 def corrupt_pipeline(
@@ -298,7 +313,9 @@ def refine_pipeline(
         kept = deduped
 
     ordered, chain = stage_chain(kept, registry)
-    if chain != candidate.edges:
+    # Re-sorting the nodes into stage order is an edit even when the edges
+    # already form the chain: the revised document differs from the input.
+    if chain != candidate.edges or ordered != tuple(kept):
         edits.append((EditKind.REORDER_STAGE, "edges rebuilt as a stage-consistent chain"))
 
     revised = replace(candidate, nodes=tuple(kept[x] for x in ordered), edges=chain)

@@ -24,7 +24,7 @@ from ranweave import harness
 from ranweave.conflicts import ConflictKind, ConflictRecord
 from ranweave.harness import build_knowledge_store, run_scenario
 from ranweave.memory import MemoryBuffer
-from ranweave.model import DeploymentState, Pipeline, pipelines_equal
+from ranweave.model import DeploymentState, Intent, Pipeline, pipelines_equal, stage_chain
 from ranweave.planner import SolutionScore
 from ranweave.retrieval import VectorStore
 from ranweave.schemas import (
@@ -32,11 +32,13 @@ from ranweave.schemas import (
     dump_doc,
     parse_perception_doc,
     parse_policy_doc,
+    parse_refinement_doc,
     pipeline_to_policy_doc,
 )
 from ranweave.transport import (
     REASONING,
     REFINEMENT,
+    AgentRequest,
     ChatTransport,
     MockBundle,
     NoisyTransport,
@@ -45,7 +47,7 @@ from ranweave.transport import (
     refine_pipeline,
 )
 
-from .helpers import PERFBENCH, json_scalars, json_values, replace_one_value
+from .helpers import PERFBENCH, json_scalars, json_values, random_registry, replace_one_value
 
 
 def _ctx(bundle, scenario_id: int, mode: Mode, truths, seed: int = 0) -> RunContext:
@@ -74,11 +76,26 @@ def _perceive(ctx, transport, candidates, conflicts):
     return _call_with_repair(transport, request, parse_perception_doc)
 
 
-def _reason(ctx, intent, transport):
-    """One reasoning call as the loop asks it, with no report, analogue,
-    other candidate or retrieved context."""
-    request = assemble_reasoning_request(ctx, intent, None, [], {}, ())
-    return _call_with_repair(transport, request, lambda text: parse_policy_doc(text, ctx.registry, intent.id))
+def _reason(ctx, intents, transport):
+    """One reasoning call about intents as the loop asks it, with no report,
+    analogue, candidate or retrieved context."""
+    request = assemble_reasoning_request(ctx, [(intent, ()) for intent in intents], None, {}, ())
+    ids = [intent.id for intent in intents]
+    return _call_with_repair(transport, request, lambda text: parse_policy_doc(text, ctx.registry, ids))
+
+
+def _answer(entries: dict) -> str:
+    """A reasoning answer: each intent id's entry is its pipeline's policy
+    document, or any other JSON value given in its place."""
+    return dump_doc({
+        str(intent_id): pipeline_to_policy_doc(value) if isinstance(value, Pipeline) else value
+        for intent_id, value in entries.items()
+    })
+
+
+def _named(calls) -> set:
+    """The intent ids the calls name: a reasoning call names a tuple of them."""
+    return {i for _, subject in calls for i in (subject if isinstance(subject, tuple) else (subject,))}
 
 
 class ScriptedTransport(ChatTransport):
@@ -135,8 +152,10 @@ def test_oracle_perception_equals_engine_serialization(bundle, truths):
 def test_oracle_reasoning_emits_ground_truth(bundle, truths):
     ctx = _ctx(bundle, 1, Mode.F5, truths)
     transport = OracleTransport(_mock_bundle(bundle, truths))
-    policy = _reason(ctx, bundle.intents[3], transport)
-    assert policy == truths[3]
+    answer = _reason(ctx, [bundle.intents[3], bundle.intents[4]], transport)
+    assert answer.pipelines == {3: truths[3], 4: truths[4]}
+    assert answer.errors == {}
+    assert transport.calls == [(REASONING, (3, 4))]
 
 
 def test_refinement_removes_duplicate(bundle, truths):
@@ -172,6 +191,32 @@ def test_refinement_reorders_stage_violating_edges(bundle, truths):
     assert "reorder_stage" in [kind.value for kind, _ in edits]
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_the_oracle_revision_of_any_registered_candidate_parses(rng):
+    """The oracle's refinement document for a candidate of registered xApps
+    passes parse_refinement_doc against that candidate. A revision that only
+    re-sorts the nodes into stage order, when the edges already form the
+    chain, changes the document too, so it must list an edit."""
+    registry = random_registry(rng, rng.randint(1, 6))
+    chosen = rng.sample(registry.ids, rng.randint(1, len(registry)))
+    if rng.random() < 0.2:
+        chosen.append(rng.choice(chosen))
+    capabilities = sorted(set().union(*(registry[x].capabilities for x in chosen)))
+    if rng.random() < 0.3:
+        capabilities = [rng.choice(sorted(set().union(*(p.capabilities for p in registry))))]
+    intent = Intent.build(1, "objective", target_kpis={"latency": -1}, required_capabilities=capabilities)
+    _, chain = stage_chain(set(chosen), registry)
+    pairs = [(a, b) for a in chosen for b in chosen if a != b]
+    edges = chain if rng.random() < 0.5 else rng.sample(pairs, min(len(pairs), rng.randint(0, 3)))
+    candidate = Pipeline.build(1, [(x, {}) for x in chosen], edges)
+
+    transport = OracleTransport(MockBundle(registry, {1: intent}, None, {}))
+    text = transport.complete(AgentRequest(REFINEMENT, tuple, {"intent": intent, "candidate": candidate}))
+    revision = parse_refinement_doc(text, candidate, registry)
+    assert revision.revised == refine_pipeline(candidate, intent, registry)[0]
+
+
 def test_refinement_leaves_ground_truth_untouched(bundle, truths):
     revised, edits = refine_pipeline(truths[1], bundle.intents[1], bundle.registry)
     assert revised == truths[1]
@@ -179,11 +224,10 @@ def test_refinement_leaves_ground_truth_untouched(bundle, truths):
 
 
 def test_repair_reprompt_recovers_from_malformed_json(bundle, truths):
-    good = dump_doc(pipeline_to_policy_doc(truths[3]))
-    transport = ScriptedTransport(["this is not json", good])
+    transport = ScriptedTransport(["this is not json", _answer({3: truths[3]})])
     ctx = _ctx(bundle, 1, Mode.NR, truths)
-    policy = _reason(ctx, bundle.intents[3], transport)
-    assert policy == truths[3]
+    answer = _reason(ctx, [bundle.intents[3]], transport)
+    assert answer.pipelines == {3: truths[3]}
     assert len(transport.calls) == 2
 
 
@@ -191,17 +235,49 @@ def test_repair_reprompt_happens_at_most_once(bundle, truths):
     transport = ScriptedTransport(["nope", "still nope"])
     ctx = _ctx(bundle, 1, Mode.NR, truths)
     with pytest.raises(AgentCallError):
-        _reason(ctx, bundle.intents[3], transport)
+        _reason(ctx, [bundle.intents[3]], transport)
     assert len(transport.calls) == 2
 
 
-def test_repair_reprompt_on_unknown_xapp_id(bundle, truths):
-    bad = dump_doc(pipeline_to_policy_doc(Pipeline.build(3, [("phantom_xapp", {})])))
-    good = dump_doc(pipeline_to_policy_doc(truths[3]))
-    transport = ScriptedTransport([bad, good])
+def test_a_repair_asks_again_only_about_the_failed_entries(bundle, truths):
+    """The first answer holds a valid entry for intent 3 and an invalid one
+    for intent 4. The repair names intent 4 alone, and intent 3 keeps its
+    first answer, whatever the repair says about it. An entry that fails
+    twice leaves its intent without a pipeline and the others with theirs."""
+    phantom = Pipeline.build(4, [("phantom_xapp", {})])
+    first_node = truths[3].nodes[0]
+    other_3 = Pipeline.build(3, [(first_node.xapp_id, first_node.directive_map)])
+    assert other_3 != truths[3]
     ctx = _ctx(bundle, 1, Mode.NR, truths)
-    policy = _reason(ctx, bundle.intents[3], transport)
-    assert policy == truths[3]
+    intents = [bundle.intents[3], bundle.intents[4]]
+    first = _answer({3: truths[3], 4: phantom})
+    transport = ScriptedTransport([first, _answer({3: other_3, 4: truths[4]})])
+
+    answer = _reason(ctx, intents, transport)
+    assert answer.pipelines == {3: truths[3], 4: truths[4]}
+    assert answer.errors == {}
+    assert transport.calls == [(REASONING, (3, 4)), (REASONING, (4,))]
+    assert transport.requests[1].payload["intents"] == (bundle.intents[4],)
+    *sent, feedback = transport.seen_messages[1]
+    assert tuple(sent) == transport.seen_messages[0] + ({"role": "assistant", "content": first},)
+    assert feedback["role"] == "user"
+    assert "- intent 4: unregistered xApp ids ['phantom_xapp']" in feedback["content"]
+    assert feedback["content"].endswith("as a JSON object keyed by intent id: 4.")
+    assert "3" not in feedback["content"]
+
+    transport = ScriptedTransport([first])  # the same answer again
+    answer = _reason(ctx, intents, transport)
+    assert answer.pipelines == {3: truths[3]}
+    assert list(answer.errors) == [4] and "unregistered" in answer.errors[4][0]
+    assert transport.calls == [(REASONING, (3, 4)), (REASONING, (4,))]
+
+
+def test_repair_reprompt_on_unknown_xapp_id(bundle, truths):
+    bad = _answer({3: Pipeline.build(3, [("phantom_xapp", {})])})
+    transport = ScriptedTransport([bad, _answer({3: truths[3]})])
+    ctx = _ctx(bundle, 1, Mode.NR, truths)
+    answer = _reason(ctx, [bundle.intents[3]], transport)
+    assert answer.pipelines == {3: truths[3]}
     assert len(transport.calls) == 2
     # The repair prompt must carry the validation errors back to the model.
     repair_user_message = transport.seen_messages[1][-1]
@@ -214,10 +290,10 @@ def test_repair_reprompt_on_a_constant_that_is_no_json_value(bundle, truths, con
     """json.dumps writes a float NaN or infinity as the bare constant, which RFC
     8259 does not allow; the answer holding one gets the repair re-prompt."""
     conditions = {"max_load": float(constant)}
-    bad = json.dumps({**pipeline_to_policy_doc(truths[3]), "deployment_conditions": conditions})
-    transport = ScriptedTransport([bad, dump_doc(pipeline_to_policy_doc(truths[3]))])
-    policy = _reason(_ctx(bundle, 1, Mode.NR, truths), bundle.intents[3], transport)
-    assert policy == truths[3]
+    bad = json.dumps({"3": {**pipeline_to_policy_doc(truths[3]), "deployment_conditions": conditions}})
+    transport = ScriptedTransport([bad, _answer({3: truths[3]})])
+    answer = _reason(_ctx(bundle, 1, Mode.NR, truths), [bundle.intents[3]], transport)
+    assert answer.pipelines == {3: truths[3]}
     assert len(transport.calls) == 2
     assert f"{constant} is not a JSON value" in transport.seen_messages[1][-1]["content"]
 
@@ -228,10 +304,10 @@ def test_an_answer_past_the_float_range_is_a_failed_call(bundle, truths):
     again, fails the call (AgentCallError, what the benchmark counts); a loop
     fed only such answers keeps no candidate and ends without a crash."""
     doc = {**pipeline_to_policy_doc(truths[3]), "deployment_conditions": {"max_load": "?"}}
-    bad = dump_doc(doc).replace('"?"', "1e400")
+    bad = _answer({3: doc}).replace('"?"', "1e400")
     transport = ScriptedTransport([bad])
     with pytest.raises(AgentCallError, match="1e400 is past the float range"):
-        _reason(_ctx(bundle, 1, Mode.SA, truths), bundle.intents[3], transport)
+        _reason(_ctx(bundle, 1, Mode.SA, truths), [bundle.intents[3]], transport)
     assert len(transport.calls) == 2
     assert "1e400 is past the float range" in transport.seen_messages[1][-1]["content"]
 
@@ -239,7 +315,7 @@ def test_an_answer_past_the_float_range_is_a_failed_call(bundle, truths):
     ctx = replace(_ctx(bundle, 1, Mode.SA, truths), max_iterations=1)
     memory = MemoryBuffer()
     outcome = orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.setup(1).oracle)
-    assert len(transport.calls) == 2 * len(ctx.intents)
+    assert transport.calls == [(REASONING, (3, 4))] * 2  # one batched request and its repair
     assert outcome.best.candidates == {} and not outcome.converged
     assert not memory.entries
 
@@ -264,17 +340,13 @@ def _call_roles(bundle, truths, mode: Mode) -> list[str]:
 
 
 def test_mode_algebra_call_traces(bundle, truths):
-    assert _call_roles(bundle, truths, Mode.F5) == [
-        "perception", "reasoning", "refinement", "reasoning", "refinement",
-    ]
-    assert _call_roles(bundle, truths, Mode.SA) == ["reasoning", "reasoning"]
-    assert _call_roles(bundle, truths, Mode.NR) == ["perception", "reasoning", "reasoning"]
-    assert _call_roles(bundle, truths, Mode.NP) == [
-        "reasoning", "refinement", "reasoning", "refinement",
-    ]
-    assert _call_roles(bundle, truths, Mode.FCFS) == [
-        "perception", "reasoning", "refinement", "reasoning", "refinement",
-    ]
+    """One reasoning request asks intents 3 and 4 together; refinement
+    reviews each candidate on its own."""
+    assert _call_roles(bundle, truths, Mode.F5) == ["perception", "reasoning", "refinement", "refinement"]
+    assert _call_roles(bundle, truths, Mode.SA) == ["reasoning"]
+    assert _call_roles(bundle, truths, Mode.NR) == ["perception", "reasoning"]
+    assert _call_roles(bundle, truths, Mode.NP) == ["reasoning", "refinement", "refinement"]
+    assert _call_roles(bundle, truths, Mode.FCFS) == ["perception", "reasoning", "refinement", "refinement"]
 
 
 def test_oracle_transport_converges_in_one_iteration_every_mode(bundle, truths):
@@ -322,7 +394,7 @@ def test_noisy_transport_is_reproducible(bundle, truths):
     mock = _mock_bundle(bundle, truths)
     first = NoisyTransport(mock, seed=7)
     second = NoisyTransport(mock, seed=7)
-    request_payload = {"intent": bundle.intents[1], "perception_present": False}
+    request_payload = {"intents": (bundle.intents[1], bundle.intents[2]), "perception_present": False}
     from ranweave.transport import AgentRequest
 
     r1 = first.complete(AgentRequest(role="reasoning", render=tuple, payload=request_payload))
@@ -377,7 +449,7 @@ def test_solved_intents_are_not_asked_again(bundle, truths, mode, monkeypatch):
         ctx = _ctx(bundle, scenario_id, mode, truths, seed)
         orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.setup(scenario_id).oracle)
         for number, (end, solution) in enumerate(iterations, start=1):
-            assert not {intent_id for _, intent_id in transport.calls[end:]} & solution.correct
+            assert not _named(transport.calls[end:]) & solution.correct
             assert not any(
                 e.intent.id in solution.correct and e.outcome.iteration > number for e in memory.entries
             )
@@ -462,28 +534,27 @@ def test_transport_outage_counts_as_failed_attempt(bundle, truths):
 @pytest.mark.parametrize("failing_role", ["perception", "reasoning", "refinement"])
 def test_failed_call_fallbacks(bundle, truths, failing_role):
     """A failed attempt falls back by role: a failed perception call means no
-    reasoning call in that iteration; a failed reasoning call skips only that
-    intent; a refinement answer that fails validation twice keeps the
-    unrefined candidate."""
+    reasoning call in that iteration; a reasoning entry that fails twice
+    skips only its intent; a refinement answer that fails validation twice
+    keeps the unrefined candidate."""
     from ranweave.schemas import RefinementDoc
 
     bad = "not json"
     report = dump_doc(conflict_report([]))
     t3, t4 = truths[3], truths[4]
     duplicated = Pipeline.build(3, [(n.xapp_id, n.directive_map) for n in t3.nodes + t3.nodes[:1]])
-    intent_4 = [dump_doc(pipeline_to_policy_doc(t4)), dump_doc(RefinementDoc(t4, ()).to_dict())]
+    refined_4 = dump_doc(RefinementDoc(t4, ()).to_dict())
     responses, calls, candidates = {
         "perception": ([bad, bad], [("perception", None)] * 2, {}),
         "reasoning": (
-            [report, bad, bad] + intent_4,
-            [("perception", None), ("reasoning", 3), ("reasoning", 3),
-             ("reasoning", 4), ("refinement", 4)],
+            [report, _answer({3: bad, 4: t4}), _answer({3: bad}), refined_4],
+            [("perception", None), ("reasoning", (3, 4)), ("reasoning", (3,)), ("refinement", 4)],
             {4: t4},
         ),
         "refinement": (
-            [report, dump_doc(pipeline_to_policy_doc(duplicated)), bad, bad] + intent_4,
-            [("perception", None), ("reasoning", 3), ("refinement", 3), ("refinement", 3),
-             ("reasoning", 4), ("refinement", 4)],
+            [report, _answer({3: duplicated, 4: t4}), bad, bad, refined_4],
+            [("perception", None), ("reasoning", (3, 4)), ("refinement", 3), ("refinement", 3),
+             ("refinement", 4)],
             {3: duplicated, 4: t4},
         ),
     }[failing_role]
@@ -527,9 +598,7 @@ def test_perception_reads_the_graph_the_previous_iteration_left(bundle, truths):
 
     invalid = Pipeline.build(2, [("traffic_steering_a", {"steering_policy": "latency"})] * 2)
     report = dump_doc(conflict_report(()))
-    transport = ScriptedTransport(
-        [report] + [dump_doc(pipeline_to_policy_doc(p)) for p in (truths[1], invalid, truths[7])] + [report]
-    )
+    transport = ScriptedTransport([report, _answer({1: truths[1], 2: invalid, 7: truths[7]}), report])
     ctx = replace(_ctx(bundle, 2, Mode.NR, truths), max_iterations=2)
     orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), bundle.setup(2).oracle)
 
@@ -688,11 +757,8 @@ def test_an_equal_answer_with_other_condition_bytes_keeps_its_own_object(bundle,
     as_int, as_bool = (Pipeline.build(3, wrong, (), dump_doc({"max_load": v})) for v in (1, True))
     assert as_int != as_bool and not pipelines_equal(as_int, truths[3])
     report = dump_doc(conflict_report(()))
-    policy = {name: dump_doc(pipeline_to_policy_doc(p)) for name, p in (("int", as_int), ("bool", as_bool))}
-    # NR: perception, then reasoning for each unsolved intent; 4 is solved at once.
-    transport = ScriptedTransport(
-        [report, policy["int"], dump_doc(pipeline_to_policy_doc(truths[4])), report, policy["bool"], report]
-    )
+    # NR: perception, then one reasoning request about the unsolved intents; 4 is solved at once.
+    transport = ScriptedTransport([report, _answer({3: as_int, 4: truths[4]}), report, _answer({3: as_bool}), report])
     memory = MemoryBuffer()
     ctx = replace(_ctx(bundle, 1, Mode.NR, truths), max_iterations=3)
     orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.setup(1).oracle)
@@ -746,11 +812,11 @@ class IntentSwapTransport(OracleTransport):
 
     def _respond(self, request):
         text = super()._respond(request)
-        if request.role != self.role or request.payload["intent"].id != 3:
+        if request.role != self.role or 3 not in _named(self.calls[-1:]):  # this request's record
             return text
         doc = json.loads(text)
         if self.role == REASONING:
-            doc["intent_id"] = self.intent_id
+            doc["3"]["intent_id"] = self.intent_id
         else:
             doc["revised_policy"]["intent_id"] = self.intent_id
             doc["edits"] = [["reorder_stage", "renamed"]]
@@ -769,7 +835,10 @@ def test_reasoning_answer_for_another_intent_fails_the_call(bundle, truths, inte
     report = run_scenario(bundle, 1, Mode.F5, transport, max_iterations=2)
     assert report.generation_accuracy == 0.5
     assert not report.converged
-    assert transport.calls.count((REASONING, 3)) == 4  # two iterations, one repair each
+    # Two iterations, each with one repair that asks about intent 3 alone.
+    assert [call for call in transport.calls if call[0] == REASONING] == [
+        (REASONING, (3, 4)), (REASONING, (3,)), (REASONING, (3,)), (REASONING, (3,)),
+    ]
 
 
 @pytest.mark.parametrize("intent_id", _FOREIGN_INTENT_IDS, ids=repr)
@@ -792,7 +861,9 @@ _ANY_JSON = json_scalars | json_values
 
 class OneValueTransport(OracleTransport):
     """The oracle backend; half of its answers get one value, anywhere in
-    the document, replaced with arbitrary JSON."""
+    the document, replaced with arbitrary JSON. A reasoning answer, which
+    holds one entry per asked intent, may instead lose one entry or gain one
+    under a key of no asked intent."""
 
     def __init__(self, mock, draw):
         super().__init__(mock)
@@ -802,7 +873,15 @@ class OneValueTransport(OracleTransport):
         text = super()._respond(request)
         if not self.draw(st.booleans()):
             return text
-        return json.dumps(replace_one_value(self.draw, json.loads(text), _ANY_JSON))
+        doc = json.loads(text)
+        edit = self.draw(st.sampled_from(["value", "drop", "add"] if request.role == REASONING else ["value"]))
+        if edit == "drop":
+            del doc[self.draw(st.sampled_from(sorted(doc)))]
+        elif edit == "add":
+            doc[self.draw(st.sampled_from(["999", "x", "03", ""]))] = self.draw(_ANY_JSON)
+        else:
+            doc = replace_one_value(self.draw, doc, _ANY_JSON)
+        return json.dumps(doc)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -812,8 +891,13 @@ class OneValueTransport(OracleTransport):
     data=st.data(),
 )
 def test_any_backend_answer_is_a_counted_failure(bundle, truths, scenario, mode, data):
-    """Whatever the backend answers, the run ends with a report."""
+    """Whatever the backend answers, whole or in part, the run ends with a
+    report. Each reasoning request asks about a subset of the intents the
+    one before it asked about: a repair asks only about failed entries, and
+    a solved intent is not asked again."""
     transport = OneValueTransport(_mock_bundle(bundle, truths), data.draw)
     report = run_scenario(bundle, scenario, mode, transport, max_iterations=2)
     assert 0.0 <= report.generation_accuracy <= 1.0
     assert 0.0 <= report.deployment_success <= 1.0
+    asked = [set(ids) for role, ids in transport.calls if role == REASONING]
+    assert all(later <= earlier for earlier, later in zip(asked, asked[1:]))

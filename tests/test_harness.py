@@ -38,7 +38,7 @@ from ranweave.transport import CHAT_BASE_URL_ENV, CHAT_MODEL_ENV, HttpChatTransp
 # seeds 0-2 under mock-noisy, and each mode's agent calls over the same grid.
 # A change that moves a run's outcome, or spends more calls, must say so here.
 REPORT_DIGEST = "ea31d8c35c870fe423a7a2666c547c2e8c3f1f9fb9e0604bfbf57e238053cb66"
-GRID_CALLS = {"f5": 141, "sa": 338, "nr": 163, "np": 133, "fcfs": 141}
+GRID_CALLS = {"f5": 102, "sa": 167, "nr": 104, "np": 92, "fcfs": 102}
 
 
 def test_load_fixtures_counts(bundle):

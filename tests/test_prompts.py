@@ -31,7 +31,7 @@ from ranweave.model import DeploymentState, Pipeline
 from ranweave.schemas import dump_doc, parse_policy_doc, pipeline_to_policy_doc
 from ranweave.transport import PERCEPTION, REASONING, ChatTransport
 
-PROMPT_DIGEST = "e5b206101744c4ea319c91893f0239a724e10f86d7d19caa0217187f0097858f"
+PROMPT_DIGEST = "0872f53cfcbab178aa1731a7e098d0e9b404652cd519df48a5412f1a635c9459"
 
 
 class RecordingTransport(ChatTransport):
@@ -69,7 +69,7 @@ def _all_requests(bundle) -> list:
 
     # One repair re-prompt: a malformed reasoning answer, then the reference.
     spec = bundle.scenarios[2]
-    answers = iter(["not json", dump_doc(pipeline_to_policy_doc(bundle.truths[3]))])
+    answers = iter(["not json", dump_doc({"3": pipeline_to_policy_doc(bundle.truths[3])})])
     recorder = RecordingTransport(lambda request: next(answers))
     ctx = RunContext(
         mode=Mode.F5,
@@ -80,8 +80,8 @@ def _all_requests(bundle) -> list:
         intent_catalog=bundle.intents,
         scenario_id=spec.id,
     )
-    request = assemble_reasoning_request(ctx, bundle.intents[3], None, [], {}, ())
-    agents._call_with_repair(recorder, request, lambda text: parse_policy_doc(text, bundle.registry, 3))
+    request = assemble_reasoning_request(ctx, [(bundle.intents[3], ())], None, {}, ())
+    agents._call_with_repair(recorder, request, lambda text: parse_policy_doc(text, bundle.registry, [3]))
     assert [len(r.messages) for r in recorder.requests] == [2, 4]
     requests.extend(recorder.requests)
     return requests
@@ -171,15 +171,17 @@ def test_a_request_renders_its_inputs_as_they_were_at_assembly(bundle, truths):
     )
     candidates = {1: truths[1], 2: truths[2]}
     analogues = [(bundle.intents[5], truths[5])]
+    asked = [(bundle.intents[3], analogues)]
     expected = assemble_reasoning_request(
-        ctx, bundle.intents[3], None, list(analogues), dict(candidates), ()
+        ctx, [(bundle.intents[3], list(analogues))], None, dict(candidates), ()
     ).messages
 
-    request = assemble_reasoning_request(ctx, bundle.intents[3], None, analogues, candidates, ())
+    request = assemble_reasoning_request(ctx, asked, None, candidates, ())
     candidates[1] = truths[6]
     candidates[7] = truths[7]
     del candidates[2]
     analogues.append((bundle.intents[6], truths[6]))
+    asked.append((bundle.intents[2], []))
     assert request.messages == expected
     assert '"1":{' in expected[1]["content"] and '"7":{' not in expected[1]["content"]
 
@@ -197,8 +199,10 @@ def _end_of(text: str, heading: str) -> int:
 def test_consecutive_prompts_of_a_role_share_the_run_stable_sections(bundle):
     """Each role's prompt opens with what stays the same for the run, so the
     prefix two consecutive requests of one role share, the part a provider's
-    prefix cache does not bill in full, reaches past those sections. Within
-    one iteration the reasoning requests also share the conflict report."""
+    prefix cache does not bill in full, reaches past those sections. Each
+    iteration sends one reasoning request, which asks about every unsolved
+    intent, so no two reasoning requests of one iteration remain to share
+    the conflict report."""
     recorder = RecordingTransport(make_transport("mock-noisy", bundle, seed=0).complete)
     run_scenario(bundle, 3, Mode.F5, recorder, seed=0)  # two intents pre-deployed
     checked: Counter = Counter()
@@ -216,7 +220,7 @@ def test_consecutive_prompts_of_a_role_share_the_run_stable_sections(bundle):
             assert shared >= _end_of(text, heading), (request.role, iteration, heading)
             checked[request.role, within] += 1
         previous[request.role] = (iteration, text)
-    assert set(checked) == {("perception", False), ("refinement", False), ("reasoning", False), ("reasoning", True)}
+    assert set(checked) == {("perception", False), ("refinement", False), ("reasoning", False)}
 
 
 def test_compact_rendering_is_lossless(bundle, monkeypatch):

@@ -112,11 +112,16 @@ def _policy_with(conditions: dict) -> dict:
     return {"intent_id": 1, "selected_xapps": [["a", {}]], "edges": [], "deployment_conditions": conditions}
 
 
+def _answer_for_1(doc: object, registry: Registry = _AB):
+    """The reasoning answer of a response holding doc as intent 1's entry."""
+    return parse_policy_doc(dump_doc({"1": doc}), registry, [1])
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(conditions=_CONDITIONS)
 def test_a_parsed_policy_gives_back_its_bytes(conditions):
-    text = dump_doc(_policy_with(conditions))
-    assert dump_doc(pipeline_to_policy_doc(parse_policy_doc(text, _AB, 1))) == text
+    doc = _policy_with(conditions)
+    assert dump_doc(pipeline_to_policy_doc(_answer_for_1(doc).pipelines[1])) == dump_doc(doc)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -126,15 +131,16 @@ def test_a_parsed_policy_gives_back_its_bytes(conditions):
 @example(a={"window": [1, 0]}, b={"window": [True, False]})
 def test_parsed_pipelines_are_equal_exactly_when_their_condition_bytes_are(a, b):
     """A pipeline's identity is its bytes: == and hashing tell 1 from 1.0 and true."""
-    p, q = (parse_policy_doc(dump_doc(_policy_with(c)), _AB, 1) for c in (a, b))
+    p, q = (_answer_for_1(_policy_with(c)).pipelines[1] for c in (a, b))
     assert (p == q) == (dump_doc(a) == dump_doc(b))
-    assert p == parse_policy_doc(dump_doc(_policy_with(a)), _AB, 1)
+    assert p == _answer_for_1(_policy_with(a)).pipelines[1]
 
 
 def test_parse_policy_checks_registry_membership(bundle):
     doc = pipeline_to_policy_doc(Pipeline.build(1, [("not_registered", {})]))
-    with pytest.raises(SchemaValidationError, match="unregistered"):
-        parse_policy_doc(dump_doc(doc), bundle.registry, 1)
+    answer = _answer_for_1(doc, bundle.registry)
+    assert answer.pipelines == {}
+    assert answer.errors == {1: ["unregistered xApp ids ['not_registered']"]}
 
 
 def test_parse_policy_tolerates_structural_defects(bundle):
@@ -143,13 +149,31 @@ def test_parse_policy_tolerates_structural_defects(bundle):
     pipeline = Pipeline.build(
         1, [("mobility_predictor", {}), ("mobility_predictor", {})], []
     )
-    parsed = parse_policy_doc(dump_doc(pipeline_to_policy_doc(pipeline)), bundle.registry, 1)
+    parsed = _answer_for_1(pipeline_to_policy_doc(pipeline), bundle.registry).pipelines[1]
     assert parsed.node_ids == ("mobility_predictor", "mobility_predictor")
 
 
 def test_parse_policy_rejects_invalid_json(bundle):
     with pytest.raises(SchemaValidationError, match="not valid JSON"):
-        parse_policy_doc("pipelines { when ready }", bundle.registry, 1)
+        parse_policy_doc("pipelines { when ready }", bundle.registry, [1])
+
+
+def test_a_reasoning_answer_fails_each_entry_on_its_own(bundle, truths):
+    """A missing or invalid entry fails its intent alone; a key of no asked
+    intent, or a document that is no object, fails the whole answer."""
+    good = {str(i): pipeline_to_policy_doc(truths[i]) for i in (1, 2)}
+    answer = parse_policy_doc(dump_doc({**good, "7": {**good["1"], "intent_id": 1}}), bundle.registry, [1, 2, 7, 3])
+    assert answer.pipelines == {1: truths[1], 2: truths[2]}
+    assert answer.errors == {
+        7: ["intent_id 1 is not the requested intent 7"],
+        3: ["no entry for intent 3"],
+    }
+    for text, match in (
+        (dump_doc({**good, "01": good["1"]}), r"keys \['01'\] name no asked intent"),
+        (dump_doc([good["1"]]), "expected a JSON object, got list"),
+    ):
+        with pytest.raises(SchemaValidationError, match=match):
+            parse_policy_doc(text, bundle.registry, [1, 2])
 
 
 def test_perception_doc_roundtrip_from_engine(bundle, truths):
@@ -291,7 +315,7 @@ _RECORD = {
     "explanation": "clash",
 }
 _TEMPLATES = [
-    _POLICY,
+    {"1": _POLICY},
     {"conflicts": {"actuator": [_RECORD], "parameter": []}, "notes": ""},
     {"revised_policy": _POLICY, "edits": [["remove_duplicate", "twice"]]},
     {
@@ -319,7 +343,7 @@ def _near_valid_documents(draw):
 def _parsers(bundle):
     original = Pipeline.build(1, [("mobility_predictor", {})])
     return (
-        lambda text: parse_policy_doc(text, bundle.registry, 1),
+        lambda text: parse_policy_doc(text, bundle.registry, [1]),
         parse_perception_doc,
         lambda text: parse_refinement_doc(text, original, bundle.registry),
         lambda text: parse_memory_line(text, "memory line"),
@@ -401,3 +425,59 @@ def test_parsers_are_total(bundle, document):
             parse(document)
         except SchemaValidationError:
             pass
+
+
+def _encodable(value: object) -> bool:
+    """value has a JSON text: it holds no NaN or infinite float."""
+    try:
+        dump_doc(value)
+    except ValueError:
+        return False
+    return True
+
+
+# An asked id past 4 has no entry in _reasoning_answers; one up to 4 may have.
+_ASKED = st.lists(st.integers(1, 6), max_size=4, unique=True)
+
+
+@st.composite
+def _reasoning_answers(draw):
+    """A reasoning answer for some of intents 1-4, with one value replaced."""
+    ids = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+    document = json.loads(json.dumps({str(i): {**_POLICY, "intent_id": i} for i in ids}))
+    return replace_one_value(draw, document, json_values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(document=st.text() | (json_values | _reasoning_answers()).map(json.dumps), asked=_ASKED)
+def test_the_reasoning_parser_is_total(bundle, document, asked):
+    """On any text, parse_policy_doc gives each asked intent a pipeline of
+    that intent or a nonempty list of errors, or raises SchemaValidationError."""
+    try:
+        answer = parse_policy_doc(document, bundle.registry, asked)
+    except SchemaValidationError:
+        return
+    assert not answer.pipelines.keys() & answer.errors.keys()
+    assert answer.pipelines.keys() | answer.errors.keys() == set(asked)
+    assert all(pipeline.intent_id == i for i, pipeline in answer.pipelines.items())
+    assert all(errors for errors in answer.errors.values())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False), data=st.data())
+def test_a_corrupt_entry_leaves_the_others_as_parsed_alone(rng, data):
+    """Replacing one value of one entry changes nothing for the other
+    entries: every entry of the answer parses as the answer holding it alone."""
+    registry = random_registry(rng, rng.randint(2, 8))
+    ids = sorted(rng.sample(range(1, 30), rng.randint(2, 5)))
+    doc = {str(i): pipeline_to_policy_doc(random_pipeline(rng, registry, i)) for i in ids}
+    victim = str(data.draw(st.sampled_from(ids)))
+    doc[victim] = replace_one_value(data.draw, doc[victim], json_values.filter(_encodable))
+
+    answer = parse_policy_doc(dump_doc(doc), registry, ids)
+    for i in ids:
+        alone = parse_policy_doc(dump_doc({str(i): doc[str(i)]}), registry, [i])
+        assert answer.pipelines.get(i) == alone.pipelines.get(i)
+        assert answer.errors.get(i) == alone.errors.get(i)
+        if str(i) != victim:
+            assert answer.pipelines[i] == policy_doc_to_pipeline(doc[str(i)])
