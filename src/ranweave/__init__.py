@@ -42,7 +42,7 @@ from .planner import (
     score_solution,
     synthesize_ground_truth,
 )
-from .retrieval import VectorStore, chunk_document, cosine, embed, k_schedule
+from .retrieval import VectorStore, chunk_document, embed, k_schedule
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "build_conflict_graph",
     "chunk_document",
     "compare_modes",
-    "cosine",
     "embed",
     "emit_report",
     "enforce_monotonicity",

@@ -107,10 +107,7 @@ class FixtureBundle:
         store = VectorStore()
         if self.knowledge_dir.is_dir():
             store.add_directory(self.knowledge_dir)
-        chunks = store.chunks
-        for chunk in chunks:
-            chunk.vector.flags.writeable = False
-        return chunks
+        return store.chunks
 
     @cached_property
     def _setups(self) -> dict[int, "ScenarioSetup"]:

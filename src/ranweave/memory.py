@@ -47,8 +47,13 @@ class MemoryBuffer:
     """Single-run episodic buffer with similarity-ranked recall."""
 
     def __init__(self) -> None:
-        # Each distinct text is embedded once per buffer; clear() empties the cache.
-        self._embed = functools.cache(retrieval.embed)
+        # Each distinct text is embedded, and each (query text, entry text)
+        # pair scored, once per buffer; clear() empties both caches. The
+        # caches hold no reference to the buffer, so it is freed when dropped.
+        embed = self._embed = functools.cache(retrieval.embed)
+        self._similarity = functools.cache(
+            lambda query_text, text: retrieval.similarity(embed(query_text), embed(text))
+        )
         self._entries: list[MemoryEntry] = []
 
     def __len__(self) -> int:
@@ -61,6 +66,7 @@ class MemoryBuffer:
     def clear(self) -> None:
         self._entries.clear()
         self._embed.cache_clear()
+        self._similarity.cache_clear()
 
     def record(self, entry: MemoryEntry) -> None:
         if self._entries and entry.sequence_no <= self._entries[-1].sequence_no:
@@ -80,23 +86,20 @@ class MemoryBuffer:
         """Up to k past successes, most similar intents first.
 
         Exact matches on the queried intent id outrank everything; after
-        that, cosine similarity of the intent texts decides, with more
-        recent attempts winning ties.
+        that, the similarity of the intent texts (retrieval.similarity, the
+        cosine order compared exactly) decides, and only an exact tie goes
+        to the more recent attempt.
         """
         if k <= 0:
             return []
         successes = [e for e in self._entries if e.outcome.correct]
-        if not successes:
-            return []
-        query_vector = self._embed(intent.text)
+        # Stable sorts, last key first: most recent first, then most similar
+        # first, then exact id matches first. A reverse sort keeps the order
+        # of equal keys, so a similarity tie stays most recent first.
         ranked = sorted(
-            successes,
-            key=lambda e: (
-                0 if e.intent.id == intent.id else 1,
-                -retrieval.cosine(query_vector, self._embed(e.intent.text)),
-                -e.sequence_no,
-            ),
+            reversed(successes), key=lambda e: self._similarity(intent.text, e.intent.text), reverse=True
         )
+        ranked.sort(key=lambda e: e.intent.id == intent.id, reverse=True)
         return [(e.intent, e.pipeline) for e in ranked[:k]]
 
     def failure_summary(self, intent: Intent) -> str:

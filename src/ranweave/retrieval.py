@@ -1,9 +1,11 @@
-"""Document chunking, embedding and cosine top-k retrieval.
+"""Document chunking, embedding and exact similarity top-k retrieval.
 
 Documents are split into 500-character segments with 50-character overlaps
-and ranked by cosine similarity. The reference embedder hashes character
-trigrams into a fixed 256-dimensional unit vector, so retrieval is fully
-deterministic and needs no network.
+and ranked by cosine similarity, compared exactly. The reference embedder
+hashes character trigrams into 256 buckets and keeps each bucket's signed
+integer count, unnormalised, so retrieval is integer arithmetic on the
+standard library: fully deterministic, with no rounding to decide a tie, and
+no network.
 
 The number of chunks injected per query grows with the iteration count:
 top-10 on the first attempt, +10 per attempt, capped at 50. A run asks the
@@ -16,11 +18,13 @@ so runs that ask one question share its ranking.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import repeat
+from operator import mul
 from pathlib import Path
 from typing import Iterable
-
-import numpy as np
 
 EMBEDDING_DIM = 256
 CHUNK_SIZE = 500
@@ -37,7 +41,7 @@ class DocChunk:
     start: int
     end: int
     text: str
-    vector: np.ndarray
+    vector: Embedding
 
 
 def chunk_spans(length: int) -> list[tuple[int, int]]:
@@ -87,48 +91,72 @@ def reconstruct(chunks: Iterable[DocChunk]) -> str:
     return text
 
 
-def embed(text: str) -> np.ndarray:
-    """Deterministic character-trigram feature hashing, L2-normalized.
+class Embedding(Mapping):
+    """Read-only signed trigram counts by bucket, the zero counts left out;
+    norm2 is their sum of squares, computed once."""
 
-    Empty text embeds to the zero vector.
+    __slots__ = ("_counts", "_norm2")
+
+    def __init__(self, counts: dict[int, int]):
+        self._counts = {bucket: count for bucket, count in counts.items() if count}
+        self._norm2 = sum(count * count for count in self._counts.values())
+
+    @property
+    def norm2(self) -> int:
+        return self._norm2
+
+    def __getitem__(self, bucket: int) -> int:
+        return self._counts[bucket]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._counts)
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+
+def embed(text: str) -> Embedding:
+    """Deterministic character-trigram feature hashing, as integer counts.
+
+    Each gram's crc32 of its UTF-8 bytes picks a bucket and, by bit 8, a
+    sign; a bucket whose grams cancel is left out. Empty text embeds to the
+    zero vector, the empty mapping.
     """
     normalized = text.casefold()
     if not normalized:
-        return np.zeros(EMBEDDING_DIM, dtype=np.float64)
+        return Embedding({})
     grams = (
         [normalized[i : i + 3] for i in range(len(normalized) - 2)]
         if len(normalized) >= 3
         else [normalized]
     )
-    # Each gram's crc32 of its UTF-8 bytes picks a bucket and, by bit 8, a
-    # sign. The bucket sums are small integers, so float64 holds them exactly.
-    digests = np.fromiter(map(zlib.crc32, map(str.encode, grams)), dtype=np.uint32, count=len(grams))
-    signs = ((digests >> 8) & 1) * 2.0 - 1.0
-    vector = np.bincount(digests % EMBEDDING_DIM, weights=signs, minlength=EMBEDDING_DIM)
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        return vector
-    return vector / norm
+    counts: dict[int, int] = {}
+    for digest in map(zlib.crc32, map(str.encode, grams)):
+        bucket = digest % EMBEDDING_DIM
+        counts[bucket] = counts.get(bucket, 0) + (1 if digest >> 8 & 1 else -1)
+    return Embedding(counts)
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product of normalized vectors; zero vectors score 0 by convention.
-
-    embed returns finite vectors, and a zero vector's inner product
-    with a finite one is +0.0 or -0.0, both equal to 0.0; so the convention
-    needs no test of its own.
+def similarity(query: Embedding, candidate: Embedding) -> Fraction:
+    """dot(q, c)·|dot(q, c)| / ‖c‖², which orders the candidates of one query
+    exactly as their cosines do: ‖q‖ is the same for each of them, and the
+    signed square keeps the order. A zero vector on either side scores 0.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
+    if not candidate._norm2:
+        return Fraction(0)
+    # Each candidate count times the query's count in its bucket, 0 where
+    # the query has none.
+    counts = candidate._counts
+    dot = sum(map(mul, counts.values(), map(query._counts.get, counts, repeat(0))))
+    return Fraction(dot * abs(dot), candidate._norm2)
 
 
 def rank(chunks: Iterable[DocChunk], query_text: str) -> tuple[DocChunk, ...]:
-    """Every chunk by descending cosine with the embedded query, ties broken by (doc_id, start)."""
-    # Per-chunk np.dot, not one matrix product: BLAS rounds differently and
-    # would reorder near-ties.
+    """Every chunk by descending similarity to the embedded query, ties broken by (doc_id, start)."""
     query_vector = embed(query_text)
-    return tuple(sorted(chunks, key=lambda c: (-cosine(query_vector, c.vector), c.doc_id, c.start)))
+    # A reverse sort keeps the order of equal keys, so a tie stays in (doc_id, start) order.
+    ordered = sorted(chunks, key=lambda c: (c.doc_id, c.start))
+    return tuple(sorted(ordered, key=lambda c: similarity(query_vector, c.vector), reverse=True))
 
 
 def k_schedule(iteration: int) -> int:
@@ -139,7 +167,7 @@ def k_schedule(iteration: int) -> int:
 
 
 class VectorStore:
-    """In-memory chunk index queried by cosine similarity.
+    """In-memory chunk index queried by exact similarity.
 
     The store starts from chunks, which must be embedded by embed. The
     last query's text and its full ranking are kept, so a run that asks the

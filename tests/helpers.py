@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import random
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-import numpy as np
 from hypothesis import strategies as st
 
 from ranweave.conflicts import (
@@ -363,12 +364,13 @@ def brute_after_cycles(nodes: list[str], edges: set[tuple[str, str]]) -> set[str
     return on_cycle.union(*(reach[n] for n in on_cycle))
 
 
-def reference_embed(text: str) -> np.ndarray:
-    """The trigram embedder as a plain loop: one signed increment per gram."""
-    vector = np.zeros(EMBEDDING_DIM, dtype=np.float64)
+def reference_embed(text: str) -> dict[int, int]:
+    """The trigram embedder as a plain loop: one signed integer increment per
+    gram, then every bucket that did not cancel."""
+    counts = [0] * EMBEDDING_DIM
     normalized = text.casefold()
     if not normalized:
-        return vector
+        return {}
     grams = (
         [normalized[i : i + 3] for i in range(len(normalized) - 2)]
         if len(normalized) >= 3
@@ -376,27 +378,24 @@ def reference_embed(text: str) -> np.ndarray:
     )
     for gram in grams:
         digest = zlib.crc32(gram.encode("utf-8"))
-        vector[digest % EMBEDDING_DIM] += 1.0 if (digest >> 8) & 1 else -1.0
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        return vector
-    return vector / norm
+        counts[digest % EMBEDDING_DIM] += 1 if (digest >> 8) & 1 else -1
+    return {bucket: count for bucket, count in enumerate(counts) if count}
 
 
-def reference_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine as first written: a zero vector on either side scores exactly 0.0."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if not np.any(a) or not np.any(b):
-        return 0.0
-    return float(np.dot(a, b))
+def reference_similarity(query: Mapping[int, int], candidate: Mapping[int, int]) -> Fraction:
+    """The cosine order of one query's candidates as an exact fraction,
+    dot·|dot| / |candidate|²; a zero vector on either side scores exactly 0."""
+    if not any(query.values()) or not any(candidate.values()):
+        return Fraction(0)
+    dot = sum(count * candidate.get(bucket, 0) for bucket, count in query.items())
+    return Fraction(dot * abs(dot), sum(count * count for count in candidate.values()))
 
 
-def reference_rank(chunks, query_vector: np.ndarray, k: int) -> list:
+def reference_rank(chunks, query_vector: Mapping[int, int], k: int) -> list:
     """The store's ranking as first written: every chunk scored on every
     query, then a full sort by (-score, doc_id, start)."""
     scored = [
-        (-reference_cosine(query_vector, chunk.vector), chunk.doc_id, chunk.start, chunk)
+        (-reference_similarity(query_vector, chunk.vector), chunk.doc_id, chunk.start, chunk)
         for chunk in chunks
     ]
     scored.sort(key=lambda item: item[:3])

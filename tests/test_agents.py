@@ -633,13 +633,13 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, monkeypatch):
     from ranweave import retrieval
 
     scored: Counter[int] = Counter()
-    cosine = retrieval.cosine
+    similarity = retrieval.similarity
 
-    def counting_cosine(a, b):
+    def counting_similarity(a, b):
         scored[id(b)] += 1
-        return cosine(a, b)
+        return similarity(a, b)
 
-    monkeypatch.setattr(retrieval, "cosine", counting_cosine)
+    monkeypatch.setattr(retrieval, "similarity", counting_similarity)
 
     store = VectorStore()
     store.add_directory(bundle.knowledge_dir)

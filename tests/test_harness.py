@@ -394,8 +394,9 @@ def test_each_bundle_embeds_its_corpus_once(monkeypatch):
     store.add_document("extra.md", "notes that one run adds to its own store")
     assert len(store) == 18
     assert len(build_knowledge_store(fresh)) == 17
-    with pytest.raises(ValueError):
-        fresh.knowledge[0].vector[0] = 1.0
+    vector = fresh.knowledge[0].vector
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        vector[next(iter(vector))] = 1
 
 
 def _count_setup_work(monkeypatch):

@@ -247,16 +247,17 @@ def test_the_state_check_sees_each_kind_of_binding():
 
 _MOCK_RUN = """
 import sys
-import ranweave
+import ranweave.cli
 from ranweave.harness import load_fixtures, run_scenario
 run_scenario(load_fixtures(), 1, "f5", "mock-oracle", seed=0)
-print(sorted({"ssl", "http.client", "urllib.request", "email.message"} & set(sys.modules)))
+print(sorted({"ssl", "http.client", "urllib.request", "email.message", "numpy"} & set(sys.modules)))
 """
 
 
-def test_a_mock_run_loads_no_http_stack():
+def test_a_mock_run_loads_no_http_stack_or_numpy():
     """HttpChatTransport imports the HTTP modules on its first call: they pull in ssl
-    and email, which cost every process start that never sends a request."""
+    and email, which cost every process start that never sends a request. The
+    command line and a run need no numpy: retrieval is integer arithmetic."""
     source_root = os.path.dirname(PACKAGE_DIR)
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(

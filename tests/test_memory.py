@@ -14,7 +14,7 @@ from ranweave.planner import SolutionScore
 from ranweave.retrieval import embed
 from ranweave.schemas import SchemaValidationError, dump_doc
 
-from .helpers import json_values, reference_cosine
+from .helpers import json_values, reference_embed, reference_similarity
 
 
 def _intent(intent_id: int, text: str) -> Intent:
@@ -161,17 +161,26 @@ def test_clear_empties_buffer():
 
 
 def test_each_distinct_text_is_embedded_once_per_buffer(monkeypatch):
+    """Each text is embedded, and each (query text, entry text) pair scored,
+    once per buffer; clear() empties both caches."""
     from collections import Counter
 
     from ranweave import retrieval
 
     embedded: Counter[str] = Counter()
+    scored: list[tuple] = []
+    similarity = retrieval.similarity
 
     def counting_embed(text):
         embedded[text] += 1
         return embed(text)
 
+    def counting_similarity(query, candidate):
+        scored.append((query, candidate))
+        return similarity(query, candidate)
+
     monkeypatch.setattr(retrieval, "embed", counting_embed)
+    monkeypatch.setattr(retrieval, "similarity", counting_similarity)
     buffer = MemoryBuffer()
     texts = ["steer traffic away from busy cells", "save energy at night", "save energy at night"]
     for intent_id, text in enumerate(texts, start=1):
@@ -179,11 +188,13 @@ def test_each_distinct_text_is_embedded_once_per_buffer(monkeypatch):
     for text in texts * 3:
         buffer.retrieve_analogues(_intent(9, text), k=3)
     assert embedded == Counter(set(texts))
+    assert len(scored) == len(set(texts)) ** 2
 
     buffer.clear()
     buffer.add(_intent(1, texts[0]), _pipeline(1), _outcome())
     buffer.retrieve_analogues(_intent(9, texts[0]), k=1)
     assert embedded[texts[0]] == 2, "clear() must empty the embedding cache"
+    assert len(scored) == len(set(texts)) ** 2 + 1, "clear() must empty the score cache"
 
 
 # "aafq" embeds to the zero vector.
@@ -200,7 +211,8 @@ _texts = st.sampled_from(["", "a", "aafq", "ß", "save energy at night", "steer 
 @example([(2, "aafq", True), (3, "", True), (4, "save energy at night", True)], 1, "aafq", 3)
 @example([(2, "steer traffic at night", True), (3, "", True), (4, "a", True)], 1, "", 3)
 def test_analogues_rank_as_the_reference_sort(attempts, intent_id, text, k):
-    """Same order as a sort keyed on the cosine that tests for zero vectors."""
+    """Same order as a sort keyed on the exact reference similarity, which
+    tests for zero vectors."""
     buffer = MemoryBuffer()
     for attempt_id, attempt_text, correct in attempts:
         buffer.add(_intent(attempt_id, attempt_text), _pipeline(attempt_id), _outcome(correct=correct))
@@ -209,12 +221,23 @@ def test_analogues_rank_as_the_reference_sort(attempts, intent_id, text, k):
         (e for e in buffer.entries if e.outcome.correct),
         key=lambda e: (
             e.intent.id != intent_id,
-            -reference_cosine(embed(text), embed(e.intent.text)),
+            -reference_similarity(reference_embed(text), reference_embed(e.intent.text)),
             -e.sequence_no,
         ),
     )
     expected = [(e.intent, e.pipeline) for e in ranked[:k]] if k > 0 else []
     assert buffer.retrieve_analogues(query, k) == expected
+
+
+def test_an_exact_similarity_tie_goes_to_the_more_recent_success():
+    """Intents 11 and 16 of a generated wide catalog (perfbench/wide_catalog.py,
+    seed 1) are exactly as similar to intent 3; their cosines after float
+    normalisation differ in the last bit, which used to order them."""
+    buffer = MemoryBuffer()
+    buffer.add(_intent(16, "Intent 16: drive kpi12 up using cap10, cap24."), _pipeline(16), _outcome())
+    buffer.add(_intent(11, "Intent 11: drive kpi12 up using cap12, cap39."), _pipeline(11), _outcome())
+    query = _intent(3, "Intent 3: drive kpi26 down using cap07, cap27, cap33.")
+    assert [i.id for i, _ in buffer.retrieve_analogues(query, k=3)] == [11, 16]
 
 
 def test_buffer_replay_roundtrip(tmp_path):
