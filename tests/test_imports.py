@@ -254,7 +254,7 @@ print(sorted({"ssl", "http.client", "urllib.request", "email.message", "numpy"} 
 """
 
 
-def test_a_mock_run_loads_no_http_stack_or_numpy():
+def test_a_mock_run_loads_no_http_stack():
     """HttpChatTransport imports the HTTP modules on its first call: they pull in ssl
     and email, which cost every process start that never sends a request. The
     command line and a run need no numpy: retrieval is integer arithmetic."""

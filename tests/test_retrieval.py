@@ -156,7 +156,15 @@ def test_an_embedding_is_read_only():
     assert vector == reference_embed("energy saving during off-peak windows")
 
 
-def test_a_zero_vector_scores_zero():
+def test_cosine_self_similarity_is_one():
+    """similarity(q, q) is ‖q‖²·cos(q, q)·|cos(q, q)|: exactly ‖q‖², a cosine of one."""
+    vector = embed("slice isolation")
+    assert vector.norm2 > 0
+    assert similarity(vector, vector) == vector.norm2
+
+
+def test_cosine_zero_vector_convention():
+    """A zero vector scores 0 as either query or candidate."""
     anything = embed("anything")
     negative = Embedding({bucket: -abs(count) for bucket, count in anything.items()})
     for zero in (embed(""), embed(_ZERO_TEXT), Embedding({})):
@@ -165,6 +173,15 @@ def test_a_zero_vector_scores_zero():
         assert similarity(zero, negative) == 0
         assert similarity(negative, zero) == 0
         assert similarity(zero, zero) == 0
+
+
+def test_cosine_is_symmetric():
+    """cos·|cos| is symmetric: similarity(a, b)·‖b‖² = similarity(b, a)·‖a‖²,
+    and the cosine it carries lies in [-1, 1]: |similarity(a, b)| ≤ ‖a‖²."""
+    a, b = embed("alpha beta gamma"), embed("gamma delta epsilon")
+    assert similarity(a, b) * b.norm2 == similarity(b, a) * a.norm2
+    assert -a.norm2 <= similarity(a, b) <= a.norm2
+    assert -b.norm2 <= similarity(b, a) <= b.norm2
 
 
 @settings(max_examples=200, deadline=None)
