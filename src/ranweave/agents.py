@@ -2,10 +2,10 @@
 
 Each iteration runs perception (conflict analysis), reasoning (pipeline
 synthesis, one request for every unsolved intent) and refinement (structural
-review, one request per candidate), then picks the deployable subset
-mechanically and scores the whole proposal. A harness-
-enforced ratchet keeps the best solution seen so far, so the reported
-score never regresses regardless of what the agents emit.
+review, one request for every new candidate), then picks the deployable
+subset mechanically and scores the whole proposal. A harness-enforced
+ratchet keeps the best solution seen so far, so the reported score never
+regresses regardless of what the agents emit.
 
 The loop assembles each request and asks every role through _ask, so it alone
 decides which roles a mode runs and what a failed call (None) falls back to.
@@ -43,8 +43,8 @@ from .model import (
 from .planner import OracleResult, SolutionScore, score_solution, select_subset
 from .retrieval import VectorStore
 from .schemas import (
+    EntryDoc,
     PerceptionDoc,
-    ReasoningDoc,
     SchemaValidationError,
     dump_doc,
     parse_perception_doc,
@@ -261,34 +261,54 @@ def assemble_reasoning_request(
 
 
 def assemble_refinement_request(
-    ctx: RunContext, intent: Intent, candidate: Pipeline, summary: str,
+    ctx: RunContext,
+    asked: Sequence[tuple[Intent, Pipeline, str]],
     candidates: Mapping[int, Pipeline],
 ) -> AgentRequest:
+    """One request for every asked candidate: asked holds (intent, its
+    candidate, its failure summary), in the order of the answer's entries.
+    The shared sections come once, the candidates among them as the previous
+    iteration left them; one block per candidate follows."""
     # Eager: a render runs inside the transport's call, where no traced function may run.
-    violations = validate_pipeline_structure(candidate, ctx.registry).violations
+    asked = tuple(
+        (intent, candidate, summary, validate_pipeline_structure(candidate, ctx.registry).violations)
+        for intent, candidate, summary in asked
+    )
     deployed, proposed = labelled({}, ctx.pre), labelled(candidates, DeploymentState())
+
+    def block(intent: Intent, candidate: Pipeline, summary: str, violations) -> tuple[str, str]:
+        listed = "\n".join(f"- {v}" for v in violations) or "(none found)"
+        return (
+            f"Candidate pipeline for intent {intent.id}",
+            f"{_render_policy(candidate)}\n"
+            f"Recurrent failure patterns:\n{summary}\n"
+            f"Structural violations detected:\n{listed}",
+        )
 
     def sections():
         return [
             ("Deployed policies", _render_policies(deployed)),
             ("Candidate policies", _render_policies(proposed)),
-            ("Recurrent failure patterns", summary),
-            ("Structural violations detected", "\n".join(f"- {v}" for v in violations) or "(none found)"),
-            (f"Candidate pipeline for intent {intent.id}", _render_policy(candidate)),
+            *(block(*entry) for entry in asked),
         ]
 
-    return _request(REFINEMENT, REFINEMENT_TEMPLATE, sections, {"intent": intent, "candidate": candidate})
+    payload = {
+        "intents": tuple(intent for intent, *_ in asked),
+        "candidates": {intent.id: candidate for intent, candidate, *_ in asked},
+    }
+    return _request(REFINEMENT, REFINEMENT_TEMPLATE, sections, payload)
 
 
 def _call_with_repair(transport: ChatTransport, request: AgentRequest, parser: Callable[[str], T]) -> T:
     """One agent call with at most one schema-repair re-prompt.
 
     The parser raises SchemaValidationError for an answer that fails as a
-    whole; the repair re-prompt then asks the request again. A reasoning
-    answer is checked per intent instead (a ReasoningDoc): when some of its
-    entries fail, the repair asks again about those intents alone, and the
-    entries that passed are kept. An entry that fails twice stays in the
-    answer's errors, so its intent gets no pipeline.
+    whole; the repair re-prompt then asks the request again. A keyed answer,
+    of reasoning or refinement, is checked per intent instead (an EntryDoc):
+    when some of its entries fail, the repair asks again about those intents
+    alone, and the entries that passed are kept. An entry that fails twice
+    stays in the answer's errors, so its intent gets no pipeline, or no
+    revision.
     """
     text = transport.complete(request)
     try:
@@ -297,7 +317,7 @@ def _call_with_repair(transport: ChatTransport, request: AgentRequest, parser: C
         kept, retry = None, request
         errors, wanted = first.errors, "only the corrected JSON document"
     else:
-        if not (isinstance(answer, ReasoningDoc) and answer.errors):
+        if not (isinstance(answer, EntryDoc) and answer.errors):
             return answer
         kept = answer
         errors = [f"intent {i}: {e}" for i, found in kept.errors.items() for e in found]
@@ -319,8 +339,8 @@ def _call_with_repair(transport: ChatTransport, request: AgentRequest, parser: C
     if kept is None:
         return answer
     # The repair was asked only about kept's failed intents; its other entries are not read.
-    return ReasoningDoc(
-        {**kept.pipelines, **{i: p for i, p in answer.pipelines.items() if i in kept.errors}},
+    return EntryDoc(
+        {**kept.entries, **{i: e for i, e in answer.entries.items() if i in kept.errors}},
         {i: found for i, found in answer.errors.items() if i in kept.errors},
     )
 
@@ -395,8 +415,10 @@ def orchestrate_batch(
     intent. The request shows the candidates as the previous iteration left
     them, so an intent no longer sees a candidate produced earlier in the
     same iteration. Under the mocks, which read no prompt, that changes
-    prompt bytes only. Refinement then reviews each new candidate with its
-    own call, in the same order, the merge order required for determinism.
+    prompt bytes only. Refinement then sends one request, which reviews
+    every new candidate in the same order and shows the candidates as
+    reasoning saw them; a candidate whose revision fails keeps its
+    unrefined form.
 
     The loop asks reasoning and refinement only about unsolved intents: an
     intent in the previous iteration's correct set keeps its candidate, the
@@ -453,7 +475,7 @@ def orchestrate_batch(
 
         # correct is still the previous iteration's here.
         asked = [] if iteration_aborted else [i for i in ordered if i.id not in correct]
-        answer: ReasoningDoc | None = None
+        answer: EntryDoc[Pipeline] | None = None
         if asked:
             request = assemble_reasoning_request(
                 ctx,
@@ -464,23 +486,20 @@ def orchestrate_batch(
             )
             ids = [intent.id for intent in asked]
             answer = _ask(transport, request, lambda text: parse_policy_doc(text, ctx.registry, ids))
-        attempted: dict[int, Pipeline] = {}
-        for intent in asked:
-            candidate = answer.pipelines.get(intent.id) if answer is not None else None
-            if candidate is None:
-                continue
-            if ctx.mode.uses_refinement:
-                summary = memory.failure_summary(intent)
-                request = assemble_refinement_request(ctx, intent, candidate, summary, candidates)
-                refined = _ask(
-                    transport, request, lambda text: parse_refinement_doc(text, candidate, ctx.registry)
-                )
-                if refined is not None:
-                    candidate = refined.revised
+        # In ascending intent order, the merge order required for determinism.
+        pipelines = answer.entries if answer is not None else {}
+        attempted = {intent.id: pipelines[intent.id] for intent in asked if intent.id in pipelines}
+        if attempted and ctx.mode.uses_refinement:
+            reviewed = [(i, attempted[i.id], memory.failure_summary(i)) for i in asked if i.id in attempted]
+            request = assemble_refinement_request(ctx, reviewed, candidates)
+            refined = _ask(transport, request, lambda text: parse_refinement_doc(text, attempted, ctx.registry))
+            if refined is not None:
+                attempted.update((intent_id, doc.revised) for intent_id, doc in refined.entries.items())
+        for intent_id, candidate in attempted.items():
             candidate = memo.intern(candidate)
-            attempted[intent.id] = candidate
-            candidates[intent.id] = candidate
-            valid[intent.id] = validate_pipeline_structure(candidate, ctx.registry).ok
+            attempted[intent_id] = candidate
+            candidates[intent_id] = candidate
+            valid[intent_id] = validate_pipeline_structure(candidate, ctx.registry).ok
 
         eligible = [i for i in sorted(candidates) if valid[i]]
         evaluation = evaluate_conflicts(

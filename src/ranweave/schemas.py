@@ -2,12 +2,15 @@
 
 This module is the wire spec. Four documents exist: the perception
 conflict report, the reasoning answer (one policy document per asked
-intent, keyed by its id), the refinement document and the saved memory
-line. Parsing is strict - unknown keys are rejected and every violation is
+intent, keyed by its id), the refinement answer (one revision document per
+asked candidate, keyed by its intent's id) and the saved memory line.
+Parsing is strict - unknown keys are rejected and every violation is
 reported with its path so a malformed response can be re-prompted with
-concrete errors. Each entry of a reasoning answer and a refinement revision
-pass one policy check: registered xApps only, and the intent that was asked
-for; a memory line's pipeline must be of the line's intent.
+concrete errors. Both keyed answers share one decoder and are checked entry
+by entry (an EntryDoc). Each entry of a reasoning answer and each revised
+policy of a refinement answer pass one policy check: registered xApps only,
+and the intent that was asked for; a memory line's pipeline must be of the
+line's intent.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Generic, Iterable, Mapping, TypeVar
 
 from .conflicts import ConflictKind, ConflictRecord, canonical_sort
 from .model import ENTRY_ERRORS, Intent, Pipeline, Registry
@@ -28,6 +31,8 @@ REPORT_GROUPS = {
     ConflictKind.OBJECTIVE_INTERFERENCE: "objective",
     ConflictKind.VENDOR_INTEROP: "vendor",
 }
+
+T = TypeVar("T")
 
 
 class SchemaValidationError(ValueError):
@@ -170,46 +175,59 @@ def _policy_shape_errors(data: object) -> list[str]:
 
 
 @dataclass(frozen=True)
-class ReasoningDoc:
-    """A reasoning answer, checked entry by entry: each asked intent is in
-    pipelines, when its entry passed the policy check, or in errors."""
+class EntryDoc(Generic[T]):
+    """A keyed answer, checked entry by entry: each asked intent is in
+    entries, when its entry passed its check, or in errors."""
 
-    pipelines: dict[int, Pipeline]
+    entries: dict[int, T]
     errors: dict[int, list[str]]
 
 
-def parse_policy_doc(text: str, registry: Registry, intent_ids: Iterable[int]) -> ReasoningDoc:
-    """Parse and validate a reasoning response for the intents intent_ids.
+def _parse_keyed(
+    text: str, doc_name: str, intent_ids: Iterable[int], entry: Callable[[object, int], T]
+) -> EntryDoc[T]:
+    """The rules both keyed answers share.
 
     The response is one JSON object keyed by the decimal id of each asked
-    intent, each value that intent's policy document. It is decoded once, and
-    each entry is checked and built on its own, so a missing or invalid entry
-    fails only its intent. A text that is no such object, or that holds a key
-    of no asked intent, raises SchemaValidationError.
-
-    Registry membership of the selected xApps is part of the schema check;
-    structural validity of the pipeline itself is deliberately not, those
-    violations are surfaced to refinement instead of being rejected here.
+    intent. It is decoded once, and entry checks and builds each value on
+    its own, raising SchemaValidationError for an invalid one, so a missing
+    or invalid entry fails only its intent. A text that is no such object,
+    or that holds a key of no asked intent, raises SchemaValidationError.
     """
-    data = _load_json(text, "reasoning answer", "response")
+    data = _load_json(text, doc_name, "response")
     if not isinstance(data, dict):
-        raise SchemaValidationError("reasoning answer", [f"expected a JSON object, got {type(data).__name__}"])
+        raise SchemaValidationError(doc_name, [f"expected a JSON object, got {type(data).__name__}"])
     keys = {str(intent_id): intent_id for intent_id in intent_ids}
     unknown = sorted(set(data) - keys.keys())
     if unknown:
-        raise SchemaValidationError("reasoning answer", [f"keys {unknown} name no asked intent"])
-    pipelines: dict[int, Pipeline] = {}
+        raise SchemaValidationError(doc_name, [f"keys {unknown} name no asked intent"])
+    entries: dict[int, T] = {}
     errors: dict[int, list[str]] = {}
     for key, intent_id in keys.items():
         if key not in data:
             errors[intent_id] = [f"no entry for intent {intent_id}"]
             continue
-        entry_errors = _policy_doc_errors(data[key], registry, intent_id)
-        if entry_errors:
-            errors[intent_id] = entry_errors
-        else:
-            pipelines[intent_id] = _pipeline(data[key], [])
-    return ReasoningDoc(pipelines, errors)
+        try:
+            entries[intent_id] = entry(data[key], intent_id)
+        except SchemaValidationError as exc:
+            errors[intent_id] = exc.errors
+    return EntryDoc(entries, errors)
+
+
+def parse_policy_doc(text: str, registry: Registry, intent_ids: Iterable[int]) -> EntryDoc[Pipeline]:
+    """Parse and validate a reasoning response for the intents intent_ids:
+    each entry is that intent's policy document.
+
+    Registry membership of the selected xApps is part of the schema check;
+    structural validity of the pipeline itself is deliberately not, those
+    violations are surfaced to refinement instead of being rejected here.
+    """
+    return _parse_keyed(
+        text,
+        "reasoning answer",
+        intent_ids,
+        lambda data, intent_id: _pipeline(data, _policy_doc_errors(data, registry, intent_id)),
+    )
 
 
 def parse_perception_doc(text: str) -> PerceptionDoc:
@@ -288,13 +306,26 @@ def _parse_record(item: object, path: str) -> tuple[ConflictRecord | None, list[
 _REFINEMENT_KEYS = {"revised_policy", "edits"}
 
 
-def parse_refinement_doc(text: str, original: Pipeline, registry: Registry) -> RefinementDoc:
+def parse_refinement_doc(
+    text: str, originals: Mapping[int, Pipeline], registry: Registry
+) -> EntryDoc[RefinementDoc]:
+    """Parse and validate a refinement response for the candidates
+    originals, keyed by intent id: each entry is the revision document of
+    that intent's candidate, checked against it alone."""
+    return _parse_keyed(
+        text,
+        "refinement answer",
+        originals,
+        lambda data, intent_id: _revision(data, originals[intent_id], registry),
+    )
+
+
+def _revision(data: object, original: Pipeline, registry: Registry) -> RefinementDoc:
     """The revision passes the same policy check as a reasoning answer.
 
     One SchemaValidationError carries every error found: the document's
     keys, the revised policy's and the edits'.
     """
-    data = _load_json(text, "refinement document", "response")
     if not isinstance(data, dict):
         raise SchemaValidationError("refinement document", ["expected a JSON object"])
     errors = _key_errors(data, _REFINEMENT_KEYS, _REFINEMENT_KEYS, "")

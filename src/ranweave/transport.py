@@ -58,20 +58,16 @@ class ChatTransport:
     """Base transport; subclasses implement _respond.
 
     calls holds one (role, subject) entry per complete() call: the asked
-    intent ids, a tuple, of a reasoning request, the intent id of a
-    refinement request, and None of a perception request.
+    intent ids, a tuple, of a reasoning or refinement request, and None of a
+    perception request.
     """
 
     def __init__(self) -> None:
         self.calls: list[tuple[str, object]] = []
 
     def complete(self, request: AgentRequest) -> str:
-        payload = request.payload
-        if "intents" in payload:
-            subject = tuple(intent.id for intent in payload["intents"])
-        else:
-            subject = getattr(payload.get("intent"), "id", None)
-        self.calls.append((request.role, subject))
+        intents = request.payload.get("intents")
+        self.calls.append((request.role, None if intents is None else tuple(intent.id for intent in intents)))
         return self._respond(request)
 
     def _respond(self, request: AgentRequest) -> str:
@@ -146,7 +142,7 @@ class OracleTransport(ChatTransport):
 
     Perception serializes the engine's conflict records, reasoning
     returns the reference pipeline of each asked intent, refinement applies
-    the deterministic structural repairs.
+    the deterministic structural repairs to each asked intent's candidate.
     """
 
     def __init__(self, bundle: MockBundle):
@@ -157,12 +153,15 @@ class OracleTransport(ChatTransport):
         if request.role == PERCEPTION:
             return dump_doc(conflict_report(request.payload["conflicts"]))
         if request.role == REASONING:
-            return _reasoning_answer(request, lambda intent: self.bundle.truths[intent.id])
+            return _keyed_answer(request, lambda intent: pipeline_to_policy_doc(self.bundle.truths[intent.id]))
         if request.role == REFINEMENT:
-            candidate: Pipeline = request.payload["candidate"]
-            intent = request.payload["intent"]
-            revised, edits = refine_pipeline(candidate, intent, self.bundle.registry)
-            return dump_doc(RefinementDoc(revised, tuple(edits)).to_dict())
+            candidates: Mapping[int, Pipeline] = request.payload["candidates"]
+
+            def revision(intent: Intent) -> dict[str, object]:
+                revised, edits = refine_pipeline(candidates[intent.id], intent, self.bundle.registry)
+                return RefinementDoc(revised, tuple(edits)).to_dict()
+
+            return _keyed_answer(request, revision)
         raise TransportError(f"unknown agent role {request.role!r}")
 
     def describe(self) -> str:
@@ -199,7 +198,9 @@ class NoisyTransport(OracleTransport):
                 if request.payload.get("perception_present")
                 else NOISY_SUCCESS_WITHOUT_PERCEPTION
             )
-            return _reasoning_answer(request, lambda intent: self._noisy_pipeline(intent, success_odds))
+            return _keyed_answer(
+                request, lambda intent: pipeline_to_policy_doc(self._noisy_pipeline(intent, success_odds))
+            )
         return super()._respond(request)
 
     def _noisy_pipeline(self, intent: Intent, success_odds: float) -> Pipeline:
@@ -229,11 +230,11 @@ class NoisyTransport(OracleTransport):
         return f"mock-noisy(seed={self.seed})"
 
 
-def _reasoning_answer(request: AgentRequest, answer: Callable[[Intent], Pipeline]) -> str:
-    """A reasoning response: answer's pipeline for each asked intent, keyed
-    by its id, worked out in ascending id order."""
+def _keyed_answer(request: AgentRequest, answer: Callable[[Intent], object]) -> str:
+    """A reasoning or refinement response: answer's document for each asked
+    intent, keyed by its id, worked out in ascending id order."""
     intents = sorted(request.payload["intents"], key=lambda intent: intent.id)
-    return dump_doc({str(intent.id): pipeline_to_policy_doc(answer(intent)) for intent in intents})
+    return dump_doc({str(intent.id): answer(intent) for intent in intents})
 
 
 def corrupt_pipeline(

@@ -153,7 +153,7 @@ def test_oracle_reasoning_emits_ground_truth(bundle, truths):
     ctx = _ctx(bundle, 1, Mode.F5, truths)
     transport = OracleTransport(_mock_bundle(bundle, truths))
     answer = _reason(ctx, [bundle.intents[3], bundle.intents[4]], transport)
-    assert answer.pipelines == {3: truths[3], 4: truths[4]}
+    assert answer.entries == {3: truths[3], 4: truths[4]}
     assert answer.errors == {}
     assert transport.calls == [(REASONING, (3, 4))]
 
@@ -191,30 +191,44 @@ def test_refinement_reorders_stage_violating_edges(bundle, truths):
     assert "reorder_stage" in [kind.value for kind, _ in edits]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(rng=st.randoms(use_true_random=False))
-def test_the_oracle_revision_of_any_registered_candidate_parses(rng):
-    """The oracle's refinement document for a candidate of registered xApps
-    passes parse_refinement_doc against that candidate. A revision that only
-    re-sorts the nodes into stage order, when the edges already form the
-    chain, changes the document too, so it must list an edit."""
-    registry = random_registry(rng, rng.randint(1, 6))
+def _registered_candidate(rng, registry, intent_id: int) -> tuple[Intent, Pipeline]:
+    """An intent and a candidate of registered xApps for it, with a repeated
+    xApp, a capability it does not need or edges off the stage chain at times."""
     chosen = rng.sample(registry.ids, rng.randint(1, len(registry)))
     if rng.random() < 0.2:
         chosen.append(rng.choice(chosen))
     capabilities = sorted(set().union(*(registry[x].capabilities for x in chosen)))
     if rng.random() < 0.3:
         capabilities = [rng.choice(sorted(set().union(*(p.capabilities for p in registry))))]
-    intent = Intent.build(1, "objective", target_kpis={"latency": -1}, required_capabilities=capabilities)
+    intent = Intent.build(intent_id, "objective", target_kpis={"latency": -1}, required_capabilities=capabilities)
     _, chain = stage_chain(set(chosen), registry)
     pairs = [(a, b) for a in chosen for b in chosen if a != b]
     edges = chain if rng.random() < 0.5 else rng.sample(pairs, min(len(pairs), rng.randint(0, 3)))
-    candidate = Pipeline.build(1, [(x, {}) for x in chosen], edges)
+    return intent, Pipeline.build(intent_id, [(x, {}) for x in chosen], edges)
 
-    transport = OracleTransport(MockBundle(registry, {1: intent}, None, {}))
-    text = transport.complete(AgentRequest(REFINEMENT, tuple, {"intent": intent, "candidate": candidate}))
-    revision = parse_refinement_doc(text, candidate, registry)
-    assert revision.revised == refine_pipeline(candidate, intent, registry)[0]
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_the_oracle_revision_of_any_registered_candidate_parses(rng):
+    """The oracle's batched refinement answer for candidates of registered
+    xApps, asked in any order of intents, parses back to refine_pipeline of
+    each candidate. A revision that only re-sorts the nodes into stage
+    order, when the edges already form the chain, changes the document too,
+    so it must list an edit."""
+    registry = random_registry(rng, rng.randint(1, 6))
+    drawn = [_registered_candidate(rng, registry, i) for i in rng.sample(range(1, 30), rng.randint(1, 4))]
+    intents = {intent.id: intent for intent, _ in drawn}
+    candidates = {intent.id: candidate for intent, candidate in drawn}
+
+    transport = OracleTransport(MockBundle(registry, intents, None, {}))
+    payload = {"intents": tuple(intents.values()), "candidates": candidates}
+    text = transport.complete(AgentRequest(REFINEMENT, tuple, payload))
+    answer = parse_refinement_doc(text, candidates, registry)
+    assert transport.calls == [(REFINEMENT, tuple(intents))]
+    assert answer.errors == {}
+    assert {i: (doc.revised, list(doc.edits)) for i, doc in answer.entries.items()} == {
+        i: refine_pipeline(candidates[i], intents[i], registry) for i in intents
+    }
 
 
 def test_refinement_leaves_ground_truth_untouched(bundle, truths):
@@ -227,7 +241,7 @@ def test_repair_reprompt_recovers_from_malformed_json(bundle, truths):
     transport = ScriptedTransport(["this is not json", _answer({3: truths[3]})])
     ctx = _ctx(bundle, 1, Mode.NR, truths)
     answer = _reason(ctx, [bundle.intents[3]], transport)
-    assert answer.pipelines == {3: truths[3]}
+    assert answer.entries == {3: truths[3]}
     assert len(transport.calls) == 2
 
 
@@ -254,7 +268,7 @@ def test_a_repair_asks_again_only_about_the_failed_entries(bundle, truths):
     transport = ScriptedTransport([first, _answer({3: other_3, 4: truths[4]})])
 
     answer = _reason(ctx, intents, transport)
-    assert answer.pipelines == {3: truths[3], 4: truths[4]}
+    assert answer.entries == {3: truths[3], 4: truths[4]}
     assert answer.errors == {}
     assert transport.calls == [(REASONING, (3, 4)), (REASONING, (4,))]
     assert transport.requests[1].payload["intents"] == (bundle.intents[4],)
@@ -267,7 +281,7 @@ def test_a_repair_asks_again_only_about_the_failed_entries(bundle, truths):
 
     transport = ScriptedTransport([first])  # the same answer again
     answer = _reason(ctx, intents, transport)
-    assert answer.pipelines == {3: truths[3]}
+    assert answer.entries == {3: truths[3]}
     assert list(answer.errors) == [4] and "unregistered" in answer.errors[4][0]
     assert transport.calls == [(REASONING, (3, 4)), (REASONING, (4,))]
 
@@ -277,7 +291,7 @@ def test_repair_reprompt_on_unknown_xapp_id(bundle, truths):
     transport = ScriptedTransport([bad, _answer({3: truths[3]})])
     ctx = _ctx(bundle, 1, Mode.NR, truths)
     answer = _reason(ctx, [bundle.intents[3]], transport)
-    assert answer.pipelines == {3: truths[3]}
+    assert answer.entries == {3: truths[3]}
     assert len(transport.calls) == 2
     # The repair prompt must carry the validation errors back to the model.
     repair_user_message = transport.seen_messages[1][-1]
@@ -293,7 +307,7 @@ def test_repair_reprompt_on_a_constant_that_is_no_json_value(bundle, truths, con
     bad = json.dumps({"3": {**pipeline_to_policy_doc(truths[3]), "deployment_conditions": conditions}})
     transport = ScriptedTransport([bad, _answer({3: truths[3]})])
     answer = _reason(_ctx(bundle, 1, Mode.NR, truths), [bundle.intents[3]], transport)
-    assert answer.pipelines == {3: truths[3]}
+    assert answer.entries == {3: truths[3]}
     assert len(transport.calls) == 2
     assert f"{constant} is not a JSON value" in transport.seen_messages[1][-1]["content"]
 
@@ -340,13 +354,13 @@ def _call_roles(bundle, truths, mode: Mode) -> list[str]:
 
 
 def test_mode_algebra_call_traces(bundle, truths):
-    """One reasoning request asks intents 3 and 4 together; refinement
-    reviews each candidate on its own."""
-    assert _call_roles(bundle, truths, Mode.F5) == ["perception", "reasoning", "refinement", "refinement"]
+    """One reasoning request asks intents 3 and 4 together, and one
+    refinement request reviews both candidates."""
+    assert _call_roles(bundle, truths, Mode.F5) == ["perception", "reasoning", "refinement"]
     assert _call_roles(bundle, truths, Mode.SA) == ["reasoning"]
     assert _call_roles(bundle, truths, Mode.NR) == ["perception", "reasoning"]
-    assert _call_roles(bundle, truths, Mode.NP) == ["reasoning", "refinement", "refinement"]
-    assert _call_roles(bundle, truths, Mode.FCFS) == ["perception", "reasoning", "refinement", "refinement"]
+    assert _call_roles(bundle, truths, Mode.NP) == ["reasoning", "refinement"]
+    assert _call_roles(bundle, truths, Mode.FCFS) == ["perception", "reasoning", "refinement"]
 
 
 def test_oracle_transport_converges_in_one_iteration_every_mode(bundle, truths):
@@ -535,26 +549,29 @@ def test_transport_outage_counts_as_failed_attempt(bundle, truths):
 def test_failed_call_fallbacks(bundle, truths, failing_role):
     """A failed attempt falls back by role: a failed perception call means no
     reasoning call in that iteration; a reasoning entry that fails twice
-    skips only its intent; a refinement answer that fails validation twice
-    keeps the unrefined candidate."""
-    from ranweave.schemas import RefinementDoc
+    skips only its intent; a refinement entry that fails twice keeps its
+    intent's unrefined candidate, and the other entry's revision is kept.
+    Each repair asks only about the failed entries."""
+    from ranweave.schemas import EditKind, RefinementDoc
 
     bad = "not json"
     report = dump_doc(conflict_report([]))
     t3, t4 = truths[3], truths[4]
     duplicated = Pipeline.build(3, [(n.xapp_id, n.directive_map) for n in t3.nodes + t3.nodes[:1]])
-    refined_4 = dump_doc(RefinementDoc(t4, ()).to_dict())
+    duplicated_4 = Pipeline.build(4, [(n.xapp_id, n.directive_map) for n in t4.nodes + t4.nodes[:1]], t4.edges)
+    refined_4 = RefinementDoc(t4, ()).to_dict()
+    deduplicated_4 = RefinementDoc(t4, ((EditKind.REMOVE_DUPLICATE, "selected twice"),)).to_dict()
     responses, calls, candidates = {
         "perception": ([bad, bad], [("perception", None)] * 2, {}),
         "reasoning": (
-            [report, _answer({3: bad, 4: t4}), _answer({3: bad}), refined_4],
-            [("perception", None), ("reasoning", (3, 4)), ("reasoning", (3,)), ("refinement", 4)],
+            [report, _answer({3: bad, 4: t4}), _answer({3: bad}), dump_doc({"4": refined_4})],
+            [("perception", None), ("reasoning", (3, 4)), ("reasoning", (3,)), ("refinement", (4,))],
             {4: t4},
         ),
         "refinement": (
-            [report, _answer({3: duplicated, 4: t4}), bad, bad, refined_4],
-            [("perception", None), ("reasoning", (3, 4)), ("refinement", 3), ("refinement", 3),
-             ("refinement", 4)],
+            [report, _answer({3: duplicated, 4: duplicated_4}), dump_doc({"3": bad, "4": deduplicated_4}),
+             dump_doc({"3": bad})],
+            [("perception", None), ("reasoning", (3, 4)), ("refinement", (3, 4)), ("refinement", (3,))],
             {3: duplicated, 4: t4},
         ),
     }[failing_role]
@@ -818,8 +835,8 @@ class IntentSwapTransport(OracleTransport):
         if self.role == REASONING:
             doc["3"]["intent_id"] = self.intent_id
         else:
-            doc["revised_policy"]["intent_id"] = self.intent_id
-            doc["edits"] = [["reorder_stage", "renamed"]]
+            doc["3"]["revised_policy"]["intent_id"] = self.intent_id
+            doc["3"]["edits"] = [["reorder_stage", "renamed"]]
         return dump_doc(doc)
 
 
@@ -844,14 +861,15 @@ def test_reasoning_answer_for_another_intent_fails_the_call(bundle, truths, inte
 @pytest.mark.parametrize("intent_id", _FOREIGN_INTENT_IDS, ids=repr)
 def test_refinement_revision_for_another_intent_keeps_the_candidate(bundle, truths, intent_id):
     """A revision that names another intent fails validation twice; the
-    unrefined reference pipeline stays the candidate, so the run converges."""
+    unrefined reference pipeline stays the candidate, so the run converges.
+    The repair asks about intent 3 alone."""
     transport = IntentSwapTransport(_mock_bundle(bundle, truths), REFINEMENT, intent_id)
     memory = MemoryBuffer()
     report = run_scenario(bundle, 1, Mode.F5, transport, max_iterations=2, memory=memory)
     assert report.generation_accuracy == 1.0
     assert report.converged
     assert [e.pipeline for e in memory.entries if e.intent.id == 3] == [truths[3]]
-    assert transport.calls.count((REFINEMENT, 3)) == 2
+    assert [call for call in transport.calls if call[0] == REFINEMENT] == [(REFINEMENT, (3, 4)), (REFINEMENT, (3,))]
 
 
 # json_values alone draws mostly lists and objects; an id replaced by a
@@ -861,9 +879,9 @@ _ANY_JSON = json_scalars | json_values
 
 class OneValueTransport(OracleTransport):
     """The oracle backend; half of its answers get one value, anywhere in
-    the document, replaced with arbitrary JSON. A reasoning answer, which
-    holds one entry per asked intent, may instead lose one entry or gain one
-    under a key of no asked intent."""
+    the document, replaced with arbitrary JSON. A reasoning or refinement
+    answer, which holds one entry per asked intent, may instead lose one
+    entry or gain one under a key of no asked intent."""
 
     def __init__(self, mock, draw):
         super().__init__(mock)
@@ -874,7 +892,8 @@ class OneValueTransport(OracleTransport):
         if not self.draw(st.booleans()):
             return text
         doc = json.loads(text)
-        edit = self.draw(st.sampled_from(["value", "drop", "add"] if request.role == REASONING else ["value"]))
+        keyed = request.role in (REASONING, REFINEMENT)
+        edit = self.draw(st.sampled_from(["value", "drop", "add"] if keyed else ["value"]))
         if edit == "drop":
             del doc[self.draw(st.sampled_from(sorted(doc)))]
         elif edit == "add":
@@ -894,10 +913,17 @@ def test_any_backend_answer_is_a_counted_failure(bundle, truths, scenario, mode,
     """Whatever the backend answers, whole or in part, the run ends with a
     report. Each reasoning request asks about a subset of the intents the
     one before it asked about: a repair asks only about failed entries, and
-    a solved intent is not asked again."""
+    a solved intent is not asked again. Each refinement request asks about a
+    subset of the intents its iteration's reasoning request asked about."""
     transport = OneValueTransport(_mock_bundle(bundle, truths), data.draw)
     report = run_scenario(bundle, scenario, mode, transport, max_iterations=2)
     assert 0.0 <= report.generation_accuracy <= 1.0
     assert 0.0 <= report.deployment_success <= 1.0
     asked = [set(ids) for role, ids in transport.calls if role == REASONING]
     assert all(later <= earlier for earlier, later in zip(asked, asked[1:]))
+    reasoned = set()
+    for (role, ids), (previous, _) in zip(transport.calls, [(None, None), *transport.calls]):
+        if role == REASONING and previous != REASONING:  # not a repair
+            reasoned = set(ids)
+        if role == REFINEMENT:
+            assert set(ids) <= reasoned

@@ -31,7 +31,7 @@ from ranweave.model import DeploymentState, Pipeline
 from ranweave.schemas import dump_doc, parse_policy_doc, pipeline_to_policy_doc
 from ranweave.transport import PERCEPTION, REASONING, ChatTransport
 
-PROMPT_DIGEST = "0872f53cfcbab178aa1731a7e098d0e9b404652cd519df48a5412f1a635c9459"
+PROMPT_DIGEST = "fc849760652a722a7186bf7e90af505d5c2d14e06ee72736acca74eaa73281b5"
 
 
 class RecordingTransport(ChatTransport):
@@ -120,7 +120,7 @@ def test_equal_pipelines_keep_their_own_bytes(bundle):
         intent_catalog=bundle.intents,
     )
     perception = assemble_perception_request(ctx, {3: as_bool}, (), ())
-    refinement = assemble_refinement_request(ctx, bundle.intents[3], as_float, "(none)", {3: as_bool})
+    refinement = assemble_refinement_request(ctx, [(bundle.intents[3], as_float, "(none)")], {3: as_bool})
 
     deployed = _one_shot_policies({"pre:3": as_int})
     proposed = _one_shot_policies({"3": as_bool})
@@ -130,7 +130,7 @@ def test_equal_pipelines_keep_their_own_bytes(bundle):
         assert f"## Candidate policies\n{proposed}\n" in request.messages[1]["content"]
     candidate = _json(pipeline_to_policy_doc(as_float))
     assert '"max_load":1.0}' in candidate
-    assert refinement.messages[1]["content"].endswith(f"## Candidate pipeline for intent 3\n{candidate}\n")
+    assert f"## Candidate pipeline for intent 3\n{candidate}\n" in refinement.messages[1]["content"]
 
 
 def test_a_mock_run_renders_no_prompt(bundle, monkeypatch):
@@ -155,7 +155,8 @@ def test_a_mock_run_renders_no_prompt(bundle, monkeypatch):
     for request in recorder.requests:
         assert "## " in request.messages[1]["content"]
     assert rendered["_render_profiles"] == sum(r.role != "refinement" for r in recorder.requests)
-    assert rendered["_render_policy"] == sum(r.role == "refinement" for r in recorder.requests)
+    # One candidate block per intent a refinement request asks about.
+    assert rendered["_render_policy"] == sum(len(r.payload["intents"]) for r in recorder.requests if r.role == "refinement")
 
 
 def test_a_request_renders_its_inputs_as_they_were_at_assembly(bundle, truths):

@@ -117,11 +117,16 @@ def _answer_for_1(doc: object, registry: Registry = _AB):
     return parse_policy_doc(dump_doc({"1": doc}), registry, [1])
 
 
+def _revision_of(payload: object, original: Pipeline, registry: Registry = _AB):
+    """The refinement answer of a response holding payload as the entry of original's intent."""
+    return parse_refinement_doc(dump_doc({str(original.intent_id): payload}), {original.intent_id: original}, registry)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(conditions=_CONDITIONS)
 def test_a_parsed_policy_gives_back_its_bytes(conditions):
     doc = _policy_with(conditions)
-    assert dump_doc(pipeline_to_policy_doc(_answer_for_1(doc).pipelines[1])) == dump_doc(doc)
+    assert dump_doc(pipeline_to_policy_doc(_answer_for_1(doc).entries[1])) == dump_doc(doc)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -131,15 +136,15 @@ def test_a_parsed_policy_gives_back_its_bytes(conditions):
 @example(a={"window": [1, 0]}, b={"window": [True, False]})
 def test_parsed_pipelines_are_equal_exactly_when_their_condition_bytes_are(a, b):
     """A pipeline's identity is its bytes: == and hashing tell 1 from 1.0 and true."""
-    p, q = (_answer_for_1(_policy_with(c)).pipelines[1] for c in (a, b))
+    p, q = (_answer_for_1(_policy_with(c)).entries[1] for c in (a, b))
     assert (p == q) == (dump_doc(a) == dump_doc(b))
-    assert p == _answer_for_1(_policy_with(a)).pipelines[1]
+    assert p == _answer_for_1(_policy_with(a)).entries[1]
 
 
 def test_parse_policy_checks_registry_membership(bundle):
     doc = pipeline_to_policy_doc(Pipeline.build(1, [("not_registered", {})]))
     answer = _answer_for_1(doc, bundle.registry)
-    assert answer.pipelines == {}
+    assert answer.entries == {}
     assert answer.errors == {1: ["unregistered xApp ids ['not_registered']"]}
 
 
@@ -149,7 +154,7 @@ def test_parse_policy_tolerates_structural_defects(bundle):
     pipeline = Pipeline.build(
         1, [("mobility_predictor", {}), ("mobility_predictor", {})], []
     )
-    parsed = _answer_for_1(pipeline_to_policy_doc(pipeline), bundle.registry).pipelines[1]
+    parsed = _answer_for_1(pipeline_to_policy_doc(pipeline), bundle.registry).entries[1]
     assert parsed.node_ids == ("mobility_predictor", "mobility_predictor")
 
 
@@ -163,7 +168,7 @@ def test_a_reasoning_answer_fails_each_entry_on_its_own(bundle, truths):
     intent, or a document that is no object, fails the whole answer."""
     good = {str(i): pipeline_to_policy_doc(truths[i]) for i in (1, 2)}
     answer = parse_policy_doc(dump_doc({**good, "7": {**good["1"], "intent_id": 1}}), bundle.registry, [1, 2, 7, 3])
-    assert answer.pipelines == {1: truths[1], 2: truths[2]}
+    assert answer.entries == {1: truths[1], 2: truths[2]}
     assert answer.errors == {
         7: ["intent_id 1 is not the requested intent 7"],
         3: ["no entry for intent 3"],
@@ -228,7 +233,7 @@ def test_perception_doc_empty_groups_parse():
 def test_refinement_doc_unchanged_with_empty_edits():
     pipeline = Pipeline.build(1, [("a", {"p": "auto"})])
     payload = {"revised_policy": pipeline_to_policy_doc(pipeline), "edits": []}
-    doc = parse_refinement_doc(dump_doc(payload), pipeline, _AB)
+    doc = _revision_of(payload, pipeline).entries[1]
     assert doc.revised == pipeline
     assert doc.edits == ()
 
@@ -237,8 +242,7 @@ def test_refinement_doc_requires_edits_when_changed():
     original = Pipeline.build(1, [("a", {"p": "auto"}), ("a", {"p": "auto"})])
     revised = Pipeline.build(1, [("a", {"p": "auto"})])
     payload = {"revised_policy": pipeline_to_policy_doc(revised), "edits": []}
-    with pytest.raises(SchemaValidationError, match="edits is empty"):
-        parse_refinement_doc(dump_doc(payload), original, _AB)
+    assert _revision_of(payload, original).errors == {1: ["revised policy differs from the input but edits is empty"]}
 
 
 def test_refinement_doc_rejects_phantom_edits():
@@ -247,8 +251,7 @@ def test_refinement_doc_rejects_phantom_edits():
         "revised_policy": pipeline_to_policy_doc(pipeline),
         "edits": [["remove_duplicate", "nothing was actually removed"]],
     }
-    with pytest.raises(SchemaValidationError, match="unchanged"):
-        parse_refinement_doc(dump_doc(payload), pipeline, _AB)
+    assert _revision_of(payload, pipeline).errors == {1: ["edits listed but the revised policy is unchanged"]}
 
 
 def test_refinement_doc_rejects_unknown_edit_kind():
@@ -258,8 +261,12 @@ def test_refinement_doc_rejects_unknown_edit_kind():
         "revised_policy": pipeline_to_policy_doc(revised),
         "edits": [["transmogrify", "not a thing"]],
     }
-    with pytest.raises(SchemaValidationError, match="unknown edit kind"):
-        parse_refinement_doc(dump_doc(payload), original, _AB)
+    assert _revision_of(payload, original).errors == {
+        1: [
+            "edits[0] has unknown edit kind 'transmogrify'",
+            "revised policy differs from the input but edits is empty",
+        ]
+    }
 
 
 def test_refinement_doc_valid_edit_roundtrip():
@@ -269,35 +276,61 @@ def test_refinement_doc_valid_edit_roundtrip():
         "revised_policy": pipeline_to_policy_doc(revised),
         "edits": [["remove_duplicate", "a appeared twice"]],
     }
-    doc = parse_refinement_doc(dump_doc(payload), original, _AB)
-    assert doc.edits == ((EditKind.REMOVE_DUPLICATE, "a appeared twice"),)
+    answer = _revision_of(payload, original)
+    assert answer.errors == {}
+    assert answer.entries[1].edits == ((EditKind.REMOVE_DUPLICATE, "a appeared twice"),)
 
 
 def test_refinement_doc_reports_every_error_at_once(truths, registry):
     """Document-level errors are reported beside the revised policy's, and
     the edits are still checked."""
-    with pytest.raises(SchemaValidationError) as caught:
-        parse_refinement_doc('{"revised_policy": {}, "edits": [], "extra": 1}', truths[3], registry)
-    assert caught.value.doc_name == "refinement document"
-    assert caught.value.errors == [
-        "unknown keys ['extra']",
-        "missing keys ['deployment_conditions', 'edges', 'intent_id', 'selected_xapps']",
-    ]
+    answer = parse_refinement_doc('{"3": {"revised_policy": {}, "edits": [], "extra": 1}}', {3: truths[3]}, registry)
+    assert answer.entries == {}
+    assert answer.errors == {
+        3: [
+            "unknown keys ['extra']",
+            "missing keys ['deployment_conditions', 'edges', 'intent_id', 'selected_xapps']",
+        ]
+    }
 
     bad_policy = dict(pipeline_to_policy_doc(truths[3]), selected_xapps=[["phantom", {}]])
     payload = {"revised_policy": bad_policy, "edits": [["transmogrify", "x"], "y"], "extra": 1}
-    with pytest.raises(SchemaValidationError) as caught:
-        parse_refinement_doc(dump_doc(payload), truths[3], registry)
-    assert caught.value.errors == [
+    assert _revision_of(payload, truths[3], registry).errors[3] == [
         "unknown keys ['extra']",
         "unregistered xApp ids ['phantom']",
         "edits[0] has unknown edit kind 'transmogrify'",
         "edits[1] must be an [edit_kind, rationale] pair",
     ]
+    assert _revision_of({"edits": 3}, truths[3], registry).errors[3] == [
+        "missing keys ['revised_policy']", "edits must be a list"
+    ]
+    assert _revision_of([], truths[3], registry).errors[3] == ["expected a JSON object"]
 
-    with pytest.raises(SchemaValidationError) as caught:
-        parse_refinement_doc('{"edits": 3}', truths[3], registry)
-    assert caught.value.errors == ["missing keys ['revised_policy']", "edits must be a list"]
+
+def test_a_refinement_answer_checks_each_entry_against_its_own_original():
+    """Each revision is checked against the candidate of its own intent, so
+    one bad entry fails only its intent; a missing entry fails its intent,
+    and a key of no asked intent, or a text that is no object, fails the
+    whole answer."""
+    twice = Pipeline.build(1, [("a", {"p": "auto"}), ("a", {"p": "auto"})])
+    once = Pipeline.build(1, [("a", {"p": "auto"})])
+    other = Pipeline.build(2, [("b", {})])
+    originals = {1: twice, 2: other, 3: Pipeline.build(3, [("b", {})])}
+    good = {"revised_policy": pipeline_to_policy_doc(once), "edits": [["remove_duplicate", "a twice"]]}
+    phantom = {"revised_policy": pipeline_to_policy_doc(other), "edits": [["remove_duplicate", "none"]]}
+    answer = parse_refinement_doc(dump_doc({"1": good, "2": phantom}), originals, _AB)
+    assert {i: doc.revised for i, doc in answer.entries.items()} == {1: once}
+    assert answer.errors == {
+        2: ["edits listed but the revised policy is unchanged"],
+        3: ["no entry for intent 3"],
+    }
+    for text, match in (
+        (dump_doc({"1": good, "4": good}), r"keys \['4'\] name no asked intent"),
+        (dump_doc([good]), "expected a JSON object, got list"),
+    ):
+        with pytest.raises(SchemaValidationError, match=match) as caught:
+            parse_refinement_doc(text, originals, _AB)
+        assert caught.value.doc_name == "refinement answer"
 
 
 _POLICY = pipeline_to_policy_doc(
@@ -317,7 +350,7 @@ _RECORD = {
 _TEMPLATES = [
     {"1": _POLICY},
     {"conflicts": {"actuator": [_RECORD], "parameter": []}, "notes": ""},
-    {"revised_policy": _POLICY, "edits": [["remove_duplicate", "twice"]]},
+    {"1": {"revised_policy": _POLICY, "edits": [["remove_duplicate", "twice"]]}},
     {
         "intent": {
             "id": 1,
@@ -345,7 +378,7 @@ def _parsers(bundle):
     return (
         lambda text: parse_policy_doc(text, bundle.registry, [1]),
         parse_perception_doc,
-        lambda text: parse_refinement_doc(text, original, bundle.registry),
+        lambda text: parse_refinement_doc(text, {1: original}, bundle.registry),
         lambda text: parse_memory_line(text, "memory line"),
     )
 
@@ -457,9 +490,9 @@ def test_the_reasoning_parser_is_total(bundle, document, asked):
         answer = parse_policy_doc(document, bundle.registry, asked)
     except SchemaValidationError:
         return
-    assert not answer.pipelines.keys() & answer.errors.keys()
-    assert answer.pipelines.keys() | answer.errors.keys() == set(asked)
-    assert all(pipeline.intent_id == i for i, pipeline in answer.pipelines.items())
+    assert not answer.entries.keys() & answer.errors.keys()
+    assert answer.entries.keys() | answer.errors.keys() == set(asked)
+    assert all(pipeline.intent_id == i for i, pipeline in answer.entries.items())
     assert all(errors for errors in answer.errors.values())
 
 
@@ -477,7 +510,7 @@ def test_a_corrupt_entry_leaves_the_others_as_parsed_alone(rng, data):
     answer = parse_policy_doc(dump_doc(doc), registry, ids)
     for i in ids:
         alone = parse_policy_doc(dump_doc({str(i): doc[str(i)]}), registry, [i])
-        assert answer.pipelines.get(i) == alone.pipelines.get(i)
+        assert answer.entries.get(i) == alone.entries.get(i)
         assert answer.errors.get(i) == alone.errors.get(i)
         if str(i) != victim:
-            assert answer.pipelines[i] == policy_doc_to_pipeline(doc[str(i)])
+            assert answer.entries[i] == policy_doc_to_pipeline(doc[str(i)])
