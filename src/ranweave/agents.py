@@ -9,6 +9,9 @@ regresses regardless of what the agents emit.
 
 The loop assembles each request and asks every role through _ask, so it alone
 decides which roles a mode runs and what a failed call (None) falls back to.
+A prompt sends each key and each corpus character once: the registry, the
+policies and the conflict report are header-once tables (schemas.table_doc),
+and the retrieved context drops what an earlier-ranked chunk already sent.
 
 Baseline modes drop individual roles: SA is a single combined prompt, NR
 skips refinement, NP skips perception, and FCFS keeps the full synthesis
@@ -51,6 +54,8 @@ from .schemas import (
     parse_policy_doc,
     parse_refinement_doc,
     pipeline_to_policy_doc,
+    report_table,
+    table_doc,
 )
 from .transport import (
     PERCEPTION,
@@ -146,7 +151,7 @@ SINGLE_AGENT_TEMPLATE = _read_template("single_agent.txt")
 
 
 def _render_profiles(registry: Registry) -> str:
-    return dump_doc([p.to_dict() for p in registry])
+    return dump_doc(table_doc([p.to_dict() for p in registry]))
 
 
 def _render_policy(pipeline: Pipeline) -> str:
@@ -154,19 +159,34 @@ def _render_policy(pipeline: Pipeline) -> str:
 
 
 def _render_report(perception: PerceptionDoc) -> str:
-    return dump_doc(perception.to_dict())
+    return dump_doc(report_table(perception.records, perception.notes))
 
 
 def _render_policies(pipelines: Sequence[tuple[str, Pipeline]]) -> str:
     if not pipelines:
         return "(none)"
-    return dump_doc({ref: pipeline_to_policy_doc(p) for ref, p in pipelines})
+    return dump_doc(table_doc([{"ref": ref, **pipeline_to_policy_doc(p)} for ref, p in pipelines]))
 
 
 def _render_chunks(chunks) -> str:
+    """The chunks in rank order, each without the characters an earlier chunk
+    of its document already sent; every piece left is labelled with its own
+    offsets, and a chunk sent in full before gives none. A longer prefix of
+    the same ranking renders to a longer text with this one as its prefix."""
     if not chunks:
         return "(no retrieved context)"
-    return "\n".join(f"[{c.doc_id}:{c.start}-{c.end}] {c.text}" for c in chunks)
+    sent: dict[str, list[tuple[int, int]]] = {}
+    lines = []
+    for chunk in chunks:
+        pieces = [(chunk.start, chunk.end)]
+        for a, b in sent.setdefault(chunk.doc_id, []):
+            # What lies before a and after b of each piece is still unsent.
+            pieces = [(x, y) for s, e in pieces for x, y in ((s, min(e, a)), (max(s, b), e)) if x < y]
+        sent[chunk.doc_id].append((chunk.start, chunk.end))
+        lines += (
+            f"[{chunk.doc_id}:{s}-{e}] {chunk.text[s - chunk.start : e - chunk.start]}" for s, e in pieces
+        )
+    return "\n".join(lines)
 
 
 def _request(

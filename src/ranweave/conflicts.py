@@ -397,21 +397,23 @@ class ConflictGraph:
 class ConflictMemo:
     """What one run has worked out about its pipelines, reused across calls.
 
-    pairs maps (ref_a, ref_b) to (pipe_a, pipe_b, the pair's records);
-    reaches maps a ref to (pipeline, its reach); internals maps a ref to
-    (pipeline, its internal_conflicts records). An entry is reused only
-    while its pipelines are the very objects it was worked out for, a test
-    that costs nothing; a new object under an old ref replaces the entry.
-    interned maps each pipeline value to its first object (see intern).
+    Every entry is kept per object under its ref: pairs maps (ref_a, ref_b,
+    id(pipe_a), id(pipe_b)) to (pipe_a, pipe_b, the pair's records),
+    reaches maps (ref, id(pipeline)) to (pipeline, its reach) and internals
+    maps (ref, id(pipeline)) to (pipeline, its internal_conflicts records).
+    Each entry holds its objects, so no id in its key is reused while it
+    lasts, and a candidate that comes back to an earlier object (X -> Y ->
+    X) finds its entries again. interned maps each pipeline value to its
+    first object (see intern).
     Every fact depends on intents, matrix and registry too, so one memo
     serves only calls with the same three, as in one run.
     """
 
-    pairs: dict[tuple[str, str], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]] = field(
+    pairs: dict[tuple[str, str, int, int], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]] = field(
         default_factory=dict
     )
-    reaches: dict[str, tuple[Pipeline, set[str]]] = field(default_factory=dict)
-    internals: dict[str, tuple[Pipeline, tuple[ConflictRecord, ...]]] = field(default_factory=dict)
+    reaches: dict[tuple[str, int], tuple[Pipeline, set[str]]] = field(default_factory=dict)
+    internals: dict[tuple[str, int], tuple[Pipeline, tuple[ConflictRecord, ...]]] = field(default_factory=dict)
     interned: dict[Pipeline, Pipeline] = field(default_factory=dict)
 
     def copy(self) -> "ConflictMemo":
@@ -426,23 +428,19 @@ class ConflictMemo:
         self, ref: str, pipeline: Pipeline, intents: Mapping[int, Intent], registry: Registry
     ) -> set[str]:
         """reach() of pipeline, worked out once per object under ref."""
-        seen = self.reaches.get(ref)
-        if seen is not None and seen[0] is pipeline:
-            return seen[1]
-        keys = reach(pipeline, intents[pipeline.intent_id], registry)
-        self.reaches[ref] = (pipeline, keys)
-        return keys
+        key = (ref, id(pipeline))
+        if key not in self.reaches:
+            self.reaches[key] = (pipeline, reach(pipeline, intents[pipeline.intent_id], registry))
+        return self.reaches[key][1]
 
     def internal(
         self, ref: str, pipeline: Pipeline, matrix: VendorCompatibilityMatrix, registry: Registry
     ) -> tuple[ConflictRecord, ...]:
         """internal_conflicts of pipeline under ref, worked out once per object."""
-        seen = self.internals.get(ref)
-        if seen is not None and seen[0] is pipeline:
-            return seen[1]
-        records = tuple(internal_conflicts(pipeline, matrix, registry, ref=ref))
-        self.internals[ref] = (pipeline, records)
-        return records
+        key = (ref, id(pipeline))
+        if key not in self.internals:
+            self.internals[key] = (pipeline, tuple(internal_conflicts(pipeline, matrix, registry, ref=ref)))
+        return self.internals[key][1]
 
 
 def candidate_ref(intent_id: int) -> str:
@@ -484,7 +482,7 @@ def build_conflict_graph(
 
     memo, when given, holds the run's facts across calls (see ConflictMemo):
     each pipeline's reach, and the records of each pair the gate lets
-    through, are worked out only for pipelines not yet met under their ref.
+    through, are worked out only for objects not yet met under their refs.
     """
     memo = ConflictMemo() if memo is None else memo
     pairs = memo.pairs
@@ -496,14 +494,14 @@ def build_conflict_graph(
         for (ref_b, pipe_b), reach_b in zip(batch[i + 1 :], reaches[i + 1 :]):
             if reach_a.isdisjoint(reach_b):
                 continue
-            seen = pairs.get((ref_a, ref_b))
-            if seen is not None and seen[0] is pipe_a and seen[1] is pipe_b:
-                records = seen[2]
-            else:
-                records = tuple(
-                    pairwise_conflicts(pipe_a, pipe_b, intents, matrix, registry, a_ref=ref_a, b_ref=ref_b)
+            key = (ref_a, ref_b, id(pipe_a), id(pipe_b))
+            if key not in pairs:
+                pairs[key] = (
+                    pipe_a,
+                    pipe_b,
+                    tuple(pairwise_conflicts(pipe_a, pipe_b, intents, matrix, registry, a_ref=ref_a, b_ref=ref_b)),
                 )
-                pairs[(ref_a, ref_b)] = (pipe_a, pipe_b, records)
+            records = pairs[key][2]
             if records:
                 edges.append(((ref_a, ref_b), records))
     return ConflictGraph(vertices=tuple(ref for ref, _ in batch), edges=tuple(edges))

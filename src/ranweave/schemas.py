@@ -11,6 +11,11 @@ by entry (an EntryDoc). Each entry of a reasoning answer and each revised
 policy of a refinement answer pass one policy check: registered xApps only,
 and the intent that was asked for; a memory line's pipeline must be of the
 line's intent.
+
+Prompts send each key once: a record section (profiles, policies) is a
+header-once table (table_doc), the sorted keys once and then one row of
+values per document, and the reasoning prompt's conflict report is
+report_table. The answers stay objects.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Generic, Iterable, Mapping, TypeVar
+from typing import Callable, Generic, Iterable, Mapping, Sequence, TypeVar
 
 from .conflicts import ConflictKind, ConflictRecord, canonical_sort
 from .model import ENTRY_ERRORS, Intent, Pipeline, Registry
@@ -58,13 +63,23 @@ def conflict_report(records: Iterable[ConflictRecord], notes: str = "") -> dict[
     return {"conflicts": groups, "notes": notes}
 
 
+def report_table(records: Iterable[ConflictRecord], notes: str = "") -> dict[str, object]:
+    """The conflict report as a prompt shows it: every record a row under one
+    table_doc header, without the kind its group already gives, and only the
+    groups that hold a record. Filling in the absent groups as empty gives
+    back conflict_report(records, notes)."""
+    ordered = canonical_sort(records)
+    table = table_doc([{k: v for k, v in r.to_dict().items() if k != "kind"} for r in ordered])
+    groups: dict[str, list[list[object]]] = {}
+    for record, row in zip(ordered, table["rows"]):
+        groups.setdefault(REPORT_GROUPS[record.kind], []).append(row)
+    return {"columns": table["columns"], "conflicts": groups, "notes": notes}
+
+
 @dataclass(frozen=True)
 class PerceptionDoc:
     records: tuple[ConflictRecord, ...]
     notes: str = ""
-
-    def to_dict(self) -> dict[str, object]:
-        return conflict_report(self.records, self.notes)
 
 
 @dataclass(frozen=True)
@@ -476,6 +491,20 @@ def _load_json(text: str, doc_name: str, subject: str) -> object:
         return load_doc(text)
     except (ValueError, RecursionError) as exc:
         raise SchemaValidationError(doc_name, [f"{subject} is not valid JSON: {exc}"]) from exc
+
+
+def table_doc(docs: Sequence[Mapping[str, object]]) -> dict[str, object]:
+    """Same-shaped documents as one header-once table: the sorted keys once,
+    as columns, then each document's values in column order, one row each.
+    Documents whose keys differ raise ValueError; no documents give no
+    columns and no rows."""
+    columns = sorted(docs[0]) if docs else []
+    rows = []
+    for index, doc in enumerate(docs):
+        if sorted(doc) != columns:
+            raise ValueError(f"document {index} has keys {sorted(doc)}, not the columns {columns}")
+        rows.append([doc[key] for key in columns])
+    return {"columns": columns, "rows": rows}
 
 
 def dump_doc(data: object) -> str:

@@ -25,6 +25,7 @@ from ranweave.conflicts import (
 )
 from ranweave.model import DeploymentState, Intent, Pipeline, Registry, Stage, XAppProfile
 from ranweave.retrieval import EMBEDDING_DIM
+from ranweave.schemas import REPORT_GROUPS
 
 CAP_POOL = ["steering", "sensing", "slicing", "power", "scheduling", "beam"]
 PARAM_POOL = ["tx_power", "prb_quota", "weights", "beam_set", "steer_mode"]
@@ -66,6 +67,31 @@ def replace_one_value(draw, document: object, values: st.SearchStrategy) -> obje
         return draw(values)
     parent[key] = draw(values)
     return document
+
+
+def table_rows(table: Mapping) -> list[dict]:
+    """The documents of a schemas.table_doc table: each row zipped with the columns."""
+    assert table.keys() == {"columns", "rows"}
+    return [dict(zip(table["columns"], row, strict=True)) for row in table["rows"]]
+
+
+def policies_of_table(table: Mapping) -> dict[str, dict]:
+    """The ref map of a policies table: each row's policy document under its "ref"."""
+    return {doc.pop("ref"): doc for doc in table_rows(table)}
+
+
+def report_of_table(report: Mapping) -> dict:
+    """The conflict_report shape of a schemas.report_table document: each
+    group's rows under the header, with the group's kind put back, and the
+    groups left out as empty lists."""
+    assert report.keys() == {"columns", "conflicts", "notes"}
+    kinds = {group: kind.value for kind, group in REPORT_GROUPS.items()}
+    groups: dict[str, list] = {group: [] for group in kinds}
+    for group, rows in report["conflicts"].items():
+        assert rows, f"{group} is listed without a record"
+        records = table_rows({"columns": report["columns"], "rows": rows})
+        groups[group] = [{"kind": kinds[group], **record} for record in records]
+    return {"conflicts": groups, "notes": report["notes"]}
 
 
 def random_registry(rng: random.Random, size: int) -> Registry:

@@ -688,11 +688,14 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, monkeypatch):
 def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch):
     """Pins the conflict checks of one orchestrate_batch run over a generated
     50-xApp catalog with 12 new and 12 active intents. The run's memo starts
-    from the oracle's, and equal answers share one object, so
-    pairwise_conflicts runs 111 times (10 find a conflict), internal_conflicts
-    10 times and validate_pipeline_structure 38 times. With a pair memo of
-    the run's own and no interning, the counts were 222 (23), 48 and 67;
-    every pair, through that memo, would take 430 pairwise calls."""
+    from the oracle's, equal answers share one object, and the memo keeps
+    one entry per object, so pairwise_conflicts runs 69 times (7 find a
+    conflict), internal_conflicts 6 times and validate_pipeline_structure 38
+    times. With one entry per ref, which a candidate coming back to an
+    earlier object (X -> Y -> X) had to work out again, the counts were 111
+    (10), 10 and 38. With a pair memo of the run's own and no interning,
+    they were 222 (23), 48 and 67; every pair, through that memo, would take
+    430 pairwise calls."""
     from ranweave import agents, conflicts, planner
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -744,8 +747,8 @@ def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch)
     outcome = orchestrate_batch(ctx, chat, MemoryBuffer(), build_knowledge_store(bundle), oracle)
 
     assert outcome.converged
-    assert (len(found), sum(found)) == (111, 10)
-    assert calls == {"internal": 10, "structure": 38}
+    assert (len(found), sum(found)) == (69, 7)
+    assert calls == {"internal": 6, "structure": 38}
 
 
 @pytest.mark.parametrize("scenario_id", [1, 2, 3, 4])

@@ -359,7 +359,8 @@ def _tables(memo: ConflictMemo) -> tuple:
 def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
     """Rounds start from a copy of the memo max_conflict_free_subset returns.
     Between rounds some candidates get a new object of a new value, others
-    a new object equal to the old one. Through the shared memo,
+    a new object equal to the old one, others an object they held before.
+    Through the shared memo,
     evaluate_conflicts equals a fresh call field for field, its records
     hold each eligible candidate's internal conflicts, and the oracle's
     memo keeps exactly the entries it had, its intern table included,
@@ -369,6 +370,7 @@ def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
     oracle = max_conflict_free_subset(batch.candidates, batch.pre, intents, matrix, registry)
     seeded = tuple(map(dict, _tables(oracle.memo)))
     memo = oracle.memo.copy()
+    held = {intent_id: [pipeline] for intent_id, pipeline in batch.candidates.items()}
     for _ in range(rng.randint(1, 4)):
         for pipeline in batch.candidates.values():
             memo.intern(pipeline)
@@ -384,10 +386,43 @@ def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
             roll = rng.random()
             if roll < 0.4:
                 batch.candidates[intent_id] = batch.pipeline(intent_id)
-            elif roll < 0.7:
+            elif roll < 0.6:
                 batch.candidates[intent_id] = replace(pipeline)
+            elif roll < 0.8:
+                batch.candidates[intent_id] = rng.choice(held[intent_id])
+            held[intent_id].append(batch.candidates[intent_id])
     assert _tables(oracle.memo) == seeded
     assert len(memo.interned) > len(oracle.memo.interned)
+
+
+def test_a_candidate_that_comes_back_to_an_earlier_object_is_not_checked_again(bundle, truths, monkeypatch):
+    """X -> Y -> X -> Y: the memo keeps an entry per object, so once both
+    objects have been met, neither is checked again under its ref: no
+    pairwise_conflicts, no internal_conflicts and no reach."""
+    from ranweave import conflicts
+
+    calls: list[str] = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("pairwise_conflicts", "internal_conflicts", "reach"):
+        monkeypatch.setattr(conflicts, name, counted(name, getattr(conflicts, name)))
+    memo = ConflictMemo()
+    pre = DeploymentState(tuple(truths[i] for i in (2, 3, 4, 5, 6, 7)))
+    x = truths[1]
+    y = Pipeline.build(1, [(n.xapp_id, n.directive_map) for n in x.nodes], x.edges, dump_doc({"max_load": 1}))
+    met = []
+    for candidate in (x, y, x, y):
+        calls.clear()
+        evaluate_conflicts({1: candidate}, [1], pre, bundle.intents, bundle.matrix, bundle.registry, memo)
+        met.append(sorted(set(calls)))
+    assert met[0] == met[1] == ["internal_conflicts", "pairwise_conflicts", "reach"]
+    assert met[2] == met[3] == []
 
 
 def test_intern_returns_the_first_object_of_a_value_and_keeps_condition_bytes_apart():

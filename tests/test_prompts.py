@@ -16,7 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
+import re
 from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranweave import agents
 from ranweave.agents import (
@@ -28,10 +33,13 @@ from ranweave.agents import (
 )
 from ranweave.harness import make_transport, run_scenario
 from ranweave.model import DeploymentState, Pipeline
-from ranweave.schemas import dump_doc, parse_policy_doc, pipeline_to_policy_doc
-from ranweave.transport import PERCEPTION, REASONING, ChatTransport
+from ranweave.retrieval import DocChunk, chunk_spans, reconstruct
+from ranweave.schemas import conflict_report, dump_doc, parse_policy_doc, pipeline_to_policy_doc
+from ranweave.transport import PERCEPTION, REASONING, REFINEMENT, ChatTransport
 
-PROMPT_DIGEST = "fc849760652a722a7186bf7e90af505d5c2d14e06ee72736acca74eaa73281b5"
+from .helpers import policies_of_table, report_of_table, table_rows
+
+PROMPT_DIGEST = "f5b25788855daef0237bf8e26320e67623120405ee3b902b561088ce6e249f82"
 
 
 class RecordingTransport(ChatTransport):
@@ -98,10 +106,13 @@ def _json(doc: object) -> str:
 
 
 def _one_shot_policies(pipelines) -> str:
-    """The reference: every policy serialized afresh in one document."""
+    """The reference: every policy serialized afresh in one table, a row per
+    ref in ref order under the sorted keys of a policy document and "ref"."""
     if not pipelines:
         return "(none)"
-    return _json({ref: pipeline_to_policy_doc(p) for ref, p in sorted(pipelines.items())})
+    docs = [{"ref": ref, **pipeline_to_policy_doc(p)} for ref, p in sorted(pipelines.items())]
+    columns = sorted(docs[0])
+    return _json({"columns": columns, "rows": [[doc[key] for key in columns] for doc in docs]})
 
 
 def test_equal_pipelines_keep_their_own_bytes(bundle):
@@ -184,7 +195,8 @@ def test_a_request_renders_its_inputs_as_they_were_at_assembly(bundle, truths):
     analogues.append((bundle.intents[6], truths[6]))
     asked.append((bundle.intents[2], []))
     assert request.messages == expected
-    assert '"1":{' in expected[1]["content"] and '"7":{' not in expected[1]["content"]
+    proposed = _section(expected[1]["content"], "Candidate policies")
+    assert list(policies_of_table(json.loads(proposed))) == ["1", "2"]
 
 
 def _text(request) -> str:
@@ -197,20 +209,29 @@ def _end_of(text: str, heading: str) -> int:
     return text.index("\n\n## ", text.index(f"## {heading}\n"))
 
 
+def _section(text: str, heading: str) -> str:
+    """The body of text's "## heading" section."""
+    start = text.index(f"## {heading}\n") + len(heading) + 4
+    end = text.find("\n\n## ", start)
+    return text[start:end] if end >= 0 else text[start:].removesuffix("\n")
+
+
 def test_consecutive_prompts_of_a_role_share_the_run_stable_sections(bundle):
     """Each role's prompt opens with what stays the same for the run, so the
     prefix two consecutive requests of one role share, the part a provider's
     prefix cache does not bill in full, reaches past those sections. Each
     iteration sends one reasoning request, which asks about every unsolved
     intent, so no two reasoning requests of one iteration remain to share
-    the conflict report."""
+    the conflict report. The retrieved context of one request is a byte
+    prefix of the next one's, as each iteration takes a longer prefix of
+    one ranking."""
     recorder = RecordingTransport(make_transport("mock-noisy", bundle, seed=0).complete)
     run_scenario(bundle, 3, Mode.F5, recorder, seed=0)  # two intents pre-deployed
     checked: Counter = Counter()
     iteration, previous = 0, {}
     for request in recorder.requests:
         text = _text(request)
-        assert '"pre:3":' in text
+        assert "pre:3" in policies_of_table(json.loads(_section(text, "Deployed policies")))
         if request.role == PERCEPTION and len(request.messages) == 2:
             iteration += 1
         if request.role in previous:
@@ -219,33 +240,120 @@ def test_consecutive_prompts_of_a_role_share_the_run_stable_sections(bundle):
             heading = "Conflict report" if within else "Deployed policies"
             shared = len(os.path.commonprefix([last, text]))
             assert shared >= _end_of(text, heading), (request.role, iteration, heading)
+            if request.role != REFINEMENT:
+                context = _section(text, "Retrieved context")
+                assert context.startswith(_section(last, "Retrieved context")), (request.role, iteration)
             checked[request.role, within] += 1
         previous[request.role] = (iteration, text)
     assert set(checked) == {("perception", False), ("refinement", False), ("reasoning", False)}
 
 
 def test_compact_rendering_is_lossless(bundle, monkeypatch):
-    """Every registry and policies body loads back to exactly what it renders."""
+    """Every registry, policies and conflict-report body decodes back to
+    exactly the documents it replaced."""
     snapshots: dict[str, list] = {}
-    render_policies = agents._render_policies
+    reports: dict[str, list] = {}
+    render_policies, render_report = agents._render_policies, agents._render_report
 
     def recording(pipelines):
         body = render_policies(pipelines)
         snapshots.setdefault(body, []).append(pipelines)
         return body
 
+    def recording_report(perception):
+        body = render_report(perception)
+        reports.setdefault(body, []).append(perception)
+        return body
+
     monkeypatch.setattr(agents, "_render_policies", recording)
+    monkeypatch.setattr(agents, "_render_report", recording_report)
     profiles = [p.to_dict() for p in bundle.registry]
     bodies = 0
     for request in _all_requests(bundle):
         lines = request.messages[1]["content"].split("\n")
         if request.role != "refinement":
             assert lines[0] == "## Registered xApps"
-            assert json.loads(lines[1]) == profiles
+            assert table_rows(json.loads(lines[1])) == profiles
         for heading in ("## Deployed policies", "## Candidate policies"):
             body = lines[lines.index(heading) + 1]
             for pipelines in snapshots[body]:
                 docs = {ref: pipeline_to_policy_doc(p) for ref, p in pipelines}
-                assert (json.loads(body) if body != "(none)" else {}) == docs
+                assert (policies_of_table(json.loads(body)) if body != "(none)" else {}) == docs
             bodies += 1
     assert bodies > 200 and any(body != "(none)" for body in snapshots)
+    for body, perceptions in reports.items():
+        for perception in perceptions:
+            assert report_of_table(json.loads(body)) == conflict_report(perception.records, perception.notes)
+    assert any(json.loads(body)["conflicts"] for body in reports)
+
+
+_LABEL = re.compile(r"\[([^:\]]+):(\d+)-(\d+)\] ")
+
+
+def _pieces(context: str) -> list[DocChunk]:
+    """The labelled pieces of a rendered retrieved context, read by their
+    labels' lengths, so a text holding a newline or a bracket reads back."""
+    pieces, at = [], 0
+    while at < len(context):
+        label = _LABEL.match(context, at)
+        assert label, context[at : at + 40]
+        doc_id, start, end = label[1], int(label[2]), int(label[3])
+        assert start < end
+        at = label.end() + end - start
+        pieces.append(DocChunk(doc_id, start, end, context[label.end() : at], None))
+        assert context.startswith("\n", at) or at == len(context)
+        at += 1
+    return pieces
+
+
+@st.composite
+def _rankings(draw):
+    """Some documents of up to four chunks each, and their chunks in a drawn rank order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    # With chunks of 500 and overlaps of 50, one chunk covers 1-500
+    # characters and n > 1 chunks cover 450n - 399 to 450n + 50.
+    lengths = [draw(st.integers(1 if n == 1 else 450 * n - 399, 450 * n + 50)) for n in counts]
+    texts = ["".join(rng.choices("ab\n[]:-", k=n)) for n in lengths]
+    chunks = [
+        DocChunk(f"doc{i}", start, end, text[start:end], None)
+        for i, text in enumerate(texts)
+        for start, end in chunk_spans(len(text))
+    ]
+    return {f"doc{i}": text for i, text in enumerate(texts)}, draw(st.permutations(chunks))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(corpus_ranking=_rankings(), data=st.data())
+def test_retrieved_context_sends_each_character_once_and_grows_by_appending(corpus_ranking, data):
+    """For k < k', the top-k rendering is a byte prefix of the top-k' one;
+    every character the top-k' chunks hold is sent exactly once, at its
+    labelled offset, and a document whose chunks all came back reads back
+    whole through retrieval.reconstruct."""
+    corpus, ranking = corpus_ranking
+    k_wide = data.draw(st.integers(1, len(ranking)))
+    k = data.draw(st.integers(1, k_wide))
+    wide = agents._render_chunks(ranking[:k_wide])
+    assert wide.startswith(agents._render_chunks(ranking[:k]))
+
+    sent: dict[str, list[DocChunk]] = {}
+    for piece in _pieces(wide):
+        assert piece.text == corpus[piece.doc_id][piece.start : piece.end]
+        sent.setdefault(piece.doc_id, []).append(piece)
+    retrieved = {(c.doc_id, i) for c in ranking[:k_wide] for i in range(c.start, c.end)}
+    offsets = [(p.doc_id, i) for pieces in sent.values() for p in pieces for i in range(p.start, p.end)]
+    assert len(offsets) == len(set(offsets)) and set(offsets) == retrieved
+    taken = {(c.doc_id, c.start) for c in ranking[:k_wide]}
+    for doc_id, pieces in sent.items():
+        if all((c.doc_id, c.start) in taken for c in ranking if c.doc_id == doc_id):
+            assert reconstruct(pieces) == corpus[doc_id]
+
+
+def test_retrieved_context_trims_what_an_earlier_chunk_sent():
+    """Rank order is kept; a chunk loses the characters an earlier chunk of
+    its document sent, each piece left keeps its own offsets, and a chunk
+    sent in full before is left out."""
+    text = "0123456789"
+    chunks = [DocChunk("d", start, end, text[start:end], None) for start, end in ((3, 8), (0, 10), (4, 6))]
+    chunks.insert(1, DocChunk("e", 0, 2, "xy", None))
+    assert agents._render_chunks(chunks) == "[d:3-8] 34567\n[e:0-2] xy\n[d:0-3] 012\n[d:8-10] 89"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ranweave.conflicts import build_conflict_graph
+from ranweave.conflicts import ConflictKind, ConflictRecord, build_conflict_graph
 from ranweave.model import DeploymentState, Pipeline, Registry, XAppProfile
 from ranweave.schemas import (
     EditKind,
@@ -22,9 +22,19 @@ from ranweave.schemas import (
     parse_refinement_doc,
     pipeline_to_policy_doc,
     policy_doc_to_pipeline,
+    report_table,
+    table_doc,
 )
 
-from .helpers import json_values, random_pipeline, random_registry, replace_one_value
+from .helpers import (
+    json_values,
+    policies_of_table,
+    random_pipeline,
+    random_registry,
+    replace_one_value,
+    report_of_table,
+    table_rows,
+)
 
 # The xApps "a" and "b" of the hand-written refinement documents below.
 _AB = Registry(XAppProfile.build(x, capabilities=["c"]) for x in ("a", "b"))
@@ -514,3 +524,80 @@ def test_a_corrupt_entry_leaves_the_others_as_parsed_alone(rng, data):
         assert answer.errors.get(i) == alone.errors.get(i)
         if str(i) != victim:
             assert answer.entries[i] == policy_doc_to_pipeline(doc[str(i)])
+
+
+_KEYS = st.text(max_size=4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    refs=st.lists(st.text(max_size=6), max_size=6, unique=True),
+    keys=st.lists(_KEYS, max_size=5, unique=True),
+    data=st.data(),
+)
+def test_a_table_decodes_to_exactly_the_documents_that_went_in(seed, refs, keys, data):
+    """Through the JSON text a prompt carries, the table of profile documents
+    gives back the list, the table of ref-labelled policy documents the ref
+    map, and the table of any same-shaped documents the list; no documents
+    give an empty table."""
+    rng = random.Random(seed)
+    profiles = [p.to_dict() for p in random_registry(rng, rng.randint(0, 8))]
+    assert table_rows(load_doc(dump_doc(table_doc(profiles)))) == profiles
+
+    registry = random_registry(rng, rng.randint(1, 8))
+    policies = {ref: pipeline_to_policy_doc(random_pipeline(rng, registry, rng.randint(1, 40))) for ref in refs}
+    table = load_doc(dump_doc(table_doc([{"ref": ref, **doc} for ref, doc in policies.items()])))
+    assert policies_of_table(table) == policies
+
+    shaped = st.fixed_dictionaries({key: json_values.filter(_encodable) for key in keys})
+    docs = data.draw(st.lists(shaped, max_size=4))
+    table = table_doc(docs)
+    assert table["columns"] == (sorted(keys) if docs else [])
+    assert table_rows(load_doc(dump_doc(table))) == docs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    keys=st.lists(_KEYS, min_size=1, max_size=4, unique=True),
+    count=st.integers(2, 5),
+    change=st.sampled_from(["add", "remove", "rename"]),
+    data=st.data(),
+)
+def test_a_table_refuses_documents_whose_keys_differ(keys, count, change, data):
+    """One document with a key more, a key fewer or a key renamed is refused."""
+    docs = [{key: 0 for key in keys} for _ in range(count)]
+    odd = docs[data.draw(st.integers(0, count - 1))]
+    if change != "add":
+        del odd[keys[0]]
+    if change != "remove":
+        odd[data.draw(_KEYS.filter(lambda key: key not in keys))] = 0
+    with pytest.raises(ValueError, match="not the columns"):
+        table_doc(docs)
+
+
+_RECORDS = st.lists(
+    st.builds(
+        ConflictRecord,
+        st.sampled_from(list(ConflictKind)),
+        st.frozensets(st.tuples(st.text(max_size=3), st.text(max_size=3)), min_size=2, max_size=4),
+        st.text(max_size=6),
+        st.text(max_size=8),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(records=_RECORDS, notes=st.text(max_size=8))
+def test_the_report_table_decodes_to_the_conflict_report(records, notes):
+    """Each group's rows under the one header, with the group's kind put back
+    and the absent groups empty, are exactly conflict_report's object."""
+    table = load_doc(dump_doc(report_table(records, notes)))
+    assert report_of_table(table) == conflict_report(records, notes)
+
+
+def test_an_empty_report_table_is_shorter_than_the_report():
+    """A report with no records lists no group, so it does not grow."""
+    assert report_table((), "") == {"columns": [], "conflicts": {}, "notes": ""}
+    assert len(dump_doc(report_table((), ""))) < len(dump_doc(conflict_report(())))
