@@ -107,6 +107,9 @@ def synthesize_ground_truth(intent: Intent, registry: Registry, matrix: VendorCo
     yields the subsets that contain and cover in exactly that order, so
     only those are wired and checked; an xApp that covers nothing is still
     tried in a free slot, as the spacer a clashing pair may need.
+    transport.refine_pipeline keeps such a spacer: it puts back the fewest
+    dropped xApps that make the chain clean, first in registry order, under
+    the same MAX_COVER cap, so it returns every reference unchanged.
     """
     pool = registry.ids
     missing = {x for x in intent.required_xapps if x not in registry}

@@ -14,10 +14,12 @@ import os
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Mapping
+from itertools import combinations
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .conflicts import ConflictKind, ConflictRecord, active_ref, candidate_ref
+from .conflicts import ConflictKind, ConflictRecord, VendorCompatibilityMatrix, active_ref, candidate_ref
 from .model import Intent, Pipeline, PipelineNode, Registry, default_directive, stage_chain
+from .planner import MAX_COVER
 from .schemas import EditKind, RefinementDoc, conflict_report, dump_doc, pipeline_to_policy_doc
 
 CHAT_BASE_URL_ENV = "RANWEAVE_CHAT_BASE_URL"
@@ -133,7 +135,7 @@ class MockBundle:
 
     registry: Registry
     intents: Mapping[int, Intent]
-    matrix: object
+    matrix: VendorCompatibilityMatrix
     truths: Mapping[int, Pipeline]
 
 
@@ -142,7 +144,8 @@ class OracleTransport(ChatTransport):
 
     Perception serializes the engine's conflict records, reasoning
     returns the reference pipeline of each asked intent, refinement applies
-    the deterministic structural repairs to each asked intent's candidate.
+    refine_pipeline to each asked intent's candidate, with the bundle's
+    vendor matrix, so it keeps the spacers a reference needs.
     """
 
     def __init__(self, bundle: MockBundle):
@@ -158,7 +161,9 @@ class OracleTransport(ChatTransport):
             candidates: Mapping[int, Pipeline] = request.payload["candidates"]
 
             def revision(intent: Intent) -> dict[str, object]:
-                revised, edits = refine_pipeline(candidates[intent.id], intent, self.bundle.registry)
+                revised, edits = refine_pipeline(
+                    candidates[intent.id], intent, self.bundle.registry, self.bundle.matrix
+                )
                 return RefinementDoc(revised, tuple(edits)).to_dict()
 
             return _keyed_answer(request, revision)
@@ -279,15 +284,19 @@ def corrupt_pipeline(
 
 
 def refine_pipeline(
-    candidate: Pipeline, intent: Intent, registry: Registry
+    candidate: Pipeline, intent: Intent, registry: Registry, matrix: VendorCompatibilityMatrix
 ) -> tuple[Pipeline, list[tuple[EditKind, str]]]:
     """Deterministic structural review of a candidate pipeline.
 
     Removes duplicate nodes, drops xApps that contribute none of the
     intent's required capabilities (mandatory xApps stay), and orders and
-    links the rest as model.stage_chain. Precondition: every xApp id of the
-    candidate is registered; parse_policy_doc and parse_refinement_doc both
-    reject any other, so every pipeline an agent returns meets it.
+    links the rest as model.stage_chain. When that chain has an internal
+    conflict, the fewest dropped xApps that make it clean stay as spacers
+    (_spacers), so a reference pipeline, spacers and all, comes back
+    unchanged and with no edits. The refiner adds no xApp the candidate
+    does not hold. Precondition: every xApp id of the candidate is
+    registered; parse_policy_doc and parse_refinement_doc both reject any
+    other, so every pipeline an agent returns meets it.
     """
     edits: list[tuple[EditKind, str]] = []
 
@@ -298,20 +307,20 @@ def refine_pipeline(
             continue
         deduped[node.xapp_id] = node
 
-    kept: dict[str, PipelineNode] = {}
-    drop_edits: list[tuple[EditKind, str]] = []
-    for xapp_id, node in deduped.items():
-        if xapp_id not in intent.required_xapps and not (
-            registry[xapp_id].capabilities & intent.required_capabilities
-        ):
-            drop_edits.append((EditKind.DROP_SUPERFLUOUS, f"{xapp_id} covers no required capability"))
-            continue
-        kept[xapp_id] = node
-    if kept:
-        edits.extend(drop_edits)
-    else:
+    dropped = {
+        x
+        for x in deduped
+        if x not in intent.required_xapps and not registry[x].capabilities & intent.required_capabilities
+    }
+    if len(dropped) == len(deduped):
         # Refusing to empty the pipeline; keep the deduplicated nodes.
-        kept = deduped
+        dropped = set()
+    elif dropped:
+        dropped -= set(_spacers([x for x in deduped if x not in dropped], dropped, registry, matrix))
+    edits.extend(
+        (EditKind.DROP_SUPERFLUOUS, f"{x} covers no required capability") for x in deduped if x in dropped
+    )
+    kept = [x for x in deduped if x not in dropped]
 
     ordered, chain = stage_chain(kept, registry)
     # Re-sorting the nodes into stage order is an edit even when the edges
@@ -319,5 +328,55 @@ def refine_pipeline(
     if chain != candidate.edges or ordered != tuple(kept):
         edits.append((EditKind.REORDER_STAGE, "edges rebuilt as a stage-consistent chain"))
 
-    revised = replace(candidate, nodes=tuple(kept[x] for x in ordered), edges=chain)
+    revised = replace(candidate, nodes=tuple(deduped[x] for x in ordered), edges=chain)
     return revised, edits
+
+
+def _spacers(
+    kept: Sequence[str], dropped: Iterable[str], registry: Registry, matrix: VendorCompatibilityMatrix
+) -> list[str]:
+    """The fewest dropped xApps whose return makes the stage chain of kept
+    clean, with at most planner.MAX_COVER members in all; among equally few,
+    the first in registry order, the cover search's tie-break. Empty when
+    the chain is clean already or no such set exists.
+
+    On a stage chain, conflicts.internal_conflicts finds exactly the edges
+    whose dialects clash: a chain orders every pair of its nodes, so no
+    parameter coupling. A returned xApp sorts by (stage, id) into one gap
+    between neighbours of kept and touches no other gap, so only the gaps
+    between clashing neighbours need one, and each gap is searched alone,
+    smallest set first. Sets compare in registry order as their smallest
+    differing member does, so the first set of each gap makes the first
+    union too.
+    """
+    ordered, _ = stage_chain(kept, registry)
+
+    def key(x: str) -> tuple[object, str]:
+        return (registry[x].stage, x)
+
+    def clean(chain: Sequence[str]) -> bool:
+        dialects = [registry[x].dialect for x in chain]
+        return not any(matrix.clashes(a, b) for a, b in zip(dialects, dialects[1:]))
+
+    gaps = [(a, b) for a, b in zip(ordered, ordered[1:]) if not clean((a, b))]
+    if not gaps:
+        return []
+    spare = MAX_COVER - len(ordered) - len(gaps)  # free slots beyond one spacer per gap
+    position = {x: p for p, x in enumerate(registry.ids)}
+    restored: list[str] = []
+    for a, b in gaps:
+        pool = sorted((x for x in dropped if key(a) < key(x) < key(b)), key=position.__getitem__)
+        found = next(
+            (
+                spacers
+                for size in range(1, spare + 2)
+                for spacers in combinations(pool, size)
+                if clean((a, *sorted(spacers, key=key), b))
+            ),
+            None,
+        )
+        if found is None:
+            return []
+        spare -= len(found) - 1
+        restored.extend(found)
+    return restored

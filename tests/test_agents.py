@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +22,26 @@ from ranweave.agents import (
     orchestrate_batch,
 )
 from ranweave import harness
-from ranweave.conflicts import ConflictKind, ConflictRecord
+from ranweave.conflicts import (
+    ConflictKind,
+    ConflictRecord,
+    VendorCompatibilityMatrix,
+    candidate_ref,
+    internal_conflicts,
+)
 from ranweave.harness import build_knowledge_store, run_scenario
 from ranweave.memory import MemoryBuffer
-from ranweave.model import DeploymentState, Intent, Pipeline, pipelines_equal, stage_chain
-from ranweave.planner import SolutionScore
+from ranweave.model import (
+    DeploymentState,
+    Intent,
+    Pipeline,
+    Registry,
+    Stage,
+    XAppProfile,
+    pipelines_equal,
+    stage_chain,
+)
+from ranweave.planner import SolutionScore, max_conflict_free_subset, synthesize_ground_truth
 from ranweave.retrieval import VectorStore
 from ranweave.schemas import (
     conflict_report,
@@ -162,7 +178,7 @@ def test_refinement_removes_duplicate(bundle, truths):
     candidate = Pipeline.build(
         2, [("power_saving_controller", {"sleep_schedule": "auto", "tx_power": "auto"})] * 2
     )
-    revised, edits = refine_pipeline(candidate, bundle.intents[2], bundle.registry)
+    revised, edits = refine_pipeline(candidate, bundle.intents[2], bundle.registry, bundle.matrix)
     assert revised == truths[2]
     assert [kind.value for kind, _ in edits] == ["remove_duplicate"]
 
@@ -175,7 +191,7 @@ def test_refinement_drops_superfluous_anomaly_detector_for_intent_2(bundle, trut
             ("wireless_anomaly_detector", {}),
         ],
     )
-    revised, edits = refine_pipeline(candidate, bundle.intents[2], bundle.registry)
+    revised, edits = refine_pipeline(candidate, bundle.intents[2], bundle.registry, bundle.matrix)
     assert revised == truths[2]
     assert "drop_superfluous" in [kind.value for kind, _ in edits]
 
@@ -186,7 +202,7 @@ def test_refinement_reorders_stage_violating_edges(bundle, truths):
         [("mobility_predictor", {}), ("traffic_steering_a", {"handover_params": "auto", "steering_policy": "auto"})],
         [("traffic_steering_a", "mobility_predictor")],
     )
-    revised, edits = refine_pipeline(candidate, bundle.intents[1], bundle.registry)
+    revised, edits = refine_pipeline(candidate, bundle.intents[1], bundle.registry, bundle.matrix)
     assert revised == truths[1]
     assert "reorder_stage" in [kind.value for kind, _ in edits]
 
@@ -219,22 +235,94 @@ def test_the_oracle_revision_of_any_registered_candidate_parses(rng):
     drawn = [_registered_candidate(rng, registry, i) for i in rng.sample(range(1, 30), rng.randint(1, 4))]
     intents = {intent.id: intent for intent, _ in drawn}
     candidates = {intent.id: candidate for intent, candidate in drawn}
+    pairs = list(combinations(sorted({profile.dialect for profile in registry}), 2))
+    matrix = VendorCompatibilityMatrix.of(*rng.sample(pairs, rng.randint(0, len(pairs))))
 
-    transport = OracleTransport(MockBundle(registry, intents, None, {}))
+    transport = OracleTransport(MockBundle(registry, intents, matrix, {}))
     payload = {"intents": tuple(intents.values()), "candidates": candidates}
     text = transport.complete(AgentRequest(REFINEMENT, tuple, payload))
     answer = parse_refinement_doc(text, candidates, registry)
     assert transport.calls == [(REFINEMENT, tuple(intents))]
     assert answer.errors == {}
     assert {i: (doc.revised, list(doc.edits)) for i, doc in answer.entries.items()} == {
-        i: refine_pipeline(candidates[i], intents[i], registry) for i in intents
+        i: refine_pipeline(candidates[i], intents[i], registry, matrix) for i in intents
     }
 
 
 def test_refinement_leaves_ground_truth_untouched(bundle, truths):
-    revised, edits = refine_pipeline(truths[1], bundle.intents[1], bundle.registry)
+    revised, edits = refine_pipeline(truths[1], bundle.intents[1], bundle.registry, bundle.matrix)
     assert revised == truths[1]
     assert edits == []
+
+
+def _holds_required(xapp_id: str, intent: Intent, registry) -> bool:
+    capabilities = registry[xapp_id].capabilities
+    return xapp_id in intent.required_xapps or bool(capabilities & intent.required_capabilities)
+
+
+def test_refinement_returns_every_reference_of_a_generated_catalog(monkeypatch):
+    """The refiner and the reference agree on 8 generated 50-xApp catalogs,
+    every other one bridged. Each reference comes back unchanged with no
+    edits, spacers included; with one more registered xApp that holds no
+    required capability, it refines back to itself; without its spacers it
+    stays unclean, since the refiner adds no xApp the candidate lacks."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from wide_catalog import generate_catalog
+
+    spaced = 0
+    for seed in range(8):
+        catalog = generate_catalog(seed, bridged=seed % 2 == 0)
+        registry, matrix = catalog.registry, catalog.matrix
+        for intent in catalog.intents.values():
+            truth = synthesize_ground_truth(intent, registry, matrix)
+            assert refine_pipeline(truth, intent, registry, matrix) == (truth, [])
+
+            for extra in registry.ids:
+                if extra in truth.node_ids or _holds_required(extra, intent, registry):
+                    continue
+                nodes = [(n.xapp_id, n.directive_map) for n in truth.nodes] + [(extra, {})]
+                candidate = Pipeline.build(intent.id, nodes, truth.edges)
+                revised, edits = refine_pipeline(candidate, intent, registry, matrix)
+                assert revised == truth
+                assert [kind.value for kind, _ in edits] == ["drop_superfluous"]
+
+            holders = [x for x in truth.node_ids if _holds_required(x, intent, registry)]
+            if len(holders) == len(truth.nodes):
+                continue
+            spaced += 1
+            directives = {n.xapp_id: n.directive_map for n in truth.nodes}
+            ordered, chain = stage_chain(holders, registry)
+            bare = Pipeline.build(intent.id, [(x, directives[x]) for x in ordered], chain)
+            assert refine_pipeline(bare, intent, registry, matrix) == (bare, [])
+            assert internal_conflicts(bare, matrix, registry, ref=candidate_ref(intent.id))
+    assert spaced >= 4, "every bridged catalog's reference holds a spacer"
+
+
+def test_a_candidate_of_many_superfluous_xapps_refines_promptly():
+    """Two clashing holders and 60 decide-stage xApps that hold no required
+    capability, each in the first holder's dialect, so the last spacer of
+    any set clashes with the second holder and no set parts them. The search
+    tries sets of at most MAX_COVER members in all, a few tens of thousands
+    here rather than 2**60, then drops every superfluous xApp."""
+    sense = XAppProfile.build("a-sense", dialect="d-north", capabilities=["sensing"], stage=Stage.SENSE)
+    act = XAppProfile.build("z-act", dialect="d-south", capabilities=["steering"], stage=Stage.ACT)
+    fillers = [
+        XAppProfile.build(f"m{k:02d}", dialect="d-north", capabilities=["power"], stage=Stage.DECIDE)
+        for k in range(60)
+    ]
+    registry = Registry([sense, act, *fillers])
+    matrix = VendorCompatibilityMatrix.of(("d-north", "d-south"))
+    intent = Intent.build(
+        1, "bridge", target_kpis={"latency": -1}, required_capabilities=["sensing", "steering"]
+    )
+    candidate = Pipeline.build(1, [(p.id, {}) for p in (sense, act, *fillers)])
+
+    started = time.perf_counter()
+    revised, edits = refine_pipeline(candidate, intent, registry, matrix)
+    assert time.perf_counter() - started < 2.0
+    assert revised == Pipeline.build(1, [("a-sense", {}), ("z-act", {})], [("a-sense", "z-act")])
+    assert internal_conflicts(revised, matrix, registry, ref=candidate_ref(1))
+    assert [kind.value for kind, _ in edits] == ["drop_superfluous"] * 60 + ["reorder_stage"]
 
 
 def test_repair_reprompt_recovers_from_malformed_json(bundle, truths):
@@ -372,6 +460,51 @@ def test_oracle_transport_converges_in_one_iteration_every_mode(bundle, truths):
         assert outcome.converged
         assert outcome.iterations_to_synthesis == 1
         assert outcome.iterations_to_deployment == 1
+
+
+def _catalog_run(catalog, mode: Mode):
+    """The RunContext, references and oracle of one run over a generated
+    catalog's new intents beside its active ones, as perfbench's
+    wide-catalog workload sets them up."""
+    truths = {
+        i: synthesize_ground_truth(intent, catalog.registry, catalog.matrix)
+        for i, intent in sorted(catalog.intents.items())
+    }
+    pre = DeploymentState(tuple(truths[i] for i in catalog.pre_intents))
+    candidates = {i: truths[i] for i in catalog.new_intents}
+    oracle = max_conflict_free_subset(
+        candidates, pre, catalog.intents, catalog.matrix, catalog.registry, truths=candidates
+    )
+    ctx = RunContext(
+        mode=mode,
+        intents=tuple(catalog.intents[i] for i in catalog.new_intents),
+        pre=pre,
+        registry=catalog.registry,
+        matrix=catalog.matrix,
+        intent_catalog=catalog.intents,
+        max_iterations=10,
+    )
+    return ctx, truths, oracle
+
+
+@pytest.mark.parametrize("mode", [Mode.F5, Mode.NP, Mode.NR, Mode.SA], ids=lambda mode: mode.value)
+def test_the_oracle_converges_at_once_on_bridged_catalogs(monkeypatch, mode):
+    """On 8 small bridged catalogs, whose bridged intent's reference needs a
+    spacer, the flawless mock converges in one iteration at accuracy and
+    deployment success 1 in every mode but fcfs. While the refiner stripped
+    the spacer, f5 and np converged on none of the 8."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from wide_catalog import CatalogParams, generate_catalog
+
+    params = CatalogParams(xapps=16, capabilities=12, kpis=10, new_intents=4, pre_intents=4)
+    for seed in range(8):
+        catalog = generate_catalog(seed, params, bridged=True)
+        ctx, truths, oracle = _catalog_run(catalog, mode)
+        chat = OracleTransport(MockBundle(catalog.registry, catalog.intents, catalog.matrix, truths))
+        outcome = orchestrate_batch(ctx, chat, MemoryBuffer(), VectorStore(), oracle)
+        assert (outcome.converged, outcome.iterations_run) == (True, 1), f"catalog {seed}"
+        assert outcome.best.correct == frozenset(catalog.new_intents)
+        assert outcome.best.score.correct_deployed == oracle.objective_value
 
 
 def test_orchestrate_clears_memory_at_start(bundle, truths):
@@ -696,30 +829,13 @@ def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch)
     (10), 10 and 38. With a pair memo of the run's own and no interning,
     they were 222 (23), 48 and 67; every pair, through that memo, would take
     430 pairwise calls."""
-    from ranweave import agents, conflicts, planner
+    from ranweave import agents, conflicts
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from wide_catalog import generate_catalog
 
     catalog = generate_catalog(7)
-    truths = {
-        i: planner.synthesize_ground_truth(intent, catalog.registry, catalog.matrix)
-        for i, intent in sorted(catalog.intents.items())
-    }
-    pre = DeploymentState(tuple(truths[i] for i in catalog.pre_intents))
-    candidates = {i: truths[i] for i in catalog.new_intents}
-    oracle = planner.max_conflict_free_subset(
-        candidates, pre, catalog.intents, catalog.matrix, catalog.registry, truths=candidates
-    )
-    ctx = RunContext(
-        mode=Mode.F5,
-        intents=tuple(catalog.intents[i] for i in catalog.new_intents),
-        pre=pre,
-        registry=catalog.registry,
-        matrix=catalog.matrix,
-        intent_catalog=catalog.intents,
-        max_iterations=10,
-    )
+    ctx, truths, oracle = _catalog_run(catalog, Mode.F5)
     chat = NoisyTransport(MockBundle(catalog.registry, catalog.intents, catalog.matrix, truths), 7)
     found: list[bool] = []
     calls = {"internal": 0, "structure": 0}

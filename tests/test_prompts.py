@@ -39,7 +39,7 @@ from ranweave.transport import PERCEPTION, REASONING, REFINEMENT, ChatTransport
 
 from .helpers import policies_of_table, report_of_table, table_rows
 
-PROMPT_DIGEST = "f5b25788855daef0237bf8e26320e67623120405ee3b902b561088ce6e249f82"
+PROMPT_DIGEST = "911db038d85be2f27011be213a6f4d7f3bce5ebeaccc509dc60b72738a27e4ee"
 
 
 class RecordingTransport(ChatTransport):
