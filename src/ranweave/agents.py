@@ -7,6 +7,11 @@ subset mechanically and scores the whole proposal. A harness-enforced
 ratchet keeps the best solution seen so far, so the reported score never
 regresses regardless of what the agents emit.
 
+Perception is asked only when the engine's conflict graph holds a record:
+about an empty graph, a flawless answer can only be the empty report, which
+the loop hands reasoning itself. This gate reads the engine's graph alone,
+never the reference; the solved-intent skip does read the reference.
+
 The loop assembles each request and asks every role through _ask, so it alone
 decides which roles a mode runs and what a failed call (None) falls back to.
 A prompt sends each key and each corpus character once: the registry, the
@@ -449,6 +454,13 @@ def orchestrate_batch(
     sees alone (deployed and named by no conflict) would freeze candidates
     that are wrong but clean.
 
+    Perception is asked only when the conflict graph it would be shown
+    holds a record. Otherwise reasoning gets PerceptionDoc(()), what a
+    flawless answer about an empty graph parses to, so it renders the same
+    empty report table. Unlike the solved-intent skip, this gate reads only
+    the engine's graph, never the reference, so it holds for any backend:
+    it skips only a call whose one right answer is already known.
+
     One ConflictMemo serves every conflict evaluation of the run, so a
     pipeline, or a pair of them, that kept its identity is not checked
     again. It starts as a copy of the oracle's memo, so the truths and the
@@ -488,8 +500,13 @@ def orchestrate_batch(
 
         perception_doc: PerceptionDoc | None = None
         if ctx.mode.uses_perception:
-            request = assemble_perception_request(ctx, candidates, graph.all_records(), chunks)
-            perception_doc = _ask(transport, request, parse_perception_doc)
+            records = graph.all_records()
+            if records:
+                request = assemble_perception_request(ctx, candidates, records, chunks)
+                perception_doc = _ask(transport, request, parse_perception_doc)
+            else:
+                # What a flawless answer about an empty graph parses to.
+                perception_doc = PerceptionDoc(())
         # A failed perception call leaves the iteration without reasoning.
         iteration_aborted = ctx.mode.uses_perception and perception_doc is None
 

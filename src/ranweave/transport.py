@@ -3,8 +3,10 @@
 Agent calls are expressed as an AgentRequest carrying both the rendered
 chat messages (what a hosted model would see) and the structured context
 behind them. The HTTP backend sends only the messages; the mock backends
-are pure functions of the structured context, the seed and an internal
-call counter, which makes every orchestration run reproducible.
+are pure functions of the structured context and the seed, and the noisy
+one also of how often its role has asked about the same intent before, so
+every orchestration run is reproducible, and a call the loop adds or skips
+moves no other call's answer.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
@@ -177,9 +180,13 @@ class NoisyTransport(OracleTransport):
     """Oracle behavior degraded by seeded, reproducible mistakes.
 
     Reasoning sometimes corrupts the reference pipeline (more often without
-    a conflict report in context), with a fresh seeded draw per asked intent,
-    in ascending id order; perception injects one spurious record, from one
-    draw per call; refinement stays rule-based.
+    a conflict report in context); perception injects one spurious record;
+    refinement stays rule-based. Each draw has a random.Random of its own,
+    seeded by a string: a reasoning entry's by (seed, role, intent id, how
+    many times reasoning has asked about that intent before), the spurious
+    record's by (seed, perception, how many perception calls came before).
+    So an answer depends on no call about another intent, and a perception
+    call skipped or added moves no reasoning answer.
     Runs converge because the loop stops asking about an intent once its
     candidate is correct, so each success is kept.
     """
@@ -187,15 +194,18 @@ class NoisyTransport(OracleTransport):
     def __init__(self, bundle: MockBundle, seed: int):
         super().__init__(bundle)
         self.seed = seed
-        self._counter = 0
+        self._asked: Counter[tuple[str, int | None]] = Counter()
 
-    def _rng(self) -> random.Random:
-        self._counter += 1
-        return random.Random(self.seed * 1_000_003 + self._counter)
+    def _rng(self, role: str, intent_id: int | None = None) -> random.Random:
+        """The draw of role's next ask about intent_id (None: of its next call)."""
+        n = self._asked[role, intent_id]
+        self._asked[role, intent_id] += 1
+        key = role if intent_id is None else f"{role}/{intent_id}"
+        return random.Random(f"{self.seed}/{key}/{n}")
 
     def _respond(self, request: AgentRequest) -> str:
         if request.role == PERCEPTION:
-            records = (*request.payload["conflicts"], self._spurious(self._rng()))
+            records = (*request.payload["conflicts"], self._spurious(self._rng(PERCEPTION)))
             return dump_doc(conflict_report(records))
         if request.role == REASONING:
             success_odds = (
@@ -209,7 +219,7 @@ class NoisyTransport(OracleTransport):
         return super()._respond(request)
 
     def _noisy_pipeline(self, intent: Intent, success_odds: float) -> Pipeline:
-        rng = self._rng()
+        rng = self._rng(REASONING, intent.id)
         truth = self.bundle.truths[intent.id]
         if rng.random() < success_odds:
             return truth

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from ranweave.agents import (
     RunContext,
     Solution,
     _call_with_repair,
+    _render_report,
     assemble_perception_request,
     assemble_reasoning_request,
     enforce_monotonicity,
@@ -29,7 +32,7 @@ from ranweave.conflicts import (
     candidate_ref,
     internal_conflicts,
 )
-from ranweave.harness import build_knowledge_store, run_scenario
+from ranweave.harness import build_knowledge_store, make_transport, run_scenario
 from ranweave.memory import MemoryBuffer
 from ranweave.model import (
     DeploymentState,
@@ -44,6 +47,7 @@ from ranweave.model import (
 from ranweave.planner import SolutionScore, max_conflict_free_subset, synthesize_ground_truth
 from ranweave.retrieval import VectorStore
 from ranweave.schemas import (
+    PerceptionDoc,
     conflict_report,
     dump_doc,
     parse_perception_doc,
@@ -52,6 +56,7 @@ from ranweave.schemas import (
     pipeline_to_policy_doc,
 )
 from ranweave.transport import (
+    PERCEPTION,
     REASONING,
     REFINEMENT,
     AgentRequest,
@@ -432,9 +437,17 @@ def test_enforce_monotonicity_rules():
     assert enforce_monotonicity(None, worse) is worse
 
 
-def _call_roles(bundle, truths, mode: Mode) -> list[str]:
-    transport = OracleTransport(_mock_bundle(bundle, truths))
+def _clashing_ctx(bundle, truths, mode: Mode) -> RunContext:
+    """Scenario 1 with one more active pipeline, for intent 5 (outside the
+    scenario), that writes tx_power as the active reference of intent 2
+    does, so the conflict graph holds a record from the first iteration."""
     ctx = _ctx(bundle, 1, mode, truths)
+    writer = Pipeline.build(5, [("uplink_power_control_agent", {"tx_power": "auto"})])
+    return replace(ctx, pre=DeploymentState((*ctx.pre, writer)))
+
+
+def _call_roles(bundle, truths, ctx: RunContext) -> list[str]:
+    transport = OracleTransport(_mock_bundle(bundle, truths))
     memory = MemoryBuffer()
     oracle = bundle.setup(1).oracle
     orchestrate_batch(ctx, transport, memory, VectorStore(), oracle)
@@ -443,12 +456,20 @@ def _call_roles(bundle, truths, mode: Mode) -> list[str]:
 
 def test_mode_algebra_call_traces(bundle, truths):
     """One reasoning request asks intents 3 and 4 together, and one
-    refinement request reviews both candidates."""
-    assert _call_roles(bundle, truths, Mode.F5) == ["perception", "reasoning", "refinement"]
-    assert _call_roles(bundle, truths, Mode.SA) == ["reasoning"]
-    assert _call_roles(bundle, truths, Mode.NR) == ["perception", "reasoning"]
-    assert _call_roles(bundle, truths, Mode.NP) == ["reasoning", "refinement"]
-    assert _call_roles(bundle, truths, Mode.FCFS) == ["perception", "reasoning", "refinement"]
+    refinement request reviews both candidates. The modes that use
+    perception ask it only when the conflict graph holds a record: on
+    scenario 1 as bundled, whose graph is empty, no mode does."""
+    traces = {
+        Mode.F5: ["perception", "reasoning", "refinement"],
+        Mode.SA: ["reasoning"],
+        Mode.NR: ["perception", "reasoning"],
+        Mode.NP: ["reasoning", "refinement"],
+        Mode.FCFS: ["perception", "reasoning", "refinement"],
+    }
+    for mode, roles in traces.items():
+        assert _call_roles(bundle, truths, _clashing_ctx(bundle, truths, mode)) == roles, mode
+        without = [role for role in roles if role != "perception"]
+        assert _call_roles(bundle, truths, _ctx(bundle, 1, mode, truths)) == without, mode
 
 
 def test_oracle_transport_converges_in_one_iteration_every_mode(bundle, truths):
@@ -607,6 +628,136 @@ def test_solved_intents_are_not_asked_again(bundle, truths, mode, monkeypatch):
     assert kept  # some intent was solved before the last iteration of some run
 
 
+def _noisy_reasoning(transport, intent_ids, perception_present: bool) -> dict:
+    """Each asked intent's entry of one reasoning answer, as canonical JSON."""
+    intents = tuple(transport.bundle.intents[i] for i in intent_ids)
+    payload = {"intents": intents, "perception_present": perception_present}
+    text = transport.complete(AgentRequest(role=REASONING, render=tuple, payload=payload))
+    return {int(key): dump_doc(entry) for key, entry in json.loads(text).items()}
+
+
+def _noisy_perception(transport) -> str:
+    return transport.complete(AgentRequest(role=PERCEPTION, render=tuple, payload={"conflicts": ()}))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_a_noisy_answer_reads_only_its_own_asks(bundle, truths, seed, data):
+    """The noisy mock's entry for intent i at reasoning's n-th ask about i is
+    byte-identical whatever perception calls and asks about other intents
+    came before it, and whatever else its request asks; the spurious record
+    of its n-th perception call is too, whatever reasoning asked before.
+    So a call the loop skips or adds moves no other answer. Another seed
+    changes some answer."""
+    mock = _mock_bundle(bundle, truths)
+    ids = sorted(bundle.intents)
+    # None is a perception call; a pair is a reasoning request's intents and perception_present.
+    calls = data.draw(st.lists(
+        st.none() | st.tuples(st.lists(st.sampled_from(ids), min_size=1, unique=True), st.booleans()),
+        max_size=10,
+    ))
+    target = data.draw(st.sampled_from(ids))
+    last = data.draw(st.lists(st.sampled_from(ids), unique=True)) + [target]
+    present = data.draw(st.booleans())
+
+    busy = NoisyTransport(mock, seed)
+    for call in calls:
+        if call is None:
+            _noisy_perception(busy)
+        else:
+            _noisy_reasoning(busy, *call)
+    entry = _noisy_reasoning(busy, sorted(set(last)), present)[target]
+    report = _noisy_perception(busy)
+
+    alone = NoisyTransport(mock, seed)
+    for _, present_before in [call for call in calls if call is not None and target in call[0]]:
+        _noisy_reasoning(alone, [target], present_before)
+    assert _noisy_reasoning(alone, [target], present)[target] == entry
+    for _ in range(sum(call is None for call in calls)):
+        _noisy_perception(alone)
+    assert _noisy_perception(alone) == report
+
+    other = data.draw(st.integers(0, 2**32).filter(lambda s: s != seed))
+    first, second = NoisyTransport(mock, seed), NoisyTransport(mock, other)
+    assert any(
+        _noisy_reasoning(first, ids, False) != _noisy_reasoning(second, ids, False) for _ in range(3)
+    )
+
+
+def test_the_report_handed_in_place_of_perception_is_the_flawless_answer(bundle, truths):
+    """About a graph with no record, the flawless perception answer parses
+    to PerceptionDoc(()), so reasoning renders the same report table whether
+    perception was asked or skipped."""
+    ctx = _ctx(bundle, 1, Mode.F5, truths)
+    oracle = OracleTransport(_mock_bundle(bundle, truths))
+    answer = parse_perception_doc(oracle.complete(assemble_perception_request(ctx, {}, (), ())))
+    assert answer == PerceptionDoc(())
+    assert _render_report(PerceptionDoc(())) == _render_report(answer)
+
+
+def test_perception_is_asked_exactly_when_the_graph_holds_a_record(bundle, monkeypatch):
+    """Over the bundled grid (scenarios 1-4, every mode, seeds 0-2) under
+    both mocks, and over one generated catalog, an iteration sends a
+    perception request exactly when its mode uses perception and the
+    conflict graph it starts from holds a record: the active set's before
+    the first iteration, the previous iteration's after it."""
+    from ranweave import agents
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from wide_catalog import generate_catalog
+
+    holds: list[bool] = []  # per graph the loop builds, in order: does it hold a record
+    ends: list[int] = []  # transport calls made by each iteration's end
+    chat: ChatTransport | None = None
+    build, evaluate, ratchet = agents.build_conflict_graph, agents.evaluate_conflicts, agents.enforce_monotonicity
+
+    def building(*args):
+        graph = build(*args)
+        holds.append(bool(graph.all_records()))
+        return graph
+
+    def evaluating(*args):
+        evaluation = evaluate(*args)
+        holds.append(bool(evaluation.graph.all_records()))
+        return evaluation
+
+    def ratcheting(previous, current):
+        ends.append(len(chat.calls))
+        return ratchet(previous, current)
+
+    monkeypatch.setattr(agents, "build_conflict_graph", building)
+    monkeypatch.setattr(agents, "evaluate_conflicts", evaluating)
+    monkeypatch.setattr(agents, "enforce_monotonicity", ratcheting)
+    tally = Counter()
+
+    def check(mode: Mode, transport: ChatTransport, run: Callable[[ChatTransport], object]) -> None:
+        nonlocal chat
+        holds.clear()
+        ends.clear()
+        chat = transport
+        run(transport)
+        for start, end, incoming in zip([0, *ends], ends, holds):
+            asked = [role for role, _ in transport.calls[start:end]].count(PERCEPTION)
+            assert asked == (mode.uses_perception and incoming), (mode, transport.describe())
+            tally[mode.uses_perception, incoming] += 1
+
+    for transport, seeds in (("mock-noisy", (0, 1, 2)), ("mock-oracle", (0,))):
+        for scenario_id, mode, seed in product(sorted(bundle.scenarios), Mode, seeds):
+            check(
+                mode,
+                make_transport(transport, bundle, seed),
+                lambda t: run_scenario(bundle, scenario_id, mode, t, seed=seed),
+            )
+    catalog = generate_catalog(7)
+    for mode in Mode:
+        ctx, truths, oracle = _catalog_run(catalog, mode)
+        mock = MockBundle(catalog.registry, catalog.intents, catalog.matrix, truths)
+        for transport in (NoisyTransport(mock, 7), OracleTransport(mock)):
+            check(mode, transport, lambda t: orchestrate_batch(ctx, t, MemoryBuffer(), VectorStore(), oracle))
+    # Perception was both asked and skipped in modes that use it.
+    assert tally[True, True] and tally[True, False]
+
+
 def test_corrupt_pipeline_variants_differ_from_truth(bundle, truths):
     import random as random_module
 
@@ -681,7 +832,8 @@ def test_transport_outage_counts_as_failed_attempt(bundle, truths):
 @pytest.mark.parametrize("failing_role", ["perception", "reasoning", "refinement"])
 def test_failed_call_fallbacks(bundle, truths, failing_role):
     """A failed attempt falls back by role: a failed perception call means no
-    reasoning call in that iteration; a reasoning entry that fails twice
+    reasoning call in that iteration (the run's active set holds a clash, so
+    perception is asked); a reasoning entry that fails twice
     skips only its intent; a refinement entry that fails twice keeps its
     intent's unrefined candidate, and the other entry's revision is kept.
     Each repair asks only about the failed entries."""
@@ -710,7 +862,7 @@ def test_failed_call_fallbacks(bundle, truths, failing_role):
     }[failing_role]
 
     transport = ScriptedTransport(responses)
-    ctx = replace(_ctx(bundle, 1, Mode.F5, truths), max_iterations=1)
+    ctx = replace(_clashing_ctx(bundle, truths, Mode.F5), max_iterations=1)
     oracle = bundle.setup(1).oracle
     outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), oracle)
     assert transport.calls == calls
@@ -742,13 +894,15 @@ def test_retrieval_feeds_prompt_chunks(bundle, truths):
 
 
 def test_perception_reads_the_graph_the_previous_iteration_left(bundle, truths):
-    """The second perception call carries the conflict graph of every
-    candidate of iteration 1, the structurally invalid one included."""
+    """The first iteration's graph, of the active set alone, holds no
+    record, so it sends no perception call. The second iteration's does:
+    its perception call carries the conflict graph of every candidate of
+    iteration 1, the structurally invalid one included."""
     from ranweave.conflicts import build_conflict_graph
 
     invalid = Pipeline.build(2, [("traffic_steering_a", {"steering_policy": "latency"})] * 2)
     report = dump_doc(conflict_report(()))
-    transport = ScriptedTransport([report, _answer({1: truths[1], 2: invalid, 7: truths[7]}), report])
+    transport = ScriptedTransport([_answer({1: truths[1], 2: invalid, 7: truths[7]}), report])
     ctx = replace(_ctx(bundle, 2, Mode.NR, truths), max_iterations=2)
     orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), bundle.setup(2).oracle)
 
@@ -756,11 +910,9 @@ def test_perception_reads_the_graph_the_previous_iteration_left(bundle, truths):
     after_first = {1: truths[1], 2: invalid, 7: truths[7]}
     expected = build_conflict_graph(after_first, ctx.pre, bundle.intents, bundle.matrix, bundle.registry)
     assert any("2" in r.refs() for r in expected.all_records()), "the invalid candidate should conflict"
-    assert len(handed) == 2
-    assert list(handed[0]) == build_conflict_graph(
-        {}, ctx.pre, bundle.intents, bundle.matrix, bundle.registry
-    ).all_records()
-    assert list(handed[1]) == expected.all_records()
+    assert not build_conflict_graph({}, ctx.pre, bundle.intents, bundle.matrix, bundle.registry).all_records()
+    assert transport.calls[:2] == [("reasoning", (1, 2, 7)), ("perception", None)]
+    assert [list(records) for records in handed] == [expected.all_records()]
 
 
 class RecordingNoisyTransport(NoisyTransport):
@@ -822,13 +974,15 @@ def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch)
     """Pins the conflict checks of one orchestrate_batch run over a generated
     50-xApp catalog with 12 new and 12 active intents. The run's memo starts
     from the oracle's, equal answers share one object, and the memo keeps
-    one entry per object, so pairwise_conflicts runs 69 times (7 find a
-    conflict), internal_conflicts 6 times and validate_pipeline_structure 38
-    times. With one entry per ref, which a candidate coming back to an
-    earlier object (X -> Y -> X) had to work out again, the counts were 111
-    (10), 10 and 38. With a pair memo of the run's own and no interning,
-    they were 222 (23), 48 and 67; every pair, through that memo, would take
-    430 pairwise calls."""
+    one entry per object, so pairwise_conflicts runs 28 times (3 find a
+    conflict), internal_conflicts 3 times and validate_pipeline_structure 30
+    times. Under the noisy mock's earlier draws, one per call in call
+    order, the same run took 4 iterations, not 3, and the counts were 69
+    (7), 6 and 38; with one memo entry per ref, which a candidate coming
+    back to an earlier object (X -> Y -> X) had to work out again, they
+    were 111 (10), 10 and 38. With a pair memo of the run's own and no
+    interning, they were 222 (23), 48 and 67; every pair, through that
+    memo, would take 430 pairwise calls."""
     from ranweave import agents, conflicts
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -863,8 +1017,8 @@ def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch)
     outcome = orchestrate_batch(ctx, chat, MemoryBuffer(), build_knowledge_store(bundle), oracle)
 
     assert outcome.converged
-    assert (len(found), sum(found)) == (69, 7)
-    assert calls == {"internal": 6, "structure": 38}
+    assert (len(found), sum(found)) == (28, 3)
+    assert calls == {"internal": 3, "structure": 30}
 
 
 @pytest.mark.parametrize("scenario_id", [1, 2, 3, 4])
@@ -892,19 +1046,22 @@ def test_an_equal_answer_with_other_condition_bytes_keeps_its_own_object(bundle,
     wrong = [(first_node.xapp_id, first_node.directive_map)]
     as_int, as_bool = (Pipeline.build(3, wrong, (), dump_doc({"max_load": v})) for v in (1, True))
     assert as_int != as_bool and not pipelines_equal(as_int, truths[3])
-    report = dump_doc(conflict_report(()))
-    # NR: perception, then one reasoning request about the unsolved intents; 4 is solved at once.
-    transport = ScriptedTransport([report, _answer({3: as_int, 4: truths[4]}), report, _answer({3: as_bool}), report])
+    # NR: one reasoning request about the unsolved intents; 4 is solved at
+    # once. No candidate clashes, so the graph stays empty and perception is
+    # not asked.
+    transport = ScriptedTransport([_answer({3: as_int, 4: truths[4]}), _answer({3: as_bool})])
     memory = MemoryBuffer()
     ctx = replace(_ctx(bundle, 1, Mode.NR, truths), max_iterations=3)
     orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.setup(1).oracle)
 
+    assert transport.calls == [("reasoning", (3, 4)), ("reasoning", (3,)), ("reasoning", (3,))]
     first, second = [e.pipeline for e in memory.entries if e.intent.id == 3][:2]
     assert first != second
     assert first.deployment_conditions == '{"max_load":1}'
     assert second.deployment_conditions == '{"max_load":true}'
-    third_perception = [r for r in transport.requests if r.role == "perception"][2]
-    candidates = third_perception.messages[1]["content"].split("## Candidate policies\n")[1]
+    # The third request shows the candidates as the second iteration left them.
+    third = transport.requests[2].messages[1]["content"]
+    candidates = third.split("## Candidate policies\n")[1].split("\n\n## ")[0]
     assert '"max_load":true' in candidates and '"max_load":1' not in candidates
 
 
