@@ -257,9 +257,7 @@ def assemble_reasoning_request(
 
     def block(intent: Intent, analogues) -> tuple[str, str]:
         mandatory = sorted(intent.required_xapps)
-        past = "\n".join(
-            f"- intent {i.id} ({i.text}) -> {dump_doc(pipeline_to_policy_doc(pipe))}" for i, pipe in analogues
-        )
+        past = "\n".join(f"- intent {i.id} ({i.text}) -> {_render_policy(pipe)}" for i, pipe in analogues)
         return (
             f"Intent {intent.id}",
             f"{intent.text}\n"

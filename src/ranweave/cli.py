@@ -17,6 +17,7 @@ from .harness import (
     validate_fixture_soundness,
 )
 from .planner import InfeasibleIntentError
+from .transport import TransportError
 
 ALL_MODES = [m.value for m in Mode]
 
@@ -136,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"run": cmd_run, "oracle": cmd_oracle, "fixtures": cmd_fixtures}
     try:
         return commands[args.command](args)
-    except (FixtureError, InfeasibleIntentError) as exc:
+    except (FixtureError, InfeasibleIntentError, TransportError, OSError) as exc:
         print(f"ranweave: {exc}", file=sys.stderr)
         return 2
 

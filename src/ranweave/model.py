@@ -173,6 +173,7 @@ class Registry:
                 raise ValueError(f"duplicate xApp id {profile.id!r} in registry")
             by_id[profile.id] = profile
         self._by_id = dict(sorted(by_id.items()))
+        # Ascending id order, so "registry order" is what a plain sorted() gives.
         self.ids: tuple[str, ...] = tuple(self._by_id)
         declared = {kpi for p in self._by_id.values() for kpi, _ in p.kpi_effects}
         self.kpi_catalog = frozenset(kpi_catalog) | declared

@@ -13,13 +13,16 @@ Tomita and Seki's MCQ and Ostergard's cliquer: no conflict-free set takes
 two members of one clique. A cover of singletons means the ids left clash
 with none of each other, and the branch takes them all. Intent ids are
 integers and order as such. These outputs are the yardstick the iterative
-agents are measured against.
+agents are measured against. refine_pipeline, the mocks' refinement
+reviewer, keeps the spacers such a cover needs under the same cap and
+tie-break.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .conflicts import (
@@ -34,12 +37,13 @@ from .model import (
     DeploymentState,
     Intent,
     Pipeline,
+    PipelineNode,
     Registry,
     default_directive,
     pipelines_equal,
     stage_chain,
 )
-from .schemas import pipeline_to_policy_doc
+from .schemas import EditKind, pipeline_to_policy_doc
 
 
 class InfeasibleIntentError(ValueError):
@@ -76,9 +80,12 @@ class OracleResult:
 
     per_intent_truth: dict[int, Pipeline]
     max_subset: frozenset[int]
-    objective_value: int
     graph: ConflictGraph = field(repr=False, compare=False)
     memo: ConflictMemo = field(repr=False, compare=False)
+
+    @property
+    def objective_value(self) -> int:
+        return len(self.max_subset)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -107,9 +114,9 @@ def synthesize_ground_truth(intent: Intent, registry: Registry, matrix: VendorCo
     yields the subsets that contain and cover in exactly that order, so
     only those are wired and checked; an xApp that covers nothing is still
     tried in a free slot, as the spacer a clashing pair may need.
-    transport.refine_pipeline keeps such a spacer: it puts back the fewest
-    dropped xApps that make the chain clean, first in registry order, under
-    the same MAX_COVER cap, so it returns every reference unchanged.
+    refine_pipeline keeps such a spacer: it puts back the fewest dropped
+    xApps that make the chain clean, first in ascending id order, under the
+    same MAX_COVER cap, so it returns every reference unchanged.
     """
     pool = registry.ids
     missing = {x for x in intent.required_xapps if x not in registry}
@@ -188,6 +195,103 @@ def _covers(
         yield from walk(0, 0, size, ())
 
 
+def refine_pipeline(
+    candidate: Pipeline, intent: Intent, registry: Registry, matrix: VendorCompatibilityMatrix
+) -> tuple[Pipeline, list[tuple[EditKind, str]]]:
+    """Deterministic structural review of a candidate pipeline.
+
+    Removes duplicate nodes, drops xApps that contribute none of the
+    intent's required capabilities (mandatory xApps stay), and orders and
+    links the rest as model.stage_chain. When that chain has an internal
+    conflict, the fewest dropped xApps that make it clean stay as spacers
+    (_spacers), so a reference pipeline, spacers and all, comes back
+    unchanged and with no edits. The refiner adds no xApp the candidate
+    does not hold. Precondition: every xApp id of the candidate is
+    registered; parse_policy_doc and parse_refinement_doc both reject any
+    other, so every pipeline an agent returns meets it.
+    """
+    edits: list[tuple[EditKind, str]] = []
+
+    deduped: dict[str, PipelineNode] = {}
+    for node in candidate.nodes:
+        if node.xapp_id in deduped:
+            edits.append((EditKind.REMOVE_DUPLICATE, f"{node.xapp_id} was selected twice"))
+            continue
+        deduped[node.xapp_id] = node
+
+    dropped = {
+        x
+        for x in deduped
+        if x not in intent.required_xapps and not registry[x].capabilities & intent.required_capabilities
+    }
+    if len(dropped) == len(deduped):
+        # Refusing to empty the pipeline; keep the deduplicated nodes.
+        dropped = set()
+    elif dropped:
+        dropped -= set(_spacers([x for x in deduped if x not in dropped], dropped, registry, matrix))
+    edits.extend(
+        (EditKind.DROP_SUPERFLUOUS, f"{x} covers no required capability") for x in deduped if x in dropped
+    )
+    kept = [x for x in deduped if x not in dropped]
+
+    ordered, chain = stage_chain(kept, registry)
+    # Re-sorting the nodes into stage order is an edit even when the edges
+    # already form the chain: the revised document differs from the input.
+    if chain != candidate.edges or ordered != tuple(kept):
+        edits.append((EditKind.REORDER_STAGE, "edges rebuilt as a stage-consistent chain"))
+
+    revised = replace(candidate, nodes=tuple(deduped[x] for x in ordered), edges=chain)
+    return revised, edits
+
+
+def _spacers(
+    kept: Sequence[str], dropped: Iterable[str], registry: Registry, matrix: VendorCompatibilityMatrix
+) -> list[str]:
+    """The fewest dropped xApps whose return makes the stage chain of kept
+    clean, with at most MAX_COVER members in all; among equally few, the
+    first in ascending id order, the cover search's tie-break. Empty when
+    the chain is clean already or no such set exists.
+
+    On a stage chain, internal_conflicts finds exactly the edges whose
+    dialects clash: a chain orders every pair of its nodes, so no parameter
+    coupling. A returned xApp sorts by (stage, id) into one gap between
+    neighbours of kept and touches no other gap, so only the gaps between
+    clashing neighbours need one, and each gap is searched alone, smallest
+    set first. Sets compare in id order as their smallest differing member
+    does, so the first set of each gap makes the first union too.
+    """
+    ordered, _ = stage_chain(kept, registry)
+
+    def key(x: str) -> tuple[object, str]:
+        return (registry[x].stage, x)
+
+    def clean(chain: Sequence[str]) -> bool:
+        dialects = [registry[x].dialect for x in chain]
+        return not any(matrix.clashes(a, b) for a, b in zip(dialects, dialects[1:]))
+
+    gaps = [(a, b) for a, b in zip(ordered, ordered[1:]) if not clean((a, b))]
+    if not gaps:
+        return []
+    spare = MAX_COVER - len(ordered) - len(gaps)  # free slots beyond one spacer per gap
+    restored: list[str] = []
+    for a, b in gaps:
+        pool = sorted(x for x in dropped if key(a) < key(x) < key(b))
+        found = next(
+            (
+                spacers
+                for size in range(1, spare + 2)
+                for spacers in combinations(pool, size)
+                if clean((a, *sorted(spacers, key=key), b))
+            ),
+            None,
+        )
+        if found is None:
+            return []
+        spare -= len(found) - 1
+        restored.extend(found)
+    return restored
+
+
 def max_conflict_free_subset(
     candidates: Mapping[int, Pipeline],
     pre: DeploymentState,
@@ -216,13 +320,7 @@ def max_conflict_free_subset(
         else {i for i in usable if i in truths and pipelines_equal(candidates[i], truths[i])}
     )
     subset = select_subset(usable, evaluation.clashes, correct)
-    return OracleResult(
-        per_intent_truth=dict(candidates),
-        max_subset=subset,
-        objective_value=len(subset),
-        graph=evaluation.graph,
-        memo=memo,
-    )
+    return OracleResult(per_intent_truth=dict(candidates), max_subset=subset, graph=evaluation.graph, memo=memo)
 
 
 def select_subset(

@@ -1,5 +1,10 @@
 """Chat transports: a real HTTP backend and two deterministic mocks.
 
+This module holds only backends: the HTTP one, the mocks and the noisy
+mock's seeded corruptions. The mocks' refinement answer is the engine's
+planner.refine_pipeline, so the rules it applies live beside the cover
+search whose cap and tie-break they share.
+
 Agent calls are expressed as an AgentRequest carrying both the rendered
 chat messages (what a hosted model would see) and the structured context
 behind them. The HTTP backend sends only the messages; the mock backends
@@ -15,15 +20,14 @@ import json
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .conflicts import ConflictKind, ConflictRecord, VendorCompatibilityMatrix, active_ref, candidate_ref
-from .model import Intent, Pipeline, PipelineNode, Registry, default_directive, stage_chain
-from .planner import MAX_COVER
-from .schemas import EditKind, RefinementDoc, conflict_report, dump_doc, pipeline_to_policy_doc
+from .model import Intent, Pipeline, Registry, default_directive, stage_chain
+from .planner import refine_pipeline
+from .schemas import RefinementDoc, conflict_report, dump_doc, pipeline_to_policy_doc
 
 CHAT_BASE_URL_ENV = "RANWEAVE_CHAT_BASE_URL"
 CHAT_MODEL_ENV = "RANWEAVE_CHAT_MODEL"
@@ -147,8 +151,8 @@ class OracleTransport(ChatTransport):
 
     Perception serializes the engine's conflict records, reasoning
     returns the reference pipeline of each asked intent, refinement applies
-    refine_pipeline to each asked intent's candidate, with the bundle's
-    vendor matrix, so it keeps the spacers a reference needs.
+    planner.refine_pipeline to each asked intent's candidate, with the
+    bundle's vendor matrix, so it keeps the spacers a reference needs.
     """
 
     def __init__(self, bundle: MockBundle):
@@ -291,102 +295,3 @@ def corrupt_pipeline(
         raise ValueError(f"unknown corruption {corruption!r}")
 
     return Pipeline.build(truth.intent_id, nodes, edges, truth.deployment_conditions)
-
-
-def refine_pipeline(
-    candidate: Pipeline, intent: Intent, registry: Registry, matrix: VendorCompatibilityMatrix
-) -> tuple[Pipeline, list[tuple[EditKind, str]]]:
-    """Deterministic structural review of a candidate pipeline.
-
-    Removes duplicate nodes, drops xApps that contribute none of the
-    intent's required capabilities (mandatory xApps stay), and orders and
-    links the rest as model.stage_chain. When that chain has an internal
-    conflict, the fewest dropped xApps that make it clean stay as spacers
-    (_spacers), so a reference pipeline, spacers and all, comes back
-    unchanged and with no edits. The refiner adds no xApp the candidate
-    does not hold. Precondition: every xApp id of the candidate is
-    registered; parse_policy_doc and parse_refinement_doc both reject any
-    other, so every pipeline an agent returns meets it.
-    """
-    edits: list[tuple[EditKind, str]] = []
-
-    deduped: dict[str, PipelineNode] = {}
-    for node in candidate.nodes:
-        if node.xapp_id in deduped:
-            edits.append((EditKind.REMOVE_DUPLICATE, f"{node.xapp_id} was selected twice"))
-            continue
-        deduped[node.xapp_id] = node
-
-    dropped = {
-        x
-        for x in deduped
-        if x not in intent.required_xapps and not registry[x].capabilities & intent.required_capabilities
-    }
-    if len(dropped) == len(deduped):
-        # Refusing to empty the pipeline; keep the deduplicated nodes.
-        dropped = set()
-    elif dropped:
-        dropped -= set(_spacers([x for x in deduped if x not in dropped], dropped, registry, matrix))
-    edits.extend(
-        (EditKind.DROP_SUPERFLUOUS, f"{x} covers no required capability") for x in deduped if x in dropped
-    )
-    kept = [x for x in deduped if x not in dropped]
-
-    ordered, chain = stage_chain(kept, registry)
-    # Re-sorting the nodes into stage order is an edit even when the edges
-    # already form the chain: the revised document differs from the input.
-    if chain != candidate.edges or ordered != tuple(kept):
-        edits.append((EditKind.REORDER_STAGE, "edges rebuilt as a stage-consistent chain"))
-
-    revised = replace(candidate, nodes=tuple(deduped[x] for x in ordered), edges=chain)
-    return revised, edits
-
-
-def _spacers(
-    kept: Sequence[str], dropped: Iterable[str], registry: Registry, matrix: VendorCompatibilityMatrix
-) -> list[str]:
-    """The fewest dropped xApps whose return makes the stage chain of kept
-    clean, with at most planner.MAX_COVER members in all; among equally few,
-    the first in registry order, the cover search's tie-break. Empty when
-    the chain is clean already or no such set exists.
-
-    On a stage chain, conflicts.internal_conflicts finds exactly the edges
-    whose dialects clash: a chain orders every pair of its nodes, so no
-    parameter coupling. A returned xApp sorts by (stage, id) into one gap
-    between neighbours of kept and touches no other gap, so only the gaps
-    between clashing neighbours need one, and each gap is searched alone,
-    smallest set first. Sets compare in registry order as their smallest
-    differing member does, so the first set of each gap makes the first
-    union too.
-    """
-    ordered, _ = stage_chain(kept, registry)
-
-    def key(x: str) -> tuple[object, str]:
-        return (registry[x].stage, x)
-
-    def clean(chain: Sequence[str]) -> bool:
-        dialects = [registry[x].dialect for x in chain]
-        return not any(matrix.clashes(a, b) for a, b in zip(dialects, dialects[1:]))
-
-    gaps = [(a, b) for a, b in zip(ordered, ordered[1:]) if not clean((a, b))]
-    if not gaps:
-        return []
-    spare = MAX_COVER - len(ordered) - len(gaps)  # free slots beyond one spacer per gap
-    position = {x: p for p, x in enumerate(registry.ids)}
-    restored: list[str] = []
-    for a, b in gaps:
-        pool = sorted((x for x in dropped if key(a) < key(x) < key(b)), key=position.__getitem__)
-        found = next(
-            (
-                spacers
-                for size in range(1, spare + 2)
-                for spacers in combinations(pool, size)
-                if clean((a, *sorted(spacers, key=key), b))
-            ),
-            None,
-        )
-        if found is None:
-            return []
-        spare -= len(found) - 1
-        restored.extend(found)
-    return restored

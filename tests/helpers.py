@@ -23,7 +23,8 @@ from ranweave.conflicts import (
     labelled,
     pairwise_conflicts,
 )
-from ranweave.model import DeploymentState, Intent, Pipeline, Registry, Stage, XAppProfile
+from ranweave.model import DeploymentState, Intent, Pipeline, Registry, Stage, XAppProfile, stage_chain
+from ranweave.planner import MAX_COVER
 from ranweave.retrieval import EMBEDDING_DIM
 from ranweave.schemas import REPORT_GROUPS
 
@@ -371,6 +372,38 @@ def brute_ground_truth(
         if feasible:
             return min(feasible, key=lambda item: item[0])[1]
     return None
+
+
+def brute_refinement(
+    candidate: Pipeline,
+    intent: Intent,
+    registry: Registry,
+    matrix: VendorCompatibilityMatrix,
+    max_len: int = MAX_COVER,
+) -> set[str]:
+    """Reference refinement: the xApp set the refiner should keep.
+
+    The kept set is the candidate's distinct xApps that are mandatory or
+    hold a required capability (all of them when none does: the refiner
+    never empties a pipeline). The answer is the smallest superset of it
+    within the candidate's xApps, of at most max_len members, whose stage
+    chain has no internal conflict; among equally small ones, the first in
+    ascending-id combinations order. With no such superset, the kept set.
+    """
+    distinct = sorted(set(candidate.node_ids))
+    kept = {
+        x for x in distinct
+        if x in intent.required_xapps or registry[x].capabilities & intent.required_capabilities
+    } or set(distinct)
+    for size in range(len(kept), max_len + 1):
+        for combo in combinations(distinct, size):
+            if not kept <= set(combo):
+                continue
+            ordered, edges = stage_chain(combo, registry)
+            pipeline = Pipeline.build(intent.id, [(x, {}) for x in ordered], edges)
+            if not internal_conflicts(pipeline, matrix, registry, ref=str(intent.id)):
+                return set(combo)
+    return kept
 
 
 def brute_after_cycles(nodes: list[str], edges: set[tuple[str, str]]) -> set[str]:

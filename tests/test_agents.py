@@ -44,7 +44,7 @@ from ranweave.model import (
     pipelines_equal,
     stage_chain,
 )
-from ranweave.planner import SolutionScore, max_conflict_free_subset, synthesize_ground_truth
+from ranweave.planner import SolutionScore, max_conflict_free_subset, refine_pipeline, synthesize_ground_truth
 from ranweave.retrieval import VectorStore
 from ranweave.schemas import (
     PerceptionDoc,
@@ -65,7 +65,6 @@ from ranweave.transport import (
     NoisyTransport,
     OracleTransport,
     corrupt_pipeline,
-    refine_pipeline,
 )
 
 from .helpers import PERFBENCH, json_scalars, json_values, random_registry, replace_one_value

@@ -25,11 +25,13 @@ from ranweave.conflicts import (
     reach,
     validity,
 )
-from ranweave.model import DeploymentState, Intent, Pipeline, Registry, XAppProfile
+from ranweave.model import DeploymentState, Intent, Pipeline, Registry, Stage, XAppProfile, stage_chain
 from ranweave.planner import max_conflict_free_subset
 from ranweave.schemas import conflict_report, dump_doc, parse_perception_doc
 
 from .helpers import (
+    DIALECT_POOL,
+    PARAM_POOL,
     SparseBatch,
     all_pairs_conflict_graph,
     brute_actuator_subjects,
@@ -179,6 +181,39 @@ def test_internal_vendor_on_adjacent_edge():
     pipeline = Pipeline.build(1, [("p", {}), ("q", {})], [("p", "q")])
     records = detect_internal_vendor(pipeline, matrix, registry, ref="1")
     assert len(records) == 1
+
+
+def _stage_chain(rng: random.Random) -> tuple[Pipeline, Registry, VendorCompatibilityMatrix]:
+    """(chain, registry, matrix): a registry of 1-8 xApps with drawn stages,
+    dialects and written parameters, a matrix over the dialects, and the
+    stage chain of some of its xApps."""
+    registry = Registry(
+        XAppProfile.build(
+            f"x{k}",
+            dialect=rng.choice(DIALECT_POOL),
+            capabilities=["any"],
+            controlled_params=rng.sample(PARAM_POOL, rng.randint(0, 3)),
+            stage=rng.choice(list(Stage)),
+        )
+        for k in range(rng.randint(1, 8))
+    )
+    matrix = VendorCompatibilityMatrix.of(
+        *((a, b) for i, a in enumerate(DIALECT_POOL) for b in DIALECT_POOL[i + 1 :] if rng.random() < 0.3)
+    )
+    ordered, edges = stage_chain(rng.sample(registry.ids, rng.randint(1, len(registry))), registry)
+    return Pipeline.build(1, [(x, {}) for x in ordered], edges), registry, matrix
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_stage_chain_is_clean_exactly_when_no_neighbours_clash(seed):
+    """A chain orders every pair of its nodes, so no two writers of a
+    parameter are unordered and only its edges' dialects can conflict: the
+    refiner's spacer search checks adjacent dialects alone for that reason."""
+    chain, registry, matrix = _stage_chain(random.Random(seed))
+    dialects = [registry[x].dialect for x in chain.node_ids]
+    clash = any(matrix.clashes(a, b) for a, b in zip(dialects, dialects[1:]))
+    assert bool(internal_conflicts(chain, matrix, registry, ref="1")) == clash
 
 
 def test_validity_vacuous_context(bundle, truths):

@@ -650,6 +650,24 @@ def test_cli_report_on_a_catalog_without_scenarios_is_a_catalog_error(tmp_path, 
     assert not out.exists()
 
 
+def test_cli_run_on_an_unconfigured_http_backend_is_a_transport_error(monkeypatch, capsys):
+    monkeypatch.delenv(CHAT_BASE_URL_ENV, raising=False)
+    assert cli_main(["run", "--scenario", "1", "--transport", "http"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ranweave: no chat endpoint configured; set {CHAT_BASE_URL_ENV}\n"
+    assert "scenario" not in captured.out
+
+
+def test_cli_run_into_a_missing_directory_reports_the_write_error(tmp_path, capsys):
+    """The runs finish and print their lines; only the report cannot be written."""
+    out = tmp_path / "no" / "such" / "report.json"
+    assert cli_main(["run", "--scenario", "1", "--report", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "scenario 1 mode f5" in captured.out and "wrote" not in captured.out
+    assert captured.err.startswith("ranweave: ") and str(out) in captured.err and captured.err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_cli_oracle_prints_reference(capsys):
     assert cli_main(["oracle", "--scenario", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

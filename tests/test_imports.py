@@ -85,6 +85,25 @@ def test_the_conflict_engine_imports_only_the_model():
     assert relative | absolute == {"model"}
 
 
+def test_the_backends_take_only_the_refiner_from_the_engine():
+    """The refinement rules (the cover cap, the tie-break, the clean chain)
+    live in planner.py beside the cover search; transport.py holds backends
+    and answers refinement through planner.refine_pipeline alone."""
+    tree = ast.parse(Path(PACKAGE_DIR, "transport.py").read_text(encoding="utf-8"))
+    taken = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("planner", "ranweave.planner")
+        for alias in node.names
+    ]
+    assert taken == ["refine_pipeline"]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "MAX_COVER" not in names
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not {"refine_pipeline", "_spacers"} & defined
+
+
 def _reads_environ(tree: ast.AST) -> bool:
     """Whether tree names os.environ or os.getenv, as an attribute or an import."""
     for node in ast.walk(tree):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import replace
+from itertools import groupby
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from ranweave.planner import (
     InfeasibleIntentError,
     SolutionScore,
     max_conflict_free_subset,
+    refine_pipeline,
     score_solution,
     select_subset,
     synthesize_ground_truth,
@@ -26,9 +28,11 @@ from .helpers import (
     CAP_POOL,
     DIALECT_POOL,
     KPI_POOL,
+    PARAM_POOL,
     PERFBENCH,
     brute_best_subset,
     brute_ground_truth,
+    brute_refinement,
     random_intent,
     random_matrix,
     random_pipeline,
@@ -246,6 +250,92 @@ def test_cover_search_matches_the_reference_on_wide_catalogs(monkeypatch, bridge
         )
     if bridged:
         assert spacers, "the bridged intent's reference holds no spacer"
+
+
+@pytest.fixture(scope="module")
+def wide_catalogs():
+    """Four generated 50-xApp catalogs, every other one bridged."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        from wide_catalog import generate_catalog
+    return [generate_catalog(seed, bridged=seed % 2 == 0) for seed in range(4)]
+
+
+def _refinement_problem(rng: random.Random, catalogs) -> tuple[Pipeline, Intent, Registry, VendorCompatibilityMatrix]:
+    """(candidate, intent, registry, matrix) for the refiner.
+
+    Half the time an intent of a generated catalog, the bridged one when
+    there is one half of those times, with some of its holders and up to 8
+    other xApps. Otherwise a registry of 8-14 xApps, 2-4 of them holders of
+    the one required capability whose dialects, most of the time, alternate
+    across a clashing pair along their stage chain, so that every gap of
+    the chain clashes; the candidate is the whole registry half the time,
+    holds every holder most of the time, and now and then a mandatory
+    xApp. Either candidate may repeat an xApp.
+    """
+    if rng.random() < 0.5:
+        catalog = rng.choice(catalogs)
+        registry, matrix = catalog.registry, catalog.matrix
+        intents = list(catalog.intents.values())
+        bridged = [intent for intent in intents if "bridge-a" in intent.required_capabilities]
+        intent = bridged[0] if bridged and rng.random() < 0.5 else rng.choice(intents)
+        holders = [x for x in registry.ids if registry[x].capabilities & intent.required_capabilities]
+        chosen = rng.sample(holders, rng.randint(1, min(4, len(holders))))
+        chosen += rng.sample(registry.ids, rng.randint(0, 8))
+    else:
+        ids = rng.sample([f"x{k:02d}" for k in range(20)], rng.randint(8, 14))
+        holders = ids[: rng.choice((2, 3, 3, 4))]
+        stage = {x: rng.choice(list(Stage)) for x in ids}
+        clash = rng.choice(_DIALECT_PAIRS)
+        dialect = {x: rng.choice(DIALECT_POOL) for x in ids}
+        if rng.random() < 0.8:
+            chain = sorted(holders, key=lambda x: (stage[x], x))
+            dialect.update((x, clash[p % 2]) for p, x in enumerate(chain))
+        registry = Registry(
+            XAppProfile.build(
+                x, dialect=dialect[x], capabilities=["need" if x in holders else rng.choice(CAP_POOL)],
+                controlled_params=rng.sample(PARAM_POOL, rng.randint(0, 2)), stage=stage[x],
+            )
+            for x in ids
+        )
+        matrix = VendorCompatibilityMatrix.of(clash, *rng.sample(_DIALECT_PAIRS, rng.randint(0, 1)))
+        chosen = rng.sample(ids, rng.randint(1, len(ids)) if rng.random() < 0.5 else len(ids))
+        if rng.random() < 0.8:
+            chosen += [x for x in holders if x not in chosen]
+        intent = Intent.build(
+            1, "refine me", target_kpis={"latency": -1}, required_capabilities=["need"],
+            required_xapps=chosen[:1] if rng.random() < 0.2 else (),
+        )
+    if rng.random() < 0.2:
+        chosen.append(rng.choice(chosen))
+    return Pipeline.build(intent.id, [(x, {}) for x in chosen]), intent, registry, matrix
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), cap=st.integers(1, 5))
+def test_the_refiner_keeps_what_an_exhaustive_search_keeps(wide_catalogs, seed, cap):
+    """refine_pipeline keeps the xApp set of brute_refinement under each cap:
+    the holders, plus the fewest spacers, first in ascending id order, whose
+    stage chain is clean, or the holders alone when no such set fits."""
+    candidate, intent, registry, matrix = _refinement_problem(random.Random(seed), wide_catalogs)
+    with mock.patch.object(planner, "MAX_COVER", cap):
+        revised, _ = refine_pipeline(candidate, intent, registry, matrix)
+    assert set(revised.node_ids) == brute_refinement(candidate, intent, registry, matrix, cap)
+
+
+def test_refinement_problems_hold_every_case_the_spacer_search_meets(wide_catalogs):
+    """The drawn problems keep a spacer in a bridged intent, spacers in two
+    gaps of one chain, and a chain that no set within the cap makes clean."""
+    bridged = several_gaps = unclean = 0
+    for seed in range(300):
+        candidate, intent, registry, matrix = _refinement_problem(random.Random(seed), wide_catalogs)
+        revised, _ = refine_pipeline(candidate, intent, registry, matrix)
+        # revised.node_ids runs along the stage chain, so each run of spacers fills one gap.
+        spacer = [not registry[x].capabilities & intent.required_capabilities for x in revised.node_ids]
+        bridged += any(spacer) and "bridge-a" in intent.required_capabilities
+        several_gaps += sum(is_spacer for is_spacer, _ in groupby(spacer)) >= 2
+        unclean += bool(internal_conflicts(revised, matrix, registry, ref="1"))
+    assert bridged and several_gaps and unclean, (bridged, several_gaps, unclean)
 
 
 def test_an_intent_no_five_xapps_cover_builds_no_candidate(monkeypatch):

@@ -174,8 +174,17 @@ def test_a_mock_run_renders_no_prompt(bundle, monkeypatch):
         assert "## " in request.messages[1]["content"]
     assert rendered["_render_profiles"] == sum(r.role != "refinement" for r in recorder.requests)
     assert rendered["_render_report"] == sum(r.role == "reasoning" for r in recorder.requests)
-    # One candidate block per intent a refinement request asks about.
-    assert rendered["_render_policy"] == sum(len(r.payload["intents"]) for r in recorder.requests if r.role == "refinement")
+    # One candidate block per intent a refinement request asks about, and one
+    # line per analogue a reasoning request shows.
+    analogues = sum(
+        len(re.findall(r"^- intent \d+ \(.*\) -> \{", r.messages[1]["content"], re.MULTILINE))
+        for r in recorder.requests
+        if r.role == "reasoning"
+    )
+    assert analogues
+    assert rendered["_render_policy"] == analogues + sum(
+        len(r.payload["intents"]) for r in recorder.requests if r.role == "refinement"
+    )
 
 
 def test_a_request_renders_its_inputs_as_they_were_at_assembly(bundle, truths):
