@@ -31,7 +31,6 @@ from importlib import resources
 from typing import AbstractSet, Callable, Mapping, Sequence, TypeVar
 
 from .conflicts import (
-    ConflictMemo,
     ConflictRecord,
     VendorCompatibilityMatrix,
     build_conflict_graph,
@@ -462,17 +461,23 @@ def orchestrate_batch(
     One ConflictMemo serves every conflict evaluation of the run, so a
     pipeline, or a pair of them, that kept its identity is not checked
     again. It starts as a copy of the oracle's memo, so the truths and the
-    active set, already checked by the oracle, are not checked at all; the
+    active set, already checked by the oracle, are not checked at all. The
     oracle must come from the run's own batch, as its truths and objective
-    are read too. The truths, then each stored answer, are interned in the
-    memo (ConflictMemo.intern), so an answer equal to an earlier one or to
-    a truth is that object, and the memo's identity test catches it. A
-    candidate's structure is checked once, when it is stored.
+    are read too: a ValueError refuses one whose memo holds other intents,
+    matrix or registry than ctx's, before any call. The truths, then each
+    stored answer, are interned in the memo (ConflictMemo.intern), so an
+    answer equal to an earlier one or to a truth is that object, and the
+    memo's identity test catches it. A candidate's structure is checked
+    once, when it is stored.
 
     Every iteration retrieves for one question, query_text of the batch; a
     store that starts from its ranking, as run_scenario's does, ranks nothing,
     and an empty store gives no chunks.
     """
+    memo = oracle.memo
+    if (memo.intents, memo.matrix, memo.registry) != (ctx.intent_catalog, ctx.matrix, ctx.registry):
+        raise ValueError("the oracle was built for another intent catalog, matrix or registry than the run's")
+    memo = memo.copy()
     memory.clear()
     truths = oracle.per_intent_truth
     objective = oracle.objective_value
@@ -480,7 +485,6 @@ def orchestrate_batch(
     candidates: dict[int, Pipeline] = {}
     valid: dict[int, bool] = {}  # intent id -> its candidate is structurally valid
     correct: frozenset[int] = frozenset()
-    memo = oracle.memo.copy()
     for truth in truths.values():
         memo.intern(truth)
     best: Solution | None = None
@@ -491,7 +495,7 @@ def orchestrate_batch(
     query = query_text(ctx.intents, ctx.registry)
     # Perception reads the conflict graph of the candidates as the previous
     # iteration left them; before the first iteration, of the active set alone.
-    graph = build_conflict_graph({}, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry, memo)
+    graph = build_conflict_graph({}, ctx.pre, memo)
 
     for iteration in range(1, ctx.max_iterations + 1):
         chunks = store.query(query, iteration)
@@ -537,9 +541,7 @@ def orchestrate_batch(
             valid[intent_id] = validate_pipeline_structure(candidate, ctx.registry).ok
 
         eligible = [i for i in sorted(candidates) if valid[i]]
-        evaluation = evaluate_conflicts(
-            candidates, eligible, ctx.pre, ctx.intent_catalog, ctx.matrix, ctx.registry, memo
-        )
+        evaluation = evaluate_conflicts(candidates, eligible, ctx.pre, memo)
         graph = evaluation.graph
         # Eligible candidates are structurally valid, so this is exactly the
         # set is_correct_candidate accepts.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .agents import DEFAULT_ANALOGUES, MAX_ITERATIONS, Mode
 from .harness import (
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one or more orchestration scenarios")
     run.add_argument("--scenario", default="all", help="scenario id of the catalog or 'all'")
-    run.add_argument("--mode", default="f5", help="f5, sa, nr, np, fcfs or 'all'")
+    run.add_argument("--mode", default="f5", choices=[*ALL_MODES, "all"])
     run.add_argument(
         "--transport",
         default="mock-oracle",
@@ -72,19 +73,14 @@ def _scenario_ids(bundle: FixtureBundle, value: str, allow_all: bool = False) ->
     return [int(value)]
 
 
-def _modes(value: str) -> list[str]:
-    if value == "all":
-        return ALL_MODES
-    if value not in ALL_MODES:
-        raise SystemExit(f"unknown mode {value!r}; expected one of {ALL_MODES} or 'all'")
-    return [value]
-
-
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.report and not Path(args.report).parent.is_dir():
+        raise FileNotFoundError(f"no directory to write the report {args.report} into")
     bundle = load_fixtures(args.fixtures)
+    modes = ALL_MODES if args.mode == "all" else [args.mode]
     reports: list[RunReport] = []
     for scenario_id in _scenario_ids(bundle, args.scenario, allow_all=True):
-        for mode in _modes(args.mode):
+        for mode in modes:
             report = run_scenario(
                 bundle,
                 scenario_id,

@@ -14,7 +14,7 @@ resulting records makes every derived artifact byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -368,16 +368,18 @@ def validity(
     Returns the verdict together with every conflict record found; the
     record list is exactly the concatenation of the four detectors plus the
     pipeline's own internal checks, canonically ordered. labelled names the
-    pipeline as a candidate and others as the active set. An active
-    pipeline whose reach misses the pipeline's is skipped, as in
-    build_conflict_graph: the detectors could find nothing there.
+    pipeline as a candidate and others as the active set. The facts come
+    from a fresh ConflictMemo of the three inputs, through the gate of
+    build_conflict_graph: an active pipeline whose reach misses the
+    pipeline's is skipped, since the detectors could find nothing there.
     """
+    memo = ConflictMemo(intents, matrix, registry)
     ref = candidate_ref(pipeline.intent_id)
-    records = internal_conflicts(pipeline, matrix, registry, ref=ref)
-    own = reach(pipeline, intents[pipeline.intent_id], registry)
+    records = list(memo.internal(ref, pipeline))
+    own = memo.reach(ref, pipeline)
     for other_ref, other in labelled({}, DeploymentState(tuple(others))):
-        if not own.isdisjoint(reach(other, intents[other.intent_id], registry)):
-            records += pairwise_conflicts(pipeline, other, intents, matrix, registry, a_ref=ref, b_ref=other_ref)
+        if not own.isdisjoint(memo.reach(other_ref, other)):
+            records += memo.pair(ref, pipeline, other_ref, other)
     records = canonical_sort(records)
     return (not records, records)
 
@@ -395,20 +397,24 @@ class ConflictGraph:
 
 @dataclass
 class ConflictMemo:
-    """What one run has worked out about its pipelines, reused across calls.
+    """A run's conflict inputs and what has been worked out from them.
 
-    Every entry is kept per object under its ref: pairs maps (ref_a, ref_b,
-    id(pipe_a), id(pipe_b)) to (pipe_a, pipe_b, the pair's records),
-    reaches maps (ref, id(pipeline)) to (pipeline, its reach) and internals
-    maps (ref, id(pipeline)) to (pipeline, its internal_conflicts records).
-    Each entry holds its objects, so no id in its key is reused while it
-    lasts, and a candidate that comes back to an earlier object (X -> Y ->
-    X) finds its entries again. interned maps each pipeline value to its
-    first object (see intern).
-    Every fact depends on intents, matrix and registry too, so one memo
-    serves only calls with the same three, as in one run.
+    intents, matrix and registry are the inputs every fact depends on; the
+    memo's methods are the one way to a reach, a pair's records or a
+    pipeline's internal records. Every entry is kept per object under its
+    ref: pairs maps (ref_a, ref_b, id(pipe_a), id(pipe_b)) to (pipe_a,
+    pipe_b, the pair's records), reaches maps (ref, id(pipeline)) to
+    (pipeline, its reach) and internals maps (ref, id(pipeline)) to
+    (pipeline, its internal_conflicts records). Each entry holds its
+    objects, so no id in its key is reused while it lasts, and a candidate
+    that comes back to an earlier object (X -> Y -> X) finds its entries
+    again. interned maps each pipeline value to its first object (see
+    intern).
     """
 
+    intents: Mapping[int, Intent]
+    matrix: VendorCompatibilityMatrix
+    registry: Registry
     pairs: dict[tuple[str, str, int, int], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]] = field(
         default_factory=dict
     )
@@ -417,29 +423,40 @@ class ConflictMemo:
     interned: dict[Pipeline, Pipeline] = field(default_factory=dict)
 
     def copy(self) -> "ConflictMemo":
-        """A memo with the same entries whose later entries stay its own."""
-        return ConflictMemo(dict(self.pairs), dict(self.reaches), dict(self.internals), dict(self.interned))
+        """A memo of the same inputs and entries whose later entries stay its own."""
+        return replace(
+            self,
+            pairs=dict(self.pairs),
+            reaches=dict(self.reaches),
+            internals=dict(self.internals),
+            interned=dict(self.interned),
+        )
 
     def intern(self, pipeline: Pipeline) -> Pipeline:
         """The first object interned with pipeline's value, pipeline itself if none was."""
         return self.interned.setdefault(pipeline, pipeline)
 
-    def reach(
-        self, ref: str, pipeline: Pipeline, intents: Mapping[int, Intent], registry: Registry
-    ) -> set[str]:
+    def reach(self, ref: str, pipeline: Pipeline) -> set[str]:
         """reach() of pipeline, worked out once per object under ref."""
         key = (ref, id(pipeline))
         if key not in self.reaches:
-            self.reaches[key] = (pipeline, reach(pipeline, intents[pipeline.intent_id], registry))
+            self.reaches[key] = (pipeline, reach(pipeline, self.intents[pipeline.intent_id], self.registry))
         return self.reaches[key][1]
 
-    def internal(
-        self, ref: str, pipeline: Pipeline, matrix: VendorCompatibilityMatrix, registry: Registry
-    ) -> tuple[ConflictRecord, ...]:
+    def pair(self, ref_a: str, a: Pipeline, ref_b: str, b: Pipeline) -> tuple[ConflictRecord, ...]:
+        """pairwise_conflicts of a under ref_a and b under ref_b, worked out once per pair of objects."""
+        key = (ref_a, ref_b, id(a), id(b))
+        if key not in self.pairs:
+            records = pairwise_conflicts(a, b, self.intents, self.matrix, self.registry, a_ref=ref_a, b_ref=ref_b)
+            self.pairs[key] = (a, b, tuple(records))
+        return self.pairs[key][2]
+
+    def internal(self, ref: str, pipeline: Pipeline) -> tuple[ConflictRecord, ...]:
         """internal_conflicts of pipeline under ref, worked out once per object."""
         key = (ref, id(pipeline))
         if key not in self.internals:
-            self.internals[key] = (pipeline, tuple(internal_conflicts(pipeline, matrix, registry, ref=ref)))
+            records = internal_conflicts(pipeline, self.matrix, self.registry, ref=ref)
+            self.internals[key] = (pipeline, tuple(records))
         return self.internals[key][1]
 
 
@@ -465,43 +482,27 @@ def labelled(candidates: Mapping[int, Pipeline], pre: DeploymentState) -> list[t
 
 
 def build_conflict_graph(
-    candidates: Mapping[int, Pipeline],
-    pre: DeploymentState,
-    intents: Mapping[int, Intent],
-    matrix: VendorCompatibilityMatrix,
-    registry: Registry,
-    memo: ConflictMemo | None = None,
+    candidates: Mapping[int, Pipeline], pre: DeploymentState, memo: ConflictMemo
 ) -> ConflictGraph:
     """Run all four detectors over every unordered pipeline pair that can conflict.
 
     The vertices are labelled's refs; walking its ref-ordered pairs i < j
     yields the edges in ref order. A pair whose reaches are disjoint is
-    skipped without calling pairwise_conflicts or reading the pair entries:
-    reach holds one necessary resource per conflict class, so every skipped
-    pair has no records, and the graph is the all-pairs graph.
-
-    memo, when given, holds the run's facts across calls (see ConflictMemo):
-    each pipeline's reach, and the records of each pair the gate lets
+    skipped without asking memo.pair: reach holds one necessary resource per
+    conflict class, so every skipped pair has no records, and the graph is
+    the all-pairs graph. memo supplies the inputs and keeps the facts across
+    calls: each pipeline's reach, and the records of each pair the gate lets
     through, are worked out only for objects not yet met under their refs.
     """
-    memo = ConflictMemo() if memo is None else memo
-    pairs = memo.pairs
     batch = labelled(candidates, pre)
-    reaches = [memo.reach(ref, p, intents, registry) for ref, p in batch]
+    reaches = [memo.reach(ref, p) for ref, p in batch]
     edges = []
     for i, (ref_a, pipe_a) in enumerate(batch):
         reach_a = reaches[i]
         for (ref_b, pipe_b), reach_b in zip(batch[i + 1 :], reaches[i + 1 :]):
             if reach_a.isdisjoint(reach_b):
                 continue
-            key = (ref_a, ref_b, id(pipe_a), id(pipe_b))
-            if key not in pairs:
-                pairs[key] = (
-                    pipe_a,
-                    pipe_b,
-                    tuple(pairwise_conflicts(pipe_a, pipe_b, intents, matrix, registry, a_ref=ref_a, b_ref=ref_b)),
-                )
-            records = pairs[key][2]
+            records = memo.pair(ref_a, pipe_a, ref_b, pipe_b)
             if records:
                 edges.append(((ref_a, ref_b), records))
     return ConflictGraph(vertices=tuple(ref for ref, _ in batch), edges=tuple(edges))
@@ -521,10 +522,7 @@ def evaluate_conflicts(
     candidates: Mapping[int, Pipeline],
     eligible: Sequence[int],
     pre: DeploymentState,
-    intents: Mapping[int, Intent],
-    matrix: VendorCompatibilityMatrix,
-    registry: Registry,
-    memo: ConflictMemo | None = None,
+    memo: ConflictMemo,
 ) -> ConflictEvaluation:
     """The one conflict evaluation of a candidate set, read by every consumer.
 
@@ -535,12 +533,11 @@ def evaluate_conflicts(
     sorted. usable keeps the eligible ids that no internal conflict and no
     active pipeline blocks; clashes maps each eligible id to the eligible ids
     it conflicts with. An edge to an ineligible candidate neither blocks nor
-    counts. memo is the run's ConflictMemo: the graph reads its reach and
-    pair entries, and each eligible candidate's internal records come from
-    its internal entries.
+    counts. memo is the run's ConflictMemo, the source of every fact: the
+    graph reads its reach and pair entries, and each eligible candidate's
+    internal records come from its internal entries.
     """
-    memo = ConflictMemo() if memo is None else memo
-    graph = build_conflict_graph(candidates, pre, intents, matrix, registry, memo)
+    graph = build_conflict_graph(candidates, pre, memo)
     by_ref = {candidate_ref(intent_id): intent_id for intent_id in eligible}
     active = {ref for ref, _ in labelled({}, pre)}
     records: list[ConflictRecord] = []
@@ -557,7 +554,7 @@ def evaluate_conflicts(
         elif a is not None or b is not None:
             blocked.add(a if a is not None else b)
     for intent_id in eligible:
-        own = memo.internal(candidate_ref(intent_id), candidates[intent_id], matrix, registry)
+        own = memo.internal(candidate_ref(intent_id), candidates[intent_id])
         if own:
             blocked.add(intent_id)
             records += own

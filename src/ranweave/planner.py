@@ -72,10 +72,11 @@ class OracleResult:
     """Reference answer for one intent batch.
 
     graph is the conflict graph the answer was computed from, and memo the
-    ConflictMemo that graph was built through: the reach, pair and internal
-    entries of the truths and the active set. A run over the same batch
-    seeds its own memo from a copy (agents.orchestrate_batch). Neither is
-    serialized.
+    ConflictMemo that graph was built through: the batch's intents, matrix
+    and registry, and the reach, pair and internal entries of the truths and
+    the active set. A run over the same batch seeds its own memo from a copy
+    (agents.orchestrate_batch), which refuses a memo of other inputs.
+    Neither is serialized.
     """
 
     per_intent_truth: dict[int, Pipeline]
@@ -308,11 +309,11 @@ def max_conflict_free_subset(
     candidate does, so the answer is the largest conflict-free subset: the
     scenario oracle's candidates are the truths, so it passes none. The empty
     subset is always feasible. The evaluation runs through a fresh
-    ConflictMemo, returned on the result.
+    ConflictMemo of intents, matrix and registry, returned on the result.
     """
     ids = sorted(candidates)
-    memo = ConflictMemo()
-    evaluation = evaluate_conflicts(candidates, ids, pre, intents, matrix, registry, memo)
+    memo = ConflictMemo(intents, matrix, registry)
+    evaluation = evaluate_conflicts(candidates, ids, pre, memo)
     usable = evaluation.usable
     correct = (
         set(usable)

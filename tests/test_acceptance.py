@@ -194,7 +194,7 @@ def test_fcfs_greedy_is_suboptimal_on_conflicting_candidates(bundle, truths):
     conflicting candidate set: an early candidate that blocks two later ones
     halves FCFS's deployment while exhaustive selection stays optimal."""
     from ranweave.agents import RunContext, _select_deployment
-    from ranweave.conflicts import evaluate_conflicts
+    from ranweave.conflicts import ConflictMemo, evaluate_conflicts
     from ranweave.model import Intent
 
     blocker = Pipeline.build(2, [("ran_slicing_manager_b", {"slice_quota": "auto"})])
@@ -220,7 +220,7 @@ def test_fcfs_greedy_is_suboptimal_on_conflicting_candidates(bundle, truths):
         )
 
     evaluation = evaluate_conflicts(
-        candidates, [2, 5, 6], DeploymentState(), catalog, bundle.matrix, bundle.registry
+        candidates, [2, 5, 6], DeploymentState(), ConflictMemo(catalog, bundle.matrix, bundle.registry)
     )
     usable, clashes = evaluation.usable, evaluation.clashes
     greedy = _select_deployment(ctx_for(Mode.FCFS), usable, clashes, set())

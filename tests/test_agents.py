@@ -155,7 +155,7 @@ def test_oracle_perception_equals_engine_serialization(bundle, truths):
     doc = _perceive(ctx, transport, {}, ())
     assert doc.records == ()
 
-    from ranweave.conflicts import build_conflict_graph
+    from ranweave.conflicts import ConflictMemo, build_conflict_graph
 
     contending = Pipeline.build(
         4,
@@ -163,7 +163,7 @@ def test_oracle_perception_equals_engine_serialization(bundle, truths):
         [("wireless_anomaly_detector", "traffic_steering_a")],
     )
     candidates = {3: truths[3], 4: contending, 1: truths[1]}
-    graph = build_conflict_graph(candidates, ctx.pre, bundle.intents, bundle.matrix, bundle.registry)
+    graph = build_conflict_graph(candidates, ctx.pre, ConflictMemo(bundle.intents, bundle.matrix, bundle.registry))
     doc = _perceive(ctx, transport, candidates, graph.all_records())
     assert graph.all_records(), "fixture pair should conflict"
     assert [r.to_dict() for r in doc.records] == [r.to_dict() for r in graph.all_records()]
@@ -897,7 +897,7 @@ def test_perception_reads_the_graph_the_previous_iteration_left(bundle, truths):
     record, so it sends no perception call. The second iteration's does:
     its perception call carries the conflict graph of every candidate of
     iteration 1, the structurally invalid one included."""
-    from ranweave.conflicts import build_conflict_graph
+    from ranweave.conflicts import ConflictMemo, build_conflict_graph
 
     invalid = Pipeline.build(2, [("traffic_steering_a", {"steering_policy": "latency"})] * 2)
     report = dump_doc(conflict_report(()))
@@ -907,9 +907,10 @@ def test_perception_reads_the_graph_the_previous_iteration_left(bundle, truths):
 
     handed = [r.payload["conflicts"] for r in transport.requests if r.role == "perception"]
     after_first = {1: truths[1], 2: invalid, 7: truths[7]}
-    expected = build_conflict_graph(after_first, ctx.pre, bundle.intents, bundle.matrix, bundle.registry)
+    inputs = (bundle.intents, bundle.matrix, bundle.registry)
+    expected = build_conflict_graph(after_first, ctx.pre, ConflictMemo(*inputs))
     assert any("2" in r.refs() for r in expected.all_records()), "the invalid candidate should conflict"
-    assert not build_conflict_graph({}, ctx.pre, bundle.intents, bundle.matrix, bundle.registry).all_records()
+    assert not build_conflict_graph({}, ctx.pre, ConflictMemo(*inputs)).all_records()
     assert transport.calls[:2] == [("reasoning", (1, 2, 7)), ("perception", None)]
     assert [list(records) for records in handed] == [expected.all_records()]
 
@@ -1091,6 +1092,27 @@ def test_one_oracle_serves_two_runs_alike(bundle, truths):
     assert len(set(reports)) == 1
     assert (len(memo.pairs), len(memo.reaches), len(memo.internals), len(memo.interned)) == sizes
 
+
+
+@pytest.mark.parametrize("other", ["intents", "matrix", "registry"])
+def test_a_run_refuses_an_oracle_built_for_other_inputs(bundle, truths, other):
+    """The oracle's memo holds facts about its own intents, matrix and
+    registry, so orchestrate_batch refuses an oracle built for others with
+    a ValueError before any call: another intent catalog, another matrix,
+    or another registry object, even one listing the same profiles."""
+    ctx = _ctx(bundle, 1, Mode.F5, truths)
+    inputs = {"intents": bundle.intents, "matrix": bundle.matrix, "registry": bundle.registry}
+    inputs[other] = {
+        "intents": {**bundle.intents, 1: bundle.intents[2]},
+        "matrix": VendorCompatibilityMatrix.of(),
+        "registry": Registry(list(bundle.registry)),
+    }[other]
+    candidates = {intent.id: truths[intent.id] for intent in ctx.intents}
+    oracle = max_conflict_free_subset(candidates, ctx.pre, inputs["intents"], inputs["matrix"], inputs["registry"])
+    transport = OracleTransport(_mock_bundle(bundle, truths))
+    with pytest.raises(ValueError, match="oracle was built for another"):
+        orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), oracle)
+    assert transport.calls == []
 
 class IntentSwapTransport(OracleTransport):
     """The oracle backend, except that its answers in one role for intent 3

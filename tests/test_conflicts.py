@@ -334,17 +334,15 @@ def test_detector_output_is_deterministic():
 
 
 def test_conflict_graph_empty_for_disjoint_aligned_pipelines(bundle, truths):
-    graph = build_conflict_graph(
-        {3: truths[3], 5: truths[5]}, DeploymentState(), bundle.intents, bundle.matrix, bundle.registry
-    )
+    memo = ConflictMemo(bundle.intents, bundle.matrix, bundle.registry)
+    graph = build_conflict_graph({3: truths[3], 5: truths[5]}, DeploymentState(), memo)
     assert graph.edges == ()
     assert set(graph.vertices) == {"3", "5"}
 
 
 def test_conflict_graph_single_candidate(bundle, truths):
-    graph = build_conflict_graph(
-        {1: truths[1]}, DeploymentState(), bundle.intents, bundle.matrix, bundle.registry
-    )
+    memo = ConflictMemo(bundle.intents, bundle.matrix, bundle.registry)
+    graph = build_conflict_graph({1: truths[1]}, DeploymentState(), memo)
     assert graph.vertices == ("1",)
     assert graph.edges == ()
 
@@ -352,7 +350,7 @@ def test_conflict_graph_single_candidate(bundle, truths):
 def test_conflict_graph_matches_pairwise_union(bundle, truths):
     candidates = {i: truths[i] for i in (1, 2, 3, 4, 5, 6, 7)}
     pre = DeploymentState((truths[2],))
-    graph = build_conflict_graph(candidates, pre, bundle.intents, bundle.matrix, bundle.registry)
+    graph = build_conflict_graph(candidates, pre, ConflictMemo(bundle.intents, bundle.matrix, bundle.registry))
     for (ref_a, ref_b), records in graph.edges:
         assert records
         assert {ref_a, ref_b} <= set(graph.vertices)
@@ -369,11 +367,12 @@ def test_gated_graph_equals_the_all_pairs_loop(seed):
     equals its ungated sum of detectors."""
     batch = SparseBatch.draw(random.Random(seed))
     rng, intents, matrix, registry = batch.rng, batch.intents, batch.matrix, batch.registry
-    memo = ConflictMemo()
+    memo = ConflictMemo(intents, matrix, registry)
     for _ in range(rng.randint(1, 4)):
         expected = all_pairs_conflict_graph(batch.candidates, batch.pre, intents, matrix, registry)
-        assert build_conflict_graph(batch.candidates, batch.pre, intents, matrix, registry) == expected
-        assert build_conflict_graph(batch.candidates, batch.pre, intents, matrix, registry, memo) == expected
+        fresh = ConflictMemo(intents, matrix, registry)
+        assert build_conflict_graph(batch.candidates, batch.pre, fresh) == expected
+        assert build_conflict_graph(batch.candidates, batch.pre, memo) == expected
         for intent_id in batch.candidates:
             if rng.random() < 0.5:
                 batch.candidates[intent_id] = batch.pipeline(intent_id)
@@ -410,8 +409,8 @@ def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
         for pipeline in batch.candidates.values():
             memo.intern(pipeline)
         eligible = [i for i in sorted(batch.candidates) if rng.random() < 0.8]
-        args = (batch.candidates, eligible, batch.pre, intents, matrix, registry)
-        fresh = evaluate_conflicts(*args)
+        args = (batch.candidates, eligible, batch.pre)
+        fresh = evaluate_conflicts(*args, ConflictMemo(intents, matrix, registry))
         assert evaluate_conflicts(*args, memo) == fresh
         for intent_id in eligible:
             own = internal_conflicts(batch.candidates[intent_id], matrix, registry, ref=str(intent_id))
@@ -447,14 +446,14 @@ def test_a_candidate_that_comes_back_to_an_earlier_object_is_not_checked_again(b
 
     for name in ("pairwise_conflicts", "internal_conflicts", "reach"):
         monkeypatch.setattr(conflicts, name, counted(name, getattr(conflicts, name)))
-    memo = ConflictMemo()
+    memo = ConflictMemo(bundle.intents, bundle.matrix, bundle.registry)
     pre = DeploymentState(tuple(truths[i] for i in (2, 3, 4, 5, 6, 7)))
     x = truths[1]
     y = Pipeline.build(1, [(n.xapp_id, n.directive_map) for n in x.nodes], x.edges, dump_doc({"max_load": 1}))
     met = []
     for candidate in (x, y, x, y):
         calls.clear()
-        evaluate_conflicts({1: candidate}, [1], pre, bundle.intents, bundle.matrix, bundle.registry, memo)
+        evaluate_conflicts({1: candidate}, [1], pre, memo)
         met.append(sorted(set(calls)))
     assert met[0] == met[1] == ["internal_conflicts", "pairwise_conflicts", "reach"]
     assert met[2] == met[3] == []
@@ -464,7 +463,7 @@ def test_intern_returns_the_first_object_of_a_value_and_keeps_condition_bytes_ap
     """1, 1.0 and true render as three different condition bytes, so the
     pipelines are three values and each keeps its own object; a copy starts
     from the same table."""
-    memo = ConflictMemo()
+    memo = ConflictMemo({}, VendorCompatibilityMatrix.of(), Registry([]))
     as_int, as_float, as_bool = (
         Pipeline.build(1, [("x", {})], (), dump_doc({"max_load": v})) for v in (1, 1.0, True)
     )
@@ -553,7 +552,7 @@ def test_conflict_lists_and_graph_come_in_canonical_order(seed):
     refs = [ref for ref, _ in batch]
     assert refs == sorted(refs)
     assert dict(batch) == {str(i): p for i, p in candidates.items()} | {f"pre:{p.intent_id}": p for p in pre}
-    graph = build_conflict_graph(candidates, pre, intents, matrix, registry)
+    graph = build_conflict_graph(candidates, pre, ConflictMemo(intents, matrix, registry))
     assert graph.vertices == tuple(refs)
     edge_refs = [pair for pair, _ in graph.edges]
     assert edge_refs == sorted(edge_refs)
@@ -582,12 +581,13 @@ def test_every_record_parses_back_and_validity_matches_the_evaluation(seed):
         records = canonical_sort(records)
         assert list(parse_perception_doc(dump_doc(conflict_report(records))).records) == records
 
-    survives(build_conflict_graph(candidates, pre, intents, matrix, registry).all_records())
-    survives(evaluate_conflicts(candidates, sorted(ids), pre, intents, matrix, registry).records)
+    survives(build_conflict_graph(candidates, pre, ConflictMemo(intents, matrix, registry)).all_records())
+    survives(evaluate_conflicts(candidates, sorted(ids), pre, ConflictMemo(intents, matrix, registry)).records)
     for intent_id, pipeline in candidates.items():
         ok, records = validity(pipeline, pre, intents, matrix, registry)
         survives(records)
-        alone = evaluate_conflicts({intent_id: pipeline}, [intent_id], pre, intents, matrix, registry)
+        fresh = ConflictMemo(intents, matrix, registry)
+        alone = evaluate_conflicts({intent_id: pipeline}, [intent_id], pre, fresh)
         assert ok is (intent_id in alone.usable)
 
 

@@ -615,9 +615,12 @@ def test_cli_run_refuses_a_negative_analogue_count(value, capsys):
 
 
 def test_cli_run_refuses_an_unknown_mode(capsys):
-    with pytest.raises(SystemExit, match=r"^unknown mode 'xx'"):
-        cli_main(["run", "--mode", "xx"])
-    assert "scenario" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", "--scenario", "1", "--mode", "xx"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --mode: invalid choice: 'xx'" in captured.err
+    assert "scenario 1" not in captured.out
 
 
 def test_make_transport_refuses_an_unknown_kind(bundle):
@@ -659,11 +662,12 @@ def test_cli_run_on_an_unconfigured_http_backend_is_a_transport_error(monkeypatc
 
 
 def test_cli_run_into_a_missing_directory_reports_the_write_error(tmp_path, capsys):
-    """The runs finish and print their lines; only the report cannot be written."""
+    """A report path whose directory does not exist is refused before the
+    first run: no run line is printed and nothing is written."""
     out = tmp_path / "no" / "such" / "report.json"
     assert cli_main(["run", "--scenario", "1", "--report", str(out)]) == 2
     captured = capsys.readouterr()
-    assert "scenario 1 mode f5" in captured.out and "wrote" not in captured.out
+    assert "scenario" not in captured.out and "wrote" not in captured.out
     assert captured.err.startswith("ranweave: ") and str(out) in captured.err and captured.err.count("\n") == 1
     assert not out.parent.exists()
 

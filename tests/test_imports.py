@@ -104,6 +104,37 @@ def test_the_backends_take_only_the_refiner_from_the_engine():
     assert not {"refine_pipeline", "_spacers"} & defined
 
 
+def _defaulted(arguments: ast.arguments) -> set[str]:
+    positional = arguments.posonlyargs + arguments.args
+    kept = positional[len(positional) - len(arguments.defaults):]
+    kept += [arg for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults) if default is not None]
+    return {arg.arg for arg in kept}
+
+
+def test_the_conflict_memo_is_the_one_way_to_a_conflict_fact():
+    """ConflictMemo holds the intents, matrix and registry its facts depend
+    on, so the graph and the evaluation take the memo alone, and no default
+    can stand in for a run's own. Outside the memo's methods nothing calls
+    pairwise_conflicts or reach, or touches its pairs, reaches or internals."""
+    tree = ast.parse(Path(PACKAGE_DIR, "conflicts.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("build_conflict_graph", "evaluate_conflicts"):
+        arguments = functions[name].args
+        names = {arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs}
+        assert "memo" in names and not {"intents", "matrix", "registry"} & names, name
+        assert "memo" not in _defaulted(arguments), name
+    [memo] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ConflictMemo"]
+    outside = [
+        ast.unparse(node)
+        for statement in tree.body
+        if statement is not memo
+        for node in ast.walk(statement)
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("pairwise_conflicts", "reach"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("pairs", "reaches", "internals"))
+    ]
+    assert outside == []
+
+
 def _reads_environ(tree: ast.AST) -> bool:
     """Whether tree names os.environ or os.getenv, as an attribute or an import."""
     for node in ast.walk(tree):
@@ -214,6 +245,30 @@ def test_deployment_conditions_are_coded_only_by_the_schemas():
         and any("conditions" in ast.unparse(arg) for arg in node.args)
     }
     assert coders == {"schemas.py"}
+
+
+def _unread_imports(tree: ast.AST) -> list[str]:
+    """The names import statements of tree bind that nothing in tree reads,
+    __future__'s excepted."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """An import nothing reads is dead weight, or a dependency a module no
+    longer has; __init__.py re-exports the public names, so it is excepted."""
+    unread = {
+        name: names
+        for name, tree in _package_trees().items()
+        if name != "__init__.py" and (names := _unread_imports(tree))
+    }
+    assert unread == {}
+    assert _unread_imports(ast.parse("import os.path\nfrom a import b as c\nprint(os)\n")) == ["c"]
 
 
 _CONTAINER_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
