@@ -293,7 +293,7 @@ def assemble_refinement_request(
     iteration left them; one block per candidate follows."""
     # Eager: a render runs inside the transport's call, where no traced function may run.
     asked = tuple(
-        (intent, candidate, summary, validate_pipeline_structure(candidate, ctx.registry).violations)
+        (intent, candidate, summary, validate_pipeline_structure(candidate, ctx.registry))
         for intent, candidate, summary in asked
     )
     deployed, proposed = labelled({}, ctx.pre), labelled(candidates, DeploymentState())
@@ -377,13 +377,13 @@ def _ask(transport: ChatTransport, request: AgentRequest, parser: Callable[[str]
 
 
 def is_correct_candidate(pipeline: Pipeline, truth: Pipeline, registry: Registry) -> bool:
-    """Structural validity plus reference equality.
+    """Structural validity (no violation) plus reference equality.
 
     Equality alone is not enough: a duplicated node collapses to the same
     node set as the reference, so only structurally valid candidates may
     count as correct.
     """
-    return validate_pipeline_structure(pipeline, registry).ok and pipelines_equal(pipeline, truth)
+    return not validate_pipeline_structure(pipeline, registry) and pipelines_equal(pipeline, truth)
 
 
 def enforce_monotonicity(previous_best: Solution | None, candidate: Solution) -> Solution:
@@ -538,7 +538,7 @@ def orchestrate_batch(
             candidate = memo.intern(candidate)
             attempted[intent_id] = candidate
             candidates[intent_id] = candidate
-            valid[intent_id] = validate_pipeline_structure(candidate, ctx.registry).ok
+            valid[intent_id] = not validate_pipeline_structure(candidate, ctx.registry)
 
         eligible = [i for i in sorted(candidates) if valid[i]]
         evaluation = evaluate_conflicts(candidates, eligible, ctx.pre, memo)

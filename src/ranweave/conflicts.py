@@ -376,9 +376,9 @@ def validity(
     memo = ConflictMemo(intents, matrix, registry)
     ref = candidate_ref(pipeline.intent_id)
     records = list(memo.internal(ref, pipeline))
-    own = memo.reach(ref, pipeline)
+    own = memo.reach(pipeline)
     for other_ref, other in labelled({}, DeploymentState(tuple(others))):
-        if not own.isdisjoint(memo.reach(other_ref, other)):
+        if not own.isdisjoint(memo.reach(other)):
             records += memo.pair(ref, pipeline, other_ref, other)
     records = canonical_sort(records)
     return (not records, records)
@@ -401,15 +401,14 @@ class ConflictMemo:
 
     intents, matrix and registry are the inputs every fact depends on; the
     memo's methods are the one way to a reach, a pair's records or a
-    pipeline's internal records. Every entry is kept per object under its
-    ref: pairs maps (ref_a, ref_b, id(pipe_a), id(pipe_b)) to (pipe_a,
-    pipe_b, the pair's records), reaches maps (ref, id(pipeline)) to
-    (pipeline, its reach) and internals maps (ref, id(pipeline)) to
-    (pipeline, its internal_conflicts records). Each entry holds its
-    objects, so no id in its key is reused while it lasts, and a candidate
-    that comes back to an earlier object (X -> Y -> X) finds its entries
-    again. interned maps each pipeline value to its first object (see
-    intern).
+    pipeline's internal records. Every entry is kept per object, and one
+    holding records under their refs too: reaches maps id(p) to (p, its
+    reach), pairs maps (ref_a, ref_b, id(a), id(b)) to (a, b, the pair's
+    records) and internals maps (ref, id(p)) to (p, its internal_conflicts
+    records). Each entry holds its objects, so no id in its key is reused
+    while it lasts, and a candidate that comes back to an earlier object
+    (X -> Y -> X) finds its entries again. interned maps each pipeline
+    value to its first object (see intern).
     """
 
     intents: Mapping[int, Intent]
@@ -418,7 +417,7 @@ class ConflictMemo:
     pairs: dict[tuple[str, str, int, int], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]] = field(
         default_factory=dict
     )
-    reaches: dict[tuple[str, int], tuple[Pipeline, set[str]]] = field(default_factory=dict)
+    reaches: dict[int, tuple[Pipeline, set[str]]] = field(default_factory=dict)
     internals: dict[tuple[str, int], tuple[Pipeline, tuple[ConflictRecord, ...]]] = field(default_factory=dict)
     interned: dict[Pipeline, Pipeline] = field(default_factory=dict)
 
@@ -436,12 +435,11 @@ class ConflictMemo:
         """The first object interned with pipeline's value, pipeline itself if none was."""
         return self.interned.setdefault(pipeline, pipeline)
 
-    def reach(self, ref: str, pipeline: Pipeline) -> set[str]:
-        """reach() of pipeline, worked out once per object under ref."""
-        key = (ref, id(pipeline))
-        if key not in self.reaches:
-            self.reaches[key] = (pipeline, reach(pipeline, self.intents[pipeline.intent_id], self.registry))
-        return self.reaches[key][1]
+    def reach(self, pipeline: Pipeline) -> set[str]:
+        """reach() of pipeline, worked out once per object."""
+        if id(pipeline) not in self.reaches:
+            self.reaches[id(pipeline)] = (pipeline, reach(pipeline, self.intents[pipeline.intent_id], self.registry))
+        return self.reaches[id(pipeline)][1]
 
     def pair(self, ref_a: str, a: Pipeline, ref_b: str, b: Pipeline) -> tuple[ConflictRecord, ...]:
         """pairwise_conflicts of a under ref_a and b under ref_b, worked out once per pair of objects."""
@@ -491,11 +489,11 @@ def build_conflict_graph(
     skipped without asking memo.pair: reach holds one necessary resource per
     conflict class, so every skipped pair has no records, and the graph is
     the all-pairs graph. memo supplies the inputs and keeps the facts across
-    calls: each pipeline's reach, and the records of each pair the gate lets
-    through, are worked out only for objects not yet met under their refs.
+    calls: a reach once per object, the records of a pair the gate lets
+    through once per pair of objects under their refs.
     """
     batch = labelled(candidates, pre)
-    reaches = [memo.reach(ref, p) for ref, p in batch]
+    reaches = [memo.reach(p) for _, p in batch]
     edges = []
     for i, (ref_a, pipe_a) in enumerate(batch):
         reach_a = reaches[i]

@@ -44,7 +44,7 @@ from .planner import (
     max_conflict_free_subset,
     synthesize_ground_truth,
 )
-from .retrieval import DocChunk, VectorStore, rank
+from .retrieval import DocChunk, UndecodableDocument, VectorStore, rank
 from .schemas import load_doc
 from .transport import ChatTransport, HttpChatTransport, MockBundle, NoisyTransport, OracleTransport
 
@@ -103,10 +103,14 @@ class FixtureBundle:
 
     @cached_property
     def knowledge(self) -> tuple[DocChunk, ...]:
-        """The chunks of knowledge_dir, embedded on first use; their vectors are read-only."""
+        """The chunks of knowledge_dir, embedded on first use; their vectors are
+        read-only. A file that is not UTF-8 text raises FixtureError naming it."""
         store = VectorStore()
         if self.knowledge_dir.is_dir():
-            store.add_directory(self.knowledge_dir)
+            try:
+                store.add_directory(self.knowledge_dir)
+            except UndecodableDocument as exc:
+                raise FixtureError(f"{self.knowledge_dir.name}/{exc}", "not UTF-8 text") from None
         return store.chunks
 
     @cached_property

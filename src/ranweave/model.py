@@ -44,9 +44,11 @@ def normalize_directive(directive: Mapping[str, str]) -> Directive:
 
 
 def string_field(value: object, name: str) -> str:
-    """A loaded JSON string; a number, array or any other value is refused."""
+    """A loaded JSON string that encodes as UTF-8; a lone surrogate, number or other value is refused."""
     if not isinstance(value, str):
         raise TypeError(f"{name} must be a string, found {value!r}")
+    if not value.isascii() and any("\ud800" <= char <= "\udfff" for char in value):
+        raise ValueError(f"{name} must be UTF-8 text, found {value!r} with a lone surrogate")
     return value
 
 
@@ -57,10 +59,10 @@ def check_integer_id(value: object) -> None:
 
 
 def string_array(value: object, name: str) -> list[str]:
-    """A loaded JSON array of strings; a string or any other value is refused."""
+    """A loaded JSON array of string_field strings; a string or any other value is refused."""
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
         raise TypeError(f"{name} must be an array of strings, found {value!r}")
-    return value
+    return [string_field(item, name) for item in value]
 
 
 def json_object(value: object, name: str) -> dict:
@@ -272,9 +274,9 @@ class PipelineNode:
 class Pipeline:
     """An rApp policy: a DAG of configured xApps plus deployment conditions.
 
-    The conditions are opaque here: the object as canonical JSON text, in
-    the form schemas.dump_doc gives it. schemas.py checks, encodes and
-    decodes them, so two pipelines are == only when those bytes are equal.
+    The conditions are opaque here: the object as canonical JSON text, in the
+    form schemas.dump_doc gives it, which schemas.py checks, encodes and decodes.
+    == is sameness: intent, nodes in order, edge set and condition bytes.
     """
 
     intent_id: int
@@ -354,20 +356,8 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationResult:
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def codes(self) -> set[str]:
-        return {v.code for v in self.violations}
-
-
-def validate_pipeline_structure(pipeline: Pipeline, registry: Registry) -> ValidationResult:
-    """Full structural check. Returns every violation found, crash-free."""
+def validate_pipeline_structure(pipeline: Pipeline, registry: Registry) -> tuple[Violation, ...]:
+    """Full structural check: every violation found, crash-free; empty when the pipeline is valid."""
     violations: list[Violation] = []
 
     if not pipeline.nodes:
@@ -401,7 +391,7 @@ def validate_pipeline_structure(pipeline: Pipeline, registry: Registry) -> Valid
     if cycle_nodes:
         violations.append(Violation("cycle", f"cycle through {sorted(cycle_nodes)}"))
 
-    return ValidationResult(tuple(violations))
+    return tuple(violations)
 
 
 def _peel(node_ids: Iterable[str], edges: Iterable[tuple[str, str]]) -> set[str]:

@@ -35,6 +35,10 @@ K_STEP = 10
 K_CAP = 50
 
 
+class UndecodableDocument(ValueError):
+    """A corpus file that is not UTF-8 text; the one argument is its doc id."""
+
+
 @dataclass(frozen=True)
 class DocChunk:
     doc_id: str
@@ -202,7 +206,10 @@ class VectorStore:
         count = 0
         for file in sorted(root.rglob("*")):
             if file.suffix in CORPUS_SUFFIXES and file.is_file():
-                count += self.add_document(str(file.relative_to(root)), file.read_text(encoding="utf-8"))
+                try:
+                    count += self.add_document(str(file.relative_to(root)), file.read_text(encoding="utf-8"))
+                except UnicodeDecodeError:
+                    raise UndecodableDocument(str(file.relative_to(root))) from None
         return count
 
     def query(self, query_text: str, iteration: int = 1) -> tuple[DocChunk, ...]:

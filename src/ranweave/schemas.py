@@ -336,10 +336,10 @@ def parse_refinement_doc(
 
 
 def _revision(data: object, original: Pipeline, registry: Registry) -> RefinementDoc:
-    """The revision passes the same policy check as a reasoning answer.
-
-    One SchemaValidationError carries every error found: the document's
-    keys, the revised policy's and the edits'.
+    """The revision passes the same policy check as a reasoning answer, and
+    lists edits exactly when revised != original (Pipeline ==, condition
+    bytes and all). One SchemaValidationError carries every error found:
+    the document's keys, the revised policy's and the edits'.
     """
     if not isinstance(data, dict):
         raise SchemaValidationError("refinement document", ["expected a JSON object"])
@@ -372,7 +372,7 @@ def _revision(data: object, original: Pipeline, registry: Registry) -> Refinemen
             edits.append((kind, rationale))
 
     if revised is not None and "edits" in data:
-        changed = pipeline_to_policy_doc(revised) != pipeline_to_policy_doc(original)
+        changed = revised != original
         if changed and not edits:
             errors.append("revised policy differs from the input but edits is empty")
         if not changed and edits:

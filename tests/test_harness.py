@@ -264,6 +264,31 @@ def test_loader_refuses_a_non_string_where_a_string_belongs(tmp_path, bundle, st
         load_fixtures(_copy_catalog(bundle, tmp_path, **{stem: _set(index, key, value)}))
 
 
+@pytest.mark.parametrize(
+    "stem, index, key, value",
+    [
+        ("intents", 0, "text", "Steer around congestion.\ud800"),
+        ("intents", 0, "required_capabilities", ["traffic_steering", "\ud800"]),
+        ("xapps", 11, "id", "slicing_ctrl\ud800"),
+    ],
+    ids=["intent-text", "capability", "xapp-id"],
+)
+def test_a_lone_surrogate_is_refused_in_one_line_naming_the_field(tmp_path, bundle, capsys, stem, index, key, value):
+    """A JSON "\\ud800" escape loads as a string that does not encode as
+    UTF-8, so it would crash the first embed or prompt of a run. The loader
+    refuses it, and every command stops with one line naming the field."""
+    root = _copy_catalog(bundle, tmp_path, **{stem: _set(index, key, value)})
+    assert "\\ud800" in (root / f"{stem}.json").read_text()
+    with pytest.raises(FixtureError, match=rf"^{stem}.json: entry {index}: {key} must be UTF-8 text, found "):
+        load_fixtures(root)
+    for command in (["run"], ["fixtures", "validate"]):
+        assert cli_main(["--fixtures", str(root), *command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ranweave: {stem}.json: entry {index}: {key} must be UTF-8 text")
+        assert captured.err.count("\n") == 1
+
+
 _FIXTURE_STEMS = ("xapps", "intents", "scenarios", "vendor_matrix")
 _FIELDS = [
     "id", "name", "vendor", "dialect", "capabilities", "controlled_params", "kpi_effects",
@@ -651,6 +676,20 @@ def test_cli_report_on_a_catalog_without_scenarios_is_a_catalog_error(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("ranweave: scenarios.json: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_run_on_a_knowledge_file_that_is_not_utf8_is_a_catalog_error(tmp_path, bundle, capsys):
+    """The corpus is read on a run's first use; a file of it that is not
+    UTF-8 text stops the run with one line naming the file, before any run
+    line is printed."""
+    root = _copy_catalog(bundle, tmp_path)
+    (root / "knowledge" / "latin1.md").write_bytes(b"Caf\xe9 handover notes.\n")
+    assert cli_main(["--fixtures", str(root), "run", "--scenario", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ranweave: knowledge/latin1.md: not UTF-8 text\n"
+    with pytest.raises(FixtureError, match="^knowledge/latin1.md: not UTF-8 text$"):
+        load_fixtures(root).knowledge
 
 
 def test_cli_run_on_an_unconfigured_http_backend_is_a_transport_error(monkeypatch, capsys):

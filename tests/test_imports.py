@@ -381,3 +381,28 @@ def test_tracer_bindings_resolve(monkeypatch):
         f"{owner.__name__}.{attribute}" for owner, attribute, _, _ in BINDINGS if owner.__dict__.get(attribute) is None
     }
     assert missing <= _STALE_BINDINGS
+
+
+def _calls_named(node: ast.AST, name: str) -> bool:
+    """Whether node is a call of name, bare or as an attribute."""
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_facts_about_one_pipeline_take_one_form_each():
+    """Two pipelines are the same exactly when they are ==, so no module
+    compares their policy documents; and a reach is kept per object, so
+    ConflictMemo.reach takes the pipeline alone, no ref."""
+    trees = _package_trees()
+    compared = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(_calls_named(operand, "pipeline_to_policy_doc") for operand in (node.left, *node.comparators))
+    )
+    assert compared == []
+    [memo] = [node for node in trees["conflicts.py"].body if isinstance(node, ast.ClassDef) and node.name == "ConflictMemo"]
+    [reach] = [node for node in memo.body if isinstance(node, ast.FunctionDef) and node.name == "reach"]
+    arguments = reach.args
+    assert [arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs] == ["self", "pipeline"]
+    assert arguments.vararg is None and arguments.kwarg is None

@@ -317,6 +317,7 @@ _WRONG_TYPES = [
     ("outcome.conflicts.0.explanation", None, "subject and explanation must be strings"),
     ("outcome.conflicts", {}, "outcome.conflicts must be a list"),
     ("intent.target_kpis", ["latency"], "target_kpis must be an object, found ['latency']"),
+    ("intent.text", "replay me\ud800", "text must be UTF-8 text, found 'replay me\\ud800' with a lone surrogate"),
     ("extra", 1, "unknown keys ['extra']"),
     ("outcome.extra", 1, "outcome has unknown keys ['extra']"),
     ("outcome", [], "outcome must be an object"),

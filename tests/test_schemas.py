@@ -291,6 +291,83 @@ def test_refinement_doc_valid_edit_roundtrip():
     assert answer.entries[1].edits == ((EditKind.REMOVE_DUPLICATE, "a appeared twice"),)
 
 
+@pytest.mark.parametrize("before, after", [(1, True), (True, 1), (1, 1.0)], ids=repr)
+def test_a_revision_of_a_condition_to_an_equal_number_is_a_change(before, after):
+    """1, 1.0 and true encode apart, so a revision from one to another
+    changed the pipeline: it parses with an edit listed and is refused
+    without one."""
+    original = Pipeline.build(1, [("a", {"p": "auto"})], conditions=dump_doc({"max_load": before}))
+    revised = dict(pipeline_to_policy_doc(original), deployment_conditions={"max_load": after})
+    edited = _revision_of({"revised_policy": revised, "edits": [["adjust_conditions", "a flag"]]}, original)
+    assert edited.errors == {}
+    assert edited.entries[1].revised.deployment_conditions == dump_doc({"max_load": after})
+    silent = _revision_of({"revised_policy": revised, "edits": []}, original)
+    assert silent.errors == {1: ["revised policy differs from the input but edits is empty"]}
+
+
+# Equal under == in Python, three values in a condition.
+_ONE = (1, 1.0, True)
+
+
+@st.composite
+def _revision_pairs(draw):
+    """An original pipeline of intent 1 over the xApps a and b, and a
+    revision policy drawn from it: condition values flipped among 1, 1.0
+    and true, nodes reordered, dropped or added, an edge added or dropped,
+    each or none."""
+    xapp = st.sampled_from(["a", "b"])
+    directive = st.dictionaries(st.sampled_from(["p", "q"]), st.sampled_from(["auto", "off"]), max_size=1)
+    nodes = draw(st.lists(st.tuples(xapp, directive), max_size=3))
+    edges = draw(st.lists(st.tuples(xapp, xapp), max_size=2))
+    conditions = draw(st.dictionaries(st.sampled_from(["load", "window"]), st.sampled_from([*_ONE, 0, "peak"])))
+    original = Pipeline.build(1, nodes, edges, dump_doc(conditions))
+    flipped = {
+        key: draw(st.sampled_from(_ONE)) if value in _ONE and draw(st.booleans()) else value
+        for key, value in conditions.items()
+    }
+    changes = draw(st.sets(st.sampled_from(["reverse", "drop", "add", "link", "unlink"]), max_size=2))
+    if "reverse" in changes:
+        nodes = nodes[::-1]
+    if "drop" in changes:
+        nodes = nodes[1:]
+    if "add" in changes:
+        nodes = [*nodes, draw(st.tuples(xapp, directive))]
+    if "link" in changes:
+        edges = [*edges, draw(st.tuples(xapp, xapp))]
+    if "unlink" in changes:
+        edges = edges[1:]
+    revision = {
+        "intent_id": 1,
+        "selected_xapps": [[x, d] for x, d in nodes],
+        "edges": [list(edge) for edge in edges],
+        "deployment_conditions": flipped,
+    }
+    return original, revision
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair=_revision_pairs())
+@example(
+    pair=(
+        Pipeline.build(1, [("a", {})], conditions='{"max_load":1}'),
+        _policy_with({"max_load": True}),
+    )
+)
+def test_a_revision_lists_edits_exactly_when_it_is_not_equal_to_its_original(pair):
+    """A revision with edits parses exactly when revised != original, and
+    one without edits exactly when the two are equal; != is the byte
+    inequality of the two policy documents."""
+    original, revision = pair
+    revised = policy_doc_to_pipeline(revision)
+    changed = revised != original
+    assert changed == (dump_doc(pipeline_to_policy_doc(revised)) != dump_doc(pipeline_to_policy_doc(original)))
+    edited = _revision_of({"revised_policy": revision, "edits": [["adjust_conditions", "drawn"]]}, original)
+    silent = _revision_of({"revised_policy": revision, "edits": []}, original)
+    assert (edited.entries.keys() == {1}) == changed
+    assert (silent.entries.keys() == {1}) == (not changed)
+    assert [doc.revised for doc in (*edited.entries.values(), *silent.entries.values())] == [revised]
+
+
 def test_refinement_doc_reports_every_error_at_once(truths, registry):
     """Document-level errors are reported beside the revised policy's, and
     the edits are still checked."""
