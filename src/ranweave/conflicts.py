@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .model import DeploymentState, Intent, Pipeline, Registry, has_directed_path, string_array
@@ -80,7 +81,18 @@ class VendorCompatibilityMatrix:
         return cls(frozenset(frozenset(pair) for pair in pairs))
 
     def clashes(self, dialect_a: str, dialect_b: str) -> bool:
-        return frozenset((dialect_a, dialect_b)) in self.incompatible
+        return dialect_b in self.partners.get(dialect_a, ())
+
+    @cached_property
+    def partners(self) -> dict[str, frozenset[str]]:
+        """Each dialect of a pair mapped to the dialects it clashes with, worked out once per matrix.
+
+        A pair of one dialect, which of() refuses, clashes with itself."""
+        partners: dict[str, frozenset[str]] = {}
+        for pair in self.incompatible:
+            for dialect in pair:
+                partners[dialect] = partners.get(dialect, frozenset()) | (pair - {dialect} or pair)
+        return partners
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "VendorCompatibilityMatrix":
@@ -89,6 +101,40 @@ class VendorCompatibilityMatrix:
             if len(pair) != 2:
                 raise ValueError(f"an incompatible pair must hold two dialects, found {pair!r}")
         return cls.of(*pairs)
+
+
+@dataclass(frozen=True, slots=True)
+class DetectorInputs:
+    """What the pairwise detectors read of one pipeline's registered nodes.
+
+    writers maps each written parameter to the xApp ids of the nodes that
+    write it, pushes each (KPI, nonzero direction) to those of the nodes
+    whose xApp moves the KPI that way, and contacts holds each node's (xApp
+    id, dialect, written parameters, moved KPIs); all in node order. A node
+    whose xApp is not registered adds nothing, and a repeated node adds
+    itself again. A ConflictMemo keeps them once per pipeline object, so the
+    detectors read them instead of looking each node up per pair.
+    """
+
+    writers: dict[str, list[str]]
+    pushes: dict[tuple[str, int], list[str]]
+    contacts: tuple[tuple[str, str, frozenset[str], frozenset[str]], ...]
+
+    @classmethod
+    def of(cls, pipeline: Pipeline, registry: Registry) -> "DetectorInputs":
+        pushes: dict[tuple[str, int], list[str]] = {}
+        contacts = []
+        for node in pipeline.nodes:
+            profile = registry.get(node.xapp_id)
+            if profile is None:
+                continue
+            moved = []
+            for kpi, direction in profile.kpi_effects:
+                if direction:
+                    pushes.setdefault((kpi, direction), []).append(node.xapp_id)
+                    moved.append(kpi)
+            contacts.append((node.xapp_id, profile.dialect, profile.controlled_params, frozenset(moved)))
+        return cls(_param_writers(pipeline, registry), pushes, tuple(contacts))
 
 
 def detect_actuator_contention(a: Pipeline, b: Pipeline, *, a_ref: str, b_ref: str) -> list[ConflictRecord]:
@@ -116,18 +162,16 @@ def detect_actuator_contention(a: Pipeline, b: Pipeline, *, a_ref: str, b_ref: s
 
 
 def detect_parameter_coupling(
-    a: Pipeline, b: Pipeline, registry: Registry, *, a_ref: str, b_ref: str
+    a: DetectorInputs, b: DetectorInputs, *, a_ref: str, b_ref: str
 ) -> list[ConflictRecord]:
     """Distinct xApps across pipelines writing the same network parameter.
 
     Overlap through the very same xApp is actuator contention's business
     and is not reported here.
     """
-    writers_a = _param_writers(a, registry)
-    writers_b = _param_writers(b, registry)
     records = []
-    for param in sorted(set(writers_a) & set(writers_b)):
-        xa, xb = writers_a[param], writers_b[param]
+    for param in sorted(a.writers.keys() & b.writers.keys()):
+        xa, xb = a.writers[param], b.writers[param]
         if not any(w1 != w2 for w1 in xa for w2 in xb):
             continue
         participants = {(a_ref, x) for x in xa} | {(b_ref, x) for x in xb}
@@ -183,11 +227,10 @@ def _param_writers(pipeline: Pipeline, registry: Registry) -> dict[str, list[str
 
 
 def detect_objective_interference(
-    a: Pipeline,
+    a: DetectorInputs,
     intent_a: Intent,
-    b: Pipeline,
+    b: DetectorInputs,
     intent_b: Intent,
-    registry: Registry,
     *,
     a_ref: str,
     b_ref: str,
@@ -203,8 +246,8 @@ def detect_objective_interference(
     for kpi in sorted(set(targets_a) | set(targets_b)):
         dir_a, dir_b = targets_a.get(kpi), targets_b.get(kpi)
         opposed_intents = dir_a is not None and dir_b is not None and dir_a == -dir_b
-        against_a = _opposing_nodes(b, registry, kpi, dir_a)
-        against_b = _opposing_nodes(a, registry, kpi, dir_b)
+        against_a = b.pushes.get((kpi, -dir_a), ()) if dir_a is not None else ()
+        against_b = a.pushes.get((kpi, -dir_b), ()) if dir_b is not None else ()
         if not (opposed_intents or against_a or against_b):
             continue
         participants = {(b_ref, x) for x in against_a} | {(a_ref, x) for x in against_b}
@@ -223,22 +266,10 @@ def detect_objective_interference(
     return canonical_sort(records)
 
 
-def _opposing_nodes(pipeline: Pipeline, registry: Registry, kpi: str, wanted: int | None) -> list[str]:
-    if wanted is None:
-        return []
-    out = []
-    for node in pipeline.nodes:
-        profile = registry.get(node.xapp_id)
-        if profile is not None and profile.effect_on(kpi) == -wanted:
-            out.append(node.xapp_id)
-    return out
-
-
 def detect_vendor_conflicts(
-    a: Pipeline,
-    b: Pipeline,
+    a: DetectorInputs,
+    b: DetectorInputs,
     matrix: VendorCompatibilityMatrix,
-    registry: Registry,
     *,
     a_ref: str,
     b_ref: str,
@@ -249,27 +280,18 @@ def detect_vendor_conflicts(
     must share a controlled parameter or a (nonzero) KPI effect.
     """
     records = []
-    for node_a in a.nodes:
-        pa = registry.get(node_a.xapp_id)
-        if pa is None:
-            continue
-        for node_b in b.nodes:
-            pb = registry.get(node_b.xapp_id)
-            if pb is None or not matrix.clashes(pa.dialect, pb.dialect):
+    for xa, dialect_a, params_a, kpis_a in a.contacts:
+        for xb, dialect_b, params_b, kpis_b in b.contacts:
+            if params_a.isdisjoint(params_b) and kpis_a.isdisjoint(kpis_b):
                 continue
-            shared_params = pa.controlled_params & pb.controlled_params
-            shared_kpis = _touched_kpis(pa) & _touched_kpis(pb)
-            if not shared_params and not shared_kpis:
+            if not matrix.clashes(dialect_a, dialect_b):
                 continue
             records.append(
                 ConflictRecord(
                     kind=ConflictKind.VENDOR_INTEROP,
-                    participants=frozenset({(a_ref, node_a.xapp_id), (b_ref, node_b.xapp_id)}),
-                    subject=_dialect_pair(pa.dialect, pb.dialect),
-                    explanation=(
-                        f"xApps {node_a.xapp_id} and {node_b.xapp_id} use incompatible "
-                        f"dialects and act on shared resources"
-                    ),
+                    participants=frozenset({(a_ref, xa), (b_ref, xb)}),
+                    subject=_dialect_pair(dialect_a, dialect_b),
+                    explanation=f"xApps {xa} and {xb} use incompatible dialects and act on shared resources",
                 )
             )
     return canonical_sort(records)
@@ -295,10 +317,6 @@ def detect_internal_vendor(
     return canonical_sort(records)
 
 
-def _touched_kpis(profile) -> set[str]:
-    return {kpi for kpi, direction in profile.kpi_effects if direction != 0}
-
-
 def _dialect_pair(d1: str, d2: str) -> str:
     return "|".join(sorted((d1, d2)))
 
@@ -312,39 +330,72 @@ def pairwise_conflicts(
     *,
     a_ref: str,
     b_ref: str,
+    inputs: tuple[DetectorInputs, DetectorInputs] | None = None,
 ) -> list[ConflictRecord]:
     """All four detectors over one unordered pipeline pair, canonically
-    ordered: each detector's list is, and they run in ConflictKind order."""
+    ordered: each detector's list is, and they run in ConflictKind order.
+    inputs, when given, are DetectorInputs.of a and of b, as a ConflictMemo
+    keeps them; otherwise they are worked out here."""
+    inputs_a, inputs_b = inputs or (DetectorInputs.of(a, registry), DetectorInputs.of(b, registry))
     records = detect_actuator_contention(a, b, a_ref=a_ref, b_ref=b_ref)
-    records += detect_parameter_coupling(a, b, registry, a_ref=a_ref, b_ref=b_ref)
+    records += detect_parameter_coupling(inputs_a, inputs_b, a_ref=a_ref, b_ref=b_ref)
     records += detect_objective_interference(
-        a, intents[a.intent_id], b, intents[b.intent_id], registry, a_ref=a_ref, b_ref=b_ref
+        inputs_a, intents[a.intent_id], inputs_b, intents[b.intent_id], a_ref=a_ref, b_ref=b_ref
     )
-    records += detect_vendor_conflicts(a, b, matrix, registry, a_ref=a_ref, b_ref=b_ref)
+    records += detect_vendor_conflicts(inputs_a, inputs_b, matrix, a_ref=a_ref, b_ref=b_ref)
     return records
 
 
-def reach(pipeline: Pipeline, intent: Intent, registry: Registry) -> set[str]:
-    """Every resource through which the pipeline can conflict with another.
+@dataclass(frozen=True, slots=True)
+class ConflictKeys:
+    """Typed, signed keys of one pipeline: what it probes for and what it offers.
 
-    Its node xApp ids, its registered xApps' written parameters and the KPIs
-    they move (nonzero effects), and its intent's target KPIs; an
-    unregistered node adds its id alone. Each conflict class needs a shared
-    resource, so two pipelines whose reaches are disjoint have no conflict:
-    actuator contention a shared xApp, parameter coupling a shared
-    parameter, objective interference a KPI one side targets and the other
-    targets or moves, and vendor contact a shared parameter or a KPI both
-    move. The three kinds of name share one set; a name that is an xApp on
-    one side and a KPI on the other only lets an extra pair through.
+    Two pipelines can conflict only when one side's probe keys meet the
+    other side's offer keys (see conflict_keys).
     """
-    keys = {kpi for kpi, _ in intent.target_kpis}
-    for node in pipeline.nodes:
-        keys.add(node.xapp_id)
-        profile = registry.get(node.xapp_id)
-        if profile is not None:
-            keys |= profile.controlled_params
-            keys.update(kpi for kpi, direction in profile.kpi_effects if direction)
-    return keys
+
+    probe: frozenset[tuple]
+    offer: frozenset[tuple]
+
+    def meets(self, other: "ConflictKeys") -> bool:
+        return not self.probe.isdisjoint(other.offer) or not other.probe.isdisjoint(self.offer)
+
+
+def conflict_keys(
+    pipeline: Pipeline, intent: Intent, inputs: DetectorInputs, matrix: VendorCompatibilityMatrix
+) -> ConflictKeys:
+    """The keys through which pipeline, for intent, can conflict with another.
+
+    inputs are DetectorInputs.of pipeline. Each conflict class needs one
+    key of one side to meet a key of the other:
+    * actuator contention a shared xApp: ("xapp", id) for every node,
+      registered or not, both probed and offered;
+    * parameter coupling a shared written parameter: ("param", name), both
+      probed and offered;
+    * objective interference a target (KPI, d) of one side meeting a target
+      or move (KPI, -d) of the other: a target probes ("kpi", KPI, -d), and
+      targets and moves offer ("kpi", KPI, direction);
+    * vendor contact a clashing dialect pair on a shared parameter, or on a
+      KPI both xApps move: a node offers ("dialect-param", its dialect,
+      parameter) and ("dialect-kpi", its dialect, KPI), and probes the same
+      keys under every dialect that clashes with its own.
+    So a pair whose keys do not meet has no conflict record, in either order.
+    """
+    shared = {("xapp", node.xapp_id) for node in pipeline.nodes}
+    shared.update(("param", param) for param in inputs.writers)
+    probe, offer = set(shared), shared
+    for kpi, direction in intent.target_kpis:
+        probe.add(("kpi", kpi, -direction))
+        offer.add(("kpi", kpi, direction))
+    offer.update(("kpi", kpi, direction) for kpi, direction in inputs.pushes)
+    for _, dialect, params, kpis in inputs.contacts:
+        partners = matrix.partners.get(dialect, ())
+        for kind, names in (("dialect-param", params), ("dialect-kpi", kpis)):
+            for name in names:
+                offer.add((kind, dialect, name))
+                for partner in partners:
+                    probe.add((kind, partner, name))
+    return ConflictKeys(frozenset(probe), frozenset(offer))
 
 
 def internal_conflicts(
@@ -370,18 +421,19 @@ def validity(
     pipeline's own internal checks, canonically ordered. labelled names the
     pipeline as a candidate and others as the active set. The facts come
     from a fresh ConflictMemo of the three inputs, through the gate of
-    build_conflict_graph: an active pipeline whose reach misses the
+    build_conflict_graph: an active pipeline whose keys do not meet the
     pipeline's is skipped, since the detectors could find nothing there.
     """
     memo = ConflictMemo(intents, matrix, registry)
-    ref = candidate_ref(pipeline.intent_id)
-    records = list(memo.internal(ref, pipeline))
-    own = memo.reach(pipeline)
-    for other_ref, other in labelled({}, DeploymentState(tuple(others))):
-        if not own.isdisjoint(memo.reach(other)):
-            records += memo.pair(ref, pipeline, other_ref, other)
+    records = list(memo.internal(candidate_ref(pipeline.intent_id), pipeline))
+    batch = labelled({pipeline.intent_id: pipeline}, DeploymentState(tuple(others)))
+    for _, edge_records in _gated_edges(batch, 1, memo):
+        records += edge_records
     records = canonical_sort(records)
     return (not records, records)
+
+
+Edge = tuple[tuple[str, str], tuple[ConflictRecord, ...]]
 
 
 @dataclass(frozen=True)
@@ -389,7 +441,7 @@ class ConflictGraph:
     """Pipelines as vertices, detected conflicts as labeled edges."""
 
     vertices: tuple[str, ...]
-    edges: tuple[tuple[tuple[str, str], tuple[ConflictRecord, ...]], ...]
+    edges: tuple[Edge, ...]
 
     def all_records(self) -> list[ConflictRecord]:
         return canonical_sort(r for _, records in self.edges for r in records)
@@ -400,15 +452,18 @@ class ConflictMemo:
     """A run's conflict inputs and what has been worked out from them.
 
     intents, matrix and registry are the inputs every fact depends on; the
-    memo's methods are the one way to a reach, a pair's records or a
-    pipeline's internal records. Every entry is kept per object, and one
-    holding records under their refs too: reaches maps id(p) to (p, its
-    reach), pairs maps (ref_a, ref_b, id(a), id(b)) to (a, b, the pair's
-    records) and internals maps (ref, id(p)) to (p, its internal_conflicts
-    records). Each entry holds its objects, so no id in its key is reused
-    while it lasts, and a candidate that comes back to an earlier object
-    (X -> Y -> X) finds its entries again. interned maps each pipeline
-    value to its first object (see intern).
+    memo's methods are the one way to a pipeline's detector inputs or keys,
+    a pair's records, a pipeline's internal records or an active set's own
+    edges. Every entry is kept per object, and one holding records under
+    their refs too: inputs maps id(p) to (p, DetectorInputs.of p), key_sets
+    maps id(p) to (p, its conflict_keys), pairs maps (ref_a, ref_b, id(a),
+    id(b)) to (a, b, the pair's records), internals maps (ref, id(p)) to
+    (p, its internal_conflicts records) and actives maps id(pre) to (pre,
+    the edges among its pipelines, see build_conflict_graph). Each entry
+    holds its objects, so no id in its key is reused while it lasts, and a
+    candidate that comes back to an earlier object (X -> Y -> X) finds its
+    entries again. interned maps each pipeline value to its first object
+    (see intern).
     """
 
     intents: Mapping[int, Intent]
@@ -417,8 +472,10 @@ class ConflictMemo:
     pairs: dict[tuple[str, str, int, int], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]] = field(
         default_factory=dict
     )
-    reaches: dict[int, tuple[Pipeline, set[str]]] = field(default_factory=dict)
+    inputs: dict[int, tuple[Pipeline, DetectorInputs]] = field(default_factory=dict)
+    key_sets: dict[int, tuple[Pipeline, ConflictKeys]] = field(default_factory=dict)
     internals: dict[tuple[str, int], tuple[Pipeline, tuple[ConflictRecord, ...]]] = field(default_factory=dict)
+    actives: dict[int, tuple[DeploymentState, tuple[Edge, ...]]] = field(default_factory=dict)
     interned: dict[Pipeline, Pipeline] = field(default_factory=dict)
 
     def copy(self) -> "ConflictMemo":
@@ -426,8 +483,10 @@ class ConflictMemo:
         return replace(
             self,
             pairs=dict(self.pairs),
-            reaches=dict(self.reaches),
+            inputs=dict(self.inputs),
+            key_sets=dict(self.key_sets),
             internals=dict(self.internals),
+            actives=dict(self.actives),
             interned=dict(self.interned),
         )
 
@@ -435,17 +494,27 @@ class ConflictMemo:
         """The first object interned with pipeline's value, pipeline itself if none was."""
         return self.interned.setdefault(pipeline, pipeline)
 
-    def reach(self, pipeline: Pipeline) -> set[str]:
-        """reach() of pipeline, worked out once per object."""
-        if id(pipeline) not in self.reaches:
-            self.reaches[id(pipeline)] = (pipeline, reach(pipeline, self.intents[pipeline.intent_id], self.registry))
-        return self.reaches[id(pipeline)][1]
+    def inputs_of(self, pipeline: Pipeline) -> DetectorInputs:
+        """DetectorInputs.of pipeline, worked out once per object."""
+        if id(pipeline) not in self.inputs:
+            self.inputs[id(pipeline)] = (pipeline, DetectorInputs.of(pipeline, self.registry))
+        return self.inputs[id(pipeline)][1]
+
+    def keys_of(self, pipeline: Pipeline) -> ConflictKeys:
+        """conflict_keys of pipeline, worked out once per object."""
+        if id(pipeline) not in self.key_sets:
+            keys = conflict_keys(pipeline, self.intents[pipeline.intent_id], self.inputs_of(pipeline), self.matrix)
+            self.key_sets[id(pipeline)] = (pipeline, keys)
+        return self.key_sets[id(pipeline)][1]
 
     def pair(self, ref_a: str, a: Pipeline, ref_b: str, b: Pipeline) -> tuple[ConflictRecord, ...]:
         """pairwise_conflicts of a under ref_a and b under ref_b, worked out once per pair of objects."""
         key = (ref_a, ref_b, id(a), id(b))
         if key not in self.pairs:
-            records = pairwise_conflicts(a, b, self.intents, self.matrix, self.registry, a_ref=ref_a, b_ref=ref_b)
+            inputs = (self.inputs_of(a), self.inputs_of(b))
+            records = pairwise_conflicts(
+                a, b, self.intents, self.matrix, self.registry, a_ref=ref_a, b_ref=ref_b, inputs=inputs
+            )
             self.pairs[key] = (a, b, tuple(records))
         return self.pairs[key][2]
 
@@ -456,6 +525,12 @@ class ConflictMemo:
             records = internal_conflicts(pipeline, self.matrix, self.registry, ref=ref)
             self.internals[key] = (pipeline, tuple(records))
         return self.internals[key][1]
+
+    def active_edges(self, pre: DeploymentState) -> tuple[Edge, ...]:
+        """The edges among pre's own pipelines, in ref order, worked out once per object."""
+        if id(pre) not in self.actives:
+            self.actives[id(pre)] = (pre, tuple(_gated_edges(labelled({}, pre), len(pre), self)))
+        return self.actives[id(pre)][1]
 
 
 def candidate_ref(intent_id: int) -> str:
@@ -479,30 +554,41 @@ def labelled(candidates: Mapping[int, Pipeline], pre: DeploymentState) -> list[t
     return sorted(pairs, key=lambda pair: pair[0])
 
 
+def _gated_edges(batch: Sequence[tuple[str, Pipeline]], heads: int, memo: ConflictMemo) -> list[Edge]:
+    """The edges of batch's pairs i < j with i < heads, in ref order, asking
+    memo.pair only of a pair whose keys meet."""
+    keys = [memo.keys_of(p) for _, p in batch]
+    edges = []
+    for i in range(heads):
+        ref_a, pipe_a = batch[i]
+        keys_a = keys[i]
+        for (ref_b, pipe_b), keys_b in zip(batch[i + 1 :], keys[i + 1 :]):
+            if keys_a.meets(keys_b):
+                records = memo.pair(ref_a, pipe_a, ref_b, pipe_b)
+                if records:
+                    edges.append(((ref_a, ref_b), records))
+    return edges
+
+
 def build_conflict_graph(
     candidates: Mapping[int, Pipeline], pre: DeploymentState, memo: ConflictMemo
 ) -> ConflictGraph:
     """Run all four detectors over every unordered pipeline pair that can conflict.
 
     The vertices are labelled's refs; walking its ref-ordered pairs i < j
-    yields the edges in ref order. A pair whose reaches are disjoint is
-    skipped without asking memo.pair: reach holds one necessary resource per
-    conflict class, so every skipped pair has no records, and the graph is
-    the all-pairs graph. memo supplies the inputs and keeps the facts across
-    calls: a reach once per object, the records of a pair the gate lets
+    yields the edges in ref order. A pair whose conflict keys do not meet is
+    skipped without asking memo.pair: the keys hold one necessary meeting
+    per conflict class, so every skipped pair has no records, and the graph
+    is the all-pairs graph. labelled puts every candidate before every
+    active pipeline, so the edges among the active set come last; memo
+    works them out once per DeploymentState object (memo.active_edges), and
+    each build visits only the pairs that hold a candidate. memo supplies
+    the inputs and keeps the facts across calls: a pipeline's detector
+    inputs and keys once per object, the records of a pair the gate lets
     through once per pair of objects under their refs.
     """
     batch = labelled(candidates, pre)
-    reaches = [memo.reach(p) for _, p in batch]
-    edges = []
-    for i, (ref_a, pipe_a) in enumerate(batch):
-        reach_a = reaches[i]
-        for (ref_b, pipe_b), reach_b in zip(batch[i + 1 :], reaches[i + 1 :]):
-            if reach_a.isdisjoint(reach_b):
-                continue
-            records = memo.pair(ref_a, pipe_a, ref_b, pipe_b)
-            if records:
-                edges.append(((ref_a, ref_b), records))
+    edges = _gated_edges(batch, len(candidates), memo) + list(memo.active_edges(pre))
     return ConflictGraph(vertices=tuple(ref for ref, _ in batch), edges=tuple(edges))
 
 
@@ -532,8 +618,8 @@ def evaluate_conflicts(
     active pipeline blocks; clashes maps each eligible id to the eligible ids
     it conflicts with. An edge to an ineligible candidate neither blocks nor
     counts. memo is the run's ConflictMemo, the source of every fact: the
-    graph reads its reach and pair entries, and each eligible candidate's
-    internal records come from its internal entries.
+    graph reads its key, pair and active-edge entries, and each eligible
+    candidate's internal records come from its internal entries.
     """
     graph = build_conflict_graph(candidates, pre, memo)
     by_ref = {candidate_ref(intent_id): intent_id for intent_id in eligible}

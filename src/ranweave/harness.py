@@ -300,7 +300,11 @@ def _load_entries(root: Path, name: str, build: Callable[[object], T]) -> dict[i
 
 def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
     """Authoring gate: every intent must have a reference pipeline, and every
-    scenario not using an infeasible intent a conflict-free reference deployment."""
+    scenario not using an infeasible intent a conflict-free reference deployment.
+
+    The knowledge corpus is read first, as a run reads it, so a file of it
+    that is not UTF-8 text raises FixtureError naming the file."""
+    bundle.knowledge
     problems = []
     infeasible = set()
     for intent_id in bundle.truths:

@@ -162,7 +162,7 @@ class XAppProfile:
 
 
 class Registry:
-    """Immutable xApp catalog with id lookup and a KPI catalog.
+    """Immutable xApp catalog with id lookup, a capability index and a KPI catalog.
 
     The KPI catalog defaults to every KPI any profile declares an effect on;
     a wider catalog may be supplied when intents reference extra KPIs.
@@ -177,6 +177,12 @@ class Registry:
         self._by_id = dict(sorted(by_id.items()))
         # Ascending id order, so "registry order" is what a plain sorted() gives.
         self.ids: tuple[str, ...] = tuple(self._by_id)
+        holders: dict[str, list[int]] = {}
+        for position, profile in enumerate(self._by_id.values()):
+            for capability in profile.capabilities:
+                holders.setdefault(capability, []).append(position)
+        # capability -> the ascending positions in ids of the xApps that hold it
+        self.holders: dict[str, tuple[int, ...]] = {cap: tuple(ps) for cap, ps in holders.items()}
         declared = {kpi for p in self._by_id.values() for kpi, _ in p.kpi_effects}
         self.kpi_catalog = frozenset(kpi_catalog) | declared
 

@@ -2,7 +2,10 @@
 
 Everything here is exact and deterministic. Ground-truth pipelines are
 minimum-size capability covers over the registry, found by a depth-first
-cover search that skips only subsets that cannot cover. The deployable set
+cover search that skips only subsets that cannot cover. It reads the
+registry's capability index (Registry.holders), so its masks come from the
+holders of the intent's capabilities alone, and it keeps its bounds only
+where a mask is nonzero or a position mandatory. The deployable set
 is found by select_subset, a depth-first branch and bound with no cap on
 the number of candidates. It walks the ascending ids on an explicit stack,
 taking each id before leaving it out; taking one drops the ids it clashes
@@ -73,7 +76,7 @@ class OracleResult:
 
     graph is the conflict graph the answer was computed from, and memo the
     ConflictMemo that graph was built through: the batch's intents, matrix
-    and registry, and the reach, pair and internal entries of the truths and
+    and registry, and the key, pair and internal entries of the truths and
     the active set. A run over the same batch seeds its own memo from a copy
     (agents.orchestrate_batch), which refuses a memo of other inputs.
     Neither is serialized.
@@ -114,7 +117,10 @@ def synthesize_ground_truth(intent: Intent, registry: Registry, matrix: VendorCo
     and, wired as model.stage_chain, has no internal conflict. _covers
     yields the subsets that contain and cover in exactly that order, so
     only those are wired and checked; an xApp that covers nothing is still
-    tried in a free slot, as the spacer a clashing pair may need.
+    tried in a free slot, as the spacer a clashing pair may need. The masks
+    are built from registry.holders of the intent's capabilities, so an
+    xApp that holds none of them costs nothing until a free slot takes it,
+    and the mandatory xApps are found by bisection in the sorted ids.
     refine_pipeline keeps such a spacer: it puts back the fewest dropped
     xApps that make the chain clean, first in ascending id order, under the
     same MAX_COVER cap, so it returns every reference unchanged.
@@ -126,11 +132,14 @@ def synthesize_ground_truth(intent: Intent, registry: Registry, matrix: VendorCo
             f"intent {intent.id!r} mandates unregistered xApps {sorted(missing)}"
         )
 
-    bit = {cap: 1 << k for k, cap in enumerate(sorted(intent.required_capabilities))}
-    masks = [sum(bit.get(cap, 0) for cap in registry[x].capabilities) for x in pool]
-    mandatory = {p for p, x in enumerate(pool) if x in intent.required_xapps}
+    masks: dict[int, int] = {}  # position -> its nonzero mask
+    for k, cap in enumerate(sorted(intent.required_capabilities)):
+        for p in registry.holders.get(cap, ()):
+            masks[p] = masks.get(p, 0) | 1 << k
+    mandatory = {bisect_left(pool, x) for x in intent.required_xapps}
     sizes = range(max(1, len(mandatory)), MAX_COVER + 1)
-    for positions in _covers(masks, (1 << len(bit)) - 1, mandatory, sizes):
+    full = (1 << len(intent.required_capabilities)) - 1
+    for positions in _covers(masks, len(pool), full, mandatory, sizes):
         ordered, edges = stage_chain([pool[p] for p in positions], registry)
         nodes = [(x, default_directive(registry[x])) for x in ordered]
         pipeline = Pipeline.build(intent.id, nodes, edges)
@@ -144,11 +153,12 @@ def synthesize_ground_truth(intent: Intent, registry: Registry, matrix: VendorCo
 
 
 def _covers(
-    masks: Sequence[int], full: int, mandatory: AbstractSet[int], sizes: Iterable[int]
+    masks: Mapping[int, int], n: int, full: int, mandatory: AbstractSet[int], sizes: Iterable[int]
 ) -> Iterator[tuple[int, ...]]:
-    """Every position tuple whose masks together hold full and that holds the
-    mandatory positions, in the order combinations(range(len(masks)), size)
-    yields them, for each size in turn.
+    """Every tuple of positions below n whose masks together hold full and
+    that holds the mandatory positions, in the order combinations(range(n),
+    size) yields them, for each size in turn. masks holds the nonzero masks;
+    a position it lacks has mask 0.
 
     A depth-first walk fills the slots with ascending positions. It cuts a
     branch only when the branch holds no such tuple: the positions left
@@ -156,41 +166,59 @@ def _covers(
     even if each took as many bits as the widest mask left (widest), or a
     mandatory position was passed over (stop, owed). Since reach and widest
     only shrink as the position grows, a cut also ends the loop it is in.
-    The last slot takes only positions whose mask holds every missing bit,
-    from a per-need index. When the whole registry cannot cover, each size
-    ends at its first position, so such an intent costs no search.
+    The four bounds are kept only at the key positions, those with a nonzero
+    mask or mandatory, since they are constant between two of them. The
+    zero-mask positions before a key position are free-slot spacers that no
+    bound tells apart, so the walk takes each of them only when one slot
+    fewer can still hold the missing bits and the mandatory positions left,
+    and otherwise passes the whole run over. The last slot takes only positions
+    whose mask holds every missing bit, from a per-need index. When the
+    masks cannot cover, each size ends at its first position, so such an
+    intent costs no search.
     """
-    n = len(masks)
-    reach = [0] * (n + 1)  # reach[p]: the union of masks[p:]
-    widest = [0] * (n + 1)  # widest[p]: the most bits one of masks[p:] holds
-    owed = [0] * (n + 1)  # owed[p]: mandatory positions at p or after
-    stop = [n] * (n + 1)  # stop[p]: the first mandatory position at p or after
-    for p in range(n - 1, -1, -1):
-        reach[p] = reach[p + 1] | masks[p]
-        widest[p] = max(widest[p + 1], masks[p].bit_count())
-        owed[p] = owed[p + 1] + (p in mandatory)
-        stop[p] = p if p in mandatory else stop[p + 1]
-    holders: dict[int, list[int]] = {}  # need -> positions whose mask holds it
+    keys = sorted(masks.keys() | mandatory)
+    keys.append(n)  # a sentinel past every position, where every bound is empty
+    reach = [0] * len(keys)  # reach[k]: the union of the masks at keys[k] or after
+    widest = [0] * len(keys)  # widest[k]: the most bits one of those masks holds
+    owed = [0] * len(keys)  # owed[k]: mandatory positions at keys[k] or after
+    stop = [n] * len(keys)  # stop[k]: the first mandatory position at keys[k] or after
+    for k in range(len(keys) - 2, -1, -1):
+        p, mask = keys[k], masks.get(keys[k], 0)
+        reach[k] = reach[k + 1] | mask
+        widest[k] = max(widest[k + 1], mask.bit_count())
+        owed[k] = owed[k + 1] + (p in mandatory)
+        stop[k] = p if p in mandatory else stop[k + 1]
+    holders: dict[int, Sequence[int]] = {0: range(n)}  # need -> positions whose mask holds it
 
     def walk(start: int, covered: int, free: int, chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if owed[start] > free:
+        k = bisect_left(keys, start)  # the first key position at start or after
+        if owed[k] > free:
             return
         need = full & ~covered
         if free == 1:
-            if owed[start]:
-                if masks[stop[start]] & need == need:
-                    yield chosen + (stop[start],)
+            if owed[k]:
+                if masks.get(stop[k], 0) & need == need:
+                    yield chosen + (stop[k],)
                 return
             if need not in holders:
-                holders[need] = [p for p, mask in enumerate(masks) if mask & need == need]
+                holders[need] = sorted(p for p, mask in masks.items() if mask & need == need)
             row = holders[need]
             for p in row[bisect_left(row, start):]:
                 yield chosen + (p,)
             return
-        for p in range(start, min(n - free, stop[start]) + 1):
-            if reach[p] & need != need or need.bit_count() > free * widest[p]:
+        last, p = min(n - free, stop[k]), start
+        while p <= last:
+            if reach[k] & need != need or need.bit_count() > free * widest[k]:
                 break
-            yield from walk(p + 1, covered | masks[p], free - 1, chosen + (p,))
+            if p < keys[k]:  # the spacers p .. keys[k] - 1
+                end = min(keys[k] - 1, last)
+                if owed[k] < free and need.bit_count() <= (free - 1) * widest[k]:
+                    for q in range(p, end + 1):
+                        yield from walk(q + 1, covered, free - 1, chosen + (q,))
+                p = end + 1
+            else:
+                yield from walk(p + 1, covered | masks.get(p, 0), free - 1, chosen + (p,))
+                p, k = p + 1, k + 1
 
     for size in sizes:
         yield from walk(0, 0, size, ())

@@ -164,7 +164,10 @@ class SparseBatch:
     The registry holds 2-20 xApps; the parameter and KPI pools grow with it,
     so most xApps write and move their own few. Pipelines may name an
     unregistered xApp, repeat a node, and carry an edge to a node they do
-    not hold, and one active pipeline often shares a candidate's intent.
+    not hold, and one active pipeline often shares a candidate's intent. A
+    crowded batch has 1-3 candidates and 5-10 active pipelines over a
+    registry of 2-8 xApps, so the active set outnumbers the candidates and
+    its pipelines often conflict with each other.
     """
 
     rng: random.Random
@@ -175,8 +178,8 @@ class SparseBatch:
     pre: DeploymentState
 
     @classmethod
-    def draw(cls, rng: random.Random) -> "SparseBatch":
-        size = rng.randint(2, 20)
+    def draw(cls, rng: random.Random, crowded: bool = False) -> "SparseBatch":
+        size = rng.randint(2, 8) if crowded else rng.randint(2, 20)
         params = [f"param{i:02d}" for i in range(2 * size)]
         kpis = [f"kpi{i:02d}" for i in range(2 * size)]
         profiles = [
@@ -192,8 +195,8 @@ class SparseBatch:
         matrix = VendorCompatibilityMatrix.of(
             *((a, b) for i, a in enumerate(DIALECT_POOL) for b in DIALECT_POOL[i + 1 :] if rng.random() < 0.5)
         )
-        ids = rng.sample(range(1, 13), rng.randint(1, 6))
-        pre_ids = rng.sample(range(1, 13), rng.randint(0, 4))
+        ids = rng.sample(range(1, 13), rng.randint(1, 3) if crowded else rng.randint(1, 6))
+        pre_ids = rng.sample(range(1, 13), rng.randint(5, 10) if crowded else rng.randint(0, 4))
         shared = rng.choice(ids)
         if shared not in pre_ids and rng.random() < 0.5:
             pre_ids.append(shared)

@@ -13,6 +13,7 @@ import time
 
 from ranweave.agents import Mode
 from ranweave.conflicts import (
+    DetectorInputs,
     detect_actuator_contention,
     detect_objective_interference,
     detect_parameter_coupling,
@@ -57,15 +58,16 @@ def test_criterion_01_detector_oracle_equivalence():
         intent_a, intent_b = random_intent(rng, 1), random_intent(rng, 2)
         a = random_pipeline(rng, registry, 1, max_nodes=3)
         b = random_pipeline(rng, registry, 2, max_nodes=3)
+        inputs_a, inputs_b = DetectorInputs.of(a, registry), DetectorInputs.of(b, registry)
 
         if {r.subject for r in detect_actuator_contention(a, b, **refs)} != brute_actuator_subjects(a, b):
             mismatches += 1
         if {
-            r.subject for r in detect_parameter_coupling(a, b, registry, **refs)
+            r.subject for r in detect_parameter_coupling(inputs_a, inputs_b, **refs)
         } != brute_coupling_subjects(a, b, registry):
             mismatches += 1
         if {
-            r.subject for r in detect_objective_interference(a, intent_a, b, intent_b, registry, **refs)
+            r.subject for r in detect_objective_interference(inputs_a, intent_a, inputs_b, intent_b, **refs)
         } != brute_interference_subjects(a, intent_a, b, intent_b, registry):
             mismatches += 1
         engine_pairs = {
@@ -73,7 +75,7 @@ def test_criterion_01_detector_oracle_equivalence():
                 next(x for ref, x in record.participants if ref == "1"),
                 next(x for ref, x in record.participants if ref == "2"),
             )
-            for record in detect_vendor_conflicts(a, b, matrix, registry, **refs)
+            for record in detect_vendor_conflicts(inputs_a, inputs_b, matrix, **refs)
         }
         if engine_pairs != brute_vendor_pairs(a, b, matrix, registry):
             mismatches += 1

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from ranweave.conflicts import (
     ConflictKind,
     ConflictMemo,
+    DetectorInputs,
     VendorCompatibilityMatrix,
     build_conflict_graph,
     canonical_sort,
+    conflict_keys,
     detect_actuator_contention,
     detect_internal_coupling,
     detect_internal_vendor,
@@ -22,7 +24,6 @@ from ranweave.conflicts import (
     internal_conflicts,
     labelled,
     pairwise_conflicts,
-    reach,
     validity,
 )
 from ranweave.model import DeploymentState, Intent, Pipeline, Registry, Stage, XAppProfile, stage_chain
@@ -53,6 +54,10 @@ def _intent(intent_id, **targets) -> Intent:
     )
 
 
+def _inputs(registry: Registry, *pipelines: Pipeline) -> list[DetectorInputs]:
+    return [DetectorInputs.of(p, registry) for p in pipelines]
+
+
 def test_actuator_contention_on_differing_directives(truths):
     a = Pipeline.build(10, [("traffic_steering_a", {"steering_policy": "load"})])
     b = Pipeline.build(11, [("traffic_steering_a", {"steering_policy": "latency"})])
@@ -77,14 +82,14 @@ def test_actuator_disjoint_nodes_clean():
 def test_parameter_coupling_on_tx_power(bundle):
     a = Pipeline.build(10, [("power_saving_controller", {"tx_power": "auto"})])
     b = Pipeline.build(11, [("uplink_power_control_agent", {"tx_power": "auto"})])
-    records = detect_parameter_coupling(a, b, bundle.registry, a_ref="10", b_ref="11")
+    records = detect_parameter_coupling(*_inputs(bundle.registry, a, b), a_ref="10", b_ref="11")
     assert [r.subject for r in records] == ["tx_power"]
 
 
 def test_parameter_coupling_disjoint_params_clean(bundle):
     a = Pipeline.build(10, [("massive_mimo_beamformer", {})])
     b = Pipeline.build(11, [("admission_control_manager", {})])
-    assert detect_parameter_coupling(a, b, bundle.registry, a_ref="10", b_ref="11") == []
+    assert detect_parameter_coupling(*_inputs(bundle.registry, a, b), a_ref="10", b_ref="11") == []
 
 
 def test_internal_coupling_exempted_by_edge(bundle):
@@ -110,9 +115,9 @@ def test_objective_interference_scheduler_vs_throughput_intent(bundle, truths):
     )
     throughput_intent = bundle.intents[5]
     other_intent = _intent(30, latency=-1)
+    throughput, latency = _inputs(bundle.registry, truths[5], latency_pipeline)
     records = detect_objective_interference(
-        truths[5], throughput_intent, latency_pipeline, other_intent, bundle.registry,
-        a_ref="5", b_ref="30",
+        throughput, throughput_intent, latency, other_intent, a_ref="5", b_ref="30"
     )
     assert any(
         r.subject == "throughput" and ("30", "latency_aware_mac_scheduler") in r.participants
@@ -121,9 +126,9 @@ def test_objective_interference_scheduler_vs_throughput_intent(bundle, truths):
 
 
 def test_objective_interference_aligned_intents_clean(bundle, truths):
+    inputs_3, inputs_6 = _inputs(bundle.registry, truths[3], truths[6])
     records = detect_objective_interference(
-        truths[3], bundle.intents[3], truths[6], bundle.intents[6], bundle.registry,
-        a_ref="3", b_ref="6",
+        inputs_3, bundle.intents[3], inputs_6, bundle.intents[6], a_ref="3", b_ref="6"
     )
     assert records == []
 
@@ -135,8 +140,9 @@ def test_objective_interference_opposed_intent_directions():
     )
     a = Pipeline.build(1, [("n", {})])
     b = Pipeline.build(2, [("n", {})])
+    inputs_a, inputs_b = _inputs(registry, a, b)
     records = detect_objective_interference(
-        a, _intent(1, kpi=1), b, _intent(2, kpi=-1), registry, a_ref="1", b_ref="2"
+        inputs_a, _intent(1, kpi=1), inputs_b, _intent(2, kpi=-1), a_ref="1", b_ref="2"
     )
     assert [r.subject for r in records] == ["kpi"]
     assert {ref for ref, _ in records[0].participants} == {"1", "2"}
@@ -145,7 +151,7 @@ def test_objective_interference_opposed_intent_directions():
 def test_vendor_conflict_between_slicing_variants(bundle):
     a = Pipeline.build(10, [("ran_slicing_manager_a", {"slice_quota": "auto"})])
     b = Pipeline.build(11, [("ran_slicing_manager_b", {"slice_quota": "auto"})])
-    records = detect_vendor_conflicts(a, b, bundle.matrix, bundle.registry, a_ref="10", b_ref="11")
+    records = detect_vendor_conflicts(*_inputs(bundle.registry, a, b), bundle.matrix, a_ref="10", b_ref="11")
     assert len(records) == 1
     assert records[0].subject == "slicing-a|slicing-b"
 
@@ -160,12 +166,12 @@ def test_vendor_conflict_requires_contact():
     matrix = VendorCompatibilityMatrix.of(("d1", "d2"))
     a = Pipeline.build(1, [("p", {"x": "1"})])
     b = Pipeline.build(2, [("q", {"y": "1"})])
-    assert detect_vendor_conflicts(a, b, matrix, registry, a_ref="1", b_ref="2") == []
+    assert detect_vendor_conflicts(*_inputs(registry, a, b), matrix, a_ref="1", b_ref="2") == []
 
 
 def test_vendor_conflict_compatible_dialects_clean(bundle, truths):
     records = detect_vendor_conflicts(
-        truths[1], truths[4], bundle.matrix, bundle.registry, a_ref="1", b_ref="4"
+        *_inputs(bundle.registry, truths[1], truths[4]), bundle.matrix, a_ref="1", b_ref="4"
     )
     assert records == []
 
@@ -359,13 +365,17 @@ def test_conflict_graph_matches_pairwise_union(bundle, truths):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_gated_graph_equals_the_all_pairs_loop(seed):
+@given(seed=st.integers(0, 2**32 - 1), crowded=st.booleans())
+def test_gated_graph_equals_the_all_pairs_loop(seed, crowded):
     """Over rounds that replace a random subset of the candidates, the
-    reach-gated graph, built fresh or through one shared ConflictMemo, equals
+    key-gated graph, built fresh or through one shared ConflictMemo, equals
     the all-pairs loop edge for edge and record for record; and validity
-    equals its ungated sum of detectors."""
-    batch = SparseBatch.draw(random.Random(seed))
+    equals its ungated sum of detectors. A crowded batch's active set
+    outnumbers its candidates and conflicts within itself. Between rounds
+    the shared memo may be swapped for its copy, and the active set for a
+    new object, equal or with one pipeline redrawn, so the kept active-set
+    edges are read through copies and never for another object."""
+    batch = SparseBatch.draw(random.Random(seed), crowded)
     rng, intents, matrix, registry = batch.rng, batch.intents, batch.matrix, batch.registry
     memo = ConflictMemo(intents, matrix, registry)
     for _ in range(rng.randint(1, 4)):
@@ -373,9 +383,20 @@ def test_gated_graph_equals_the_all_pairs_loop(seed):
         fresh = ConflictMemo(intents, matrix, registry)
         assert build_conflict_graph(batch.candidates, batch.pre, fresh) == expected
         assert build_conflict_graph(batch.candidates, batch.pre, memo) == expected
+        assert id(batch.pre) in memo.actives
         for intent_id in batch.candidates:
             if rng.random() < 0.5:
                 batch.candidates[intent_id] = batch.pipeline(intent_id)
+        if rng.random() < 0.5:
+            memo = memo.copy()
+        roll = rng.random()
+        if roll < 0.2:
+            batch.pre = DeploymentState(batch.pre.active)
+        elif roll < 0.4 and batch.pre.active:
+            active = list(batch.pre.active)
+            k = rng.randrange(len(active))
+            active[k] = batch.pipeline(active[k].intent_id)
+            batch.pre = DeploymentState(tuple(active))
     for intent_id, pipeline in batch.candidates.items():
         ref = str(intent_id)
         ungated = internal_conflicts(pipeline, matrix, registry, ref=ref)
@@ -385,7 +406,7 @@ def test_gated_graph_equals_the_all_pairs_loop(seed):
 
 
 def _tables(memo: ConflictMemo) -> tuple:
-    return (memo.pairs, memo.reaches, memo.internals, memo.interned)
+    return (memo.pairs, memo.inputs, memo.key_sets, memo.internals, memo.actives, memo.interned)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -432,7 +453,7 @@ def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
 def test_a_candidate_that_comes_back_to_an_earlier_object_is_not_checked_again(bundle, truths, monkeypatch):
     """X -> Y -> X -> Y: the memo keeps an entry per object, so once both
     objects have been met, neither is checked again under its ref: no
-    pairwise_conflicts, no internal_conflicts and no reach."""
+    pairwise_conflicts, no internal_conflicts and no conflict_keys."""
     from ranweave import conflicts
 
     calls: list[str] = []
@@ -444,7 +465,7 @@ def test_a_candidate_that_comes_back_to_an_earlier_object_is_not_checked_again(b
 
         return wrapper
 
-    for name in ("pairwise_conflicts", "internal_conflicts", "reach"):
+    for name in ("pairwise_conflicts", "internal_conflicts", "conflict_keys"):
         monkeypatch.setattr(conflicts, name, counted(name, getattr(conflicts, name)))
     memo = ConflictMemo(bundle.intents, bundle.matrix, bundle.registry)
     pre = DeploymentState(tuple(truths[i] for i in (2, 3, 4, 5, 6, 7)))
@@ -455,7 +476,7 @@ def test_a_candidate_that_comes_back_to_an_earlier_object_is_not_checked_again(b
         calls.clear()
         evaluate_conflicts({1: candidate}, [1], pre, memo)
         met.append(sorted(set(calls)))
-    assert met[0] == met[1] == ["internal_conflicts", "pairwise_conflicts", "reach"]
+    assert met[0] == met[1] == ["conflict_keys", "internal_conflicts", "pairwise_conflicts"]
     assert met[2] == met[3] == []
 
 
@@ -477,12 +498,31 @@ def test_intern_returns_the_first_object_of_a_value_and_keeps_condition_bytes_ap
     assert copy.intern(other) is other and len(memo.interned) == 3
 
 
+def _keys(batch: SparseBatch, pipeline: Pipeline):
+    inputs = DetectorInputs.of(pipeline, batch.registry)
+    return conflict_keys(pipeline, batch.intents[pipeline.intent_id], inputs, batch.matrix)
+
+
+def _reach(batch: SparseBatch, pipeline: Pipeline) -> set[str]:
+    """The untyped gate the typed keys replaced: node xApp ids, registered
+    xApps' written parameters and moved KPIs, and the intent's target KPIs."""
+    names = {kpi for kpi, _ in batch.intents[pipeline.intent_id].target_kpis}
+    for node in pipeline.nodes:
+        names.add(node.xapp_id)
+        profile = batch.registry.get(node.xapp_id)
+        if profile is not None:
+            names |= profile.controlled_params
+            names.update(kpi for kpi, direction in profile.kpi_effects if direction)
+    return names
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_conflicting_pipelines_share_reach(seed):
+@given(seed=st.integers(0, 2**32 - 1), crowded=st.booleans())
+def test_conflicting_pipelines_have_meeting_keys(seed, crowded):
     """The gate's premise: whenever pairwise_conflicts returns a record, in
-    either argument order, the two pipelines' reaches intersect."""
-    batch = SparseBatch.draw(random.Random(seed))
+    either argument order, one pipeline's probe keys meet the other's offer
+    keys."""
+    batch = SparseBatch.draw(random.Random(seed), crowded)
     intents, matrix, registry = batch.intents, batch.matrix, batch.registry
     labelled_batch = labelled(batch.candidates, batch.pre)
     for i, (ref_a, a) in enumerate(labelled_batch):
@@ -490,27 +530,37 @@ def test_conflicting_pipelines_share_reach(seed):
             forward = pairwise_conflicts(a, b, intents, matrix, registry, a_ref=ref_a, b_ref=ref_b)
             backward = pairwise_conflicts(b, a, intents, matrix, registry, a_ref=ref_b, b_ref=ref_a)
             if forward or backward:
-                assert reach(a, intents[a.intent_id], registry) & reach(b, intents[b.intent_id], registry)
+                assert _keys(batch, a).meets(_keys(batch, b))
 
 
 def test_sparse_batches_hold_every_case_the_gate_meets():
-    """The draws of the two properties above: disjoint and conflicting pairs
-    are both common, and unregistered xApps, repeated nodes, dangling edges
-    and an active pipeline sharing a candidate's intent all occur."""
-    pairs = disjoint = conflicting = 0
+    """The draws of the properties above: pairs the gate skips and
+    conflicting pairs are both common, and unregistered xApps, repeated
+    nodes, dangling edges, an active pipeline sharing a candidate's intent
+    and, in crowded batches, conflicts within the active set all occur. The
+    typed keys let through no pair whose reaches are disjoint, and fewer
+    pairs in all."""
+    pairs = skipped = conflicting = passed = reached = 0
     seen = set()
     for seed in range(100):
-        batch = SparseBatch.draw(random.Random(seed))
+        crowded = seed % 2 == 1
+        batch = SparseBatch.draw(random.Random(seed), crowded)
         intents, registry = batch.intents, batch.registry
         labelled_batch = labelled(batch.candidates, batch.pre)
         for i, (ref_a, a) in enumerate(labelled_batch):
-            reach_a = reach(a, intents[a.intent_id], registry)
+            keys_a, reach_a = _keys(batch, a), _reach(batch, a)
             for ref_b, b in labelled_batch[i + 1 :]:
+                meets = keys_a.meets(_keys(batch, b))
+                shares = not reach_a.isdisjoint(_reach(batch, b))
+                assert shares or not meets
                 pairs += 1
-                disjoint += reach_a.isdisjoint(reach(b, intents[b.intent_id], registry))
-                conflicting += bool(
-                    pairwise_conflicts(a, b, intents, batch.matrix, registry, a_ref=ref_a, b_ref=ref_b)
-                )
+                passed += meets
+                reached += shares
+                records = pairwise_conflicts(a, b, intents, batch.matrix, registry, a_ref=ref_a, b_ref=ref_b)
+                conflicting += bool(records)
+                skipped += not meets
+                if records and crowded and ref_a.startswith("pre:"):
+                    seen.add("active conflict")
         for _, p in labelled_batch:
             if any(x not in registry for x in p.node_ids):
                 seen.add("unregistered")
@@ -520,8 +570,9 @@ def test_sparse_batches_hold_every_case_the_gate_meets():
                 seen.add("dangling")
         if any(p.intent_id in batch.candidates for p in batch.pre):
             seen.add("shared intent")
-    assert seen == {"unregistered", "repeated", "dangling", "shared intent"}
-    assert disjoint > pairs / 4 and conflicting > pairs / 4, (pairs, disjoint, conflicting)
+    assert seen == {"unregistered", "repeated", "dangling", "shared intent", "active conflict"}
+    assert skipped > pairs / 4 and conflicting > pairs / 4, (pairs, skipped, conflicting)
+    assert passed < reached, (passed, reached)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -599,22 +650,21 @@ def test_brute_force_oracle_equivalence_small():
         intent_a, intent_b = random_intent(rng, 1), random_intent(rng, 2)
         a = random_pipeline(rng, registry, 1)
         b = random_pipeline(rng, registry, 2)
+        inputs_a, inputs_b = _inputs(registry, a, b)
 
         assert {
             r.subject for r in detect_actuator_contention(a, b, a_ref="1", b_ref="2")
         } == brute_actuator_subjects(a, b)
         assert {
-            r.subject for r in detect_parameter_coupling(a, b, registry, a_ref="1", b_ref="2")
+            r.subject for r in detect_parameter_coupling(inputs_a, inputs_b, a_ref="1", b_ref="2")
         } == brute_coupling_subjects(a, b, registry)
         assert {
             r.subject
-            for r in detect_objective_interference(
-                a, intent_a, b, intent_b, registry, a_ref="1", b_ref="2"
-            )
+            for r in detect_objective_interference(inputs_a, intent_a, inputs_b, intent_b, a_ref="1", b_ref="2")
         } == brute_interference_subjects(a, intent_a, b, intent_b, registry)
         engine_pairs = {
             (next(x for ref, x in r.participants if ref == "1"),
              next(x for ref, x in r.participants if ref == "2"))
-            for r in detect_vendor_conflicts(a, b, matrix, registry, a_ref="1", b_ref="2")
+            for r in detect_vendor_conflicts(inputs_a, inputs_b, matrix, a_ref="1", b_ref="2")
         }
         assert engine_pairs == brute_vendor_pairs(a, b, matrix, registry)

@@ -692,6 +692,18 @@ def test_cli_run_on_a_knowledge_file_that_is_not_utf8_is_a_catalog_error(tmp_pat
         load_fixtures(root).knowledge
 
 
+def test_cli_fixtures_validate_reads_the_knowledge_corpus(tmp_path, bundle, capsys):
+    """Validation reads the corpus a run reads, so a catalog whose corpus
+    holds a file that is not UTF-8 text is refused as run refuses it: one
+    line naming the file and exit status 2, not "fixtures sound"."""
+    root = _copy_catalog(bundle, tmp_path)
+    (root / "knowledge" / "latin1.md").write_bytes(b"Caf\xe9 handover notes.\n")
+    assert cli_main(["--fixtures", str(root), "fixtures", "validate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ranweave: knowledge/latin1.md: not UTF-8 text\n"
+
+
 def test_cli_run_on_an_unconfigured_http_backend_is_a_transport_error(monkeypatch, capsys):
     monkeypatch.delenv(CHAT_BASE_URL_ENV, raising=False)
     assert cli_main(["run", "--scenario", "1", "--transport", "http"]) == 2

@@ -115,7 +115,8 @@ def test_the_conflict_memo_is_the_one_way_to_a_conflict_fact():
     """ConflictMemo holds the intents, matrix and registry its facts depend
     on, so the graph and the evaluation take the memo alone, and no default
     can stand in for a run's own. Outside the memo's methods nothing calls
-    pairwise_conflicts or reach, or touches its pairs, reaches or internals."""
+    pairwise_conflicts or conflict_keys, or touches its pairs, inputs,
+    key_sets, internals or actives."""
     tree = ast.parse(Path(PACKAGE_DIR, "conflicts.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in ("build_conflict_graph", "evaluate_conflicts"):
@@ -129,8 +130,8 @@ def test_the_conflict_memo_is_the_one_way_to_a_conflict_fact():
         for statement in tree.body
         if statement is not memo
         for node in ast.walk(statement)
-        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("pairwise_conflicts", "reach"))
-        or (isinstance(node, ast.Attribute) and node.attr in ("pairs", "reaches", "internals"))
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("pairwise_conflicts", "conflict_keys"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("pairs", "inputs", "key_sets", "internals", "actives"))
     ]
     assert outside == []
 
@@ -390,8 +391,9 @@ def _calls_named(node: ast.AST, name: str) -> bool:
 
 def test_facts_about_one_pipeline_take_one_form_each():
     """Two pipelines are the same exactly when they are ==, so no module
-    compares their policy documents; and a reach is kept per object, so
-    ConflictMemo.reach takes the pipeline alone, no ref."""
+    compares their policy documents; and a pipeline's conflict keys and
+    detector inputs are kept per object, so ConflictMemo.keys_of and
+    ConflictMemo.inputs_of take the pipeline alone, no ref."""
     trees = _package_trees()
     compared = sorted(
         f"{name}:{node.lineno}"
@@ -402,7 +404,8 @@ def test_facts_about_one_pipeline_take_one_form_each():
     )
     assert compared == []
     [memo] = [node for node in trees["conflicts.py"].body if isinstance(node, ast.ClassDef) and node.name == "ConflictMemo"]
-    [reach] = [node for node in memo.body if isinstance(node, ast.FunctionDef) and node.name == "reach"]
-    arguments = reach.args
-    assert [arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs] == ["self", "pipeline"]
-    assert arguments.vararg is None and arguments.kwarg is None
+    methods = {node.name: node for node in memo.body if isinstance(node, ast.FunctionDef)}
+    for name in ("keys_of", "inputs_of"):
+        arguments = methods[name].args
+        assert [arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs] == ["self", "pipeline"]
+        assert arguments.vararg is None and arguments.kwarg is None

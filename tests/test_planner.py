@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import replace
-from itertools import groupby
+from itertools import combinations, groupby
 from unittest import mock
 
 import pytest
@@ -195,10 +195,15 @@ def _cover_problems(draw):
     A forced-spacer problem turns two xApps into the only holders of the
     intent's two capabilities, a sense-stage and an act-stage one whose
     dialects clash, so every feasible cover needs a third xApp between them
-    that covers nothing.
+    that covers nothing. A sparse problem has 13 to 20 xApps of which at
+    most four hold any of the intent's capabilities, so the mandatory xApps
+    and the spacers mostly hold none: the regime where the walk passes runs
+    of zero-mask positions over whole.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    profiles = draw(st.permutations(list(random_registry(rng, rng.randint(2, 12)))))
+    sparse = rng.random() < 0.35
+    size = rng.randint(13, 20) if sparse else rng.randint(2, 12)
+    profiles = draw(st.permutations(list(random_registry(rng, size))))
     pairs = rng.sample(_DIALECT_PAIRS, rng.randint(0, 2))
     capabilities = rng.sample(CAP_POOL, rng.randint(1, 4))
     spacer = rng.random() < 0.3
@@ -212,6 +217,13 @@ def _cover_problems(draw):
                 profiles[index], stage=stage, dialect=dialect,
                 capabilities=profiles[index].capabilities | {capability},
             )
+    if sparse:
+        holders = set(ends) if spacer else set(rng.sample(range(len(profiles)), rng.randint(1, 4)))
+        for index, profile in enumerate(profiles):
+            held = profile.capabilities - set(capabilities)
+            if index in holders:
+                held = profile.capabilities | {rng.choice(capabilities)}
+            profiles[index] = replace(profile, capabilities=held or frozenset({"filler"}))
     if rng.random() < 0.1:
         capabilities.append("unoffered")
     mandatory = rng.sample([p.id for p in profiles], rng.randint(0, 1 if spacer else 2))
@@ -238,6 +250,38 @@ def test_cover_search_matches_level_scan_reference(problem):
                 synthesize_ground_truth(intent, registry, matrix)
         else:
             assert synthesize_ground_truth(intent, registry, matrix) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_cover_walk_yields_the_covering_combinations_in_order(data):
+    """_covers over sparse masks yields exactly the position tuples that
+    combinations() meets, size by size, whose masks hold every bit and that
+    hold every mandatory position, in the order it meets them."""
+    n = data.draw(st.integers(0, 14))
+    bits = data.draw(st.integers(0, 3))
+    masks = data.draw(
+        st.dictionaries(st.integers(0, n - 1), st.integers(1, (1 << bits) - 1), max_size=4)
+        if n and bits
+        else st.just({})
+    )
+    mandatory = data.draw(st.sets(st.integers(0, n - 1), max_size=2) if n else st.just(set()))
+    sizes = range(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)) + 1)
+    full = (1 << bits) - 1
+    expected = [
+        combo
+        for size in sizes
+        for combo in combinations(range(n), size)
+        if mandatory <= set(combo) and _union(masks, combo) == full
+    ]
+    assert list(planner._covers(masks, n, full, mandatory, sizes)) == expected
+
+
+def _union(masks, positions) -> int:
+    union = 0
+    for p in positions:
+        union |= masks.get(p, 0)
+    return union
 
 
 @pytest.mark.parametrize("bridged", [False, True], ids=["plain", "bridged"])
