@@ -330,7 +330,9 @@ def _call_with_repair(transport: ChatTransport, request: AgentRequest, parser: C
     when some of its entries fail, the repair asks again about those intents
     alone, and the entries that passed are kept. An entry that fails twice
     stays in the answer's errors, so its intent gets no pipeline, or no
-    revision.
+    revision; so do the failed entries when the repair itself fails in
+    transport. A whole-answer repair that fails in transport raises
+    TransportError.
     """
     text = transport.complete(request)
     try:
@@ -349,7 +351,12 @@ def _call_with_repair(transport: ChatTransport, request: AgentRequest, parser: C
     listed = "\n".join(f"- {e}" for e in errors)
     feedback = f"The previous response failed schema validation:\n{listed}\nRespond again with {wanted}."
     turn = ({"role": "assistant", "content": text}, {"role": "user", "content": feedback})
-    text = transport.complete(replace(retry, render=lambda: request.messages + turn))
+    try:
+        text = transport.complete(replace(retry, render=lambda: request.messages + turn))
+    except TransportError:
+        if kept is not None:
+            return kept
+        raise
     try:
         answer = parser(text)
     except SchemaValidationError as second:

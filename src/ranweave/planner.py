@@ -17,15 +17,14 @@ two members of one clique. A cover of singletons means the ids left clash
 with none of each other, and the branch takes them all. Intent ids are
 integers and order as such. These outputs are the yardstick the iterative
 agents are measured against. refine_pipeline, the mocks' refinement
-reviewer, keeps the spacers such a cover needs under the same cap and
-tie-break.
+reviewer, restores the spacers such a cover needs through the cover search
+itself (_clean_cover), under the same cap and tie-break.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .conflicts import (
@@ -111,19 +110,18 @@ MAX_COVER = 5
 def synthesize_ground_truth(intent: Intent, registry: Registry, matrix: VendorCompatibilityMatrix) -> Pipeline:
     """Minimum-size, internally conflict-free pipeline fulfilling an intent.
 
-    The answer is the first xApp subset of at most MAX_COVER members, smallest
-    size first and, within a size, in ascending node-id sequence, that
-    contains the intent's mandatory xApps, covers its required capabilities
-    and, wired as model.stage_chain, has no internal conflict. _covers
-    yields the subsets that contain and cover in exactly that order, so
-    only those are wired and checked; an xApp that covers nothing is still
-    tried in a free slot, as the spacer a clashing pair may need. The masks
-    are built from registry.holders of the intent's capabilities, so an
-    xApp that holds none of them costs nothing until a free slot takes it,
-    and the mandatory xApps are found by bisection in the sorted ids.
-    refine_pipeline keeps such a spacer: it puts back the fewest dropped
-    xApps that make the chain clean, first in ascending id order, under the
-    same MAX_COVER cap, so it returns every reference unchanged.
+    The answer is _clean_cover over the registry's ascending ids: the first
+    xApp subset of at most MAX_COVER members, smallest size first and,
+    within a size, in ascending node-id sequence, that contains the intent's
+    mandatory xApps, covers its required capabilities and, wired as
+    model.stage_chain, has no internal conflict. An xApp that covers nothing
+    is still tried in a free slot, as the spacer a clashing pair may need.
+    The masks are built from registry.holders of the intent's capabilities,
+    so an xApp that holds none of them costs nothing until a free slot takes
+    it, and the mandatory xApps are found by bisection in the sorted ids.
+    Only the winning chain gets default directives. refine_pipeline restores
+    such a spacer through the same search, so it returns every reference
+    unchanged.
     """
     pool = registry.ids
     missing = {x for x in intent.required_xapps if x not in registry}
@@ -137,19 +135,39 @@ def synthesize_ground_truth(intent: Intent, registry: Registry, matrix: VendorCo
         for p in registry.holders.get(cap, ()):
             masks[p] = masks.get(p, 0) | 1 << k
     mandatory = {bisect_left(pool, x) for x in intent.required_xapps}
-    sizes = range(max(1, len(mandatory)), MAX_COVER + 1)
     full = (1 << len(intent.required_capabilities)) - 1
+    chain = _clean_cover(intent.id, pool, masks, full, mandatory, registry, matrix)
+    if chain is None:
+        raise InfeasibleIntentError(
+            f"no xApp subset of size <= {MAX_COVER} covers capabilities "
+            f"{sorted(intent.required_capabilities)} for intent {intent.id!r}"
+        )
+    ordered, edges = chain
+    return Pipeline.build(intent.id, [(x, default_directive(registry[x])) for x in ordered], edges)
+
+
+def _clean_cover(
+    intent_id: int,
+    pool: Sequence[str],
+    masks: Mapping[int, int],
+    full: int,
+    mandatory: AbstractSet[int],
+    registry: Registry,
+    matrix: VendorCompatibilityMatrix,
+) -> tuple[tuple[str, ...], frozenset[tuple[str, str]]] | None:
+    """The stage chain of the first tuple of positions in pool, an ascending
+    id sequence, that _covers yields with at most MAX_COVER members and that
+    internal_conflicts finds clean; None when there is none. The tried
+    chains carry no directives, as no internal detector reads one.
+    """
+    ref = candidate_ref(intent_id)
+    sizes = range(max(1, len(mandatory)), MAX_COVER + 1)
     for positions in _covers(masks, len(pool), full, mandatory, sizes):
         ordered, edges = stage_chain([pool[p] for p in positions], registry)
-        nodes = [(x, default_directive(registry[x])) for x in ordered]
-        pipeline = Pipeline.build(intent.id, nodes, edges)
-        if not internal_conflicts(pipeline, matrix, registry, ref=candidate_ref(intent.id)):
-            return pipeline
-
-    raise InfeasibleIntentError(
-        f"no xApp subset of size <= {MAX_COVER} covers capabilities "
-        f"{sorted(intent.required_capabilities)} for intent {intent.id!r}"
-    )
+        bare = Pipeline(intent_id, tuple(PipelineNode(x, ()) for x in ordered), edges)
+        if not internal_conflicts(bare, matrix, registry, ref=ref):
+            return ordered, edges
+    return None
 
 
 def _covers(
@@ -231,13 +249,16 @@ def refine_pipeline(
 
     Removes duplicate nodes, drops xApps that contribute none of the
     intent's required capabilities (mandatory xApps stay), and orders and
-    links the rest as model.stage_chain. When that chain has an internal
-    conflict, the fewest dropped xApps that make it clean stay as spacers
-    (_spacers), so a reference pipeline, spacers and all, comes back
-    unchanged and with no edits. The refiner adds no xApp the candidate
-    does not hold. Precondition: every xApp id of the candidate is
-    registered; parse_policy_doc and parse_refinement_doc both reject any
-    other, so every pipeline an agent returns meets it.
+    links the rest as model.stage_chain. The dropped xApps that stay as
+    spacers are those of the cover search's first clean chain over the
+    candidate's ids that holds every kept xApp (_clean_cover, with no
+    capability to cover): none when the kept chain is clean, else the
+    fewest that make it clean, first in ascending id order, at most
+    MAX_COVER members in all. So a reference pipeline, spacers and all,
+    comes back unchanged and with no edits. The refiner adds no xApp the
+    candidate does not hold. Precondition: every xApp id of the candidate
+    is registered; parse_policy_doc and parse_refinement_doc both reject
+    any other, so every pipeline an agent returns meets it.
     """
     edits: list[tuple[EditKind, str]] = []
 
@@ -257,7 +278,11 @@ def refine_pipeline(
         # Refusing to empty the pipeline; keep the deduplicated nodes.
         dropped = set()
     elif dropped:
-        dropped -= set(_spacers([x for x in deduped if x not in dropped], dropped, registry, matrix))
+        pool = sorted(deduped)
+        held = {p for p, x in enumerate(pool) if x not in dropped}
+        spaced = _clean_cover(intent.id, pool, {}, 0, held, registry, matrix)
+        if spaced is not None:
+            dropped -= set(spaced[0])
     edits.extend(
         (EditKind.DROP_SUPERFLUOUS, f"{x} covers no required capability") for x in deduped if x in dropped
     )
@@ -271,54 +296,6 @@ def refine_pipeline(
 
     revised = replace(candidate, nodes=tuple(deduped[x] for x in ordered), edges=chain)
     return revised, edits
-
-
-def _spacers(
-    kept: Sequence[str], dropped: Iterable[str], registry: Registry, matrix: VendorCompatibilityMatrix
-) -> list[str]:
-    """The fewest dropped xApps whose return makes the stage chain of kept
-    clean, with at most MAX_COVER members in all; among equally few, the
-    first in ascending id order, the cover search's tie-break. Empty when
-    the chain is clean already or no such set exists.
-
-    On a stage chain, internal_conflicts finds exactly the edges whose
-    dialects clash: a chain orders every pair of its nodes, so no parameter
-    coupling. A returned xApp sorts by (stage, id) into one gap between
-    neighbours of kept and touches no other gap, so only the gaps between
-    clashing neighbours need one, and each gap is searched alone, smallest
-    set first. Sets compare in id order as their smallest differing member
-    does, so the first set of each gap makes the first union too.
-    """
-    ordered, _ = stage_chain(kept, registry)
-
-    def key(x: str) -> tuple[object, str]:
-        return (registry[x].stage, x)
-
-    def clean(chain: Sequence[str]) -> bool:
-        dialects = [registry[x].dialect for x in chain]
-        return not any(matrix.clashes(a, b) for a, b in zip(dialects, dialects[1:]))
-
-    gaps = [(a, b) for a, b in zip(ordered, ordered[1:]) if not clean((a, b))]
-    if not gaps:
-        return []
-    spare = MAX_COVER - len(ordered) - len(gaps)  # free slots beyond one spacer per gap
-    restored: list[str] = []
-    for a, b in gaps:
-        pool = sorted(x for x in dropped if key(a) < key(x) < key(b))
-        found = next(
-            (
-                spacers
-                for size in range(1, spare + 2)
-                for spacers in combinations(pool, size)
-                if clean((a, *sorted(spacers, key=key), b))
-            ),
-            None,
-        )
-        if found is None:
-            return []
-        spare -= len(found) - 1
-        restored.extend(found)
-    return restored
 
 
 def max_conflict_free_subset(

@@ -64,6 +64,7 @@ from ranweave.transport import (
     MockBundle,
     NoisyTransport,
     OracleTransport,
+    TransportError,
     corrupt_pipeline,
 )
 
@@ -867,6 +868,33 @@ def test_failed_call_fallbacks(bundle, truths, failing_role):
     assert transport.calls == calls
     assert transport.index == len(responses)
     assert outcome.best.candidates == candidates
+
+
+class RepairOutage(ScriptedTransport):
+    """Replays canned responses, but its second call, the repair, fails in transport."""
+
+    def _respond(self, request) -> str:
+        if self.index == 1:
+            self.index += 1
+            raise TransportError("backend unavailable")
+        return super()._respond(request)
+
+
+def test_a_repair_lost_in_transport_keeps_the_entries_that_passed(bundle, truths):
+    """The first reasoning answer holds an invalid entry for intent 3 and the
+    reference for intent 4, and the repair about intent 3 fails in transport.
+    Intent 4 keeps its candidate, as when the repair fails validation; a
+    whole-answer repair that fails in transport fails the call."""
+    transport = RepairOutage([_answer({3: "not a policy", 4: truths[4]}), _answer({3: truths[3]})])
+    ctx = replace(_ctx(bundle, 1, Mode.NR, truths), max_iterations=1)
+    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), bundle.setup(1).oracle)
+    assert transport.calls == [(REASONING, (3, 4)), (REASONING, (3,))]
+    assert outcome.best.candidates == {4: truths[4]}
+
+    transport = RepairOutage(["not json", _answer({3: truths[3]})])
+    with pytest.raises(TransportError):
+        _reason(ctx, [bundle.intents[3]], transport)
+    assert transport.calls == [(REASONING, (3,))] * 2
 
 
 class PromptCapture(OracleTransport):

@@ -214,8 +214,7 @@ def _stage_chain(rng: random.Random) -> tuple[Pipeline, Registry, VendorCompatib
 @given(seed=st.integers(0, 2**32 - 1))
 def test_a_stage_chain_is_clean_exactly_when_no_neighbours_clash(seed):
     """A chain orders every pair of its nodes, so no two writers of a
-    parameter are unordered and only its edges' dialects can conflict: the
-    refiner's spacer search checks adjacent dialects alone for that reason."""
+    parameter are unordered and only its edges' dialects can conflict."""
     chain, registry, matrix = _stage_chain(random.Random(seed))
     dialects = [registry[x].dialect for x in chain.node_ids]
     clash = any(matrix.clashes(a, b) for a, b in zip(dialects, dialects[1:]))

@@ -101,7 +101,29 @@ def test_the_backends_take_only_the_refiner_from_the_engine():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "MAX_COVER" not in names
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert not {"refine_pipeline", "_spacers"} & defined
+    assert not {"refine_pipeline", "_clean_cover"} & defined
+
+
+def test_references_and_revisions_share_one_cover_search():
+    """planner._clean_cover is the one search for a clean cover: it alone
+    walks _covers, and synthesize_ground_truth, for references, and
+    refine_pipeline, for the spacers a revision keeps, both go through it.
+    planner.py imports nothing from itertools, so no second combinations
+    loop can stand beside it."""
+    tree = ast.parse(Path(PACKAGE_DIR, "planner.py").read_text(encoding="utf-8"))
+    assert not [name for name in _absolute_imports(tree) if name.split(".")[0] == "itertools"]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def callers(callee: str) -> set[str]:
+        return {
+            name
+            for name, function in functions.items()
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == callee
+        }
+
+    assert callers("_covers") == {"_clean_cover"}
+    assert callers("_clean_cover") == {"synthesize_ground_truth", "refine_pipeline"}
 
 
 def _defaulted(arguments: ast.arguments) -> set[str]:
