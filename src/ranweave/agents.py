@@ -561,6 +561,10 @@ def orchestrate_batch(
         best = enforce_monotonicity(best, current)
         score_history.append(best.score)
 
+        involving: dict[str, list[ConflictRecord]] = {}
+        for record in evaluation.records:
+            for ref in record.refs():
+                involving.setdefault(ref, []).append(record)
         for intent in ordered:
             if intent.id not in attempted:
                 continue
@@ -570,7 +574,7 @@ def orchestrate_batch(
                 OutcomeRecord(
                     deployed=intent.id in deployed,
                     correct=intent.id in correct,
-                    conflicts=tuple(r for r in evaluation.records if candidate_ref(intent.id) in r.refs()),
+                    conflicts=tuple(involving.get(candidate_ref(intent.id), ())),
                     iteration=iteration,
                     score=score,
                 ),

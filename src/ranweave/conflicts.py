@@ -104,24 +104,43 @@ class VendorCompatibilityMatrix:
 
 
 @dataclass(frozen=True, slots=True)
-class DetectorInputs:
-    """What the pairwise detectors read of one pipeline's registered nodes.
+class PipelineFacts:
+    """What the pairwise detectors and the pair gate read of one pipeline, for its intent.
 
     writers maps each written parameter to the xApp ids of the nodes that
     write it, pushes each (KPI, nonzero direction) to those of the nodes
     whose xApp moves the KPI that way, and contacts holds each node's (xApp
     id, dialect, written parameters, moved KPIs); all in node order. A node
     whose xApp is not registered adds nothing, and a repeated node adds
-    itself again. A ConflictMemo keeps them once per pipeline object, so the
-    detectors read them instead of looking each node up per pair.
+    itself again. The gate's keys (see meets) hold, per conflict class,
+    what one side must meet of the other:
+    * actuator contention a shared xApp of another directive: an xApp held
+      once is a name, ("xapp", id) valued by its node's directive;
+    * parameter coupling a shared parameter of another writer: a parameter
+      one node writes is a name, ("param", name) valued by that writer; a
+      repeated xApp and a parameter of two or more writers are probed for,
+      and every xApp and written parameter is offered, by name;
+    * objective interference a target (KPI, d) of one side meeting a target
+      or move (KPI, -d) of the other: a target probes ("kpi", KPI, -d), and
+      targets and moves offer ("kpi", KPI, direction);
+    * vendor contact a clashing dialect pair on a shared parameter, or on a
+      KPI both xApps move: a node offers ("dialect-param", its dialect,
+      parameter) and ("dialect-kpi", its dialect, KPI), and probes the same
+      keys under every dialect that clashes with its own.
     """
 
     writers: dict[str, list[str]]
     pushes: dict[tuple[str, int], list[str]]
     contacts: tuple[tuple[str, str, frozenset[str], frozenset[str]], ...]
+    probe: frozenset[tuple]
+    offer: frozenset[tuple]
+    named: frozenset[tuple[tuple, object]]
+    names: frozenset[tuple]
 
     @classmethod
-    def of(cls, pipeline: Pipeline, registry: Registry) -> "DetectorInputs":
+    def of(
+        cls, pipeline: Pipeline, intent: Intent, registry: Registry, matrix: VendorCompatibilityMatrix
+    ) -> "PipelineFacts":
         pushes: dict[tuple[str, int], list[str]] = {}
         contacts = []
         for node in pipeline.nodes:
@@ -134,7 +153,36 @@ class DetectorInputs:
                     pushes.setdefault((kpi, direction), []).append(node.xapp_id)
                     moved.append(kpi)
             contacts.append((node.xapp_id, profile.dialect, profile.controlled_params, frozenset(moved)))
-        return cls(_param_writers(pipeline, registry), pushes, tuple(contacts))
+        writers, held = _param_writers(pipeline, registry), pipeline.node_ids
+        named = {("xapp", node.xapp_id): node.directive for node in pipeline.nodes if held.count(node.xapp_id) == 1}
+        named.update((("param", param), xapps[0]) for param, xapps in writers.items() if len(xapps) == 1)
+        offer = {("xapp", xapp_id) for xapp_id in held} | {("param", param) for param in writers}
+        probe = offer - named.keys()
+        for kpi, direction in intent.target_kpis:
+            probe.add(("kpi", kpi, -direction))
+            offer.add(("kpi", kpi, direction))
+        offer.update(("kpi", kpi, direction) for kpi, direction in pushes)
+        for _, dialect, params, kpis in contacts:
+            partners = matrix.partners.get(dialect, ())
+            for kind, resources in (("dialect-param", params), ("dialect-kpi", kpis)):
+                for resource in resources:
+                    offer.add((kind, dialect, resource))
+                    for partner in partners:
+                        probe.add((kind, partner, resource))
+        keys = (frozenset(probe), frozenset(offer), frozenset(named.items()), frozenset(named))
+        return cls(writers, pushes, tuple(contacts), *keys)
+
+    def meets(self, other: "PipelineFacts") -> bool:
+        """Whether one side's probe keys meet the other's offer keys, or the two share a name of another value.
+
+        pairwise_conflicts finds a record only for a pair that meets, in
+        either order; when neither pipeline repeats an xApp, every pair that
+        meets has one, since each meeting is then a record's condition."""
+        if not self.probe.isdisjoint(other.offer) or not other.probe.isdisjoint(self.offer):
+            return True
+        if self.names.isdisjoint(other.names):
+            return False
+        return len(self.named & other.named) < len(self.names & other.names)
 
 
 def detect_actuator_contention(a: Pipeline, b: Pipeline, *, a_ref: str, b_ref: str) -> list[ConflictRecord]:
@@ -162,7 +210,7 @@ def detect_actuator_contention(a: Pipeline, b: Pipeline, *, a_ref: str, b_ref: s
 
 
 def detect_parameter_coupling(
-    a: DetectorInputs, b: DetectorInputs, *, a_ref: str, b_ref: str
+    a: PipelineFacts, b: PipelineFacts, *, a_ref: str, b_ref: str
 ) -> list[ConflictRecord]:
     """Distinct xApps across pipelines writing the same network parameter.
 
@@ -227,9 +275,9 @@ def _param_writers(pipeline: Pipeline, registry: Registry) -> dict[str, list[str
 
 
 def detect_objective_interference(
-    a: DetectorInputs,
+    a: PipelineFacts,
     intent_a: Intent,
-    b: DetectorInputs,
+    b: PipelineFacts,
     intent_b: Intent,
     *,
     a_ref: str,
@@ -267,8 +315,8 @@ def detect_objective_interference(
 
 
 def detect_vendor_conflicts(
-    a: DetectorInputs,
-    b: DetectorInputs,
+    a: PipelineFacts,
+    b: PipelineFacts,
     matrix: VendorCompatibilityMatrix,
     *,
     a_ref: str,
@@ -330,72 +378,19 @@ def pairwise_conflicts(
     *,
     a_ref: str,
     b_ref: str,
-    inputs: tuple[DetectorInputs, DetectorInputs] | None = None,
+    inputs: tuple[PipelineFacts, PipelineFacts] | None = None,
 ) -> list[ConflictRecord]:
     """All four detectors over one unordered pipeline pair, canonically
     ordered: each detector's list is, and they run in ConflictKind order.
-    inputs, when given, are DetectorInputs.of a and of b, as a ConflictMemo
-    keeps them; otherwise they are worked out here."""
-    inputs_a, inputs_b = inputs or (DetectorInputs.of(a, registry), DetectorInputs.of(b, registry))
+    inputs, when given, are the PipelineFacts of a and of b, as a
+    ConflictMemo keeps them; otherwise they are worked out here."""
+    intent_a, intent_b = intents[a.intent_id], intents[b.intent_id]
+    facts_a, facts_b = inputs or [PipelineFacts.of(p, intents[p.intent_id], registry, matrix) for p in (a, b)]
     records = detect_actuator_contention(a, b, a_ref=a_ref, b_ref=b_ref)
-    records += detect_parameter_coupling(inputs_a, inputs_b, a_ref=a_ref, b_ref=b_ref)
-    records += detect_objective_interference(
-        inputs_a, intents[a.intent_id], inputs_b, intents[b.intent_id], a_ref=a_ref, b_ref=b_ref
-    )
-    records += detect_vendor_conflicts(inputs_a, inputs_b, matrix, a_ref=a_ref, b_ref=b_ref)
+    records += detect_parameter_coupling(facts_a, facts_b, a_ref=a_ref, b_ref=b_ref)
+    records += detect_objective_interference(facts_a, intent_a, facts_b, intent_b, a_ref=a_ref, b_ref=b_ref)
+    records += detect_vendor_conflicts(facts_a, facts_b, matrix, a_ref=a_ref, b_ref=b_ref)
     return records
-
-
-@dataclass(frozen=True, slots=True)
-class ConflictKeys:
-    """Typed, signed keys of one pipeline: what it probes for and what it offers.
-
-    Two pipelines can conflict only when one side's probe keys meet the
-    other side's offer keys (see conflict_keys).
-    """
-
-    probe: frozenset[tuple]
-    offer: frozenset[tuple]
-
-    def meets(self, other: "ConflictKeys") -> bool:
-        return not self.probe.isdisjoint(other.offer) or not other.probe.isdisjoint(self.offer)
-
-
-def conflict_keys(
-    pipeline: Pipeline, intent: Intent, inputs: DetectorInputs, matrix: VendorCompatibilityMatrix
-) -> ConflictKeys:
-    """The keys through which pipeline, for intent, can conflict with another.
-
-    inputs are DetectorInputs.of pipeline. Each conflict class needs one
-    key of one side to meet a key of the other:
-    * actuator contention a shared xApp: ("xapp", id) for every node,
-      registered or not, both probed and offered;
-    * parameter coupling a shared written parameter: ("param", name), both
-      probed and offered;
-    * objective interference a target (KPI, d) of one side meeting a target
-      or move (KPI, -d) of the other: a target probes ("kpi", KPI, -d), and
-      targets and moves offer ("kpi", KPI, direction);
-    * vendor contact a clashing dialect pair on a shared parameter, or on a
-      KPI both xApps move: a node offers ("dialect-param", its dialect,
-      parameter) and ("dialect-kpi", its dialect, KPI), and probes the same
-      keys under every dialect that clashes with its own.
-    So a pair whose keys do not meet has no conflict record, in either order.
-    """
-    shared = {("xapp", node.xapp_id) for node in pipeline.nodes}
-    shared.update(("param", param) for param in inputs.writers)
-    probe, offer = set(shared), shared
-    for kpi, direction in intent.target_kpis:
-        probe.add(("kpi", kpi, -direction))
-        offer.add(("kpi", kpi, direction))
-    offer.update(("kpi", kpi, direction) for kpi, direction in inputs.pushes)
-    for _, dialect, params, kpis in inputs.contacts:
-        partners = matrix.partners.get(dialect, ())
-        for kind, names in (("dialect-param", params), ("dialect-kpi", kpis)):
-            for name in names:
-                offer.add((kind, dialect, name))
-                for partner in partners:
-                    probe.add((kind, partner, name))
-    return ConflictKeys(frozenset(probe), frozenset(offer))
 
 
 def internal_conflicts(
@@ -420,20 +415,22 @@ def validity(
     record list is exactly the concatenation of the four detectors plus the
     pipeline's own internal checks, canonically ordered. labelled names the
     pipeline as a candidate and others as the active set. The facts come
-    from a fresh ConflictMemo of the three inputs, through the gate of
-    build_conflict_graph: an active pipeline whose keys do not meet the
-    pipeline's is skipped, since the detectors could find nothing there.
+    from a fresh ConflictMemo of the three inputs: the pipeline's internal
+    records and its row against the active set, whose gate skips only
+    active pipelines the detectors could find nothing with.
     """
     memo = ConflictMemo(intents, matrix, registry)
-    records = list(memo.internal(candidate_ref(pipeline.intent_id), pipeline))
-    batch = labelled({pipeline.intent_id: pipeline}, DeploymentState(tuple(others)))
-    for _, edge_records in _gated_edges(batch, 1, memo):
+    ref, pre = candidate_ref(pipeline.intent_id), DeploymentState(tuple(others))
+    records = list(memo.internal(ref, pipeline))
+    after = [(other_ref, other, memo.facts_of(other)) for other_ref, other in labelled({}, pre)]
+    for _, edge_records in memo.row(ref, pipeline, pre, after):
         records += edge_records
     records = canonical_sort(records)
     return (not records, records)
 
 
 Edge = tuple[tuple[str, str], tuple[ConflictRecord, ...]]
+Member = tuple[str, Pipeline, PipelineFacts]
 
 
 @dataclass(frozen=True)
@@ -452,18 +449,17 @@ class ConflictMemo:
     """A run's conflict inputs and what has been worked out from them.
 
     intents, matrix and registry are the inputs every fact depends on; the
-    memo's methods are the one way to a pipeline's detector inputs or keys,
-    a pair's records, a pipeline's internal records or an active set's own
-    edges. Every entry is kept per object, and one holding records under
-    their refs too: inputs maps id(p) to (p, DetectorInputs.of p), key_sets
-    maps id(p) to (p, its conflict_keys), pairs maps (ref_a, ref_b, id(a),
-    id(b)) to (a, b, the pair's records), internals maps (ref, id(p)) to
-    (p, its internal_conflicts records) and actives maps id(pre) to (pre,
-    the edges among its pipelines, see build_conflict_graph). Each entry
-    holds its objects, so no id in its key is reused while it lasts, and a
-    candidate that comes back to an earlier object (X -> Y -> X) finds its
-    entries again. interned maps each pipeline value to its first object
-    (see intern).
+    memo's methods are the one way to a pipeline's facts, a pair's records,
+    a pipeline's internal records or its row against an active set. Every
+    entry is kept per object, and one holding records under their refs too:
+    facts maps id(p) to (p, its PipelineFacts), pairs maps (ref_a, ref_b,
+    id(a), id(b)) to (a, b, the pair's records), internals maps (ref,
+    id(p)) to (p, its internal_conflicts records) and rows maps (ref, id(p),
+    id(pre)) to (p, pre, p's edges to the active pipelines of pre that sort
+    after ref). Each entry holds its objects, so no id in its key is reused
+    while it lasts, and a candidate that comes back to an earlier object
+    (X -> Y -> X) finds its entries again. interned maps each pipeline value
+    to its first object (see intern).
     """
 
     intents: Mapping[int, Intent]
@@ -472,10 +468,11 @@ class ConflictMemo:
     pairs: dict[tuple[str, str, int, int], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]] = field(
         default_factory=dict
     )
-    inputs: dict[int, tuple[Pipeline, DetectorInputs]] = field(default_factory=dict)
-    key_sets: dict[int, tuple[Pipeline, ConflictKeys]] = field(default_factory=dict)
+    facts: dict[int, tuple[Pipeline, PipelineFacts]] = field(default_factory=dict)
     internals: dict[tuple[str, int], tuple[Pipeline, tuple[ConflictRecord, ...]]] = field(default_factory=dict)
-    actives: dict[int, tuple[DeploymentState, tuple[Edge, ...]]] = field(default_factory=dict)
+    rows: dict[tuple[str, int, int], tuple[Pipeline, DeploymentState, tuple[Edge, ...]]] = field(
+        default_factory=dict
+    )
     interned: dict[Pipeline, Pipeline] = field(default_factory=dict)
 
     def copy(self) -> "ConflictMemo":
@@ -483,10 +480,9 @@ class ConflictMemo:
         return replace(
             self,
             pairs=dict(self.pairs),
-            inputs=dict(self.inputs),
-            key_sets=dict(self.key_sets),
+            facts=dict(self.facts),
             internals=dict(self.internals),
-            actives=dict(self.actives),
+            rows=dict(self.rows),
             interned=dict(self.interned),
         )
 
@@ -494,26 +490,20 @@ class ConflictMemo:
         """The first object interned with pipeline's value, pipeline itself if none was."""
         return self.interned.setdefault(pipeline, pipeline)
 
-    def inputs_of(self, pipeline: Pipeline) -> DetectorInputs:
-        """DetectorInputs.of pipeline, worked out once per object."""
-        if id(pipeline) not in self.inputs:
-            self.inputs[id(pipeline)] = (pipeline, DetectorInputs.of(pipeline, self.registry))
-        return self.inputs[id(pipeline)][1]
-
-    def keys_of(self, pipeline: Pipeline) -> ConflictKeys:
-        """conflict_keys of pipeline, worked out once per object."""
-        if id(pipeline) not in self.key_sets:
-            keys = conflict_keys(pipeline, self.intents[pipeline.intent_id], self.inputs_of(pipeline), self.matrix)
-            self.key_sets[id(pipeline)] = (pipeline, keys)
-        return self.key_sets[id(pipeline)][1]
+    def facts_of(self, pipeline: Pipeline) -> PipelineFacts:
+        """PipelineFacts.of pipeline for its intent, worked out once per object."""
+        if id(pipeline) not in self.facts:
+            facts = PipelineFacts.of(pipeline, self.intents[pipeline.intent_id], self.registry, self.matrix)
+            self.facts[id(pipeline)] = (pipeline, facts)
+        return self.facts[id(pipeline)][1]
 
     def pair(self, ref_a: str, a: Pipeline, ref_b: str, b: Pipeline) -> tuple[ConflictRecord, ...]:
         """pairwise_conflicts of a under ref_a and b under ref_b, worked out once per pair of objects."""
         key = (ref_a, ref_b, id(a), id(b))
         if key not in self.pairs:
-            inputs = (self.inputs_of(a), self.inputs_of(b))
+            facts = (self.facts_of(a), self.facts_of(b))
             records = pairwise_conflicts(
-                a, b, self.intents, self.matrix, self.registry, a_ref=ref_a, b_ref=ref_b, inputs=inputs
+                a, b, self.intents, self.matrix, self.registry, a_ref=ref_a, b_ref=ref_b, inputs=facts
             )
             self.pairs[key] = (a, b, tuple(records))
         return self.pairs[key][2]
@@ -526,11 +516,14 @@ class ConflictMemo:
             self.internals[key] = (pipeline, tuple(records))
         return self.internals[key][1]
 
-    def active_edges(self, pre: DeploymentState) -> tuple[Edge, ...]:
-        """The edges among pre's own pipelines, in ref order, worked out once per object."""
-        if id(pre) not in self.actives:
-            self.actives[id(pre)] = (pre, tuple(_gated_edges(labelled({}, pre), len(pre), self)))
-        return self.actives[id(pre)][1]
+    def row(self, ref: str, pipeline: Pipeline, pre: DeploymentState, after: Sequence[Member]) -> tuple[Edge, ...]:
+        """The edges of pipeline under ref to after, the (ref, pipeline,
+        facts) of each active pipeline of pre that sorts after ref, in ref
+        order; worked out once per (ref, object, pre object)."""
+        key = (ref, id(pipeline), id(pre))
+        if key not in self.rows:
+            self.rows[key] = (pipeline, pre, _edges(ref, pipeline, after, self))
+        return self.rows[key][2]
 
 
 def candidate_ref(intent_id: int) -> str:
@@ -554,20 +547,15 @@ def labelled(candidates: Mapping[int, Pipeline], pre: DeploymentState) -> list[t
     return sorted(pairs, key=lambda pair: pair[0])
 
 
-def _gated_edges(batch: Sequence[tuple[str, Pipeline]], heads: int, memo: ConflictMemo) -> list[Edge]:
-    """The edges of batch's pairs i < j with i < heads, in ref order, asking
-    memo.pair only of a pair whose keys meet."""
-    keys = [memo.keys_of(p) for _, p in batch]
+def _edges(ref: str, pipeline: Pipeline, others: Iterable[Member], memo: ConflictMemo) -> tuple[Edge, ...]:
+    """The edges of pipeline under ref to each (ref, pipeline, facts) of
+    others, in their order, asking memo.pair only of a pair whose facts meet."""
+    facts = memo.facts_of(pipeline)
     edges = []
-    for i in range(heads):
-        ref_a, pipe_a = batch[i]
-        keys_a = keys[i]
-        for (ref_b, pipe_b), keys_b in zip(batch[i + 1 :], keys[i + 1 :]):
-            if keys_a.meets(keys_b):
-                records = memo.pair(ref_a, pipe_a, ref_b, pipe_b)
-                if records:
-                    edges.append(((ref_a, ref_b), records))
-    return edges
+    for other_ref, other, other_facts in others:
+        if facts.meets(other_facts) and (records := memo.pair(ref, pipeline, other_ref, other)):
+            edges.append(((ref, other_ref), records))
+    return tuple(edges)
 
 
 def build_conflict_graph(
@@ -575,21 +563,26 @@ def build_conflict_graph(
 ) -> ConflictGraph:
     """Run all four detectors over every unordered pipeline pair that can conflict.
 
-    The vertices are labelled's refs; walking its ref-ordered pairs i < j
-    yields the edges in ref order. A pair whose conflict keys do not meet is
-    skipped without asking memo.pair: the keys hold one necessary meeting
-    per conflict class, so every skipped pair has no records, and the graph
-    is the all-pairs graph. labelled puts every candidate before every
-    active pipeline, so the edges among the active set come last; memo
-    works them out once per DeploymentState object (memo.active_edges), and
-    each build visits only the pairs that hold a candidate. memo supplies
-    the inputs and keeps the facts across calls: a pipeline's detector
-    inputs and keys once per object, the records of a pair the gate lets
-    through once per pair of objects under their refs.
+    The vertices are labelled's refs, sorted once per build, and the edges
+    come in ref order: labelled puts every candidate before every active
+    pipeline, so a candidate's edges are those to the later candidates,
+    then its row (memo.row) against the active set, and an active
+    pipeline's edges are its row against the active pipelines after it.
+    A pair whose PipelineFacts do not meet has no records and gets no
+    memo.pair, so the graph is the all-pairs graph. memo keeps the facts
+    across calls: a pipeline's facts once per object, the records of a
+    pair that meets once per pair of objects under their refs, and a row
+    once per (ref, object, pre object), so a later build over the same
+    candidate objects and pre object visits only the candidate pairs.
     """
-    batch = labelled(candidates, pre)
-    edges = _gated_edges(batch, len(candidates), memo) + list(memo.active_edges(pre))
-    return ConflictGraph(vertices=tuple(ref for ref, _ in batch), edges=tuple(edges))
+    batch = [(ref, p, memo.facts_of(p)) for ref, p in labelled(candidates, pre)]
+    heads = len(candidates)
+    edges: list[Edge] = []
+    for i, (ref, pipeline, _) in enumerate(batch):
+        if i < heads:
+            edges += _edges(ref, pipeline, batch[i + 1 : heads], memo)
+        edges += memo.row(ref, pipeline, pre, batch[max(i + 1, heads) :])
+    return ConflictGraph(vertices=tuple(ref for ref, _, _ in batch), edges=tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -618,12 +611,12 @@ def evaluate_conflicts(
     active pipeline blocks; clashes maps each eligible id to the eligible ids
     it conflicts with. An edge to an ineligible candidate neither blocks nor
     counts. memo is the run's ConflictMemo, the source of every fact: the
-    graph reads its key, pair and active-edge entries, and each eligible
+    graph reads its facts, pair and row entries, and each eligible
     candidate's internal records come from its internal entries.
     """
     graph = build_conflict_graph(candidates, pre, memo)
     by_ref = {candidate_ref(intent_id): intent_id for intent_id in eligible}
-    active = {ref for ref, _ in labelled({}, pre)}
+    active = {active_ref(p.intent_id) for p in pre}
     records: list[ConflictRecord] = []
     blocked: set[int] = set()
     clashes: dict[int, set[int]] = {intent_id: set() for intent_id in eligible}

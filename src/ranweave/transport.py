@@ -262,6 +262,8 @@ def corrupt_pipeline(
     """Apply one seeded defect to a reference pipeline."""
     nodes = [(n.xapp_id, n.directive_map) for n in truth.nodes]
     edges = set(truth.edges)
+    held = set(truth.node_ids)
+    outside = [x for x in registry.ids if x not in held]
 
     if corruption == "dropped_edge" and not edges:
         corruption = "extra_xapp"
@@ -269,7 +271,6 @@ def corrupt_pipeline(
     if corruption == "duplicate_node":
         nodes.append(nodes[rng.randrange(len(nodes))])
     elif corruption == "extra_xapp":
-        outside = [x for x in registry.ids if x not in truth.node_ids]
         if outside:
             extra = rng.choice(outside)
             nodes.append((extra, default_directive(registry[extra])))
@@ -277,7 +278,6 @@ def corrupt_pipeline(
         edges.discard(rng.choice(sorted(edges)))
     elif corruption == "replace_xapp":
         index = rng.randrange(len(nodes))
-        outside = [x for x in registry.ids if x not in truth.node_ids]
         if outside:
             replacement = rng.choice(outside)
             nodes[index] = (replacement, default_directive(registry[replacement]))

@@ -13,7 +13,7 @@ import time
 
 from ranweave.agents import Mode
 from ranweave.conflicts import (
-    DetectorInputs,
+    PipelineFacts,
     detect_actuator_contention,
     detect_objective_interference,
     detect_parameter_coupling,
@@ -58,7 +58,8 @@ def test_criterion_01_detector_oracle_equivalence():
         intent_a, intent_b = random_intent(rng, 1), random_intent(rng, 2)
         a = random_pipeline(rng, registry, 1, max_nodes=3)
         b = random_pipeline(rng, registry, 2, max_nodes=3)
-        inputs_a, inputs_b = DetectorInputs.of(a, registry), DetectorInputs.of(b, registry)
+        inputs_a = PipelineFacts.of(a, intent_a, registry, matrix)
+        inputs_b = PipelineFacts.of(b, intent_b, registry, matrix)
 
         if {r.subject for r in detect_actuator_contention(a, b, **refs)} != brute_actuator_subjects(a, b):
             mismatches += 1

@@ -1002,14 +1002,15 @@ def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch)
     """Pins the conflict checks of one orchestrate_batch run over a generated
     50-xApp catalog with 12 new and 12 active intents. The run's memo starts
     from the oracle's, equal answers share one object, the memo keeps one
-    entry per object, and only a pair whose typed conflict keys meet is
-    checked, so pairwise_conflicts runs 17 times (3 find a conflict),
+    entry per object, and only a pair whose PipelineFacts meet is checked,
+    so pairwise_conflicts runs 3 times (3 find a conflict),
     internal_conflicts 3 times and validate_pipeline_structure 30 times.
-    Gated by the untyped reach set (xApp ids, written parameters, moved and
-    target KPIs in one set), pairwise_conflicts ran 28 times (3). Under the
-    noisy mock's earlier draws, one per call in call order, the same run
-    took 4 iterations, not 3, and the counts were 69
-    (7), 6 and 38; with one memo entry per ref, which a candidate coming
+    Gated by typed conflict keys that could not tell a shared xApp's
+    directives apart, pairwise_conflicts ran 17 times (3); by the untyped
+    reach set (xApp ids, written parameters, moved and target KPIs in one
+    set), 28 times (3). Under the noisy mock's earlier draws, one per call
+    in call order, the same run took 4 iterations, not 3, and the counts
+    were 69 (7), 6 and 38; with one memo entry per ref, which a candidate coming
     back to an earlier object (X -> Y -> X) had to work out again, they
     were 111 (10), 10 and 38. With a pair memo of the run's own and no
     interning, they were 222 (23), 48 and 67; every pair, through that
@@ -1048,7 +1049,7 @@ def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch)
     outcome = orchestrate_batch(ctx, chat, MemoryBuffer(), build_knowledge_store(bundle), oracle)
 
     assert outcome.converged
-    assert (len(found), sum(found)) == (17, 3)
+    assert (len(found), sum(found)) == (3, 3)
     assert calls == {"internal": 3, "structure": 30}
 
 
@@ -1104,7 +1105,7 @@ def test_one_oracle_serves_two_runs_alike(bundle, truths):
     spec = bundle.scenarios[3]
     oracle = bundle.setup(3).oracle
     memo = oracle.memo
-    tables = (memo.pairs, memo.inputs, memo.key_sets, memo.internals, memo.actives, memo.interned)
+    tables = (memo.pairs, memo.facts, memo.internals, memo.rows, memo.interned)
     sizes = [len(table) for table in tables]
     reports = []
     for _ in range(2):

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from ranweave.conflicts import (
     ConflictKind,
     ConflictMemo,
-    DetectorInputs,
+    PipelineFacts,
     VendorCompatibilityMatrix,
     build_conflict_graph,
     canonical_sort,
-    conflict_keys,
     detect_actuator_contention,
     detect_internal_coupling,
     detect_internal_vendor,
@@ -54,8 +53,8 @@ def _intent(intent_id, **targets) -> Intent:
     )
 
 
-def _inputs(registry: Registry, *pipelines: Pipeline) -> list[DetectorInputs]:
-    return [DetectorInputs.of(p, registry) for p in pipelines]
+def _inputs(registry: Registry, *pipelines: Pipeline) -> list[PipelineFacts]:
+    return [PipelineFacts.of(p, _intent(p.intent_id, kpi=1), registry, NO_CLASH) for p in pipelines]
 
 
 def test_actuator_contention_on_differing_directives(truths):
@@ -382,7 +381,7 @@ def test_gated_graph_equals_the_all_pairs_loop(seed, crowded):
         fresh = ConflictMemo(intents, matrix, registry)
         assert build_conflict_graph(batch.candidates, batch.pre, fresh) == expected
         assert build_conflict_graph(batch.candidates, batch.pre, memo) == expected
-        assert id(batch.pre) in memo.actives
+        assert all((ref, id(p), id(batch.pre)) in memo.rows for ref, p in labelled(batch.candidates, batch.pre))
         for intent_id in batch.candidates:
             if rng.random() < 0.5:
                 batch.candidates[intent_id] = batch.pipeline(intent_id)
@@ -405,7 +404,7 @@ def test_gated_graph_equals_the_all_pairs_loop(seed, crowded):
 
 
 def _tables(memo: ConflictMemo) -> tuple:
-    return (memo.pairs, memo.inputs, memo.key_sets, memo.internals, memo.actives, memo.interned)
+    return (memo.pairs, memo.facts, memo.internals, memo.rows, memo.interned)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -452,7 +451,9 @@ def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
 def test_a_candidate_that_comes_back_to_an_earlier_object_is_not_checked_again(bundle, truths, monkeypatch):
     """X -> Y -> X -> Y: the memo keeps an entry per object, so once both
     objects have been met, neither is checked again under its ref: no
-    pairwise_conflicts, no internal_conflicts and no conflict_keys."""
+    pairwise_conflicts, no internal_conflicts and no PipelineFacts.of. The
+    active intent-2 pipeline gives X's first xApp another directive, so
+    the gate lets one pair of each object through."""
     from ranweave import conflicts
 
     calls: list[str] = []
@@ -464,19 +465,48 @@ def test_a_candidate_that_comes_back_to_an_earlier_object_is_not_checked_again(b
 
         return wrapper
 
-    for name in ("pairwise_conflicts", "internal_conflicts", "conflict_keys"):
+    for name in ("pairwise_conflicts", "internal_conflicts"):
         monkeypatch.setattr(conflicts, name, counted(name, getattr(conflicts, name)))
+    of = classmethod(counted("PipelineFacts.of", conflicts.PipelineFacts.of.__func__))
+    monkeypatch.setattr(conflicts.PipelineFacts, "of", of)
     memo = ConflictMemo(bundle.intents, bundle.matrix, bundle.registry)
-    pre = DeploymentState(tuple(truths[i] for i in (2, 3, 4, 5, 6, 7)))
     x = truths[1]
+    rival = Pipeline.build(2, [(x.nodes[0].xapp_id, {"mode": "boost"})])
+    pre = DeploymentState((rival, *(truths[i] for i in (3, 4, 5, 6, 7))))
     y = Pipeline.build(1, [(n.xapp_id, n.directive_map) for n in x.nodes], x.edges, dump_doc({"max_load": 1}))
     met = []
     for candidate in (x, y, x, y):
         calls.clear()
         evaluate_conflicts({1: candidate}, [1], pre, memo)
         met.append(sorted(set(calls)))
-    assert met[0] == met[1] == ["conflict_keys", "internal_conflicts", "pairwise_conflicts"]
+    assert met[0] == met[1] == ["PipelineFacts.of", "internal_conflicts", "pairwise_conflicts"]
     assert met[2] == met[3] == []
+
+
+def test_a_second_evaluation_against_one_active_set_meets_only_the_candidate_pairs(monkeypatch):
+    """evaluate_conflicts twice with one memo, the same candidate objects and
+    the same DeploymentState object: the memo keeps every batch member's row
+    against that object, so the second call gates no candidate against the
+    active set again and makes at most one PipelineFacts.meets per candidate
+    pair. Crowded batches hold 5-10 active pipelines."""
+    meetings = 0
+    meets = PipelineFacts.meets
+
+    def counted(self, other):
+        nonlocal meetings
+        meetings += 1
+        return meets(self, other)
+
+    monkeypatch.setattr(PipelineFacts, "meets", counted)
+    for seed in range(20):
+        batch = SparseBatch.draw(random.Random(seed), crowded=seed % 2 == 1)
+        memo = ConflictMemo(batch.intents, batch.matrix, batch.registry)
+        args = (batch.candidates, sorted(batch.candidates), batch.pre)
+        first = evaluate_conflicts(*args, memo)
+        meetings = 0
+        assert evaluate_conflicts(*args, memo) == first
+        n = len(batch.candidates)
+        assert meetings <= n * (n - 1) // 2, (seed, meetings)
 
 
 def test_intern_returns_the_first_object_of_a_value_and_keeps_condition_bytes_apart():
@@ -497,9 +527,8 @@ def test_intern_returns_the_first_object_of_a_value_and_keeps_condition_bytes_ap
     assert copy.intern(other) is other and len(memo.interned) == 3
 
 
-def _keys(batch: SparseBatch, pipeline: Pipeline):
-    inputs = DetectorInputs.of(pipeline, batch.registry)
-    return conflict_keys(pipeline, batch.intents[pipeline.intent_id], inputs, batch.matrix)
+def _keys(batch: SparseBatch, pipeline: Pipeline) -> PipelineFacts:
+    return PipelineFacts.of(pipeline, batch.intents[pipeline.intent_id], batch.registry, batch.matrix)
 
 
 def _reach(batch: SparseBatch, pipeline: Pipeline) -> set[str]:
@@ -519,8 +548,9 @@ def _reach(batch: SparseBatch, pipeline: Pipeline) -> set[str]:
 @given(seed=st.integers(0, 2**32 - 1), crowded=st.booleans())
 def test_conflicting_pipelines_have_meeting_keys(seed, crowded):
     """The gate's premise: whenever pairwise_conflicts returns a record, in
-    either argument order, one pipeline's probe keys meet the other's offer
-    keys."""
+    either argument order, the two pipelines' PipelineFacts meet. And the
+    gate is exact where no xApp repeats: when neither pipeline holds one
+    xApp twice, they meet only if pairwise_conflicts returns a record."""
     batch = SparseBatch.draw(random.Random(seed), crowded)
     intents, matrix, registry = batch.intents, batch.matrix, batch.registry
     labelled_batch = labelled(batch.candidates, batch.pre)
@@ -528,8 +558,11 @@ def test_conflicting_pipelines_have_meeting_keys(seed, crowded):
         for ref_b, b in labelled_batch[i + 1 :]:
             forward = pairwise_conflicts(a, b, intents, matrix, registry, a_ref=ref_a, b_ref=ref_b)
             backward = pairwise_conflicts(b, a, intents, matrix, registry, a_ref=ref_b, b_ref=ref_a)
+            meets = _keys(batch, a).meets(_keys(batch, b))
             if forward or backward:
-                assert _keys(batch, a).meets(_keys(batch, b))
+                assert meets
+            if len(set(a.node_ids)) == len(a.node_ids) and len(set(b.node_ids)) == len(b.node_ids):
+                assert meets == bool(forward)
 
 
 def test_sparse_batches_hold_every_case_the_gate_meets():

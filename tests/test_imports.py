@@ -137,8 +137,9 @@ def test_the_conflict_memo_is_the_one_way_to_a_conflict_fact():
     """ConflictMemo holds the intents, matrix and registry its facts depend
     on, so the graph and the evaluation take the memo alone, and no default
     can stand in for a run's own. Outside the memo's methods nothing calls
-    pairwise_conflicts or conflict_keys, or touches its pairs, inputs,
-    key_sets, internals or actives."""
+    pairwise_conflicts or touches its pairs, facts, internals or rows, and
+    only pairwise_conflicts, for a caller without a memo, calls
+    PipelineFacts.of."""
     tree = ast.parse(Path(PACKAGE_DIR, "conflicts.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in ("build_conflict_graph", "evaluate_conflicts"):
@@ -147,13 +148,15 @@ def test_the_conflict_memo_is_the_one_way_to_a_conflict_fact():
         assert "memo" in names and not {"intents", "matrix", "registry"} & names, name
         assert "memo" not in _defaulted(arguments), name
     [memo] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ConflictMemo"]
+    standalone = functions["pairwise_conflicts"]
     outside = [
         ast.unparse(node)
         for statement in tree.body
         if statement is not memo
         for node in ast.walk(statement)
-        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("pairwise_conflicts", "conflict_keys"))
-        or (isinstance(node, ast.Attribute) and node.attr in ("pairs", "inputs", "key_sets", "internals", "actives"))
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pairwise_conflicts")
+        or (isinstance(node, ast.Call) and ast.unparse(node.func) == "PipelineFacts.of" and statement is not standalone)
+        or (isinstance(node, ast.Attribute) and node.attr in ("pairs", "facts", "internals", "rows"))
     ]
     assert outside == []
 
@@ -413,9 +416,9 @@ def _calls_named(node: ast.AST, name: str) -> bool:
 
 def test_facts_about_one_pipeline_take_one_form_each():
     """Two pipelines are the same exactly when they are ==, so no module
-    compares their policy documents; and a pipeline's conflict keys and
-    detector inputs are kept per object, so ConflictMemo.keys_of and
-    ConflictMemo.inputs_of take the pipeline alone, no ref."""
+    compares their policy documents; and a pipeline's PipelineFacts are
+    kept per object, so ConflictMemo.facts_of takes the pipeline alone, no
+    ref."""
     trees = _package_trees()
     compared = sorted(
         f"{name}:{node.lineno}"
@@ -427,7 +430,6 @@ def test_facts_about_one_pipeline_take_one_form_each():
     assert compared == []
     [memo] = [node for node in trees["conflicts.py"].body if isinstance(node, ast.ClassDef) and node.name == "ConflictMemo"]
     methods = {node.name: node for node in memo.body if isinstance(node, ast.FunctionDef)}
-    for name in ("keys_of", "inputs_of"):
-        arguments = methods[name].args
-        assert [arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs] == ["self", "pipeline"]
-        assert arguments.vararg is None and arguments.kwarg is None
+    arguments = methods["facts_of"].args
+    assert [arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs] == ["self", "pipeline"]
+    assert arguments.vararg is None and arguments.kwarg is None
