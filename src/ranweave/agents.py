@@ -471,7 +471,8 @@ def orchestrate_batch(
     active set, already checked by the oracle, are not checked at all. The
     oracle must come from the run's own batch, as its truths and objective
     are read too: a ValueError refuses one whose memo holds other intents,
-    matrix or registry than ctx's, before any call. The truths, then each
+    matrix, registry or active set than ctx's, before any call; an equal
+    DeploymentState object is the same active set. The truths, then each
     stored answer, are interned in the memo (ConflictMemo.intern), so an
     answer equal to an earlier one or to a truth is that object, and the
     memo's identity test catches it. A candidate's structure is checked
@@ -482,8 +483,8 @@ def orchestrate_batch(
     and an empty store gives no chunks.
     """
     memo = oracle.memo
-    if (memo.intents, memo.matrix, memo.registry) != (ctx.intent_catalog, ctx.matrix, ctx.registry):
-        raise ValueError("the oracle was built for another intent catalog, matrix or registry than the run's")
+    if (memo.intents, memo.matrix, memo.registry, memo.pre) != (ctx.intent_catalog, ctx.matrix, ctx.registry, ctx.pre):
+        raise ValueError("the oracle was built for another intent catalog, matrix, registry or active set")
     memo = memo.copy()
     memory.clear()
     truths = oracle.per_intent_truth
@@ -502,7 +503,7 @@ def orchestrate_batch(
     query = query_text(ctx.intents, ctx.registry)
     # Perception reads the conflict graph of the candidates as the previous
     # iteration left them; before the first iteration, of the active set alone.
-    graph = build_conflict_graph({}, ctx.pre, memo)
+    graph = build_conflict_graph({}, memo)
 
     for iteration in range(1, ctx.max_iterations + 1):
         chunks = store.query(query, iteration)
@@ -548,7 +549,7 @@ def orchestrate_batch(
             valid[intent_id] = not validate_pipeline_structure(candidate, ctx.registry)
 
         eligible = [i for i in sorted(candidates) if valid[i]]
-        evaluation = evaluate_conflicts(candidates, eligible, ctx.pre, memo)
+        evaluation = evaluate_conflicts(candidates, eligible, memo)
         graph = evaluation.graph
         # Eligible candidates are structurally valid, so this is exactly the
         # set is_correct_candidate accepts.

@@ -14,7 +14,8 @@ resulting records makes every derived artifact byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -69,15 +70,19 @@ def canonical_sort(records: Iterable[ConflictRecord]) -> list[ConflictRecord]:
 
 @dataclass(frozen=True)
 class VendorCompatibilityMatrix:
-    """Unordered dialect pairs that cannot execute reliably together."""
+    """Unordered pairs of two distinct dialects that cannot execute reliably together."""
 
     incompatible: frozenset[frozenset[str]]
 
+    def __post_init__(self) -> None:
+        for pair in self.incompatible:
+            if len(pair) == 1:
+                raise ValueError(f"dialect {next(iter(pair))!r} cannot be incompatible with itself")
+            if len(pair) != 2:
+                raise ValueError(f"an incompatible pair must hold two dialects, found {sorted(pair)!r}")
+
     @classmethod
     def of(cls, *pairs: tuple[str, str]) -> "VendorCompatibilityMatrix":
-        for a, b in pairs:
-            if a == b:
-                raise ValueError(f"dialect {a!r} cannot be incompatible with itself")
         return cls(frozenset(frozenset(pair) for pair in pairs))
 
     def clashes(self, dialect_a: str, dialect_b: str) -> bool:
@@ -85,13 +90,11 @@ class VendorCompatibilityMatrix:
 
     @cached_property
     def partners(self) -> dict[str, frozenset[str]]:
-        """Each dialect of a pair mapped to the dialects it clashes with, worked out once per matrix.
-
-        A pair of one dialect, which of() refuses, clashes with itself."""
+        """Each dialect of a pair mapped to the dialects it clashes with, worked out once per matrix."""
         partners: dict[str, frozenset[str]] = {}
         for pair in self.incompatible:
             for dialect in pair:
-                partners[dialect] = partners.get(dialect, frozenset()) | (pair - {dialect} or pair)
+                partners[dialect] = partners.get(dialect, frozenset()) | (pair - {dialect})
         return partners
 
     @classmethod
@@ -415,15 +418,14 @@ def validity(
     record list is exactly the concatenation of the four detectors plus the
     pipeline's own internal checks, canonically ordered. labelled names the
     pipeline as a candidate and others as the active set. The facts come
-    from a fresh ConflictMemo of the three inputs: the pipeline's internal
-    records and its row against the active set, whose gate skips only
-    active pipelines the detectors could find nothing with.
+    from a fresh ConflictMemo whose active set is others: the pipeline's
+    internal records and its row, whose gate skips only active pipelines
+    the detectors could find nothing with.
     """
-    memo = ConflictMemo(intents, matrix, registry)
-    ref, pre = candidate_ref(pipeline.intent_id), DeploymentState(tuple(others))
+    memo = ConflictMemo(intents, matrix, registry, DeploymentState(tuple(others)))
+    ref = candidate_ref(pipeline.intent_id)
     records = list(memo.internal(ref, pipeline))
-    after = [(other_ref, other, memo.facts_of(other)) for other_ref, other in labelled({}, pre)]
-    for _, edge_records in memo.row(ref, pipeline, pre, after):
+    for _, edge_records in memo.row(ref, pipeline):
         records += edge_records
     records = canonical_sort(records)
     return (not records, records)
@@ -448,43 +450,44 @@ class ConflictGraph:
 class ConflictMemo:
     """A run's conflict inputs and what has been worked out from them.
 
-    intents, matrix and registry are the inputs every fact depends on; the
-    memo's methods are the one way to a pipeline's facts, a pair's records,
-    a pipeline's internal records or its row against an active set. Every
-    entry is kept per object, and one holding records under their refs too:
-    facts maps id(p) to (p, its PipelineFacts), pairs maps (ref_a, ref_b,
-    id(a), id(b)) to (a, b, the pair's records), internals maps (ref,
-    id(p)) to (p, its internal_conflicts records) and rows maps (ref, id(p),
-    id(pre)) to (p, pre, p's edges to the active pipelines of pre that sort
-    after ref). Each entry holds its objects, so no id in its key is reused
-    while it lasts, and a candidate that comes back to an earlier object
-    (X -> Y -> X) finds its entries again. interned maps each pipeline value
-    to its first object (see intern).
+    intents, matrix, registry and pre, the active set, are the inputs every
+    fact depends on; the memo's methods are the one way to a pipeline's
+    facts, a pair's records, a pipeline's internal records or its row
+    against the active set. members holds the (ref, pipeline, facts) of
+    each active pipeline in ref order, worked out once per memo and shared
+    by its copies. Every entry is kept per object, and one holding records
+    under their refs too: facts maps id(p) to (p, its PipelineFacts), pairs
+    maps (ref_a, ref_b, id(a), id(b)) to (a, b, the pair's records),
+    internals maps (ref, id(p)) to (p, its internal_conflicts records) and
+    rows maps (ref, id(p)) to (p, p's edges to the members that sort after
+    ref). Each entry holds its objects, so no id in its key is reused while
+    it lasts, and a candidate that comes back to an earlier object (X -> Y
+    -> X) finds its entries again. interned maps each pipeline value to its
+    first object (see intern).
     """
 
     intents: Mapping[int, Intent]
     matrix: VendorCompatibilityMatrix
     registry: Registry
+    pre: DeploymentState
     pairs: dict[tuple[str, str, int, int], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]] = field(
         default_factory=dict
     )
     facts: dict[int, tuple[Pipeline, PipelineFacts]] = field(default_factory=dict)
     internals: dict[tuple[str, int], tuple[Pipeline, tuple[ConflictRecord, ...]]] = field(default_factory=dict)
-    rows: dict[tuple[str, int, int], tuple[Pipeline, DeploymentState, tuple[Edge, ...]]] = field(
-        default_factory=dict
-    )
+    rows: dict[tuple[str, int], tuple[Pipeline, tuple[Edge, ...]]] = field(default_factory=dict)
     interned: dict[Pipeline, Pipeline] = field(default_factory=dict)
+    members: tuple[Member, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.members = tuple((ref, p, self.facts_of(p)) for ref, p in labelled({}, self.pre))
 
     def copy(self) -> "ConflictMemo":
-        """A memo of the same inputs and entries whose later entries stay its own."""
-        return replace(
-            self,
-            pairs=dict(self.pairs),
-            facts=dict(self.facts),
-            internals=dict(self.internals),
-            rows=dict(self.rows),
-            interned=dict(self.interned),
-        )
+        """A memo of the same inputs, members and entries whose later entries stay its own."""
+        twin = copy.copy(self)
+        for name in ("pairs", "facts", "internals", "rows", "interned"):
+            setattr(twin, name, dict(getattr(self, name)))
+        return twin
 
     def intern(self, pipeline: Pipeline) -> Pipeline:
         """The first object interned with pipeline's value, pipeline itself if none was."""
@@ -516,14 +519,14 @@ class ConflictMemo:
             self.internals[key] = (pipeline, tuple(records))
         return self.internals[key][1]
 
-    def row(self, ref: str, pipeline: Pipeline, pre: DeploymentState, after: Sequence[Member]) -> tuple[Edge, ...]:
-        """The edges of pipeline under ref to after, the (ref, pipeline,
-        facts) of each active pipeline of pre that sorts after ref, in ref
-        order; worked out once per (ref, object, pre object)."""
-        key = (ref, id(pipeline), id(pre))
+    def row(self, ref: str, pipeline: Pipeline) -> tuple[Edge, ...]:
+        """The edges of pipeline under ref to the members that sort after
+        ref, in ref order; worked out once per (ref, object)."""
+        key = (ref, id(pipeline))
         if key not in self.rows:
-            self.rows[key] = (pipeline, pre, _edges(ref, pipeline, after, self))
-        return self.rows[key][2]
+            after = [member for member in self.members if member[0] > ref]
+            self.rows[key] = (pipeline, _edges(ref, pipeline, after, self))
+        return self.rows[key][1]
 
 
 def candidate_ref(intent_id: int) -> str:
@@ -558,31 +561,28 @@ def _edges(ref: str, pipeline: Pipeline, others: Iterable[Member], memo: Conflic
     return tuple(edges)
 
 
-def build_conflict_graph(
-    candidates: Mapping[int, Pipeline], pre: DeploymentState, memo: ConflictMemo
-) -> ConflictGraph:
+def build_conflict_graph(candidates: Mapping[int, Pipeline], memo: ConflictMemo) -> ConflictGraph:
     """Run all four detectors over every unordered pipeline pair that can conflict.
 
-    The vertices are labelled's refs, sorted once per build, and the edges
-    come in ref order: labelled puts every candidate before every active
-    pipeline, so a candidate's edges are those to the later candidates,
-    then its row (memo.row) against the active set, and an active
-    pipeline's edges are its row against the active pipelines after it.
-    A pair whose PipelineFacts do not meet has no records and gets no
-    memo.pair, so the graph is the all-pairs graph. memo keeps the facts
-    across calls: a pipeline's facts once per object, the records of a
-    pair that meets once per pair of objects under their refs, and a row
-    once per (ref, object, pre object), so a later build over the same
-    candidate objects and pre object visits only the candidate pairs.
+    The vertices are labelled's refs of the candidates and memo's active
+    set, and the edges come in ref order: labelled puts every candidate
+    before every active pipeline, so a candidate's edges are those to the
+    later candidates, then its row (memo.row), and an active pipeline's
+    edges are its row. A pair whose PipelineFacts do not meet has no
+    records and gets no memo.pair, so the graph is the all-pairs graph.
+    memo keeps the facts across calls: a pipeline's facts once per object,
+    the records of a pair that meets once per pair of objects under their
+    refs, and a row once per (ref, object), so a later build over the same
+    candidate objects visits only the candidate pairs.
     """
-    batch = [(ref, p, memo.facts_of(p)) for ref, p in labelled(candidates, pre)]
-    heads = len(candidates)
+    heads = [(ref, p, memo.facts_of(p)) for ref, p in labelled(candidates, DeploymentState())]
     edges: list[Edge] = []
-    for i, (ref, pipeline, _) in enumerate(batch):
-        if i < heads:
-            edges += _edges(ref, pipeline, batch[i + 1 : heads], memo)
-        edges += memo.row(ref, pipeline, pre, batch[max(i + 1, heads) :])
-    return ConflictGraph(vertices=tuple(ref for ref, _, _ in batch), edges=tuple(edges))
+    for i, (ref, pipeline, _) in enumerate(heads):
+        edges += _edges(ref, pipeline, heads[i + 1 :], memo)
+        edges += memo.row(ref, pipeline)
+    for ref, pipeline, _ in memo.members:
+        edges += memo.row(ref, pipeline)
+    return ConflictGraph(vertices=tuple(ref for ref, _, _ in (*heads, *memo.members)), edges=tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -596,27 +596,25 @@ class ConflictEvaluation:
 
 
 def evaluate_conflicts(
-    candidates: Mapping[int, Pipeline],
-    eligible: Sequence[int],
-    pre: DeploymentState,
-    memo: ConflictMemo,
+    candidates: Mapping[int, Pipeline], eligible: Sequence[int], memo: ConflictMemo
 ) -> ConflictEvaluation:
     """The one conflict evaluation of a candidate set, read by every consumer.
 
     eligible lists the candidate ids that may deploy, in intent order. The
-    graph covers every candidate and the active set; the rest speaks only of
-    eligible ids. records are the graph's edges whose two ends are eligible
-    or active, plus each eligible candidate's internal conflicts, canonically
-    sorted. usable keeps the eligible ids that no internal conflict and no
-    active pipeline blocks; clashes maps each eligible id to the eligible ids
-    it conflicts with. An edge to an ineligible candidate neither blocks nor
-    counts. memo is the run's ConflictMemo, the source of every fact: the
-    graph reads its facts, pair and row entries, and each eligible
-    candidate's internal records come from its internal entries.
+    graph covers every candidate and memo's active set; the rest speaks only
+    of eligible ids. records are the graph's edges whose two ends are
+    eligible or active, plus each eligible candidate's internal conflicts,
+    canonically sorted. usable keeps the eligible ids that no internal
+    conflict and no active pipeline blocks; clashes maps each eligible id to
+    the eligible ids it conflicts with. An edge to an ineligible candidate
+    neither blocks nor counts. memo is the run's ConflictMemo, the source of
+    the active set and of every fact: the graph reads its facts, pair and
+    row entries, and each eligible candidate's internal records come from
+    its internal entries.
     """
-    graph = build_conflict_graph(candidates, pre, memo)
+    graph = build_conflict_graph(candidates, memo)
     by_ref = {candidate_ref(intent_id): intent_id for intent_id in eligible}
-    active = {active_ref(p.intent_id) for p in pre}
+    active = {ref for ref, _, _ in memo.members}
     records: list[ConflictRecord] = []
     blocked: set[int] = set()
     clashes: dict[int, set[int]] = {intent_id: set() for intent_id in eligible}

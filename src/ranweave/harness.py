@@ -35,7 +35,7 @@ from .agents import (
     orchestrate_batch,
     query_text,
 )
-from .conflicts import VendorCompatibilityMatrix
+from .conflicts import VendorCompatibilityMatrix, build_conflict_graph
 from .memory import MemoryBuffer
 from .model import ENTRY_ERRORS, DeploymentState, Intent, Pipeline, Registry, XAppProfile, check_integer_id
 from .planner import (
@@ -323,7 +323,7 @@ def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
                 f"scenario {scenario.id}: reference objective covers {sorted(result.max_subset)} "
                 f"instead of all of {sorted(expected)}"
             )
-        for (ref_a, ref_b), records in result.graph.edges:
+        for (ref_a, ref_b), records in build_conflict_graph(result.per_intent_truth, result.memo).edges:
             problems.append(
                 f"scenario {scenario.id}: reference pipelines {ref_a} and {ref_b} conflict: "
                 + "; ".join(r.subject for r in records)

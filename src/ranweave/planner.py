@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .conflicts import (
-    ConflictGraph,
     ConflictMemo,
     VendorCompatibilityMatrix,
     candidate_ref,
@@ -73,17 +72,15 @@ class SolutionScore:
 class OracleResult:
     """Reference answer for one intent batch.
 
-    graph is the conflict graph the answer was computed from, and memo the
-    ConflictMemo that graph was built through: the batch's intents, matrix
-    and registry, and the key, pair and internal entries of the truths and
-    the active set. A run over the same batch seeds its own memo from a copy
-    (agents.orchestrate_batch), which refuses a memo of other inputs.
-    Neither is serialized.
+    memo is the ConflictMemo the answer was computed through: the batch's
+    intents, matrix, registry and active set, and the facts, pair, internal
+    and row entries of the truths and the active set. A run over the same
+    batch seeds its own memo from a copy (agents.orchestrate_batch), which
+    refuses a memo of other inputs. It is not serialized.
     """
 
     per_intent_truth: dict[int, Pipeline]
     max_subset: frozenset[int]
-    graph: ConflictGraph = field(repr=False, compare=False)
     memo: ConflictMemo = field(repr=False, compare=False)
 
     @property
@@ -314,11 +311,11 @@ def max_conflict_free_subset(
     candidate does, so the answer is the largest conflict-free subset: the
     scenario oracle's candidates are the truths, so it passes none. The empty
     subset is always feasible. The evaluation runs through a fresh
-    ConflictMemo of intents, matrix and registry, returned on the result.
+    ConflictMemo of intents, matrix, registry and pre, returned on the result.
     """
     ids = sorted(candidates)
-    memo = ConflictMemo(intents, matrix, registry)
-    evaluation = evaluate_conflicts(candidates, ids, pre, memo)
+    memo = ConflictMemo(intents, matrix, registry, pre)
+    evaluation = evaluate_conflicts(candidates, ids, memo)
     usable = evaluation.usable
     correct = (
         set(usable)
@@ -326,7 +323,7 @@ def max_conflict_free_subset(
         else {i for i in usable if i in truths and pipelines_equal(candidates[i], truths[i])}
     )
     subset = select_subset(usable, evaluation.clashes, correct)
-    return OracleResult(per_intent_truth=dict(candidates), max_subset=subset, graph=evaluation.graph, memo=memo)
+    return OracleResult(per_intent_truth=dict(candidates), max_subset=subset, memo=memo)
 
 
 def select_subset(

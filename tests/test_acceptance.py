@@ -223,7 +223,7 @@ def test_fcfs_greedy_is_suboptimal_on_conflicting_candidates(bundle, truths):
         )
 
     evaluation = evaluate_conflicts(
-        candidates, [2, 5, 6], DeploymentState(), ConflictMemo(catalog, bundle.matrix, bundle.registry)
+        candidates, [2, 5, 6], ConflictMemo(catalog, bundle.matrix, bundle.registry, DeploymentState())
     )
     usable, clashes = evaluation.usable, evaluation.clashes
     greedy = _select_deployment(ctx_for(Mode.FCFS), usable, clashes, set())

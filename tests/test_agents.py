@@ -164,7 +164,7 @@ def test_oracle_perception_equals_engine_serialization(bundle, truths):
         [("wireless_anomaly_detector", "traffic_steering_a")],
     )
     candidates = {3: truths[3], 4: contending, 1: truths[1]}
-    graph = build_conflict_graph(candidates, ctx.pre, ConflictMemo(bundle.intents, bundle.matrix, bundle.registry))
+    graph = build_conflict_graph(candidates, ConflictMemo(bundle.intents, bundle.matrix, bundle.registry, ctx.pre))
     doc = _perceive(ctx, transport, candidates, graph.all_records())
     assert graph.all_records(), "fixture pair should conflict"
     assert [r.to_dict() for r in doc.records] == [r.to_dict() for r in graph.all_records()]
@@ -446,11 +446,16 @@ def _clashing_ctx(bundle, truths, mode: Mode) -> RunContext:
     return replace(ctx, pre=DeploymentState((*ctx.pre, writer)))
 
 
+def _own_oracle(bundle, truths, ctx: RunContext):
+    """The oracle of ctx's own batch: its new intents' references beside ctx.pre."""
+    candidates = {intent.id: truths[intent.id] for intent in ctx.intents}
+    return max_conflict_free_subset(candidates, ctx.pre, bundle.intents, bundle.matrix, bundle.registry)
+
+
 def _call_roles(bundle, truths, ctx: RunContext) -> list[str]:
     transport = OracleTransport(_mock_bundle(bundle, truths))
     memory = MemoryBuffer()
-    oracle = bundle.setup(1).oracle
-    orchestrate_batch(ctx, transport, memory, VectorStore(), oracle)
+    orchestrate_batch(ctx, transport, memory, VectorStore(), _own_oracle(bundle, truths, ctx))
     return [role for role, _ in transport.calls]
 
 
@@ -863,8 +868,7 @@ def test_failed_call_fallbacks(bundle, truths, failing_role):
 
     transport = ScriptedTransport(responses)
     ctx = replace(_clashing_ctx(bundle, truths, Mode.F5), max_iterations=1)
-    oracle = bundle.setup(1).oracle
-    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), oracle)
+    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), _own_oracle(bundle, truths, ctx))
     assert transport.calls == calls
     assert transport.index == len(responses)
     assert outcome.best.candidates == candidates
@@ -935,10 +939,10 @@ def test_perception_reads_the_graph_the_previous_iteration_left(bundle, truths):
 
     handed = [r.payload["conflicts"] for r in transport.requests if r.role == "perception"]
     after_first = {1: truths[1], 2: invalid, 7: truths[7]}
-    inputs = (bundle.intents, bundle.matrix, bundle.registry)
-    expected = build_conflict_graph(after_first, ctx.pre, ConflictMemo(*inputs))
+    inputs = (bundle.intents, bundle.matrix, bundle.registry, ctx.pre)
+    expected = build_conflict_graph(after_first, ConflictMemo(*inputs))
     assert any("2" in r.refs() for r in expected.all_records()), "the invalid candidate should conflict"
-    assert not build_conflict_graph({}, ctx.pre, ConflictMemo(*inputs)).all_records()
+    assert not build_conflict_graph({}, ConflictMemo(*inputs)).all_records()
     assert transport.calls[:2] == [("reasoning", (1, 2, 7)), ("perception", None)]
     assert [list(records) for records in handed] == [expected.all_records()]
 
@@ -1127,25 +1131,35 @@ def test_one_oracle_serves_two_runs_alike(bundle, truths):
 
 
 
-@pytest.mark.parametrize("other", ["intents", "matrix", "registry"])
+@pytest.mark.parametrize("other", ["intents", "matrix", "registry", "pre"])
 def test_a_run_refuses_an_oracle_built_for_other_inputs(bundle, truths, other):
-    """The oracle's memo holds facts about its own intents, matrix and
-    registry, so orchestrate_batch refuses an oracle built for others with
-    a ValueError before any call: another intent catalog, another matrix,
-    or another registry object, even one listing the same profiles."""
+    """The oracle's memo holds facts about its own intents, matrix,
+    registry and active set, so orchestrate_batch refuses an oracle built
+    for others with a ValueError before any call: another intent catalog,
+    another matrix, another registry object, even one listing the same
+    profiles, or another active set. An equal active set built as a new
+    object, as ctx's is, is the run's own and is accepted."""
     ctx = _ctx(bundle, 1, Mode.F5, truths)
-    inputs = {"intents": bundle.intents, "matrix": bundle.matrix, "registry": bundle.registry}
+    inputs = {"intents": bundle.intents, "matrix": bundle.matrix, "registry": bundle.registry, "pre": ctx.pre}
     inputs[other] = {
         "intents": {**bundle.intents, 1: bundle.intents[2]},
         "matrix": VendorCompatibilityMatrix.of(),
         "registry": Registry(list(bundle.registry)),
+        "pre": DeploymentState(),
     }[other]
     candidates = {intent.id: truths[intent.id] for intent in ctx.intents}
-    oracle = max_conflict_free_subset(candidates, ctx.pre, inputs["intents"], inputs["matrix"], inputs["registry"])
+    oracle = max_conflict_free_subset(
+        candidates, inputs["pre"], inputs["intents"], inputs["matrix"], inputs["registry"]
+    )
     transport = OracleTransport(_mock_bundle(bundle, truths))
     with pytest.raises(ValueError, match="oracle was built for another"):
         orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), oracle)
     assert transport.calls == []
+
+    kept = bundle.setup(1)
+    assert kept.pre == ctx.pre and kept.pre is not ctx.pre
+    assert [p.intent_id for p in ctx.pre] == [2]
+    assert orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), kept.oracle).converged
 
 class IntentSwapTransport(OracleTransport):
     """The oracle backend, except that its answers in one role for intent 3

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,6 +176,21 @@ def test_vendor_conflict_compatible_dialects_clean(bundle, truths):
     assert records == []
 
 
+def test_a_matrix_pair_holds_two_distinct_dialects_however_it_is_built():
+    """Direct construction meets the rule of of() and from_dict: a pair of
+    one dialect or of three is refused, so no dialect clashes with itself."""
+    for pair, message in (
+        (frozenset({"a"}), "dialect 'a' cannot be incompatible with itself"),
+        (frozenset({"b", "c", "d"}), r"an incompatible pair must hold two dialects, found \['b', 'c', 'd'\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            VendorCompatibilityMatrix(frozenset({frozenset({"x", "y"}), pair}))
+    with pytest.raises(ValueError, match="dialect 'a' cannot be incompatible with itself"):
+        VendorCompatibilityMatrix.of(("a", "a"))
+    with pytest.raises(ValueError, match=r"must hold two dialects, found \['a', 'b', 'b'\]"):
+        VendorCompatibilityMatrix.from_dict({"incompatible": [["a", "b", "b"]]})
+
+
 def test_internal_vendor_on_adjacent_edge():
     registry = Registry(
         [
@@ -338,15 +354,15 @@ def test_detector_output_is_deterministic():
 
 
 def test_conflict_graph_empty_for_disjoint_aligned_pipelines(bundle, truths):
-    memo = ConflictMemo(bundle.intents, bundle.matrix, bundle.registry)
-    graph = build_conflict_graph({3: truths[3], 5: truths[5]}, DeploymentState(), memo)
+    memo = ConflictMemo(bundle.intents, bundle.matrix, bundle.registry, DeploymentState())
+    graph = build_conflict_graph({3: truths[3], 5: truths[5]}, memo)
     assert graph.edges == ()
     assert set(graph.vertices) == {"3", "5"}
 
 
 def test_conflict_graph_single_candidate(bundle, truths):
-    memo = ConflictMemo(bundle.intents, bundle.matrix, bundle.registry)
-    graph = build_conflict_graph({1: truths[1]}, DeploymentState(), memo)
+    memo = ConflictMemo(bundle.intents, bundle.matrix, bundle.registry, DeploymentState())
+    graph = build_conflict_graph({1: truths[1]}, memo)
     assert graph.vertices == ("1",)
     assert graph.edges == ()
 
@@ -354,7 +370,7 @@ def test_conflict_graph_single_candidate(bundle, truths):
 def test_conflict_graph_matches_pairwise_union(bundle, truths):
     candidates = {i: truths[i] for i in (1, 2, 3, 4, 5, 6, 7)}
     pre = DeploymentState((truths[2],))
-    graph = build_conflict_graph(candidates, pre, ConflictMemo(bundle.intents, bundle.matrix, bundle.registry))
+    graph = build_conflict_graph(candidates, ConflictMemo(bundle.intents, bundle.matrix, bundle.registry, pre))
     for (ref_a, ref_b), records in graph.edges:
         assert records
         assert {ref_a, ref_b} <= set(graph.vertices)
@@ -370,18 +386,18 @@ def test_gated_graph_equals_the_all_pairs_loop(seed, crowded):
     the all-pairs loop edge for edge and record for record; and validity
     equals its ungated sum of detectors. A crowded batch's active set
     outnumbers its candidates and conflicts within itself. Between rounds
-    the shared memo may be swapped for its copy, and the active set for a
-    new object, equal or with one pipeline redrawn, so the kept active-set
-    edges are read through copies and never for another object."""
+    the shared memo may be swapped for its copy; a memo holds one active
+    set, so a round that swaps the active set for a new object, equal or
+    with one pipeline redrawn, starts a new memo."""
     batch = SparseBatch.draw(random.Random(seed), crowded)
     rng, intents, matrix, registry = batch.rng, batch.intents, batch.matrix, batch.registry
-    memo = ConflictMemo(intents, matrix, registry)
+    memo = ConflictMemo(intents, matrix, registry, batch.pre)
     for _ in range(rng.randint(1, 4)):
         expected = all_pairs_conflict_graph(batch.candidates, batch.pre, intents, matrix, registry)
-        fresh = ConflictMemo(intents, matrix, registry)
-        assert build_conflict_graph(batch.candidates, batch.pre, fresh) == expected
-        assert build_conflict_graph(batch.candidates, batch.pre, memo) == expected
-        assert all((ref, id(p), id(batch.pre)) in memo.rows for ref, p in labelled(batch.candidates, batch.pre))
+        fresh = ConflictMemo(intents, matrix, registry, batch.pre)
+        assert build_conflict_graph(batch.candidates, fresh) == expected
+        assert build_conflict_graph(batch.candidates, memo) == expected
+        assert all((ref, id(p)) in memo.rows for ref, p in labelled(batch.candidates, batch.pre))
         for intent_id in batch.candidates:
             if rng.random() < 0.5:
                 batch.candidates[intent_id] = batch.pipeline(intent_id)
@@ -390,11 +406,13 @@ def test_gated_graph_equals_the_all_pairs_loop(seed, crowded):
         roll = rng.random()
         if roll < 0.2:
             batch.pre = DeploymentState(batch.pre.active)
+            memo = ConflictMemo(intents, matrix, registry, batch.pre)
         elif roll < 0.4 and batch.pre.active:
             active = list(batch.pre.active)
             k = rng.randrange(len(active))
             active[k] = batch.pipeline(active[k].intent_id)
             batch.pre = DeploymentState(tuple(active))
+            memo = ConflictMemo(intents, matrix, registry, batch.pre)
     for intent_id, pipeline in batch.candidates.items():
         ref = str(intent_id)
         ungated = internal_conflicts(pipeline, matrix, registry, ref=ref)
@@ -428,8 +446,8 @@ def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
         for pipeline in batch.candidates.values():
             memo.intern(pipeline)
         eligible = [i for i in sorted(batch.candidates) if rng.random() < 0.8]
-        args = (batch.candidates, eligible, batch.pre)
-        fresh = evaluate_conflicts(*args, ConflictMemo(intents, matrix, registry))
+        args = (batch.candidates, eligible)
+        fresh = evaluate_conflicts(*args, ConflictMemo(intents, matrix, registry, batch.pre))
         assert evaluate_conflicts(*args, memo) == fresh
         for intent_id in eligible:
             own = internal_conflicts(batch.candidates[intent_id], matrix, registry, ref=str(intent_id))
@@ -469,15 +487,15 @@ def test_a_candidate_that_comes_back_to_an_earlier_object_is_not_checked_again(b
         monkeypatch.setattr(conflicts, name, counted(name, getattr(conflicts, name)))
     of = classmethod(counted("PipelineFacts.of", conflicts.PipelineFacts.of.__func__))
     monkeypatch.setattr(conflicts.PipelineFacts, "of", of)
-    memo = ConflictMemo(bundle.intents, bundle.matrix, bundle.registry)
     x = truths[1]
     rival = Pipeline.build(2, [(x.nodes[0].xapp_id, {"mode": "boost"})])
     pre = DeploymentState((rival, *(truths[i] for i in (3, 4, 5, 6, 7))))
+    memo = ConflictMemo(bundle.intents, bundle.matrix, bundle.registry, pre)
     y = Pipeline.build(1, [(n.xapp_id, n.directive_map) for n in x.nodes], x.edges, dump_doc({"max_load": 1}))
     met = []
     for candidate in (x, y, x, y):
         calls.clear()
-        evaluate_conflicts({1: candidate}, [1], pre, memo)
+        evaluate_conflicts({1: candidate}, [1], memo)
         met.append(sorted(set(calls)))
     assert met[0] == met[1] == ["PipelineFacts.of", "internal_conflicts", "pairwise_conflicts"]
     assert met[2] == met[3] == []
@@ -500,8 +518,8 @@ def test_a_second_evaluation_against_one_active_set_meets_only_the_candidate_pai
     monkeypatch.setattr(PipelineFacts, "meets", counted)
     for seed in range(20):
         batch = SparseBatch.draw(random.Random(seed), crowded=seed % 2 == 1)
-        memo = ConflictMemo(batch.intents, batch.matrix, batch.registry)
-        args = (batch.candidates, sorted(batch.candidates), batch.pre)
+        memo = ConflictMemo(batch.intents, batch.matrix, batch.registry, batch.pre)
+        args = (batch.candidates, sorted(batch.candidates))
         first = evaluate_conflicts(*args, memo)
         meetings = 0
         assert evaluate_conflicts(*args, memo) == first
@@ -513,7 +531,7 @@ def test_intern_returns_the_first_object_of_a_value_and_keeps_condition_bytes_ap
     """1, 1.0 and true render as three different condition bytes, so the
     pipelines are three values and each keeps its own object; a copy starts
     from the same table."""
-    memo = ConflictMemo({}, VendorCompatibilityMatrix.of(), Registry([]))
+    memo = ConflictMemo({}, VendorCompatibilityMatrix.of(), Registry([]), DeploymentState())
     as_int, as_float, as_bool = (
         Pipeline.build(1, [("x", {})], (), dump_doc({"max_load": v})) for v in (1, 1.0, True)
     )
@@ -635,7 +653,7 @@ def test_conflict_lists_and_graph_come_in_canonical_order(seed):
     refs = [ref for ref, _ in batch]
     assert refs == sorted(refs)
     assert dict(batch) == {str(i): p for i, p in candidates.items()} | {f"pre:{p.intent_id}": p for p in pre}
-    graph = build_conflict_graph(candidates, pre, ConflictMemo(intents, matrix, registry))
+    graph = build_conflict_graph(candidates, ConflictMemo(intents, matrix, registry, pre))
     assert graph.vertices == tuple(refs)
     edge_refs = [pair for pair, _ in graph.edges]
     assert edge_refs == sorted(edge_refs)
@@ -664,13 +682,13 @@ def test_every_record_parses_back_and_validity_matches_the_evaluation(seed):
         records = canonical_sort(records)
         assert list(parse_perception_doc(dump_doc(conflict_report(records))).records) == records
 
-    survives(build_conflict_graph(candidates, pre, ConflictMemo(intents, matrix, registry)).all_records())
-    survives(evaluate_conflicts(candidates, sorted(ids), pre, ConflictMemo(intents, matrix, registry)).records)
+    survives(build_conflict_graph(candidates, ConflictMemo(intents, matrix, registry, pre)).all_records())
+    survives(evaluate_conflicts(candidates, sorted(ids), ConflictMemo(intents, matrix, registry, pre)).records)
     for intent_id, pipeline in candidates.items():
         ok, records = validity(pipeline, pre, intents, matrix, registry)
         survives(records)
-        fresh = ConflictMemo(intents, matrix, registry)
-        alone = evaluate_conflicts({intent_id: pipeline}, [intent_id], pre, fresh)
+        fresh = ConflictMemo(intents, matrix, registry, pre)
+        alone = evaluate_conflicts({intent_id: pipeline}, [intent_id], fresh)
         assert ok is (intent_id in alone.usable)
 
 

@@ -134,9 +134,10 @@ def _defaulted(arguments: ast.arguments) -> set[str]:
 
 
 def test_the_conflict_memo_is_the_one_way_to_a_conflict_fact():
-    """ConflictMemo holds the intents, matrix and registry its facts depend
-    on, so the graph and the evaluation take the memo alone, and no default
-    can stand in for a run's own. Outside the memo's methods nothing calls
+    """ConflictMemo holds the intents, matrix, registry and active set its
+    facts depend on, in its first four fields, so the graph and the
+    evaluation take the memo alone, a row takes a ref and a pipeline, and
+    no default can stand in for a run's own. Outside the memo's methods nothing calls
     pairwise_conflicts or touches its pairs, facts, internals or rows, and
     only pairwise_conflicts, for a caller without a memo, calls
     PipelineFacts.of."""
@@ -145,9 +146,14 @@ def test_the_conflict_memo_is_the_one_way_to_a_conflict_fact():
     for name in ("build_conflict_graph", "evaluate_conflicts"):
         arguments = functions[name].args
         names = {arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs}
-        assert "memo" in names and not {"intents", "matrix", "registry"} & names, name
+        assert "memo" in names and not {"intents", "matrix", "registry", "pre"} & names, name
         assert "memo" not in _defaulted(arguments), name
     [memo] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ConflictMemo"]
+    fields = [node.target.id for node in memo.body if isinstance(node, ast.AnnAssign)]
+    assert fields[:4] == ["intents", "matrix", "registry", "pre"]
+    [row] = [node for node in memo.body if isinstance(node, ast.FunctionDef) and node.name == "row"]
+    assert [arg.arg for arg in row.args.posonlyargs + row.args.args + row.args.kwonlyargs] == ["self", "ref", "pipeline"]
+    assert row.args.vararg is None and row.args.kwarg is None
     standalone = functions["pairwise_conflicts"]
     outside = [
         ast.unparse(node)

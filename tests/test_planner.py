@@ -494,7 +494,7 @@ def test_subset_matches_brute_force_independent_set():
             matrix=matrix,
             intent_catalog=intents,
         )
-        evaluation = evaluate_conflicts(candidates, sorted(ids), pre, ConflictMemo(intents, matrix, registry))
+        evaluation = evaluate_conflicts(candidates, sorted(ids), ConflictMemo(intents, matrix, registry, pre))
         assert evaluation.usable == tuple(sorted(usable))
         assert _select_deployment(ctx, evaluation.usable, evaluation.clashes, set(truths)) == expected
 
@@ -575,10 +575,10 @@ def test_evaluation_ignores_order_and_every_selection_is_valid(seed, data):
     eligible = [i for i in sorted(ids) if rng.random() < 0.8]
     correct = {i for i in eligible if rng.random() < 0.5}
 
-    reference = evaluate_conflicts(candidates, eligible, pre, ConflictMemo(intents, matrix, registry))
+    reference = evaluate_conflicts(candidates, eligible, ConflictMemo(intents, matrix, registry, pre))
     inserted = {i: candidates[i] for i in data.draw(st.permutations(ids))}
     order = data.draw(st.permutations(eligible))
-    shuffled = evaluate_conflicts(inserted, order, pre, ConflictMemo(intents, matrix, registry))
+    shuffled = evaluate_conflicts(inserted, order, ConflictMemo(intents, matrix, registry, pre))
     assert shuffled.records == reference.records
     assert shuffled.clashes == reference.clashes
     assert set(shuffled.usable) == set(reference.usable)

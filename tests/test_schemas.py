@@ -196,7 +196,7 @@ def test_perception_doc_roundtrip_from_engine(bundle, truths):
     intents = dict(bundle.intents)
     intents[9] = bundle.intents[7]
     graph = build_conflict_graph(
-        {7: truths[7], 9: contending}, DeploymentState(), ConflictMemo(intents, bundle.matrix, bundle.registry)
+        {7: truths[7], 9: contending}, ConflictMemo(intents, bundle.matrix, bundle.registry, DeploymentState())
     )
     payload = conflict_report(graph.all_records(), notes="engine output")
     doc = parse_perception_doc(dump_doc(payload))
