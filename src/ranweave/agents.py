@@ -139,10 +139,6 @@ class BatchOutcome:
     iterations_to_deployment: int | None = None
     converged: bool = False
 
-    @property
-    def iterations_run(self) -> int:
-        return len(self.score_history)
-
 
 def _read_template(name: str) -> str:
     return resources.files("ranweave").joinpath("prompts", name).read_text(encoding="utf-8")
@@ -576,8 +572,6 @@ def orchestrate_batch(
                     deployed=intent.id in deployed,
                     correct=intent.id in correct,
                     conflicts=tuple(involving.get(candidate_ref(intent.id), ())),
-                    iteration=iteration,
-                    score=score,
                 ),
             )
 

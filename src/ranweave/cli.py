@@ -76,6 +76,8 @@ def _scenario_ids(bundle: FixtureBundle, value: str, allow_all: bool = False) ->
 def cmd_run(args: argparse.Namespace) -> int:
     if args.report and not Path(args.report).parent.is_dir():
         raise FileNotFoundError(f"no directory to write the report {args.report} into")
+    if args.report and Path(args.report).is_dir():
+        raise IsADirectoryError(f"the report path {args.report} is a directory")
     bundle = load_fixtures(args.fixtures)
     modes = ALL_MODES if args.mode == "all" else [args.mode]
     reports: list[RunReport] = []

@@ -1,9 +1,10 @@
 """Episodic memory of (intent, pipeline, outcome) attempts.
 
 The buffer is append-only within one orchestration run and cleared at run
-start. Successful attempts feed analogical few-shot retrieval; failed ones
-feed templated failure summaries consumed by the refinement step. Both
-outputs are pure functions of the buffer contents.
+start, so it lives only in memory: nothing writes it out or reads it back.
+Successful attempts feed analogical few-shot retrieval; failed ones feed
+templated failure summaries consumed by the refinement step. Both outputs
+are pure functions of the buffer contents.
 """
 
 from __future__ import annotations
@@ -11,12 +12,9 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 from .conflicts import ConflictRecord, PIPELINE_LEVEL
 from .model import Intent, Pipeline
-from .planner import SolutionScore
-from .schemas import SchemaValidationError, dump_doc, parse_memory_line, pipeline_to_policy_doc
 from . import retrieval
 
 
@@ -27,8 +25,6 @@ class OutcomeRecord:
     deployed: bool
     correct: bool
     conflicts: tuple[ConflictRecord, ...]
-    iteration: int
-    score: SolutionScore
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,7 +32,6 @@ class MemoryEntry:
     intent: Intent
     pipeline: Pipeline
     outcome: OutcomeRecord
-    sequence_no: int
 
     @property
     def failed(self) -> bool:
@@ -68,17 +63,9 @@ class MemoryBuffer:
         self._embed.cache_clear()
         self._similarity.cache_clear()
 
-    def record(self, entry: MemoryEntry) -> None:
-        if self._entries and entry.sequence_no <= self._entries[-1].sequence_no:
-            raise ValueError(
-                f"sequence_no {entry.sequence_no} is not after {self._entries[-1].sequence_no}"
-            )
-        self._entries.append(entry)
-
     def add(self, intent: Intent, pipeline: Pipeline, outcome: OutcomeRecord) -> MemoryEntry:
-        """Append a new attempt, assigning the next sequence number."""
-        next_no = self._entries[-1].sequence_no + 1 if self._entries else 1
-        entry = MemoryEntry(intent=intent, pipeline=pipeline, outcome=outcome, sequence_no=next_no)
+        """Append a new attempt; entries keeps the order of the attempts."""
+        entry = MemoryEntry(intent=intent, pipeline=pipeline, outcome=outcome)
         self._entries.append(entry)
         return entry
 
@@ -129,46 +116,3 @@ class MemoryBuffer:
             for (kind, xapp_id), count in ordered:
                 lines.append(f"- {kind} involving {xapp_id} (seen {count}x)")
         return "\n".join(lines)
-
-    def save(self, path: str | Path) -> None:
-        """Persist one JSON object per entry for post-hoc inspection."""
-        with Path(path).open("w", encoding="utf-8") as handle:
-            for entry in self._entries:
-                handle.write(dump_doc(_entry_to_dict(entry)))
-                handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "MemoryBuffer":
-        """A saved file's entries; a bad line raises one SchemaValidationError naming it."""
-        buffer = cls()
-        # "\n" alone ends a line: splitlines() also splits at U+2028, which a JSON string may hold.
-        for number, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
-            if not line.strip():
-                continue
-            doc_name = f"{path} line {number}"
-            data, intent, pipeline, conflicts = parse_memory_line(line, doc_name)
-            outcome = data["outcome"]
-            score = SolutionScore(*outcome["score"])
-            kept = OutcomeRecord(outcome["deployed"], outcome["correct"], conflicts, outcome["iteration"], score)
-            entry = MemoryEntry(intent, pipeline, kept, data["sequence_no"])
-            try:
-                buffer.record(entry)
-            except ValueError as exc:
-                raise SchemaValidationError(doc_name, [str(exc)]) from exc
-        return buffer
-
-
-def _entry_to_dict(entry: MemoryEntry) -> dict[str, object]:
-    return {
-        "intent": entry.intent.to_dict(),
-        "pipeline": pipeline_to_policy_doc(entry.pipeline),
-        "outcome": {
-            "deployed": entry.outcome.deployed,
-            "correct": entry.outcome.correct,
-            "conflicts": [r.to_dict() for r in entry.outcome.conflicts],
-            "iteration": entry.outcome.iteration,
-            "score": list(entry.outcome.score.as_tuple()),
-        },
-        "sequence_no": entry.sequence_no,
-    }
-

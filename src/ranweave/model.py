@@ -127,12 +127,6 @@ class XAppProfile:
             interfaces=frozenset(interfaces),
         )
 
-    def effect_on(self, kpi: str) -> int:
-        for name, direction in self.kpi_effects:
-            if name == kpi:
-                return direction
-        return 0
-
     def to_dict(self) -> dict[str, object]:
         return {
             "id": self.id,

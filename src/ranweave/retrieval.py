@@ -71,30 +71,6 @@ def chunk_document(doc_id: str, text: str) -> list[DocChunk]:
     return chunks
 
 
-def reconstruct(chunks: Iterable[DocChunk]) -> str:
-    """Rebuild the original document from its overlapping chunks.
-
-    The chunks must be of one document and cover it from offset 0 without a
-    gap, and each must agree with the text before it where they overlap;
-    anything else raises ValueError rather than returning part of it.
-    """
-    ordered = sorted(chunks, key=lambda c: c.start)
-    doc_ids = sorted({chunk.doc_id for chunk in ordered})
-    if len(doc_ids) > 1:
-        raise ValueError(f"chunks of more than one document: {doc_ids}")
-    if ordered and ordered[0].start != 0:
-        raise ValueError(f"first chunk starts at {ordered[0].start}, not 0")
-    text = ""
-    for chunk in ordered:
-        if chunk.start > len(text):
-            raise ValueError(f"gap between offsets {len(text)} and {chunk.start}")
-        overlap = chunk.text[: len(text) - chunk.start]
-        if overlap != text[chunk.start : chunk.start + len(overlap)]:
-            raise ValueError(f"chunk at offset {chunk.start} disagrees with the text before it")
-        text += chunk.text[len(overlap) :]
-    return text
-
-
 class Embedding(Mapping):
     """Read-only signed trigram counts by bucket, the zero counts left out;
     norm2 is their sum of squares, computed once."""
@@ -146,13 +122,13 @@ def similarity(query: Embedding, candidate: Embedding) -> Fraction:
     exactly as their cosines do: ‖q‖ is the same for each of them, and the
     signed square keeps the order. A zero vector on either side scores 0.
     """
-    if not candidate._norm2:
+    if not candidate.norm2:
         return Fraction(0)
     # Each candidate count times the query's count in its bucket, 0 where
     # the query has none.
     counts = candidate._counts
     dot = sum(map(mul, counts.values(), map(query._counts.get, counts, repeat(0))))
-    return Fraction(dot * abs(dot), candidate._norm2)
+    return Fraction(dot * abs(dot), candidate.norm2)
 
 
 def rank(chunks: Iterable[DocChunk], query_text: str) -> tuple[DocChunk, ...]:

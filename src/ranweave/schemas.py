@@ -1,16 +1,15 @@
 """JSON document schemas shared by the agents and the conflict engine.
 
-This module is the wire spec. Four documents exist: the perception
+This module is the wire spec. Three documents exist: the perception
 conflict report, the reasoning answer (one policy document per asked
-intent, keyed by its id), the refinement answer (one revision document per
-asked candidate, keyed by its intent's id) and the saved memory line.
-Parsing is strict - unknown keys are rejected and every violation is
-reported with its path so a malformed response can be re-prompted with
-concrete errors. Both keyed answers share one decoder and are checked entry
-by entry (an EntryDoc). Each entry of a reasoning answer and each revised
-policy of a refinement answer pass one policy check: registered xApps only,
-and the intent that was asked for; a memory line's pipeline must be of the
-line's intent.
+intent, keyed by its id) and the refinement answer (one revision document
+per asked candidate, keyed by its intent's id). Parsing is strict -
+unknown keys are rejected and every violation is reported with its path
+so a malformed response can be re-prompted with concrete errors. Both
+keyed answers share one decoder and are checked entry by entry (an
+EntryDoc). Each entry of a reasoning answer and each revised policy of a
+refinement answer pass one policy check: registered xApps only, and the
+intent that was asked for.
 
 Prompts send each key once: a record section (profiles, policies) is a
 header-once table (table_doc), the sorted keys once and then one row of
@@ -27,7 +26,7 @@ from enum import Enum
 from typing import Callable, Generic, Iterable, Mapping, Sequence, TypeVar
 
 from .conflicts import ConflictKind, ConflictRecord, canonical_sort
-from .model import ENTRY_ERRORS, Intent, Pipeline, Registry
+from .model import Pipeline, Registry
 
 # The conflict report groups its records by class under these keys.
 REPORT_GROUPS = {
@@ -104,11 +103,6 @@ def pipeline_to_policy_doc(pipeline: Pipeline) -> dict[str, object]:
     }
 
 
-def policy_doc_to_pipeline(data: dict[str, object]) -> Pipeline:
-    """Shape-checked pipeline of a decoded policy document, for round trips."""
-    return _pipeline(data, _policy_shape_errors(data))
-
-
 def _pipeline(data: dict[str, object], errors: list[str]) -> Pipeline:
     if errors:
         raise SchemaValidationError("policy document", errors)
@@ -129,14 +123,9 @@ def _policy_doc_errors(data: object, registry: Registry, intent_id: int) -> list
     unknown = sorted({xapp_id for xapp_id, _ in data["selected_xapps"] if xapp_id not in registry})
     if unknown:
         errors.append(f"unregistered xApp ids {unknown}")
-    return errors + _requested_intent_errors(data, intent_id)
-
-
-def _requested_intent_errors(data: dict[str, object], intent_id: int) -> list[str]:
-    """A shape-checked policy document must be of the intent intent_id."""
     if data["intent_id"] != intent_id:
-        return [f"intent_id {data['intent_id']!r} is not the requested intent {intent_id!r}"]
-    return []
+        errors.append(f"intent_id {data['intent_id']!r} is not the requested intent {intent_id!r}")
+    return errors
 
 
 def _policy_shape_errors(data: object) -> list[str]:
@@ -209,7 +198,7 @@ def _parse_keyed(
     or invalid entry fails only its intent. A text that is no such object,
     or that holds a key of no asked intent, raises SchemaValidationError.
     """
-    data = _load_json(text, doc_name, "response")
+    data = _load_json(text, doc_name)
     if not isinstance(data, dict):
         raise SchemaValidationError(doc_name, [f"expected a JSON object, got {type(data).__name__}"])
     keys = {str(intent_id): intent_id for intent_id in intent_ids}
@@ -246,7 +235,7 @@ def parse_policy_doc(text: str, registry: Registry, intent_ids: Iterable[int]) -
 
 
 def parse_perception_doc(text: str) -> PerceptionDoc:
-    data = _load_json(text, "conflict report", "response")
+    data = _load_json(text, "conflict report")
     if not isinstance(data, dict):
         raise SchemaValidationError("conflict report", ["expected a JSON object"])
     errors = _key_errors(data, {"conflicts", "notes"}, set(), "")
@@ -382,65 +371,6 @@ def _revision(data: object, original: Pipeline, registry: Registry) -> Refinemen
     return RefinementDoc(revised=revised, edits=tuple(edits))
 
 
-_LINE_KEYS = {"intent", "pipeline", "outcome", "sequence_no"}
-_OUTCOME_KEYS = {"deployed", "correct", "conflicts", "iteration", "score"}
-
-
-def parse_memory_line(text: str, doc_name: str) -> tuple[dict, Intent, Pipeline, tuple[ConflictRecord, ...]]:
-    """A saved memory line: its object, intent, pipeline and outcome records, each built once.
-
-    One SchemaValidationError carries every error found: keys, the intent, the pipeline
-    (which must be of that intent), the records, and the outcome's flags and counters,
-    which the caller reads from the returned object.
-    """
-    data = _load_json(text, doc_name, "line")
-    if not isinstance(data, dict):
-        raise SchemaValidationError(doc_name, ["expected a JSON object"])
-    errors = _key_errors(data, _LINE_KEYS, _LINE_KEYS, "")
-    outcome = data.get("outcome")
-    if isinstance(outcome, dict):
-        errors += _key_errors(outcome, _OUTCOME_KEYS, _OUTCOME_KEYS, "outcome")
-    elif "outcome" in data:
-        errors.append("outcome must be an object")
-    if not (data.keys() >= _LINE_KEYS and isinstance(outcome, dict) and outcome.keys() >= _OUTCOME_KEYS):
-        raise SchemaValidationError(doc_name, errors)
-
-    intent = None
-    try:
-        intent = Intent.from_dict(data["intent"])
-    except KeyError as exc:
-        errors.append(f"intent is missing field {exc}")
-    except ENTRY_ERRORS as exc:
-        errors.append(f"intent: {exc}")
-    pipeline_errors = _policy_shape_errors(data["pipeline"])
-    if not pipeline_errors and intent is not None:
-        pipeline_errors = _requested_intent_errors(data["pipeline"], intent.id)
-    errors += [f"pipeline: {error}" for error in pipeline_errors]
-
-    records = []
-    if not isinstance(outcome["conflicts"], list):
-        errors.append("outcome.conflicts must be a list")
-    else:
-        for index, item in enumerate(outcome["conflicts"]):
-            record, item_errors = _parse_record(item, f"outcome.conflicts[{index}]")
-            errors += item_errors
-            records.append(record)
-    for path, value, kind in (
-        ("outcome.deployed", outcome["deployed"], bool),
-        ("outcome.correct", outcome["correct"], bool),
-        ("outcome.iteration", outcome["iteration"], int),
-        ("sequence_no", data["sequence_no"], int),
-    ):
-        if type(value) is not kind:  # type(): a bool is not a counter
-            errors.append(f"{path} must be {'a boolean' if kind is bool else 'an integer'}, found {value!r}")
-    score = outcome["score"]
-    if not (isinstance(score, list) and len(score) == 4 and all(type(n) is int for n in score)):
-        errors.append(f"outcome.score must be four integers, found {score!r}")
-    if errors:
-        raise SchemaValidationError(doc_name, errors)
-    return data, intent, _pipeline(data["pipeline"], []), tuple(records)
-
-
 def _key_errors(
     data: dict[str, object], allowed: set[str], required: set[str], path: str
 ) -> list[str]:
@@ -477,20 +407,20 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=Fal
 
 
 def load_doc(text: str) -> object:
-    """The one strict JSON decoder, of every backend response, saved memory
-    line and fixture file. Malformed JSON (a leading byte order mark
-    included), NaN or Infinity, a number past the float range and an integer
-    past the digit limit raise ValueError; nesting deeper than the decoder
-    can follow raises RecursionError."""
+    """The one strict JSON decoder, of every backend response and fixture
+    file. Malformed JSON (a leading byte order mark included), NaN or
+    Infinity, a number past the float range and an integer past the digit
+    limit raise ValueError; nesting deeper than the decoder can follow
+    raises RecursionError."""
     return _DECODER.decode(text)
 
 
-def _load_json(text: str, doc_name: str, subject: str) -> object:
-    """The decoded text of doc_name; subject names the text in the error: response or line."""
+def _load_json(text: str, doc_name: str) -> object:
+    """The decoded response text of doc_name."""
     try:
         return load_doc(text)
     except (ValueError, RecursionError) as exc:
-        raise SchemaValidationError(doc_name, [f"{subject} is not valid JSON: {exc}"]) from exc
+        raise SchemaValidationError(doc_name, [f"response is not valid JSON: {exc}"]) from exc
 
 
 def table_doc(docs: Sequence[Mapping[str, object]]) -> dict[str, object]:

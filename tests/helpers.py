@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -25,8 +25,8 @@ from ranweave.conflicts import (
 )
 from ranweave.model import DeploymentState, Intent, Pipeline, Registry, Stage, XAppProfile, stage_chain
 from ranweave.planner import MAX_COVER
-from ranweave.retrieval import EMBEDDING_DIM
-from ranweave.schemas import REPORT_GROUPS
+from ranweave.retrieval import EMBEDDING_DIM, DocChunk
+from ranweave.schemas import REPORT_GROUPS, SchemaValidationError, dump_doc, parse_policy_doc
 
 CAP_POOL = ["steering", "sensing", "slicing", "power", "scheduling", "beam"]
 PARAM_POOL = ["tx_power", "prb_quota", "weights", "beam_set", "steer_mode"]
@@ -40,8 +40,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WIRE_KEYS = [
     "intent_id", "selected_xapps", "edges", "deployment_conditions", "conflicts", "notes",
     "actuator", "parameter", "objective", "vendor", "kind", "participants", "subject",
-    "explanation", "revised_policy", "edits", "load", "windows", "intent", "pipeline", "outcome",
-    "sequence_no", "deployed", "correct", "iteration", "score", "id", "text", "target_kpis",
+    "explanation", "revised_policy", "edits", "load", "windows", "id", "text", "target_kpis",
     "required_capabilities", "required_xapps",
 ]
 # Any JSON value, biased towards the keys and strings of the wire documents.
@@ -280,12 +279,12 @@ def brute_interference_subjects(
             out.add(kpi)
             continue
         if da is not None and any(
-            registry[n.xapp_id].effect_on(kpi) == -da for n in b.nodes
+            dict(registry[n.xapp_id].kpi_effects).get(kpi, 0) == -da for n in b.nodes
         ):
             out.add(kpi)
             continue
         if db is not None and any(
-            registry[n.xapp_id].effect_on(kpi) == -db for n in a.nodes
+            dict(registry[n.xapp_id].kpi_effects).get(kpi, 0) == -db for n in a.nodes
         ):
             out.add(kpi)
     return out
@@ -462,3 +461,48 @@ def reference_rank(chunks, query_vector: Mapping[int, int], k: int) -> list:
     ]
     scored.sort(key=lambda item: item[:3])
     return [chunk for _, _, _, chunk in scored[:k]]
+
+
+def decode_policy(doc: object) -> Pipeline:
+    """doc's pipeline as parse_policy_doc, the decoder of every reasoning
+    answer, reads it: as the answer for the intent doc names (0 when it
+    names no integer one), with every xApp doc selects registered. A doc
+    that fails a check raises SchemaValidationError with its entry's errors."""
+    fields = doc if isinstance(doc, dict) else {}
+    intent_id = fields.get("intent_id")
+    if isinstance(intent_id, bool) or not isinstance(intent_id, int):
+        intent_id = 0
+    selected = fields.get("selected_xapps")
+    xapp_ids = {
+        item[0] for item in (selected if isinstance(selected, list) else ())
+        if isinstance(item, (list, tuple)) and item and isinstance(item[0], str) and item[0]
+    }
+    registry = Registry(XAppProfile.build(xapp_id, capabilities=["c"]) for xapp_id in xapp_ids)
+    answer = parse_policy_doc(dump_doc({str(intent_id): doc}), registry, [intent_id])
+    if intent_id in answer.errors:
+        raise SchemaValidationError("policy document", answer.errors[intent_id])
+    return answer.entries[intent_id]
+
+
+def reconstruct(chunks: Iterable[DocChunk]) -> str:
+    """Rebuild the original document from its overlapping chunks.
+
+    The chunks must be of one document and cover it from offset 0 without a
+    gap, and each must agree with the text before it where they overlap;
+    anything else raises ValueError rather than returning part of it.
+    """
+    ordered = sorted(chunks, key=lambda c: c.start)
+    doc_ids = sorted({chunk.doc_id for chunk in ordered})
+    if len(doc_ids) > 1:
+        raise ValueError(f"chunks of more than one document: {doc_ids}")
+    if ordered and ordered[0].start != 0:
+        raise ValueError(f"first chunk starts at {ordered[0].start}, not 0")
+    text = ""
+    for chunk in ordered:
+        if chunk.start > len(text):
+            raise ValueError(f"gap between offsets {len(text)} and {chunk.start}")
+        overlap = chunk.text[: len(text) - chunk.start]
+        if overlap != text[chunk.start : chunk.start + len(overlap)]:
+            raise ValueError(f"chunk at offset {chunk.start} disagrees with the text before it")
+        text += chunk.text[len(overlap) :]
+    return text

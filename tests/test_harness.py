@@ -515,15 +515,14 @@ def test_an_id_outside_the_bundle_is_refused(bundle):
         run_scenario(bundle, 99, "f5", "mock-oracle", seed=0)
 
 
-def test_run_scenario_memory_files_are_deterministic(bundle, tmp_path):
-    paths = []
-    for index in range(2):
-        memory = MemoryBuffer()
+def test_run_scenario_memory_files_are_deterministic(bundle):
+    """Two runs of one scenario and seed leave equal memory entries: the same
+    intents, pipelines (condition bytes included), flags and conflict
+    records, in the same order."""
+    buffers = [MemoryBuffer(), MemoryBuffer()]
+    for memory in buffers:
         run_scenario(bundle, 1, "f5", "mock-noisy", seed=9, memory=memory)
-        path = tmp_path / f"memory{index}.jsonl"
-        memory.save(path)
-        paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert buffers[0].entries and buffers[0].entries == buffers[1].entries
 
 
 def test_compare_modes_single_row(bundle):
@@ -721,6 +720,15 @@ def test_cli_run_into_a_missing_directory_reports_the_write_error(tmp_path, caps
     assert "scenario" not in captured.out and "wrote" not in captured.out
     assert captured.err.startswith("ranweave: ") and str(out) in captured.err and captured.err.count("\n") == 1
     assert not out.parent.exists()
+
+
+def test_cli_run_into_a_directory_is_refused_before_the_first_run(tmp_path, capsys):
+    """A report path that is a directory could never be written: it is
+    refused before any run, in one line, rather than after all of them."""
+    assert cli_main(["run", "--scenario", "1", "--report", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ranweave: the report path {tmp_path} is a directory\n"
 
 
 def test_cli_oracle_prints_reference(capsys):

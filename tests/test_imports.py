@@ -221,15 +221,16 @@ def _package_trees() -> dict[str, ast.AST]:
 
 
 def test_documents_are_decoded_by_their_own_modules():
-    """schemas.py decodes every document the package reads back, the saved
-    memory line and the fixture files among them (harness.py reads those
+    """schemas.py decodes every document the package reads, the agents'
+    answers and the fixture files among them (harness.py reads those
     through schemas.load_doc); transport.py decodes the HTTP response
-    envelope. memory.py only builds entries, and a conflict record is built
-    by the one record parser."""
+    envelope. memory.py only builds entries and imports neither json nor
+    the wire spec, and a conflict record is built by the one record parser."""
     trees = _package_trees()
     decoders = sorted(name for name, tree in trees.items() if _calls(tree, "json", "loads"))
     assert decoders == ["schemas.py", "transport.py"]
-    assert "json" not in {name.split(".")[0] for name in _imported_names(trees["memory.py"])}
+    memory_imports = {name.split(".")[0] for name in _imported_names(trees["memory.py"])}
+    assert not {"json", "schemas", "planner"} & memory_imports
     [record] = [
         node for node in ast.walk(trees["conflicts.py"])
         if isinstance(node, ast.ClassDef) and node.name == "ConflictRecord"
@@ -439,3 +440,100 @@ def test_facts_about_one_pipeline_take_one_form_each():
     arguments = methods["facts_of"].args
     assert [arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs] == ["self", "pipeline"]
     assert arguments.vararg is None and arguments.kwarg is None
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = (*_FUNCTIONS, ast.ClassDef)
+
+
+def _reads(nodes) -> set[str]:
+    """The bare names nodes read, as an ast.Name or an ast.Attribute; a
+    string holds no read."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for root in nodes
+        for node in ast.walk(root)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _unreached(modules: dict[str, ast.Module], roots: set[str]) -> set[str]:
+    """The definitions of modules, by module name, that nothing reaches.
+
+    A definition is a top-level function or class (module.name) or a
+    function in a class body (module.Class.name). The roots, every dunder
+    method and every top-level statement that is no definition, __init__'s
+    excepted, are reached; a reached definition reaches every definition
+    whose bare name it reads, and a reached class what its bases,
+    decorators and fields read. Names are matched bare, so a read of
+    record reaches every definition named record: the walk never reports
+    what a run could call, only what no name in it can reach."""
+    reads: dict[str, set[str]] = {}
+    named: dict[str, list[str]] = {}
+    reached_names: set[str] = set()
+    pending = list(roots)
+    for module, tree in modules.items():
+        for statement in tree.body:
+            if not isinstance(statement, _DEFINITIONS):
+                if module != "__init__":
+                    reached_names |= _reads([statement])
+                continue
+            qualname = f"{module}.{statement.name}"
+            named.setdefault(statement.name, []).append(qualname)
+            if isinstance(statement, _FUNCTIONS):
+                reads[qualname] = _reads([statement])
+                continue
+            fields = [node for node in statement.body if not isinstance(node, _FUNCTIONS)]
+            reads[qualname] = _reads(statement.bases + statement.keywords + statement.decorator_list + fields)
+            for method in statement.body:
+                if isinstance(method, _FUNCTIONS):
+                    method_name = f"{qualname}.{method.name}"
+                    named.setdefault(method.name, []).append(method_name)
+                    reads[method_name] = _reads([method])
+                    if method.name.startswith("__") and method.name.endswith("__"):
+                        pending.append(method_name)
+    pending += [qualname for name in reached_names for qualname in named.get(name, ())]
+    reached: set[str] = set()
+    while pending:
+        qualname = pending.pop()
+        if qualname not in reached:
+            reached.add(qualname)
+            pending += [other for name in reads[qualname] for other in named.get(name, ())]
+    return set(reads) - reached
+
+
+# What no ranweave command reaches, and why it stays.
+_UNREACHED = {
+    "agents.is_correct_candidate": "perfbench/run.py imports it (ROADMAP item 1b)",
+    "conflicts.validity": "perfbench/run.py imports it (ROADMAP item 1b)",
+    "harness.build_knowledge_store": "perfbench/run.py imports it (ROADMAP item 1b)",
+    "harness.compare_modes": "ROADMAP item 7's ranweave compare is its planned caller",
+}
+
+
+def test_every_definition_is_reached_from_the_command_line():
+    """Code no command reaches is code nothing needs: each definition of the
+    package is reached from cli.main, or is listed with its reason. The
+    list must match exactly, so an entry that becomes reached or is deleted
+    leaves it too. __all__ is a re-export list, not a stability promise, so
+    __init__.py roots nothing."""
+    modules = {name.removesuffix(".py"): tree for name, tree in _package_trees().items()}
+    assert _unreached(modules, {"cli.main"}) == set(_UNREACHED)
+
+
+def test_the_reach_walk_reports_a_planted_definition():
+    """Module code is a root, a method is reached by its bare name, and a
+    name that appears only in a string is no read."""
+    source = (
+        "import sys\n"
+        "def main():\n    return helper(Box().size)\n"
+        "def helper(x):\n    return x\n"
+        "def at_import():\n    return 1\n"
+        "def planted():\n    return 'helper'\n"
+        "def named_in_a_string():\n    return getattr(sys, 'planted')\n"
+        "class Box:\n    def __init__(self):\n        self.size = 1\n"
+        "    def size(self):\n        return 0\n"
+        "    def unused(self):\n        return 0\n"
+        "LIMIT = at_import()\n"
+    )
+    assert _unreached({"m": ast.parse(source)}, {"m.main"}) == {"m.planted", "m.named_in_a_string", "m.Box.unused"}

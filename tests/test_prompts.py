@@ -35,11 +35,11 @@ from ranweave.agents import (
 )
 from ranweave.harness import make_transport, run_scenario
 from ranweave.model import DeploymentState, Pipeline
-from ranweave.retrieval import DocChunk, chunk_spans, reconstruct
+from ranweave.retrieval import DocChunk, chunk_spans
 from ranweave.schemas import conflict_report, dump_doc, parse_policy_doc, pipeline_to_policy_doc
 from ranweave.transport import PERCEPTION, REASONING, REFINEMENT, ChatTransport
 
-from .helpers import policies_of_table, report_of_table, table_rows
+from .helpers import policies_of_table, reconstruct, report_of_table, table_rows
 
 PROMPT_DIGEST = "8c2ac6f8a9112690ef795378ed51b9ad3114b4a482ef4e9128d2393cd458c1c2"
 
@@ -346,7 +346,7 @@ def test_retrieved_context_sends_each_character_once_and_grows_by_appending(corp
     """For k < k', the top-k rendering is a byte prefix of the top-k' one;
     every character the top-k' chunks hold is sent exactly once, at its
     labelled offset, and a document whose chunks all came back reads back
-    whole through retrieval.reconstruct."""
+    whole through reconstruct."""
     corpus, ranking = corpus_ranking
     k_wide = data.draw(st.integers(1, len(ranking)))
     k = data.draw(st.integers(1, k_wide))

@@ -21,11 +21,10 @@ from ranweave.retrieval import (
     embed,
     k_schedule,
     rank,
-    reconstruct,
     similarity,
 )
 
-from .helpers import reference_embed, reference_rank, reference_similarity
+from .helpers import reconstruct, reference_embed, reference_rank, reference_similarity
 
 
 def test_chunk_spans_for_1000_chars():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,17 +17,16 @@ from ranweave.schemas import (
     conflict_report,
     dump_doc,
     load_doc,
-    parse_memory_line,
     parse_perception_doc,
     parse_policy_doc,
     parse_refinement_doc,
     pipeline_to_policy_doc,
-    policy_doc_to_pipeline,
     report_table,
     table_doc,
 )
 
 from .helpers import (
+    decode_policy,
     json_values,
     policies_of_table,
     random_pipeline,
@@ -48,7 +48,7 @@ def test_policy_doc_roundtrip_simple():
         conditions=dump_doc({"load": "any", "windows": ["night", "weekend"]}),
     )
     doc = pipeline_to_policy_doc(pipeline)
-    assert policy_doc_to_pipeline(json.loads(json.dumps(doc))) == pipeline
+    assert decode_policy(json.loads(json.dumps(doc))) == pipeline
 
 
 def test_policy_doc_roundtrip_500_random_pipelines():
@@ -64,26 +64,26 @@ def test_policy_doc_roundtrip_500_random_pipelines():
                 conditions=dump_doc({"max_load": rng.randint(1, 99), "slices": ["embb", "urllc"]}),
             )
         doc = json.loads(json.dumps(pipeline_to_policy_doc(pipeline)))
-        assert policy_doc_to_pipeline(doc) == pipeline
+        assert decode_policy(doc) == pipeline
 
 
 def test_policy_doc_rejects_unknown_keys():
     doc = pipeline_to_policy_doc(Pipeline.build(1, [("a", {})]))
     doc["surprise"] = True
     with pytest.raises(SchemaValidationError, match="unknown keys"):
-        policy_doc_to_pipeline(doc)
+        decode_policy(doc)
 
 
 def test_policy_doc_rejects_missing_keys():
     with pytest.raises(SchemaValidationError, match="missing keys"):
-        policy_doc_to_pipeline({"intent_id": 1})
+        decode_policy({"intent_id": 1})
 
 
 def test_policy_doc_rejects_bad_directive():
     doc = pipeline_to_policy_doc(Pipeline.build(1, [("a", {})]))
     doc["selected_xapps"] = [["a", {"p": 42}]]
     with pytest.raises(SchemaValidationError, match="directive"):
-        policy_doc_to_pipeline(doc)
+        decode_policy(doc)
 
 
 @pytest.mark.parametrize("intent_id", ["3", True, 3.0, None], ids=repr)
@@ -93,14 +93,14 @@ def test_policy_doc_refuses_an_intent_id_that_is_not_an_integer(intent_id):
     doc = pipeline_to_policy_doc(Pipeline.build(3, [("a", {})]))
     doc["intent_id"] = intent_id
     with pytest.raises(SchemaValidationError, match="intent_id must be an integer"):
-        policy_doc_to_pipeline(doc)
+        decode_policy(doc)
 
 
 def test_policy_doc_rejects_nested_conditions():
     doc = pipeline_to_policy_doc(Pipeline.build(1, [("a", {})]))
     doc["deployment_conditions"] = {"nested": {"too": "deep"}}
     with pytest.raises(SchemaValidationError):
-        policy_doc_to_pipeline(doc)
+        decode_policy(doc)
 
 
 # Flat condition objects: scalars, among them the values that compare equal
@@ -234,6 +234,34 @@ def test_perception_doc_rejects_single_participant():
         parse_perception_doc(dump_doc(payload))
 
 
+# (record field, a value it is set to, the message the error carries)
+_BAD_RECORD_FIELDS = [
+    ("participants", [[3, "x"], [4, "y"]], "participants must be [pipeline_ref, xapp_id] pairs"),
+    ("participants", [["1", "x"]], "needs at least 2 participants"),
+    ("participants", [["1", "x"], ["1", "x"]], "needs at least 2 participants"),
+    ("subject", 5, "subject and explanation must be strings"),
+    ("explanation", None, "subject and explanation must be strings"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, match", _BAD_RECORD_FIELDS, ids=["unpaired", "one", "repeated", "subject-5", "explanation-null"]
+)
+def test_perception_doc_refuses_a_record_field_of_the_wrong_form(field, value, match):
+    """A participant is a [ref, xApp] pair of strings, a repeated pair counts
+    once, and subject and explanation are strings; nothing is coerced."""
+    record = {
+        "kind": "actuator_contention",
+        "participants": [["1", "x"], ["2", "x"]],
+        "subject": "x",
+        "explanation": "clash",
+        field: value,
+    }
+    payload = {"conflicts": {"actuator": [record]}, "notes": ""}
+    with pytest.raises(SchemaValidationError, match=rf"conflicts\.actuator\[0\] {re.escape(match)}"):
+        parse_perception_doc(dump_doc(payload))
+
+
 def test_perception_doc_empty_groups_parse():
     payload = {"conflicts": {"actuator": [], "parameter": [], "objective": [], "vendor": []}, "notes": "clear"}
     doc = parse_perception_doc(dump_doc(payload))
@@ -358,7 +386,7 @@ def test_a_revision_lists_edits_exactly_when_it_is_not_equal_to_its_original(pai
     one without edits exactly when the two are equal; != is the byte
     inequality of the two policy documents."""
     original, revision = pair
-    revised = policy_doc_to_pipeline(revision)
+    revised = decode_policy(revision)
     changed = revised != original
     assert changed == (dump_doc(pipeline_to_policy_doc(revised)) != dump_doc(pipeline_to_policy_doc(original)))
     edited = _revision_of({"revised_policy": revision, "edits": [["adjust_conditions", "drawn"]]}, original)
@@ -438,18 +466,6 @@ _TEMPLATES = [
     {"1": _POLICY},
     {"conflicts": {"actuator": [_RECORD], "parameter": []}, "notes": ""},
     {"1": {"revised_policy": _POLICY, "edits": [["remove_duplicate", "twice"]]}},
-    {
-        "intent": {
-            "id": 1,
-            "text": "steer",
-            "target_kpis": {"latency": -1},
-            "required_capabilities": ["traffic_steering"],
-            "required_xapps": [],
-        },
-        "pipeline": _POLICY,
-        "outcome": {"deployed": False, "correct": True, "conflicts": [_RECORD], "iteration": 2, "score": [1, 0, -1, -2]},
-        "sequence_no": 1,
-    },
 ]
 
 
@@ -466,7 +482,6 @@ def _parsers(bundle):
         lambda text: parse_policy_doc(text, bundle.registry, [1]),
         parse_perception_doc,
         lambda text: parse_refinement_doc(text, {1: original}, bundle.registry),
-        lambda text: parse_memory_line(text, "memory line"),
     )
 
 
@@ -600,7 +615,7 @@ def test_a_corrupt_entry_leaves_the_others_as_parsed_alone(rng, data):
         assert answer.entries.get(i) == alone.entries.get(i)
         assert answer.errors.get(i) == alone.errors.get(i)
         if str(i) != victim:
-            assert answer.entries[i] == policy_doc_to_pipeline(doc[str(i)])
+            assert answer.entries[i] == decode_policy(doc[str(i)])
 
 
 _KEYS = st.text(max_size=4)
