@@ -461,18 +461,15 @@ def orchestrate_batch(
     the engine's graph, never the reference, so it holds for any backend:
     it skips only a call whose one right answer is already known.
 
-    One ConflictMemo serves every conflict evaluation of the run, so a
-    pipeline, or a pair of them, that kept its identity is not checked
-    again. It starts as a copy of the oracle's memo, so the truths and the
-    active set, already checked by the oracle, are not checked at all. The
-    oracle must come from the run's own batch, as its truths and objective
-    are read too: a ValueError refuses one whose memo holds other intents,
-    matrix, registry or active set than ctx's, before any call; an equal
-    DeploymentState object is the same active set. The truths, then each
-    stored answer, are interned in the memo (ConflictMemo.intern), so an
-    answer equal to an earlier one or to a truth is that object, and the
-    memo's identity test catches it. A candidate's structure is checked
-    once, when it is stored.
+    One ConflictMemo serves every conflict evaluation of the run. It keys
+    its entries by pipeline value, so an answer equal to an earlier one or
+    to a truth is not checked again. It starts as a copy of the oracle's
+    memo, so the truths and the active set, already checked by the oracle,
+    are not checked at all. The oracle must come from the run's own batch,
+    as its truths and objective are read too: a ValueError refuses one
+    whose memo holds other intents, matrix, registry or active set than
+    ctx's, before any call; an equal DeploymentState object is the same
+    active set. A candidate's structure is checked once, when it is stored.
 
     Every iteration retrieves for one question, query_text of the batch; a
     store that starts from its ranking, as run_scenario's does, ranks nothing,
@@ -489,8 +486,6 @@ def orchestrate_batch(
     candidates: dict[int, Pipeline] = {}
     valid: dict[int, bool] = {}  # intent id -> its candidate is structurally valid
     correct: frozenset[int] = frozenset()
-    for truth in truths.values():
-        memo.intern(truth)
     best: Solution | None = None
     score_history: list[SolutionScore] = []
     synthesis: int | None = None
@@ -539,8 +534,6 @@ def orchestrate_batch(
             if refined is not None:
                 attempted.update((intent_id, doc.revised) for intent_id, doc in refined.entries.items())
         for intent_id, candidate in attempted.items():
-            candidate = memo.intern(candidate)
-            attempted[intent_id] = candidate
             candidates[intent_id] = candidate
             valid[intent_id] = not validate_pipeline_structure(candidate, ctx.registry)
 

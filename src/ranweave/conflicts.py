@@ -455,28 +455,23 @@ class ConflictMemo:
     facts, a pair's records, a pipeline's internal records or its row
     against the active set. members holds the (ref, pipeline, facts) of
     each active pipeline in ref order, worked out once per memo and shared
-    by its copies. Every entry is kept per object, and one holding records
-    under their refs too: facts maps id(p) to (p, its PipelineFacts), pairs
-    maps (ref_a, ref_b, id(a), id(b)) to (a, b, the pair's records),
-    internals maps (ref, id(p)) to (p, its internal_conflicts records) and
-    rows maps (ref, id(p)) to (p, p's edges to the members that sort after
-    ref). Each entry holds its objects, so no id in its key is reused while
-    it lasts, and a candidate that comes back to an earlier object (X -> Y
-    -> X) finds its entries again. interned maps each pipeline value to its
-    first object (see intern).
+    by its copies. Every table is keyed by pipeline value (Pipeline ==, so
+    condition bytes count), and by refs where records name them: facts maps
+    p to its PipelineFacts, pairs maps (ref_a, ref_b, a, b) to the pair's
+    records, internals maps (ref, p) to its internal_conflicts records and
+    rows maps (ref, p) to p's edges to the members that sort after ref. So
+    a pipeline equal to one met before, a truth or an earlier answer
+    (X -> Y -> X), finds its entries again, whatever its object.
     """
 
     intents: Mapping[int, Intent]
     matrix: VendorCompatibilityMatrix
     registry: Registry
     pre: DeploymentState
-    pairs: dict[tuple[str, str, int, int], tuple[Pipeline, Pipeline, tuple[ConflictRecord, ...]]] = field(
-        default_factory=dict
-    )
-    facts: dict[int, tuple[Pipeline, PipelineFacts]] = field(default_factory=dict)
-    internals: dict[tuple[str, int], tuple[Pipeline, tuple[ConflictRecord, ...]]] = field(default_factory=dict)
-    rows: dict[tuple[str, int], tuple[Pipeline, tuple[Edge, ...]]] = field(default_factory=dict)
-    interned: dict[Pipeline, Pipeline] = field(default_factory=dict)
+    pairs: dict[tuple[str, str, Pipeline, Pipeline], tuple[ConflictRecord, ...]] = field(default_factory=dict)
+    facts: dict[Pipeline, PipelineFacts] = field(default_factory=dict)
+    internals: dict[tuple[str, Pipeline], tuple[ConflictRecord, ...]] = field(default_factory=dict)
+    rows: dict[tuple[str, Pipeline], tuple[Edge, ...]] = field(default_factory=dict)
     members: tuple[Member, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -485,48 +480,43 @@ class ConflictMemo:
     def copy(self) -> "ConflictMemo":
         """A memo of the same inputs, members and entries whose later entries stay its own."""
         twin = copy.copy(self)
-        for name in ("pairs", "facts", "internals", "rows", "interned"):
+        for name in ("pairs", "facts", "internals", "rows"):
             setattr(twin, name, dict(getattr(self, name)))
         return twin
 
-    def intern(self, pipeline: Pipeline) -> Pipeline:
-        """The first object interned with pipeline's value, pipeline itself if none was."""
-        return self.interned.setdefault(pipeline, pipeline)
-
     def facts_of(self, pipeline: Pipeline) -> PipelineFacts:
-        """PipelineFacts.of pipeline for its intent, worked out once per object."""
-        if id(pipeline) not in self.facts:
-            facts = PipelineFacts.of(pipeline, self.intents[pipeline.intent_id], self.registry, self.matrix)
-            self.facts[id(pipeline)] = (pipeline, facts)
-        return self.facts[id(pipeline)][1]
+        """PipelineFacts.of pipeline for its intent, worked out once per value."""
+        if pipeline not in self.facts:
+            intent = self.intents[pipeline.intent_id]
+            self.facts[pipeline] = PipelineFacts.of(pipeline, intent, self.registry, self.matrix)
+        return self.facts[pipeline]
 
     def pair(self, ref_a: str, a: Pipeline, ref_b: str, b: Pipeline) -> tuple[ConflictRecord, ...]:
-        """pairwise_conflicts of a under ref_a and b under ref_b, worked out once per pair of objects."""
-        key = (ref_a, ref_b, id(a), id(b))
+        """pairwise_conflicts of a under ref_a and b under ref_b, worked out once per pair of values."""
+        key = (ref_a, ref_b, a, b)
         if key not in self.pairs:
             facts = (self.facts_of(a), self.facts_of(b))
             records = pairwise_conflicts(
                 a, b, self.intents, self.matrix, self.registry, a_ref=ref_a, b_ref=ref_b, inputs=facts
             )
-            self.pairs[key] = (a, b, tuple(records))
-        return self.pairs[key][2]
+            self.pairs[key] = tuple(records)
+        return self.pairs[key]
 
     def internal(self, ref: str, pipeline: Pipeline) -> tuple[ConflictRecord, ...]:
-        """internal_conflicts of pipeline under ref, worked out once per object."""
-        key = (ref, id(pipeline))
+        """internal_conflicts of pipeline under ref, worked out once per value."""
+        key = (ref, pipeline)
         if key not in self.internals:
-            records = internal_conflicts(pipeline, self.matrix, self.registry, ref=ref)
-            self.internals[key] = (pipeline, tuple(records))
-        return self.internals[key][1]
+            self.internals[key] = tuple(internal_conflicts(pipeline, self.matrix, self.registry, ref=ref))
+        return self.internals[key]
 
     def row(self, ref: str, pipeline: Pipeline) -> tuple[Edge, ...]:
         """The edges of pipeline under ref to the members that sort after
-        ref, in ref order; worked out once per (ref, object)."""
-        key = (ref, id(pipeline))
+        ref, in ref order; worked out once per (ref, value)."""
+        key = (ref, pipeline)
         if key not in self.rows:
             after = [member for member in self.members if member[0] > ref]
-            self.rows[key] = (pipeline, _edges(ref, pipeline, after, self))
-        return self.rows[key][1]
+            self.rows[key] = _edges(ref, pipeline, after, self)
+        return self.rows[key]
 
 
 def candidate_ref(intent_id: int) -> str:
@@ -570,10 +560,10 @@ def build_conflict_graph(candidates: Mapping[int, Pipeline], memo: ConflictMemo)
     later candidates, then its row (memo.row), and an active pipeline's
     edges are its row. A pair whose PipelineFacts do not meet has no
     records and gets no memo.pair, so the graph is the all-pairs graph.
-    memo keeps the facts across calls: a pipeline's facts once per object,
-    the records of a pair that meets once per pair of objects under their
-    refs, and a row once per (ref, object), so a later build over the same
-    candidate objects visits only the candidate pairs.
+    memo keeps the facts across calls: a pipeline's facts once per value,
+    the records of a pair that meets once per pair of values under their
+    refs, and a row once per (ref, value), so a later build over equal
+    candidates visits only the candidate pairs.
     """
     heads = [(ref, p, memo.facts_of(p)) for ref, p in labelled(candidates, DeploymentState())]
     edges: list[Edge] = []

@@ -7,7 +7,7 @@ pure function. Structural problems in a pipeline are reported as data
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping
 
@@ -277,12 +277,28 @@ class Pipeline:
     The conditions are opaque here: the object as canonical JSON text, in the
     form schemas.dump_doc gives it, which schemas.py checks, encodes and decodes.
     == is sameness: intent, nodes in order, edge set and condition bytes.
+    A pipeline is a ConflictMemo key, so its hash is worked out on first use
+    and kept in _hash, which == and repr skip. A copy or a pickle is rebuilt
+    through the constructor and works its own hash out, as a hash holds only
+    in the process that made it.
     """
 
     intent_id: int
     nodes: tuple[PipelineNode, ...]
     edges: frozenset[tuple[str, str]]
     deployment_conditions: str = "{}"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.intent_id, self.nodes, self.edges, self.deployment_conditions))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.intent_id, self.nodes, self.edges, self.deployment_conditions))
 
     @classmethod
     def build(

@@ -1004,8 +1004,8 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, monkeypatch):
 def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch):
     """Pins the conflict checks of one orchestrate_batch run over a generated
     50-xApp catalog with 12 new and 12 active intents. The run's memo starts
-    from the oracle's, equal answers share one object, the memo keeps one
-    entry per object, and only a pair whose PipelineFacts meet is checked,
+    from the oracle's, the memo keeps one entry per pipeline value, and
+    only a pair whose PipelineFacts meet is checked,
     so pairwise_conflicts runs 3 times (3 find a conflict),
     internal_conflicts 3 times and validate_pipeline_structure 30 times.
     Gated by typed conflict keys that could not tell a shared xApp's
@@ -1014,10 +1014,10 @@ def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch)
     set), 28 times (3). Under the noisy mock's earlier draws, one per call
     in call order, the same run took 4 iterations, not 3, and the counts
     were 69 (7), 6 and 38; with one memo entry per ref, which a candidate coming
-    back to an earlier object (X -> Y -> X) had to work out again, they
-    were 111 (10), 10 and 38. With a pair memo of the run's own and no
-    interning, they were 222 (23), 48 and 67; every pair, through that
-    memo, would take 430 pairwise calls."""
+    back to an earlier pipeline (X -> Y -> X) had to work out again, they
+    were 111 (10), 10 and 38. With a pair memo of the run's own, keyed by
+    object, they were 222 (23), 48 and 67; every pair, through that memo,
+    would take 430 pairwise calls."""
     from ranweave import agents, conflicts
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -1057,25 +1057,46 @@ def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch)
 
 
 @pytest.mark.parametrize("scenario_id", [1, 2, 3, 4])
-def test_oracle_answers_are_stored_as_the_oracles_truth_objects(bundle, truths, scenario_id):
-    """Each parsed answer equal to its truth, conditions included, is
-    replaced by the truth object the oracle's memo already knows."""
+def test_oracle_answers_are_stored_as_the_oracles_truth_objects(bundle, truths, scenario_id, monkeypatch):
+    """Each parsed answer is a new object equal to its truth, conditions
+    included, so the run's memo, a copy of the oracle's, finds every answer
+    under the oracle's entries, which the truth objects key: the run adds
+    no memo entry."""
+    from ranweave import agents
+
+    memos: list = []
+    evaluate_conflicts = agents.evaluate_conflicts
+
+    def recorded(candidates, eligible, memo):
+        memos.append(memo)
+        return evaluate_conflicts(candidates, eligible, memo)
+
+    monkeypatch.setattr(agents, "evaluate_conflicts", recorded)
     oracle = bundle.setup(scenario_id).oracle
     memory = MemoryBuffer()
     ctx = _ctx(bundle, scenario_id, Mode.F5, truths)
     outcome = orchestrate_batch(ctx, OracleTransport(_mock_bundle(bundle, truths)), memory, VectorStore(), oracle)
     assert outcome.converged
     assert outcome.best.candidates
+    memo = memos[0]
+    assert memo is not oracle.memo and all(m is memo for m in memos)
+    assert [memo.pairs, memo.facts, memo.internals, memo.rows] == [
+        oracle.memo.pairs, oracle.memo.facts, oracle.memo.internals, oracle.memo.rows
+    ]
     for intent_id, candidate in outcome.best.candidates.items():
-        assert candidate is oracle.per_intent_truth[intent_id]
-    assert all(entry.pipeline is oracle.per_intent_truth[entry.intent.id] for entry in memory.entries)
+        truth = oracle.per_intent_truth[intent_id]
+        assert candidate == truth and candidate is not truth
+        [key] = [key for key in memo.facts if key == candidate]
+        assert key is truth
+    assert all(entry.pipeline == oracle.per_intent_truth[entry.intent.id] for entry in memory.entries)
 
 
 def test_an_equal_answer_with_other_condition_bytes_keeps_its_own_object(bundle, truths):
     """1 and true compare (and hash) equal as Python values, but the two
     answers for intent 3 carry different condition bytes and are distinct
-    pipelines; interning must not give the second the first's object, or
-    the next prompt would show "max_load":1 where the backend sent true."""
+    pipelines; the memo must not key them as one value, and the run must
+    store the second as sent, or the next prompt would show "max_load":1
+    where the backend sent true."""
 
     first_node = truths[3].nodes[0]
     wrong = [(first_node.xapp_id, first_node.directive_map)]
@@ -1108,7 +1129,7 @@ def test_one_oracle_serves_two_runs_alike(bundle, truths):
     spec = bundle.scenarios[3]
     oracle = bundle.setup(3).oracle
     memo = oracle.memo
-    tables = (memo.pairs, memo.facts, memo.internals, memo.rows, memo.interned)
+    tables = (memo.pairs, memo.facts, memo.internals, memo.rows)
     sizes = [len(table) for table in tables]
     reports = []
     for _ in range(2):

@@ -397,7 +397,7 @@ def test_gated_graph_equals_the_all_pairs_loop(seed, crowded):
         fresh = ConflictMemo(intents, matrix, registry, batch.pre)
         assert build_conflict_graph(batch.candidates, fresh) == expected
         assert build_conflict_graph(batch.candidates, memo) == expected
-        assert all((ref, id(p)) in memo.rows for ref, p in labelled(batch.candidates, batch.pre))
+        assert all((ref, replace(p)) in memo.rows for ref, p in labelled(batch.candidates, batch.pre))
         for intent_id in batch.candidates:
             if rng.random() < 0.5:
                 batch.candidates[intent_id] = batch.pipeline(intent_id)
@@ -422,7 +422,7 @@ def test_gated_graph_equals_the_all_pairs_loop(seed, crowded):
 
 
 def _tables(memo: ConflictMemo) -> tuple:
-    return (memo.pairs, memo.facts, memo.internals, memo.rows, memo.interned)
+    return (memo.pairs, memo.facts, memo.internals, memo.rows)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -433,9 +433,9 @@ def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
     a new object equal to the old one, others an object they held before.
     Through the shared memo,
     evaluate_conflicts equals a fresh call field for field, its records
-    hold each eligible candidate's internal conflicts, and the oracle's
-    memo keeps exactly the entries it had, its intern table included,
-    though every round interns its candidates into the copy."""
+    hold each eligible candidate's internal conflicts, the copy holds a
+    row under an equal new object of every candidate it evaluated, and the
+    oracle's memo keeps exactly the entries it had."""
     batch = SparseBatch.draw(random.Random(seed))
     rng, intents, matrix, registry = batch.rng, batch.intents, batch.matrix, batch.registry
     oracle = max_conflict_free_subset(batch.candidates, batch.pre, intents, matrix, registry)
@@ -443,8 +443,6 @@ def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
     memo = oracle.memo.copy()
     held = {intent_id: [pipeline] for intent_id, pipeline in batch.candidates.items()}
     for _ in range(rng.randint(1, 4)):
-        for pipeline in batch.candidates.values():
-            memo.intern(pipeline)
         eligible = [i for i in sorted(batch.candidates) if rng.random() < 0.8]
         args = (batch.candidates, eligible)
         fresh = evaluate_conflicts(*args, ConflictMemo(intents, matrix, registry, batch.pre))
@@ -462,16 +460,18 @@ def test_a_memo_seeded_from_the_oracle_equals_fresh_evaluations(seed):
             elif roll < 0.8:
                 batch.candidates[intent_id] = rng.choice(held[intent_id])
             held[intent_id].append(batch.candidates[intent_id])
+    # The last pipeline held per intent was drawn after the last evaluation.
+    evaluated = [(str(i), p) for i, pipelines in held.items() for p in pipelines[:-1]]
+    assert all((ref, replace(p)) in memo.rows for ref, p in evaluated)
     assert _tables(oracle.memo) == seeded
-    assert len(memo.interned) > len(oracle.memo.interned)
 
 
 def test_a_candidate_that_comes_back_to_an_earlier_object_is_not_checked_again(bundle, truths, monkeypatch):
-    """X -> Y -> X -> Y: the memo keeps an entry per object, so once both
-    objects have been met, neither is checked again under its ref: no
+    """X -> Y -> X -> Y: the memo keeps an entry per value, so once both
+    values have been met, neither is checked again under its ref: no
     pairwise_conflicts, no internal_conflicts and no PipelineFacts.of. The
     active intent-2 pipeline gives X's first xApp another directive, so
-    the gate lets one pair of each object through."""
+    the gate lets one pair of each value through."""
     from ranweave import conflicts
 
     calls: list[str] = []
@@ -527,22 +527,42 @@ def test_a_second_evaluation_against_one_active_set_meets_only_the_candidate_pai
         assert meetings <= n * (n - 1) // 2, (seed, meetings)
 
 
-def test_intern_returns_the_first_object_of_a_value_and_keeps_condition_bytes_apart():
-    """1, 1.0 and true render as three different condition bytes, so the
-    pipelines are three values and each keeps its own object; a copy starts
-    from the same table."""
-    memo = ConflictMemo({}, VendorCompatibilityMatrix.of(), Registry([]), DeploymentState())
+def test_an_equal_copy_finds_every_memo_entry_and_condition_bytes_key_apart(bundle, truths):
+    """The memo keys its four tables by pipeline value: a new object equal
+    to a met pipeline finds its facts, pair, internal and row entries and
+    adds none. 1, 1.0 and true render as three different condition bytes,
+    so those pipelines are three values with entries of their own; a copy
+    finds the entries the memo had, and keeps the ones it adds."""
+    memo = ConflictMemo(bundle.intents, bundle.matrix, bundle.registry, DeploymentState((truths[2],)))
+    nodes = [(node.xapp_id, node.directive_map) for node in truths[1].nodes]
     as_int, as_float, as_bool = (
-        Pipeline.build(1, [("x", {})], (), dump_doc({"max_load": v})) for v in (1, 1.0, True)
+        Pipeline.build(1, nodes, truths[1].edges, dump_doc({"max_load": v})) for v in (1, 1.0, True)
     )
     assert len({as_int, as_float, as_bool}) == 3
-    assert memo.intern(as_int) is as_int
-    assert memo.intern(replace(as_int)) is as_int
-    assert memo.intern(as_float) is as_float and memo.intern(as_bool) is as_bool
-    copy = memo.copy()
-    assert copy.intern(replace(as_bool)) is as_bool
-    other = Pipeline.build(2, [("x", {})])
-    assert copy.intern(other) is other and len(memo.interned) == 3
+
+    def meet(pipeline: Pipeline, memo: ConflictMemo) -> tuple:
+        return (
+            memo.facts_of(pipeline),
+            memo.pair("1", pipeline, "pre:2", truths[2]),
+            memo.internal("1", pipeline),
+            memo.row("1", pipeline),
+        )
+
+    def sizes(memo: ConflictMemo) -> list[int]:
+        return [len(table) for table in (memo.facts, memo.pairs, memo.internals, memo.rows)]
+
+    met = meet(as_int, memo)
+    before = sizes(memo)
+    again = meet(replace(as_int), memo)
+    assert again == met and again[0] is met[0] and sizes(memo) == before
+    meet(as_float, memo)
+    meet(as_bool, memo)
+    assert sizes(memo) == [n + 2 for n in before]
+    twin = memo.copy()
+    assert meet(replace(as_bool), twin)[0] is memo.facts[as_bool] and sizes(twin) == sizes(memo)
+    other = Pipeline.build(1, nodes[:1])
+    meet(other, twin)
+    assert other not in memo.facts and sizes(twin) == [n + 1 for n in sizes(memo)]
 
 
 def _keys(batch: SparseBatch, pipeline: Pipeline) -> PipelineFacts:

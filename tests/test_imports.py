@@ -424,7 +424,7 @@ def _calls_named(node: ast.AST, name: str) -> bool:
 def test_facts_about_one_pipeline_take_one_form_each():
     """Two pipelines are the same exactly when they are ==, so no module
     compares their policy documents; and a pipeline's PipelineFacts are
-    kept per object, so ConflictMemo.facts_of takes the pipeline alone, no
+    kept per value, so ConflictMemo.facts_of takes the pipeline alone, no
     ref."""
     trees = _package_trees()
     compared = sorted(
@@ -440,6 +440,22 @@ def test_facts_about_one_pipeline_take_one_form_each():
     arguments = methods["facts_of"].args
     assert [arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs] == ["self", "pipeline"]
     assert arguments.vararg is None and arguments.kwarg is None
+
+
+def test_a_pipeline_has_one_identity_its_value():
+    """The conflict memo keys pipelines by value, so no module calls id(),
+    and ConflictMemo defines no intern: object identity cannot come back
+    as a key unnoticed."""
+    trees = _package_trees()
+    called = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id"
+    )
+    assert called == []
+    [memo] = [node for node in trees["conflicts.py"].body if isinstance(node, ast.ClassDef) and node.name == "ConflictMemo"]
+    assert "intern" not in {node.name for node in memo.body if isinstance(node, ast.FunctionDef)}
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
