@@ -192,7 +192,7 @@ class RunReport:
     converged: bool
     seed: int
     transport: str
-    score_history: list[tuple[int, int, int, int]] = field(default_factory=list)
+    score_history: list[tuple[int, int, int, int, int]] = field(default_factory=list)
 
     CSV_FIELDS = (
         "scenario_id",

@@ -56,16 +56,23 @@ class SolutionScore:
     """Lexicographic quality of a proposed batch solution.
 
     Field order is comparison order: correctly deployed pipelines first,
-    then deployment count, then fewer conflicts, then smaller pipelines.
+    then correct candidates, then deployment count, then fewer conflicts,
+    then smaller pipelines. The best solution is the one of the greatest
+    score, so at equal correct deployments more correct candidates win
+    over more deployments or fewer conflicts: a wrong candidate that
+    deploys, or a wrong one that is merely clean, never outranks a correct
+    one, and an iteration whose every candidate is correct is never kept
+    below an earlier one.
     """
 
     correct_deployed: int
+    correct: int
     deployed: int
     neg_conflicts: int
     neg_total_nodes: int
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.correct_deployed, self.deployed, self.neg_conflicts, self.neg_total_nodes)
+    def as_tuple(self) -> tuple[int, int, int, int, int]:
+        return (self.correct_deployed, self.correct, self.deployed, self.neg_conflicts, self.neg_total_nodes)
 
 
 @dataclass(frozen=True)
@@ -394,7 +401,8 @@ def score_solution(
     """Score a batch proposal for the monotonic-improvement ratchet.
 
     correct is the iteration's set of correct candidate ids (see
-    agents.is_correct_candidate); the score counts the deployed ones.
+    agents.is_correct_candidate); the score counts them, and the deployed
+    ones among them.
     """
     deployed_set = set(deployed)
     unknown = deployed_set - set(proposed)
@@ -402,6 +410,7 @@ def score_solution(
         raise ValueError(f"deployed intents {sorted(unknown)} are not in the proposal")
     return SolutionScore(
         correct_deployed=len(deployed_set & correct),
+        correct=len(correct),
         deployed=len(deployed_set),
         neg_conflicts=-conflict_total,
         neg_total_nodes=-sum(p.size() for p in proposed.values()),

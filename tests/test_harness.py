@@ -39,7 +39,9 @@ from ranweave.transport import CHAT_BASE_URL_ENV, CHAT_MODEL_ENV, HttpChatTransp
 # A change that moves a run's outcome, or spends more calls, must say so here.
 # Perception is asked only when the conflict graph holds a record; that gate
 # alone moves no report, as the noisy mock keys its draws per role and intent.
-REPORT_DIGEST = "b3b643372ee574ec5d0a82ffcfbc96d7934c6822160cd0b6ae95bb3df2865e09"
+# The score's correct-candidates field lengthens each score_history entry by
+# one; no other field of these reports moved with it.
+REPORT_DIGEST = "c9c1049b53daf8f4273652fbf3b82342b9ccc81c76e7b775ef58139740e09ef3"
 GRID_CALLS = {"f5": 45, "sa": 127, "nr": 71, "np": 46, "fcfs": 45}
 
 

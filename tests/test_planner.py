@@ -180,7 +180,7 @@ def test_max_subset_candidate_cap():
 def test_score_perfect_solution(truths):
     proposed = {i: truths[i] for i in (3, 4)}
     score = score_solution(proposed, {3, 4}, {3, 4}, conflict_total=0)
-    assert score == SolutionScore(2, 2, 0, -(truths[3].size() + truths[4].size()))
+    assert score == SolutionScore(2, 2, 2, 0, -(truths[3].size() + truths[4].size()))
 
 
 _DIALECT_PAIRS = [(a, b) for i, a in enumerate(DIALECT_POOL) for b in DIALECT_POOL[i + 1 :]]
@@ -414,7 +414,7 @@ def test_an_intent_no_five_xapps_cover_builds_no_candidate(monkeypatch):
 def test_score_nothing_deployed(truths):
     proposed = {3: truths[3]}
     score = score_solution(proposed, set(), {3}, conflict_total=2)
-    assert score.as_tuple() == (0, 0, -2, -truths[3].size())
+    assert score.as_tuple() == (0, 1, 0, -2, -truths[3].size())
 
 
 def test_score_rejects_deploying_unproposed(truths):
@@ -423,11 +423,14 @@ def test_score_rejects_deploying_unproposed(truths):
 
 
 def test_score_is_totally_ordered():
-    a = SolutionScore(3, 3, 0, -6)
-    b = SolutionScore(2, 3, -1, -6)
-    c = SolutionScore(2, 3, -1, -7)
-    assert a > b > c
-    assert sorted([c, a, b]) == [c, b, a]
+    """Correct candidates rank second: d deploys more, with fewer
+    conflicts, but holds one correct candidate fewer than c."""
+    a = SolutionScore(3, 3, 3, 0, -6)
+    b = SolutionScore(2, 3, 3, -1, -6)
+    c = SolutionScore(2, 3, 3, -1, -7)
+    d = SolutionScore(2, 2, 4, 0, -6)
+    assert a > b > c > d
+    assert sorted([c, d, a, b]) == [d, c, b, a]
 
 
 def test_scenario1_oracle_score_dominates_partial_deployments(bundle, truths):
