@@ -64,12 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_ids(bundle: FixtureBundle, value: str, allow_all: bool = False) -> list[int]:
+    """The scenario ids value names; FixtureError, listing the catalog's ids, for any other value."""
     known = sorted(bundle.scenarios)
     if allow_all and value == "all":
         return known
     if value not in {str(i) for i in known}:
         expected = f"one of {known}" + (" or 'all'" if allow_all else "")
-        raise SystemExit(f"unknown scenario {value!r}; expected {expected}")
+        raise FixtureError("scenarios.json", f"unknown scenario {value!r}; expected {expected}")
     return [int(value)]
 
 

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -33,6 +36,8 @@ from ranweave.model import DeploymentState
 from ranweave.planner import InfeasibleIntentError, max_conflict_free_subset, synthesize_ground_truth
 from ranweave.retrieval import embed
 from ranweave.transport import CHAT_BASE_URL_ENV, CHAT_MODEL_ENV, HttpChatTransport
+
+from .helpers import PERFBENCH
 
 # One sha256 over RunReport.to_dict() for bundled scenarios 1-4 x every mode x
 # seeds 0-2 under mock-noisy, and each mode's agent calls over the same grid.
@@ -759,9 +764,13 @@ def test_cli_runs_a_catalog_of_another_size(tmp_path, bundle, capsys):
     assert cli_main(["--fixtures", root, "fixtures", "validate"]) == 0
     assert "8 intents, 5 scenarios" in capsys.readouterr().out
 
-    for command in (["run", "--scenario", "6"], ["oracle", "--scenario", "6"], ["run", "--scenario", "x"]):
-        with pytest.raises(SystemExit, match=r"unknown scenario .*\[1, 2, 3, 4, 5\]"):
-            cli_main(["--fixtures", root] + command)
+    # An unknown scenario is an input error like any other: status 2, not
+    # the status 1 of an unsound catalog, and one stderr line naming the ids.
+    for value, command in product(("6", "x"), ("run", "oracle")):
+        assert cli_main(["--fixtures", root, command, "--scenario", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"ranweave: .*unknown scenario '{value}'.*\[1, 2, 3, 4, 5\].*\n", captured.err)
 
 
 def _catalog_with_an_infeasible_intent(bundle, tmp_path):
@@ -864,3 +873,62 @@ def test_run_report_csv_fields_are_stable():
         "seed",
         "transport",
     )
+
+
+# Bundled runs under both mocks and one generated wide-catalog run, printed
+# as report lines, then the sha256 of every rendered request in call order.
+_PURE_RUNS = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+from wide_catalog import generate_catalog
+from ranweave import harness, transport
+from ranweave.agents import Mode, RunContext, orchestrate_batch
+from ranweave.memory import MemoryBuffer
+from ranweave.model import DeploymentState
+from ranweave.planner import max_conflict_free_subset, synthesize_ground_truth
+
+rendered = []
+complete = transport.ChatTransport.complete
+
+def hashed(self, request):
+    text = json.dumps(request.messages, sort_keys=True)
+    rendered.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return complete(self, request)
+
+transport.ChatTransport.complete = hashed
+bundle = harness.load_fixtures()
+for scenario_id, mode, chat in ((3, "f5", "mock-noisy"), (4, "sa", "mock-noisy"), (2, "fcfs", "mock-oracle")):
+    report = harness.run_scenario(bundle, scenario_id, mode, chat, seed=1)
+    print(json.dumps(report.to_dict(), sort_keys=True))
+catalog = generate_catalog(1)
+truths = {i: synthesize_ground_truth(intent, catalog.registry, catalog.matrix) for i, intent in sorted(catalog.intents.items())}
+pre = DeploymentState(tuple(truths[i] for i in catalog.pre_intents))
+candidates = {i: truths[i] for i in catalog.new_intents}
+oracle = max_conflict_free_subset(candidates, pre, catalog.intents, catalog.matrix, catalog.registry, truths=candidates)
+ctx = RunContext(Mode.F5, tuple(catalog.intents[i] for i in catalog.new_intents), pre, catalog.registry, catalog.matrix, catalog.intents)
+chat = transport.NoisyTransport(transport.MockBundle(catalog.registry, catalog.intents, catalog.matrix, truths), 1)
+outcome = orchestrate_batch(ctx, chat, MemoryBuffer(), harness.build_knowledge_store(bundle), oracle)
+spec = harness.ScenarioSpec(0, tuple(catalog.new_intents), tuple(catalog.pre_intents))
+report = harness._report_from_outcome(spec, ctx.mode, chat, 1, oracle, outcome, ctx.max_iterations)
+print(json.dumps(report.to_dict(), sort_keys=True))
+print("\\n".join(rendered))
+"""
+
+
+def test_runs_are_pure_across_hash_seeds():
+    """A run is a function of its inputs alone, whatever the process's string
+    hashes: the same runs under PYTHONHASHSEED 0 and 1 print the same report
+    bytes and render every request to the same bytes. Sets of strings, and
+    the conflict memo's pipeline-value keys, hash differently in the two."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", _PURE_RUNS, str(PERFBENCH)], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    lines = outputs[0].splitlines()
+    assert len(lines) > 4 + 20 and all(json.loads(line)["converged"] for line in lines[:4])
+    assert outputs[0] == outputs[1]
