@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_ids(bundle: FixtureBundle, value: str, allow_all: bool = False) -> list[int]:
-    """The scenario ids value names; FixtureError, listing the catalog's ids, for any other value."""
     known = sorted(bundle.scenarios)
     if allow_all and value == "all":
         return known

@@ -455,13 +455,12 @@ class ConflictMemo:
     facts, a pair's records, a pipeline's internal records or its row
     against the active set. members holds the (ref, pipeline, facts) of
     each active pipeline in ref order, worked out once per memo and shared
-    by its copies. Every table is keyed by pipeline value (Pipeline ==, so
-    condition bytes count), and by refs where records name them: facts maps
-    p to its PipelineFacts, pairs maps (ref_a, ref_b, a, b) to the pair's
-    records, internals maps (ref, p) to its internal_conflicts records and
-    rows maps (ref, p) to p's edges to the members that sort after ref. So
-    a pipeline equal to one met before, a truth or an earlier answer
-    (X -> Y -> X), finds its entries again, whatever its object.
+    by its copies. Every table is keyed by pipeline value (Pipeline ==), and
+    by refs where records name them: facts maps p to its PipelineFacts,
+    pairs maps (ref_a, ref_b, a, b) to the pair's records, internals maps
+    (ref, p) to its internal_conflicts records and rows maps (ref, p) to
+    p's edges to the members that sort after ref. So a pipeline equal to
+    one met before (X -> Y -> X) finds its entries again.
     """
 
     intents: Mapping[int, Intent]

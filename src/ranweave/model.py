@@ -277,10 +277,8 @@ class Pipeline:
     The conditions are opaque here: the object as canonical JSON text, in the
     form schemas.dump_doc gives it, which schemas.py checks, encodes and decodes.
     == is sameness: intent, nodes in order, edge set and condition bytes.
-    A pipeline is a ConflictMemo key, so its hash is worked out on first use
-    and kept in _hash, which == and repr skip. A copy or a pickle is rebuilt
-    through the constructor and works its own hash out, as a hash holds only
-    in the process that made it.
+    The hash is kept in _hash on first use; copies and pickles are rebuilt
+    through the constructor, as a hash holds only in its own process.
     """
 
     intent_id: int
@@ -293,9 +291,8 @@ class Pipeline:
         try:
             return self._hash
         except AttributeError:
-            value = hash((self.intent_id, self.nodes, self.edges, self.deployment_conditions))
-            object.__setattr__(self, "_hash", value)
-            return value
+            object.__setattr__(self, "_hash", hash((self.intent_id, self.nodes, self.edges, self.deployment_conditions)))
+            return self._hash
 
     def __reduce__(self) -> tuple:
         return (type(self), (self.intent_id, self.nodes, self.edges, self.deployment_conditions))

@@ -57,12 +57,8 @@ class SolutionScore:
 
     Field order is comparison order: correctly deployed pipelines first,
     then correct candidates, then deployment count, then fewer conflicts,
-    then smaller pipelines. The best solution is the one of the greatest
-    score, so at equal correct deployments more correct candidates win
-    over more deployments or fewer conflicts: a wrong candidate that
-    deploys, or a wrong one that is merely clean, never outranks a correct
-    one, and an iteration whose every candidate is correct is never kept
-    below an earlier one.
+    then smaller pipelines. The best solution has the greatest score, so at
+    equal correct deployments no wrong candidate outranks a correct one.
     """
 
     correct_deployed: int

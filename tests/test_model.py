@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +178,22 @@ def test_pipelines_equal_is_equivalence_relation():
         assert pipelines_equal(p, q) == pipelines_equal(q, p)
         if pipelines_equal(p, q) and pipelines_equal(q, r):
             assert pipelines_equal(p, r)
+
+
+def test_a_pipeline_keeps_its_hash_but_copies_and_pickles_work_their_own_out():
+    """The hash is kept on first use and skipped by == and repr; a copy or a
+    pickle, taken before or after, is rebuilt through the constructor, so
+    no kept hash travels to a process whose string hashes differ."""
+    pipeline = Pipeline.build(1, [("a", {"p": "x"}), ("c", {})], [("a", "c")], '{"max_load":1}')
+    fresh = [pickle.loads(pickle.dumps(pipeline)), copy.copy(pipeline), copy.deepcopy(pipeline)]
+    value = hash(pipeline)
+    assert hash(pipeline) == value and "_hash" not in repr(pipeline)
+    made = [pickle.loads(pickle.dumps(pipeline)), copy.copy(pipeline), copy.deepcopy(pipeline), replace(pipeline)]
+    for other in fresh + made:
+        assert other == pipeline and repr(other) == repr(pipeline)
+        with pytest.raises(AttributeError):
+            other._hash
+        assert hash(other) == value
 
 
 def test_directive_order_is_normalized():
