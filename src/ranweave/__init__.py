@@ -19,7 +19,6 @@ from .harness import (
     FixtureBundle,
     RunReport,
     ScenarioSpec,
-    compare_modes,
     emit_report,
     load_fixtures,
     run_scenario,
@@ -70,7 +69,6 @@ __all__ = [
     "XAppProfile",
     "build_conflict_graph",
     "chunk_document",
-    "compare_modes",
     "embed",
     "emit_report",
     "enforce_monotonicity",

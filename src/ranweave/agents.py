@@ -99,8 +99,8 @@ class AgentCallError(RuntimeError):
 @dataclass(frozen=True)
 class RunContext:
     """One run's inputs, fixed for the run. A cap below one iteration is
-    refused. No package code reads seed or scenario_id; they stay only
-    because the benchmark driver, perfbench/run.py, passes them."""
+    refused. No package code sets or reads seed or scenario_id; they stay
+    only because the benchmark driver, perfbench/run.py, passes them."""
 
     mode: Mode
     intents: tuple[Intent, ...]
@@ -467,17 +467,20 @@ def orchestrate_batch(
     memo, so the truths and the active set, already checked by the oracle,
     are not checked at all. The oracle must come from the run's own batch,
     as its truths and objective are read too: a ValueError refuses one
-    whose memo holds other intents, matrix, registry or active set than
-    ctx's, before any call; an equal DeploymentState object is the same
-    active set. A candidate's structure is checked once, when it is stored.
+    whose truths cover another batch, or whose memo holds other intents,
+    matrix, registry or active set than ctx's, before any call; an equal
+    DeploymentState object is the same active set. A candidate's structure
+    is checked once, when it is stored.
 
     Every iteration retrieves for one question, query_text of the batch; a
     store that starts from its ranking, as run_scenario's does, ranks nothing,
     and an empty store gives no chunks.
     """
     memo = oracle.memo
-    if (memo.intents, memo.matrix, memo.registry, memo.pre) != (ctx.intent_catalog, ctx.matrix, ctx.registry, ctx.pre):
-        raise ValueError("the oracle was built for another intent catalog, matrix, registry or active set")
+    if (set(oracle.per_intent_truth), memo.intents, memo.matrix, memo.registry, memo.pre) != (
+        {i.id for i in ctx.intents}, ctx.intent_catalog, ctx.matrix, ctx.registry, ctx.pre
+    ):
+        raise ValueError("the oracle was built for another batch, intent catalog, matrix, registry or active set")
     memo = memo.copy()
     memory.clear()
     truths = oracle.per_intent_truth
@@ -542,9 +545,7 @@ def orchestrate_batch(
         graph = evaluation.graph
         # Eligible candidates are structurally valid, so this is exactly the
         # set is_correct_candidate accepts.
-        correct = frozenset(
-            i for i in eligible if i in truths and pipelines_equal(candidates[i], truths[i])
-        )
+        correct = frozenset(i for i in eligible if pipelines_equal(candidates[i], truths[i]))
         deployed = _select_deployment(ctx, evaluation.usable, evaluation.clashes, correct)
         score = score_solution(candidates, deployed, correct, len(evaluation.records))
         current = Solution(dict(candidates), deployed, score, correct)

@@ -485,37 +485,37 @@ class ConflictMemo:
 
     def facts_of(self, pipeline: Pipeline) -> PipelineFacts:
         """PipelineFacts.of pipeline for its intent, worked out once per value."""
-        if pipeline not in self.facts:
+        if (found := self.facts.get(pipeline)) is None:
             intent = self.intents[pipeline.intent_id]
-            self.facts[pipeline] = PipelineFacts.of(pipeline, intent, self.registry, self.matrix)
-        return self.facts[pipeline]
+            found = self.facts[pipeline] = PipelineFacts.of(pipeline, intent, self.registry, self.matrix)
+        return found
 
     def pair(self, ref_a: str, a: Pipeline, ref_b: str, b: Pipeline) -> tuple[ConflictRecord, ...]:
         """pairwise_conflicts of a under ref_a and b under ref_b, worked out once per pair of values."""
         key = (ref_a, ref_b, a, b)
-        if key not in self.pairs:
+        if (found := self.pairs.get(key)) is None:
             facts = (self.facts_of(a), self.facts_of(b))
             records = pairwise_conflicts(
                 a, b, self.intents, self.matrix, self.registry, a_ref=ref_a, b_ref=ref_b, inputs=facts
             )
-            self.pairs[key] = tuple(records)
-        return self.pairs[key]
+            found = self.pairs[key] = tuple(records)
+        return found
 
     def internal(self, ref: str, pipeline: Pipeline) -> tuple[ConflictRecord, ...]:
         """internal_conflicts of pipeline under ref, worked out once per value."""
         key = (ref, pipeline)
-        if key not in self.internals:
-            self.internals[key] = tuple(internal_conflicts(pipeline, self.matrix, self.registry, ref=ref))
-        return self.internals[key]
+        if (found := self.internals.get(key)) is None:
+            found = self.internals[key] = tuple(internal_conflicts(pipeline, self.matrix, self.registry, ref=ref))
+        return found
 
     def row(self, ref: str, pipeline: Pipeline) -> tuple[Edge, ...]:
         """The edges of pipeline under ref to the members that sort after
         ref, in ref order; worked out once per (ref, value)."""
         key = (ref, pipeline)
-        if key not in self.rows:
+        if (found := self.rows.get(key)) is None:
             after = [member for member in self.members if member[0] > ref]
-            self.rows[key] = _edges(ref, pipeline, after, self)
-        return self.rows[key]
+            found = self.rows[key] = _edges(ref, pipeline, after, self)
+        return found
 
 
 def candidate_ref(intent_id: int) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .agents import (
     DEFAULT_ANALOGUES,
@@ -54,7 +54,6 @@ T = TypeVar("T")
 class FixtureError(ValueError):
     def __init__(self, source: str, message: str):
         super().__init__(f"{source}: {message}")
-        self.source = source
 
 
 @dataclass(frozen=True)
@@ -231,11 +230,11 @@ def load_fixtures(path: str | Path | None = None) -> FixtureBundle:
 
     profiles = _load_entries(root, "xapps.json", XAppProfile.from_dict)
     intents = _load_entries(root, "intents.json", Intent.from_dict)
-    kpi_catalog = {kpi for intent in intents.values() for kpi in intent.targets}
-    registry = Registry(profiles.values(), kpi_catalog)
+    registry = Registry(profiles.values())
 
+    matrix_doc = _read_json(root, "vendor_matrix.json")
     try:
-        matrix = VendorCompatibilityMatrix.from_dict(_read_json(root, "vendor_matrix.json"))
+        matrix = VendorCompatibilityMatrix.from_dict(matrix_doc)
     except ENTRY_ERRORS as exc:
         raise FixtureError("vendor_matrix.json", str(exc)) from exc
 
@@ -393,10 +392,8 @@ def run_scenario(
         registry=bundle.registry,
         matrix=bundle.matrix,
         intent_catalog=bundle.intents,
-        seed=seed,
         max_iterations=max_iterations,
         analogue_count=analogue_count,
-        scenario_id=scenario_id,
     )
     outcome = orchestrate_batch(ctx, chat, memory, store, oracle)
     return _report_from_outcome(setup.spec, run_mode, chat, seed, oracle, outcome, max_iterations)
@@ -426,41 +423,6 @@ def _report_from_outcome(
         transport=transport.describe(),
         score_history=[s.as_tuple() for s in outcome.score_history],
     )
-
-
-def compare_modes(
-    bundle: FixtureBundle,
-    scenario_id: int,
-    modes: Sequence[Mode | str],
-    transport_kind: str,
-    seeds: Sequence[int],
-) -> list[dict[str, object]]:
-    """Per-mode mean/min/max of every metric over the given seeds."""
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    rows = []
-    for mode in modes:
-        reports = [
-            run_scenario(bundle, scenario_id, mode, transport_kind, seed=seed) for seed in seeds
-        ]
-        row: dict[str, object] = {
-            "scenario_id": reports[0].scenario_id,
-            "mode": Mode(mode).value,
-            "runs": len(reports),
-            "converged_runs": sum(1 for r in reports if r.converged),
-        }
-        for metric in (
-            "generation_accuracy",
-            "deployment_success",
-            "iterations_to_synthesis",
-            "iterations_to_deployment",
-        ):
-            values = [getattr(r, metric) for r in reports]
-            row[f"{metric}_mean"] = sum(values) / len(values)
-            row[f"{metric}_min"] = min(values)
-            row[f"{metric}_max"] = max(values)
-        rows.append(row)
-    return rows
 
 
 def emit_report(reports: Iterable[RunReport], format: str, path: str | Path) -> Path:

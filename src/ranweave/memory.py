@@ -69,7 +69,7 @@ class MemoryBuffer:
         self._entries.append(entry)
         return entry
 
-    def retrieve_analogues(self, intent: Intent, k: int = 3) -> list[tuple[Intent, Pipeline]]:
+    def retrieve_analogues(self, intent: Intent, k: int) -> list[tuple[Intent, Pipeline]]:
         """Up to k past successes, most similar intents first.
 
         Exact matches on the queried intent id outrank everything; after

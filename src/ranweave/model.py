@@ -240,15 +240,6 @@ class Intent:
     def targets(self) -> dict[str, int]:
         return dict(self.target_kpis)
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "id": self.id,
-            "text": self.text,
-            "target_kpis": dict(self.target_kpis),
-            "required_capabilities": sorted(self.required_capabilities),
-            "required_xapps": sorted(self.required_xapps),
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Intent":
         return cls.build(

@@ -5,6 +5,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
+from math import comb
 from typing import Callable
 
 import pytest
@@ -303,12 +304,23 @@ def test_refinement_returns_every_reference_of_a_generated_catalog(monkeypatch):
     assert spaced >= 4, "every bridged catalog's reference holds a spacer"
 
 
-def test_a_candidate_of_many_superfluous_xapps_refines_promptly():
+def test_a_candidate_of_many_superfluous_xapps_refines_promptly(monkeypatch):
     """Two clashing holders and 60 decide-stage xApps that hold no required
     capability, each in the first holder's dialect, so the last spacer of
     any set clashes with the second holder and no set parts them. The search
-    tries sets of at most MAX_COVER members in all, a few tens of thousands
-    here rather than 2**60, then drops every superfluous xApp."""
+    tries every set of at most MAX_COVER members, the two holders and up to
+    three of the 60 spacers: C(60,0) + C(60,1) + C(60,2) + C(60,3) = 36,051
+    internal_conflicts checks rather than 2**60. Then it drops every
+    superfluous xApp."""
+    from ranweave import planner
+
+    checks = []
+
+    def counted(*args, **kwargs):
+        checks.append(args)
+        return internal_conflicts(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "internal_conflicts", counted)
     sense = XAppProfile.build("a-sense", dialect="d-north", capabilities=["sensing"], stage=Stage.SENSE)
     act = XAppProfile.build("z-act", dialect="d-south", capabilities=["steering"], stage=Stage.ACT)
     fillers = [
@@ -325,6 +337,7 @@ def test_a_candidate_of_many_superfluous_xapps_refines_promptly():
     started = time.perf_counter()
     revised, edits = refine_pipeline(candidate, intent, registry, matrix)
     assert time.perf_counter() - started < 2.0
+    assert len(checks) == sum(comb(60, k) for k in range(4)) == 36051
     assert revised == Pipeline.build(1, [("a-sense", {}), ("z-act", {})], [("a-sense", "z-act")])
     assert internal_conflicts(revised, matrix, registry, ref=candidate_ref(1))
     assert [kind.value for kind, _ in edits] == ["drop_superfluous"] * 60 + ["reorder_stage"]
@@ -1027,19 +1040,9 @@ def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch)
     """Pins the conflict checks of one orchestrate_batch run over a generated
     50-xApp catalog with 12 new and 12 active intents. The run's memo starts
     from the oracle's, the memo keeps one entry per pipeline value, and
-    only a pair whose PipelineFacts meet is checked,
-    so pairwise_conflicts runs 3 times (3 find a conflict),
-    internal_conflicts 3 times and validate_pipeline_structure 30 times.
-    Gated by typed conflict keys that could not tell a shared xApp's
-    directives apart, pairwise_conflicts ran 17 times (3); by the untyped
-    reach set (xApp ids, written parameters, moved and target KPIs in one
-    set), 28 times (3). Under the noisy mock's earlier draws, one per call
-    in call order, the same run took 4 iterations, not 3, and the counts
-    were 69 (7), 6 and 38; with one memo entry per ref, which a candidate coming
-    back to an earlier pipeline (X -> Y -> X) had to work out again, they
-    were 111 (10), 10 and 38. With a pair memo of the run's own, keyed by
-    object, they were 222 (23), 48 and 67; every pair, through that memo,
-    would take 430 pairwise calls."""
+    only a pair whose PipelineFacts meet is checked, so pairwise_conflicts
+    runs 3 times (3 find a conflict), internal_conflicts 3 times and
+    validate_pipeline_structure 30 times."""
     from ranweave import agents, conflicts
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -1173,23 +1176,31 @@ def test_one_oracle_serves_two_runs_alike(bundle, truths):
 
 
 
-@pytest.mark.parametrize("other", ["intents", "matrix", "registry", "pre"])
+@pytest.mark.parametrize("other", ["batch", "intents", "matrix", "registry", "pre"])
 def test_a_run_refuses_an_oracle_built_for_other_inputs(bundle, truths, other):
-    """The oracle's memo holds facts about its own intents, matrix,
-    registry and active set, so orchestrate_batch refuses an oracle built
-    for others with a ValueError before any call: another intent catalog,
-    another matrix, another registry object, even one listing the same
-    profiles, or another active set. An equal active set built as a new
-    object, as ctx's is, is the run's own and is accepted."""
+    """The oracle's truths and objective are its own batch's, and its memo
+    holds facts about its own intents, matrix, registry and active set, so
+    orchestrate_batch refuses an oracle built for others with a ValueError
+    before any call: another batch, another intent catalog, another matrix,
+    another registry object, even one listing the same profiles, or another
+    active set. An equal active set built as a new object, as ctx's is, is
+    the run's own and is accepted."""
     ctx = _ctx(bundle, 1, Mode.F5, truths)
-    inputs = {"intents": bundle.intents, "matrix": bundle.matrix, "registry": bundle.registry, "pre": ctx.pre}
+    inputs = {
+        "batch": [intent.id for intent in ctx.intents],
+        "intents": bundle.intents,
+        "matrix": bundle.matrix,
+        "registry": bundle.registry,
+        "pre": ctx.pre,
+    }
     inputs[other] = {
+        "batch": [1, 5, 6, 7],
         "intents": {**bundle.intents, 1: bundle.intents[2]},
         "matrix": VendorCompatibilityMatrix.of(),
         "registry": Registry(list(bundle.registry)),
         "pre": DeploymentState(),
     }[other]
-    candidates = {intent.id: truths[intent.id] for intent in ctx.intents}
+    candidates = {i: truths[i] for i in inputs["batch"]}
     oracle = max_conflict_free_subset(
         candidates, inputs["pre"], inputs["intents"], inputs["matrix"], inputs["registry"]
     )

@@ -24,7 +24,6 @@ from ranweave.harness import (
     FixtureError,
     RunReport,
     build_knowledge_store,
-    compare_modes,
     emit_report,
     load_fixtures,
     make_transport,
@@ -206,6 +205,10 @@ def _drop(index, key):
             "entry 0: target_kpis must be an object, found [['mobility_robustness', 1]]",
         ),
         ("xapps", _set(0, "kpi_effects", ["mobility_robustness"]), "entry 0: kpi_effects must be an object, found"),
+        ("xapps", _set(0, "id", ""), "entry 0: xApp id must be nonempty"),
+        ("intents", _set(0, "target_kpis", {}), "entry 0: intent 1 targets no KPIs"),
+        ("intents", _set(0, "required_capabilities", []), "entry 0: intent 1 requires no capabilities"),
+        ("intents", _set(6, "required_xapps", ["ghost_xapp"]), "intent 7 mandates unregistered xApps ['ghost_xapp']"),
     ],
     ids=[
         "scenario-without-id",
@@ -235,11 +238,23 @@ def _drop(index, key):
         "matrix-pair-of-three",
         "intent-targets-list",
         "xapp-effects-list",
+        "xapp-id-empty",
+        "intent-targets-none",
+        "intent-capabilities-none",
+        "intent-xapp-unregistered",
     ],
 )
 def test_malformed_fixture_files_raise_fixture_error(tmp_path, bundle, stem, edit, match):
     with pytest.raises(FixtureError, match=rf"^{stem}.json: .*{re.escape(match)}"):
         load_fixtures(_copy_catalog(bundle, tmp_path, **{stem: edit}))
+
+
+@pytest.mark.parametrize("stem", ["xapps", "intents", "scenarios", "vendor_matrix"])
+def test_a_missing_fixture_file_is_refused_naming_it(tmp_path, bundle, stem):
+    root = _copy_catalog(bundle, tmp_path)
+    (root / f"{stem}.json").unlink()
+    with pytest.raises(FixtureError, match=rf"^{stem}.json: fixture file missing$"):
+        load_fixtures(root)
 
 
 def test_a_number_past_the_float_range_is_refused_as_no_json(tmp_path, bundle):
@@ -379,6 +394,22 @@ def test_fixture_soundness_gate_names_conflicting_references(tmp_path, bundle):
     ]
 
 
+def test_fixture_soundness_gate_names_new_intents_that_cannot_all_deploy(tmp_path, bundle):
+    # Intent 8 is intent 2 with a latency target opposite to intent 3's;
+    # scenario 5 asks for both, so the reference objective deploys only 3.
+    def add_intent(intents):
+        return intents + [dict(intents[1], id=8, target_kpis={"latency": 1})]
+
+    def add_scenario(scenarios):
+        return scenarios + [{"id": 5, "new_intents": [3, 8], "pre_deployed_intents": []}]
+
+    root = _copy_catalog(bundle, tmp_path, intents=add_intent, scenarios=add_scenario)
+    assert validate_fixture_soundness(load_fixtures(root)) == [
+        "scenario 5: reference objective covers [3] instead of all of [3, 8]",
+        "scenario 5: reference pipelines 3 and 8 conflict: latency",
+    ]
+
+
 def test_every_scenario_oracle_covers_all_new_intents(bundle):
     for spec in bundle.scenarios.values():
         result = bundle.setup(spec.id).oracle
@@ -475,12 +506,11 @@ def test_runs_of_one_scenario_search_its_oracle_and_rank_its_query_once(monkeypa
     assert embedded[query] == 2
 
 
-def test_compare_modes_and_the_gate_share_each_scenario_oracle(monkeypatch):
+def test_the_runs_and_the_gate_share_each_scenario_oracle(monkeypatch):
     oracles, _ = _count_setup_work(monkeypatch)
     fresh = load_fixtures()
-    for scenario in (1, 3):
-        rows = compare_modes(fresh, scenario, ["f5", "fcfs"], "mock-oracle", seeds=[0, 1, 2])
-        assert [row["runs"] for row in rows] == [3, 3]
+    for scenario, mode, seed in product((1, 3), ["f5", "fcfs"], [0, 1, 2]):
+        assert run_scenario(fresh, scenario, mode, "mock-oracle", seed=seed).converged
     assert len(oracles) == 2
     assert validate_fixture_soundness(fresh) == []
     assert len(oracles) == 4
@@ -530,19 +560,6 @@ def test_run_scenario_memory_files_are_deterministic(bundle):
     for memory in buffers:
         run_scenario(bundle, 1, "f5", "mock-noisy", seed=9, memory=memory)
     assert buffers[0].entries and buffers[0].entries == buffers[1].entries
-
-
-def test_compare_modes_single_row(bundle):
-    rows = compare_modes(bundle, 1, ["f5"], "mock-oracle", seeds=[0])
-    assert len(rows) == 1
-    assert rows[0]["mode"] == "f5"
-    assert rows[0]["runs"] == 1
-    assert rows[0]["iterations_to_deployment_mean"] == 1
-
-
-def test_compare_modes_requires_seeds(bundle):
-    with pytest.raises(ValueError):
-        compare_modes(bundle, 1, ["f5"], "mock-oracle", seeds=[])
 
 
 def test_emit_report_json(bundle, tmp_path):

@@ -523,7 +523,6 @@ _UNREACHED = {
     "agents.is_correct_candidate": "perfbench/run.py imports it (ROADMAP item 1b)",
     "conflicts.validity": "perfbench/run.py imports it (ROADMAP item 1b)",
     "harness.build_knowledge_store": "perfbench/run.py imports it (ROADMAP item 1b)",
-    "harness.compare_modes": "ROADMAP item 7's ranweave compare is its planned caller",
 }
 
 

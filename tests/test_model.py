@@ -202,6 +202,12 @@ def test_directive_order_is_normalized():
     assert p.nodes[0].directive == q.nodes[0].directive
 
 
+@pytest.mark.parametrize("directive", [{"p": 1}, {"p": None}, {1: "auto"}], ids=["int", "null", "int-param"])
+def test_a_directive_entry_must_be_a_string_pair(directive):
+    with pytest.raises(ValueError, match="directive entries must be string pairs"):
+        Pipeline.build(1, [("a", directive)])
+
+
 def test_registry_rejects_duplicate_ids():
     profile = XAppProfile.build("dup", capabilities=["c"])
     with pytest.raises(ValueError, match="duplicate"):

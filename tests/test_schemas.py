@@ -241,15 +241,19 @@ _BAD_RECORD_FIELDS = [
     ("participants", [["1", "x"], ["1", "x"]], "needs at least 2 participants"),
     ("subject", 5, "subject and explanation must be strings"),
     ("explanation", None, "subject and explanation must be strings"),
+    ("kind", "telepathy", "has unknown kind 'telepathy'"),
 ]
 
 
 @pytest.mark.parametrize(
-    "field, value, match", _BAD_RECORD_FIELDS, ids=["unpaired", "one", "repeated", "subject-5", "explanation-null"]
+    "field, value, match",
+    _BAD_RECORD_FIELDS,
+    ids=["unpaired", "one", "repeated", "subject-5", "explanation-null", "kind-unknown"],
 )
 def test_perception_doc_refuses_a_record_field_of_the_wrong_form(field, value, match):
     """A participant is a [ref, xApp] pair of strings, a repeated pair counts
-    once, and subject and explanation are strings; nothing is coerced."""
+    once, subject and explanation are strings and the kind is a known one;
+    nothing is coerced."""
     record = {
         "kind": "actuator_contention",
         "participants": [["1", "x"], ["2", "x"]],
@@ -260,6 +264,23 @@ def test_perception_doc_refuses_a_record_field_of_the_wrong_form(field, value, m
     payload = {"conflicts": {"actuator": [record]}, "notes": ""}
     with pytest.raises(SchemaValidationError, match=rf"conflicts\.actuator\[0\] {re.escape(match)}"):
         parse_perception_doc(dump_doc(payload))
+
+
+@pytest.mark.parametrize(
+    "group, match",
+    [
+        ({"kind": "actuator_contention"}, "conflicts.actuator must be a list"),
+        (["clash"], "conflicts.actuator[0] must be an object"),
+        (
+            [{"kind": "actuator_contention", "participants": [["1", "x"], ["2", "x"]], "subject": "x"}],
+            "conflicts.actuator[0] is missing keys ['explanation']",
+        ),
+    ],
+    ids=["group-object", "record-string", "record-without-explanation"],
+)
+def test_perception_doc_refuses_a_malformed_group_or_record(group, match):
+    with pytest.raises(SchemaValidationError, match=re.escape(match)):
+        parse_perception_doc(dump_doc({"conflicts": {"actuator": group}, "notes": ""}))
 
 
 def test_perception_doc_empty_groups_parse():
@@ -304,6 +325,16 @@ def test_refinement_doc_rejects_unknown_edit_kind():
             "edits[0] has unknown edit kind 'transmogrify'",
             "revised policy differs from the input but edits is empty",
         ]
+    }
+
+
+@pytest.mark.parametrize("rationale", [5, None, ["dropped b"]], ids=["int", "null", "list"])
+def test_refinement_doc_refuses_a_rationale_that_is_not_a_string(rationale):
+    original = Pipeline.build(1, [("a", {"p": "auto"}), ("b", {})])
+    revised = Pipeline.build(1, [("a", {"p": "auto"})])
+    payload = {"revised_policy": pipeline_to_policy_doc(revised), "edits": [["drop_superfluous", rationale]]}
+    assert _revision_of(payload, original).errors == {
+        1: ["edits[0] rationale must be a string", "revised policy differs from the input but edits is empty"]
     }
 
 
