@@ -7,10 +7,12 @@ subset mechanically and scores the whole proposal. A harness-enforced
 ratchet keeps the best solution seen so far, so the reported score never
 regresses regardless of what the agents emit.
 
-Perception is asked only when the engine's conflict graph holds a record:
-about an empty graph, a flawless answer can only be the empty report, which
-the loop hands reasoning itself. This gate reads the engine's graph alone,
-never the reference; the solved-intent skip does read the reference.
+Perception is shown only the records of the engine's conflict graph that
+name a candidate of an intent reasoning is about to ask about, and is asked
+only when one exists: no other record names a pipeline the loop will change.
+Without one, a flawless answer is the empty report, which the loop hands
+reasoning itself. Like the solved-intent skip, this gate reads the reference,
+through the previous iteration's correct set.
 
 The loop assembles each request and asks every role through _ask, so it alone
 decides which roles a mode runs and what a failed call (None) falls back to.
@@ -454,12 +456,17 @@ def orchestrate_batch(
     sees alone (deployed and named by no conflict) would freeze candidates
     that are wrong but clean.
 
-    Perception is asked only when the conflict graph it would be shown
-    holds a record. Otherwise reasoning gets PerceptionDoc(()), what a
-    flawless answer about an empty graph parses to, so it renders the same
-    empty report table. Unlike the solved-intent skip, this gate reads only
-    the engine's graph, never the reference, so it holds for any backend:
-    it skips only a call whose one right answer is already known.
+    Perception is shown the records of the conflict graph that name a
+    candidate of an unsolved intent, one reasoning is about to ask about,
+    and is asked only when one exists. Records among active pipelines
+    alone, or naming only solved candidates, are left out: no pipeline they
+    name will change, so their answer cannot help the next reasoning
+    request. Without such a record reasoning gets PerceptionDoc(()), what a
+    flawless answer about no record parses to, so it renders the same empty
+    report table; before the first iteration no candidate exists, so
+    perception is first asked in the second. The gate reads the previous
+    iteration's correct set, so, like the solved-intent skip, it reads the
+    reference.
 
     One ConflictMemo serves every conflict evaluation of the run. It keys
     its entries by pipeline value, so an answer equal to an earlier one or
@@ -496,26 +503,29 @@ def orchestrate_batch(
 
     query = query_text(ctx.intents, ctx.registry)
     # Perception reads the conflict graph of the candidates as the previous
-    # iteration left them; before the first iteration, of the active set alone.
+    # iteration left them; before the first iteration, of the active set
+    # alone, whose records name no candidate.
     graph = build_conflict_graph({}, memo)
 
     for iteration in range(1, ctx.max_iterations + 1):
         chunks = store.query(query, iteration)
+        # correct is still the previous iteration's here.
+        unsolved = [i for i in ordered if i.id not in correct]
 
         perception_doc: PerceptionDoc | None = None
         if ctx.mode.uses_perception:
-            records = graph.all_records()
+            refs = {candidate_ref(i.id) for i in unsolved}
+            records = [r for r in graph.all_records() if not refs.isdisjoint(r.refs())]
             if records:
                 request = assemble_perception_request(ctx, candidates, records, chunks)
                 perception_doc = _ask(transport, request, parse_perception_doc)
             else:
-                # What a flawless answer about an empty graph parses to.
+                # What a flawless answer about no record parses to.
                 perception_doc = PerceptionDoc(())
         # A failed perception call leaves the iteration without reasoning.
         iteration_aborted = ctx.mode.uses_perception and perception_doc is None
 
-        # correct is still the previous iteration's here.
-        asked = [] if iteration_aborted else [i for i in ordered if i.id not in correct]
+        asked = [] if iteration_aborted else unsolved
         answer: EntryDoc[Pipeline] | None = None
         if asked:
             request = assemble_reasoning_request(

@@ -18,7 +18,7 @@ import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import DeploymentState, Intent, Pipeline, Registry, has_directed_path, string_array
 
@@ -459,8 +459,9 @@ class ConflictMemo:
     by refs where records name them: facts maps p to its PipelineFacts,
     pairs maps (ref_a, ref_b, a, b) to the pair's records, internals maps
     (ref, p) to its internal_conflicts records and rows maps (ref, p) to
-    p's edges to the members that sort after ref. So a pipeline equal to
-    one met before (X -> Y -> X) finds its entries again.
+    p's edges to the members that sort after ref. A row's pairs are kept in
+    its row entry alone, since a row is worked out once. So a pipeline
+    equal to one met before (X -> Y -> X) finds its entries again.
     """
 
     intents: Mapping[int, Intent]
@@ -494,12 +495,17 @@ class ConflictMemo:
         """pairwise_conflicts of a under ref_a and b under ref_b, worked out once per pair of values."""
         key = (ref_a, ref_b, a, b)
         if (found := self.pairs.get(key)) is None:
-            facts = (self.facts_of(a), self.facts_of(b))
-            records = pairwise_conflicts(
-                a, b, self.intents, self.matrix, self.registry, a_ref=ref_a, b_ref=ref_b, inputs=facts
-            )
-            found = self.pairs[key] = tuple(records)
+            found = self.pairs[key] = self.unkept_pair(ref_a, a, ref_b, b)
         return found
+
+    def unkept_pair(self, ref_a: str, a: Pipeline, ref_b: str, b: Pipeline) -> tuple[ConflictRecord, ...]:
+        """pairwise_conflicts of a under ref_a and b under ref_b, worked out
+        afresh and kept in no table: a row's pairs, which its own entry keeps."""
+        facts = (self.facts_of(a), self.facts_of(b))
+        records = pairwise_conflicts(
+            a, b, self.intents, self.matrix, self.registry, a_ref=ref_a, b_ref=ref_b, inputs=facts
+        )
+        return tuple(records)
 
     def internal(self, ref: str, pipeline: Pipeline) -> tuple[ConflictRecord, ...]:
         """internal_conflicts of pipeline under ref, worked out once per value."""
@@ -514,7 +520,7 @@ class ConflictMemo:
         key = (ref, pipeline)
         if (found := self.rows.get(key)) is None:
             after = [member for member in self.members if member[0] > ref]
-            found = self.rows[key] = _edges(ref, pipeline, after, self)
+            found = self.rows[key] = _edges((ref, pipeline, self.facts_of(pipeline)), after, self.unkept_pair)
         return found
 
 
@@ -539,13 +545,14 @@ def labelled(candidates: Mapping[int, Pipeline], pre: DeploymentState) -> list[t
     return sorted(pairs, key=lambda pair: pair[0])
 
 
-def _edges(ref: str, pipeline: Pipeline, others: Iterable[Member], memo: ConflictMemo) -> tuple[Edge, ...]:
-    """The edges of pipeline under ref to each (ref, pipeline, facts) of
-    others, in their order, asking memo.pair only of a pair whose facts meet."""
-    facts = memo.facts_of(pipeline)
+def _edges(member: Member, others: Iterable[Member], pair: Callable[..., tuple]) -> tuple[Edge, ...]:
+    """The edges of member, a (ref, pipeline, facts), to each of others, in
+    their order, asking pair (a memo's pair or unkept_pair) only of a pair
+    whose facts meet."""
+    ref, pipeline, facts = member
     edges = []
     for other_ref, other, other_facts in others:
-        if facts.meets(other_facts) and (records := memo.pair(ref, pipeline, other_ref, other)):
+        if facts.meets(other_facts) and (records := pair(ref, pipeline, other_ref, other)):
             edges.append(((ref, other_ref), records))
     return tuple(edges)
 
@@ -558,16 +565,16 @@ def build_conflict_graph(candidates: Mapping[int, Pipeline], memo: ConflictMemo)
     before every active pipeline, so a candidate's edges are those to the
     later candidates, then its row (memo.row), and an active pipeline's
     edges are its row. A pair whose PipelineFacts do not meet has no
-    records and gets no memo.pair, so the graph is the all-pairs graph.
+    records and is not checked, so the graph is the all-pairs graph.
     memo keeps the facts across calls: a pipeline's facts once per value,
-    the records of a pair that meets once per pair of values under their
-    refs, and a row once per (ref, value), so a later build over equal
-    candidates visits only the candidate pairs.
+    the records of a candidate pair that meets once per pair of values
+    under their refs (memo.pair), and a row once per (ref, value), so a
+    later build over equal candidates visits only the candidate pairs.
     """
     heads = [(ref, p, memo.facts_of(p)) for ref, p in labelled(candidates, DeploymentState())]
     edges: list[Edge] = []
     for i, (ref, pipeline, _) in enumerate(heads):
-        edges += _edges(ref, pipeline, heads[i + 1 :], memo)
+        edges += _edges(heads[i], heads[i + 1 :], memo.pair)
         edges += memo.row(ref, pipeline)
     for ref, pipeline, _ in memo.members:
         edges += memo.row(ref, pipeline)

@@ -49,6 +49,7 @@ from ranweave.planner import SolutionScore, max_conflict_free_subset, refine_pip
 from ranweave.retrieval import VectorStore
 from ranweave.schemas import (
     PerceptionDoc,
+    RefinementDoc,
     conflict_report,
     dump_doc,
     parse_perception_doc,
@@ -450,13 +451,34 @@ def test_enforce_monotonicity_rules():
     assert enforce_monotonicity(None, worse) is worse
 
 
+_TX_POWER_WRITER = Pipeline.build(5, [("uplink_power_control_agent", {"tx_power": "auto"})])
+# A wrong first answer for intent 3 that writes tx_power, as the active
+# reference of intent 2 does: a record names it once it is a candidate.
+_CLASHING_3 = Pipeline.build(3, [("uplink_power_control_agent", {"tx_power": "auto"})])
+
+
 def _clashing_ctx(bundle, truths, mode: Mode) -> RunContext:
     """Scenario 1 with one more active pipeline, for intent 5 (outside the
     scenario), that writes tx_power as the active reference of intent 2
-    does, so the conflict graph holds a record from the first iteration."""
+    does, so the conflict graph holds a record of the active set alone
+    from the first iteration."""
     ctx = _ctx(bundle, 1, mode, truths)
-    writer = Pipeline.build(5, [("uplink_power_control_agent", {"tx_power": "auto"})])
-    return replace(ctx, pre=DeploymentState((*ctx.pre, writer)))
+    return replace(ctx, pre=DeploymentState((*ctx.pre, _TX_POWER_WRITER)))
+
+
+class ClashingFirstAnswer(OracleTransport):
+    """The oracle backend, except that its first reasoning answer gives
+    intent 3 _CLASHING_3 and its first refinement answer keeps it as it is,
+    so the first iteration leaves intent 3 unsolved, with a clash."""
+
+    def _respond(self, request):
+        text = super()._respond(request)
+        if request.role == PERCEPTION or request.role in [role for role, _ in self.calls[:-1]]:
+            return text
+        doc = json.loads(text)
+        kept = RefinementDoc(_CLASHING_3, ()).to_dict()
+        doc["3"] = pipeline_to_policy_doc(_CLASHING_3) if request.role == REASONING else kept
+        return dump_doc(doc)
 
 
 def _own_oracle(bundle, truths, ctx: RunContext):
@@ -465,8 +487,8 @@ def _own_oracle(bundle, truths, ctx: RunContext):
     return max_conflict_free_subset(candidates, ctx.pre, bundle.intents, bundle.matrix, bundle.registry)
 
 
-def _call_roles(bundle, truths, ctx: RunContext) -> list[str]:
-    transport = OracleTransport(_mock_bundle(bundle, truths))
+def _call_roles(bundle, truths, ctx: RunContext, backend=OracleTransport) -> list[str]:
+    transport = backend(_mock_bundle(bundle, truths))
     memory = MemoryBuffer()
     orchestrate_batch(ctx, transport, memory, VectorStore(), _own_oracle(bundle, truths, ctx))
     return [role for role, _ in transport.calls]
@@ -475,19 +497,24 @@ def _call_roles(bundle, truths, ctx: RunContext) -> list[str]:
 def test_mode_algebra_call_traces(bundle, truths):
     """One reasoning request asks intents 3 and 4 together, and one
     refinement request reviews both candidates. The modes that use
-    perception ask it only when the conflict graph holds a record: on
-    scenario 1 as bundled, whose graph is empty, no mode does."""
-    traces = {
-        Mode.F5: ["perception", "reasoning", "refinement"],
+    perception ask it only when a record names a candidate of an unsolved
+    intent: never in the first iteration, whose graph holds no candidate,
+    even when the active set clashes with itself, and in the second after a
+    first answer for intent 3 that clashes, which reasoning then asks
+    about alone."""
+    first = {
+        Mode.F5: ["reasoning", "refinement"],
         Mode.SA: ["reasoning"],
-        Mode.NR: ["perception", "reasoning"],
+        Mode.NR: ["reasoning"],
         Mode.NP: ["reasoning", "refinement"],
-        Mode.FCFS: ["perception", "reasoning", "refinement"],
+        Mode.FCFS: ["reasoning", "refinement"],
     }
-    for mode, roles in traces.items():
-        assert _call_roles(bundle, truths, _clashing_ctx(bundle, truths, mode)) == roles, mode
-        without = [role for role in roles if role != "perception"]
-        assert _call_roles(bundle, truths, _ctx(bundle, 1, mode, truths)) == without, mode
+    for mode, roles in first.items():
+        again = ["perception", *roles] if mode.uses_perception else roles
+        clashing = _clashing_ctx(bundle, truths, mode)
+        assert _call_roles(bundle, truths, clashing, ClashingFirstAnswer) == roles + again, mode
+        assert _call_roles(bundle, truths, clashing) == roles, mode
+        assert _call_roles(bundle, truths, _ctx(bundle, 1, mode, truths)) == roles, mode
 
 
 def test_oracle_transport_converges_in_one_iteration_every_mode(bundle, truths):
@@ -734,67 +761,75 @@ def test_the_report_handed_in_place_of_perception_is_the_flawless_answer(bundle,
     assert _render_report(PerceptionDoc(())) == _render_report(answer)
 
 
-def test_perception_is_asked_exactly_when_the_graph_holds_a_record(bundle, monkeypatch):
+def test_perception_is_asked_exactly_when_a_record_names_an_unsolved_candidate(bundle, monkeypatch):
     """Over the bundled grid (scenarios 1-4, every mode, seeds 0-2) under
     both mocks, and over one generated catalog, an iteration sends a
-    perception request exactly when its mode uses perception and the
-    conflict graph it starts from holds a record: the active set's before
-    the first iteration, the previous iteration's after it."""
+    perception request exactly when its mode uses perception and a record
+    of the conflict graph it starts from (the active set's before the first
+    iteration, the previous iteration's after it) names the candidate of an
+    intent outside the previous iteration's correct set. The request is
+    shown exactly those records."""
     from ranweave import agents
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from wide_catalog import generate_catalog
 
-    holds: list[bool] = []  # per graph the loop builds, in order: does it hold a record
-    ends: list[int] = []  # transport calls made by each iteration's end
-    chat: ChatTransport | None = None
+    graphs: list = []  # every graph the loop builds, in order
+    ends: list[tuple[int, frozenset]] = []  # per iteration: transport calls made by its end, its correct set
+    sent: list[AgentRequest] = []  # every request, in call order
     build, evaluate, ratchet = agents.build_conflict_graph, agents.evaluate_conflicts, agents.enforce_monotonicity
+    complete = ChatTransport.complete
 
     def building(*args):
-        graph = build(*args)
-        holds.append(bool(graph.all_records()))
-        return graph
+        graphs.append(build(*args))
+        return graphs[-1]
 
     def evaluating(*args):
         evaluation = evaluate(*args)
-        holds.append(bool(evaluation.graph.all_records()))
+        graphs.append(evaluation.graph)
         return evaluation
 
     def ratcheting(previous, current):
-        ends.append(len(chat.calls))
+        ends.append((len(sent), current.correct))
         return ratchet(previous, current)
+
+    def sending(self, request):
+        sent.append(request)
+        return complete(self, request)
 
     monkeypatch.setattr(agents, "build_conflict_graph", building)
     monkeypatch.setattr(agents, "evaluate_conflicts", evaluating)
     monkeypatch.setattr(agents, "enforce_monotonicity", ratcheting)
+    monkeypatch.setattr(ChatTransport, "complete", sending)
     tally = Counter()
 
-    def check(mode: Mode, transport: ChatTransport, run: Callable[[ChatTransport], object]) -> None:
-        nonlocal chat
-        holds.clear()
+    def check(mode: Mode, intent_ids, run: Callable[[], object]) -> None:
+        graphs.clear()
         ends.clear()
-        chat = transport
-        run(transport)
-        for start, end, incoming in zip([0, *ends], ends, holds):
-            asked = [role for role, _ in transport.calls[start:end]].count(PERCEPTION)
-            assert asked == (mode.uses_perception and incoming), (mode, transport.describe())
-            tally[mode.uses_perception, incoming] += 1
+        sent.clear()
+        run()
+        starts = [(0, frozenset()), *ends]
+        for (start, correct), (end, _), graph in zip(starts, ends, graphs):
+            unsolved = {candidate_ref(i) for i in intent_ids if i not in correct}
+            named = [r for r in graph.all_records() if r.refs() & unsolved]
+            handed = [list(r.payload["conflicts"]) for r in sent[start:end] if r.role == PERCEPTION]
+            assert handed == ([named] if mode.uses_perception and named else []), mode
+            tally[mode.uses_perception, bool(named), len(named) < len(graph.all_records())] += 1
 
     for transport, seeds in (("mock-noisy", (0, 1, 2)), ("mock-oracle", (0,))):
         for scenario_id, mode, seed in product(sorted(bundle.scenarios), Mode, seeds):
-            check(
-                mode,
-                make_transport(transport, bundle, seed),
-                lambda t: run_scenario(bundle, scenario_id, mode, t, seed=seed),
-            )
+            chat = make_transport(transport, bundle, seed)
+            intent_ids = bundle.scenarios[scenario_id].new_intents
+            check(mode, intent_ids, lambda: run_scenario(bundle, scenario_id, mode, chat, seed=seed))
     catalog = generate_catalog(7)
     for mode in Mode:
         ctx, truths, oracle = _catalog_run(catalog, mode)
         mock = MockBundle(catalog.registry, catalog.intents, catalog.matrix, truths)
-        for transport in (NoisyTransport(mock, 7), OracleTransport(mock)):
-            check(mode, transport, lambda t: orchestrate_batch(ctx, t, MemoryBuffer(), VectorStore(), oracle))
-    # Perception was both asked and skipped in modes that use it.
-    assert tally[True, True] and tally[True, False]
+        for chat in (NoisyTransport(mock, 7), OracleTransport(mock)):
+            check(mode, catalog.new_intents, lambda: orchestrate_batch(ctx, chat, MemoryBuffer(), VectorStore(), oracle))
+    # Perception was both asked and skipped in modes that use it, and some
+    # record was left out both of an asked request and of a skipped one.
+    assert tally[True, True, True] and tally[True, False, True]
 
 
 def test_corrupt_pipeline_variants_differ_from_truth(bundle, truths):
@@ -870,13 +905,16 @@ def test_transport_outage_counts_as_failed_attempt(bundle, truths):
 
 @pytest.mark.parametrize("failing_role", ["perception", "reasoning", "refinement"])
 def test_failed_call_fallbacks(bundle, truths, failing_role):
-    """A failed attempt falls back by role: a failed perception call means no
-    reasoning call in that iteration (the run's active set holds a clash, so
-    perception is asked); a reasoning entry that fails twice
-    skips only its intent; a refinement entry that fails twice keeps its
-    intent's unrefined candidate, and the other entry's revision is kept.
-    Each repair asks only about the failed entries."""
-    from ranweave.schemas import EditKind, RefinementDoc
+    """A failed attempt falls back by role, in the second iteration: the
+    first leaves intent 3 with a candidate that clashes and intent 4 with a
+    wrong one, so perception is asked, about the records that name them and
+    not the active set's own. A failed perception call means no reasoning
+    call in that iteration; a reasoning entry that fails twice skips only
+    its intent; a refinement entry that fails twice keeps its intent's
+    unrefined candidate, and the other entry's revision is kept. Each repair
+    asks only about the failed entries."""
+    from ranweave.conflicts import build_conflict_graph
+    from ranweave.schemas import EditKind
 
     bad = "not json"
     report = dump_doc(conflict_report([]))
@@ -885,12 +923,15 @@ def test_failed_call_fallbacks(bundle, truths, failing_role):
     duplicated_4 = Pipeline.build(4, [(n.xapp_id, n.directive_map) for n in t4.nodes + t4.nodes[:1]], t4.edges)
     refined_4 = RefinementDoc(t4, ()).to_dict()
     deduplicated_4 = RefinementDoc(t4, ((EditKind.REMOVE_DUPLICATE, "selected twice"),)).to_dict()
+    kept = {"3": RefinementDoc(_CLASHING_3, ()).to_dict(), "4": RefinementDoc(duplicated_4, ()).to_dict()}
+    first = [_answer({3: _CLASHING_3, 4: duplicated_4}), dump_doc(kept)]
+    first_calls = [("reasoning", (3, 4)), ("refinement", (3, 4))]
     responses, calls, candidates = {
-        "perception": ([bad, bad], [("perception", None)] * 2, {}),
+        "perception": ([bad, bad], [("perception", None)] * 2, {3: _CLASHING_3, 4: duplicated_4}),
         "reasoning": (
             [report, _answer({3: bad, 4: t4}), _answer({3: bad}), dump_doc({"4": refined_4})],
             [("perception", None), ("reasoning", (3, 4)), ("reasoning", (3,)), ("refinement", (4,))],
-            {4: t4},
+            {3: _CLASHING_3, 4: t4},
         ),
         "refinement": (
             [report, _answer({3: duplicated, 4: duplicated_4}), dump_doc({"3": bad, "4": deduplicated_4}),
@@ -900,12 +941,18 @@ def test_failed_call_fallbacks(bundle, truths, failing_role):
         ),
     }[failing_role]
 
-    transport = ScriptedTransport(responses)
-    ctx = replace(_clashing_ctx(bundle, truths, Mode.F5), max_iterations=1)
-    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), _own_oracle(bundle, truths, ctx))
-    assert transport.calls == calls
-    assert transport.index == len(responses)
+    transport = ScriptedTransport(first + responses)
+    ctx = replace(_clashing_ctx(bundle, truths, Mode.F5), max_iterations=2)
+    oracle = _own_oracle(bundle, truths, ctx)
+    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), oracle)
+    assert transport.calls == first_calls + calls
+    assert transport.index == len(first + responses)
     assert outcome.best.candidates == candidates
+
+    handed = transport.requests[2].payload["conflicts"]
+    graph = build_conflict_graph({3: _CLASHING_3, 4: duplicated_4}, oracle.memo.copy())
+    assert handed == tuple(r for r in graph.all_records() if r.refs() & {"3", "4"})
+    assert handed and len(handed) < len(graph.all_records())
 
 
 class RepairOutage(ScriptedTransport):
@@ -1036,21 +1083,30 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, monkeypatch):
     )
 
 
-def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch):
-    """Pins the conflict checks of one orchestrate_batch run over a generated
-    50-xApp catalog with 12 new and 12 active intents. The run's memo starts
-    from the oracle's, the memo keeps one entry per pipeline value, and
-    only a pair whose PipelineFacts meet is checked, so pairwise_conflicts
-    runs 3 times (3 find a conflict), internal_conflicts 3 times and
-    validate_pipeline_structure 30 times."""
-    from ranweave import agents, conflicts
-
+def _wide_run(monkeypatch):
+    """The context, oracle and noisy transport (seed 7) of an f5 run over
+    generated catalog 7: 50 xApps, 12 new and 12 active intents."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from wide_catalog import generate_catalog
 
     catalog = generate_catalog(7)
     ctx, truths, oracle = _catalog_run(catalog, Mode.F5)
     chat = NoisyTransport(MockBundle(catalog.registry, catalog.intents, catalog.matrix, truths), 7)
+    return ctx, oracle, chat
+
+
+def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch):
+    """Pins the conflict checks and agent calls of one orchestrate_batch run
+    over a generated 50-xApp catalog with 12 new and 12 active intents. The
+    run's memo starts from the oracle's, the memo keeps one entry per
+    pipeline value, and only a pair whose PipelineFacts meet is checked, so
+    pairwise_conflicts runs 3 times (3 find a conflict), internal_conflicts
+    3 times and validate_pipeline_structure 30 times. Perception is asked
+    once: only one iteration starts from a record that names an unsolved
+    intent's candidate."""
+    from ranweave import agents, conflicts
+
+    ctx, oracle, chat = _wide_run(monkeypatch)
     found: list[bool] = []
     calls = {"internal": 0, "structure": 0}
     pairwise_conflicts = conflicts.pairwise_conflicts
@@ -1079,6 +1135,30 @@ def test_a_wide_run_checks_only_the_pairs_that_can_conflict(bundle, monkeypatch)
     assert outcome.converged
     assert (len(found), sum(found)) == (3, 3)
     assert calls == {"internal": 3, "structure": 30}
+    assert Counter(role for role, _ in chat.calls) == {PERCEPTION: 1, REASONING: 3, REFINEMENT: 3}
+
+
+def test_a_wide_run_keeps_no_pair_of_a_row(monkeypatch):
+    """A row is kept once per (ref, pipeline value), so the pairs it checks
+    are not kept again in the memo's pair table: after the wide run, the
+    rows it added name active pipelines, and no pair it added does."""
+    from ranweave import agents
+
+    ctx, oracle, chat = _wide_run(monkeypatch)
+    memos: list = []
+    evaluate_conflicts = agents.evaluate_conflicts
+
+    def recorded(candidates, eligible, memo):
+        memos.append(memo)
+        return evaluate_conflicts(candidates, eligible, memo)
+
+    monkeypatch.setattr(agents, "evaluate_conflicts", recorded)
+    assert orchestrate_batch(ctx, chat, MemoryBuffer(), VectorStore(), oracle).converged
+    memo = memos[-1]
+    rows = [edge for key in memo.rows.keys() - oracle.memo.rows.keys() for edge in memo.rows[key]]
+    assert any(ref.startswith("pre:") for (_, ref), _ in rows)
+    added = memo.pairs.keys() - oracle.memo.pairs.keys()
+    assert not [key for key in added if key[0].startswith("pre:") or key[1].startswith("pre:")]
 
 
 @pytest.mark.parametrize("scenario_id", [1, 2, 3, 4])
