@@ -479,9 +479,10 @@ def orchestrate_batch(
     DeploymentState object is the same active set. A candidate's structure
     is checked once, when it is stored.
 
-    Every iteration retrieves for one question, query_text of the batch; a
-    store that starts from its ranking, as run_scenario's does, ranks nothing,
-    and an empty store gives no chunks.
+    Every iteration retrieves for one question, query_text of the batch. The
+    store keeps the ranking of each text it is asked, so a store already
+    asked it, as a bundle's store is by its scenario's earlier runs, ranks
+    nothing; an empty store gives no chunks.
     """
     memo = oracle.memo
     if (set(oracle.per_intent_truth), memo.intents, memo.matrix, memo.registry, memo.pre) != (

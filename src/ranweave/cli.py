@@ -111,7 +111,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     bundle = load_fixtures(args.fixtures)
     (scenario_id,) = _scenario_ids(bundle, args.scenario)
-    result = bundle.setup(scenario_id).oracle
+    result = bundle.oracle(scenario_id)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 0
 

@@ -6,13 +6,14 @@ load_fixtures takes a catalog of any size and checks only what every
 catalog must satisfy; the bundled catalog's shape is pinned by its tests,
 not by the loader.
 
-A scenario is named by its id in the bundle. What its runs share is
-computed once per bundle and scenario, on first use (ScenarioSetup): the
-deployment state of its pre-deployed reference pipelines, its oracle, and
-the knowledge corpus ranked for its retrieval query. Each run gets its own
-transport, memory buffer, knowledge store (seeded with that ranking),
-conflict memo and agent calls, drives the iteration loop, and produces a
-RunReport whose metrics are normalized against the exact planner.
+A scenario is named by its id in the bundle. What its runs share lives on
+the bundle, made on first use: the knowledge store (FixtureBundle.store),
+which keeps the corpus ranked for each query text it is asked, and each
+scenario's oracle (FixtureBundle.oracle), whose memo holds the active set
+of its pre-deployed reference pipelines. Each run gets its own transport,
+memory buffer, conflict memo and agent calls, drives the iteration loop,
+and produces a RunReport whose metrics are normalized against the exact
+planner.
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from .agents import (
-    DEFAULT_ANALOGUES,
-    MAX_ITERATIONS,
-    BatchOutcome,
-    Mode,
-    RunContext,
-    orchestrate_batch,
-    query_text,
-)
+from .agents import DEFAULT_ANALOGUES, MAX_ITERATIONS, Mode, RunContext, orchestrate_batch
 from .conflicts import VendorCompatibilityMatrix, build_conflict_graph
 from .memory import MemoryBuffer
 from .model import ENTRY_ERRORS, DeploymentState, Intent, Pipeline, Registry, XAppProfile, check_integer_id
@@ -44,7 +37,7 @@ from .planner import (
     max_conflict_free_subset,
     synthesize_ground_truth,
 )
-from .retrieval import DocChunk, UndecodableDocument, VectorStore, rank
+from .retrieval import UndecodableDocument, VectorStore
 from .schemas import load_doc
 from .transport import ChatTransport, HttpChatTransport, MockBundle, NoisyTransport, OracleTransport
 
@@ -80,19 +73,18 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class FixtureBundle:
-    """A loaded catalog. What every run of it shares, the reference pipelines
-    and the embedded knowledge corpus, and what every run of one of its
-    scenarios shares (setup(scenario_id): active set, oracle, corpus
-    ranking), is computed once per bundle, on first use, and lives as long
-    as the bundle: loading the catalog again computes it again. Nothing is
-    computed at load time. Each run's transport, memory buffer, store,
-    conflict memo and agent calls stay its own."""
+    """A loaded catalog. What its runs share, the reference pipelines, the
+    knowledge store and each scenario's oracle, is computed once per bundle,
+    on first use, and lives as long as the bundle: loading the catalog again
+    computes it again. Nothing is computed at load time. Each run's
+    transport, memory buffer, conflict memo and agent calls stay its own."""
 
     registry: Registry
     intents: dict[int, Intent]
     scenarios: dict[int, ScenarioSpec]
     matrix: VendorCompatibilityMatrix
     knowledge_dir: Path
+    _oracles: dict[int, OracleResult] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def truths(self) -> Mapping[int, Pipeline]:
@@ -101,25 +93,35 @@ class FixtureBundle:
         return ReferencePipelines(self)
 
     @cached_property
-    def knowledge(self) -> tuple[DocChunk, ...]:
-        """The chunks of knowledge_dir, embedded on first use; their vectors are
-        read-only. A file that is not UTF-8 text raises FixtureError naming it."""
+    def store(self) -> VectorStore:
+        """The one knowledge store of the bundle's runs: the chunks of
+        knowledge_dir, embedded on first use, their vectors read-only. A
+        missing knowledge_dir gives an empty store; one that is not a
+        directory, or holds a file that is not UTF-8 text, raises FixtureError."""
         store = VectorStore()
         if self.knowledge_dir.is_dir():
             try:
                 store.add_directory(self.knowledge_dir)
             except UndecodableDocument as exc:
                 raise FixtureError(f"{self.knowledge_dir.name}/{exc}", "not UTF-8 text") from None
-        return store.chunks
+        elif self.knowledge_dir.exists():
+            raise FixtureError(self.knowledge_dir.name, "not a directory")
+        return store
 
-    @cached_property
-    def _setups(self) -> dict[int, "ScenarioSetup"]:
-        return {i: ScenarioSetup(self, spec) for i, spec in self.scenarios.items()}
-
-    def setup(self, scenario_id: int) -> "ScenarioSetup":
-        """The kept set-up of the runs of scenario scenario_id; an id that is
-        not one of the bundle's scenarios raises KeyError."""
-        return self._setups[scenario_id]
+    def oracle(self, scenario_id: int) -> OracleResult:
+        """Scenario scenario_id's oracle: the truths of its new intents plus the
+        deployable maximum beside the active set of its pre-deployed ones
+        (memo.pre). It is kept once made; one that raises
+        (InfeasibleIntentError) is not, and raises again on the next call. An
+        id that is not one of the bundle's scenarios raises KeyError."""
+        spec = self.scenarios[scenario_id]
+        if scenario_id not in self._oracles:
+            pre = DeploymentState(tuple(self.truths[i] for i in spec.pre_deployed_intents))
+            candidates = {i: self.truths[i] for i in spec.new_intents}
+            self._oracles[scenario_id] = max_conflict_free_subset(
+                candidates, pre, self.intents, self.matrix, self.registry
+            )
+        return self._oracles[scenario_id]
 
 
 class ReferencePipelines(Mapping):
@@ -140,44 +142,6 @@ class ReferencePipelines(Mapping):
 
     def __len__(self) -> int:
         return len(self._bundle.intents)
-
-
-class ScenarioSetup:
-    """What every run of one scenario shares, each part computed on first use.
-
-    A part that raises (InfeasibleIntentError for an intent without a
-    reference pipeline) is not kept and raises again on the next lookup.
-    All of it is read-only: a run copies the oracle's memo before it adds
-    to it, and a run's store drops the ranking when a document is added.
-    """
-
-    def __init__(self, bundle: FixtureBundle, spec: ScenarioSpec):
-        self._bundle = bundle
-        self.spec = spec
-
-    @cached_property
-    def intents(self) -> tuple[Intent, ...]:
-        """The scenario's new intents, in the scenario's order."""
-        return tuple(self._bundle.intents[i] for i in self.spec.new_intents)
-
-    @cached_property
-    def pre(self) -> DeploymentState:
-        """The active set a run starts from: the pre-deployed intents' reference pipelines."""
-        truths = self._bundle.truths
-        return DeploymentState(tuple(truths[i] for i in self.spec.pre_deployed_intents))
-
-    @cached_property
-    def oracle(self) -> OracleResult:
-        """Truths of the new intents plus the deployable maximum beside pre."""
-        b = self._bundle
-        candidates = {i: b.truths[i] for i in self.spec.new_intents}
-        return max_conflict_free_subset(candidates, self.pre, b.intents, b.matrix, b.registry)
-
-    @cached_property
-    def ranking(self) -> tuple[str, tuple[DocChunk, ...]]:
-        """The retrieval query a run of the scenario asks, and the bundle's corpus ranked for it."""
-        text = query_text(self.intents, self._bundle.registry)
-        return text, rank(self._bundle.knowledge, text)
 
 
 @dataclass
@@ -301,9 +265,9 @@ def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
     """Authoring gate: every intent must have a reference pipeline, and every
     scenario not using an infeasible intent a conflict-free reference deployment.
 
-    The knowledge corpus is read first, as a run reads it, so a file of it
-    that is not UTF-8 text raises FixtureError naming the file."""
-    bundle.knowledge
+    The knowledge store is read first, as a run reads it, so a corpus that is
+    not a directory, or a file of it that is not UTF-8 text, raises FixtureError."""
+    bundle.store
     problems = []
     infeasible = set()
     for intent_id in bundle.truths:
@@ -315,7 +279,7 @@ def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
     for scenario in bundle.scenarios.values():
         if infeasible & set(scenario.new_intents + scenario.pre_deployed_intents):
             continue
-        result = bundle.setup(scenario.id).oracle
+        result = bundle.oracle(scenario.id)
         expected = set(scenario.new_intents)
         if set(result.max_subset) != expected:
             problems.append(
@@ -331,14 +295,9 @@ def validate_fixture_soundness(bundle: FixtureBundle) -> list[str]:
 
 
 def build_knowledge_store(bundle: FixtureBundle) -> VectorStore:
-    """A fresh store over the bundle's corpus, embedded once per bundle.
-
-    Each call gets its own chunk list and query memo, so documents added to
-    one store never reach another. The store keeps no ranking: its first
-    query ranks the corpus. run_scenario instead seeds its run's store with
-    the scenario's ranking (ScenarioSetup.ranking), made once per bundle.
-    """
-    return VectorStore(chunks=bundle.knowledge)
+    """The bundle's one knowledge store (FixtureBundle.store), which every
+    run of the bundle is handed."""
+    return bundle.store
 
 
 def make_transport(kind: str, bundle: FixtureBundle, seed: int = 0) -> ChatTransport:
@@ -373,54 +332,40 @@ def run_scenario(
     """Execute one (scenario, mode, transport, seed) run and report metrics.
 
     scenario_id names one of the bundle's scenarios; any other id raises
-    KeyError. The scenario's set-up is shared with its other runs
-    (FixtureBundle.setup); the transport, memory buffer, knowledge store and
-    the loop are the run's own.
+    KeyError. The scenario's oracle and the knowledge store are the bundle's,
+    shared with its other runs; the transport, memory buffer and the loop
+    are the run's own.
     """
-    setup = bundle.setup(scenario_id)
+    spec = bundle.scenarios[scenario_id]
     run_mode = Mode(mode)
     chat = make_transport(transport, bundle, seed) if isinstance(transport, str) else transport
-    oracle = setup.oracle
+    oracle = bundle.oracle(scenario_id)
     memory = memory if memory is not None else MemoryBuffer()
-    # The run's own store, starting from the ranking for the query its loop asks.
-    store = VectorStore(bundle.knowledge, setup.ranking)
 
     ctx = RunContext(
         mode=run_mode,
-        intents=setup.intents,
-        pre=setup.pre,
+        intents=tuple(bundle.intents[i] for i in spec.new_intents),
+        pre=oracle.memo.pre,
         registry=bundle.registry,
         matrix=bundle.matrix,
         intent_catalog=bundle.intents,
         max_iterations=max_iterations,
         analogue_count=analogue_count,
     )
-    outcome = orchestrate_batch(ctx, chat, memory, store, oracle)
-    return _report_from_outcome(setup.spec, run_mode, chat, seed, oracle, outcome, max_iterations)
-
-
-def _report_from_outcome(
-    spec: ScenarioSpec,
-    mode: Mode,
-    transport: ChatTransport,
-    seed: int,
-    oracle: OracleResult,
-    outcome: BatchOutcome,
-    max_iterations: int,
-) -> RunReport:
+    outcome = orchestrate_batch(ctx, chat, memory, bundle.store, oracle)
     best = outcome.best
     total = len(spec.new_intents)
     objective = oracle.objective_value
     return RunReport(
         scenario_id=spec.id,
-        mode=mode.value,
+        mode=run_mode.value,
         generation_accuracy=len(best.correct) / total if total else 1.0,
         deployment_success=(best.score.correct_deployed / objective) if objective else 1.0,
         iterations_to_synthesis=outcome.iterations_to_synthesis or max_iterations,
         iterations_to_deployment=outcome.iterations_to_deployment or max_iterations,
         converged=outcome.converged,
         seed=seed,
-        transport=transport.describe(),
+        transport=chat.describe(),
         score_history=[s.as_tuple() for s in outcome.score_history],
     )
 

@@ -10,9 +10,8 @@ no network.
 The number of chunks injected per query grows with the iteration count:
 top-10 on the first attempt, +10 per attempt, capped at 50. A run asks the
 same question every iteration, so the store ranks the whole corpus once per
-query text and each later attempt takes a longer prefix of that ranking. A
-store can also start from a ranking made elsewhere (rank) over the same chunks,
-so runs that ask one question share its ranking.
+query text and each later attempt takes a longer prefix of that ranking;
+runs that share a store and ask one question share its ranking too.
 """
 
 from __future__ import annotations
@@ -149,19 +148,15 @@ def k_schedule(iteration: int) -> int:
 class VectorStore:
     """In-memory chunk index queried by exact similarity.
 
-    The store starts from chunks, which must be embedded by embed. The
-    last query's text and its full ranking are kept, so a run that asks the
-    same question every iteration embeds it and scores each chunk once;
-    later attempts slice the kept ranking. A store may start with a kept
-    ranking, a (text, rank(chunks, text)) pair over the chunks it is given;
-    a query of another text ranks afresh. Adding a document drops it.
+    The store starts from chunks, which must be embedded by embed. The full
+    ranking of every query text it is asked is kept, keyed by the text, so
+    a text is embedded and each chunk scored for it once; later asks slice
+    the kept ranking. Adding a document drops every kept ranking.
     """
 
-    def __init__(
-        self, chunks: Iterable[DocChunk] = (), ranking: tuple[str, tuple[DocChunk, ...]] | None = None
-    ):
+    def __init__(self, chunks: Iterable[DocChunk] = ()):
         self._chunks: list[DocChunk] = list(chunks)
-        self._last_query = ranking
+        self._rankings: dict[str, tuple[DocChunk, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -173,7 +168,7 @@ class VectorStore:
     def add_document(self, doc_id: str, text: str) -> int:
         added = chunk_document(doc_id, text)
         self._chunks.extend(added)
-        self._last_query = None
+        self._rankings.clear()
         return len(added)
 
     def add_directory(self, path: str | Path) -> int:
@@ -191,6 +186,6 @@ class VectorStore:
     def query(self, query_text: str, iteration: int = 1) -> tuple[DocChunk, ...]:
         """Top chunks for this attempt, ties broken by (doc_id, start)."""
         k = k_schedule(iteration)
-        if self._last_query is None or self._last_query[0] != query_text:
-            self._last_query = (query_text, rank(self._chunks, query_text))
-        return self._last_query[1][:k]
+        if query_text not in self._rankings:
+            self._rankings[query_text] = rank(self._chunks, query_text)
+        return self._rankings[query_text][:k]

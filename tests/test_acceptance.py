@@ -130,7 +130,7 @@ def test_criterion_02_max_subset_exactness():
 def test_criterion_03_fixture_soundness_gate(bundle):
     problems = validate_fixture_soundness(bundle)
     objectives = {
-        spec.id: bundle.setup(spec.id).oracle.objective_value == len(spec.new_intents)
+        spec.id: bundle.oracle(spec.id).objective_value == len(spec.new_intents)
         for spec in bundle.scenarios.values()
     }
     passed = not problems and all(objectives.values())

@@ -435,7 +435,7 @@ def test_an_answer_past_the_float_range_is_a_failed_call(bundle, truths):
     transport = ScriptedTransport([bad])
     ctx = replace(_ctx(bundle, 1, Mode.SA, truths), max_iterations=1)
     memory = MemoryBuffer()
-    outcome = orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.setup(1).oracle)
+    outcome = orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.oracle(1))
     assert transport.calls == [(REASONING, (3, 4))] * 2  # one batched request and its repair
     assert outcome.best.candidates == {} and not outcome.converged
     assert not memory.entries
@@ -518,7 +518,7 @@ def test_mode_algebra_call_traces(bundle, truths):
 
 
 def test_oracle_transport_converges_in_one_iteration_every_mode(bundle, truths):
-    oracle = bundle.setup(2).oracle
+    oracle = bundle.oracle(2)
     for mode in Mode:
         ctx = _ctx(bundle, 2, mode, truths)
         transport = OracleTransport(_mock_bundle(bundle, truths))
@@ -605,14 +605,14 @@ def test_orchestrate_clears_memory_at_start(bundle, truths):
         OutcomeRecord(deployed=True, correct=True, conflicts=()),
     )
     ctx = _ctx(bundle, 1, Mode.F5, truths)
-    oracle = bundle.setup(1).oracle
+    oracle = bundle.oracle(1)
     orchestrate_batch(ctx, OracleTransport(_mock_bundle(bundle, truths)), memory, VectorStore(), oracle)
     assert all(entry.intent.id in (3, 4) for entry in memory.entries)
 
 
 def test_iteration_cap_with_always_invalid_pipelines(bundle, truths):
     ctx = replace(_ctx(bundle, 1, Mode.NP, truths), max_iterations=50)
-    oracle = bundle.setup(1).oracle
+    oracle = bundle.oracle(1)
     outcome = orchestrate_batch(
         ctx, UnregisteredPipelineTransport(), MemoryBuffer(), VectorStore(), oracle
     )
@@ -681,7 +681,7 @@ def test_solved_intents_are_not_asked_again(bundle, truths, mode, monkeypatch):
         transport = NoisyTransport(_mock_bundle(bundle, truths), seed)
         memory = MemoryBuffer()
         ctx = _ctx(bundle, scenario_id, mode, truths, seed)
-        orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.setup(scenario_id).oracle)
+        orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.oracle(scenario_id))
         for number, (end, _, solution) in enumerate(iterations, start=1):
             assert not _named(transport.calls[end:]) & solution.correct
             if number < len(iterations):
@@ -897,7 +897,7 @@ def test_transport_outage_counts_as_failed_attempt(bundle, truths):
 
     transport = FlakyTransport(_mock_bundle(bundle, truths), fail_first=3)
     ctx = _ctx(bundle, 1, Mode.F5, truths)
-    oracle = bundle.setup(1).oracle
+    oracle = bundle.oracle(1)
     outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), oracle)
     assert outcome.converged
     assert len(outcome.score_history) >= 2
@@ -972,7 +972,7 @@ def test_a_repair_lost_in_transport_keeps_the_entries_that_passed(bundle, truths
     whole-answer repair that fails in transport fails the call."""
     transport = RepairOutage([_answer({3: "not a policy", 4: truths[4]}), _answer({3: truths[3]})])
     ctx = replace(_ctx(bundle, 1, Mode.NR, truths), max_iterations=1)
-    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), bundle.setup(1).oracle)
+    outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), bundle.oracle(1))
     assert transport.calls == [(REASONING, (3, 4)), (REASONING, (3,))]
     assert outcome.best.candidates == {4: truths[4]}
 
@@ -1000,7 +1000,7 @@ def test_retrieval_feeds_prompt_chunks(bundle, truths):
     store = build_knowledge_store(bundle)
     transport = PromptCapture(_mock_bundle(bundle, truths))
     ctx = _ctx(bundle, 1, Mode.F5, truths)
-    oracle = bundle.setup(1).oracle
+    oracle = bundle.oracle(1)
     orchestrate_batch(ctx, transport, MemoryBuffer(), store, oracle)
     assert any(".md:" in text for text in transport.seen_user_messages)
 
@@ -1016,7 +1016,7 @@ def test_perception_reads_the_graph_the_previous_iteration_left(bundle, truths):
     report = dump_doc(conflict_report(()))
     transport = ScriptedTransport([_answer({1: truths[1], 2: invalid, 7: truths[7]}), report])
     ctx = replace(_ctx(bundle, 2, Mode.NR, truths), max_iterations=2)
-    orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), bundle.setup(2).oracle)
+    orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), bundle.oracle(2))
 
     handed = [r.payload["conflicts"] for r in transport.requests if r.role == "perception"]
     after_first = {1: truths[1], 2: invalid, 7: truths[7]}
@@ -1070,7 +1070,7 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, monkeypatch):
     monkeypatch.setattr(retrieval, "embed", counting_embed)
     transport = RecordingNoisyTransport(_mock_bundle(bundle, truths), 0)
     ctx = _ctx(bundle, 1, Mode.SA, truths)
-    outcome = orchestrate_batch(ctx, transport, memory, store, bundle.setup(1).oracle)
+    outcome = orchestrate_batch(ctx, transport, memory, store, bundle.oracle(1))
 
     assert len(outcome.score_history) > 2
     assert len(embedded) == 1
@@ -1177,7 +1177,7 @@ def test_oracle_answers_are_stored_as_the_oracles_truth_objects(bundle, truths, 
         return evaluate_conflicts(candidates, eligible, memo)
 
     monkeypatch.setattr(agents, "evaluate_conflicts", recorded)
-    oracle = bundle.setup(scenario_id).oracle
+    oracle = bundle.oracle(scenario_id)
     memory = MemoryBuffer()
     ctx = _ctx(bundle, scenario_id, Mode.F5, truths)
     outcome = orchestrate_batch(ctx, OracleTransport(_mock_bundle(bundle, truths)), memory, VectorStore(), oracle)
@@ -1213,7 +1213,7 @@ def test_an_equal_answer_with_other_condition_bytes_keeps_its_own_object(bundle,
     transport = ScriptedTransport([_answer({3: as_int, 4: truths[4]}), _answer({3: as_bool})])
     memory = MemoryBuffer()
     ctx = replace(_ctx(bundle, 1, Mode.NR, truths), max_iterations=3)
-    orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.setup(1).oracle)
+    orchestrate_batch(ctx, transport, memory, VectorStore(), bundle.oracle(1))
 
     assert transport.calls == [("reasoning", (3, 4)), ("reasoning", (3,)), ("reasoning", (3,))]
     first, second = [e.pipeline for e in memory.entries if e.intent.id == 3][:2]
@@ -1228,30 +1228,30 @@ def test_an_equal_answer_with_other_condition_bytes_keeps_its_own_object(bundle,
 
 def test_one_oracle_serves_two_runs_alike(bundle, truths):
     """Two runs from one OracleResult, on fresh transports with one seed,
-    give byte-identical reports, and neither adds to the oracle's memo. Two
-    run_scenario runs read that same oracle, the scenario's kept one, and
-    report the same bytes, leaving its memo as it was too."""
-    spec = bundle.scenarios[3]
-    oracle = bundle.setup(3).oracle
+    give equal outcomes, and neither adds to the oracle's memo. Two
+    run_scenario runs read that same oracle, the scenario's kept one, report
+    the same bytes and the same score history, leaving its memo as it was
+    too."""
+    oracle = bundle.oracle(3)
     memo = oracle.memo
     tables = (memo.pairs, memo.facts, memo.internals, memo.rows)
     sizes = [len(table) for table in tables]
-    reports = []
+    outcomes = []
     for _ in range(2):
         ctx = replace(_ctx(bundle, 3, Mode.F5, truths), max_iterations=10)
         transport = NoisyTransport(_mock_bundle(bundle, truths), 5)
-        outcome = orchestrate_batch(ctx, transport, MemoryBuffer(), build_knowledge_store(bundle), oracle)
-        report = harness._report_from_outcome(
-            spec, ctx.mode, transport, 5, oracle, outcome, ctx.max_iterations
-        )
-        reports.append(json.dumps(report.to_dict(), sort_keys=True))
-        assert len(outcome.score_history) > 1
+        outcomes.append(orchestrate_batch(ctx, transport, MemoryBuffer(), build_knowledge_store(bundle), oracle))
+    reports = []
     for _ in range(2):
         transport = NoisyTransport(_mock_bundle(bundle, truths), 5)
         report = run_scenario(bundle, 3, Mode.F5, transport, seed=5, max_iterations=10)
         reports.append(json.dumps(report.to_dict(), sort_keys=True))
-    assert bundle.setup(3).oracle is oracle
+    assert bundle.oracle(3) is oracle
+    first = outcomes[0]
+    assert len(first.score_history) > 1 and outcomes[1] == first
     assert len(set(reports)) == 1
+    assert report.score_history == [s.as_tuple() for s in first.score_history]
+    assert report.converged == first.converged
     assert [len(table) for table in tables] == sizes
 
 
@@ -1289,10 +1289,10 @@ def test_a_run_refuses_an_oracle_built_for_other_inputs(bundle, truths, other):
         orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), oracle)
     assert transport.calls == []
 
-    kept = bundle.setup(1)
-    assert kept.pre == ctx.pre and kept.pre is not ctx.pre
+    kept = bundle.oracle(1)
+    assert kept.memo.pre == ctx.pre and kept.memo.pre is not ctx.pre
     assert [p.intent_id for p in ctx.pre] == [2]
-    assert orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), kept.oracle).converged
+    assert orchestrate_batch(ctx, transport, MemoryBuffer(), VectorStore(), kept).converged
 
 class IntentSwapTransport(OracleTransport):
     """The oracle backend, except that its answers in one role for intent 3

@@ -412,7 +412,7 @@ def test_fixture_soundness_gate_names_new_intents_that_cannot_all_deploy(tmp_pat
 
 def test_every_scenario_oracle_covers_all_new_intents(bundle):
     for spec in bundle.scenarios.values():
-        result = bundle.setup(spec.id).oracle
+        result = bundle.oracle(spec.id)
         assert result.max_subset == frozenset(spec.new_intents)
 
 
@@ -433,7 +433,8 @@ def test_run_scenario_reports_are_deterministic(bundle):
 
 def test_each_bundle_embeds_its_corpus_once(monkeypatch):
     """Runs of one bundle share its embedded corpus, a bundle loaded again
-    embeds it again, and each run's store is its own."""
+    embeds it again, and the store build_knowledge_store hands out is the
+    bundle's own."""
     embedded: list[str] = []
 
     def counting_embed(text):
@@ -446,20 +447,17 @@ def test_each_bundle_embeds_its_corpus_once(monkeypatch):
     first_run = len(embedded)
     run_scenario(fresh, 2, "f5", "mock-noisy", seed=3)
     # The runs also embed their query and memory texts; count the chunks only.
-    chunk_texts = {chunk.text for chunk in fresh.knowledge}
-    assert len(fresh.knowledge) == 17
+    chunk_texts = {chunk.text for chunk in fresh.store.chunks}
+    assert len(fresh.store) == 17
     assert sum(text in chunk_texts for text in embedded[:first_run]) == 17
     assert sum(text in chunk_texts for text in embedded[first_run:]) == 0
 
     embedded.clear()
-    assert len(load_fixtures().knowledge) == 17
+    assert len(load_fixtures().store) == 17
     assert len(embedded) == 17
 
-    store = build_knowledge_store(fresh)
-    store.add_document("extra.md", "notes that one run adds to its own store")
-    assert len(store) == 18
-    assert len(build_knowledge_store(fresh)) == 17
-    vector = fresh.knowledge[0].vector
+    assert build_knowledge_store(fresh) is fresh.store
+    vector = fresh.store.chunks[0].vector
     with pytest.raises(TypeError, match="does not support item assignment"):
         vector[next(iter(vector))] = 1
 
@@ -514,40 +512,82 @@ def test_the_runs_and_the_gate_share_each_scenario_oracle(monkeypatch):
     assert len(oracles) == 2
     assert validate_fixture_soundness(fresh) == []
     assert len(oracles) == 4
-    assert fresh.setup(1).oracle is fresh.setup(1).oracle
+    assert fresh.oracle(1) is fresh.oracle(1)
     assert len(oracles) == 4
 
 
-def test_a_document_added_to_one_runs_store_stays_in_that_run(monkeypatch):
-    """Each run gets a store of its own, seeded with the scenario's ranking:
-    a document the first run adds can head that run's ranking, and the next
-    run neither holds it nor ranks afresh."""
+def test_every_run_of_a_bundle_shares_its_store(monkeypatch):
+    """Every run of one bundle is handed the bundle's one store, so over a
+    grid of scenarios, modes and seeds each scenario's query text is
+    embedded once, and each chunk text once, per bundle."""
+    oracles, embedded = _count_setup_work(monkeypatch)
     fresh = load_fixtures()
-    query = _query(fresh, fresh.scenarios[1])
     stores = []
 
     def recording(ctx, transport, memory, store, oracle):
-        if not stores:
-            store.add_document("extra.md", query)
         stores.append(store)
         return orchestrate_batch(ctx, transport, memory, store, oracle)
 
     monkeypatch.setattr(harness, "orchestrate_batch", recording)
-    for _ in range(2):
-        run_scenario(fresh, 1, "f5", "mock-noisy", seed=3)
-    first, second = stores
-    assert len(first) == 18 and first.query(query)[0].doc_id == "extra.md"
-    assert len(second) == 17
-    assert second.query(query, 5) == fresh.setup(1).ranking[1]
-    assert "extra.md" not in {chunk.doc_id for chunk in second.query(query, 5)}
+    grid = list(product(sorted(fresh.scenarios), [m.value for m in Mode], [0, 3]))
+    for scenario, mode, seed in grid:
+        run_scenario(fresh, scenario, mode, "mock-noisy", seed=seed)
+    assert len(stores) == len(grid) == 40
+    assert all(store is stores[0] for store in stores)
+    assert build_knowledge_store(fresh) is stores[0]
+    assert len(oracles) == 4
+    for spec in fresh.scenarios.values():
+        assert embedded[_query(fresh, spec)] == 1
+    assert [embedded[chunk.text] for chunk in stores[0].chunks] == [1] * 17
+
+
+def test_a_run_does_not_depend_on_the_runs_before_it():
+    """Sharing the store and the oracle adds no dependence on run order: a
+    run gives the same report bytes, and renders every request to the same
+    bytes, on a fresh bundle as after the bundle has run other scenarios."""
+
+    def hashed_run(bundle):
+        chat = make_transport("mock-noisy", bundle, 5)
+        rendered = []
+        complete = chat.complete
+
+        def hashing(request):
+            rendered.append(hashlib.sha256(json.dumps(request.messages, sort_keys=True).encode()).hexdigest())
+            return complete(request)
+
+        chat.complete = hashing
+        report = run_scenario(bundle, 2, "f5", chat, seed=5)
+        return json.dumps(report.to_dict(), sort_keys=True), rendered
+
+    first = hashed_run(load_fixtures())
+    used = load_fixtures()
+    for scenario, mode in product((1, 3, 4), [m.value for m in Mode]):
+        run_scenario(used, scenario, mode, "mock-noisy", seed=5)
+    assert first[1] and hashed_run(used) == first
+
+
+def test_a_knowledge_path_that_is_not_a_directory_is_a_catalog_error(tmp_path, bundle, capsys):
+    """The corpus is an optional knowledge directory: a missing one is an
+    empty corpus, but a file in its place is refused, by run and by
+    validation alike, with one stderr line and nothing on stdout."""
+    root = _copy_catalog(bundle, tmp_path)
+    shutil.rmtree(root / "knowledge")
+    assert cli_main(["--fixtures", str(root), "fixtures", "validate"]) == 0
+    assert capsys.readouterr().out.startswith("fixtures sound: ")
+    (root / "knowledge").write_text("notes\n")
+    for command in (["run", "--scenario", "1"], ["fixtures", "validate"]):
+        assert cli_main(["--fixtures", str(root), *command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ranweave: knowledge: not a directory\n"
 
 
 def test_an_id_outside_the_bundle_is_refused(bundle):
     """A scenario is one of the bundle's, named by its id: any other id raises
-    KeyError, as bundle.scenarios does, before a run or a set-up starts."""
+    KeyError, as bundle.scenarios does, before a run or an oracle search starts."""
     assert 99 not in bundle.scenarios
     with pytest.raises(KeyError):
-        bundle.setup(99)
+        bundle.oracle(99)
     with pytest.raises(KeyError):
         run_scenario(bundle, 99, "f5", "mock-oracle", seed=0)
 
@@ -712,7 +752,7 @@ def test_cli_run_on_a_knowledge_file_that_is_not_utf8_is_a_catalog_error(tmp_pat
     assert captured.out == ""
     assert captured.err == "ranweave: knowledge/latin1.md: not UTF-8 text\n"
     with pytest.raises(FixtureError, match="^knowledge/latin1.md: not UTF-8 text$"):
-        load_fixtures(root).knowledge
+        load_fixtures(root).store
 
 
 def test_cli_fixtures_validate_reads_the_knowledge_corpus(tmp_path, bundle, capsys):
@@ -806,7 +846,7 @@ def _catalog_with_an_infeasible_intent(bundle, tmp_path):
 
 
 def test_an_infeasible_scenario_is_searched_again_on_every_lookup(tmp_path, bundle, monkeypatch):
-    """A set-up that raises is not kept: each lookup tries the intent again."""
+    """An oracle that raises is not kept: each lookup tries the intent again."""
     searched: list[int] = []
 
     def counting_synthesis(intent, *args):
@@ -817,9 +857,9 @@ def test_an_infeasible_scenario_is_searched_again_on_every_lookup(tmp_path, bund
     grown = load_fixtures(_catalog_with_an_infeasible_intent(bundle, tmp_path)[0])
     for _ in range(2):
         with pytest.raises(InfeasibleIntentError, match="intent 8"):
-            grown.setup(5).oracle
+            grown.oracle(5)
     assert searched.count(8) == 2
-    assert grown.setup(1).oracle.max_subset == frozenset({3, 4})
+    assert grown.oracle(1).max_subset == frozenset({3, 4})
 
 
 def test_cli_isolates_an_infeasible_intent(tmp_path, bundle, capsys):
@@ -925,9 +965,13 @@ oracle = max_conflict_free_subset(candidates, pre, catalog.intents, catalog.matr
 ctx = RunContext(Mode.F5, tuple(catalog.intents[i] for i in catalog.new_intents), pre, catalog.registry, catalog.matrix, catalog.intents)
 chat = transport.NoisyTransport(transport.MockBundle(catalog.registry, catalog.intents, catalog.matrix, truths), 1)
 outcome = orchestrate_batch(ctx, chat, MemoryBuffer(), harness.build_knowledge_store(bundle), oracle)
-spec = harness.ScenarioSpec(0, tuple(catalog.new_intents), tuple(catalog.pre_intents))
-report = harness._report_from_outcome(spec, ctx.mode, chat, 1, oracle, outcome, ctx.max_iterations)
-print(json.dumps(report.to_dict(), sort_keys=True))
+best = outcome.best
+print(json.dumps({
+    "converged": outcome.converged,
+    "correct": sorted(best.correct),
+    "deployed": sorted(best.deployed),
+    "score_history": [s.as_tuple() for s in outcome.score_history],
+}, sort_keys=True))
 print("\\n".join(rendered))
 """
 

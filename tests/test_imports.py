@@ -458,6 +458,25 @@ def test_a_pipeline_has_one_identity_its_value():
     assert "intern" not in {node.name for node in memo.body if isinstance(node, ast.FunctionDef)}
 
 
+def test_a_bundles_runs_share_one_store_and_its_oracles():
+    """What a bundle's runs share lives on the bundle: harness defines no
+    per-scenario set-up class, run_scenario builds no store of its own, and
+    a VectorStore starts from its chunks alone, with no ranking made
+    elsewhere."""
+    trees = _package_trees()
+    harness = trees["harness.py"]
+    assert "ScenarioSetup" not in {node.name for node in harness.body if isinstance(node, ast.ClassDef)}
+    [run] = [node for node in harness.body if isinstance(node, ast.FunctionDef) and node.name == "run_scenario"]
+    assert not [node for node in ast.walk(run) if _calls_named(node, "VectorStore")]
+    [store] = [
+        node for node in trees["retrieval.py"].body if isinstance(node, ast.ClassDef) and node.name == "VectorStore"
+    ]
+    [init] = [node for node in store.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    arguments = init.args
+    assert [arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs] == ["self", "chunks"]
+    assert arguments.vararg is None and arguments.kwarg is None
+
+
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFINITIONS = (*_FUNCTIONS, ast.ClassDef)
 

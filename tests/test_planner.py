@@ -613,7 +613,7 @@ def test_oracle_solution_score_dominates_every_alternative_subset(bundle, truths
 
     for spec in bundle.scenarios.values():
         proposed = {i: truths[i] for i in spec.new_intents}
-        oracle = bundle.setup(spec.id).oracle
+        oracle = bundle.oracle(spec.id)
         best = score_solution(proposed, oracle.max_subset, set(proposed), conflict_total=0)
         for size in range(len(spec.new_intents) + 1):
             for subset in combinations(spec.new_intents, size):

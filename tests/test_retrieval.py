@@ -138,8 +138,8 @@ def test_embed_matches_the_reference_loop_bit_for_bit(text):
 
 
 def test_bundled_corpus_embeds_as_the_reference_loop_does(bundle):
-    assert bundle.knowledge
-    for chunk in bundle.knowledge:
+    assert bundle.store.chunks
+    for chunk in bundle.store.chunks:
         _assert_embeds_as_the_reference_loop(chunk.vector, chunk.text)
 
 
@@ -290,8 +290,10 @@ def test_query_respects_k_schedule():
     assert len(store.query("networks", iteration=5)) == 30
 
 
-def test_query_keeps_the_last_embedding(monkeypatch):
-    """Asking the same text again reuses its embedding; asking another drops it."""
+def test_query_keeps_every_texts_ranking(monkeypatch):
+    """Each text is embedded and ranked once, however the asks of other texts
+    interleave; adding a document drops every kept ranking, so the next ask
+    ranks afresh and can put the new document first."""
     store = VectorStore()
     for index in range(4):
         store.add_document(f"doc{index}.md", f"notes {index} on traffic steering and slicing " * (index + 1))
@@ -305,30 +307,14 @@ def test_query_keeps_the_last_embedding(monkeypatch):
     for iteration, text in [(1, "traffic steering"), (2, "traffic steering"), (3, "slicing"), (4, "traffic steering")]:
         got, expected = store.query(text, iteration), reference_rank(store.chunks, embed(text), k_schedule(iteration))
         assert [(c.doc_id, c.start) for c in got] == [(c.doc_id, c.start) for c in expected]
-    assert calls == ["traffic steering", "slicing", "traffic steering"]
+    assert calls == ["traffic steering", "slicing"]
 
-
-def test_a_store_starts_from_a_kept_ranking(monkeypatch):
-    """A store given (text, rank(chunks, text)) answers that text without
-    embedding it; another text, or a document added, ranks afresh."""
-    chunks = [c for i in range(3) for c in chunk_document(f"doc{i}.md", f"notes {i} on traffic steering " * (i + 2))]
-    kept = rank(chunks, "traffic steering")
-    assert list(kept) == reference_rank(chunks, embed("traffic steering"), len(chunks))
-    calls: list[str] = []
-
-    def counting_embed(text):
-        calls.append(text)
-        return embed(text)
-
-    monkeypatch.setattr(retrieval, "embed", counting_embed)
-    store = VectorStore(chunks, ("traffic steering", kept))
-    assert store.query("traffic steering", 2) == kept[:20]
-    assert calls == []
-    assert list(store.query("slicing")) == reference_rank(chunks, embed("slicing"), 10)
-    assert calls == ["slicing"]
+    calls.clear()
     store.add_document("extra.md", "traffic steering")
     assert store.query("traffic steering")[0].doc_id == "extra.md"
-    assert calls == ["slicing", "traffic steering", "traffic steering"]
+    assert list(store.query("slicing")) == reference_rank(store.chunks, embed("slicing"), 10)
+    # The new document's chunk, then the fresh ranking's query, then the other text.
+    assert calls == ["traffic steering", "traffic steering", "slicing"]
 
 
 # "aafq" embeds to the zero vector: its two trigrams cancel in one bucket.
