@@ -16,9 +16,9 @@ through the previous iteration's correct set.
 
 The loop assembles each request and asks every role through _ask, so it alone
 decides which roles a mode runs and what a failed call (None) falls back to.
-A prompt sends each key and each corpus character once: the registry, the
-policies and the conflict report are header-once tables (schemas.table_doc),
-and the retrieved context drops what an earlier-ranked chunk already sent.
+Every prompt section is one form, a constant "## heading" over one JSON line
+(_request). A list of same-shaped records is a header-once table, so a prompt
+sends each key once, and retrieved chunks drop what was already sent.
 
 Baseline modes drop individual roles: SA is a single combined prompt, NR
 skips refinement, NP skips perception, and FCFS keeps the full synthesis
@@ -152,65 +152,56 @@ REFINEMENT_TEMPLATE = _read_template("refinement.txt")
 SINGLE_AGENT_TEMPLATE = _read_template("single_agent.txt")
 
 
-def _render_profiles(registry: Registry) -> str:
-    return dump_doc(table_doc([p.to_dict() for p in registry]))
+def _render_profiles(registry: Registry) -> dict[str, object]:
+    return table_doc([p.to_dict() for p in registry])
 
 
-def _render_policy(pipeline: Pipeline) -> str:
-    return dump_doc(pipeline_to_policy_doc(pipeline))
+def _render_policies(pipelines: Sequence[tuple[str, Pipeline]]) -> dict[str, object]:
+    return table_doc([{"ref": ref, **pipeline_to_policy_doc(p)} for ref, p in pipelines])
 
 
-def _render_report(perception: PerceptionDoc) -> str:
-    return dump_doc(report_table(perception.records, perception.notes))
-
-
-def _render_policies(pipelines: Sequence[tuple[str, Pipeline]]) -> str:
-    if not pipelines:
-        return "(none)"
-    return dump_doc(table_doc([{"ref": ref, **pipeline_to_policy_doc(p)} for ref, p in pipelines]))
-
-
-def _render_chunks(chunks) -> str:
-    """The chunks in rank order, each without the characters an earlier chunk
-    of its document already sent; every piece left is labelled with its own
-    offsets, and a chunk sent in full before gives none. A longer prefix of
-    the same ranking renders to a longer text with this one as its prefix."""
-    if not chunks:
-        return "(no retrieved context)"
+def _render_chunks(chunks) -> list[dict[str, object]]:
+    """The retrieved context's rows: the chunks in rank order, each without
+    the characters an earlier chunk of its document already sent; every
+    piece left is a row with its own offsets, and a chunk sent in full
+    before gives none. A longer prefix of the same ranking gives a longer
+    list with these rows as its prefix."""
     sent: dict[str, list[tuple[int, int]]] = {}
-    lines = []
+    rows = []
     for chunk in chunks:
         pieces = [(chunk.start, chunk.end)]
         for a, b in sent.setdefault(chunk.doc_id, []):
             # What lies before a and after b of each piece is still unsent.
             pieces = [(x, y) for s, e in pieces for x, y in ((s, min(e, a)), (max(s, b), e)) if x < y]
         sent[chunk.doc_id].append((chunk.start, chunk.end))
-        lines += (
-            f"[{chunk.doc_id}:{s}-{e}] {chunk.text[s - chunk.start : e - chunk.start]}" for s, e in pieces
+        rows += (
+            {"doc": chunk.doc_id, "start": s, "end": e, "text": chunk.text[s - chunk.start : e - chunk.start]}
+            for s, e in pieces
         )
-    return "\n".join(lines)
+    return rows
 
 
 def _request(
-    role: str, template: str, sections: Callable[[], list[tuple[str, str]]], payload: Mapping[str, object]
+    role: str, template: str, sections: Callable[[], list[tuple[str, object]]], payload: Mapping[str, object]
 ) -> AgentRequest:
-    """The one builder of an agent request.
+    """The one builder of an agent request, and the one encoder of a user message.
 
     The system message is the role's template; the user message is the
-    ordered (heading, body) sections, each under a "## heading" line. Both
-    render on the first read of messages; an assembler snapshots eagerly
-    every input that could change before then (candidates, analogues).
+    ordered (heading, document) sections, each a constant "## heading" line
+    over one dump_doc line, which escapes every line break, so no catalog
+    text can start a line. Both render on the first read of messages; an
+    assembler snapshots eagerly every input that could change before then.
 
     Sections run from the most stable to the least: those that stay the
     same for the whole run (registry, intents, deployed policies) come
     first, then those that change per iteration, and the per-call ones
-    (candidates, the current intent) last. A backend with a prefix cache
+    (candidates, the asked intents) last. A backend with a prefix cache
     then bills in full only the bytes after the prefix that consecutive
     requests of one role share.
     """
 
     def render() -> tuple[dict[str, str], ...]:
-        user = "\n\n".join(f"## {heading}\n{body}" for heading, body in sections()) + "\n"
+        user = "\n\n".join(f"## {heading}\n{dump_doc(doc)}" for heading, doc in sections()) + "\n"
         return ({"role": "system", "content": template}, {"role": "user", "content": user})
 
     return AgentRequest(role=role, render=render, payload=payload)
@@ -221,17 +212,22 @@ def assemble_perception_request(
     candidates: Mapping[int, Pipeline],
     conflicts: Sequence[ConflictRecord],
     chunks,
+    unsolved: AbstractSet[str],
 ) -> AgentRequest:
+    """unsolved holds the refs of the intents reasoning is about to ask about;
+    the last section lists those holding a candidate, the pipelines to check."""
     deployed, proposed = labelled({}, ctx.pre), labelled(candidates, DeploymentState())
     chunks = tuple(chunks)
+    scope = [ref for ref, _ in proposed if ref in unsolved]
 
     def sections():
         return [
             ("Registered xApps", _render_profiles(ctx.registry)),
-            ("Service intents", "\n".join(f"- intent {i.id}: {i.text}" for i in ctx.intents)),
+            ("Service intents", table_doc([{"id": i.id, "text": i.text} for i in ctx.intents])),
             ("Deployed policies", _render_policies(deployed)),
-            ("Retrieved context", _render_chunks(chunks)),
+            ("Retrieved context", table_doc(_render_chunks(chunks))),
             ("Candidate policies", _render_policies(proposed)),
+            ("Pipelines to check", scope),
         ]
 
     return _request(PERCEPTION, PERCEPTION_TEMPLATE, sections, {"conflicts": tuple(conflicts)})
@@ -246,33 +242,37 @@ def assemble_reasoning_request(
 ) -> AgentRequest:
     """One request for every asked intent: asked pairs each intent with its
     analogues, in the order of the answer's entries. The shared sections come
-    once, the candidates among them as the previous iteration left them; one
-    block per intent follows."""
+    once, the candidates among them as the previous iteration left them;
+    one table of their analogues and one of the asked intents follow."""
     deployed, proposed = labelled({}, ctx.pre), labelled(candidates, DeploymentState())
     asked = tuple((intent, tuple(analogues)) for intent, analogues in asked)
     chunks = tuple(chunks)
 
-    def block(intent: Intent, analogues) -> tuple[str, str]:
-        mandatory = sorted(intent.required_xapps)
-        past = "\n".join(f"- intent {i.id} ({i.text}) -> {_render_policy(pipe)}" for i, pipe in analogues)
-        return (
-            f"Intent {intent.id}",
-            f"{intent.text}\n"
-            f"Target KPIs: {dump_doc(intent.targets)}\n"
-            f"Required capabilities: {dump_doc(sorted(intent.required_capabilities))}\n"
-            f"Mandatory xApps: {dump_doc(mandatory) if mandatory else '(none)'}\n"
-            f"Past successes for similar intents:\n{past or '(no prior successes)'}",
-        )
-
     def sections():
-        report = _render_report(perception) if perception is not None else "(no conflict report available)"
+        report = None if perception is None else report_table(perception.records, perception.notes)
+        past = [
+            {"for_intent": intent.id, "text": analogue.text, **pipeline_to_policy_doc(pipeline)}
+            for intent, analogues in asked
+            for analogue, pipeline in analogues
+        ]
+        intents = [
+            {
+                "id": i.id,
+                "text": i.text,
+                "target_kpis": i.targets,
+                "required_capabilities": sorted(i.required_capabilities),
+                "required_xapps": sorted(i.required_xapps),
+            }
+            for i, _ in asked
+        ]
         return [
             ("Registered xApps", _render_profiles(ctx.registry)),
             ("Deployed policies", _render_policies(deployed)),
-            ("Retrieved context", _render_chunks(chunks)),
+            ("Retrieved context", table_doc(_render_chunks(chunks))),
             ("Conflict report", report),
             ("Candidate policies", _render_policies(proposed)),
-            *(block(intent, analogues) for intent, analogues in asked),
+            ("Past successes", table_doc(past)),
+            ("Asked intents", table_doc(intents)),
         ]
 
     template = SINGLE_AGENT_TEMPLATE if ctx.mode is Mode.SA else REASONING_TEMPLATE
@@ -288,7 +288,7 @@ def assemble_refinement_request(
     """One request for every asked candidate: asked holds (intent, its
     candidate, its failure summary), in the order of the answer's entries.
     The shared sections come once, the candidates among them as the previous
-    iteration left them; one block per candidate follows."""
+    iteration left them; one table row per asked candidate follows."""
     # Eager: a render runs inside the transport's call, where no traced function may run.
     asked = tuple(
         (intent, candidate, summary, validate_pipeline_structure(candidate, ctx.registry))
@@ -296,20 +296,15 @@ def assemble_refinement_request(
     )
     deployed, proposed = labelled({}, ctx.pre), labelled(candidates, DeploymentState())
 
-    def block(intent: Intent, candidate: Pipeline, summary: str, violations) -> tuple[str, str]:
-        listed = "\n".join(f"- {v}" for v in violations) or "(none found)"
-        return (
-            f"Candidate pipeline for intent {intent.id}",
-            f"{_render_policy(candidate)}\n"
-            f"Recurrent failure patterns:\n{summary}\n"
-            f"Structural violations detected:\n{listed}",
-        )
-
     def sections():
+        rows = [
+            {**pipeline_to_policy_doc(p), "failure_patterns": summary, "violations": [str(v) for v in violations]}
+            for _, p, summary, violations in asked
+        ]
         return [
             ("Deployed policies", _render_policies(deployed)),
             ("Candidate policies", _render_policies(proposed)),
-            *(block(*entry) for entry in asked),
+            ("Candidates to review", table_doc(rows)),
         ]
 
     payload = {
@@ -518,7 +513,7 @@ def orchestrate_batch(
             refs = {candidate_ref(i.id) for i in unsolved}
             records = [r for r in graph.all_records() if not refs.isdisjoint(r.refs())]
             if records:
-                request = assemble_perception_request(ctx, candidates, records, chunks)
+                request = assemble_perception_request(ctx, candidates, records, chunks, refs)
                 perception_doc = _ask(transport, request, parse_perception_doc)
             else:
                 # What a flawless answer about no record parses to.

@@ -6,6 +6,7 @@ and naively; they share no code path with the engine they check.
 
 from __future__ import annotations
 
+import json
 import random
 import zlib
 from collections.abc import Iterable, Mapping
@@ -14,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import networkx
 from hypothesis import strategies as st
 
 from ranweave.conflicts import (
@@ -67,6 +69,19 @@ def replace_one_value(draw, document: object, values: st.SearchStrategy) -> obje
         return draw(values)
     parent[key] = draw(values)
     return document
+
+
+def sections(user_message: str) -> list[tuple[str, object]]:
+    """The (heading, document) sections of a rendered user message: blocks
+    joined by blank lines, each a "## heading" line over one JSON line, and
+    the message ends in one newline. Any other text fails an assertion."""
+    assert user_message.endswith("\n") and not user_message.endswith("\n\n"), user_message[-40:]
+    found = []
+    for block in user_message[:-1].split("\n\n"):
+        lines = block.split("\n")
+        assert len(lines) == 2 and lines[0].startswith("## "), block[:200]
+        found.append((lines[0][3:], json.loads(lines[1])))
+    return found
 
 
 def table_rows(table: Mapping) -> list[dict]:
@@ -343,6 +358,30 @@ def brute_best_subset(vertices: list, edges: set[frozenset], correct: set) -> fr
         if best_key is None or key < best_key:
             best_key, best = key, frozenset(members)
     return best
+
+
+def clique_best_subset(usable: list[int], clashes: Mapping[int, set[int]], correct: set[int]) -> frozenset:
+    """The selector's documented key as a maximum-weight clique of the clash
+    graph's complement (networkx), a second exact reference beside
+    brute_best_subset that reaches past brute force.
+
+    With the n usable ids ascending, B = 2^n and A = (n+1)B, the id at
+    position p weighs A*[correct] + B + 2^(n-1-p). A correct member outweighs
+    any number of others, a member outweighs every tie-break bit, and the
+    bits make each subset's weight distinct, larger for the smaller
+    ascending id sequence of a subset of the same counts.
+    """
+    ordered = sorted(usable)
+    n = len(ordered)
+    big = 2**n
+    heavy = (n + 1) * big
+    graph = networkx.Graph()
+    for position, intent_id in enumerate(ordered):
+        graph.add_node(intent_id, weight=heavy * (intent_id in correct) + big + 2 ** (n - 1 - position))
+    # The complement: an edge joins every pair that does not clash.
+    graph.add_edges_from((a, b) for i, a in enumerate(ordered) for b in ordered[i + 1 :] if b not in clashes[a])
+    members, _ = networkx.max_weight_clique(graph, weight="weight")
+    return frozenset(members)
 
 
 def brute_ground_truth(

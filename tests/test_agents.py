@@ -18,7 +18,6 @@ from ranweave.agents import (
     RunContext,
     Solution,
     _call_with_repair,
-    _render_report,
     assemble_perception_request,
     assemble_reasoning_request,
     enforce_monotonicity,
@@ -56,6 +55,7 @@ from ranweave.schemas import (
     parse_policy_doc,
     parse_refinement_doc,
     pipeline_to_policy_doc,
+    report_table,
 )
 from ranweave.transport import (
     PERCEPTION,
@@ -70,7 +70,7 @@ from ranweave.transport import (
     corrupt_pipeline,
 )
 
-from .helpers import PERFBENCH, json_scalars, json_values, random_registry, replace_one_value
+from .helpers import PERFBENCH, json_scalars, json_values, random_registry, replace_one_value, sections, table_rows
 
 
 def _ctx(bundle, scenario_id: int, mode: Mode, truths, seed: int = 0) -> RunContext:
@@ -94,8 +94,9 @@ def _mock_bundle(bundle, truths) -> MockBundle:
 
 
 def _perceive(ctx, transport, candidates, conflicts):
-    """One perception call as the loop asks it, with no retrieved context."""
-    request = assemble_perception_request(ctx, candidates, conflicts, ())
+    """One perception call as the loop asks it, with no retrieved context,
+    about the candidates of every intent of ctx."""
+    request = assemble_perception_request(ctx, candidates, conflicts, (), {candidate_ref(i.id) for i in ctx.intents})
     return _call_with_repair(transport, request, parse_perception_doc)
 
 
@@ -756,9 +757,9 @@ def test_the_report_handed_in_place_of_perception_is_the_flawless_answer(bundle,
     perception was asked or skipped."""
     ctx = _ctx(bundle, 1, Mode.F5, truths)
     oracle = OracleTransport(_mock_bundle(bundle, truths))
-    answer = parse_perception_doc(oracle.complete(assemble_perception_request(ctx, {}, (), ())))
+    answer = parse_perception_doc(oracle.complete(assemble_perception_request(ctx, {}, (), (), set())))
     assert answer == PerceptionDoc(())
-    assert _render_report(PerceptionDoc(())) == _render_report(answer)
+    assert report_table(answer.records, answer.notes) == report_table(())
 
 
 def test_perception_is_asked_exactly_when_a_record_names_an_unsolved_candidate(bundle, monkeypatch):
@@ -768,7 +769,9 @@ def test_perception_is_asked_exactly_when_a_record_names_an_unsolved_candidate(b
     of the conflict graph it starts from (the active set's before the first
     iteration, the previous iteration's after it) names the candidate of an
     intent outside the previous iteration's correct set. The request is
-    shown exactly those records."""
+    shown exactly those records, and its prompt's last section lists the
+    pipelines to check: the candidates of the unsolved intents, in ref
+    order, each record naming one of them."""
     from ranweave import agents
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -812,8 +815,13 @@ def test_perception_is_asked_exactly_when_a_record_names_an_unsolved_candidate(b
         for (start, correct), (end, _), graph in zip(starts, ends, graphs):
             unsolved = {candidate_ref(i) for i in intent_ids if i not in correct}
             named = [r for r in graph.all_records() if r.refs() & unsolved]
-            handed = [list(r.payload["conflicts"]) for r in sent[start:end] if r.role == PERCEPTION]
+            asked = [r for r in sent[start:end] if r.role == PERCEPTION]
+            handed = [list(r.payload["conflicts"]) for r in asked]
             assert handed == ([named] if mode.uses_perception and named else []), mode
+            for request in asked:
+                scope = dict(sections(request.messages[1]["content"]))["Pipelines to check"]
+                assert scope == sorted(ref for ref in graph.vertices if ref in unsolved)
+                assert all(record.refs() & set(scope) for record in request.payload["conflicts"])
             tally[mode.uses_perception, bool(named), len(named) < len(graph.all_records())] += 1
 
     for transport, seeds in (("mock-noisy", (0, 1, 2)), ("mock-oracle", (0,))):
@@ -1002,7 +1010,11 @@ def test_retrieval_feeds_prompt_chunks(bundle, truths):
     ctx = _ctx(bundle, 1, Mode.F5, truths)
     oracle = bundle.oracle(1)
     orchestrate_batch(ctx, transport, MemoryBuffer(), store, oracle)
-    assert any(".md:" in text for text in transport.seen_user_messages)
+    assert any(
+        row["doc"].endswith(".md")
+        for text in transport.seen_user_messages
+        for row in table_rows(dict(sections(text))["Retrieved context"])
+    )
 
 
 def test_perception_reads_the_graph_the_previous_iteration_left(bundle, truths):
@@ -1078,9 +1090,7 @@ def test_a_run_embeds_its_retrieval_query_once(bundle, truths, monkeypatch):
     assert len(chunk_vectors) == len(store)
     assert [scored[key] for key in chunk_vectors] == [1] * len(store)
     assert transport.requests
-    assert not any(
-        "## Retrieved context\n(no retrieved context)" in r.messages[1]["content"] for r in transport.requests
-    )
+    assert all(dict(sections(r.messages[1]["content"]))["Retrieved context"]["rows"] for r in transport.requests)
 
 
 def _wide_run(monkeypatch):
@@ -1221,9 +1231,9 @@ def test_an_equal_answer_with_other_condition_bytes_keeps_its_own_object(bundle,
     assert first.deployment_conditions == '{"max_load":1}'
     assert second.deployment_conditions == '{"max_load":true}'
     # The third request shows the candidates as the second iteration left them.
-    third = transport.requests[2].messages[1]["content"]
-    candidates = third.split("## Candidate policies\n")[1].split("\n\n## ")[0]
-    assert '"max_load":true' in candidates and '"max_load":1' not in candidates
+    third = dict(sections(transport.requests[2].messages[1]["content"]))
+    [row] = [row for row in table_rows(third["Candidate policies"]) if row["ref"] == "3"]
+    assert row["deployment_conditions"]["max_load"] is True
 
 
 def test_one_oracle_serves_two_runs_alike(bundle, truths):

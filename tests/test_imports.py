@@ -391,6 +391,26 @@ def test_every_agent_call_goes_through_ask():
     assert callers == ["_ask"]
 
 
+def test_every_prompt_section_takes_one_form():
+    """agents._request is the one encoder of a user message: no other
+    function of agents.py calls dump_doc, and each assembler hands it a
+    list of (heading, document) sections whose every heading is a string
+    literal, so no heading holds catalog data."""
+    tree = ast.parse(Path(PACKAGE_DIR, "agents.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert [f.name for f in functions if any(_calls_named(node, "dump_doc") for node in ast.walk(f))] == ["_request"]
+    assemblers = [f for f in functions if f.name.startswith("assemble_")]
+    assert len(assemblers) == 3
+    for assembler in assemblers:
+        [sections] = [node for node in assembler.body if isinstance(node, ast.FunctionDef)]
+        [returned] = [node.value for node in ast.walk(sections) if isinstance(node, ast.Return)]
+        assert isinstance(returned, ast.List), assembler.name
+        for section in returned.elts:
+            assert isinstance(section, ast.Tuple) and len(section.elts) == 2, ast.unparse(section)
+            heading = section.elts[0]
+            assert isinstance(heading, ast.Constant) and isinstance(heading.value, str), ast.unparse(section)
+
+
 # Bindings of perfbench/span_trace.py whose functions the package no longer
 # defines where the tracer looks; their metrics read 0 until the tracer drops them.
 _STALE_BINDINGS = {

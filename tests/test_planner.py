@@ -39,6 +39,7 @@ from .helpers import (
     brute_best_subset,
     brute_ground_truth,
     brute_refinement,
+    clique_best_subset,
     random_intent,
     random_matrix,
     random_pipeline,
@@ -553,6 +554,23 @@ def test_select_subset_is_exact_at_48_candidates():
             correct |= own_correct
         usable = [i for members in components for i in members]
         assert select_subset(usable, _clashes(usable, edges), correct) == expected
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_select_subset_matches_a_max_weight_clique_past_brute_force(data):
+    """At 20-60 ids, past what brute force enumerates, the branch and bound
+    equals a second exact reference by another algorithm: the heaviest
+    clique of the clash graph's complement under the key's integer weights
+    (helpers.clique_best_subset). The clash graphs are sparse, of mean
+    degree 1-3, and about 80% of the ids are correct."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    ids = rng.sample(range(1, 500), data.draw(st.integers(20, 60)))
+    pairs = [frozenset((a, b)) for k, a in enumerate(ids) for b in ids[k + 1 :]]
+    edges = set(rng.sample(pairs, round(data.draw(st.floats(1, 3)) * len(ids) / 2)))
+    correct = {i for i in ids if rng.random() < 0.8}
+    clashes = _clashes(ids, edges)
+    assert select_subset(ids, clashes, correct) == clique_best_subset(ids, clashes, correct)
 
 
 def test_select_subset_takes_a_clash_free_batch_whole():
